@@ -1,19 +1,25 @@
-"""Supervised executor: overhead of supervision on a fault-free run.
+"""Supervised executor: overhead of an explicit policy on a fault-free run.
 
 Not a paper figure — this bench guards the ``repro.exec.supervisor``
-failure-domain machinery: the same campaign is run through the plain
-``ProcessPoolExecutor`` path and through the supervised worker pool
-(heartbeats beating, deadlines armed, no faults injected), both at the
-same worker count.  The canonical JSON digests are required to match
-bit-for-bit — supervision must never perturb the physics — and the
-per-pair median overhead is written to ``BENCH_6.json`` at the
+failure-domain machinery.  Every fan-out runs on the supervisor's
+managed workers; the same campaign is run twice at the same worker
+count:
+
+* **stage grain** — the default fan-out: one unit per pipeline stage
+  per benchmark, under the stock policy;
+* **supervised** — an explicit :class:`SupervisionPolicy`, which keeps
+  benchmarks whole (the grain journals and retry bookkeeping are keyed
+  to), no faults injected.
+
+The canonical JSON digests are required to match bit-for-bit —
+supervision must never perturb the physics — and the per-pair median
+overhead of the explicit policy is written to ``BENCH_6.json`` at the
 repository root.
 
 The overhead bar is deliberately loose (50% on a reduced grid, where
-fixed per-unit costs dominate): supervision pays one extra process
-round-trip per unit plus the heartbeat thread, and the bench exists to
-catch accidental serialization (e.g. a coordinator poll loop starving
-dispatch), not to shave milliseconds.
+fixed per-unit costs dominate): the bench exists to catch accidental
+serialization (e.g. a coordinator poll loop starving dispatch), not to
+shave milliseconds.
 """
 
 import hashlib
@@ -37,14 +43,14 @@ def _canonical_digest(campaign):
 
 def test_supervision_overhead_and_emit(profiles, tec_problem,
                                        baseline_problem, resolution):
-    """Plain-pool vs supervised wall time and bit-identity; emits
-    BENCH_6.json."""
-    digests = {"plain": set(), "supervised": set()}
+    """Stage-grain vs explicit-policy wall time and bit-identity;
+    emits BENCH_6.json."""
+    digests = {"stage_grain": set(), "supervised": set()}
 
-    def sample_plain():
+    def sample_stage_grain():
         campaign = run_campaign(profiles, tec_problem,
                                 baseline_problem, workers=WORKERS)
-        digests["plain"].add(_canonical_digest(campaign))
+        digests["stage_grain"].add(_canonical_digest(campaign))
         return campaign.wall_seconds
 
     def sample_supervised():
@@ -53,22 +59,22 @@ def test_supervision_overhead_and_emit(profiles, tec_problem,
                                 supervision=SupervisionPolicy())
         stats = campaign.worker_stats["supervision"]
         # Fault-free: nothing retried, nothing quarantined, circuit
-        # closed — the supervised pool ran the same units once each.
+        # closed — the workers ran the same units once each.
         assert stats["retries"] == 0
         assert stats["quarantined"] == 0
         assert not stats["circuit_opened"]
         digests["supervised"].add(_canonical_digest(campaign))
         return campaign.wall_seconds
 
-    plain_s, supervised_s, overhead_pct = paired_overhead_pct(
-        sample_plain, sample_supervised, repeats=REPEATS)
+    stage_s, supervised_s, overhead_pct = paired_overhead_pct(
+        sample_stage_grain, sample_supervised, repeats=REPEATS)
 
     # Supervision must never perturb the physics: every run, either
-    # executor, produced the same canonical document.
-    assert len(digests["plain"] | digests["supervised"]) == 1
-    digest = next(iter(digests["plain"]))
+    # grain, produced the same canonical document.
+    assert len(digests["stage_grain"] | digests["supervised"]) == 1
+    digest = next(iter(digests["stage_grain"]))
 
-    print(f"\nplain pool:  {plain_s:.2f} s wall @ {WORKERS} workers")
+    print(f"\nstage grain: {stage_s:.2f} s wall @ {WORKERS} workers")
     print(f"supervised:  {supervised_s:.2f} s wall @ {WORKERS} workers "
           f"({overhead_pct:+.1f}%)")
 
@@ -79,7 +85,7 @@ def test_supervision_overhead_and_emit(profiles, tec_problem,
         "repeats": REPEATS,
         "benchmarks": len(profiles),
         "canonical_digest": digest,
-        "plain": {"wall_seconds": plain_s},
+        "stage_grain": {"wall_seconds": stage_s},
         "supervised": {"wall_seconds": supervised_s},
         "overhead_pct": overhead_pct,
     })

@@ -44,8 +44,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 #: benchmarks/bench_obs_overhead.py.
 OBS_OVERHEAD_BUDGET_PCT = 5.0
 
-#: Budget (percent) for supervised-executor overhead over the plain
-#: pool (benchmarks/bench_supervisor.py measures at matching workers).
+#: Budget (percent) for the overhead of an explicit supervision policy
+#: over the default stage-grained fan-out
+#: (benchmarks/bench_supervisor.py measures at matching workers).
 SUPERVISION_BUDGET_PCT = 10.0
 
 #: The operator layer must make repeated solves at least this many
@@ -60,14 +61,6 @@ MAX_FACTORIZATIONS_PER_SOLVE = 1.5
 #: Adjoint gradients must cut thermal solves at least this much vs
 #: finite differences (BENCH_7's claim is ~10x).
 MIN_SOLVE_REDUCTION = 2.0
-
-#: Warm-pool second campaign must serve at least this fraction of its
-#: factor lookups from worker-side caches (machine-independent).
-WARM_POOL_HIT_RATE_MIN = 0.9
-
-#: Threaded back-substitution bar at 2 threads, gated on the
-#: artifact's recorded core count.
-THREAD_SOLVE_MIN_SPEEDUP = 1.7
 
 #: Relative drift beyond this fraction of the baseline value is
 #: reported (ratio metrics only; 50% keeps noise quiet).
@@ -185,67 +178,6 @@ def gate_bench5(gate: Gate, doc: dict) -> None:
         bool(workers) and units == expected,
         f"per-worker units sum to {units}, campaign ran {expected} "
         "(every unit executed exactly once)")
-
-    cores = _dig(doc, "machine.cpu_count") or 1
-    if "constrained_host" in doc:
-        gate.check(
-            "BENCH_5 constrained-host flag",
-            bool(doc["constrained_host"]) == (cores < 4),
-            f"constrained_host={doc['constrained_host']} matches "
-            f"recorded cpu_count={cores}")
-
-    thread = doc.get("thread")
-    if thread is None:
-        gate.skip("BENCH_5 thread arm",
-                  "no thread block (pre-thread-executor artifact)")
-    else:
-        gate.check(
-            "BENCH_5 thread arm recorded",
-            isinstance(_dig(thread, "warm_solve.speedup"),
-                       (int, float)),
-            "thread campaign + warm-solve microbench present "
-            "(digest equality asserted by the bench itself)")
-        solve_speedup = _dig(thread, "warm_solve.speedup")
-        if cores >= 2 and isinstance(solve_speedup, (int, float)):
-            gate.check(
-                "BENCH_5 threaded warm-solve speedup",
-                solve_speedup >= THREAD_SOLVE_MIN_SPEEDUP,
-                f"{solve_speedup:.2f}x >= "
-                f"{THREAD_SOLVE_MIN_SPEEDUP}x at 2 threads "
-                "(GIL-releasing back-substitution must scale)")
-        else:
-            gate.skip("BENCH_5 threaded warm-solve speedup",
-                      f"needs >= 2 cores, artifact ran on {cores}")
-
-    warm_pool = doc.get("warm_pool")
-    if warm_pool is None:
-        gate.skip("BENCH_5 warm pool",
-                  "no warm_pool block (pre-pool artifact)")
-    else:
-        hit_rate = warm_pool.get("hit_rate")
-        gate.check(
-            "BENCH_5 warm-pool factor hit rate",
-            isinstance(hit_rate, (int, float))
-            and hit_rate >= WARM_POOL_HIT_RATE_MIN,
-            f"{hit_rate} >= {WARM_POOL_HIT_RATE_MIN} "
-            "(second campaign must run out of worker caches)")
-        installs = _dig(warm_pool, "pool_stats.context_installs")
-        reuses = _dig(warm_pool, "pool_stats.context_reuses")
-        gate.check(
-            "BENCH_5 warm-pool context reuse",
-            installs == 1 and isinstance(reuses, int) and reuses >= 1,
-            f"context_installs={installs}, context_reuses={reuses} "
-            "(one install, every later campaign reuses it)")
-
-    if cores >= 4:
-        speedup = _dig(doc, "parallel.workers_4.speedup")
-        gate.check(
-            "BENCH_5 4-worker speedup",
-            isinstance(speedup, (int, float)) and speedup >= 2.0,
-            f"{speedup} >= 2.0 on a {cores}-core host")
-    else:
-        gate.skip("BENCH_5 4-worker speedup",
-                  f"needs >= 4 cores, artifact ran on {cores}")
 
 
 def gate_bench6(gate: Gate, doc: dict) -> None:

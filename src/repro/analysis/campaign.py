@@ -356,8 +356,6 @@ def run_campaign(
     resume_from: Optional[str] = None,
     jac: str = "analytic",
     progress: Optional[object] = None,
-    executor: Optional[str] = None,
-    pool: Optional[object] = None,
 ) -> CampaignResult:
     """Run the three-method comparison over a set of benchmark profiles.
 
@@ -383,20 +381,23 @@ def run_campaign(
         workers: Worker-process count for the parallel engine
             (``repro.exec``): None defers to ``REPRO_WORKERS`` (then
             serial), 0 forces the classic serial loop, 1 runs the
-            decomposed units in-process, N > 1 shards benchmarks
-            across N processes.  Parallel output is bit-identical to
-            serial.  Incompatible with ``evaluator_factory`` (a live
-            factory cannot cross process boundaries; chaos runs use
+            decomposed units in-process, N > 1 shards them across N
+            supervised worker processes (a unit that exhausts its
+            retries is listed under ``quarantined``).  Parallel
+            output is bit-identical to serial.  Incompatible with
+            ``evaluator_factory`` (a live factory cannot cross process
+            boundaries; chaos runs use
             :func:`repro.faults.run_chaos_campaign`'s own parallel
             path).  Error surfacing differs from serial in one way:
             exception objects do not cross the process boundary, so
             where the serial loop re-raises the original exception
             (with its traceback), the parallel path raises
-            :class:`~repro.errors.SolverError` for library failures
-            and :class:`~repro.errors.WorkerCrashError` listing every
-            unhandled worker exception as ``"Type: message"`` text
-            (with the failing unit labels and attempt counts on
-            ``.units``).
+            :class:`~repro.errors.SolverError` for library failures.
+            An exception outside the library contract raises
+            :class:`~repro.errors.WorkerCrashError` (every entry as
+            ``"Type: message"`` text, unit labels and attempt counts
+            on ``.units``) at ``workers=1``; on worker processes the
+            unit is retried, then quarantined.
         supervision: A :class:`repro.exec.SupervisionPolicy` routing
             the benchmarks through the supervised executor: worker
             death/hangs become retries, poison units quarantine, and
@@ -416,19 +417,9 @@ def run_campaign(
             campaign-wide escape hatch restoring backend finite
             differencing.
         progress: A :class:`repro.obs.ProgressBoard` (or anything with
-            its hook methods) fed the benchmark lifecycle — serial,
-            pooled, and supervised paths alike — plus live metric
-            snapshots on the supervised path.
-        executor: Parallel backend (:data:`repro.exec.EXECUTORS`):
-            ``"process"`` (default) forks worker processes,
-            ``"thread"`` runs units on an in-process thread pool
-            sharing one operator cache (the GIL-releasing SuperLU/BLAS
-            hot path), ``"serial"`` forces the decomposed in-process
-            loop.  None defers to ``REPRO_EXECUTOR``.
-        pool: A warm :class:`repro.exec.WorkerPool` to run units on
-            instead of a fresh one-shot process pool; worker-side
-            caches stay hot across successive campaigns on the same
-            pool.
+            its hook methods) fed the benchmark lifecycle — serial
+            and supervised paths alike — plus live metric snapshots
+            from worker processes.
     """
     if not tec_problem_template.has_tec:
         raise ConfigurationError(
@@ -462,15 +453,12 @@ def run_campaign(
         # Journaling and resume need the decomposed per-unit path;
         # one in-process worker preserves serial bit-identity.
         worker_count = 1
-    if worker_count < 1 and pool is not None:
-        worker_count = max(1, pool.workers)
     if worker_count >= 1:
         return _run_campaign_parallel(
             profiles, tec_problem_template, baseline_problem_template,
             method, include_tec_only, isolate_failures, resilient,
             policy, worker_count, supervision, journal_path,
-            resume_from, jac=jac, progress=progress,
-            executor=executor, pool=pool)
+            resume_from, jac=jac, progress=progress)
     make = evaluator_factory or Evaluator
     watch = stopwatch("campaign.wall_seconds")
     if progress is not None:
@@ -523,8 +511,6 @@ def _run_campaign_parallel(
     resume_from: Optional[str] = None,
     jac: str = "analytic",
     progress: Optional[object] = None,
-    executor: Optional[str] = None,
-    pool: Optional[object] = None,
 ) -> CampaignResult:
     """The decomposed campaign path: stage- or benchmark-level units.
 
@@ -564,7 +550,7 @@ def _run_campaign_parallel(
                 workers=workers,
                 supervision=supervision if supervised else None,
                 journal=journal, completed=completed, jac=jac,
-                progress=progress, executor=executor, pool=pool)
+                progress=progress)
             if merge.unhandled:
                 # A non-library exception in a worker is a bug, not a
                 # result; surface every entry instead of a silent hole

@@ -77,7 +77,6 @@ def temperature_fields(
     dynamic_cell_power: np.ndarray,
     leakage: Optional[CellLeakageModel] = None,
     workers: Optional[int] = None,
-    executor: Optional[str] = None,
 ) -> List[Optional[np.ndarray]]:
     """Chip-temperature fields at many ``(omega, current)`` points.
 
@@ -90,14 +89,12 @@ def temperature_fields(
     ``workers`` fans point chunks across worker processes via
     ``repro.exec`` (None defers to ``REPRO_WORKERS``; 0 stays
     in-process); fields are identical across worker counts.
-    ``executor`` picks the fan-out backend (``"process"``,
-    ``"thread"``, ``"serial"``; None defers to ``REPRO_EXECUTOR``).
     """
     from ..exec import resolve_workers, solve_fields
     worker_count = resolve_workers(workers)
     if worker_count >= 1 and len(points) > 1:
         return solve_fields(model, points, dynamic_cell_power,
-                            leakage, worker_count, executor=executor)
+                            leakage, worker_count)
     outcomes = solve_steady_state_batch(
         model, points, dynamic_cell_power, leakage=leakage)
     return [outcome.chip_temperatures

@@ -93,7 +93,6 @@ def sweep_objective_surfaces(
     evaluator: Optional[Evaluator] = None,
     workers: Optional[int] = None,
     progress: Optional[object] = None,
-    executor: Optional[str] = None,
 ) -> SurfaceSweep:
     """Evaluate 𝒯 and 𝒫 on a rectangular (omega, I) sample grid.
 
@@ -104,9 +103,7 @@ def sweep_objective_surfaces(
     per chunk (None defers to ``REPRO_WORKERS``; 0 stays in-process).
     Surfaces are identical across worker counts.  ``progress`` (a
     :class:`repro.obs.ProgressBoard`) receives per-chunk lifecycle
-    events on the fanned-out path.  ``executor`` picks the fan-out
-    backend (``"process"``, ``"thread"``, ``"serial"``; None defers to
-    ``REPRO_EXECUTOR``).
+    events on the fanned-out path.
     """
     if omega_points < 2 or current_points < 1:
         raise ConfigurationError(
@@ -146,7 +143,7 @@ def sweep_objective_surfaces(
             # group under few factorizations.
             evaluations = evaluate_points(
                 problem, points, worker_count, chunk=currents.size,
-                progress=progress, executor=executor)
+                progress=progress)
     if evaluations is None:
         evaluations = evaluator.evaluate_many(points)
     for flat, evaluation in enumerate(evaluations):

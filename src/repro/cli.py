@@ -107,16 +107,6 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
              "bit-identical across worker counts)")
 
 
-def _add_executor(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--executor", default=None,
-        choices=("process", "thread", "serial"),
-        help="parallel backend: worker processes (default), a thread "
-             "pool sharing one in-process operator cache (the "
-             "GIL-releasing SuperLU path), or forced serial; defaults "
-             "to REPRO_EXECUTOR, then 'process'")
-
-
 def _add_supervision(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--unit-deadline", type=float, default=None, metavar="SECONDS",
@@ -266,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jac(campaign)
     _add_supervision(campaign)
     _add_workers(campaign)
-    _add_executor(campaign)
     _add_trace(campaign)
     _add_progress(campaign)
 
@@ -289,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--omega-points", type=int, default=12)
     sweep.add_argument("--current-points", type=int, default=9)
     _add_workers(sweep)
-    _add_executor(sweep)
     _add_progress(sweep)
 
     commands.add_parser("profiles",
@@ -320,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="save the (partial) campaign as JSON")
     _add_supervision(chaos)
     _add_workers(chaos)
-    _add_executor(chaos)
     _add_trace(chaos)
     _add_progress(chaos)
 
@@ -437,7 +424,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                                 journal_path=args.journal,
                                 resume_from=args.resume,
                                 jac=args.jac,
-                                executor=args.executor,
                                 progress=board)
         if board is not None:
             board.finish()
@@ -502,7 +488,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep = sweep_objective_surfaces(
         problem, omega_points=args.omega_points,
         current_points=args.current_points, workers=args.workers,
-        executor=args.executor, progress=board)
+        progress=board)
     if board is not None:
         board.finish()
     print(format_surface(sweep, "temperature"))
@@ -573,7 +559,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             profiles, tec_problem, baseline_problem, plan=plan,
             resilient=not args.no_resilient, workers=args.workers,
             supervision=_supervision_from_args(args),
-            executor=args.executor, progress=board)
+            progress=board)
         if board is not None:
             board.finish()
     print(format_chaos_report(report))

@@ -380,7 +380,6 @@ class Evaluator:
 
     def evaluate_many(self, points: Sequence[Tuple[float, float]],
                       workers: Optional[int] = None,
-                      executor: Optional[str] = None,
                       ) -> List[Evaluation]:
         """Evaluate a sequence of ``(omega, current)`` points in order.
 
@@ -400,10 +399,6 @@ class Evaluator:
         batched path applies (leakage-free, base-class solve, no
         budget) — elsewhere points fall back to the in-process path,
         whose warm-start chaining a fan-out would perturb.
-
-        ``executor`` selects the fan-out backend (``"process"``,
-        ``"thread"``, or ``"serial"``; None defers to
-        ``REPRO_EXECUTOR``).  Values are backend-independent.
         """
         if not self._batchable():
             return [self.evaluate(omega, current)
@@ -413,8 +408,7 @@ class Evaluator:
             worker_count = resolve_workers(workers)
             if worker_count >= 1 and len(points) > 1:
                 return evaluate_points(self.problem, list(points),
-                                       worker_count,
-                                       executor=executor)
+                                       worker_count)
         evaluations: List[Optional[Evaluation]] = [None] * len(points)
         fresh_keys: "OrderedDict[Tuple[float, float], List[int]]" = \
             OrderedDict()

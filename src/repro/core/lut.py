@@ -76,7 +76,6 @@ class LookupTableController:
                    method: str = "slsqp",
                    workers: Optional[int] = None,
                    jac: str = "analytic",
-                   executor: Optional[str] = None,
                    ) -> Dict[str, OFTECResult]:
         """Run OFTEC offline for every representative profile.
 
@@ -89,16 +88,13 @@ class LookupTableController:
         in-process).  Table order and stored entries are identical
         across worker counts.  ``jac`` selects the gradient mode for
         every OFTEC run (see :data:`repro.core.JAC_MODES`).
-        ``executor`` picks the fan-out backend (``"process"``,
-        ``"thread"``, ``"serial"``; None defers to ``REPRO_EXECUTOR``).
         """
         results: Dict[str, OFTECResult] = {}
         from ..exec import resolve_workers, run_oftec_units
         worker_count = resolve_workers(workers)
         if worker_count >= 1 and len(profiles) > 1:
             results = run_oftec_units(problem_template, profiles,
-                                      method, worker_count, jac=jac,
-                                      executor=executor)
+                                      method, worker_count, jac=jac)
             for label, unit_power in profiles.items():
                 result = results[label]
                 self.add_entry(label, unit_power, result.omega_star,
@@ -163,44 +159,6 @@ class LookupTableController:
         points = [(entry.omega, entry.current)
                   for entry in self._entries]
         return evaluator.evaluate_many(points)
-
-    # -- pickling -----------------------------------------------------
-    #
-    # The per-entry feature vectors form one dense (rows x units) grid.
-    # When a shared-memory plane is active (worker fan-out), the grid
-    # travels as a single shm descriptor instead of n_rows separate
-    # array pickles; without a plane SharedArrayRef degrades to a plain
-    # array pickle, so bytes stay deterministic either way.
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        entries = state.pop("_entries")
-        if entries:
-            from ..exec.shm import SharedArrayRef
-            grid = np.ascontiguousarray(
-                np.stack([entry.feature for entry in entries]))
-            state["_feature_grid"] = SharedArrayRef(grid)
-            state["_entry_rows"] = [
-                (entry.label, entry.omega, entry.current, entry.feasible)
-                for entry in entries]
-        else:
-            state["_feature_grid"] = None
-            state["_entry_rows"] = []
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        rows = state.pop("_entry_rows")
-        grid_ref = state.pop("_feature_grid")
-        self.__dict__.update(state)
-        self._entries = []
-        if rows:
-            grid = grid_ref.array if hasattr(grid_ref, "array") \
-                else np.asarray(grid_ref)
-            for row_index, (label, omega, current, feasible) \
-                    in enumerate(rows):
-                self._entries.append(LUTEntry(
-                    label=label, feature=np.array(grid[row_index]),
-                    omega=omega, current=current, feasible=feasible))
 
 
 def _safe_normalize(vector: np.ndarray) -> np.ndarray:

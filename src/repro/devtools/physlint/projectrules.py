@@ -38,8 +38,6 @@ from .unitlang import render_unit
 #: Fully-qualified callables that fork the current process or spawn a
 #: pool of children.
 _SPAWN_CALLS = frozenset({
-    "concurrent.futures.ProcessPoolExecutor",
-    "concurrent.futures.process.ProcessPoolExecutor",
     "multiprocessing.Pool",
     "multiprocessing.pool.Pool",
     "multiprocessing.Process",
@@ -148,7 +146,7 @@ class WorkerFanoutRule(ProjectRule):
     Fail::
 
         def step(unit):
-            with ProcessPoolExecutor() as pool:   # RPR603
+            with multiprocessing.Pool() as pool:   # RPR603
                 return list(pool.map(expand, unit.parts))
 
         def run_unit(unit):
@@ -161,7 +159,7 @@ class WorkerFanoutRule(ProjectRule):
         def step(unit):
             if in_worker():               # guard barrier: runs inline
                 return [expand(p) for p in unit.parts]
-            with ProcessPoolExecutor() as pool:
+            with multiprocessing.Pool() as pool:
                 return list(pool.map(expand, unit.parts))
     """
 

@@ -1416,80 +1416,3 @@ class TelemetryHotLoopRule(Rule):
                     "blocks the hot path on sink I/O every iteration "
                     "— publish to a BackgroundFlusher and let its "
                     "worker thread write"))
-
-
-# ---------------------------------------------------------------------------
-# RPR604 — shm-lifecycle
-# ---------------------------------------------------------------------------
-
-#: Call tails that register a cleanup callback for a resource.
-_FINALIZER_TAILS = frozenset({
-    "weakref.finalize", "atexit.register", "addfinalizer",
-})
-
-
-@rule
-class ShmLifecycleRule(Rule):
-    """Every shared-memory segment creation has a reachable unlink.
-
-    Fail::
-
-        def publish(data):
-            seg = SharedMemory(create=True, size=data.nbytes)
-            seg.buf[:data.nbytes] = data.tobytes()
-            return seg.name            # nothing ever unlinks it
-
-    Pass::
-
-        def publish(data):
-            seg = SharedMemory(create=True, size=data.nbytes)
-            atexit.register(seg.unlink)
-            return seg.name
-    """
-
-    code = "RPR604"
-    name = "shm-lifecycle"
-    rationale = (
-        "POSIX shared memory outlives the creating process: a "
-        "SharedMemory(create=True) segment that is never unlink()ed "
-        "persists in /dev/shm until reboot, and a campaign that leaks "
-        "one per run eventually fills the tmpfs and takes every other "
-        "process on the host down with ENOSPC.  Any module that "
-        "creates segments must also contain the matching unlink — "
-        "directly, or through a registered finalizer "
-        "(weakref.finalize / atexit.register) — so the lifecycle is "
-        "auditable in one place.")
-
-    def visit_Module(self, node: ast.Module) -> None:
-        creations = []
-        has_unlink = False
-        has_finalizer = False
-        for inner in ast.walk(node):
-            if not isinstance(inner, ast.Call):
-                continue
-            dotted = _dotted_name(inner.func)
-            tail = dotted.split(".")[-1] if dotted else None
-            if tail == "SharedMemory" and self._creates(inner):
-                creations.append(inner)
-            elif tail == "unlink":
-                has_unlink = True
-            elif dotted in _FINALIZER_TAILS or tail == "addfinalizer":
-                has_finalizer = True
-        if not has_unlink and not has_finalizer:
-            for creation in creations:
-                self.emit(creation, (
-                    "`SharedMemory(..., create=True)` with no "
-                    "`unlink()` call or registered finalizer "
-                    "(weakref.finalize / atexit.register) anywhere in "
-                    "this module: the segment outlives the process in "
-                    "/dev/shm — pair every creation with a reachable "
-                    "unlink"))
-        # No generic_visit: one module-level scan is the whole rule.
-
-    @staticmethod
-    def _creates(node: ast.Call) -> bool:
-        for keyword in node.keywords:
-            if keyword.arg == "create":
-                return not (isinstance(keyword.value, ast.Constant)
-                            and keyword.value.value is False)
-        return False

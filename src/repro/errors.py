@@ -100,16 +100,17 @@ class CalibrationError(ReproError):
 
 
 class WorkerCrashError(ReproError):
-    """A pool worker hit an exception outside the library contract.
+    """A work unit failed outside the library contract.
 
     Stage failures (a :class:`SolverError` during a unit, say) are
     *results* — packaged into failure reports and merged.  An
     exception that instead escapes to the worker's chaos boundary is
-    a resilience bug in the library itself; the coordinator raises
-    this error carrying every worker's report so none is silently
-    dropped, plus the work-unit labels and attempt counts so a
-    post-mortem names the benchmark/stage that died without replaying
-    the campaign.
+    a resilience bug in the library itself, and a unit the supervisor
+    quarantines on a point/field/LUT fan-out (its worker kept dying or
+    hanging) has no result at all.  Either way the coordinator raises
+    this error carrying every report so none is silently dropped, plus
+    the work-unit labels and attempt counts so a post-mortem names the
+    unit that died without replaying the job.
     """
 
     def __init__(self, message: str,
@@ -123,8 +124,8 @@ class WorkerCrashError(ReproError):
             tuple(reports) if reports is not None else ()
         #: ``(unit_label, attempts)`` pairs naming the work units whose
         #: execution produced the reports, in merge order.  Attempts is
-        #: 1 for the unsupervised pool (which never retries) and the
-        #: final attempt count under supervision.
+        #: 1 on the serial path (which never retries) and the final
+        #: attempt count for a quarantined unit.
         self.units: Tuple[Tuple[str, int], ...] = \
             tuple((str(label), int(attempts))
                   for label, attempts in units) if units is not None \

@@ -1,20 +1,17 @@
-"""Parallel execution engine: scheduled work units over three backends.
+"""Parallel execution engine: work units on serial or supervised processes.
 
 Campaigns, chaos campaigns, ``(omega, I_TEC)`` sweeps, heat-map
 batches, and LUT builds are all embarrassingly parallel; this package
 decomposes them into picklable :class:`WorkUnit`\\ s (stage-grained for
-campaigns) and runs them on the backend ``executor`` selects: worker
-processes (one-shot, or a persistent warm :class:`WorkerPool` with
-cache-affinity dispatch), an in-process thread pool for the
-GIL-releasing SuperLU solve path, or the serial shim.  Heavy operator
-and LUT arrays travel once over a shared-memory plane
-(:mod:`repro.exec.shm`) instead of being pickled per worker.  Every
-backend merges deterministically (submission order) — parallel
-campaigns produce bit-identical JSON to serial ones — and per-unit
-telemetry re-parents worker spans under the coordinating trace.
+campaigns) and runs them on one of two paths: in-process serial, or
+the supervisor's managed worker processes (heartbeats, deadlines,
+bit-identical retries, quarantine).  Both merge deterministically
+(submission order) — parallel campaigns produce bit-identical JSON to
+serial ones — and per-unit telemetry re-parents worker spans under the
+coordinating trace.
 
-See docs/PARALLELISM.md for executor selection, the worker model, the
-determinism contract, and the cache-locality story.
+See docs/PARALLELISM.md for the two paths, the worker model, and the
+determinism contract.
 """
 
 from .journal import (
@@ -24,30 +21,19 @@ from .journal import (
     read_journal,
     unit_fingerprint,
 )
-from .pool import WorkerPool, WorkerPoolError
 from .scheduler import (
     CampaignMerge,
-    EXECUTORS,
-    EXECUTOR_ENV,
     START_METHOD_ENV,
     WORKERS_ENV,
     chunk_sizes,
     default_chunk,
     evaluate_points,
-    resolve_executor,
     resolve_workers,
     run_campaign_units,
     run_oftec_units,
     run_units,
     solve_fields,
     worker_statistics,
-)
-from .shm import (
-    SHM_ENV,
-    SharedArrayRef,
-    live_segment_files,
-    publication,
-    shm_enabled,
 )
 from .supervisor import (
     QuarantinedUnit,
@@ -60,15 +46,11 @@ from .workers import initialize, run_unit
 
 __all__ = [
     "CampaignMerge",
-    "EXECUTORS",
-    "EXECUTOR_ENV",
     "JOURNAL_VERSION",
     "JournalRecovery",
     "JournalWriter",
     "QuarantinedUnit",
-    "SHM_ENV",
     "START_METHOD_ENV",
-    "SharedArrayRef",
     "SupervisedOutcome",
     "SupervisionPolicy",
     "UNIT_KINDS",
@@ -76,23 +58,17 @@ __all__ = [
     "WORKERS_ENV",
     "WorkUnit",
     "WorkerContext",
-    "WorkerPool",
-    "WorkerPoolError",
     "chunk_sizes",
     "default_chunk",
     "evaluate_points",
     "initialize",
-    "live_segment_files",
-    "publication",
     "read_journal",
-    "resolve_executor",
     "resolve_workers",
     "run_campaign_units",
     "run_oftec_units",
     "run_unit",
     "run_units",
     "solve_fields",
-    "shm_enabled",
     "unit_fingerprint",
     "worker_statistics",
 ]

@@ -1,46 +1,41 @@
 """The work-unit scheduler: fan out, run, merge deterministically.
 
 The coordinator's half of the parallel engine.  A job is decomposed
-into :class:`~repro.exec.units.WorkUnit`\\ s, the shared inputs are
-pickled once into a :class:`~repro.exec.units.WorkerContext`, and the
-units run on a ``ProcessPoolExecutor`` whose initializer installs the
-context per worker.  Three properties the rest of the library leans
-on:
+into :class:`~repro.exec.units.WorkUnit`\\ s, the shared inputs travel
+once per worker inside a :class:`~repro.exec.units.WorkerContext`, and
+:func:`run_units` executes them on one of two paths:
 
-* **Deterministic merge.**  Results are collected in submission order
-  (``futures`` are awaited positionally, never as-completed), and every
-  unit is self-contained, so a parallel campaign's merged output is
-  bit-identical to the serial loop's — regardless of worker count,
-  scheduling order, or start method.
-* **Serial fallback.**  ``workers <= 1`` (and any pool that fails to
-  start or breaks mid-run) executes the same units in-process through
-  the same worker shim, so the decomposed path never needs a working
-  ``multiprocessing`` to produce results.
-* **Telemetry adoption.**  When the coordinator's telemetry is
-  enabled, each worker runs its units under worker-side sessions and
-  ships exported spans/metrics home; :func:`run_units` re-parents them
-  under per-unit ``unit`` spans on the live tracer, so
-  ``repro trace summarize`` sees one merged tree.
+* **Serial.**  ``workers <= 1``, a single unit, a call issued from
+  inside a worker, or a context that cannot be pickled runs the units
+  in-process through the same worker shim a process uses.
+* **Supervised processes.**  Every other fan-out goes through the
+  supervisor's managed workers
+  (:func:`repro.exec.supervisor.run_units_supervised`) under the stock
+  :class:`~repro.exec.SupervisionPolicy`: heartbeats, deadlines,
+  bit-identical retries, and quarantine.
+
+Both paths merge in submission order and every unit is
+self-contained, so a parallel run's merged output is bit-identical to
+the serial loop's — regardless of worker count, scheduling order, or
+start method.  When the coordinator's telemetry is enabled, worker
+spans and metrics are re-parented under per-unit ``unit`` spans on the
+live tracer, so ``repro trace summarize`` sees one merged tree.
 
 Worker count resolution: an explicit argument wins, then the
 ``REPRO_WORKERS`` environment variable, then 0 (= classic serial path,
 no unit decomposition).  Inside a worker — which inherits the
 coordinator's environment — resolution always yields 0, so decomposed
-entry points reached from a unit body never nest pools (see
+entry points reached from a unit body never nest fan-outs (see
 :func:`resolve_workers`).  The ``REPRO_START_METHOD`` environment
 variable (``fork``/``spawn``/``forkserver``) overrides the platform's
-default start method; see docs/PARALLELISM.md for the trade-offs.
+default start method; see docs/PARALLELISM.md.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -54,12 +49,10 @@ from typing import (
 
 from ..analysis.campaign import CAMPAIGN_STAGES, BenchmarkComparison
 from ..core import CoolingProblem, FailureReport, ResiliencePolicy
-from ..errors import ConfigurationError, SolverError
+from ..errors import ConfigurationError, SolverError, WorkerCrashError
 from ..faults.plan import FaultPlan
 from ..obs import runtime as _obs
-from . import shm as _shm
 from . import workers as _workers
-from .pool import WorkerPool, WorkerPoolError
 from .units import UnitResult, WorkUnit, WorkerContext
 
 #: Environment variable supplying the default worker count.
@@ -68,35 +61,6 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: Environment variable overriding the multiprocessing start method.
 START_METHOD_ENV = "REPRO_START_METHOD"
 
-#: Environment variable selecting the executor backend.
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: Executor backends: ``process`` forks worker processes (the classic
-#: pool), ``thread`` runs units on an in-process ``ThreadPoolExecutor``
-#: sharing one operator cache (the solve hot path — SuperLU
-#: factorization/back-substitution and the BLAS underneath — releases
-#: the GIL, so threads overlap where it matters while paying zero
-#: pickling and zero cold start), ``serial`` forces the decomposed
-#: in-process loop regardless of the worker count.
-EXECUTORS = ("process", "thread", "serial")
-
-
-def resolve_executor(executor: Optional[str] = None) -> str:
-    """Resolve the executor backend: argument, then env, then process.
-
-    ``REPRO_EXECUTOR`` supplies the default; the explicit argument
-    wins.  Unknown names raise :class:`ConfigurationError`.
-    """
-    if executor is None:
-        executor = os.environ.get(EXECUTOR_ENV, "").strip() \
-            or "process"
-    name = str(executor).strip().lower()
-    if name not in EXECUTORS:
-        raise ConfigurationError(
-            f"executor must be one of {EXECUTORS}, got {executor!r} "
-            f"(set via argument or {EXECUTOR_ENV})")
-    return name
-
 
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Resolve a worker count: argument, then environment, then 0.
@@ -104,15 +68,15 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     The returned count selects the execution path: ``0`` keeps the
     classic serial code (no unit decomposition at all), ``1`` runs the
     decomposed units through the in-process serial executor, ``N > 1``
-    uses a process pool of N workers.
+    fans out over N supervised worker processes.
 
-    Inside a worker (pool process or serial executor) the answer is
-    always 0: pool workers inherit ``REPRO_WORKERS`` from the
-    coordinator's environment, and honoring it there would nest
-    process pools (or re-enter the serial executor) every time a unit
+    Inside a worker (a worker process or the serial executor) the
+    answer is always 0: worker processes inherit ``REPRO_WORKERS`` from
+    the coordinator's environment, and honoring it there would nest
+    fan-outs (or re-enter the serial executor) every time a unit
     internally calls a decomposed entry point such as
-    :meth:`~repro.core.Evaluator.evaluate_many`.  Only the
-    coordinator ever fans out.
+    :meth:`~repro.core.Evaluator.evaluate_many`.  Only the coordinator
+    ever fans out.
     """
     if _workers.in_worker():
         return 0
@@ -135,6 +99,11 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 def _result_ok(result: UnitResult) -> bool:
     """Whether a unit completed without an error or unhandled lines."""
     return result.error is None and not result.unhandled
+
+
+def _fans_out(workers: int, units: Sequence[WorkUnit]) -> bool:
+    """Whether ``units`` go to worker processes rather than in-process."""
+    return workers > 1 and len(units) > 1 and not _workers.in_worker()
 
 
 def _run_serial(context: WorkerContext, units: Sequence[WorkUnit],
@@ -163,197 +132,59 @@ def _run_serial(context: WorkerContext, units: Sequence[WorkUnit],
         _workers.restore_runtime(previous)
 
 
-def _progress_callback(progress: Any, name: str):
-    """A future done-callback reporting one unit to the board.
-
-    Fires on an executor thread as soon as the worker finishes — the
-    board updates live even while the positional await is still parked
-    on an earlier, slower unit.
-    """
-    def _notify(future) -> None:
-        try:
-            result = future.result()
-        except Exception:  # physlint: disable=RPR201
-            # Whatever the future raises (BrokenProcessPool, a
-            # pickling error, anything a worker re-raised) is
-            # re-raised and handled by the positional await in
-            # _run_pool; the callback only needs to mark the unit
-            # failed on the board without masking that path.
-            progress.unit_done(name, 0.0, ok=False)
-            return
-        progress.unit_done(name, result.wall_seconds,
-                           ok=_result_ok(result))
-    return _notify
-
-
-def _run_pool(payload: bytes, units: Sequence[WorkUnit],
-              max_workers: int,
-              progress: Optional[Any] = None) -> List[UnitResult]:
-    """Execute units on a process pool, collecting in submission order."""
-    mp_context = None
-    method = os.environ.get(START_METHOD_ENV, "").strip()
-    if method:
-        import multiprocessing
-        mp_context = multiprocessing.get_context(method)
-    with ProcessPoolExecutor(
-            max_workers=max_workers,
-            mp_context=mp_context,
-            initializer=_workers.initialize,
-            initargs=(payload,)) as pool:
-        futures = []
-        for unit in units:
-            future = pool.submit(_workers.run_unit, unit)
-            if progress is not None:
-                progress.unit_running(unit.name)
-                future.add_done_callback(
-                    _progress_callback(progress, unit.name))
-            futures.append(future)
-        # Awaiting positionally (not as_completed) is the merge
-        # contract: results line up with submissions no matter which
-        # worker finished first.
-        return [future.result() for future in futures]
-
-
-def _run_threads(context: WorkerContext, units: Sequence[WorkUnit],
-                 max_workers: int,
-                 progress: Optional[Any] = None) -> List[UnitResult]:
-    """Execute units on an in-process thread pool.
-
-    Every thread shares the coordinator's live problem templates —
-    zero pickling, zero cold start, and one operator whose factor LRU
-    serves all threads (the operator's internal lock serializes the
-    cold factorizations; warm back-substitutions overlap because
-    SuperLU releases the GIL).  Per-thread solve isolation comes from
-    the model's thread-local overlay buffers.
-
-    Telemetry is suspended for the duration: the tracer and metrics
-    registry are single-threaded by design, so units must not touch
-    them concurrently.  The saved state is restored on exit and
-    :func:`run_units` still records per-unit spans at adoption.
-    """
-    thread_context = dataclasses.replace(context, telemetry=False)
-    saved = (_obs.STATE.tracer, _obs.STATE.metrics, _obs.STATE.enabled)
-    _obs.STATE.enabled = False
-    previous = _workers.install_runtime(thread_context)
-    try:
-        with ThreadPoolExecutor(
-                max_workers=max_workers,
-                thread_name_prefix="repro-exec") as pool:
-            futures = []
-            for unit in units:
-                future = pool.submit(_workers.run_unit, unit)
-                if progress is not None:
-                    progress.unit_running(unit.name)
-                    future.add_done_callback(
-                        _progress_callback(progress, unit.name))
-                futures.append(future)
-            # Positional await: the same merge contract as the
-            # process pool.
-            return [future.result() for future in futures]
-    finally:
-        _workers.restore_runtime(previous)
-        (_obs.STATE.tracer, _obs.STATE.metrics,
-         _obs.STATE.enabled) = saved
-
-
 def run_units(context: WorkerContext, units: Sequence[WorkUnit],
               workers: int,
-              progress: Optional[Any] = None,
-              executor: Optional[str] = None,
-              pool: Optional[WorkerPool] = None) -> List[UnitResult]:
-    """Run units with ``workers`` processes; merge in submission order.
+              progress: Optional[Any] = None) -> List[UnitResult]:
+    """Run units on ``workers`` processes; merge in submission order.
 
     ``workers <= 1`` (or a single unit, or a call issued from inside a
-    worker) executes serially in-process.  A context that fails to
-    pickle, or a pool that cannot start or breaks mid-run, falls back
-    to the serial executor — the units are pure functions of the
-    context, so re-execution is safe — and records an
-    ``exec.pool_fallback`` event.  Worker telemetry is adopted onto
-    the live tracer before returning.
-
-    ``executor`` selects the backend (:data:`EXECUTORS`; None defers
-    to ``REPRO_EXECUTOR``, then ``process``).  The ``thread`` backend
-    runs units on an in-process thread pool — no pickling, shared
-    operator caches — and the ``serial`` backend forces the in-process
-    loop.  ``pool`` routes the process path through a persistent
-    :class:`~repro.exec.pool.WorkerPool` instead of a one-shot
-    ``ProcessPoolExecutor``, keeping worker caches warm across calls.
-
-    On the one-shot process path a shared-memory publication scope
-    (:func:`repro.exec.shm.publication`) is held open around pickling
-    and execution, so the heavy operator/network arrays ship as shm
-    descriptors instead of per-worker copies; a persistent pool owns
-    its own publication scope instead.
+    worker) executes serially in-process.  Every other fan-out runs on
+    the supervisor's managed workers under the stock
+    :class:`~repro.exec.SupervisionPolicy`; a context that fails to
+    pickle degrades to the serial executor there (``exec.pool_fallback``
+    event).  A unit the supervisor quarantines raises
+    :class:`~repro.errors.WorkerCrashError` naming every quarantined
+    unit and its attempt count.  Worker telemetry is adopted onto the
+    live tracer before returning.
 
     ``progress`` (a :class:`~repro.obs.ProgressBoard`, or anything
-    with its hook methods) receives ``begin``/``unit_running``/
-    ``unit_done`` as units move — from executor threads on the pool
-    path, in-line on the serial path.
+    with its hook methods) receives ``begin`` once, then
+    ``unit_running``/``unit_done`` as units move.
     """
     units = list(units)
+    if _fans_out(workers, units):
+        # Late import: supervisor imports this module at its top.
+        from .supervisor import run_units_supervised
+        outcome = run_units_supervised(context, units, workers,
+                                       monitor=progress)
+        if outcome.quarantined:
+            raise WorkerCrashError(
+                f"{len(outcome.quarantined)} work unit(s) quarantined: "
+                + "; ".join(f"{entry.name} after {entry.attempts} "
+                            f"attempt(s): {entry.errors[-1]}"
+                            for entry in outcome.quarantined),
+                reports=[entry.errors[-1]
+                         for entry in outcome.quarantined],
+                units=[(entry.name, entry.attempts)
+                       for entry in outcome.quarantined])
+        return outcome.completed
     if progress is not None:
         progress.begin(len(units))
-    backend = resolve_executor(executor)
-    # An explicit persistent pool fans out even at one worker — its
-    # resident process holds the warm caches the caller paid for.
-    fan_out = (workers > 1 or pool is not None) and len(units) > 1 \
-        and not _workers.in_worker()
-    if pool is None and backend == "thread" and fan_out:
-        results = _run_threads(context, units,
-                               min(workers, len(units)),
-                               progress=progress)
-        _adopt_telemetry(results)
-        return results
-    # An explicit persistent pool outranks the env-resolved backend —
-    # the caller built real processes and expects them used.
-    pooled = fan_out and (backend == "process" or pool is not None)
-    # The persistent pool holds its own publication scope open for its
-    # whole life (descriptor memoization is what keeps its context
-    # digests stable), so only the one-shot pool opens one here.
-    scope = _shm.publication() if pooled and pool is None \
-        else nullcontext()
-    with scope:
-        payload: Optional[bytes] = None
-        try:
-            payload = pickle.dumps(context)
-        except Exception as exc:  # physlint: disable=RPR201
-            # Broad by necessity: pickle.dumps reports unpicklability
-            # as whatever the object's __reduce__ raises (TypeError,
-            # AttributeError, PicklingError, ...), so no narrower
-            # tuple covers the probe.  An unpicklable context (a
-            # policy or leakage model holding a closure, say) cannot
-            # cross a process boundary, but the serial executor can
-            # still run it directly — entry points that auto-engage on
-            # REPRO_WORKERS must not start crashing merely because the
-            # env var is set.
-            _obs.event("exec.pool_fallback", error=type(exc).__name__)
-        results: Optional[List[UnitResult]] = None
-        if payload is not None and pooled:
-            if pool is not None:
-                try:
-                    results = pool.run_payload(payload, units,
-                                               progress=progress)
-                except WorkerPoolError as exc:
-                    _obs.event("exec.pool_fallback",
-                               error=type(exc).__name__)
-                    results = None
-            else:
-                try:
-                    results = _run_pool(payload, units,
-                                        min(workers, len(units)),
-                                        progress=progress)
-                except (OSError, BrokenProcessPool,
-                        pickle.PicklingError) as exc:
-                    _obs.event("exec.pool_fallback",
-                               error=type(exc).__name__)
-                    results = None
-        if results is None:
-            # Round-trip through the payload when possible so serial
-            # and pool runs exercise the identical serialization path.
-            serial_context = context if payload is None \
-                else pickle.loads(payload)
-            results = _run_serial(serial_context, units,
-                                  progress=progress)
+    try:
+        # Round-trip through pickle so serial and process runs exercise
+        # the identical serialization path (and the caller's templates
+        # keep their own caches).
+        serial_context = pickle.loads(pickle.dumps(context))
+    except Exception as exc:  # physlint: disable=RPR201
+        # Broad by necessity: pickle.dumps reports unpicklability as
+        # whatever the object's __reduce__ raises (TypeError,
+        # AttributeError, PicklingError, ...).  The serial executor
+        # can still run the original context directly — entry points
+        # that auto-engage on REPRO_WORKERS must not start crashing
+        # merely because the env var is set.
+        _obs.event("exec.pool_fallback", error=type(exc).__name__)
+        serial_context = context
+    results = _run_serial(serial_context, units, progress=progress)
     _adopt_telemetry(results)
     return results
 
@@ -500,30 +331,33 @@ def run_campaign_units(
     completed: Optional[Mapping[int, UnitResult]] = None,
     jac: str = "analytic",
     progress: Optional[Any] = None,
-    executor: Optional[str] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> CampaignMerge:
     """Decompose a campaign into stage (or benchmark) units and merge.
 
     The default decomposition is one unit per *pipeline stage* per
     benchmark (:data:`repro.analysis.campaign.CAMPAIGN_STAGES`) —
     roughly six times the grain of whole-benchmark units, which is
-    what lets the deque scheduler keep every worker busy when one
+    what lets the scheduler keep every worker busy when one
     benchmark's OFTEC stage dominates the wall clock.  Benchmarks stay
     whole units in two cases: under a ``fault_plan`` (the chaos
     injector's RNG advances across stages, so splitting would change
-    the fault stream) and under supervision/journaling (journal
-    fingerprints and retry bookkeeping are keyed to benchmark units).
-    The problem templates travel once per worker on the context either
-    way.  ``supervision`` (a :class:`~repro.exec.SupervisionPolicy`),
-    ``journal`` (a :class:`~repro.exec.JournalWriter`), or
-    ``completed`` (journaled results keyed by unit index) route the
-    units through the supervised executor — worker death becomes
+    the fault stream) and under an explicit supervision policy or
+    journaling (journal fingerprints and retry bookkeeping are keyed to
+    benchmark units).  The problem templates travel once per worker on
+    the context either way.
+
+    A fan-out (``workers > 1``, more than one unit) always runs on the
+    supervised executor, and so does any run with ``supervision`` (a
+    :class:`~repro.exec.SupervisionPolicy`), ``journal`` (a
+    :class:`~repro.exec.JournalWriter`), or ``completed`` (journaled
+    results keyed by unit index): worker death becomes
     retries/quarantine instead of a raise, and completed units are
-    skipped.  ``executor``/``pool`` select the backend exactly as in
-    :func:`run_units`.  The caller owns the surrounding ``campaign``
-    span and the :class:`CampaignResult` assembly — this function
-    returns the raw merge.
+    skipped.  A non-library exception inside a unit is retried toward
+    quarantine only under such an explicit request; a plain fan-out
+    merges it into :attr:`CampaignMerge.unhandled` exactly as the
+    serial executor does.  The caller owns the surrounding
+    ``campaign`` span and the :class:`CampaignResult` assembly — this
+    function returns the raw merge.
     """
     context = WorkerContext(
         tec_template=tec_template,
@@ -536,9 +370,9 @@ def run_campaign_units(
         policy=policy,
         fault_plan=fault_plan,
         telemetry=_obs.STATE.enabled)
-    supervised = supervision is not None or journal is not None \
+    explicit = supervision is not None or journal is not None \
         or bool(completed)
-    staged = fault_plan is None and not supervised
+    staged = fault_plan is None and not explicit
     stages = [stage for stage in CAMPAIGN_STAGES
               if include_tec_only or stage != "tec-only"]
     if staged:
@@ -552,12 +386,14 @@ def run_campaign_units(
         units = [WorkUnit(index=index, kind="benchmark", name=name)
                  for index, name in enumerate(profiles)]
     merge = CampaignMerge()
+    supervised = explicit or _fans_out(workers, units)
     if supervised:
         # Late import: supervisor imports this module at its top.
-        from .supervisor import run_units_supervised
-        outcome = run_units_supervised(
-            context, units, workers, policy=supervision,
-            journal=journal, completed=completed, monitor=progress)
+        from .supervisor import SupervisionPolicy, _Supervisor
+        outcome = _Supervisor(
+            context, units, workers, supervision or SupervisionPolicy(),
+            journal, completed, monitor=progress,
+            retry_unhandled=explicit).run()
         results = outcome.completed
         merge.quarantined = list(outcome.quarantined)
         merge.retries = outcome.retries
@@ -565,12 +401,8 @@ def run_campaign_units(
         for kind, count in outcome.process_fired.items():
             merge.fired[kind] = merge.fired.get(kind, 0) + count
     else:
-        results = run_units(context, units, workers,
-                            progress=progress, executor=executor,
-                            pool=pool)
+        results = run_units(context, units, workers, progress=progress)
     merge.worker_stats = worker_statistics(results)
-    if pool is not None:
-        merge.worker_stats["pool"] = pool.stats()
     if supervised:
         merge.worker_stats["supervision"] = {
             "retries": merge.retries,
@@ -709,7 +541,6 @@ def evaluate_points(
     workers: int,
     chunk: Optional[int] = None,
     progress: Optional[Any] = None,
-    executor: Optional[str] = None,
 ) -> List[Any]:
     """Evaluate ``(omega, I)`` points by fanning chunks across workers.
 
@@ -728,8 +559,7 @@ def evaluate_points(
     context = WorkerContext(point_problem=problem,
                             telemetry=_obs.STATE.enabled)
     units = _chunk_units(points, "points", chunk)
-    results = run_units(context, units, workers, progress=progress,
-                        executor=executor)
+    results = run_units(context, units, workers, progress=progress)
     evaluations: List[Any] = []
     for result in results:
         if result.error is not None:
@@ -749,7 +579,6 @@ def solve_fields(
     workers: int,
     chunk: Optional[int] = None,
     progress: Optional[Any] = None,
-    executor: Optional[str] = None,
 ) -> List[Any]:
     """Temperature fields at many points, fanned across workers.
 
@@ -773,17 +602,13 @@ def solve_fields(
         return []
     if chunk is None:
         chunk = default_chunk(len(points), workers)
-    # The power map is a pure read-only constant: wrapping it lets an
-    # open shm plane ship one copy for all workers (it unwraps to a
-    # plain ndarray on the other side either way).
     context = WorkerContext(
         field_model=model,
-        field_power=_shm.SharedArrayRef(dynamic_cell_power),
+        field_power=dynamic_cell_power,
         field_leakage=leakage,
         telemetry=_obs.STATE.enabled)
     units = _chunk_units(points, "fields", chunk)
-    results = run_units(context, units, workers, progress=progress,
-                        executor=executor)
+    results = run_units(context, units, workers, progress=progress)
     fields: List[Any] = []
     for result in results:
         if result.error is not None:
@@ -801,7 +626,6 @@ def run_oftec_units(
     method: str,
     workers: int,
     jac: str = "analytic",
-    executor: Optional[str] = None,
 ) -> Dict[str, Any]:
     """OFTEC per representative profile (LUT precompute), in parallel.
 
@@ -817,7 +641,7 @@ def run_oftec_units(
         telemetry=_obs.STATE.enabled)
     units = [WorkUnit(index=index, kind="oftec", name=label)
              for index, label in enumerate(profiles)]
-    results = run_units(context, units, workers, executor=executor)
+    results = run_units(context, units, workers)
     table: Dict[str, Any] = {}
     for result in results:
         if result.error is not None:
@@ -831,15 +655,12 @@ def run_oftec_units(
 
 __all__ = [
     "CampaignMerge",
-    "EXECUTORS",
-    "EXECUTOR_ENV",
     "START_METHOD_ENV",
     "WORKERS_ENV",
     "adopt_unit_telemetry",
     "chunk_sizes",
     "default_chunk",
     "evaluate_points",
-    "resolve_executor",
     "resolve_workers",
     "run_campaign_units",
     "run_oftec_units",

@@ -1,11 +1,9 @@
 """Supervised execution: heartbeats, deadlines, retries, quarantine.
 
-The plain pool (:func:`repro.exec.run_units`) assumes workers are
-immortal: a hung SLSQP solve stalls the campaign forever and an
-OOM-killed worker surfaces as a ``BrokenProcessPool`` that forfeits
-every completed unit.  The supervisor replaces the executor with
-directly managed ``multiprocessing`` workers the coordinator can
-actually observe and kill:
+The process runtime of :func:`repro.exec.run_units`: every fan-out
+runs on directly managed ``multiprocessing`` workers the coordinator
+can observe and kill, so a hung SLSQP solve or an OOM-killed worker
+costs one retried unit instead of the whole run:
 
 * **Heartbeats.**  Each worker runs a daemon thread bumping a shared
   per-slot counter; the coordinator tracks *when each counter last
@@ -20,6 +18,10 @@ actually observe and kill:
   jitter.  Every unit execution re-derives its fault/RNG streams from
   its own label (see :meth:`repro.faults.FaultPlan.derive`), so a
   retried unit computes bit-identical physics to an undisturbed run.
+  A plain campaign fan-out (no explicit policy or journal) does not
+  retry an unhandled exception: the same streams would raise it
+  again, so the result comes back with its ``unhandled`` lines for
+  the caller to report, exactly as the serial executor returns it.
 * **Quarantine.**  A unit that fails ``max_attempts`` times is
   quarantined with its per-attempt post-mortems; the campaign
   *completes* with a structured ``quarantined`` section instead of
@@ -31,9 +33,9 @@ actually observe and kill:
 
 Process-level chaos (``worker-kill`` / ``worker-hang`` /
 ``worker-slow`` in a :class:`~repro.faults.FaultPlan`) is injected
-*here*, by the supervised worker loop itself — the serial executor and
-the plain pool ignore those kinds, because an unsupervised
-``os._exit`` would take the whole campaign with it.
+*here*, by the supervised worker loop itself — the serial executor
+ignores those kinds, because an in-process ``os._exit`` would take the
+whole campaign with it.
 """
 
 from __future__ import annotations
@@ -50,11 +52,10 @@ from ..errors import ConfigurationError
 from ..faults.plan import FaultKind, process_fault_decision
 from ..obs import runtime as _obs
 from ..obs.clock import Deadline, monotonic
-from . import shm as _shm
 from . import workers as _workers
 from .journal import JournalWriter
 from .scheduler import (START_METHOD_ENV, _adopt_telemetry,
-                        adopt_unit_telemetry)
+                        _result_ok, adopt_unit_telemetry)
 from .units import UnitResult, WorkUnit, WorkerContext
 
 #: Exit code a worker dies with when a ``worker-kill`` fault fires —
@@ -336,13 +337,15 @@ class _Supervisor:
                  policy: SupervisionPolicy,
                  journal: Optional[JournalWriter],
                  completed: Optional[Mapping[int, UnitResult]],
-                 monitor: Optional[Any] = None) -> None:
+                 monitor: Optional[Any] = None,
+                 retry_unhandled: bool = True) -> None:
         self.context = context
         self.units = list(units)
         self.workers = max(int(workers), 1)
         self.policy = policy
         self.journal = journal
         self.monitor = monitor
+        self.retry_unhandled = retry_unhandled
         self.outcome = SupervisedOutcome(
             results=[None] * len(self.units))
         self._by_index = {unit.index: unit for unit in self.units}
@@ -376,26 +379,19 @@ class _Supervisor:
             return self.outcome
         if self.monitor is not None:
             self.monitor.begin(len(self._pending))
-        # The publication scope spans the whole supervised run, not
-        # just the initial spawn: replacement workers respawned after
-        # a kill attach to the shm segments arbitrarily late, so the
-        # plane must stay open until the last worker is down.
-        with _shm.publication():
-            payload: Optional[bytes] = None
-            try:
-                payload = pickle.dumps(self.context)
-            except Exception as exc:  # physlint: disable=RPR201
-                # Same broad probe as run_units: unpicklability
-                # surfaces as whatever __reduce__ raises.  An
-                # unpicklable context cannot be supervised across
-                # processes, but the serial path still runs it.
-                _obs.event("exec.pool_fallback",
-                           error=type(exc).__name__)
-            if payload is None or self.workers < 2 \
-                    or _workers.in_worker():
-                self._run_serial_remaining(self.context)
-            else:
-                self._run_pool(payload)
+        payload: Optional[bytes] = None
+        try:
+            payload = pickle.dumps(self.context)
+        except Exception as exc:  # physlint: disable=RPR201
+            # Broad by necessity: unpicklability surfaces as whatever
+            # __reduce__ raises.  An unpicklable context cannot be
+            # supervised across processes, but the serial path still
+            # runs it.
+            _obs.event("exec.pool_fallback", error=type(exc).__name__)
+        if payload is None or self.workers < 2 or _workers.in_worker():
+            self._run_serial_remaining(self.context)
+        else:
+            self._run_pool(payload)
         # End-of-run adoption covers the serial paths and any pool unit
         # whose streamed packet was lost; streamed indices are excluded
         # so no unit's trace is adopted twice.
@@ -583,7 +579,7 @@ class _Supervisor:
                     or self.outcome.results[position] is not None \
                     or index in self._quarantined_ids:
                 continue  # stale duplicate from a replaced worker
-            if result.unhandled:
+            if result.unhandled and self.retry_unhandled:
                 for line in result.unhandled:
                     self._attempt_failed(index, attempt,
                                          f"unhandled: {line}")
@@ -730,7 +726,7 @@ class _Supervisor:
                 self._adopt_packet(packet)
         if self.monitor is not None:
             self.monitor.unit_done(result.name, result.wall_seconds,
-                                   ok=result.error is None)
+                                   ok=_result_ok(result))
 
     def _attempt_failed(self, index: int, attempt: int,
                         reason: str) -> None:
@@ -810,11 +806,11 @@ def run_units_supervised(
 ) -> SupervisedOutcome:
     """Run units under supervision; never raises for worker death.
 
-    The supervised counterpart of :func:`repro.exec.run_units`: same
-    submission-order merge and bit-identical results, but worker
-    crashes, hangs, and slowdowns are absorbed by retries and — past
-    ``policy.max_attempts`` — quarantine.  ``journal`` durably records
-    every completed unit; ``completed`` (from
+    The process runtime behind :func:`repro.exec.run_units`: the same
+    submission-order merge and bit-identical results as the serial
+    executor, with worker crashes, hangs, and slowdowns absorbed by
+    retries and — past ``policy.max_attempts`` — quarantine.
+    ``journal`` durably records every completed unit; ``completed`` (from
     :func:`repro.exec.read_journal`) pre-seeds results so a resumed
     campaign skips finished work.  ``workers < 2`` runs the serial
     executor with journaling (nothing to supervise in-process).

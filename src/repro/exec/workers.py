@@ -1,4 +1,4 @@
-"""The code that runs inside pool workers.
+"""The code that runs inside worker processes.
 
 One :func:`initialize` call per worker process unpickles the shared
 :class:`~repro.exec.units.WorkerContext`; after that every
@@ -10,7 +10,7 @@ every subsequent unit, so N workers pay N cold starts — not one per
 unit.
 
 Nothing in this module assumes a separate process.  The scheduler's
-serial fallback calls :func:`install_context`/:func:`run_unit` in the
+serial path calls :func:`install_runtime`/:func:`run_unit` in the
 coordinating process (leaving its telemetry state alone), which is
 also what makes the shim trivially testable.
 
@@ -49,7 +49,6 @@ from ..obs import runtime as _obs
 from ..obs.clock import monotonic, stopwatch
 from ..obs.export import span_to_dict
 from ..thermal import SteadyStateResult, solve_steady_state_batch
-from . import shm as _shm
 from .units import UnitResult, WorkUnit, WorkerContext
 
 
@@ -74,9 +73,9 @@ def in_worker() -> bool:
     (environment-driven) worker resolution stays serial, so a unit
     that internally calls :meth:`~repro.core.Evaluator.evaluate_many`
     or another decomposed entry point can never spawn a pool inside a
-    pool worker — or, through the serial executor, clobber the
-    enclosing executor's state.  True for the lifetime of a pool
-    worker process and for the duration of a serial-executor run.
+    worker process — or, through the serial executor, clobber the
+    enclosing executor's state.  True for the lifetime of a worker
+    process and for the duration of a serial-executor run.
     """
     return _RUNTIME is not None
 
@@ -102,8 +101,8 @@ def install_runtime(context: WorkerContext,
     save/restore pair that makes the serial executor safely nestable.
     """
     # _RUNTIME is *deliberately* per-process: it IS the worker-local
-    # runtime that in_worker() reads, installed by the pool
-    # initializer in each child.  Nothing merges back by design.
+    # runtime that in_worker() reads, installed by initialize() in
+    # each child.  Nothing merges back by design.
     global _RUNTIME  # physlint: disable=RPR602
     previous = _RUNTIME
     _RUNTIME = _WorkerRuntime(context)
@@ -116,34 +115,20 @@ def restore_runtime(previous: Optional[_WorkerRuntime]) -> None:
     _RUNTIME = previous
 
 
-def install_context(payload: bytes) -> None:
-    """Install the shared context from its pickled form.
-
-    ``payload`` is ``pickle.dumps(WorkerContext)`` — pickled explicitly
-    by the coordinator so the fork and spawn start methods (and the
-    in-process serial executor) all exercise the identical
-    serialization path.
-    """
-    install_runtime(pickle.loads(payload))
-
-
-def clear_context() -> None:
-    """Uninstall the worker context unconditionally (test teardown)."""
-    global _RUNTIME
-    _RUNTIME = None
-
-
 def initialize(payload: bytes) -> None:
-    """Pool-worker initializer: reset telemetry, install the context.
+    """Worker-process initializer: reset telemetry, install the context.
 
-    Telemetry state is reset defensively (the at-fork hook already
-    handles forked children; spawned workers import fresh) so a worker
-    never inherits an enabled tracer it cannot report to.  The serial
-    executor calls :func:`install_context` instead — resetting the
-    coordinator's own telemetry mid-campaign would discard its trace.
+    ``payload`` is ``pickle.dumps(WorkerContext)``, pickled explicitly
+    by the coordinator so the fork and spawn start methods exercise the
+    identical serialization path.  Telemetry state is reset
+    defensively (the at-fork hook already handles forked children;
+    spawned workers import fresh) so a worker never inherits an enabled
+    tracer it cannot report to.  The serial executor calls
+    :func:`install_runtime` instead — resetting the coordinator's own
+    telemetry mid-campaign would discard its trace.
     """
     _obs.reset()
-    install_context(payload)
+    install_runtime(pickle.loads(payload))
 
 
 #: Seconds between live metric snapshots published by supervised
@@ -306,7 +291,7 @@ def _execute_benchmark(context: WorkerContext, unit: WorkUnit,
         # already packaged as structured failures above, so whatever
         # reaches this handler is by definition outside the library
         # contract — a resilience bug the chaos contract says to
-        # record and merge, never to poison the pool with an
+        # record and merge, never to poison the worker with an
         # unpicklable traceback.
         result.unhandled.append(f"{type(exc).__name__}: {exc}")
     if injector is not None:
@@ -397,17 +382,11 @@ def _execute_fields(context: WorkerContext, unit: WorkUnit,
             "context")
     operator = context.field_model.network.operator
     before = operator.stats
-    # The power map crosses the boundary as a SharedArrayRef when an
-    # shm plane was open; on the direct paths (threads, unpicklable
-    # fallback) the wrapper arrives intact and unwraps here.
-    power = context.field_power
-    if isinstance(power, _shm.SharedArrayRef):
-        power = power.array
     try:
         with _obs.span("fields", unit.name, count=len(unit.params)):
             outcomes = solve_steady_state_batch(
                 context.field_model, list(unit.params),
-                power, leakage=context.field_leakage)
+                context.field_power, leakage=context.field_leakage)
         result.value = [
             outcome.chip_temperatures
             if isinstance(outcome, SteadyStateResult) else None

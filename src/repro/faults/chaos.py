@@ -64,7 +64,6 @@ def run_chaos_campaign(
     workers: Optional[int] = None,
     supervision: Optional[object] = None,
     progress: Optional[object] = None,
-    executor: Optional[str] = None,
 ) -> ChaosReport:
     """Run the benchmark campaign with fault injection turned on.
 
@@ -74,10 +73,10 @@ def run_chaos_campaign(
         baseline_problem_template: Matching no-TEC template.
         plan: Fault plan (default: every evaluator-level kind at the
             default rate).  Process-level kinds (``worker-kill`` /
-            ``worker-hang`` / ``worker-slow``) auto-engage the
-            supervised executor on parallel runs and are inert on
-            serial ones (an unsupervised ``os._exit`` would kill the
-            coordinator itself).
+            ``worker-hang`` / ``worker-slow``) fire only in supervised
+            worker processes and are inert on serial runs (an
+            in-process ``os._exit`` would kill the coordinator
+            itself).
         method: Leading solver backend.
         resilient: Route OFTEC stages through the fallback ladder
             (False stresses the campaign-level isolation alone).
@@ -88,14 +87,15 @@ def run_chaos_campaign(
             sequence is deterministic for a given plan *and worker
             count regime* but intentionally differs from the serial
             single-stream sequence (one shared injector cannot be
-            split across processes).  Unhandled worker exceptions are
-            contained per unit, so a parallel chaos report can carry
-            both a partial campaign and a non-empty ``unhandled``
-            list.
-        supervision: A :class:`repro.exec.SupervisionPolicy` routing
-            the parallel path through the supervised executor (worker
-            death becomes retries/quarantine).  Defaults to the stock
-            policy when the plan carries process-level kinds.
+            split across processes).  Parallel runs execute on
+            supervised worker processes: a unit whose attempts keep
+            dying or raising outside the library contract is retried,
+            then quarantined, so the report carries a partial campaign
+            plus its ``quarantined`` section.
+        supervision: A :class:`repro.exec.SupervisionPolicy` for the
+            supervised executor (the stock policy when None).  With
+            process-level kinds in the plan, it also engages on a
+            single worker.
         progress: A :class:`repro.obs.ProgressBoard` (or anything with
             its hook methods) fed the benchmark lifecycle.
     """
@@ -110,7 +110,7 @@ def run_chaos_campaign(
         return _run_chaos_parallel(
             profiles, tec_problem_template, baseline_problem_template,
             plan, method, resilient, worker_count, supervision,
-            progress=progress, executor=executor)
+            progress=progress)
     injector = FaultInjector(plan)
     report = ChaosReport(plan=plan)
     watch = stopwatch("chaos.wall_seconds")
@@ -153,7 +153,6 @@ def _run_chaos_parallel(
     workers: int,
     supervision: Optional[object] = None,
     progress: Optional[object] = None,
-    executor: Optional[str] = None,
 ) -> ChaosReport:
     """Chaos campaign over the parallel engine.
 
@@ -173,7 +172,7 @@ def _run_chaos_parallel(
             method=method, include_tec_only=False,
             resilient=resilient, policy=None, fault_plan=plan,
             workers=workers, supervision=supervision,
-            progress=progress, executor=executor)
+            progress=progress)
         report.unhandled.extend(merge.unhandled)
         for text in merge.unhandled:
             _obs.event("chaos.unhandled",

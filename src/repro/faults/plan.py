@@ -33,10 +33,10 @@ class FaultKind(enum.Enum):
     #: Raise :class:`~repro.errors.SolveTimeoutError`, simulating a
     #: wall-clock watchdog firing mid-solve.
     SOLVE_TIMEOUT = "solve-timeout"
-    #: Process-level: hard-kill the pool worker (``os._exit``) before
-    #: it runs the unit, as an OOM killer or segfault would.  Only
-    #: fires inside a *supervised* worker (:mod:`repro.exec`); the
-    #: serial executor and the plain pool ignore it.
+    #: Process-level: hard-kill the worker process (``os._exit``)
+    #: before it runs the unit, as an OOM killer or segfault would.
+    #: Only fires inside a supervised worker (:mod:`repro.exec`); the
+    #: serial executor ignores it.
     WORKER_KILL = "worker-kill"
     #: Process-level: the worker goes silent — heartbeats stop and the
     #: unit never completes — as a deadlocked or livelocked process

@@ -385,7 +385,7 @@ class TelemetryStream:
     re-sent) and, at most once per ``interval_s`` seconds, a fresh
     metrics-snapshot record.  Callers invoke it opportunistically from
     progress callbacks; it is cheap when there is nothing new and
-    thread-safe (pool completion callbacks run on executor threads).
+    thread-safe.
 
     ``pump(final=True)`` bypasses the snapshot throttle so the last
     snapshot of a run is always published.

@@ -13,9 +13,9 @@ text stream:
 * otherwise, one full log line at most every ``interval_s`` seconds —
   CI logs get a readable heartbeat instead of control characters.
 
-All hooks are thread-safe (pool completion callbacks fire on executor
-threads; the supervisor calls from its poll loop) and cheap enough to
-invoke per unit.  The board never owns the stream: callers pass
+All hooks are thread-safe (the supervisor calls them from its poll
+loop, the serial executor in-line) and cheap enough to invoke per
+unit.  The board never owns the stream: callers pass
 ``sys.stderr`` (the CLI) or a capture buffer (tests) and keep
 responsibility for closing it.
 

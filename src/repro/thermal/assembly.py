@@ -16,7 +16,6 @@ overlay, because it depends on the optimization variable ``omega``.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -427,11 +426,8 @@ class PackageThermalModel:
         # the static ambient RHS never changes; the covered-cell TEC
         # node/coefficient gathers are hoisted out of the per-solve path.
         n = self.network.node_count
-        # Overlay buffers are *thread-local*: the threaded executor runs
-        # several solves against one shared model concurrently, and a
-        # single scratch pair would let one thread clobber another's
-        # overlay between assembly and solve.
-        self._overlay_buffers = threading.local()
+        self._overlay_diag = np.zeros(n, dtype=float)
+        self._overlay_rhs = np.zeros(n, dtype=float)
         self._static_amb_rhs = self._static_amb_g * self.config.ambient
         cov = self._covered_cells
         if self.tec_array is not None and cov.size:
@@ -448,18 +444,6 @@ class PackageThermalModel:
             self._cov_gen_nodes = empty_i
             self._cov_seebeck = empty_f
             self._cov_resistance = empty_f
-
-    # -- pickling -----------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Drop the (unpicklable) thread-local overlay scratch."""
-        state = self.__dict__.copy()
-        state.pop("_overlay_buffers", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._overlay_buffers = threading.local()
 
     # -- per-evaluation overlays --------------------------------------
 
@@ -494,12 +478,9 @@ class PackageThermalModel:
         from chip diagonals.  All temperature-independent injections land
         on the RHS.
 
-        Returns views of preallocated per-model, *per-thread* buffers:
-        the arrays are overwritten by the next :meth:`overlays` call on
-        this model from the same thread, so callers that retain them
-        past the following solve must copy.  Distinct threads get
-        distinct buffers, which is what lets the threaded executor run
-        concurrent solves against one shared model.
+        Returns preallocated per-model buffers: the arrays are
+        overwritten by the next :meth:`overlays` call on this model, so
+        callers that retain them past the following solve must copy.
         """
         ncell = self.grid.cell_count
         dyn = np.asarray(dynamic_cell_power, dtype=float)
@@ -522,14 +503,8 @@ class PackageThermalModel:
         else:
             cell_current = self.tec_array.cell_current(current)
 
-        buffers = self._overlay_buffers
-        try:
-            diag = buffers.diag
-            rhs = buffers.rhs
-        except AttributeError:
-            n = self.network.node_count
-            diag = buffers.diag = np.zeros(n, dtype=float)
-            rhs = buffers.rhs = np.zeros(n, dtype=float)
+        diag = self._overlay_diag
+        rhs = self._overlay_rhs
         diag.fill(0.0)
         rhs.fill(0.0)
         ambient = self.config.ambient

@@ -166,42 +166,14 @@ class ThermalNetwork:
 
         The COO build lists are unreachable once :meth:`finalize` has
         run (every mutator raises), so they are dropped from the pickle
-        stream.  When a shared-memory publication plane is open the
-        static CSR arrays are published once and replaced by a
-        descriptor, mirroring the
-        :class:`~repro.thermal.operator.ThermalOperator` transport;
-        without a plane (or on publication failure) the arrays embed in
-        the stream with bit-identical values.
+        stream.
         """
         state = self.__dict__.copy()
         if self._static is not None:
             state["_rows"] = []
             state["_cols"] = []
             state["_vals"] = []
-            from ..exec import shm as _shm
-            plane = _shm.active_plane()
-            if plane is not None:
-                static = self._static
-                descriptor = plane.publish(self, {
-                    "data": static.data,
-                    "indices": static.indices,
-                    "indptr": static.indptr,
-                })
-                if descriptor is not None:
-                    state["_static_shm"] = (descriptor, static.shape)
-                    state.pop("_static", None)
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        packed = state.pop("_static_shm", None)
-        self.__dict__.update(state)
-        if packed is not None:
-            descriptor, shape = packed
-            from ..exec import shm as _shm
-            arrays = _shm.attach_arrays(descriptor)
-            self._static = csr_matrix(
-                (arrays["data"], arrays["indices"], arrays["indptr"]),
-                shape=shape, copy=False)
 
     # -- queries --------------------------------------------------------------
 

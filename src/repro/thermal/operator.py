@@ -40,7 +40,6 @@ changes no fault-free result.
 from __future__ import annotations
 
 import hashlib
-import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -233,10 +232,6 @@ class ThermalOperator:
         self._evictions = 0
         self._adjoint_solves = 0
         self._obs_handles: Optional[_OperatorInstruments] = None
-        # Guards the LRU, the CSC data scratch, and the counters under
-        # the thread executor; cold factorizations serialize per
-        # operator while warm back-substitutions run outside the lock.
-        self._lock = threading.RLock()
 
     def _instruments(self) -> _OperatorInstruments:
         """Handles for the currently installed registry (cached)."""
@@ -317,17 +312,15 @@ class ThermalOperator:
 
     def clear(self) -> None:
         """Drop every cached factorization (counters are kept)."""
-        with self._lock:
-            self._lru.clear()
+        self._lru.clear()
 
     def reset_stats(self) -> None:
         """Zero the lifetime counters (the cache is kept)."""
-        with self._lock:
-            self._solves = 0
-            self._factorizations = 0
-            self._hits = 0
-            self._evictions = 0
-            self._adjoint_solves = 0
+        self._solves = 0
+        self._factorizations = 0
+        self._hits = 0
+        self._evictions = 0
+        self._adjoint_solves = 0
 
     # -- pickling -----------------------------------------------------
 
@@ -339,15 +332,6 @@ class ThermalOperator:
         lifetime counters are zeroed: an unpickled operator starts cold
         in its new process (the worker rebuilds factors on demand,
         which is exactly the exec layer's cache-locality contract).
-
-        When a shared-memory publication plane is open (the scheduler
-        holds one for the duration of a parallel run), the cold
-        template arrays — CSC ``data``/``indices``/``indptr`` baseline
-        and the diagonal index map — are published once and replaced by
-        a small descriptor; workers map the same physical pages instead
-        of each receiving a pickled copy.  Publication failure falls
-        back to embedding the arrays, with bit-identical values either
-        way.
         """
         state = self.__dict__.copy()
         state["_lru"] = OrderedDict()
@@ -357,43 +341,7 @@ class ThermalOperator:
         state["_evictions"] = 0
         state["_adjoint_solves"] = 0
         state["_obs_handles"] = None
-        state.pop("_lock", None)
-        from ..exec import shm as _shm
-        plane = _shm.active_plane()
-        if plane is not None:
-            descriptor = plane.publish(self, {
-                "base": self._base_data,
-                "indices": self._csc.indices,
-                "indptr": self._csc.indptr,
-                "diag": self._diag_index,
-            })
-            if descriptor is not None:
-                state["_shm"] = descriptor
-                for key in ("_csc", "_base_data", "_diag_index"):
-                    state.pop(key, None)
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        """Restore structure, attaching shared-memory templates if used.
-
-        The CSC ``data`` scratch is always a private writable copy of
-        the baseline (``_load`` mutates it per overlay); the index
-        arrays, the baseline, and the diagonal map stay read-only views
-        into the shared segment.
-        """
-        descriptor = state.pop("_shm", None)
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-        if descriptor is not None:
-            from ..exec import shm as _shm
-            arrays = _shm.attach_arrays(descriptor)
-            base = arrays["base"]
-            csc = csc_matrix(
-                (base.copy(), arrays["indices"], arrays["indptr"]),
-                shape=(self._n, self._n), copy=False)
-            self._csc = csc
-            self._base_data = base
-            self._diag_index = arrays["diag"]
 
     # -- state application --------------------------------------------
 
@@ -427,45 +375,44 @@ class ThermalOperator:
         """
         overlay = self._checked_overlay(diag_overlay)
         key = self._digest(overlay)
-        with self._lock:
-            cached = self._lru.get(key)
-            if cached is not None:
-                self._lru.move_to_end(key)
-                self._hits += 1
-                if _obs.STATE.enabled:
-                    self._instruments().factor_hits.inc()
-                return cached
-            started = monotonic() if _obs.STATE.enabled else 0.0
-            csc = self._load(overlay)
-            norm1 = float(np.abs(csc).sum(axis=0).max())
-            try:
-                with np.errstate(all="ignore"), warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    lu = splu(csc)
-            except (ValueError, ArithmeticError, RuntimeError) as exc:
-                estimate = condition_estimate(csc)
-                raise SingularNetworkError(
-                    f"Sparse steady-state solve failed ({exc}); 1-norm "
-                    f"condition estimate {estimate:.3e}",
-                    condition_estimate=estimate) from exc
-            self._factorizations += 1
-            factorization = Factorization(lu, key, norm1)
-            self._lru[key] = factorization
-            evicted = False
-            if len(self._lru) > self._capacity:
-                self._lru.popitem(last=False)
-                self._evictions += 1
-                evicted = True
+        cached = self._lru.get(key)
+        if cached is not None:
+            self._lru.move_to_end(key)
+            self._hits += 1
             if _obs.STATE.enabled:
-                handles = self._instruments()
-                handles.factorizations.inc()
-                handles.factorize_seconds.observe(monotonic() - started)
-                if evicted:
-                    handles.factor_evictions.inc()
-                _obs.STATE.tracer.event(
-                    "operator.factorize", cached=len(self._lru),
-                    evicted=evicted)
-            return factorization
+                self._instruments().factor_hits.inc()
+            return cached
+        started = monotonic() if _obs.STATE.enabled else 0.0
+        csc = self._load(overlay)
+        norm1 = float(np.abs(csc).sum(axis=0).max())
+        try:
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                lu = splu(csc)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            estimate = condition_estimate(csc)
+            raise SingularNetworkError(
+                f"Sparse steady-state solve failed ({exc}); 1-norm "
+                f"condition estimate {estimate:.3e}",
+                condition_estimate=estimate) from exc
+        self._factorizations += 1
+        factorization = Factorization(lu, key, norm1)
+        self._lru[key] = factorization
+        evicted = False
+        if len(self._lru) > self._capacity:
+            self._lru.popitem(last=False)
+            self._evictions += 1
+            evicted = True
+        if _obs.STATE.enabled:
+            handles = self._instruments()
+            handles.factorizations.inc()
+            handles.factorize_seconds.observe(monotonic() - started)
+            if evicted:
+                handles.factor_evictions.inc()
+            _obs.STATE.tracer.event(
+                "operator.factorize", cached=len(self._lru),
+                evicted=evicted)
+        return factorization
 
     # -- solving ------------------------------------------------------
 
@@ -489,8 +436,7 @@ class ThermalOperator:
         started = monotonic() if sampled else 0.0
         factorization = self.factor(overlay)
         temps = factorization.solve(rhs_arr)
-        with self._lock:
-            self._solves += 1
+        self._solves += 1
         self._guard(temps, rhs_arr, overlay, factorization)
         if handles is not None:
             handles.solves.inc()
@@ -518,8 +464,7 @@ class ThermalOperator:
         started = monotonic() if sampled else 0.0
         factorization = self.factor(overlay)
         temps = factorization.solve(block)
-        with self._lock:
-            self._solves += block.shape[1]
+        self._solves += block.shape[1]
         self._guard(temps, block, overlay, factorization)
         if handles is not None:
             handles.solves.inc(block.shape[1])
@@ -548,8 +493,7 @@ class ThermalOperator:
         factorization = self.factor(overlay)
         duals = factorization.solve_transpose(rhs_arr)
         count = 1 if rhs_arr.ndim == 1 else rhs_arr.shape[1]
-        with self._lock:
-            self._adjoint_solves += count
+        self._adjoint_solves += count
         self._guard(duals, rhs_arr, overlay, factorization)
         return duals
 
@@ -568,9 +512,8 @@ class ThermalOperator:
         just factored.
         """
         if not np.all(np.isfinite(temps)):
-            with self._lock:
-                estimate = condition_estimate(self._load(overlay),
-                                              lu=factorization._lu)
+            estimate = condition_estimate(self._load(overlay),
+                                          lu=factorization._lu)
             raise SingularNetworkError(
                 "Thermal system is singular or numerically degenerate "
                 f"(1-norm condition estimate {estimate:.3e})",
@@ -580,9 +523,8 @@ class ThermalOperator:
             growth = (float(np.abs(temps).max())
                       * factorization.norm1 / rhs_scale)
             if growth > _DEGENERACY_GROWTH_LIMIT:
-                with self._lock:
-                    estimate = condition_estimate(self._load(overlay),
-                                                  lu=factorization._lu)
+                estimate = condition_estimate(self._load(overlay),
+                                              lu=factorization._lu)
                 raise SingularNetworkError(
                     "Thermal system is numerically degenerate: solution "
                     f"amplification {growth:.3e} exceeds "

@@ -5,13 +5,13 @@ never be flagged; only code reachable from the submitted entry point
 (``workers.run_unit``) is worker territory.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import Pool
 
 from miniplant.workers import run_unit
 
 
 def run_all(units):
     """Submit every unit to a fresh pool and collect the results."""
-    with ProcessPoolExecutor() as pool:
-        futures = [pool.submit(run_unit, unit) for unit in units]
-    return [future.result() for future in futures]
+    with Pool() as pool:
+        futures = [pool.apply_async(run_unit, (unit,)) for unit in units]
+        return [future.get() for future in futures]

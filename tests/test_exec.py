@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing.process
 import pickle
 
 import pytest
@@ -21,7 +22,13 @@ from repro.exec import (
 )
 from repro.exec import scheduler as exec_scheduler
 from repro.exec import workers as exec_workers
-from repro.faults import full_fault_plan, run_chaos_campaign
+from repro.faults import (
+    FaultKind,
+    FaultPlan,
+    FaultSpec,
+    full_fault_plan,
+    run_chaos_campaign,
+)
 from repro.io import campaign_to_dict
 from repro.obs import telemetry_session
 from repro.obs.export import span_to_dict
@@ -185,11 +192,13 @@ class TestPointsFanOut:
 class TestPoolFallback:
     def test_falls_back_to_in_process(self, monkeypatch,
                                       leakage_free_problem):
-        def broken_pool(payload, units, max_workers,
-                        progress=None):
-            raise OSError("no pool for you")
+        """Workers that cannot be spawned open the supervisor's circuit
+        breaker; the units still run, in-process."""
+        def failing_start(self):
+            raise OSError("no processes for you")
 
-        monkeypatch.setattr(exec_scheduler, "_run_pool", broken_pool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess,
+                            "start", failing_start)
         points = [(200.0, 0.5), (240.0, 1.5), (280.0, 2.5)]
         fanned = evaluate_points(leakage_free_problem, points, 2,
                                  chunk=1)
@@ -203,12 +212,11 @@ class TestPoolFallback:
         """A context that cannot pickle must degrade to the serial
         executor (with the original object), not raise — env-driven
         fan-out engages on previously-working serial call sites."""
-        def exploding_pool(payload, units, max_workers,
-                           progress=None):
-            raise AssertionError("pool must not start")
+        def exploding_start(self):
+            raise AssertionError("no worker process may start")
 
-        monkeypatch.setattr(exec_scheduler, "_run_pool",
-                            exploding_pool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess,
+                            "start", exploding_start)
         context = WorkerContext(point_problem=leakage_free_problem,
                                 policy=lambda: None)
         with pytest.raises(Exception):
@@ -222,6 +230,45 @@ class TestPoolFallback:
         for ours, theirs in zip(fanned, serial):
             assert ours.max_chip_temperature \
                 == theirs.max_chip_temperature
+
+
+class TestSingleRuntime:
+    """Every fan-out runs on the supervisor's managed workers."""
+
+    POINTS = [(200.0, 0.5), (220.0, 1.0), (240.0, 1.5), (260.0, 2.0)]
+
+    @staticmethod
+    def _kill_context(problem, max_fires):
+        plan = FaultPlan(seed=3, specs=(FaultSpec(
+            kind=FaultKind.WORKER_KILL, rate=1.0,
+            max_fires=max_fires),))
+        return WorkerContext(point_problem=problem, fault_plan=plan)
+
+    def test_killed_workers_retry_bit_identically(
+            self, leakage_free_problem):
+        context = self._kill_context(leakage_free_problem, 1)
+        units = exec_scheduler._chunk_units(self.POINTS, "points", 2)
+        fanned = exec_scheduler.run_units(context, units, 2)
+        serial = exec_scheduler.run_units(context, units, 0)
+        assert [result.name for result in fanned] \
+            == [unit.name for unit in units]
+        for ours, theirs in zip(fanned, serial):
+            assert len(ours.value) == len(theirs.value)
+            for mine, other in zip(ours.value, theirs.value):
+                assert mine.max_chip_temperature \
+                    == other.max_chip_temperature
+                assert mine.total_power == other.total_power
+
+    def test_always_dying_unit_raises_worker_crash(
+            self, leakage_free_problem):
+        context = self._kill_context(leakage_free_problem, None)
+        units = exec_scheduler._chunk_units(self.POINTS, "points", 2)
+        with pytest.raises(WorkerCrashError) as excinfo:
+            exec_scheduler.run_units(context, units, 2)
+        assert sorted(excinfo.value.units) == [
+            (unit.name, 3) for unit in units]
+        assert all("exit code" in report
+                   for report in excinfo.value.reports)
 
 
 class TestNestedFanOut:
@@ -473,65 +520,6 @@ class TestChunking:
         sizes = chunk_sizes(17, chunk)
         assert max(sizes) - min(sizes) <= 1
         assert len(sizes) >= 3
-
-
-class TestResolveExecutor:
-    def test_default_is_process(self, monkeypatch):
-        from repro.exec import EXECUTOR_ENV, resolve_executor
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
-        assert resolve_executor() == "process"
-
-    def test_env_fallback(self, monkeypatch):
-        from repro.exec import EXECUTOR_ENV, resolve_executor
-        monkeypatch.setenv(EXECUTOR_ENV, "thread")
-        assert resolve_executor() == "thread"
-
-    def test_argument_overrides_env(self, monkeypatch):
-        from repro.exec import EXECUTOR_ENV, resolve_executor
-        monkeypatch.setenv(EXECUTOR_ENV, "thread")
-        assert resolve_executor("serial") == "serial"
-
-    def test_normalized(self, monkeypatch):
-        from repro.exec import EXECUTOR_ENV, resolve_executor
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
-        assert resolve_executor(" Thread ") == "thread"
-
-    def test_junk_rejected(self, monkeypatch):
-        from repro.exec import EXECUTOR_ENV, resolve_executor
-        with pytest.raises(ConfigurationError):
-            resolve_executor("gevent")
-        monkeypatch.setenv(EXECUTOR_ENV, "fibers")
-        with pytest.raises(ConfigurationError):
-            resolve_executor()
-
-
-class TestThreadExecutor:
-    def test_campaign_digest_equality(self, profiles,
-                                      identity_problems):
-        """executor='thread' shares one in-process operator cache and
-        still merges bit-identically to the serial loop."""
-        tec, base = identity_problems
-        subset = {name: profiles[name]
-                  for name in ("basicmath", "crc32")}
-        serial = run_campaign(subset, tec, base, workers=0)
-        threaded = run_campaign(subset, tec, base, workers=2,
-                                executor="thread")
-        assert canonical_digest(threaded) == canonical_digest(serial)
-        # No process boundary: every unit ran in the coordinator.
-        import os
-        for row in threaded.worker_stats["per_worker"]:
-            assert row["pid"] == os.getpid()
-
-    def test_env_selected_thread_backend(self, monkeypatch, profiles,
-                                         identity_problems):
-        from repro.exec import EXECUTOR_ENV
-        tec, base = identity_problems
-        subset = {"basicmath": profiles["basicmath"],
-                  "fft": profiles["fft"]}
-        serial = run_campaign(subset, tec, base, workers=0)
-        monkeypatch.setenv(EXECUTOR_ENV, "thread")
-        threaded = run_campaign(subset, tec, base, workers=2)
-        assert canonical_digest(threaded) == canonical_digest(serial)
 
 
 class TestStageMerge:

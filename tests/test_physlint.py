@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 ALL_CODES = ("RPR101", "RPR201", "RPR202", "RPR204", "RPR301",
              "RPR302", "RPR303", "RPR401", "RPR501", "RPR502",
-             "RPR503", "RPR504", "RPR601", "RPR604", "RPR701",
+             "RPR503", "RPR504", "RPR601", "RPR701",
              "RPR702")
 PROJECT_CODES = ("RPR602", "RPR603", "RPR703")
 
@@ -75,7 +75,6 @@ class TestBadFixtures:
         ("rpr503", 5),
         ("rpr504", 5),
         ("rpr601", 13),
-        ("rpr604", 2),
     ])
     def test_bad_fixture_findings(self, code, expected):
         found = codes_in(FIXTURES / f"bad_{code}.py")
@@ -92,7 +91,6 @@ class TestGoodFixtures:
         "good_rpr101", "good_rpr201", "good_rpr204", "good_rpr301",
         "good_rpr302", "good_rpr303", "good_rpr401", "good_rpr501",
         "good_rpr503", "good_rpr504", "good_rpr601",
-        "good_rpr604",
     ])
     def test_good_fixture_clean(self, name):
         assert codes_in(FIXTURES / f"{name}.py") == []

@@ -292,6 +292,55 @@ class TestWorkerCrashAttribution:
         assert excinfo.value.units == (("basicmath", 2),)
         assert "basicmath (attempt 2)" in str(excinfo.value)
 
+    def test_fan_out_reports_escaped_exception(self, monkeypatch,
+                                               two_profiles,
+                                               small_problems):
+        """A non-library exception inside a worker process is reported
+        like the serial executor reports it, not retried into
+        quarantine."""
+        from repro.exec import workers as exec_workers
+        tec, base = small_problems
+        victim = next(iter(two_profiles))
+        real_stage = exec_workers.run_campaign_stage
+
+        def escaping_stage(stage, benchmark, *args, **kwargs):
+            if benchmark == victim and stage == "oftec-opt1":
+                raise RuntimeError("escaped")
+            return real_stage(stage, benchmark, *args, **kwargs)
+
+        # Forked workers inherit the patched module.
+        monkeypatch.setenv("REPRO_START_METHOD", "fork")
+        monkeypatch.setattr(exec_workers, "run_campaign_stage",
+                            escaping_stage)
+        for workers in (1, 2):
+            with pytest.raises(WorkerCrashError) as excinfo:
+                run_campaign(two_profiles, tec, base, workers=workers)
+            assert excinfo.value.units == ((f"{victim}/oftec-opt1", 1),)
+            assert "RuntimeError: escaped" in str(excinfo.value)
+
+    def test_parallel_chaos_fails_on_escaped_exception(
+            self, monkeypatch, two_profiles, small_problems):
+        from repro.exec import workers as exec_workers
+        tec, base = small_problems
+        victim = next(iter(two_profiles))
+        real_benchmark = exec_workers._run_benchmark
+
+        def escaping_benchmark(name, *args, **kwargs):
+            if name == victim:
+                raise RuntimeError("escaped")
+            return real_benchmark(name, *args, **kwargs)
+
+        monkeypatch.setenv("REPRO_START_METHOD", "fork")
+        monkeypatch.setattr(exec_workers, "_run_benchmark",
+                            escaping_benchmark)
+        report = run_chaos_campaign(two_profiles, tec, base,
+                                    plan=full_fault_plan(rate=0.0),
+                                    workers=2)
+        assert not report.ok
+        assert report.unhandled == ["RuntimeError: escaped"]
+        assert report.campaign.quarantined == []
+        assert "chaos campaign FAILED" in format_chaos_report(report)
+
 
 class TestSupervisedStreaming:
     def test_monitor_hooks_fire_and_digest_stays_identical(
@@ -392,3 +441,65 @@ class TestSupervisedStreaming:
         assert len(campaign.comparisons) == 2
         assert events.count("running") == 2
         assert events.count("done") == 2
+
+
+class TestSupervisedProgress:
+    """The board hears each unit once, with the scheduler's ok rule."""
+
+    class Recorder:
+        def __init__(self):
+            self.events = []
+
+        def begin(self, total, label=None):
+            self.events.append(("begin", total))
+
+        def unit_running(self, name, attempt=1):
+            self.events.append(("running", name))
+
+        def unit_retrying(self, name, attempt, reason=None):
+            self.events.append(("retrying", name))
+
+        def unit_quarantined(self, name, attempts=0):
+            self.events.append(("quarantined", name))
+
+        def unit_done(self, name, wall_seconds=0.0, ok=True):
+            self.events.append(("done", name, ok))
+
+        def live_metrics(self, snapshot):
+            pass
+
+    def test_serial_path_marks_unhandled_units_failed(self, monkeypatch):
+        from repro.exec import UnitResult, WorkerContext, WorkUnit
+        from repro.exec import workers as exec_workers
+
+        def crashing_unit(unit):
+            result = UnitResult(index=unit.index, name=unit.name)
+            result.unhandled.append("RuntimeError: boom")
+            return result
+
+        monkeypatch.setattr(exec_workers, "run_unit", crashing_unit)
+        units = [WorkUnit(index=0, kind="points", name="chunk-0")]
+        recorder = self.Recorder()
+        outcome = exec_supervisor.run_units_supervised(
+            WorkerContext(), units, 1, monitor=recorder)
+        assert outcome.completed[0].unhandled
+        assert recorder.events == [("begin", 1),
+                                   ("running", "chunk-0"),
+                                   ("done", "chunk-0", False)]
+
+    def test_fan_out_begins_once(self, small_problems):
+        from repro.exec import WorkerContext, run_units
+        from repro.exec.scheduler import _chunk_units
+        tec, _base = small_problems
+        units = _chunk_units([(200.0, 0.5), (240.0, 1.0),
+                              (260.0, 1.5)], "points", 1)
+        recorder = self.Recorder()
+        results = run_units(WorkerContext(point_problem=tec), units, 2,
+                            progress=recorder)
+        assert all(result.ok for result in results)
+        kinds = [event[0] for event in recorder.events]
+        assert kinds.count("begin") == 1
+        assert kinds[0] == "begin"
+        assert sorted(event for event in recorder.events
+                      if event[0] == "done") \
+            == sorted(("done", unit.name, True) for unit in units)
