@@ -2,9 +2,9 @@
 
 Not a paper figure — this bench guards the ``repro.exec`` engine with
 two arms of the Table 2 campaign (TEC-only included): the serial loop
-and a ``workers=2`` fan-out over stage-level units on the supervisor's
+and a ``workers=2`` fan-out over benchmark units on the supervisor's
 managed workers.  The parallel arm must reproduce the serial canonical
-digest bit for bit and execute every stage unit exactly once.  The
+digest bit for bit and execute every benchmark unit exactly once.  The
 speedup is recorded, not asserted: it depends on the host's core
 count, which the artifact records under ``machine``.
 """
@@ -14,7 +14,6 @@ import json
 
 from _common import emit_bench_json
 from repro.analysis import run_campaign
-from repro.analysis.campaign import CAMPAIGN_STAGES
 from repro.io import campaign_to_dict
 
 
@@ -31,7 +30,7 @@ def test_parallel_campaign_and_emit(profiles, tec_problem,
     serial = run_campaign(profiles, tec_problem, baseline_problem,
                           include_tec_only=True, workers=0)
     serial_digest = _canonical_digest(serial)
-    expected_units = len(profiles) * len(CAMPAIGN_STAGES)
+    expected_units = len(profiles)
     print(f"\nserial: {serial.wall_seconds:.1f} s wall, "
           f"{len(serial.comparisons)} benchmarks")
 
@@ -61,8 +60,8 @@ def test_parallel_campaign_and_emit(profiles, tec_problem,
     emit_bench_json("BENCH_5.json", payload)
 
     assert len(serial.comparisons) == len(profiles)
-    # Real worker processes with live factor caches ran every stage
-    # unit exactly once.
+    # Real worker processes with live factor caches ran every
+    # benchmark unit exactly once.
     assert sum(row["units"] for row in per_worker) == expected_units
     for row in per_worker:
         assert row["solves"] > 0

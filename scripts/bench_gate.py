@@ -6,9 +6,8 @@ Two layers of checking, both machine-independent:
 * **Invariants** — structural performance claims that must hold on any
   host: the operator layer actually reuses factorizations (BENCH_3),
   telemetry overhead stays inside its budget (BENCH_4), the parallel
-  campaign is bit-reproducible (BENCH_5), supervision overhead is
-  bounded (BENCH_6), and adjoint gradients beat finite differences on
-  solve count (BENCH_7).  Wall-clock rates and speedups that depend on
+  campaign is bit-reproducible (BENCH_5), and adjoint gradients beat
+  finite differences on solve count (BENCH_7).  Wall-clock rates and speedups that depend on
   core count are deliberately not gated.
 
 * **Drift** (optional, ``--baseline DIR``) — compares the freshly
@@ -43,11 +42,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 #: Budget (percent) for telemetry overheads — mirrors the assertions in
 #: benchmarks/bench_obs_overhead.py.
 OBS_OVERHEAD_BUDGET_PCT = 5.0
-
-#: Budget (percent) for the overhead of an explicit supervision policy
-#: over the default stage-grained fan-out
-#: (benchmarks/bench_supervisor.py measures at matching workers).
-SUPERVISION_BUDGET_PCT = 10.0
 
 #: The operator layer must make repeated solves at least this many
 #: times faster than cold solve-per-call (BENCH_3's claim is ~40x; 3x
@@ -169,24 +163,13 @@ def gate_bench5(gate: Gate, doc: dict) -> None:
         "(parallel campaign stayed bit-reproducible)")
     workers = _dig(doc, "parallel.workers_2.per_worker") or []
     units = sum(entry.get("units", 0) for entry in workers)
-    # Stage-decomposed artifacts record the expected unit count
-    # (benchmarks x stages); pre-decomposition ones ran one unit per
-    # benchmark.
+    # One unit per benchmark; artifacts record the expected count.
     expected = doc.get("expected_units", doc.get("benchmarks"))
     gate.check(
         "BENCH_5 unit accounting",
         bool(workers) and units == expected,
         f"per-worker units sum to {units}, campaign ran {expected} "
         "(every unit executed exactly once)")
-
-
-def gate_bench6(gate: Gate, doc: dict) -> None:
-    overhead = doc.get("overhead_pct")
-    gate.check(
-        "BENCH_6 supervision overhead",
-        overhead is not None and overhead < SUPERVISION_BUDGET_PCT,
-        f"{overhead}% < {SUPERVISION_BUDGET_PCT}% "
-        "(heartbeats and deadlines must be near-free)")
 
 
 def gate_bench7(gate: Gate, doc: dict) -> None:
@@ -203,7 +186,6 @@ GATES: Dict[str, Callable[[Gate, dict], None]] = {
     "BENCH_3.json": gate_bench3,
     "BENCH_4.json": gate_bench4,
     "BENCH_5.json": gate_bench5,
-    "BENCH_6.json": gate_bench6,
     "BENCH_7.json": gate_bench7,
 }
 

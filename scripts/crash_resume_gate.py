@@ -13,10 +13,13 @@ This script proves it the hard way:
 2. start the same campaign journaled at ``--workers 2``, wait until
    the journal holds at least one completed unit, and ``SIGKILL`` the
    coordinator (no atexit handlers, no flush, no goodbye);
-3. resume from the journal (``--resume``) and byte-compare the
+3. check that every worker process of the killed coordinator has
+   exited within ``ORPHAN_GRACE_S`` (Linux ``/proc`` only);
+4. resume from the journal (``--resume``) and byte-compare the
    resumed canonical JSON against the reference.
 
-Exit code 0 on a byte-identical diff, 1 otherwise.
+Exit code 0 on a byte-identical diff with no orphaned worker, 1
+otherwise.
 """
 
 import argparse
@@ -27,9 +30,50 @@ import sys
 import tempfile
 import time
 
+#: Seconds the killed coordinator's workers get to exit before they
+#: count as orphans.
+ORPHAN_GRACE_S = 5.0
+
 
 def repro_cmd(*extra):
     return [sys.executable, "-m", "repro", "campaign", *extra]
+
+
+def _stat_fields(pid):
+    """``/proc/<pid>/stat`` fields after the command name, or None."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii",
+                  errors="replace") as handle:
+            return handle.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+
+
+def child_pids(pid):
+    """PIDs of the live processes whose parent is ``pid``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            fields = _stat_fields(entry)
+            if fields is not None and int(fields[1]) == pid:
+                children.append(int(entry))
+    return children
+
+
+def running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] not in ("Z", "X")
+
+
+def wait_for_exit(pids, grace_s):
+    """The subset of ``pids`` still running after ``grace_s`` seconds."""
+    deadline = time.monotonic() + grace_s
+    alive = [pid for pid in pids if running(pid)]
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.1)
+        alive = [pid for pid in alive if running(pid)]
+    return alive
 
 
 def wait_for_journal(path, process, min_bytes, timeout_s):
@@ -44,7 +88,7 @@ def wait_for_journal(path, process, min_bytes, timeout_s):
             return False
         if os.path.exists(path) and os.path.getsize(path) >= min_bytes:
             return True
-        time.sleep(0.1)
+        time.sleep(0.02)
     raise SystemExit(
         f"journal never reached {min_bytes} bytes within {timeout_s}s")
 
@@ -56,7 +100,7 @@ def main():
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--min-journal-bytes", type=int, default=200,
                         help="journal size proving >=1 completed unit")
-    parser.add_argument("--settle-seconds", type=float, default=0.2,
+    parser.add_argument("--settle-seconds", type=float, default=0.0,
                         help="extra runtime granted after the "
                              "threshold so the kill lands mid-campaign")
     parser.add_argument("--timeout", type=float, default=600.0)
@@ -80,6 +124,7 @@ def main():
             repro_cmd(*common, "--workers", str(args.workers),
                       "--journal", journal),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        orphans = []
         try:
             alive = wait_for_journal(journal, victim,
                                      args.min_journal_bytes,
@@ -89,9 +134,13 @@ def main():
                 alive = victim.poll() is None
             if alive:
                 size = os.path.getsize(journal)
+                workers = child_pids(victim.pid) \
+                    if os.path.isdir("/proc") else []
                 print(f"[gate] SIGKILL coordinator pid {victim.pid} "
-                      f"(journal at {size} bytes)")
+                      f"(journal at {size} bytes, "
+                      f"{len(workers)} worker(s))")
                 os.kill(victim.pid, signal.SIGKILL)
+                orphans = wait_for_exit(workers, ORPHAN_GRACE_S)
             else:
                 # The campaign beat us to the finish line (fast host,
                 # tiny grid). Resume still must replay bit-identically.
@@ -102,6 +151,16 @@ def main():
             if victim.poll() is None:
                 victim.kill()
                 victim.wait()
+        if orphans:
+            for pid in orphans:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            print(f"[gate] FAIL: {len(orphans)} worker(s) of the killed "
+                  f"coordinator still alive {ORPHAN_GRACE_S:g} s "
+                  f"after the kill: {orphans}")
+            return 1
 
         print("[gate] resume from the journal")
         subprocess.run(repro_cmd(*common, "--workers",

@@ -96,7 +96,7 @@ class CampaignResult:
     #: Per-worker cache-locality statistics of a parallel run (see
     #: :func:`repro.exec.worker_statistics`); empty for serial runs.
     #: Never serialized — result JSON stays identical across worker
-    #: counts.  Supervised runs add a ``"supervision"`` block
+    #: counts.  Decomposed runs add a ``"supervision"`` block
     #: (retries, replacements, circuit state).
     worker_stats: Dict[str, object] = field(default_factory=dict)
 
@@ -187,11 +187,8 @@ class CampaignResult:
         return sum(runtimes) / len(runtimes)
 
 
-#: Serial order of the per-benchmark pipeline stages.  The parallel
-#: engine decomposes a benchmark into one work unit per stage using
-#: exactly these labels; merge walks them in this order to reproduce
-#: the serial loop's skip semantics (a failed stage means later stages
-#: never ran).
+#: Serial order of the per-benchmark pipeline stages (a failed stage
+#: means later stages never run).
 CAMPAIGN_STAGES = (
     "oftec-opt1",
     "oftec-opt2",
@@ -235,10 +232,8 @@ def _stage_specs(
 ) -> Dict[str, Callable]:
     """Zero-argument thunks for every pipeline stage of one benchmark.
 
-    Each thunk builds its own fresh evaluator via ``make``, so a stage
-    behaves identically whether it runs inline in ``_run_benchmark`` or
-    as a standalone work unit on a worker — the basis of the parallel
-    engine's stage-level decomposition staying bit-identical to serial.
+    Each thunk builds its own fresh evaluator via ``make``, so no
+    stage's cache state leaks into the next.
     """
     if resilient:
         def oftec_stage() -> OFTECResult:
@@ -282,30 +277,6 @@ def _stage_specs(
         "tec-only": lambda: run_tec_only(
             tec_problem, evaluator=make(tec_problem)),
     }
-
-
-def run_campaign_stage(
-    stage: str,
-    name: str,
-    tec_problem: CoolingProblem,
-    base_problem: CoolingProblem,
-    method: str,
-    make: Callable[[CoolingProblem], Evaluator],
-    resilient: bool,
-    policy: Optional[ResiliencePolicy],
-    failures: List[FailureReport],
-    jac: str = "analytic",
-):
-    """Run exactly one pipeline stage of one benchmark.
-
-    The stage-level work-unit entry point: same thunk, same span, same
-    :class:`_StageFailure` tagging as the inline pipeline.
-    """
-    specs = _stage_specs(name, tec_problem, base_problem, method, make,
-                         resilient, policy, failures, jac=jac)
-    if stage not in specs:
-        raise ConfigurationError(f"Unknown campaign stage {stage!r}")
-    return _staged(stage, specs[stage])
 
 
 def _run_benchmark(
@@ -396,7 +367,7 @@ def run_campaign(
             An exception outside the library contract raises
             :class:`~repro.errors.WorkerCrashError` (every entry as
             ``"Type: message"`` text, unit labels and attempt counts
-            on ``.units``) at ``workers=1``; on worker processes the
+            on ``.units``); under ``supervision`` or a journal the
             unit is retried, then quarantined.
         supervision: A :class:`repro.exec.SupervisionPolicy` routing
             the benchmarks through the supervised executor: worker
@@ -512,7 +483,7 @@ def _run_campaign_parallel(
     jac: str = "analytic",
     progress: Optional[object] = None,
 ) -> CampaignResult:
-    """The decomposed campaign path: stage- or benchmark-level units.
+    """The decomposed campaign path: one unit per benchmark.
 
     Merging happens in submission order and each unit reproduces the
     serial per-benchmark pipeline exactly (same stages, same fresh
@@ -526,8 +497,6 @@ def _run_campaign_parallel(
     )
     journal = None
     completed = None
-    supervised = supervision is not None or journal_path is not None \
-        or resume_from is not None
     if journal_path is not None or resume_from is not None:
         fingerprint = unit_fingerprint(
             tuple(profiles),
@@ -547,8 +516,7 @@ def _run_campaign_parallel(
                 baseline_problem_template,
                 method=method, include_tec_only=include_tec_only,
                 resilient=resilient, policy=policy, fault_plan=None,
-                workers=workers,
-                supervision=supervision if supervised else None,
+                workers=workers, supervision=supervision,
                 journal=journal, completed=completed, jac=jac,
                 progress=progress)
             if merge.unhandled:

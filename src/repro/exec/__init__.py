@@ -1,14 +1,14 @@
-"""Parallel execution engine: work units on serial or supervised processes.
+"""Parallel execution engine: work units under one supervisor.
 
 Campaigns, chaos campaigns, ``(omega, I_TEC)`` sweeps, heat-map
 batches, and LUT builds are all embarrassingly parallel; this package
-decomposes them into picklable :class:`WorkUnit`\\ s (stage-grained for
-campaigns) and runs them on one of two paths: in-process serial, or
-the supervisor's managed worker processes (heartbeats, deadlines,
-bit-identical retries, quarantine).  Both merge deterministically
-(submission order) — parallel campaigns produce bit-identical JSON to
-serial ones — and per-unit telemetry re-parents worker spans under the
-coordinating trace.
+decomposes them into picklable :class:`WorkUnit`\\ s (one per
+benchmark for campaigns) and runs them in one supervisor run: on its
+in-process serial path, or on its managed worker processes
+(heartbeats, deadlines, bit-identical retries, quarantine).  Both
+merge deterministically (submission order) — parallel campaigns
+produce bit-identical JSON to serial ones — and per-unit telemetry
+re-parents worker spans under the coordinating trace.
 
 See docs/PARALLELISM.md for the two paths, the worker model, and the
 determinism contract.

@@ -1,25 +1,21 @@
-"""The work-unit scheduler: fan out, run, merge deterministically.
+"""The work-unit scheduler: decompose, run supervised, merge.
 
 The coordinator's half of the parallel engine.  A job is decomposed
 into :class:`~repro.exec.units.WorkUnit`\\ s, the shared inputs travel
 once per worker inside a :class:`~repro.exec.units.WorkerContext`, and
-:func:`run_units` executes them on one of two paths:
+every :func:`run_units` / :func:`run_campaign_units` call is one run of
+the supervisor (:mod:`repro.exec.supervisor`).  ``workers <= 1``, a
+single unit, a call issued from inside a worker, or a context that
+cannot be pickled runs the units on its in-process serial path; every
+other fan-out runs on its managed worker processes (heartbeats,
+deadlines, bit-identical retries, quarantine).
 
-* **Serial.**  ``workers <= 1``, a single unit, a call issued from
-  inside a worker, or a context that cannot be pickled runs the units
-  in-process through the same worker shim a process uses.
-* **Supervised processes.**  Every other fan-out goes through the
-  supervisor's managed workers
-  (:func:`repro.exec.supervisor.run_units_supervised`) under the stock
-  :class:`~repro.exec.SupervisionPolicy`: heartbeats, deadlines,
-  bit-identical retries, and quarantine.
-
-Both paths merge in submission order and every unit is
-self-contained, so a parallel run's merged output is bit-identical to
-the serial loop's — regardless of worker count, scheduling order, or
-start method.  When the coordinator's telemetry is enabled, worker
-spans and metrics are re-parented under per-unit ``unit`` spans on the
-live tracer, so ``repro trace summarize`` sees one merged tree.
+Results merge in submission order and every unit is self-contained,
+so a parallel run's merged output is bit-identical to the serial
+loop's — regardless of worker count, scheduling order, or start
+method.  When the coordinator's telemetry is enabled, worker spans and
+metrics are re-parented under per-unit ``unit`` spans on the live
+tracer, so ``repro trace summarize`` sees one merged tree.
 
 Worker count resolution: an explicit argument wins, then the
 ``REPRO_WORKERS`` environment variable, then 0 (= classic serial path,
@@ -35,7 +31,6 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -47,19 +42,16 @@ from typing import (
     Tuple,
 )
 
-from ..analysis.campaign import CAMPAIGN_STAGES, BenchmarkComparison
 from ..core import CoolingProblem, FailureReport, ResiliencePolicy
 from ..errors import ConfigurationError, SolverError, WorkerCrashError
 from ..faults.plan import FaultPlan
 from ..obs import runtime as _obs
 from . import workers as _workers
+from .supervisor import START_METHOD_ENV, SupervisionPolicy, _Supervisor
 from .units import UnitResult, WorkUnit, WorkerContext
 
 #: Environment variable supplying the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
-
-#: Environment variable overriding the multiprocessing start method.
-START_METHOD_ENV = "REPRO_START_METHOD"
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -67,13 +59,13 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
     The returned count selects the execution path: ``0`` keeps the
     classic serial code (no unit decomposition at all), ``1`` runs the
-    decomposed units through the in-process serial executor, ``N > 1``
-    fans out over N supervised worker processes.
+    decomposed units on the supervisor's in-process serial path,
+    ``N > 1`` fans out over N supervised worker processes.
 
-    Inside a worker (a worker process or the serial executor) the
-    answer is always 0: worker processes inherit ``REPRO_WORKERS`` from
-    the coordinator's environment, and honoring it there would nest
-    fan-outs (or re-enter the serial executor) every time a unit
+    Inside a worker (a worker process or the serial path) the answer
+    is always 0: worker processes inherit ``REPRO_WORKERS`` from the
+    coordinator's environment, and honoring it there would nest
+    fan-outs (or re-enter the serial path) every time a unit
     internally calls a decomposed entry point such as
     :meth:`~repro.core.Evaluator.evaluate_many`.  Only the coordinator
     ever fans out.
@@ -96,141 +88,39 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return count
 
 
-def _result_ok(result: UnitResult) -> bool:
-    """Whether a unit completed without an error or unhandled lines."""
-    return result.error is None and not result.unhandled
-
-
-def _fans_out(workers: int, units: Sequence[WorkUnit]) -> bool:
-    """Whether ``units`` go to worker processes rather than in-process."""
-    return workers > 1 and len(units) > 1 and not _workers.in_worker()
-
-
-def _run_serial(context: WorkerContext, units: Sequence[WorkUnit],
-                progress: Optional[Any] = None) -> List[UnitResult]:
-    """Execute units in-process through the worker shim.
-
-    Re-entrant: the previously installed runtime (if any) is saved and
-    restored around the run, so a nested :func:`run_units` call — a
-    unit whose body reaches a decomposed entry point — degrades to
-    serial execution instead of corrupting the enclosing executor's
-    state.
-    """
-    previous = _workers.install_runtime(context)
-    try:
-        results = []
-        for unit in units:
-            if progress is not None:
-                progress.unit_running(unit.name)
-            result = _workers.run_unit(unit)
-            if progress is not None:
-                progress.unit_done(unit.name, result.wall_seconds,
-                                   ok=_result_ok(result))
-            results.append(result)
-        return results
-    finally:
-        _workers.restore_runtime(previous)
-
-
 def run_units(context: WorkerContext, units: Sequence[WorkUnit],
               workers: int,
               progress: Optional[Any] = None) -> List[UnitResult]:
     """Run units on ``workers`` processes; merge in submission order.
 
-    ``workers <= 1`` (or a single unit, or a call issued from inside a
-    worker) executes serially in-process.  Every other fan-out runs on
-    the supervisor's managed workers under the stock
-    :class:`~repro.exec.SupervisionPolicy`; a context that fails to
-    pickle degrades to the serial executor there (``exec.pool_fallback``
-    event).  A unit the supervisor quarantines raises
-    :class:`~repro.errors.WorkerCrashError` naming every quarantined
-    unit and its attempt count.  Worker telemetry is adopted onto the
-    live tracer before returning.
+    One supervisor run under the stock
+    :class:`~repro.exec.SupervisionPolicy`.  A single unit never spawns
+    a process; ``workers <= 1`` and calls from inside a worker run
+    serially in-process, and so does a context that fails to pickle
+    (``exec.pool_fallback`` event).  A unit the supervisor quarantines
+    raises :class:`~repro.errors.WorkerCrashError` naming every
+    quarantined unit and its attempt count.  Worker telemetry is
+    adopted onto the live tracer as each unit completes.
 
     ``progress`` (a :class:`~repro.obs.ProgressBoard`, or anything
     with its hook methods) receives ``begin`` once, then
     ``unit_running``/``unit_done`` as units move.
     """
     units = list(units)
-    if _fans_out(workers, units):
-        # Late import: supervisor imports this module at its top.
-        from .supervisor import run_units_supervised
-        outcome = run_units_supervised(context, units, workers,
-                                       monitor=progress)
-        if outcome.quarantined:
-            raise WorkerCrashError(
-                f"{len(outcome.quarantined)} work unit(s) quarantined: "
-                + "; ".join(f"{entry.name} after {entry.attempts} "
-                            f"attempt(s): {entry.errors[-1]}"
-                            for entry in outcome.quarantined),
-                reports=[entry.errors[-1]
-                         for entry in outcome.quarantined],
-                units=[(entry.name, entry.attempts)
-                       for entry in outcome.quarantined])
-        return outcome.completed
-    if progress is not None:
-        progress.begin(len(units))
-    try:
-        # Round-trip through pickle so serial and process runs exercise
-        # the identical serialization path (and the caller's templates
-        # keep their own caches).
-        serial_context = pickle.loads(pickle.dumps(context))
-    except Exception as exc:  # physlint: disable=RPR201
-        # Broad by necessity: pickle.dumps reports unpicklability as
-        # whatever the object's __reduce__ raises (TypeError,
-        # AttributeError, PicklingError, ...).  The serial executor
-        # can still run the original context directly — entry points
-        # that auto-engage on REPRO_WORKERS must not start crashing
-        # merely because the env var is set.
-        _obs.event("exec.pool_fallback", error=type(exc).__name__)
-        serial_context = context
-    results = _run_serial(serial_context, units, progress=progress)
-    _adopt_telemetry(results)
-    return results
-
-
-def adopt_unit_telemetry(name: str, index: int, pid: Optional[int],
-                         wall_seconds: float,
-                         spans: Optional[Sequence[Dict[str, Any]]],
-                         metrics_snapshot: Optional[dict]) -> None:
-    """Graft one unit's exported telemetry onto the live trace.
-
-    Creates a ``unit`` span on the live tracer whose extent is the
-    unit's worker wall time (ending now), adopts the worker's exported
-    span records under it with their clocks shifted to the unit span's
-    origin, and folds the worker's metrics snapshot into the live
-    registry.  No-op while telemetry is disabled.
-
-    This is the single adoption seam shared by the end-of-run merge
-    (:func:`run_units`) and the supervisor's streamed telemetry
-    packets — both paths produce the identical merged tree shape.
-    """
-    if not _obs.STATE.enabled:
-        return
-    tracer = _obs.STATE.tracer
-    metrics = _obs.STATE.metrics
-    unit_span = tracer.start_span("unit", name, index=index,
-                                  worker_pid=pid)
-    tracer.end_span(unit_span)
-    if unit_span.end_s is not None:
-        unit_span.start_s = max(
-            unit_span.end_s - wall_seconds, 0.0)
-    if spans:
-        tracer.adopt_records(spans, parent=unit_span,
-                             time_offset=unit_span.start_s)
-    if metrics_snapshot:
-        metrics.merge_snapshot(metrics_snapshot)
-
-
-def _adopt_telemetry(results: Sequence[UnitResult]) -> None:
-    """Re-parent worker spans/metrics under the coordinating trace."""
-    if not _obs.STATE.enabled:
-        return
-    for result in results:
-        adopt_unit_telemetry(result.name, result.index,
-                             result.stats.get("pid"),
-                             result.wall_seconds, result.spans,
-                             result.metrics)
+    outcome = _Supervisor(
+        context, units, workers if len(units) > 1 else 1,
+        SupervisionPolicy(), None, None, monitor=progress).run()
+    if outcome.quarantined:
+        raise WorkerCrashError(
+            f"{len(outcome.quarantined)} work unit(s) quarantined: "
+            + "; ".join(f"{entry.name} after {entry.attempts} "
+                        f"attempt(s): {entry.errors[-1]}"
+                        for entry in outcome.quarantined),
+            reports=[entry.errors[-1]
+                     for entry in outcome.quarantined],
+            units=[(entry.name, entry.attempts)
+                   for entry in outcome.quarantined])
+    return outcome.completed
 
 
 def worker_statistics(results: Sequence[UnitResult]) -> Dict[str, Any]:
@@ -295,12 +185,11 @@ class CampaignMerge:
             unhandled line, so a :class:`~repro.errors.WorkerCrashError`
             can name the benchmark that died and how many attempts it
             consumed.
-        worker_stats: :func:`worker_statistics` of the run.
-        quarantined: Supervised runs only — units that exhausted their
-            retry budget (:class:`~repro.exec.QuarantinedUnit`).
-        retries: Supervised runs only — attempts beyond the first.
-        circuit_opened: Supervised runs only — True when the run
-            degraded to the serial executor.
+        worker_stats: :func:`worker_statistics` of the run, plus a
+            ``supervision`` block (retries, replacements, quarantined
+            count, circuit state, process-fault fires).
+        quarantined: Units that exhausted their retry budget
+            (:class:`~repro.exec.QuarantinedUnit`).
     """
 
     comparisons: List[Any] = field(default_factory=list)
@@ -312,8 +201,6 @@ class CampaignMerge:
     crashed: List[Tuple[str, int, str]] = field(default_factory=list)
     worker_stats: Dict[str, Any] = field(default_factory=dict)
     quarantined: List[Any] = field(default_factory=list)
-    retries: int = 0
-    circuit_opened: bool = False
 
 
 def run_campaign_units(
@@ -332,32 +219,22 @@ def run_campaign_units(
     jac: str = "analytic",
     progress: Optional[Any] = None,
 ) -> CampaignMerge:
-    """Decompose a campaign into stage (or benchmark) units and merge.
+    """Decompose a campaign into one unit per benchmark and merge.
 
-    The default decomposition is one unit per *pipeline stage* per
-    benchmark (:data:`repro.analysis.campaign.CAMPAIGN_STAGES`) —
-    roughly six times the grain of whole-benchmark units, which is
-    what lets the scheduler keep every worker busy when one
-    benchmark's OFTEC stage dominates the wall clock.  Benchmarks stay
-    whole units in two cases: under a ``fault_plan`` (the chaos
-    injector's RNG advances across stages, so splitting would change
-    the fault stream) and under an explicit supervision policy or
-    journaling (journal fingerprints and retry bookkeeping are keyed to
-    benchmark units).  The problem templates travel once per worker on
-    the context either way.
-
-    A fan-out (``workers > 1``, more than one unit) always runs on the
-    supervised executor, and so does any run with ``supervision`` (a
-    :class:`~repro.exec.SupervisionPolicy`), ``journal`` (a
-    :class:`~repro.exec.JournalWriter`), or ``completed`` (journaled
-    results keyed by unit index): worker death becomes
-    retries/quarantine instead of a raise, and completed units are
-    skipped.  A non-library exception inside a unit is retried toward
-    quarantine only under such an explicit request; a plain fan-out
-    merges it into :attr:`CampaignMerge.unhandled` exactly as the
-    serial executor does.  The caller owns the surrounding
-    ``campaign`` span and the :class:`CampaignResult` assembly — this
-    function returns the raw merge.
+    The problem templates travel once per worker on the context; the
+    units run in one supervisor run, so worker death becomes
+    retries/quarantine instead of a raise.  ``supervision`` (a
+    :class:`~repro.exec.SupervisionPolicy`) replaces the stock policy,
+    ``journal`` (a :class:`~repro.exec.JournalWriter`) records every
+    completed unit, and ``completed`` (journaled results keyed by unit
+    index) skips finished units.  Without any of these explicit
+    requests a single unit never spawns a process, and a non-library
+    exception inside a unit is merged into
+    :attr:`CampaignMerge.unhandled` exactly as the serial path returns
+    it; with one, such an exception is retried toward quarantine.  The
+    caller owns the surrounding ``campaign`` span and the
+    :class:`CampaignResult` assembly — this function returns the raw
+    merge.
     """
     context = WorkerContext(
         tec_template=tec_template,
@@ -372,49 +249,27 @@ def run_campaign_units(
         telemetry=_obs.STATE.enabled)
     explicit = supervision is not None or journal is not None \
         or bool(completed)
-    staged = fault_plan is None and not explicit
-    stages = [stage for stage in CAMPAIGN_STAGES
-              if include_tec_only or stage != "tec-only"]
-    if staged:
-        units = [
-            WorkUnit(index=bench_index * len(stages) + stage_index,
-                     kind="stage", name=f"{name}/{stage}",
-                     params=(name, stage))
-            for bench_index, name in enumerate(profiles)
-            for stage_index, stage in enumerate(stages)]
-    else:
-        units = [WorkUnit(index=index, kind="benchmark", name=name)
-                 for index, name in enumerate(profiles)]
-    merge = CampaignMerge()
-    supervised = explicit or _fans_out(workers, units)
-    if supervised:
-        # Late import: supervisor imports this module at its top.
-        from .supervisor import SupervisionPolicy, _Supervisor
-        outcome = _Supervisor(
-            context, units, workers, supervision or SupervisionPolicy(),
-            journal, completed, monitor=progress,
-            retry_unhandled=explicit).run()
-        results = outcome.completed
-        merge.quarantined = list(outcome.quarantined)
-        merge.retries = outcome.retries
-        merge.circuit_opened = outcome.circuit_opened
-        for kind, count in outcome.process_fired.items():
-            merge.fired[kind] = merge.fired.get(kind, 0) + count
-    else:
-        results = run_units(context, units, workers, progress=progress)
-    merge.worker_stats = worker_statistics(results)
-    if supervised:
-        merge.worker_stats["supervision"] = {
-            "retries": merge.retries,
-            "replacements": outcome.replacements,
-            "quarantined": len(merge.quarantined),
-            "circuit_opened": merge.circuit_opened,
-            "process_faults_fired": dict(
-                sorted(outcome.process_fired.items())),
-        }
-    if staged:
-        _merge_stage_results(merge, results, list(profiles), stages)
-        return merge
+    units = [WorkUnit(index=index, kind="benchmark", name=name)
+             for index, name in enumerate(profiles)]
+    if not explicit and len(units) < 2:
+        workers = 1
+    outcome = _Supervisor(
+        context, units, workers, supervision or SupervisionPolicy(),
+        journal, completed, monitor=progress,
+        retry_unhandled=explicit).run()
+    results = outcome.completed
+    merge = CampaignMerge(
+        fired=dict(outcome.process_fired),
+        worker_stats=worker_statistics(results),
+        quarantined=list(outcome.quarantined))
+    merge.worker_stats["supervision"] = {
+        "retries": outcome.retries,
+        "replacements": outcome.replacements,
+        "quarantined": len(outcome.quarantined),
+        "circuit_opened": outcome.circuit_opened,
+        "process_faults_fired": dict(
+            sorted(outcome.process_fired.items())),
+    }
     for result in results:
         merge.failures.extend(result.failures)
         merge.unhandled.extend(result.unhandled)
@@ -429,58 +284,6 @@ def run_campaign_units(
         elif result.value is not None:
             merge.comparisons.append(result.value)
     return merge
-
-
-def _merge_stage_results(merge: CampaignMerge,
-                         results: Sequence[UnitResult],
-                         benchmarks: Sequence[str],
-                         stages: Sequence[str]) -> None:
-    """Reassemble stage units into per-benchmark comparisons.
-
-    Walks each benchmark's stages in serial pipeline order and *stops
-    at the first stage that errored or crashed*, dropping the results
-    of later stages outright — in the serial loop those stages never
-    ran, so admitting their failures or values would diverge from the
-    serial merge.  A benchmark whose stages all completed yields a
-    :class:`~repro.analysis.campaign.BenchmarkComparison`
-    indistinguishable from the inline pipeline's.
-    """
-    by_index = {result.index: result for result in results}
-    for bench_index, name in enumerate(benchmarks):
-        values: Dict[str, Any] = {}
-        broken = False
-        for stage_index, stage in enumerate(stages):
-            result = by_index.get(
-                bench_index * len(stages) + stage_index)
-            if result is None:  # lost unit: treat as terminal
-                broken = True
-                break
-            merge.failures.extend(result.failures)
-            for kind, count in result.fired.items():
-                merge.fired[kind] = merge.fired.get(kind, 0) + count
-            if result.unhandled:
-                merge.unhandled.extend(result.unhandled)
-                for line in result.unhandled:
-                    merge.crashed.append((result.name, 1, line))
-                broken = True
-                break
-            if result.error is not None:
-                stage_name, error_type, message = result.error
-                merge.errors.append(
-                    (name, stage_name, error_type, message))
-                broken = True
-                break
-            values[stage] = result.value
-        if broken:
-            continue
-        merge.comparisons.append(BenchmarkComparison(
-            name=name,
-            oftec_opt1=values["oftec-opt1"],
-            oftec_opt2=values["oftec-opt2"],
-            variable_opt1=values["variable-opt1"],
-            variable_opt2=values["variable-opt2"],
-            fixed=values["fixed-omega"],
-            tec_only=values.get("tec-only")))
 
 
 # -- point/field fan-out --------------------------------------------------
@@ -657,7 +460,6 @@ __all__ = [
     "CampaignMerge",
     "START_METHOD_ENV",
     "WORKERS_ENV",
-    "adopt_unit_telemetry",
     "chunk_sizes",
     "default_chunk",
     "evaluate_points",

@@ -1,14 +1,19 @@
 """Supervised execution: heartbeats, deadlines, retries, quarantine.
 
-The process runtime of :func:`repro.exec.run_units`: every fan-out
-runs on directly managed ``multiprocessing`` workers the coordinator
-can observe and kill, so a hung SLSQP solve or an OOM-killed worker
-costs one retried unit instead of the whole run:
+The one runtime behind :func:`repro.exec.run_units` and
+:func:`repro.exec.run_campaign_units`: every call is one
+:class:`_Supervisor` run.  A fan-out runs on directly managed
+``multiprocessing`` workers the coordinator can observe and kill, so a
+hung SLSQP solve or an OOM-killed worker costs one retried unit
+instead of the whole run; everything else runs through the same
+supervisor's in-process serial path:
 
 * **Heartbeats.**  Each worker runs a daemon thread bumping a shared
   per-slot counter; the coordinator tracks *when each counter last
   changed* (its own monotonic clock — nothing compares clocks across
   processes), kills workers whose beats go silent, and replaces them.
+  The same thread exits the worker once its parent pid changes, so the
+  workers of a killed coordinator do not outlive it.
 * **Deadlines.**  Every dispatched unit arms a monotonic
   :class:`~repro.obs.Deadline`; a worker that holds a unit past it is
   killed and replaced.  Wall-clock (``time.time``) never participates,
@@ -21,7 +26,7 @@ costs one retried unit instead of the whole run:
   A plain campaign fan-out (no explicit policy or journal) does not
   retry an unhandled exception: the same streams would raise it
   again, so the result comes back with its ``unhandled`` lines for
-  the caller to report, exactly as the serial executor returns it.
+  the caller to report, exactly as the serial path returns it.
 * **Quarantine.**  A unit that fails ``max_attempts`` times is
   quarantined with its per-attempt post-mortems; the campaign
   *completes* with a structured ``quarantined`` section instead of
@@ -29,11 +34,14 @@ costs one retried unit instead of the whole run:
 * **Circuit breaker.**  Repeated pool-level infrastructure failures
   (workers that cannot even be spawned) open the circuit: an
   ``exec.circuit_open`` event fires and the remaining units degrade
-  to the in-process serial executor.
+  to the in-process serial path.
+* **Telemetry.**  A unit's spans and metrics ride home on its
+  :class:`~repro.exec.units.UnitResult`; the coordinator adopts them
+  once, when it accepts the result, whichever path produced it.
 
 Process-level chaos (``worker-kill`` / ``worker-hang`` /
 ``worker-slow`` in a :class:`~repro.faults.FaultPlan`) is injected
-*here*, by the supervised worker loop itself — the serial executor
+*here*, by the supervised worker loop itself — the serial path
 ignores those kinds, because an in-process ``os._exit`` would take the
 whole campaign with it.
 """
@@ -54,9 +62,10 @@ from ..obs import runtime as _obs
 from ..obs.clock import Deadline, monotonic
 from . import workers as _workers
 from .journal import JournalWriter
-from .scheduler import (START_METHOD_ENV, _adopt_telemetry,
-                        _result_ok, adopt_unit_telemetry)
 from .units import UnitResult, WorkUnit, WorkerContext
+
+#: Environment variable overriding the multiprocessing start method.
+START_METHOD_ENV = "REPRO_START_METHOD"
 
 #: Exit code a worker dies with when a ``worker-kill`` fault fires —
 #: distinguishable from real crashes in the quarantine post-mortems.
@@ -203,7 +212,7 @@ class SupervisedOutcome:
             value (recomputed from the plan — the coordinator never
             needs the worker to report its own death).
         circuit_opened: True when the run degraded to the serial
-            executor.
+            path.
     """
 
     results: List[Optional[UnitResult]]
@@ -221,11 +230,22 @@ class SupervisedOutcome:
 
 def _heartbeat_loop(slot: int, heartbeats: Any, interval: float,
                     silenced: threading.Event) -> None:
-    """Worker-side daemon: bump the shared slot until silenced."""
-    while not silenced.is_set():
-        with heartbeats.get_lock():
-            heartbeats[slot] += 1.0
-        silenced.wait(interval)
+    """Worker-side daemon: bump the shared slot, watch the parent.
+
+    Beats stop once ``silenced`` is set.  The parent watch never
+    stops: the worker's main thread blocks on its task queue and would
+    never notice its coordinator dying, so when the parent pid changes
+    (the worker was re-parented after the coordinator died) this
+    thread ends the process.
+    """
+    parent = os.getppid()
+    while True:
+        if os.getppid() != parent:
+            os._exit(1)
+        if not silenced.is_set():
+            with heartbeats.get_lock():
+                heartbeats[slot] += 1.0
+        time.sleep(interval)
 
 
 def _supervised_main(slot: int, payload: bytes, task_queue: Any,
@@ -239,14 +259,9 @@ def _supervised_main(slot: int, payload: bytes, task_queue: Any,
     Process-level faults from the context's plan are decided here —
     deterministically, per (unit label, attempt) — before the unit
     runs, so the coordinator can recompute every decision without a
-    side channel.
-
-    With a ``telemetry_queue`` the worker also streams incrementally:
-    a live-metrics thread publishes periodic snapshots mid-unit, and
-    each finished unit's spans/metrics ship as a ``"final"`` packet
-    *before* the result itself — which is then stripped of telemetry,
-    so the coordinator adopts each unit's trace exactly once and the
-    result pickle crossing the queue stays small.
+    side channel.  Each result carries its unit's spans and metrics
+    home; with a ``telemetry_queue`` a live-metrics thread also
+    publishes periodic snapshots mid-unit for the progress board.
     """
     _workers.initialize(payload)
     silenced = threading.Event()
@@ -289,15 +304,6 @@ def _supervised_main(slot: int, payload: bytes, task_queue: Any,
             # and cost a respawn for an error we can report precisely.
             result = UnitResult(index=unit.index, name=unit.name)
             result.unhandled.append(f"{type(exc).__name__}: {exc}")
-        if telemetry_queue is not None and (
-                result.spans is not None
-                or result.metrics is not None):
-            telemetry_queue.put(
-                ("final", slot, unit.index, attempt, result.spans,
-                 result.metrics, result.wall_seconds,
-                 result.stats.get("pid")))
-            result.spans = None
-            result.metrics = None
         result_queue.put((slot, unit.index, attempt, result))
 
 
@@ -328,6 +334,32 @@ def _counter(name: str) -> None:
         _obs.STATE.metrics.counter(name).inc()
 
 
+def _adopt_unit_telemetry(result: UnitResult) -> None:
+    """Graft one accepted unit's exported telemetry onto the live trace.
+
+    Creates a ``unit`` span on the live tracer whose extent is the
+    unit's worker wall time (ending now), adopts the worker's exported
+    span records under it with their clocks shifted to the unit span's
+    origin, and folds the worker's metrics snapshot into the live
+    registry.  No-op while telemetry is disabled.
+    """
+    if not _obs.STATE.enabled:
+        return
+    tracer = _obs.STATE.tracer
+    unit_span = tracer.start_span("unit", result.name,
+                                  index=result.index,
+                                  worker_pid=result.stats.get("pid"))
+    tracer.end_span(unit_span)
+    if unit_span.end_s is not None:
+        unit_span.start_s = max(
+            unit_span.end_s - result.wall_seconds, 0.0)
+    if result.spans:
+        tracer.adopt_records(result.spans, parent=unit_span,
+                             time_offset=unit_span.start_s)
+    if result.metrics:
+        _obs.STATE.metrics.merge_snapshot(result.metrics)
+
+
 class _Supervisor:
     """One supervised run: owns the workers, the retry queue, and the
     quarantine ledger for the duration of :meth:`run`."""
@@ -355,13 +387,7 @@ class _Supervisor:
         self._pending: List[tuple] = []  # (ready_at, index, attempt)
         self._quarantined_ids: set = set()
         self._spawn_failures = 0
-        self._fresh: List[UnitResult] = []
         self._telemetry_queue: Any = None
-        # Streamed "final" packets arriving before their result is
-        # collected, keyed (index, attempt); drained on completion.
-        self._telemetry_packets: Dict[tuple, tuple] = {}
-        self._accepted: Dict[int, int] = {}  # index -> winning attempt
-        self._adopted: set = set()  # indices adopted from packets
         seeded = dict(completed or {})
         for unit in self.units:
             prior = seeded.get(unit.index)
@@ -384,20 +410,15 @@ class _Supervisor:
             payload = pickle.dumps(self.context)
         except Exception as exc:  # physlint: disable=RPR201
             # Broad by necessity: unpicklability surfaces as whatever
-            # __reduce__ raises.  An unpicklable context cannot be
-            # supervised across processes, but the serial path still
-            # runs it.
+            # __reduce__ raises.  An unpicklable context cannot cross
+            # a process boundary, but the serial path still runs the
+            # original object — setting REPRO_WORKERS must never turn
+            # a working serial call into a crash.
             _obs.event("exec.pool_fallback", error=type(exc).__name__)
         if payload is None or self.workers < 2 or _workers.in_worker():
-            self._run_serial_remaining(self.context)
+            self._run_serial_remaining(payload)
         else:
             self._run_pool(payload)
-        # End-of-run adoption covers the serial paths and any pool unit
-        # whose streamed packet was lost; streamed indices are excluded
-        # so no unit's trace is adopted twice.
-        _adopt_telemetry(sorted(
-            (r for r in self._fresh if r.index not in self._adopted),
-            key=lambda r: self._position[r.index]))
         return self.outcome
 
     def _run_pool(self, payload: bytes) -> None:
@@ -407,7 +428,9 @@ class _Supervisor:
         slots = min(self.workers, len(self._pending))
         heartbeats = mp_context.Array("d", slots)
         result_queue = mp_context.Queue()
-        if self.context.telemetry or self.monitor is not None:
+        if self.context.telemetry and self.monitor is not None:
+            # Live snapshots exist only inside a worker telemetry
+            # session, and only the progress board reads them.
             self._telemetry_queue = mp_context.Queue()
         handles = [_WorkerHandle(slot) for slot in range(slots)]
         try:
@@ -418,19 +441,18 @@ class _Supervisor:
                     break
             if not any(h.process is not None and h.process.is_alive()
                        for h in handles):
-                self._open_circuit(handles)
+                self._open_circuit(handles, payload)
                 return
             while not self._finished():
                 if self._circuit_should_open():
-                    self._open_circuit(handles)
+                    self._open_circuit(handles, payload)
                     return
                 self._dispatch(handles)
                 self._collect(result_queue, handles)
-                self._drain_telemetry()
+                self._drain_live_metrics()
                 self._sweep(handles, mp_context, payload, heartbeats,
                             result_queue)
         finally:
-            self._await_telemetry()
             self._shutdown(handles)
 
     # -- worker management --------------------------------------------
@@ -584,7 +606,7 @@ class _Supervisor:
                     self._attempt_failed(index, attempt,
                                          f"unhandled: {line}")
             else:
-                self._complete(result, attempt=attempt)
+                self._complete(result)
 
     def _sweep(self, handles: Sequence[_WorkerHandle], mp_context: Any,
                payload: bytes, heartbeats: Any,
@@ -637,96 +659,40 @@ class _Supervisor:
                 self._replace(handle, "heartbeat", mp_context,
                               payload, heartbeats, result_queue)
 
-    # -- streamed telemetry -------------------------------------------
-
-    def _drain_telemetry(self) -> None:
-        """Pull every queued telemetry packet without blocking."""
+    def _drain_live_metrics(self) -> None:
+        """Feed every queued live snapshot to the monitor."""
         queue = self._telemetry_queue
         if queue is None:
             return
         while True:
             try:
-                packet = queue.get_nowait()
+                snapshot = queue.get_nowait()
             except _queue.Empty:
                 return
-            self._handle_packet(packet)
-
-    def _handle_packet(self, packet: tuple) -> None:
-        """Route one worker telemetry packet.
-
-        ``live`` packets feed the monitor immediately.  ``final``
-        packets are adopted only for the attempt whose result the
-        coordinator accepted — a kill-raced duplicate attempt's
-        telemetry is dropped, keeping the merged trace bit-for-bit
-        free of phantom units — and are buffered when they outrun
-        their own result across the two queues.
-        """
-        kind, _slot, index, attempt = packet[:4]
-        if kind == "live":
-            if self.monitor is not None and packet[5]:
-                self.monitor.live_metrics(packet[5])
-            return
-        if index in self._quarantined_ids:
-            return
-        accepted = self._accepted.get(index)
-        if accepted is None:
-            self._telemetry_packets[(index, attempt)] = packet
-        elif accepted == attempt:
-            self._adopt_packet(packet)
-
-    def _adopt_packet(self, packet: tuple) -> None:
-        """Graft one accepted ``final`` packet onto the live trace."""
-        _kind, _slot, index, _attempt, spans, metrics, wall, pid = \
-            packet
-        if index in self._adopted:
-            return
-        self._adopted.add(index)
-        adopt_unit_telemetry(self._by_index[index].name, index, pid,
-                             wall, spans, metrics)
-        if self.monitor is not None and metrics:
-            self.monitor.live_metrics(metrics)
-
-    def _await_telemetry(self) -> None:
-        """Briefly wait out final packets still crossing the queue.
-
-        A worker puts its ``final`` packet before the result, but the
-        two multiprocessing queues flush through independent feeder
-        threads, so the packet can trail the result the coordinator
-        already accepted.  Bounded wait: packets are best-effort, and
-        any unit left unadopted here is picked up (sans worker spans)
-        by the end-of-run merge.
-        """
-        if self._telemetry_queue is None or not self.context.telemetry \
-                or self.outcome.circuit_opened:
-            return
-        deadline = Deadline(2.0)
-        while True:
-            self._drain_telemetry()
-            if all(index in self._adopted for index in self._accepted):
-                return
-            if deadline.expired:
-                return
-            time.sleep(0.01)
+            self.monitor.live_metrics(snapshot)
 
     # -- attempt bookkeeping ------------------------------------------
 
-    def _complete(self, result: UnitResult,
-                  attempt: Optional[int] = None) -> None:
-        """Record a successful unit: merge slot, journal, telemetry."""
-        position = self._position[result.index]
-        self.outcome.results[position] = result
-        self._fresh.append(result)
+    def _complete(self, result: UnitResult) -> None:
+        """Accept a unit: merge slot, telemetry, journal, monitor.
+
+        The single adoption point for worker telemetry, whichever path
+        ran the unit.  Stale duplicates of an accepted unit never get
+        here (:meth:`_collect` drops them), so no phantom unit is
+        adopted.  The spans and metrics are cleared once adopted, so
+        journal records stay telemetry-free.
+        """
+        self.outcome.results[self._position[result.index]] = result
+        _adopt_unit_telemetry(result)
+        if self.monitor is not None and result.metrics:
+            self.monitor.live_metrics(result.metrics)
+        result.spans = None
+        result.metrics = None
         if self.journal is not None:
             self.journal.append(result)
-        if attempt is not None:
-            self._accepted[result.index] = attempt
-            packet = self._telemetry_packets.pop(
-                (result.index, attempt), None)
-            if packet is not None:
-                self._adopt_packet(packet)
         if self.monitor is not None:
             self.monitor.unit_done(result.name, result.wall_seconds,
-                                   ok=_result_ok(result))
+                                   ok=result.ok)
 
     def _attempt_failed(self, index: int, attempt: int,
                         reason: str) -> None:
@@ -762,28 +728,37 @@ class _Supervisor:
         return self._spawn_failures \
             >= self.policy.circuit_breaker_failures
 
-    def _open_circuit(self, handles: Sequence[_WorkerHandle]) -> None:
+    def _open_circuit(self, handles: Sequence[_WorkerHandle],
+                      payload: bytes) -> None:
         """Degrade: stop the pool, run the rest in-process serially."""
         self.outcome.circuit_opened = True
         _obs.event("exec.circuit_open",
                    spawn_failures=self._spawn_failures)
         _counter("exec.supervisor.circuit_open")
         self._shutdown(handles)
-        self._run_serial_remaining(self.context)
+        self._run_serial_remaining(payload)
 
-    def _run_serial_remaining(self, context: WorkerContext) -> None:
-        """Run every still-incomplete unit through the serial shim.
+    def _run_serial_remaining(self, payload: Optional[bytes]) -> None:
+        """Run every still-incomplete unit in-process, in order.
 
-        Process-level faults do not fire here — there is no worker to
-        kill that is not also the coordinator — and in-process library
-        failures are structured *results*, so no retry loop applies;
-        this is exactly the plain serial executor plus journaling.
+        The one serial path.  It runs on ``pickle.loads(payload)``, so
+        serial and process runs cross the identical serialization
+        boundary and the caller's templates keep their own (cold)
+        caches; only an unpicklable context (``payload`` None) runs as
+        the original object.  Process-level faults do not fire here —
+        there is no worker to kill that is not also the coordinator —
+        and in-process library failures are structured *results*, so no
+        retry loop applies.  Re-entrant: the previously installed
+        worker runtime is restored afterwards, so a nested call from
+        inside a unit body cannot clobber the enclosing run.
         """
         remaining = [unit for unit in self.units
                      if self.outcome.results[self._position[unit.index]]
                      is None and unit.index not in self._quarantined_ids]
         if not remaining:
             return
+        context = self.context if payload is None \
+            else pickle.loads(payload)
         previous = _workers.install_runtime(context)
         try:
             for unit in remaining:
@@ -806,14 +781,14 @@ def run_units_supervised(
 ) -> SupervisedOutcome:
     """Run units under supervision; never raises for worker death.
 
-    The process runtime behind :func:`repro.exec.run_units`: the same
-    submission-order merge and bit-identical results as the serial
-    executor, with worker crashes, hangs, and slowdowns absorbed by
-    retries and — past ``policy.max_attempts`` — quarantine.
-    ``journal`` durably records every completed unit; ``completed`` (from
+    The runtime behind :func:`repro.exec.run_units`: submission-order
+    merge and bit-identical results at any worker count, with worker
+    crashes, hangs, and slowdowns absorbed by retries and — past
+    ``policy.max_attempts`` — quarantine.  ``journal`` durably records
+    every completed unit; ``completed`` (from
     :func:`repro.exec.read_journal`) pre-seeds results so a resumed
-    campaign skips finished work.  ``workers < 2`` runs the serial
-    executor with journaling (nothing to supervise in-process).
+    campaign skips finished work.  ``workers < 2`` runs the in-process
+    serial path with journaling (nothing to supervise in-process).
 
     ``monitor`` (a :class:`~repro.obs.ProgressBoard`, or anything with
     its hook methods) receives the unit lifecycle — including

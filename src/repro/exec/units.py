@@ -22,11 +22,8 @@ from ..core import CoolingProblem, FailureReport, ResiliencePolicy
 from ..errors import ConfigurationError
 from ..faults.plan import FaultPlan
 
-#: The unit kinds the worker shim knows how to execute.  ``stage`` is
-#: the finer campaign decomposition: one pipeline stage of one
-#: benchmark (``params = (benchmark, stage)``), lifting unit counts
-#: from 8 to ~48 so the stealing scheduler has enough grain to balance.
-UNIT_KINDS = ("benchmark", "stage", "points", "fields", "oftec")
+#: The unit kinds the worker shim knows how to execute.
+UNIT_KINDS = ("benchmark", "points", "fields", "oftec")
 
 
 @dataclass(frozen=True)
@@ -84,8 +81,10 @@ class UnitResult:
             plus the unit's operator/evaluator deltas.
         spans: Exported span records
             (:func:`repro.obs.span_to_dict` dictionaries) when the
-            coordinator asked for telemetry, else None.
-        metrics: The worker session's metrics snapshot, else None.
+            coordinator asked for telemetry, else None.  The
+            coordinator clears them once it has adopted them.
+        metrics: The worker session's metrics snapshot, else None
+            (cleared on adoption, like ``spans``).
         wall_seconds: Unit wall-clock time in the worker.
     """
 

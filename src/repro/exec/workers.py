@@ -9,7 +9,7 @@ each problem template's model warms once per worker and then serves
 every subsequent unit, so N workers pay N cold starts — not one per
 unit.
 
-Nothing in this module assumes a separate process.  The scheduler's
+Nothing in this module assumes a separate process.  The supervisor's
 serial path calls :func:`install_runtime`/:func:`run_unit` in the
 coordinating process (leaving its telemetry state alone), which is
 also what makes the shim trivially testable.
@@ -32,11 +32,7 @@ import queue as queue_module
 import threading
 from typing import Callable, Optional
 
-from ..analysis.campaign import (
-    _run_benchmark,
-    _StageFailure,
-    run_campaign_stage,
-)
+from ..analysis.campaign import _run_benchmark, _StageFailure
 from ..core import (
     CoolingProblem,
     Evaluator,
@@ -143,11 +139,11 @@ def start_live_metrics(slot: int, telemetry_queue,
 
     Starts a daemon thread that, every ``period`` seconds while the
     worker's telemetry session is active, snapshots the worker-local
-    metrics registry and puts a ``("live", slot, ...)`` packet on
-    ``telemetry_queue`` — the incremental feed the supervisor drains
-    into the live progress board, so cache hit rates update *during*
-    long units instead of only at unit completion.  Returns the stop
-    event; setting it ends the thread at the next period boundary.
+    metrics registry and puts the snapshot on ``telemetry_queue`` —
+    the incremental feed the supervisor drains into the live progress
+    board, so cache hit rates update *during* long units instead of
+    only at unit completion.  Returns the stop event; setting it ends
+    the thread at the next period boundary.
 
     Best-effort by design: a full queue drops the snapshot (the next
     one supersedes it anyway) and a snapshot torn by a concurrent
@@ -168,8 +164,7 @@ def start_live_metrics(slot: int, telemetry_queue,
                 # transient inconsistency) just skips this period.
                 continue
             try:
-                telemetry_queue.put_nowait(
-                    ("live", slot, None, 0, None, snapshot, 0.0, None))
+                telemetry_queue.put_nowait(snapshot)
             except queue_module.Full:
                 continue
 
@@ -214,8 +209,6 @@ def _execute(context: WorkerContext, unit: WorkUnit,
              result: UnitResult) -> None:
     if unit.kind == "benchmark":
         _execute_benchmark(context, unit, result)
-    elif unit.kind == "stage":
-        _execute_stage(context, unit, result)
     elif unit.kind == "points":
         _execute_points(context, unit, result)
     elif unit.kind == "fields":
@@ -296,57 +289,6 @@ def _execute_benchmark(context: WorkerContext, unit: WorkUnit,
         result.unhandled.append(f"{type(exc).__name__}: {exc}")
     if injector is not None:
         result.fired = injector.fired_counts()
-    _operator_deltas(result, befores,
-                     tuple(op.stats for op in operators))
-
-
-def _execute_stage(context: WorkerContext, unit: WorkUnit,
-                   result: UnitResult) -> None:
-    """One pipeline stage of one campaign benchmark.
-
-    The finer-grained decomposition: ``unit.params`` is
-    ``(benchmark, stage)`` and the body routes through
-    :func:`repro.analysis.campaign.run_campaign_stage` — the same
-    thunk, fresh evaluator, and span the inline pipeline uses — so the
-    stage-level merge reassembles the exact serial result.  Engaged
-    only without a fault plan: the chaos injector's RNG advances
-    across stages, so chaos benchmarks stay whole units.
-    """
-    benchmark, stage = unit.params
-    if context.tec_template is None or context.profiles is None:
-        raise ConfigurationError(
-            "stage units need tec/baseline templates and profiles on "
-            "the worker context")
-    if context.fault_plan is not None:
-        raise ConfigurationError(
-            "stage units cannot run under a fault plan (the injector "
-            "RNG is sequenced across stages); use benchmark units")
-    profile = context.profiles[benchmark]
-    tec_problem = context.tec_template.with_profile(profile,
-                                                    name=benchmark)
-    base_problem = context.baseline_template.with_profile(
-        profile, name=benchmark)
-    operators = (tec_problem.model.network.operator,
-                 base_problem.model.network.operator)
-    befores = tuple(op.stats for op in operators)
-    try:
-        # The benchmark span re-opens per stage unit so each stage span
-        # keeps its benchmark ancestry after telemetry adoption.
-        with _obs.span("benchmark", benchmark):
-            result.value = run_campaign_stage(
-                stage, benchmark, tec_problem, base_problem,
-                context.method, Evaluator, context.resilient,
-                context.policy, result.failures, jac=context.jac)
-    except _StageFailure as failure:
-        result.failures.append(failure_report_from_exception(
-            benchmark, failure.stage, failure.error))
-        result.error = (failure.stage,
-                        type(failure.error).__name__,
-                        str(failure.error))
-    except Exception as exc:  # physlint: disable=RPR201
-        # Same contract as benchmark units: anything non-library is a
-        # bug to record and merge, never an unpicklable traceback.
-        result.unhandled.append(f"{type(exc).__name__}: {exc}")
     _operator_deltas(result, befores,
                      tuple(op.stats for op in operators))
 

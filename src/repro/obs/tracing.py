@@ -280,8 +280,7 @@ class Tracer:
 
     def adopt_records(self, records: List[Dict[str, Any]],
                       parent: Optional[Span] = None,
-                      time_offset: float = 0.0,
-                      id_map: Optional[Dict[int, int]] = None) -> int:
+                      time_offset: float = 0.0) -> int:
         """Graft exported span records into this tracer's tree.
 
         ``records`` is a batch of :func:`repro.obs.span_to_dict`
@@ -291,16 +290,8 @@ class Tracer:
         the batch are remapped to the fresh ids, batch roots are
         attached to ``parent`` (or to the current span when omitted),
         and all times are shifted by ``time_offset`` so the adopted
-        spans land where the unit ran on this tracer's clock.
-
-        ``id_map`` carries the remapping across calls for *streamed*
-        adoption: when one source tracer arrives as several live delta
-        batches, pass the same (initially empty) dictionary every time
-        and parents finished in an earlier batch still resolve — a
-        record whose parent is in neither the map nor the batch falls
-        back to ``parent``.  Omitted, the map is per-batch (the
-        end-of-run behaviour).  The caller owns one map per source
-        tracer; sharing it across workers would collide their ids.
+        spans land where the unit ran on this tracer's clock.  A record
+        whose parent is not in the batch falls back to ``parent``.
 
         Records are adopted in batch order, which preserves the
         worker's finish order, and count against the max-span cap like
@@ -312,18 +303,17 @@ class Tracer:
         # First pass: assign fresh ids to the whole batch.  The batch
         # arrives in finish order (children before parents), so parent
         # remapping has to see every id before any span is built.
-        if id_map is None:
-            id_map = {}
+        fresh_ids: Dict[int, int] = {}
         for record in records:
-            if record["span_id"] not in id_map:
-                id_map[record["span_id"]] = self._next_id
+            if record["span_id"] not in fresh_ids:
+                fresh_ids[record["span_id"]] = self._next_id
                 self._next_id += 1
         adopted = 0
         for record in records:
-            new_parent = id_map.get(record.get("parent_id"),
+            new_parent = fresh_ids.get(record.get("parent_id"),
                                     default_parent)
             span = Span(
-                span_id=id_map[record["span_id"]],
+                span_id=fresh_ids[record["span_id"]],
                 parent_id=new_parent,
                 kind=record["kind"],
                 name=record.get("name"),

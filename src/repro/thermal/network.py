@@ -237,21 +237,6 @@ class ThermalNetwork:
             self._operator = ThermalOperator(self._static)
         return self._operator
 
-    def configure_operator(self, factor_capacity: int,
-                           overlay_quantum: float = 0.0) -> ThermalOperator:
-        """Replace the operator with one using the given cache settings.
-
-        ``overlay_quantum > 0`` trades bit-exactness for extra factor
-        reuse (see :mod:`repro.thermal.operator`); the default of 0 keys
-        the cache on exact overlay bytes.
-        """
-        if self._static is None:
-            raise ConfigurationError("Network not finalized")
-        self._operator = ThermalOperator(
-            self._static, factor_capacity=factor_capacity,
-            overlay_quantum=overlay_quantum)
-        return self._operator
-
     def system(self, diag_overlay: np.ndarray, rhs: np.ndarray,
                ) -> Tuple[csr_matrix, np.ndarray]:
         """Assemble ``(static + diag(overlay), rhs)`` for one evaluation.

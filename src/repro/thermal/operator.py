@@ -21,14 +21,10 @@ module separates the two:
   transient steps under constant schedules) back-substitute instead of
   refactorizing.
 
-Keying and bit-identity: with the default ``overlay_quantum = 0.0`` the
-digest hashes the overlay's exact float64 bytes, so a cache hit implies
-the matrix is bit-for-bit the one the factor was computed from and the
-operator path is bit-identical to a fresh factorization.  A positive
-quantum rounds the overlay to multiples of ``quantum`` before hashing,
-trading exactness (solutions may differ by
-``O(cond(G) * quantum / ||G||)``) for extra reuse across near-identical
-operating points; callers opting in must tolerate that perturbation.
+Keying and bit-identity: the digest hashes the overlay's exact float64
+bytes, so a cache hit implies the matrix is bit-for-bit the one the
+factor was computed from and the operator path is bit-identical to a
+fresh factorization.
 
 SuperLU note: ``scipy.sparse.linalg.spsolve`` and ``splu(...).solve``
 run the same SuperLU driver and produce bit-identical solutions for
@@ -189,28 +185,21 @@ class ThermalOperator:
     """
 
     def __init__(self, static: csr_matrix,
-                 factor_capacity: int = DEFAULT_FACTOR_CAPACITY,
-                 overlay_quantum: float = 0.0):
+                 factor_capacity: int = DEFAULT_FACTOR_CAPACITY):
         """Build the operator structure from a static CSR matrix.
 
         Args:
             static: Finalized static conductance matrix, W/K entries.
             factor_capacity: LRU cap on cached factorizations (>= 1).
-            overlay_quantum: Digest quantization step, W/K; 0 keys on
-                the exact overlay bytes (bit-identical reuse only).
         """
         if factor_capacity < 1:
             raise ConfigurationError(
                 f"factor_capacity must be >= 1, got {factor_capacity}")
-        if overlay_quantum < 0.0:
-            raise ConfigurationError(
-                f"overlay_quantum must be >= 0, got {overlay_quantum}")
         n = static.shape[0]
         if static.shape != (n, n):
             raise ConfigurationError(
                 f"static matrix must be square, got {static.shape}")
         self._n = n
-        self._quantum = float(overlay_quantum)
         self._capacity = int(factor_capacity)
         # CSC with every diagonal entry stored explicitly (appending
         # zero-valued (i, i) entries before conversion; sum_duplicates
@@ -291,11 +280,6 @@ class ThermalOperator:
         return self._capacity
 
     @property
-    def overlay_quantum(self) -> float:
-        """Digest quantization step, W/K (0 = exact-bytes keying)."""
-        return self._quantum
-
-    @property
     def cached_factor_count(self) -> int:
         """Factorizations currently held by the LRU."""
         return len(self._lru)
@@ -360,11 +344,8 @@ class ThermalOperator:
         return self._csc
 
     def _digest(self, overlay: np.ndarray) -> bytes:
-        if self._quantum > 0.0:
-            payload = np.round(overlay / self._quantum).tobytes()
-        else:
-            payload = overlay.tobytes()
-        return hashlib.blake2b(payload, digest_size=16).digest()
+        return hashlib.blake2b(overlay.tobytes(),
+                               digest_size=16).digest()
 
     def factor(self, diag_overlay: np.ndarray) -> Factorization:
         """Factorization of ``static + diag(overlay)``, cached by LRU.

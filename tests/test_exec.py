@@ -390,8 +390,8 @@ class TestCampaignBitIdentity:
         subset = {name: profiles[name]
                   for name in ("basicmath", "crc32")}
         serial = run_campaign(subset, tec, base, workers=0)
-        staged = run_campaign(subset, tec, base, workers=1)
-        assert canonical_digest(staged) == canonical_digest(serial)
+        in_process = run_campaign(subset, tec, base, workers=1)
+        assert canonical_digest(in_process) == canonical_digest(serial)
 
     def test_env_workers_campaign_digest(self, monkeypatch, profiles,
                                          identity_problems):
@@ -521,55 +521,3 @@ class TestChunking:
         assert max(sizes) - min(sizes) <= 1
         assert len(sizes) >= 3
 
-
-class TestStageMerge:
-    """Reassembling stage units must mirror the serial pipeline."""
-
-    @staticmethod
-    def _merge(results, benchmarks):
-        from repro.analysis.campaign import CAMPAIGN_STAGES
-        from repro.exec import CampaignMerge
-        from repro.exec.scheduler import _merge_stage_results
-        from repro.exec.units import UnitResult
-        merge = CampaignMerge()
-        _merge_stage_results(merge, results, benchmarks,
-                             list(CAMPAIGN_STAGES))
-        return merge
-
-    def test_error_stops_later_stages(self):
-        from repro.analysis.campaign import CAMPAIGN_STAGES
-        from repro.exec.units import UnitResult
-        results = [
-            UnitResult(index=index, name=f"bench/{stage}", value=None)
-            for index, stage in enumerate(CAMPAIGN_STAGES)]
-        results[1].error = ("oftec-opt2", "SolverError", "diverged")
-        # In the serial loop stages after the failure never ran, so
-        # their values — even real-looking ones — must be dropped.
-        results[3].value = object()
-        merge = self._merge(results, ["bench"])
-        assert merge.comparisons == []
-        assert merge.errors == [
-            ("bench", "oftec-opt2", "SolverError", "diverged")]
-
-    def test_unhandled_crash_labels_stage_unit(self):
-        from repro.analysis.campaign import CAMPAIGN_STAGES
-        from repro.exec.units import UnitResult
-        results = [
-            UnitResult(index=index, name=f"bench/{stage}")
-            for index, stage in enumerate(CAMPAIGN_STAGES)]
-        results[2].unhandled = ["RuntimeError: boom"]
-        merge = self._merge(results, ["bench"])
-        assert merge.comparisons == []
-        assert merge.crashed == [
-            ("bench/variable-opt1", 1, "RuntimeError: boom")]
-
-    def test_lost_unit_is_terminal(self):
-        from repro.analysis.campaign import CAMPAIGN_STAGES
-        from repro.exec.units import UnitResult
-        results = [
-            UnitResult(index=index, name=f"bench/{stage}", value=42)
-            for index, stage in enumerate(CAMPAIGN_STAGES)]
-        del results[4]  # fixed-omega never came home
-        merge = self._merge(results, ["bench"])
-        assert merge.comparisons == []
-        assert merge.errors == []

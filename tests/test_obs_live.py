@@ -414,8 +414,8 @@ class TestMergeSnapshotOrdering:
     def test_duplicate_live_then_final_snapshot_double_counts(self):
         # Documented hazard: merge_snapshot folds *absolute* snapshots,
         # so callers must merge each worker's totals exactly once.
-        # The supervisor guarantees this by adopting either the final
-        # packet or the result payload, never both.
+        # The supervisor guarantees this by adopting each unit's
+        # result payload once, when it accepts the result.
         twice = self.merged(self.snap_a(), self.snap_a())
         assert twice["counters"]["operator.solves"] == 6
 
@@ -435,11 +435,11 @@ class TestAdoptRecordsStreamed:
                     pass
         return [span_to_dict(span) for span in tracer.finished]
 
-    def adopt(self, batches, id_map=None):
+    def adopt(self, batches):
         with telemetry_session() as (tracer, _metrics):
             with tracer.span("campaign"):
                 for batch in batches:
-                    tracer.adopt_records(batch, id_map=id_map)
+                    tracer.adopt_records(batch)
             return [span_to_dict(span) for span in tracer.finished]
 
     @staticmethod
@@ -454,22 +454,11 @@ class TestAdoptRecordsStreamed:
 
         return sorted(chain(r) for r in adopted)
 
-    def test_interleaved_deltas_match_one_shot(self):
-        records = self.source_records()
-        # Live adoption: the unit span arrives in one delta, the stage
-        # spans in a later one.  The persistent id_map must let the
-        # later batch resolve parents adopted in the earlier batch.
-        one_shot = self.adopt([records])
-        unit = [r for r in records if r["kind"] == "unit"]
-        rest = [r for r in records if r["kind"] != "unit"]
-        interleaved = self.adopt([unit, rest], id_map={})
-        assert self.shape(interleaved) == self.shape(one_shot)
-
     def test_without_persistent_map_cross_batch_parents_reroot(self):
         records = self.source_records()
         unit = [r for r in records if r["kind"] == "unit"]
         rest = [r for r in records if r["kind"] != "unit"]
-        adopted = self.adopt([unit, rest])  # per-batch maps
+        adopted = self.adopt([unit, rest])  # ids map per batch
         # Stage spans lost their unit parent: they re-rooted under the
         # adoption parent (the campaign span) instead of cross-linking.
         chains = self.shape(adopted)
@@ -477,9 +466,9 @@ class TestAdoptRecordsStreamed:
 
     def test_per_batch_map_falls_back_to_parent(self):
         records = self.source_records()
-        # Without a persistent map, a batch whose parents finished in
-        # an earlier batch re-roots under the adoption parent instead
-        # of crashing or cross-linking.
+        # Ids map per batch, so a batch whose parents finished in an
+        # earlier batch re-roots under the adoption parent instead of
+        # crashing or cross-linking.
         adopted = self.adopt([records[:2], records[2:]])
         campaign = [r for r in adopted if r["kind"] == "campaign"]
         assert len(campaign) == 1
@@ -515,7 +504,6 @@ class TestBenchGate:
                 "canonical_digest": "ab" * 32,
                 "parallel": {"workers_2": {"per_worker": [
                     {"units": 1}, {"units": 1}]}}},
-            "BENCH_6.json": {"overhead_pct": 1.0},
             "BENCH_7.json": {
                 "totals": {"solve_reduction": 10.0}},
         }

@@ -67,8 +67,6 @@ class TestStructure:
         with pytest.raises(ConfigurationError):
             ThermalOperator(static, factor_capacity=0)
         with pytest.raises(ConfigurationError):
-            ThermalOperator(static, overlay_quantum=-1e-9)
-        with pytest.raises(ConfigurationError):
             ThermalOperator(csr_matrix(np.ones((2, 3))))
 
     def test_shape_checks(self, tec_problem):
@@ -196,21 +194,6 @@ class TestQuantizedDigest:
         operator.solve(overlay, rhs)
         operator.solve(overlay + 1e-9, rhs)
         assert operator.stats.factorizations == 2
-
-    def test_quantized_keying_merges_close_overlays(self, tec_problem):
-        quantum = 1e-3
-        operator = fresh_operator(tec_problem.model.network,
-                                  overlay_quantum=quantum)
-        overlay, rhs = model_overlays(tec_problem, *POINTS[0])
-        # Snap to exact multiples of the quantum so a perturbation of
-        # quantum/4 provably rounds to the same key.
-        overlay = np.round(overlay / quantum) * quantum
-        first = operator.solve(overlay, rhs)
-        second = operator.solve(overlay + quantum / 4.0, rhs)
-        assert operator.stats.factorizations == 1
-        assert operator.stats.cache_hits == 1
-        # Reuse serves the *cached* factor: bitwise-equal solutions.
-        assert (first == second).all()
 
 
 class TestFailurePaths:

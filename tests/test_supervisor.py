@@ -166,6 +166,110 @@ class TestSupervisedBitIdentity:
         assert stats["quarantined"] == 0
         assert not stats["circuit_opened"]
 
+    def test_in_process_run_leaves_templates_cold(self, two_profiles,
+                                                  small_problems):
+        """The serial path runs on an unpickled copy of the context,
+        so the caller's templates never solve (and never warm)."""
+        tec, base = small_problems
+        operators = (tec.model.network.operator,
+                     base.model.network.operator)
+        for operator in operators:
+            operator.reset_stats()
+        run_campaign(two_profiles, tec, base, workers=1)
+        for operator in operators:
+            assert operator.stats.solves == 0
+            assert operator.stats.factorizations == 0
+            assert operator.stats.adjoint_solves == 0
+
+
+class TestTelemetryAdoption:
+    """Worker telemetry is adopted once, when a result is accepted."""
+
+    def test_pool_run_adopts_one_unit_span_per_unit(self, two_profiles,
+                                                    small_problems):
+        import os
+
+        from repro.obs import telemetry_session
+        tec, base = small_problems
+        with telemetry_session() as (tracer, _metrics):
+            run_campaign(two_profiles, tec, base, workers=2)
+            spans = list(tracer.finished)
+        units = [span for span in spans if span.kind == "unit"]
+        assert sorted(span.name for span in units) == sorted(two_profiles)
+        for unit in units:
+            pid = unit.attributes.get("worker_pid")
+            assert pid and pid != os.getpid()
+            children = [span for span in spans
+                        if span.parent_id == unit.span_id]
+            assert ("benchmark", unit.name) in {
+                (child.kind, child.name) for child in children}
+
+    def test_journal_records_carry_no_telemetry(self, tmp_path,
+                                                two_profiles,
+                                                small_problems):
+        from repro.exec import read_journal
+        from repro.obs import telemetry_session
+        tec, base = small_problems
+        path = str(tmp_path / "run.journal")
+        with telemetry_session() as (tracer, _metrics):
+            run_campaign(two_profiles, tec, base, workers=2,
+                         journal_path=path)
+            units = [span for span in tracer.finished
+                     if span.kind == "unit"]
+        assert len(units) == len(two_profiles)
+        results = read_journal(path).results.values()
+        assert sorted(result.name for result in results) \
+            == sorted(two_profiles)
+        for result in results:
+            assert result.spans is None
+            assert result.metrics is None
+
+
+class TestOrphanGuard:
+    """A worker exits once its coordinator (parent) is gone."""
+
+    @staticmethod
+    def drive(monkeypatch, parents, silenced_from_start):
+        import multiprocessing
+        import threading
+        pids = iter(parents)
+        monkeypatch.setattr(exec_supervisor.os, "getppid",
+                            lambda: next(pids, 1))
+        exits = []
+
+        def fake_exit(code):
+            exits.append(code)
+            raise SystemExit(code)
+
+        monkeypatch.setattr(exec_supervisor.os, "_exit", fake_exit)
+        beats = multiprocessing.Array("d", 1)
+        silenced = threading.Event()
+        if silenced_from_start:
+            silenced.set()
+        # A loop that never watches its parent would run until
+        # silenced; end it so such a loop fails instead of hanging.
+        timer = threading.Timer(2.0, silenced.set)
+        timer.start()
+        try:
+            with pytest.raises(SystemExit):
+                exec_supervisor._heartbeat_loop(0, beats, 0.01, silenced)
+        finally:
+            timer.cancel()
+        return exits, beats[0]
+
+    def test_heartbeat_exits_when_parent_changes(self, monkeypatch):
+        exits, beats = self.drive(monkeypatch, [4242, 4242, 4242],
+                                  silenced_from_start=False)
+        assert exits == [1]
+        assert beats == 2.0
+
+    def test_silenced_heartbeat_still_watches_parent(self, monkeypatch):
+        """An injected hang silences the beats, not the parent watch."""
+        exits, beats = self.drive(monkeypatch, [4242, 4242],
+                                  silenced_from_start=True)
+        assert exits == [1]
+        assert beats == 0.0
+
 
 class TestKillRecovery:
     def test_killed_workers_are_replaced_and_units_retried(
@@ -301,21 +405,21 @@ class TestWorkerCrashAttribution:
         from repro.exec import workers as exec_workers
         tec, base = small_problems
         victim = next(iter(two_profiles))
-        real_stage = exec_workers.run_campaign_stage
+        real_benchmark = exec_workers._run_benchmark
 
-        def escaping_stage(stage, benchmark, *args, **kwargs):
-            if benchmark == victim and stage == "oftec-opt1":
+        def escaping_benchmark(name, *args, **kwargs):
+            if name == victim:
                 raise RuntimeError("escaped")
-            return real_stage(stage, benchmark, *args, **kwargs)
+            return real_benchmark(name, *args, **kwargs)
 
         # Forked workers inherit the patched module.
         monkeypatch.setenv("REPRO_START_METHOD", "fork")
-        monkeypatch.setattr(exec_workers, "run_campaign_stage",
-                            escaping_stage)
+        monkeypatch.setattr(exec_workers, "_run_benchmark",
+                            escaping_benchmark)
         for workers in (1, 2):
             with pytest.raises(WorkerCrashError) as excinfo:
                 run_campaign(two_profiles, tec, base, workers=workers)
-            assert excinfo.value.units == ((f"{victim}/oftec-opt1", 1),)
+            assert excinfo.value.units == ((victim, 1),)
             assert "RuntimeError: escaped" in str(excinfo.value)
 
     def test_parallel_chaos_fails_on_escaped_exception(
