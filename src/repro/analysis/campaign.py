@@ -228,7 +228,6 @@ def _stage_specs(
     resilient: bool,
     policy: Optional[ResiliencePolicy],
     failures: List[FailureReport],
-    jac: str = "analytic",
 ) -> Dict[str, Callable]:
     """Zero-argument thunks for every pipeline stage of one benchmark.
 
@@ -239,7 +238,7 @@ def _stage_specs(
         def oftec_stage() -> OFTECResult:
             outcome = run_oftec_resilient(
                 tec_problem, policy=policy,
-                evaluator=make(tec_problem), jac=jac)
+                evaluator=make(tec_problem))
             failures.extend(outcome.failures)
             if outcome.result is None:
                 raise SolverError(
@@ -247,8 +246,8 @@ def _stage_specs(
             return outcome.result
 
         def opt2_stage() -> OptimizationOutcome:
-            solve = ResilientSolver(make(tec_problem), policy,
-                                    jac=jac).minimize_temperature()
+            solve = ResilientSolver(
+                make(tec_problem), policy).minimize_temperature()
             if solve.failure is not None:
                 failures.append(solve.failure)
             if solve.outcome is None:
@@ -259,19 +258,19 @@ def _stage_specs(
     else:
         def oftec_stage() -> OFTECResult:
             return run_oftec(tec_problem, method=method,
-                             evaluator=make(tec_problem), jac=jac)
+                             evaluator=make(tec_problem))
 
         def opt2_stage() -> OptimizationOutcome:
             return minimize_temperature(make(tec_problem),
-                                        method=method, jac=jac)
+                                        method=method)
     return {
         "oftec-opt1": oftec_stage,
         "oftec-opt2": opt2_stage,
         "variable-opt1": lambda: run_variable_fan_baseline(
             base_problem, method=method,
-            evaluator=make(base_problem), jac=jac),
+            evaluator=make(base_problem)),
         "variable-opt2": lambda: minimize_temperature(
-            make(base_problem), method=method, jac=jac),
+            make(base_problem), method=method),
         "fixed-omega": lambda: run_fixed_fan_baseline(
             base_problem, evaluator=make(base_problem)),
         "tec-only": lambda: run_tec_only(
@@ -289,11 +288,10 @@ def _run_benchmark(
     resilient: bool,
     policy: Optional[ResiliencePolicy],
     failures: List[FailureReport],
-    jac: str = "analytic",
 ) -> BenchmarkComparison:
     """All methods on one benchmark, each stage individually tagged."""
     specs = _stage_specs(name, tec_problem, base_problem, method, make,
-                         resilient, policy, failures, jac=jac)
+                         resilient, policy, failures)
     values: Dict[str, object] = {}
     for stage in CAMPAIGN_STAGES:
         if stage == "tec-only" and not include_tec_only:
@@ -325,7 +323,6 @@ def run_campaign(
     supervision: Optional[object] = None,
     journal_path: Optional[str] = None,
     resume_from: Optional[str] = None,
-    jac: str = "analytic",
     progress: Optional[object] = None,
 ) -> CampaignResult:
     """Run the three-method comparison over a set of benchmark profiles.
@@ -382,11 +379,6 @@ def run_campaign(
             the same file, and the merged result — its canonical JSON
             in particular — is bit-identical to an uninterrupted run.
             Mutually exclusive with ``journal_path``.
-        jac: Gradient mode for every optimization stage
-            (:data:`repro.core.JAC_MODES`): ``"analytic"`` (default)
-            drives the solvers with adjoint gradients, ``"fd"`` is the
-            campaign-wide escape hatch restoring backend finite
-            differencing.
         progress: A :class:`repro.obs.ProgressBoard` (or anything with
             its hook methods) fed the benchmark lifecycle — serial
             and supervised paths alike — plus live metric snapshots
@@ -429,7 +421,7 @@ def run_campaign(
             profiles, tec_problem_template, baseline_problem_template,
             method, include_tec_only, isolate_failures, resilient,
             policy, worker_count, supervision, journal_path,
-            resume_from, jac=jac, progress=progress)
+            resume_from, progress=progress)
     make = evaluator_factory or Evaluator
     watch = stopwatch("campaign.wall_seconds")
     if progress is not None:
@@ -450,7 +442,7 @@ def run_campaign(
                     comparison = _run_benchmark(
                         name, tec_problem, base_problem, method,
                         include_tec_only, make, resilient, policy,
-                        result.failures, jac=jac)
+                        result.failures)
             except _StageFailure as failure:
                 if progress is not None:
                     progress.unit_done(name, bench_watch.elapsed,
@@ -480,7 +472,6 @@ def _run_campaign_parallel(
     supervision: Optional[object] = None,
     journal_path: Optional[str] = None,
     resume_from: Optional[str] = None,
-    jac: str = "analytic",
     progress: Optional[object] = None,
 ) -> CampaignResult:
     """The decomposed campaign path: one unit per benchmark.
@@ -501,7 +492,7 @@ def _run_campaign_parallel(
         fingerprint = unit_fingerprint(
             tuple(profiles),
             f"campaign:{method}:{int(include_tec_only)}:"
-            f"{int(resilient)}:{jac}")
+            f"{int(resilient)}")
         journal = JournalWriter(
             resume_from or journal_path,
             meta={"fingerprint": fingerprint, "job": "campaign"},
@@ -517,8 +508,7 @@ def _run_campaign_parallel(
                 method=method, include_tec_only=include_tec_only,
                 resilient=resilient, policy=policy, fault_plan=None,
                 workers=workers, supervision=supervision,
-                journal=journal, completed=completed, jac=jac,
-                progress=progress)
+                journal=journal, completed=completed, progress=progress)
             if merge.unhandled:
                 # A non-library exception in a worker is a bug, not a
                 # result; surface every entry instead of a silent hole

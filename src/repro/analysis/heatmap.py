@@ -81,10 +81,10 @@ def temperature_fields(
     """Chip-temperature fields at many ``(omega, current)`` points.
 
     The bulk producer for side-by-side heat maps (TEC off vs on, a fan
-    ladder, ...): all points are dispatched through the operator layer's
-    batched solve, so leakage-free comparisons sharing an operating
-    point factor once and back-substitute per map.  Entries are per-cell
-    chip temperatures in K, or ``None`` where the point ran away.
+    ladder, ...): each point is one cold-started steady solve, and
+    repeated operating points reuse the operator's cached factorization.
+    Entries are per-cell chip temperatures in K, or ``None`` where the
+    point ran away.
 
     ``workers`` fans point chunks across worker processes via
     ``repro.exec`` (None defers to ``REPRO_WORKERS``; 0 stays

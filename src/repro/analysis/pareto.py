@@ -92,7 +92,6 @@ def trace_pareto_frontier(
     points: int = 8,
     t_max_range: Optional[tuple] = None,
     method: str = "slsqp",
-    jac: str = "analytic",
 ) -> ParetoFrontier:
     """Sweep T_max and run Optimization 1 at each threshold.
 
@@ -102,14 +101,11 @@ def trace_pareto_frontier(
         t_max_range: ``(low, high)`` in kelvin; defaults to
             [Optimization 2 optimum + 1 K, the problem's T_max].
         method: Solver backend.
-        jac: Gradient mode for every solve
-            (:data:`repro.core.JAC_MODES`).
     """
     if points < 2:
         raise ConfigurationError("Need at least two frontier points")
     base_evaluator = Evaluator(problem)
-    coolest = minimize_temperature(base_evaluator, method=method,
-                                   jac=jac)
+    coolest = minimize_temperature(base_evaluator, method=method)
     t_low_default = coolest.evaluation.max_chip_temperature + 1.0
     if t_max_range is None:
         t_low, t_high = t_low_default, problem.limits.t_max
@@ -131,13 +127,11 @@ def trace_pareto_frontier(
             problem.fan_heat_fraction)
         evaluator = Evaluator(sub_problem)
         start = minimize_temperature(
-            evaluator, method=method, early_stop_below=float(t_max),
-            jac=jac)
+            evaluator, method=method, early_stop_below=float(t_max))
         if start.evaluation.max_chip_temperature > t_max:
             continue  # threshold below the reachable floor
         outcome = minimize_power(
-            evaluator, x0=(start.omega, start.current), method=method,
-            jac=jac)
+            evaluator, x0=(start.omega, start.current), method=method)
         evaluation = outcome.evaluation
         frontier.append(ParetoPoint(
             t_max=float(t_max),

@@ -92,18 +92,14 @@ def sweep_objective_surfaces(
     current_range: Optional[Tuple[float, float]] = None,
     evaluator: Optional[Evaluator] = None,
     workers: Optional[int] = None,
-    progress: Optional[object] = None,
 ) -> SurfaceSweep:
     """Evaluate 𝒯 and 𝒫 on a rectangular (omega, I) sample grid.
 
     Runaway points record ``inf`` in both surfaces (the paper plots them
-    as the saturated "dark red" region).
+    as the saturated "dark red" region).  The grid is evaluated in
+    order through one warm-chaining :class:`Evaluator`.
 
-    ``workers`` fans the grid across worker processes, one omega row
-    per chunk (None defers to ``REPRO_WORKERS``; 0 stays in-process).
-    Surfaces are identical across worker counts.  ``progress`` (a
-    :class:`repro.obs.ProgressBoard`) receives per-chunk lifecycle
-    events on the fanned-out path.
+    ``workers`` has no effect: the sweep always runs in-process.
     """
     if omega_points < 2 or current_points < 1:
         raise ConfigurationError(
@@ -132,20 +128,7 @@ def sweep_objective_surfaces(
     feasible = np.zeros(shape, dtype=bool)
     points = [(float(omega), float(current))
               for omega in omegas for current in currents]
-    evaluations = None
-    if evaluator._batchable():
-        from ..exec import evaluate_points, resolve_workers
-        worker_count = resolve_workers(workers)
-        if worker_count >= 1:
-            # One omega row per chunk: row boundaries are fixed by the
-            # grid (not the worker count), and every point in a row
-            # shares its fan operating point, so a chunk's solves
-            # group under few factorizations.
-            evaluations = evaluate_points(
-                problem, points, worker_count, chunk=currents.size,
-                progress=progress)
-    if evaluations is None:
-        evaluations = evaluator.evaluate_many(points)
+    evaluations = evaluator.evaluate_many(points)
     for flat, evaluation in enumerate(evaluations):
         if evaluation.runaway:
             continue

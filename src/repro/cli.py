@@ -92,13 +92,6 @@ def _add_progress(parser: argparse.ArgumentParser) -> None:
              "line on a TTY, periodic log lines otherwise)")
 
 
-def _add_jac(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jac", default="analytic", choices=("analytic", "fd"),
-        help="solver gradient mode: adjoint analytic gradients "
-             "(default) or scipy finite differences (escape hatch)")
-
-
 def _add_workers(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -223,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     oftec.add_argument("--method", default="slsqp",
                        choices=("slsqp", "trust-constr", "grid"),
                        help="solver backend (default slsqp)")
-    _add_jac(oftec)
     _add_trace(oftec)
 
     campaign = commands.add_parser(
@@ -253,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="resume an interrupted campaign from "
                                "its journal; completed units are "
                                "replayed, the rest run fresh")
-    _add_jac(campaign)
     _add_supervision(campaign)
     _add_workers(campaign)
     _add_trace(campaign)
@@ -277,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_resolution(sweep)
     sweep.add_argument("--omega-points", type=int, default=12)
     sweep.add_argument("--current-points", type=int, default=9)
-    _add_workers(sweep)
-    _add_progress(sweep)
 
     commands.add_parser("profiles",
                         help="list the built-in benchmark profiles")
@@ -372,7 +361,7 @@ def _cmd_oftec(args: argparse.Namespace) -> int:
     problem = build_cooling_problem(profile,
                                     grid_resolution=args.resolution)
     with _traced(args.trace, args.live_trace, args.openmetrics):
-        result = run_oftec(problem, method=args.method, jac=args.jac)
+        result = run_oftec(problem, method=args.method)
     if args.json:
         payload = {
             "benchmark": args.benchmark,
@@ -423,7 +412,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                                 supervision=_supervision_from_args(args),
                                 journal_path=args.journal,
                                 resume_from=args.resume,
-                                jac=args.jac,
                                 progress=board)
         if board is not None:
             board.finish()
@@ -484,13 +472,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     profile = mibench_profiles()[args.benchmark]
     problem = build_cooling_problem(profile,
                                     grid_resolution=args.resolution)
-    board = _progress_board(args, None, "sweep")
     sweep = sweep_objective_surfaces(
         problem, omega_points=args.omega_points,
-        current_points=args.current_points, workers=args.workers,
-        progress=board)
-    if board is not None:
-        board.finish()
+        current_points=args.current_points)
     print(format_surface(sweep, "temperature"))
     print()
     print(format_surface(sweep, "power"))

@@ -16,7 +16,6 @@ alongside.
 from .problem import CoolingProblem, ProblemLimits, build_cooling_problem
 from .evaluator import Evaluation, EvaluationGradient, Evaluator
 from .solvers import (
-    JAC_MODES,
     OptimizationOutcome,
     minimize_power,
     minimize_temperature,
@@ -82,7 +81,6 @@ __all__ = [
     "Evaluation",
     "EvaluationGradient",
     "Evaluator",
-    "JAC_MODES",
     "OptimizationOutcome",
     "minimize_power",
     "minimize_temperature",

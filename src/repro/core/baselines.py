@@ -67,7 +67,6 @@ class BaselineResult:
 def run_variable_fan_baseline(problem: CoolingProblem,
                               method: str = "slsqp",
                               evaluator: Optional[Evaluator] = None,
-                              jac: str = "analytic",
                               ) -> BaselineResult:
     """Baseline 1: optimize the fan speed of a no-TEC package."""
     if problem.has_tec:
@@ -75,7 +74,7 @@ def run_variable_fan_baseline(problem: CoolingProblem,
             "Variable-omega baseline expects a no-TEC problem; build it "
             "with build_cooling_problem(..., with_tec=False)")
     result: OFTECResult = run_oftec(problem, method=method,
-                                    evaluator=evaluator, jac=jac)
+                                    evaluator=evaluator)
     return BaselineResult(
         problem_name=problem.name,
         controller="variable-omega",

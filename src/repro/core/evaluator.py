@@ -26,7 +26,6 @@ from ..thermal import (
     SolveContext,
     SteadyStateResult,
     solve_steady_state,
-    solve_steady_state_batch,
     steady_state_gradients,
 )
 from .problem import CoolingProblem
@@ -39,10 +38,11 @@ RUNAWAY_POWER_PENALTY = 1.0e3
 RUNAWAY_SIGNAL_CAP = 5.0e3
 
 #: Relative step of the finite-difference gradient fallback, as a
-#: fraction of each variable's box span — matching the solvers' own
-#: normalized ``_FD_STEP`` so the fallback reproduces the legacy
-#: backend differencing.
+#: fraction of each variable's box span.
 FD_STEP_FRACTION = 1.0e-3
+
+#: Decimal places ``(omega, I)`` are rounded to when keying the cache.
+CACHE_DECIMALS = 9
 
 #: Default LRU cap on cached evaluations.  Chosen far above the distinct
 #: operating-point count of any real campaign (a few hundred), so the
@@ -157,7 +157,6 @@ class Evaluator:
     """
 
     def __init__(self, problem: CoolingProblem,
-                 cache_decimals: int = 9,
                  cache_limit: int = DEFAULT_CACHE_LIMIT):
         if cache_limit < 1:
             raise ConfigurationError(
@@ -165,7 +164,6 @@ class Evaluator:
         self.problem = problem
         self._cache: "OrderedDict[Tuple[float, float], Evaluation]" = \
             OrderedDict()
-        self._cache_decimals = cache_decimals
         self._cache_limit = int(cache_limit)
         self._cache_hits = 0
         self._cache_misses = 0
@@ -255,8 +253,8 @@ class Evaluator:
         point (fan speed in rad/s, TEC current in A); cached."""
         self.call_count += 1
         omega, current = self.clamp(omega, current)
-        key = (round(omega, self._cache_decimals),
-               round(current, self._cache_decimals))
+        key = (round(omega, CACHE_DECIMALS),
+               round(current, CACHE_DECIMALS))
         hit = self._cache.get(key)
         if hit is not None:
             self._cache.move_to_end(key)
@@ -379,112 +377,11 @@ class Evaluator:
             mode="fd")
 
     def evaluate_many(self, points: Sequence[Tuple[float, float]],
-                      workers: Optional[int] = None,
                       ) -> List[Evaluation]:
-        """Evaluate a sequence of ``(omega, current)`` points in order.
-
-        Semantically identical to calling :meth:`evaluate` per point
-        (same caching, warm-start chaining, budget accounting, and
-        penalty mapping).  On leakage-free problems the uncached points
-        are dispatched through the operator layer's batched solve, which
-        groups points sharing a system matrix and back-substitutes their
-        RHS columns through one factorization.
-
-        ``workers`` fans point chunks across worker processes via
-        ``repro.exec`` (None defers to ``REPRO_WORKERS``; 0 stays
-        in-process).  The fan-out is *pure*: chunks are evaluated by
-        fresh worker-side evaluators against the same problem, values
-        are independent of chunking, and this instance's cache and
-        counters are left untouched.  It engages only where the
-        batched path applies (leakage-free, base-class solve, no
-        budget) — elsewhere points fall back to the in-process path,
-        whose warm-start chaining a fan-out would perturb.
-        """
-        if not self._batchable():
-            return [self.evaluate(omega, current)
-                    for omega, current in points]
-        if workers is not None or len(points) > 1:
-            from ..exec import evaluate_points, resolve_workers
-            worker_count = resolve_workers(workers)
-            if worker_count >= 1 and len(points) > 1:
-                return evaluate_points(self.problem, list(points),
-                                       worker_count)
-        evaluations: List[Optional[Evaluation]] = [None] * len(points)
-        fresh_keys: "OrderedDict[Tuple[float, float], List[int]]" = \
-            OrderedDict()
-        clamped: List[Tuple[float, float]] = []
-        hits_before = self._cache_hits
-        for index, (omega, current) in enumerate(points):
-            self.call_count += 1
-            omega, current = self.clamp(omega, current)
-            clamped.append((omega, current))
-            key = (round(omega, self._cache_decimals),
-                   round(current, self._cache_decimals))
-            hit = self._cache.get(key)
-            if hit is not None:
-                self._cache.move_to_end(key)
-                self._cache_hits += 1
-                evaluations[index] = hit
-            else:
-                fresh_keys.setdefault(key, []).append(index)
-        if fresh_keys:
-            solve_points = []
-            sink_heats = []
-            fan_powers = []
-            for key, members in fresh_keys.items():
-                omega, current = clamped[members[0]]
-                fan_power = self.problem.fan.power(omega)
-                solve_points.append((omega, current))
-                fan_powers.append(fan_power)
-                sink_heats.append(
-                    self.problem.fan_heat_fraction * fan_power)
-            self._cache_misses += len(fresh_keys)
-            self.solve_count += len(fresh_keys)
-            if _obs.STATE.enabled:
-                _obs.STATE.metrics.counter(
-                    "evaluator.cache.misses").inc(len(fresh_keys))
-                with _obs.STATE.tracer.span(
-                        "evaluate_many", points=len(points),
-                        fresh=len(fresh_keys)):
-                    batch = solve_steady_state_batch(
-                        self.problem.model, solve_points,
-                        self.problem.dynamic_cell_power, leakage=None,
-                        sink_heats=sink_heats, context=self._context)
-            else:
-                batch = solve_steady_state_batch(
-                    self.problem.model, solve_points,
-                    self.problem.dynamic_cell_power, leakage=None,
-                    sink_heats=sink_heats, context=self._context)
-            for slot, (key, members) in enumerate(fresh_keys.items()):
-                omega, current = solve_points[slot]
-                outcome = batch[slot]
-                if isinstance(outcome, ThermalRunawayError):
-                    evaluation = self._runaway_evaluation(
-                        omega, current, fan_powers[slot], outcome)
-                else:
-                    evaluation = self._evaluation_from_steady(
-                        omega, current, fan_powers[slot], outcome)
-                evaluation = self._guard_finite(evaluation)
-                self._store(key, evaluation)
-                # Points beyond the first at the same key would have hit
-                # the cache under sequential evaluation.
-                self._cache_hits += len(members) - 1
-                for index in members:
-                    evaluations[index] = evaluation
-        if _obs.STATE.enabled:
-            _obs.STATE.metrics.counter("evaluator.cache.hits").inc(
-                self._cache_hits - hits_before)
-        return [e for e in evaluations if e is not None]
-
-    def _batchable(self) -> bool:
-        """Whether the batched fast path preserves this instance's
-        semantics: base-class solve behavior (subclasses such as the
-        fault injectors override ``_solve`` and must keep intercepting
-        every fresh solve), no leakage loop, and no active solve budget
-        (the batch entry has no per-solve circuit breaker)."""
-        return (type(self)._solve is Evaluator._solve
-                and self.problem.leakage is None
-                and self._solve_budget is None)
+        """Evaluate a sequence of ``(omega, current)`` points in order:
+        exactly :meth:`evaluate` per point (same caching, warm-start
+        chaining, budget accounting and penalty mapping)."""
+        return [self.evaluate(omega, current) for omega, current in points]
 
     def _store(self, key: Tuple[float, float],
                result: Evaluation) -> None:

@@ -75,7 +75,6 @@ class LookupTableController:
                    profiles: Mapping[str, Mapping[str, float]],
                    method: str = "slsqp",
                    workers: Optional[int] = None,
-                   jac: str = "analytic",
                    ) -> Dict[str, OFTECResult]:
         """Run OFTEC offline for every representative profile.
 
@@ -86,15 +85,14 @@ class LookupTableController:
         ``workers`` shards the rows across worker processes via
         ``repro.exec`` (None defers to ``REPRO_WORKERS``; 0 stays
         in-process).  Table order and stored entries are identical
-        across worker counts.  ``jac`` selects the gradient mode for
-        every OFTEC run (see :data:`repro.core.JAC_MODES`).
+        across worker counts.
         """
         results: Dict[str, OFTECResult] = {}
         from ..exec import resolve_workers, run_oftec_units
         worker_count = resolve_workers(workers)
         if worker_count >= 1 and len(profiles) > 1:
             results = run_oftec_units(problem_template, profiles,
-                                      method, worker_count, jac=jac)
+                                      method, worker_count)
             for label, unit_power in profiles.items():
                 result = results[label]
                 self.add_entry(label, unit_power, result.omega_star,
@@ -103,7 +101,7 @@ class LookupTableController:
         for label, unit_power in profiles.items():
             problem = problem_template.with_profile(dict(unit_power),
                                                     name=label)
-            result = run_oftec(problem, method=method, jac=jac)
+            result = run_oftec(problem, method=method)
             results[label] = result
             self.add_entry(label, unit_power, result.omega_star,
                            result.current_star, result.feasible)
@@ -148,8 +146,7 @@ class LookupTableController:
         workload?" — the validation pass that catches stale rows after
         a power-model change.  All rows go through
         :meth:`Evaluator.evaluate_many`, so they share the model's
-        build-once operator (and, on leakage-free problems, batch into
-        grouped multi-RHS solves).  Returns one
+        build-once operator.  Returns one
         :class:`~repro.core.evaluator.Evaluation` per entry, in table
         order.
         """

@@ -85,7 +85,6 @@ def run_oftec(
     evaluator: Optional[Evaluator] = None,
     raise_on_infeasible: bool = False,
     max_iterations: int = 60,
-    jac: str = "analytic",
 ) -> OFTECResult:
     """Execute Algorithm 1 on a cooling problem.
 
@@ -96,8 +95,6 @@ def run_oftec(
         raise_on_infeasible: Raise :class:`InfeasibleProblemError` instead
             of returning a failed result.
         max_iterations: Per-stage solver iteration budget.
-        jac: Gradient mode for both stages (see
-            :data:`repro.core.JAC_MODES`).
 
     Returns:
         An :class:`OFTECResult`; when infeasible, it carries the best
@@ -105,7 +102,7 @@ def run_oftec(
     """
     with _obs.span("oftec", problem.name):
         return _run_oftec_impl(problem, method, evaluator,
-                               raise_on_infeasible, max_iterations, jac)
+                               raise_on_infeasible, max_iterations)
 
 
 def _run_oftec_impl(
@@ -114,7 +111,6 @@ def _run_oftec_impl(
     evaluator: Optional[Evaluator],
     raise_on_infeasible: bool,
     max_iterations: int,
-    jac: str = "analytic",
 ) -> OFTECResult:
     """The Algorithm 1 body of :func:`run_oftec`."""
     watch = stopwatch()
@@ -132,8 +128,7 @@ def _run_oftec_impl(
         # Lines 2-3: hunt for feasibility by minimizing 𝒯.
         opt2 = minimize_temperature(
             evaluator, x0=(omega0, current0), method=method,
-            early_stop_below=t_max, max_iterations=max_iterations,
-            jac=jac)
+            early_stop_below=t_max, max_iterations=max_iterations)
         feasible_point = opt2.evaluation
         if feasible_point.max_chip_temperature > t_max:
             # Lines 4-5: no solution exists.
@@ -159,7 +154,7 @@ def _run_oftec_impl(
 
     # Line 6: minimize the cooling-related power from the feasible point.
     opt1 = minimize_power(evaluator, x0=start_point, method=method,
-                          max_iterations=max_iterations, jac=jac)
+                          max_iterations=max_iterations)
     runtime = watch.elapsed
     return OFTECResult(
         problem_name=problem.name,

@@ -105,6 +105,10 @@ class CoolingProblem:
                 f"({model.grid.cell_count},), got {power.shape}")
         if (power < 0.0).any():
             raise ConfigurationError("dynamic_cell_power must be >= 0")
+        if leakage is None:
+            raise ConfigurationError(
+                "CoolingProblem requires a leakage model: every OFTEC "
+                "evaluation relinearizes leakage (Eq. 4)")
         if leakage.cell_count != model.grid.cell_count:
             raise ConfigurationError(
                 "Leakage model cell count does not match the grid")

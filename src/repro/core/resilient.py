@@ -245,11 +245,9 @@ class ResilientSolver:
     """
 
     def __init__(self, evaluator: Evaluator,
-                 policy: Optional[ResiliencePolicy] = None,
-                 jac: str = "analytic"):
+                 policy: Optional[ResiliencePolicy] = None):
         self.evaluator = evaluator
         self.policy = policy or ResiliencePolicy()
-        self.jac = jac
         self._rng = np.random.default_rng(
             np.random.SeedSequence([self.policy.seed]))
 
@@ -267,8 +265,7 @@ class ResilientSolver:
             return minimize_temperature(
                 self.evaluator, x0=point, method=method,
                 early_stop_below=early_stop_below,
-                max_iterations=self.policy.max_iterations,
-                jac=self.jac)
+                max_iterations=self.policy.max_iterations)
 
         return self._run_ladder("minimize-temperature", runner, x0,
                                 prefer="temperature")
@@ -281,8 +278,7 @@ class ResilientSolver:
                    point: Tuple[float, float]) -> OptimizationOutcome:
             return minimize_power(
                 self.evaluator, x0=point, method=method,
-                max_iterations=self.policy.max_iterations,
-                jac=self.jac)
+                max_iterations=self.policy.max_iterations)
 
         return self._run_ladder("minimize-power", runner, x0,
                                 prefer="power")
@@ -428,7 +424,6 @@ def run_oftec_resilient(
     policy: Optional[ResiliencePolicy] = None,
     evaluator: Optional[Evaluator] = None,
     dvfs: Optional[DVFSModel] = None,
-    jac: str = "analytic",
 ) -> ResilientOFTECResult:
     """Algorithm 1 with the fallback ladder and graceful degradation.
 
@@ -437,15 +432,14 @@ def run_oftec_resilient(
     :class:`ResilientSolver` ladder, hard failures become
     :class:`FailureReport` entries, and a genuinely infeasible instance
     degrades to the DVFS throttling search (when the policy allows and
-    the problem carries the coverage DVFS scaling needs).  ``jac``
-    selects the gradient mode of every ladder attempt; fault-injecting
-    evaluators degrade analytic gradients to finite differences through
-    the evaluator's own fallback seam, so ``"analytic"`` stays safe
-    under chaos.
+    the problem carries the coverage DVFS scaling needs).
+    Fault-injecting evaluators degrade adjoint gradients to finite
+    differences through the evaluator's own fallback seam, so every
+    ladder attempt stays safe under chaos.
     """
     policy = policy or ResiliencePolicy()
     evaluator = evaluator or Evaluator(problem)
-    solver = ResilientSolver(evaluator, policy, jac=jac)
+    solver = ResilientSolver(evaluator, policy)
     if not _obs.STATE.enabled:
         return _run_oftec_resilient_impl(problem, policy, evaluator,
                                          solver, dvfs)

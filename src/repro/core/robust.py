@@ -132,14 +132,12 @@ class RobustResult:
 
 
 def run_oftec_robust(problems: Sequence[CoolingProblem],
-                     method: str = "slsqp",
-                     jac: str = "analytic") -> RobustResult:
+                     method: str = "slsqp") -> RobustResult:
     """Algorithm 1 on the workload envelope.
 
     The usual two-stage pipeline (feasibility hunt, then power
-    minimization) applied to the max-over-workloads objectives.
-    ``jac`` selects the gradient mode (:data:`repro.core.JAC_MODES`);
-    the analytic path uses the envelope's active-member subgradient.
+    minimization) applied to the max-over-workloads objectives; the
+    solvers' gradients are the envelope's active-member subgradient.
     """
     start = time.perf_counter()
     envelope = EnvelopeEvaluator(problems)
@@ -151,7 +149,7 @@ def run_oftec_robust(problems: Sequence[CoolingProblem],
                                  / 2.0)
     if midpoint.max_chip_temperature > t_max:
         stage1 = minimize_temperature(envelope, method=method,
-                                      early_stop_below=t_max, jac=jac)
+                                      early_stop_below=t_max)
         start_point = (stage1.omega, stage1.current)
         if stage1.evaluation.max_chip_temperature > t_max:
             per_workload = envelope.member_evaluations(*start_point)
@@ -167,8 +165,7 @@ def run_oftec_robust(problems: Sequence[CoolingProblem],
     else:
         start_point = (midpoint.omega, midpoint.current)
 
-    outcome = minimize_power(envelope, x0=start_point, method=method,
-                             jac=jac)
+    outcome = minimize_power(envelope, x0=start_point, method=method)
     per_workload = envelope.member_evaluations(outcome.omega,
                                                outcome.current)
     return RobustResult(

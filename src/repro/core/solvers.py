@@ -11,8 +11,9 @@ SQP for quality and speed.  We expose the same menu:
   robust fallback for heavily non-convex instances.
 
 Both optimization variables are normalized to [0, 1] before the solver
-sees them (omega spans hundreds of rad/s while I_TEC spans a few amperes;
-unnormalized finite differences would be badly conditioned).
+sees them (omega spans hundreds of rad/s while I_TEC spans a few
+amperes), and every backend consumes the evaluator's adjoint gradients
+as analytic Jacobians.
 """
 
 from __future__ import annotations
@@ -23,39 +24,20 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import NonlinearConstraint, minimize
 
-from ..errors import ConfigurationError, SolverError
+from ..errors import SolverError
 from .evaluator import Evaluation, Evaluator
 
 #: Supported solver backends.
 SOLVER_METHODS = ("slsqp", "trust-constr", "grid")
 
-#: Supported gradient modes: ``"analytic"`` feeds the evaluator's
-#: adjoint gradients to the backend as ``jac=`` callables (one
-#: transposed back-substitution per iterate); ``"fd"`` is the legacy
-#: escape hatch that lets the backend finite-difference the objective
-#: and constraints itself.
-JAC_MODES = ("analytic", "fd")
-
-#: Normalized finite-difference step; large enough to rise above the
-#: relinearization-loop noise floor, small enough for curvature.
-_FD_STEP = 1e-3
-
-#: Strict-feasibility backoff (K) on the thermal constraint when the
-#: backend consumes analytic Jacobians.  Exact gradients drive the
-#: active-set method onto the margin = 0 boundary to machine precision,
-#: where ``T == T_max`` reads as infeasible under the strict
-#: ``𝒯 < T_max`` contract; backing the constraint off by a sliver
-#: keeps the converged point strictly interior.  The power cost is the
-#: constraint multiplier times the backoff — orders of magnitude below
-#: solver tolerance.  (The finite-difference path keeps its legacy
-#: unshifted constraint: its gradient noise already stops inside.)
+#: Strict-feasibility backoff (K) on the thermal constraint.  Exact
+#: adjoint gradients drive the active-set method onto the margin = 0
+#: boundary to machine precision, where ``T == T_max`` reads as
+#: infeasible under the strict ``𝒯 < T_max`` contract; backing the
+#: constraint off by a sliver keeps the converged point strictly
+#: interior.  The power cost is the constraint multiplier times the
+#: backoff — orders of magnitude below solver tolerance.
 _MARGIN_BACKOFF_K = 1e-4
-
-
-def _check_jac(jac: str) -> None:
-    if jac not in JAC_MODES:
-        raise ConfigurationError(
-            f"Unknown jac mode {jac!r}; choose one of {JAC_MODES}")
 
 
 @dataclass
@@ -158,49 +140,37 @@ class _NormalizedProblem:
 def _run_backend(
     norm: _NormalizedProblem,
     objective: Callable[[np.ndarray], float],
+    objective_grad: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     method: str,
+    max_iterations: int,
     constraint: Optional[Callable[[np.ndarray], float]] = None,
-    max_iterations: int = 60,
-    objective_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    constraint_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> Tuple[np.ndarray, bool, str]:
     """Dispatch one local solve; returns (x_best, success, message).
 
-    With gradient callables the backend consumes analytic Jacobians
-    (``jac=`` on the objective, constraint Jacobians on the constraint
-    specs); without them it finite-differences exactly as before — the
-    ``eps``/``finite_diff_rel_step`` options are inert when every
-    Jacobian is supplied.
+    The backend consumes analytic Jacobians: ``jac=`` on the objective
+    and, for the thermal-margin constraint, ``norm.margin_gradient``.
     """
     bounds = [(0.0, 1.0)] * norm.dimensions
     if method == "slsqp":
         constraints = []
         if constraint is not None:
-            spec = {"type": "ineq", "fun": constraint}
-            if constraint_grad is not None:
-                spec["jac"] = constraint_grad
-            constraints.append(spec)
+            constraints.append({"type": "ineq", "fun": constraint,
+                                "jac": norm.margin_gradient})
         result = _checked_minimize(
             objective, x0, method="SLSQP", bounds=bounds,
             jac=objective_grad, constraints=constraints,
-            options={"maxiter": max_iterations, "ftol": 1e-7,
-                     "eps": _FD_STEP})
+            options={"maxiter": max_iterations, "ftol": 1e-7})
         return result.x, bool(result.success), str(result.message)
     if method == "trust-constr":
         constraints = []
         if constraint is not None:
-            if constraint_grad is not None:
-                constraints.append(NonlinearConstraint(
-                    constraint, 0.0, np.inf, jac=constraint_grad))
-            else:
-                constraints.append(NonlinearConstraint(
-                    constraint, 0.0, np.inf))
+            constraints.append(NonlinearConstraint(
+                constraint, 0.0, np.inf, jac=norm.margin_gradient))
         result = _checked_minimize(
             objective, x0, method="trust-constr", bounds=bounds,
             jac=objective_grad, constraints=constraints,
-            options={"maxiter": max_iterations * 4, "xtol": 1e-6,
-                     "finite_diff_rel_step": _FD_STEP})
+            options={"maxiter": max_iterations * 4, "xtol": 1e-6})
         return result.x, bool(result.success), str(result.message)
     raise SolverError(f"Unknown solver method {method!r}; "
                       f"choose one of {SOLVER_METHODS}")
@@ -239,7 +209,6 @@ def minimize_temperature(
     method: str = "slsqp",
     early_stop_below: Optional[float] = None,
     max_iterations: int = 60,
-    jac: str = "analytic",
 ) -> OptimizationOutcome:
     """Optimization 2: minimize 𝒯 subject to the box constraints.
 
@@ -251,11 +220,7 @@ def minimize_temperature(
         early_stop_below: If given, stop as soon as an iterate achieves
             𝒯 strictly below this value (Algorithm 1 line 3).
         max_iterations: Backend iteration budget.
-        jac: One of :data:`JAC_MODES` — ``"analytic"`` (default) hands
-            the backend adjoint gradients, ``"fd"`` restores the legacy
-            backend finite differencing.
     """
-    _check_jac(jac)
     norm = _NormalizedProblem(evaluator)
     solves_before = evaluator.solve_count
     if x0 is None:
@@ -275,21 +240,16 @@ def minimize_temperature(
             raise _EarlyStop(np.array(x, dtype=float))
         return t
 
-    objective_grad = norm.temperature_gradient \
-        if jac == "analytic" else None
     early = False
     try:
         if method == "grid":
             x_best, success, message = _grid_then_polish(
-                norm, objective, constraint=None,
-                max_iterations=max_iterations,
-                prefetch=early_stop_below is None,
-                objective_grad=objective_grad)
+                norm, objective, norm.temperature_gradient,
+                max_iterations)
         else:
             x_best, success, message = _run_backend(
-                norm, objective, x0_n, method,
-                max_iterations=max_iterations,
-                objective_grad=objective_grad)
+                norm, objective, norm.temperature_gradient, x0_n,
+                method, max_iterations)
     except _EarlyStop as stop:
         x_best, success, message = stop.x, True, "early stop below T_max"
         early = True
@@ -312,17 +272,14 @@ def minimize_power(
     x0: Tuple[float, float],
     method: str = "slsqp",
     max_iterations: int = 60,
-    jac: str = "analytic",
 ) -> OptimizationOutcome:
     """Optimization 1: minimize 𝒫 subject to 𝒯 < T_max and the boxes.
 
     ``x0`` must be a thermally feasible physical point — Algorithm 1
-    guarantees one via Optimization 2 before calling this.  ``jac``
-    selects the gradient mode (:data:`JAC_MODES`): analytic adjoint
-    Jacobians for both the objective and the thermal-margin constraint,
-    or the legacy backend finite differencing.
+    guarantees one via Optimization 2 before calling this.  The backend
+    gets adjoint Jacobians for both the objective and the
+    thermal-margin constraint.
     """
-    _check_jac(jac)
     norm = _NormalizedProblem(evaluator)
     solves_before = evaluator.solve_count
     x0_n = norm.to_normalized(*x0)
@@ -338,30 +295,20 @@ def minimize_power(
             best["x"] = np.array(x, dtype=float)
         return p
 
-    backoff = _MARGIN_BACKOFF_K if jac == "analytic" else 0.0
-
     def margin(x: np.ndarray) -> float:
         # Positive inside the feasible region, in kelvin.  The backoff
         # is a constant shift, so margin_gradient stays exact.
-        return t_max - backoff - norm.evaluate(x).max_chip_temperature
+        return (t_max - _MARGIN_BACKOFF_K
+                - norm.evaluate(x).max_chip_temperature)
 
-    if jac == "analytic":
-        objective_grad = norm.power_gradient
-        constraint_grad = norm.margin_gradient
-    else:
-        objective_grad = constraint_grad = None
     if method == "grid":
         x_best, success, message = _grid_then_polish(
-            norm, objective, constraint=margin,
-            max_iterations=max_iterations,
-            objective_grad=objective_grad,
-            constraint_grad=constraint_grad)
+            norm, objective, norm.power_gradient, max_iterations,
+            constraint=margin)
     else:
         x_best, success, message = _run_backend(
-            norm, objective, x0_n, method, constraint=margin,
-            max_iterations=max_iterations,
-            objective_grad=objective_grad,
-            constraint_grad=constraint_grad)
+            norm, objective, norm.power_gradient, x0_n, method,
+            max_iterations, constraint=margin)
     # Prefer the best feasible iterate seen over the solver's return
     # value when the latter is infeasible or worse.
     final = norm.evaluate(x_best)
@@ -381,24 +328,12 @@ def minimize_power(
 def _grid_then_polish(
     norm: _NormalizedProblem,
     objective: Callable[[np.ndarray], float],
-    constraint: Optional[Callable[[np.ndarray], float]],
+    objective_grad: Callable[[np.ndarray], np.ndarray],
     max_iterations: int,
-    prefetch: bool = True,
-    objective_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    constraint_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    constraint: Optional[Callable[[np.ndarray], float]] = None,
 ) -> Tuple[np.ndarray, bool, str]:
     """Coarse grid scan, then SLSQP from the best grid point."""
     candidates = _grid_candidates(norm.dimensions)
-    if prefetch:
-        # Warm the evaluator cache through the batched entry point (one
-        # grouped solve per distinct system matrix); the scan below then
-        # reads cached evaluations.  Skipped when the objective can
-        # early-stop, where the scan must not probe past the stop point.
-        # workers=0 opts out of the REPRO_WORKERS fan-out: worker-side
-        # evaluations would be discarded, leaving this cache cold and
-        # the solve counters perturbed.
-        norm.evaluator.evaluate_many(
-            [norm.to_physical(x) for x in candidates], workers=0)
     best_x = None
     best_val = np.inf
     for x in candidates:
@@ -413,8 +348,6 @@ def _grid_then_polish(
         # infeasible point so the polish step has somewhere to start.
         best_x = min(candidates,
                      key=lambda x: -constraint(x) if constraint else 0.0)
-    return _run_backend(norm, objective, np.asarray(best_x), "slsqp",
-                        constraint=constraint,
-                        max_iterations=max_iterations,
-                        objective_grad=objective_grad,
-                        constraint_grad=constraint_grad)
+    return _run_backend(norm, objective, objective_grad,
+                        np.asarray(best_x), "slsqp", max_iterations,
+                        constraint=constraint)

@@ -532,8 +532,8 @@ class SolverInLoopRule(Rule):
         "with the same sparsity pattern every iteration, and .tocsc()/"
         ".tocsr() rebuilds its index arrays; both throw away work that "
         "ThermalOperator caches.  Route repeated solves through "
-        "ThermalNetwork.solve / solve_many (repro.thermal), which "
-        "update the factorized system in place.")
+        "ThermalNetwork.solve (repro.thermal), which updates the "
+        "factorized system in place.")
 
     def __init__(self, context: LintContext) -> None:
         super().__init__(context)
@@ -578,8 +578,8 @@ class SolverInLoopRule(Rule):
                 self.emit(node, (
                     f"`{tail}` inside a loop refactorizes the system "
                     "every iteration; factor once before the loop or "
-                    "route through ThermalNetwork.solve/solve_many, "
-                    "which cache factorizations (repro.thermal)"))
+                    "route through ThermalNetwork.solve, which caches "
+                    "factorizations (repro.thermal)"))
             elif isinstance(node.func, ast.Attribute) \
                     and node.func.attr in _CONVERSION_METHODS:
                 self.emit(node, (

@@ -1,7 +1,7 @@
 """Parallel execution engine: work units under one supervisor.
 
-Campaigns, chaos campaigns, ``(omega, I_TEC)`` sweeps, heat-map
-batches, and LUT builds are all embarrassingly parallel; this package
+Campaigns, chaos campaigns, heat-map batches, and LUT builds are all
+embarrassingly parallel; this package
 decomposes them into picklable :class:`WorkUnit`\\ s (one per
 benchmark for campaigns) and runs them in one supervisor run: on its
 in-process serial path, or on its managed worker processes
@@ -27,7 +27,6 @@ from .scheduler import (
     WORKERS_ENV,
     chunk_sizes,
     default_chunk,
-    evaluate_points,
     resolve_workers,
     run_campaign_units,
     run_oftec_units,
@@ -60,7 +59,6 @@ __all__ = [
     "WorkerContext",
     "chunk_sizes",
     "default_chunk",
-    "evaluate_points",
     "initialize",
     "read_journal",
     "resolve_workers",

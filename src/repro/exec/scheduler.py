@@ -216,7 +216,6 @@ def run_campaign_units(
     supervision: Optional[Any] = None,
     journal: Optional[Any] = None,
     completed: Optional[Mapping[int, UnitResult]] = None,
-    jac: str = "analytic",
     progress: Optional[Any] = None,
 ) -> CampaignMerge:
     """Decompose a campaign into one unit per benchmark and merge.
@@ -241,7 +240,6 @@ def run_campaign_units(
         baseline_template=baseline_template,
         profiles=dict(profiles),
         method=method,
-        jac=jac,
         include_tec_only=include_tec_only,
         resilient=resilient,
         policy=policy,
@@ -286,7 +284,7 @@ def run_campaign_units(
     return merge
 
 
-# -- point/field fan-out --------------------------------------------------
+# -- field fan-out --------------------------------------------------------
 
 
 def chunk_sizes(point_count: int, chunk: int) -> List[int]:
@@ -297,8 +295,7 @@ def chunk_sizes(point_count: int, chunk: int) -> List[int]:
     units instead of stranded in one runt: 17 points at chunk 8 become
     ``[6, 6, 5]``, not ``[8, 8, 1]`` — the naive tail chunk turns into
     idle workers at the end of every fan-out.  Exact multiples are
-    untouched, so chunk-aligned layouts (sweep rows) keep their exact
-    sizes.
+    untouched.
     """
     if point_count <= 0:
         return []
@@ -336,42 +333,6 @@ def default_chunk(point_count: int, workers: int) -> int:
         return 1
     target_units = min(point_count, 4 * max(workers, 1))
     return max(1, math.ceil(point_count / target_units))
-
-
-def evaluate_points(
-    problem: CoolingProblem,
-    points: Sequence[Tuple[float, float]],
-    workers: int,
-    chunk: Optional[int] = None,
-    progress: Optional[Any] = None,
-) -> List[Any]:
-    """Evaluate ``(omega, I)`` points by fanning chunks across workers.
-
-    Pure fan-out: each chunk is evaluated by a fresh worker-side
-    evaluator, so the returned evaluations are independent of chunk
-    boundaries and worker count.  Only valid for problems where the
-    evaluator's batched path applies (leakage-free, base-class solve);
-    callers gate on :meth:`Evaluator._batchable`-equivalent conditions.
-    """
-    points = [(float(omega), float(current))
-              for omega, current in points]
-    if not points:
-        return []
-    if chunk is None:
-        chunk = default_chunk(len(points), workers)
-    context = WorkerContext(point_problem=problem,
-                            telemetry=_obs.STATE.enabled)
-    units = _chunk_units(points, "points", chunk)
-    results = run_units(context, units, workers, progress=progress)
-    evaluations: List[Any] = []
-    for result in results:
-        if result.error is not None:
-            stage, error_type, message = result.error
-            raise SolverError(
-                f"parallel evaluation failed in {stage} unit "
-                f"{result.name}: {error_type}: {message}")
-        evaluations.extend(result.value)
-    return evaluations
 
 
 def solve_fields(
@@ -428,7 +389,6 @@ def run_oftec_units(
     profiles: Mapping[str, Mapping[str, float]],
     method: str,
     workers: int,
-    jac: str = "analytic",
 ) -> Dict[str, Any]:
     """OFTEC per representative profile (LUT precompute), in parallel.
 
@@ -440,7 +400,6 @@ def run_oftec_units(
         oftec_profiles={label: dict(powers)
                         for label, powers in profiles.items()},
         method=method,
-        jac=jac,
         telemetry=_obs.STATE.enabled)
     units = [WorkUnit(index=index, kind="oftec", name=label)
              for index, label in enumerate(profiles)]
@@ -462,7 +421,6 @@ __all__ = [
     "WORKERS_ENV",
     "chunk_sizes",
     "default_chunk",
-    "evaluate_points",
     "resolve_workers",
     "run_campaign_units",
     "run_oftec_units",

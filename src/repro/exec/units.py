@@ -1,7 +1,7 @@
 """Work units: the picklable currency of the parallel scheduler.
 
 A :class:`WorkUnit` names one independent slice of a larger job — one
-campaign benchmark, one chunk of sweep points, one heat-map batch, one
+campaign benchmark, one heat-map batch of temperature fields, one
 LUT row — small enough to pickle cheaply (the heavy problem templates
 travel once per worker inside the :class:`WorkerContext`, not per
 unit).  A :class:`UnitResult` carries everything the coordinator needs
@@ -23,7 +23,7 @@ from ..errors import ConfigurationError
 from ..faults.plan import FaultPlan
 
 #: The unit kinds the worker shim knows how to execute.
-UNIT_KINDS = ("benchmark", "points", "fields", "oftec")
+UNIT_KINDS = ("benchmark", "fields", "oftec")
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class WorkUnit:
         name: Unit label — the benchmark/profile name for
             ``benchmark``/``oftec`` units, a chunk label otherwise.
         params: Kind-specific payload (e.g. the ``(omega, I)`` tuples
-            of a ``points`` or ``fields`` chunk).  Must stay picklable
+            of a ``fields`` chunk).  Must stay picklable
             and small; bulk shared inputs belong on the context.
     """
 
@@ -66,7 +66,7 @@ class UnitResult:
         name: Echo of :attr:`WorkUnit.name`.
         value: The unit's payload — a
             :class:`~repro.analysis.campaign.BenchmarkComparison`, a
-            list of evaluations, a list of temperature fields, or an
+            list of temperature fields, or an
             :class:`~repro.core.OFTECResult` — or None when the unit
             failed.
         failures: Structured post-mortems, in occurrence order
@@ -124,9 +124,6 @@ class WorkerContext:
     baseline_template: Optional[CoolingProblem] = None
     profiles: Optional[Dict[str, Any]] = None
     method: str = "slsqp"
-    #: Gradient mode threaded into every solver call a unit makes
-    #: (see :data:`repro.core.JAC_MODES`).
-    jac: str = "analytic"
     include_tec_only: bool = False
     resilient: bool = False
     policy: Optional[ResiliencePolicy] = None
@@ -134,8 +131,6 @@ class WorkerContext:
     #: via :meth:`~repro.faults.FaultPlan.derive`, so fault streams are
     #: independent of scheduling order and worker count.
     fault_plan: Optional[FaultPlan] = None
-    # -- points units -------------------------------------------------
-    point_problem: Optional[CoolingProblem] = None
     # -- fields units -------------------------------------------------
     field_model: Any = None
     field_power: Any = None

@@ -67,8 +67,8 @@ def in_worker() -> bool:
 
     This is the nested-fan-out guard: while it holds, implicit
     (environment-driven) worker resolution stays serial, so a unit
-    that internally calls :meth:`~repro.core.Evaluator.evaluate_many`
-    or another decomposed entry point can never spawn a pool inside a
+    that internally calls a decomposed entry point (a LUT precompute,
+    :func:`~repro.exec.solve_fields`) can never spawn a pool inside a
     worker process — or, through the serial executor, clobber the
     enclosing executor's state.  True for the lifetime of a worker
     process and for the duration of a serial-executor run.
@@ -209,8 +209,6 @@ def _execute(context: WorkerContext, unit: WorkUnit,
              result: UnitResult) -> None:
     if unit.kind == "benchmark":
         _execute_benchmark(context, unit, result)
-    elif unit.kind == "points":
-        _execute_points(context, unit, result)
     elif unit.kind == "fields":
         _execute_fields(context, unit, result)
     else:
@@ -272,7 +270,7 @@ def _execute_benchmark(context: WorkerContext, unit: WorkUnit,
             result.value = _run_benchmark(
                 name, tec_problem, base_problem, context.method,
                 context.include_tec_only, make, context.resilient,
-                context.policy, result.failures, jac=context.jac)
+                context.policy, result.failures)
     except _StageFailure as failure:
         result.failures.append(failure_report_from_exception(
             name, failure.stage, failure.error))
@@ -291,28 +289,6 @@ def _execute_benchmark(context: WorkerContext, unit: WorkUnit,
         result.fired = injector.fired_counts()
     _operator_deltas(result, befores,
                      tuple(op.stats for op in operators))
-
-
-def _execute_points(context: WorkerContext, unit: WorkUnit,
-                    result: UnitResult) -> None:
-    """One chunk of ``(omega, I)`` evaluations.
-
-    A fresh evaluator per chunk keeps the values independent of chunk
-    boundaries; the expensive state (the operator factor cache on the
-    shared problem model) persists across chunks within the worker.
-    """
-    if context.point_problem is None:
-        raise ConfigurationError(
-            "points units need point_problem on the worker context")
-    operator = context.point_problem.model.network.operator
-    before = operator.stats
-    evaluator = Evaluator(context.point_problem)
-    try:
-        with _obs.span("points", unit.name, count=len(unit.params)):
-            result.value = evaluator.evaluate_many(list(unit.params))
-    except ReproError as exc:
-        result.error = (unit.kind, type(exc).__name__, str(exc))
-    _operator_deltas(result, (before,), (operator.stats,))
 
 
 def _execute_fields(context: WorkerContext, unit: WorkUnit,
@@ -350,8 +326,7 @@ def _execute_oftec(context: WorkerContext, unit: WorkUnit,
     problem = context.oftec_template.with_profile(
         dict(context.oftec_profiles[unit.name]), name=unit.name)
     try:
-        result.value = run_oftec(problem, method=context.method,
-                                 jac=context.jac)
+        result.value = run_oftec(problem, method=context.method)
     except ReproError as exc:
         result.error = (unit.kind, type(exc).__name__, str(exc))
     _operator_deltas(result, (before,), (operator.stats,))

@@ -114,9 +114,8 @@ class FaultyEvaluator(Evaluator):
     extends to gradient-driven solver runs unchanged.
     """
 
-    def __init__(self, problem: CoolingProblem, injector: FaultInjector,
-                 cache_decimals: int = 9):
-        super().__init__(problem, cache_decimals=cache_decimals)
+    def __init__(self, problem: CoolingProblem, injector: FaultInjector):
+        super().__init__(problem)
         self.injector = injector
 
     def _solve(self, omega: float, current: float) -> Evaluation:
@@ -184,16 +183,3 @@ class FaultyNetwork:
             return self._network.solve(
                 overlay - self._row_sums(overlay), rhs)
         return self._network.solve(diag_overlay, rhs)
-
-    def solve_many(self, diag_overlay: np.ndarray,
-                   rhs_columns: np.ndarray) -> np.ndarray:
-        """Batched counterpart of :meth:`solve` on the same fault seam.
-
-        One firing decision covers the whole block — a batched solve is
-        one factorization, which is the unit the fault models.
-        """
-        if self._injector.should_fire(FaultKind.SINGULAR_NETWORK):
-            overlay = np.asarray(diag_overlay, dtype=float)
-            return self._network.solve_many(
-                overlay - self._row_sums(overlay), rhs_columns)
-        return self._network.solve_many(diag_overlay, rhs_columns)

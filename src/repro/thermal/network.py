@@ -227,7 +227,7 @@ class ThermalNetwork:
 
         One operator per finalized network: it owns the precomputed CSC
         structure, the diagonal index map, and the LRU of cached
-        factorizations.  All :meth:`solve`/:meth:`solve_many` calls route
+        factorizations.  All :meth:`solve` calls route
         through it, so factor reuse accumulates across every consumer of
         this network.
         """
@@ -262,18 +262,6 @@ class ThermalNetwork:
         """
         overlay, rhs_arr = self._checked_overlays(diag_overlay, rhs)
         return self.operator.solve(overlay, rhs_arr)
-
-    def solve_many(self, diag_overlay: np.ndarray,
-                   rhs_columns: np.ndarray) -> np.ndarray:
-        """Solve one matrix against an ``(n, k)`` block of RHS columns.
-
-        Factorizes (or reuses a cached factor) once and back-substitutes
-        every column; returns the ``(n, k)`` temperature block.  Same
-        failure semantics as :meth:`solve`.
-        """
-        if self._static is None:
-            raise ConfigurationError("Network not finalized")
-        return self.operator.solve_many(diag_overlay, rhs_columns)
 
     def _checked_overlays(self, diag_overlay: np.ndarray,
                           rhs: np.ndarray,

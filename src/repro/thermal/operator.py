@@ -66,8 +66,7 @@ class OperatorStats:
     """Counters of one :class:`ThermalOperator`'s lifetime.
 
     Attributes:
-        solves: Right-hand sides solved (a batched solve of ``k``
-            columns counts ``k``).
+        solves: Forward right-hand sides solved.
         factorizations: Sparse LU factorizations performed.
         cache_hits: Solves served from a cached factorization.
         cache_evictions: Factorizations dropped by the LRU cap.
@@ -421,34 +420,6 @@ class ThermalOperator:
         self._guard(temps, rhs_arr, overlay, factorization)
         if handles is not None:
             handles.solves.inc()
-            if sampled:
-                handles.solve_seconds.observe(monotonic() - started)
-        return temps
-
-    def solve_many(self, diag_overlay: np.ndarray,
-                   rhs_columns: np.ndarray) -> np.ndarray:
-        """Solve one matrix against an ``(n, k)`` block of RHS columns.
-
-        Factorizes (or reuses) once and back-substitutes every column —
-        the batched entry point for sweeps, lookup-table screens, and
-        multi-workload evaluations that share an operating point.
-        Returns an ``(n, k)`` block of temperature columns.
-        """
-        overlay = self._checked_overlay(diag_overlay)
-        block = np.asarray(rhs_columns, dtype=float)
-        if block.ndim != 2 or block.shape[0] != self._n:
-            raise ConfigurationError(
-                f"RHS block must have shape ({self._n}, k), got "
-                f"{block.shape}")
-        handles = self._instruments() if _obs.STATE.enabled else None
-        sampled = handles is not None and handles.sample_solve()
-        started = monotonic() if sampled else 0.0
-        factorization = self.factor(overlay)
-        temps = factorization.solve(block)
-        self._solves += block.shape[1]
-        self._guard(temps, block, overlay, factorization)
-        if handles is not None:
-            handles.solves.inc(block.shape[1])
             if sampled:
                 handles.solve_seconds.observe(monotonic() - started)
         return temps

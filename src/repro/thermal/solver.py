@@ -249,15 +249,10 @@ def solve_steady_state_batch(
 ) -> List[Union[SteadyStateResult, ThermalRunawayError]]:
     """Solve many ``(omega, I_TEC)`` points against one power map.
 
-    The multi-RHS entry point of the operator layer: without leakage the
-    system matrix depends only on ``(omega, I)``, so points sharing an
-    operating point are grouped and solved through one factorization
-    with their RHS columns batched (sweep grids, lookup-table screens,
-    per-workload heat maps).  With leakage each point runs the
-    relinearization loop sequentially — in input order, warm-chaining
-    through ``context`` exactly like repeated
-    :func:`solve_steady_state` calls — and still reuses cached
-    factorizations at repeated linearization points.
+    Each point is one :func:`solve_steady_state` call, in input order,
+    warm-chaining through ``context`` exactly like repeated calls;
+    repeated operating points reuse the operator's cached
+    factorizations.
 
     Args:
         model: Assembled package thermal model.
@@ -266,7 +261,7 @@ def solve_steady_state_batch(
             all points).
         leakage: Optional temperature-dependent chip leakage.
         sink_heats: Optional per-point sink heat, W (default 0).
-        context: Optional warm-start context for the leakage path.
+        context: Optional warm-start context.
 
     Returns:
         One entry per point, in order: the
@@ -282,78 +277,15 @@ def solve_steady_state_batch(
         if len(heats) != count:
             raise ConfigurationError(
                 f"sink_heats must have {count} entries, got {len(heats)}")
-
-    results: List[Union[SteadyStateResult, ThermalRunawayError]] = \
-        [None] * count  # type: ignore[list-item]
-
-    if leakage is not None:
-        for index, (omega, current) in enumerate(points):
-            try:
-                results[index] = solve_steady_state(
-                    model, omega, current, dynamic_cell_power,
-                    leakage=leakage, sink_heat=heats[index],
-                    context=context)
-            except ThermalRunawayError as err:
-                results[index] = err
-        return results
-
-    ncell = model.grid.cell_count
-    zeros = np.zeros(ncell, dtype=float)
-    # Group points by the exact bytes of their diagonal overlay: equal
-    # overlays share one factorization and back-substitute as one
-    # multi-RHS block.
-    groups: "dict[bytes, List[int]]" = {}
-    diags_by_key: "dict[bytes, np.ndarray]" = {}
-    rhs_list: List[np.ndarray] = []
-    for index, (omega, current) in enumerate(points):
-        diag, rhs = model.overlays(omega, current, dynamic_cell_power,
-                                   zeros, zeros,
-                                   sink_heat=heats[index])
-        key = diag.tobytes()
-        groups.setdefault(key, []).append(index)
-        if key not in diags_by_key:
-            diags_by_key[key] = diag.copy()
-        rhs_list.append(rhs.copy())
-    for key, members in groups.items():
-        diag = diags_by_key[key]
-        block = np.stack([rhs_list[i] for i in members], axis=1)
-        temps_block = _network_solve_many(
-            model, diag, block, points, members)
-        for column, index in enumerate(members):
-            omega, current = points[index]
-            temps = temps_block[:, column]
-            try:
-                _check_physical(model, temps, omega, current,
-                                iteration=1)
-            except ThermalRunawayError as err:
-                results[index] = err
-                continue
-            results[index] = _package_result(
-                model, temps, omega, current, leakage_power=0.0,
-                stats=SolveStats(1, 1, True, 0.0))
-    if context is not None:
-        for entry in reversed(results):
-            if isinstance(entry, SteadyStateResult):
-                context.warm_chip = entry.chip_temperatures
-                break
+    results: List[Union[SteadyStateResult, ThermalRunawayError]] = []
+    for (omega, current), heat in zip(points, heats):
+        try:
+            results.append(solve_steady_state(
+                model, omega, current, dynamic_cell_power,
+                leakage=leakage, sink_heat=heat, context=context))
+        except ThermalRunawayError as err:
+            results.append(err)
     return results
-
-
-def _network_solve_many(model: PackageThermalModel, diag: np.ndarray,
-                        rhs_block: np.ndarray,
-                        points: Sequence[Tuple[float,
-                                               Union[float, np.ndarray]]],
-                        members: Sequence[int]) -> np.ndarray:
-    """One batched network solve with operating-point error context."""
-    try:
-        return model.network.solve_many(diag, rhs_block)
-    except SingularNetworkError as exc:
-        omega, current = points[members[0]]
-        raise SingularNetworkError(
-            f"{exc} during batched steady-state solve at "
-            f"omega={omega:.1f}, I={_fmt_current(current)} "
-            f"({len(members)} grouped points)",
-            condition_estimate=exc.condition_estimate) from exc
 
 
 def _network_solve(model: PackageThermalModel, diag: np.ndarray,

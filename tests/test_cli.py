@@ -209,14 +209,6 @@ class TestStreamingFlags:
         assert code == 0
         assert "campaign: 2/2" in captured.err
 
-    def test_sweep_progress(self, capsys):
-        code = main(["sweep", "--benchmark", "basicmath",
-                     "--resolution", "4", "--omega-points", "3",
-                     "--current-points", "3", "--progress"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "sweep:" in captured.err
-
 
 class TestTraceAnalytics:
     def record_trace(self, tmp_path):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import build_cooling_problem
 from repro.core import Evaluator
 from repro.errors import ConfigurationError
 
@@ -126,21 +125,11 @@ class TestEvaluateMany:
             assert ours.total_power == theirs.total_power
         assert batched.solve_count == sequential.solve_count
 
-    @pytest.fixture()
-    def leakage_free_problem(self, profiles):
-        problem = build_cooling_problem(profiles["basicmath"],
-                                        grid_resolution=4)
-        # Disabling leakage removes the relinearization loop, making
-        # evaluations batchable through the multi-RHS operator path.
-        problem.leakage = None
-        return problem
-
-    def test_batched_path_bitwise_matches_sequential(
-            self, leakage_free_problem):
+    def test_batched_path_bitwise_matches_sequential(self, tec_problem):
         points = [(200.0, 1.0), (200.0, 1.0), (250.0, 0.5),
                   (200.0, 0.5)]
-        batched = Evaluator(leakage_free_problem)
-        sequential = Evaluator(leakage_free_problem)
+        batched = Evaluator(tec_problem)
+        sequential = Evaluator(tec_problem)
         many = batched.evaluate_many(points)
         singles = [sequential.evaluate(o, i) for o, i in points]
         for ours, theirs in zip(many, singles):
@@ -150,8 +139,8 @@ class TestEvaluateMany:
             assert (ours.steady.temperatures
                     == theirs.steady.temperatures).all()
 
-    def test_batched_path_accounting(self, leakage_free_problem):
-        evaluator = Evaluator(leakage_free_problem)
+    def test_batched_path_accounting(self, tec_problem):
+        evaluator = Evaluator(tec_problem)
         points = [(200.0, 1.0), (200.0, 1.0), (250.0, 0.5)]
         evaluator.evaluate_many(points)
         # Two distinct operating points: one solve each, and the
@@ -166,8 +155,8 @@ class TestEvaluateMany:
         assert evaluator.solve_count == 2
         assert evaluator.cache_info().hits == 4
 
-    def test_budgeted_evaluator_falls_back(self, leakage_free_problem):
-        evaluator = Evaluator(leakage_free_problem)
+    def test_budgeted_evaluator_falls_back(self, tec_problem):
+        evaluator = Evaluator(tec_problem)
         evaluator.set_solve_budget(1)
         from repro.errors import EvaluationBudgetError
         with pytest.raises(EvaluationBudgetError):

@@ -17,8 +17,8 @@ from repro.exec import (
     WorkUnit,
     WorkerContext,
     default_chunk,
-    evaluate_points,
     resolve_workers,
+    solve_fields,
 )
 from repro.exec import scheduler as exec_scheduler
 from repro.exec import workers as exec_workers
@@ -42,13 +42,22 @@ def canonical_digest(campaign):
 
 
 @pytest.fixture(scope="module")
-def leakage_free_problem(profiles):
-    problem = build_cooling_problem(profiles["basicmath"],
-                                    grid_resolution=4)
-    # Disabling leakage removes the relinearization loop, making
-    # evaluations batchable — the precondition for the points fan-out.
-    problem.leakage = None
-    return problem
+def field_problem(profiles):
+    return build_cooling_problem(profiles["basicmath"],
+                                 grid_resolution=4)
+
+
+def field_context(problem, **extra):
+    """A worker context for ``fields`` units on ``problem``."""
+    return WorkerContext(field_model=problem.model,
+                         field_power=problem.dynamic_cell_power,
+                         field_leakage=problem.leakage, **extra)
+
+
+def assert_same_fields(ours, theirs):
+    assert len(ours) == len(theirs)
+    for mine, other in zip(ours, theirs):
+        assert (mine == other).all()
 
 
 class TestResolveWorkers:
@@ -137,40 +146,14 @@ class TestOperatorPickle:
 
 
 class TestPointsFanOut:
-    POINTS = [(200.0, 0.5), (220.0, 1.0), (240.0, 1.5),
-              (260.0, 2.0), (280.0, 2.5)]
+    """``(omega, I)`` grids: sweeps stay in-process, field batches fan
+    out, and neither depends on the worker count."""
 
-    def test_evaluate_points_matches_in_process(
-            self, leakage_free_problem):
-        serial = Evaluator(leakage_free_problem).evaluate_many(
-            self.POINTS)
-        fanned = evaluate_points(leakage_free_problem,
-                                 self.POINTS, 2, chunk=2)
-        assert len(fanned) == len(serial)
-        for ours, theirs in zip(fanned, serial):
-            assert ours.max_chip_temperature \
-                == theirs.max_chip_temperature
-            assert ours.total_power == theirs.total_power
-            assert ours.feasible == theirs.feasible
-
-    def test_wired_through_evaluate_many(self, leakage_free_problem):
-        local = Evaluator(leakage_free_problem)
-        fanned = local.evaluate_many(self.POINTS, workers=2)
-        serial = Evaluator(leakage_free_problem).evaluate_many(
-            self.POINTS)
-        for ours, theirs in zip(fanned, serial):
-            assert ours.max_chip_temperature \
-                == theirs.max_chip_temperature
-        # The fan-out is pure: the local instance solved nothing.
-        assert local.solve_count == 0
-
-    def test_sweep_parity(self, leakage_free_problem):
+    def test_sweep_parity(self, field_problem):
         serial = sweep_objective_surfaces(
-            leakage_free_problem, omega_points=4, current_points=3,
-            workers=0)
+            field_problem, omega_points=4, current_points=3, workers=0)
         fanned = sweep_objective_surfaces(
-            leakage_free_problem, omega_points=4, current_points=3,
-            workers=2)
+            field_problem, omega_points=4, current_points=3, workers=2)
         assert (serial.temperature == fanned.temperature).all()
         assert (serial.power == fanned.power).all()
         assert (serial.feasible == fanned.feasible).all()
@@ -190,46 +173,42 @@ class TestPointsFanOut:
 
 
 class TestPoolFallback:
-    def test_falls_back_to_in_process(self, monkeypatch,
-                                      leakage_free_problem):
+    POINTS = [(200.0, 0.5), (240.0, 1.5), (280.0, 2.5)]
+
+    def test_falls_back_to_in_process(self, monkeypatch, field_problem):
         """Workers that cannot be spawned open the supervisor's circuit
         breaker; the units still run, in-process."""
         def failing_start(self):
             raise OSError("no processes for you")
 
+        args = (field_problem.model, self.POINTS,
+                field_problem.dynamic_cell_power, field_problem.leakage)
+        serial = solve_fields(*args, 0)
         monkeypatch.setattr(multiprocessing.process.BaseProcess,
                             "start", failing_start)
-        points = [(200.0, 0.5), (240.0, 1.5), (280.0, 2.5)]
-        fanned = evaluate_points(leakage_free_problem, points, 2,
-                                 chunk=1)
-        serial = Evaluator(leakage_free_problem).evaluate_many(points)
-        for ours, theirs in zip(fanned, serial):
-            assert ours.max_chip_temperature \
-                == theirs.max_chip_temperature
+        fanned = solve_fields(*args, 2, chunk=1)
+        assert_same_fields(fanned, serial)
 
     def test_unpicklable_context_falls_back(self, monkeypatch,
-                                            leakage_free_problem):
+                                            field_problem):
         """A context that cannot pickle must degrade to the serial
         executor (with the original object), not raise — env-driven
         fan-out engages on previously-working serial call sites."""
         def exploding_start(self):
             raise AssertionError("no worker process may start")
 
+        serial = solve_fields(field_problem.model, self.POINTS,
+                              field_problem.dynamic_cell_power,
+                              field_problem.leakage, 0)
         monkeypatch.setattr(multiprocessing.process.BaseProcess,
                             "start", exploding_start)
-        context = WorkerContext(point_problem=leakage_free_problem,
-                                policy=lambda: None)
+        context = field_context(field_problem, policy=lambda: None)
         with pytest.raises(Exception):
             pickle.dumps(context)
-        points = [(200.0, 0.5), (240.0, 1.5), (280.0, 2.5)]
-        units = exec_scheduler._chunk_units(points, "points", 2)
+        units = exec_scheduler._chunk_units(self.POINTS, "fields", 2)
         results = exec_scheduler.run_units(context, units, 2)
-        fanned = [evaluation for result in results
-                  for evaluation in result.value]
-        serial = Evaluator(leakage_free_problem).evaluate_many(points)
-        for ours, theirs in zip(fanned, serial):
-            assert ours.max_chip_temperature \
-                == theirs.max_chip_temperature
+        fanned = [field for result in results for field in result.value]
+        assert_same_fields(fanned, serial)
 
 
 class TestSingleRuntime:
@@ -242,27 +221,21 @@ class TestSingleRuntime:
         plan = FaultPlan(seed=3, specs=(FaultSpec(
             kind=FaultKind.WORKER_KILL, rate=1.0,
             max_fires=max_fires),))
-        return WorkerContext(point_problem=problem, fault_plan=plan)
+        return field_context(problem, fault_plan=plan)
 
-    def test_killed_workers_retry_bit_identically(
-            self, leakage_free_problem):
-        context = self._kill_context(leakage_free_problem, 1)
-        units = exec_scheduler._chunk_units(self.POINTS, "points", 2)
+    def test_killed_workers_retry_bit_identically(self, field_problem):
+        context = self._kill_context(field_problem, 1)
+        units = exec_scheduler._chunk_units(self.POINTS, "fields", 2)
         fanned = exec_scheduler.run_units(context, units, 2)
         serial = exec_scheduler.run_units(context, units, 0)
         assert [result.name for result in fanned] \
             == [unit.name for unit in units]
         for ours, theirs in zip(fanned, serial):
-            assert len(ours.value) == len(theirs.value)
-            for mine, other in zip(ours.value, theirs.value):
-                assert mine.max_chip_temperature \
-                    == other.max_chip_temperature
-                assert mine.total_power == other.total_power
+            assert_same_fields(ours.value, theirs.value)
 
-    def test_always_dying_unit_raises_worker_crash(
-            self, leakage_free_problem):
-        context = self._kill_context(leakage_free_problem, None)
-        units = exec_scheduler._chunk_units(self.POINTS, "points", 2)
+    def test_always_dying_unit_raises_worker_crash(self, field_problem):
+        context = self._kill_context(field_problem, None)
+        units = exec_scheduler._chunk_units(self.POINTS, "fields", 2)
         with pytest.raises(WorkerCrashError) as excinfo:
             exec_scheduler.run_units(context, units, 2)
         assert sorted(excinfo.value.units) == [
@@ -275,35 +248,31 @@ class TestNestedFanOut:
     """The worker-side guard: units that internally reach decomposed
     entry points must stay serial instead of re-entering the engine."""
 
-    def test_serial_executor_is_reentrant(self, leakage_free_problem):
+    def test_serial_executor_is_reentrant(self, field_problem):
         """A nested run_units must restore the enclosing runtime, not
         wipe it to None."""
         outer = WorkerContext()
         previous = exec_workers.install_runtime(outer)
         try:
-            context = WorkerContext(
-                point_problem=leakage_free_problem)
             units = exec_scheduler._chunk_units(
-                [(200.0, 0.5), (240.0, 1.5)], "points", 1)
-            results = exec_scheduler.run_units(context, units, 1)
+                [(200.0, 0.5), (240.0, 1.5)], "fields", 1)
+            results = exec_scheduler.run_units(
+                field_context(field_problem), units, 1)
             assert all(result.ok for result in results)
             assert exec_workers._RUNTIME is not None
             assert exec_workers._RUNTIME.context is outer
         finally:
             exec_workers.restore_runtime(previous)
 
-    def test_env_workers_sweep_parity(self, monkeypatch,
-                                      leakage_free_problem):
-        """REPRO_WORKERS=1 + sweep: the worker-side evaluate_many used
-        to re-enter the engine and clobber the runtime (deterministic
-        SolverError); it must stay serial and match workers=0."""
+    def test_env_workers_sweep_parity(self, monkeypatch, field_problem):
+        """REPRO_WORKERS=1 leaves a sweep in-process and identical to
+        workers=0."""
         monkeypatch.delenv(WORKERS_ENV, raising=False)
         serial = sweep_objective_surfaces(
-            leakage_free_problem, omega_points=4, current_points=3,
-            workers=0)
+            field_problem, omega_points=4, current_points=3, workers=0)
         monkeypatch.setenv(WORKERS_ENV, "1")
         fanned = sweep_objective_surfaces(
-            leakage_free_problem, omega_points=4, current_points=3)
+            field_problem, omega_points=4, current_points=3)
         assert (serial.temperature == fanned.temperature).all()
         assert (serial.power == fanned.power).all()
         assert (serial.feasible == fanned.feasible).all()

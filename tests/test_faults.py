@@ -203,30 +203,6 @@ class TestFaultyNetwork:
         np.testing.assert_allclose(actual, expected)
         assert faulty.node_count == network.node_count
 
-    def test_solve_many_faults_the_whole_block(self, tec_problem):
-        network = tec_problem.model.network
-        injector = FaultInjector(
-            single_fault_plan(FaultKind.SINGULAR_NETWORK))
-        faulty = FaultyNetwork(network, injector)
-        n = network.node_count
-        block = np.stack([np.ones(n), 2.0 * np.ones(n)], axis=1)
-        with pytest.raises(SingularNetworkError) as excinfo:
-            faulty.solve_many(np.zeros(n), block)
-        assert excinfo.value.condition_estimate is not None
-        # One firing decision per batched solve (one factorization).
-        assert injector.call_counts()["singular-network"] == 1
-
-    def test_solve_many_delegates_when_not_firing(self, tec_problem):
-        network = tec_problem.model.network
-        injector = FaultInjector(
-            single_fault_plan(FaultKind.SINGULAR_NETWORK, rate=0.0))
-        faulty = FaultyNetwork(network, injector)
-        n = network.node_count
-        block = np.stack([np.ones(n), 2.0 * np.ones(n)], axis=1)
-        expected = network.solve_many(np.zeros(n), block)
-        actual = faulty.solve_many(np.zeros(n), block)
-        assert (actual == expected).all()
-
 
 class TestChaosCampaign:
     @pytest.fixture(scope="class")

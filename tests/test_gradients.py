@@ -19,9 +19,7 @@ import numpy as np
 import pytest
 
 from repro import build_cooling_problem, mibench_profiles
-from repro.core import Evaluator, minimize_power
-from repro.core.solvers import JAC_MODES
-from repro.errors import ConfigurationError
+from repro.core import Evaluator
 from repro.faults import FaultPlan
 from repro.faults.inject import FaultInjector, FaultyEvaluator
 from repro.thermal import PackageModelConfig
@@ -220,9 +218,3 @@ class TestFallbackAndCounters:
         evaluator.set_solve_budget(1)
         evaluation = evaluator.evaluate_with_grad(215.0, 1.2)
         assert evaluation.gradient.mode == "adjoint"
-
-    def test_jac_mode_validated(self, tec_problem):
-        with pytest.raises(ConfigurationError):
-            minimize_power(Evaluator(tec_problem), x0=(200.0, 1.0),
-                           jac="newton")
-        assert set(JAC_MODES) == {"analytic", "fd"}

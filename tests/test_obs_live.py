@@ -504,8 +504,6 @@ class TestBenchGate:
                 "canonical_digest": "ab" * 32,
                 "parallel": {"workers_2": {"per_worker": [
                     {"units": 1}, {"units": 1}]}}},
-            "BENCH_7.json": {
-                "totals": {"solve_reduction": 10.0}},
         }
         docs.update(overrides)
         for name, doc in docs.items():
@@ -554,7 +552,7 @@ class TestBenchGate:
         assert "SKIP  BENCH_4 streaming" in out
 
     def test_missing_artifact_skips_unless_required(self, tmp_path):
-        self.seed_artifacts(tmp_path, **{"BENCH_7.json": None})
+        self.seed_artifacts(tmp_path, **{"BENCH_5.json": None})
         assert self.run_gate(["--dir", str(tmp_path)]) == 0
         assert self.run_gate(["--dir", str(tmp_path),
                               "--require-all"]) == 1

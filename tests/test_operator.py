@@ -76,8 +76,6 @@ class TestStructure:
             operator.solve(np.zeros(n - 1), np.ones(n))
         with pytest.raises(ConfigurationError):
             operator.solve(np.zeros(n), np.ones(n - 1))
-        with pytest.raises(ConfigurationError):
-            operator.solve_many(np.zeros(n), np.ones(n))  # not (n, k)
 
     def test_zero_static_diagonal_gets_a_slot(self):
         # An antisymmetric-coupling matrix with an empty diagonal: the
@@ -105,15 +103,6 @@ class TestBitIdentity:
             assert (ours == theirs).all(), \
                 f"{workload} at omega={omega}, I={current}"
 
-    def test_solve_many_columns_match_single_solves(self, tec_problem):
-        network = tec_problem.model.network
-        overlay, rhs = model_overlays(tec_problem, *POINTS[0])
-        block = np.stack([rhs, 2.0 * rhs, rhs + 1.0], axis=1)
-        batched = network.solve_many(overlay, block)
-        for column in range(block.shape[1]):
-            single = network.solve(overlay, block[:, column])
-            assert (batched[:, column] == single).all()
-
     def test_repeated_solve_reuses_factor_bitwise(self, tec_problem):
         operator = fresh_operator(tec_problem.model.network)
         overlay, rhs = model_overlays(tec_problem, *POINTS[1])
@@ -134,13 +123,6 @@ class TestFactorCache:
         assert stats == OperatorStats(solves=2, factorizations=1,
                                       cache_hits=1, cache_evictions=0)
         assert stats.reuse_ratio == 0.5
-
-    def test_batched_solves_count_columns(self, tec_problem):
-        operator = fresh_operator(tec_problem.model.network)
-        overlay, rhs = model_overlays(tec_problem, *POINTS[0])
-        operator.solve_many(overlay, np.stack([rhs, rhs], axis=1))
-        assert operator.stats.solves == 2
-        assert operator.stats.factorizations == 1
 
     def test_lru_capacity_evicts_oldest(self, tec_problem):
         operator = fresh_operator(tec_problem.model.network,

@@ -114,3 +114,9 @@ class TestValidation:
             CoolingProblem("x", tec_problem.model, tec_problem.leakage,
                            tec_problem.fan, np.zeros(grid.cell_count),
                            fan_heat_fraction=1.5)
+
+    def test_missing_leakage_model_rejected(self, tec_problem, grid):
+        from repro.core import CoolingProblem
+        with pytest.raises(ConfigurationError, match="leakage model"):
+            CoolingProblem("x", tec_problem.model, None, tec_problem.fan,
+                           np.zeros(grid.cell_count))

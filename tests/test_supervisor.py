@@ -582,7 +582,7 @@ class TestSupervisedProgress:
             return result
 
         monkeypatch.setattr(exec_workers, "run_unit", crashing_unit)
-        units = [WorkUnit(index=0, kind="points", name="chunk-0")]
+        units = [WorkUnit(index=0, kind="fields", name="chunk-0")]
         recorder = self.Recorder()
         outcome = exec_supervisor.run_units_supervised(
             WorkerContext(), units, 1, monitor=recorder)
@@ -596,10 +596,12 @@ class TestSupervisedProgress:
         from repro.exec.scheduler import _chunk_units
         tec, _base = small_problems
         units = _chunk_units([(200.0, 0.5), (240.0, 1.0),
-                              (260.0, 1.5)], "points", 1)
+                              (260.0, 1.5)], "fields", 1)
+        context = WorkerContext(field_model=tec.model,
+                                field_power=tec.dynamic_cell_power,
+                                field_leakage=tec.leakage)
         recorder = self.Recorder()
-        results = run_units(WorkerContext(point_problem=tec), units, 2,
-                            progress=recorder)
+        results = run_units(context, units, 2, progress=recorder)
         assert all(result.ok for result in results)
         kinds = [event[0] for event in recorder.events]
         assert kinds.count("begin") == 1
