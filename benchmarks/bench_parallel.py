@@ -1,12 +1,13 @@
 """Parallel execution engine: serial vs 2 supervised worker processes.
 
 Not a paper figure — this bench guards the ``repro.exec`` engine with
-two arms of the Table 2 campaign (TEC-only included): the serial loop
-and a ``workers=2`` fan-out over benchmark units on the supervisor's
-managed workers.  The parallel arm must reproduce the serial canonical
-digest bit for bit and execute every benchmark unit exactly once.  The
-speedup is recorded, not asserted: it depends on the host's core
-count, which the artifact records under ``machine``.
+two arms of the Table 2 campaign (TEC-only included): the supervisor's
+in-process serial path (``workers=0``) and a ``workers=2`` fan-out
+over the same benchmark units on the supervisor's managed workers.
+The parallel arm must reproduce the serial canonical digest bit for
+bit and execute every benchmark unit exactly once.  The speedup is
+recorded, not asserted: it depends on the host's core count, which
+the artifact records under ``machine``.
 """
 
 import hashlib

@@ -28,7 +28,6 @@ from ..core import (
     OptimizationOutcome,
     ResiliencePolicy,
     ResilientSolver,
-    failure_report_from_exception,
     minimize_temperature,
     run_fixed_fan_baseline,
     run_oftec,
@@ -81,7 +80,7 @@ class CampaignResult:
         failures: Structured post-mortems of benchmarks (or stages)
             that failed; such benchmarks are omitted from
             ``comparisons`` but do not sink the campaign.
-        quarantined: Supervised runs only — units that exhausted their
+        quarantined: Units whose worker processes exhausted their
             retry budget (:class:`repro.exec.QuarantinedUnit` entries,
             with per-attempt post-mortems).  The campaign *completes*
             around them; the JSON carries them in a ``quarantined``
@@ -93,11 +92,10 @@ class CampaignResult:
     wall_seconds: float = 0.0
     failures: List[FailureReport] = field(default_factory=list)
     quarantined: List[object] = field(default_factory=list)
-    #: Per-worker cache-locality statistics of a parallel run (see
-    #: :func:`repro.exec.worker_statistics`); empty for serial runs.
-    #: Never serialized — result JSON stays identical across worker
-    #: counts.  Decomposed runs add a ``"supervision"`` block
-    #: (retries, replacements, circuit state).
+    #: Per-worker and per-unit cache-locality statistics (see
+    #: :func:`repro.exec.worker_statistics`) plus a ``"supervision"``
+    #: block (retries, replacements, circuit state).  Never
+    #: serialized — result JSON stays identical across worker counts.
     worker_stats: Dict[str, object] = field(default_factory=dict)
 
     def __getitem__(self, name: str) -> BenchmarkComparison:
@@ -314,9 +312,6 @@ def run_campaign(
     baseline_problem_template: CoolingProblem,
     method: str = "slsqp",
     include_tec_only: bool = False,
-    isolate_failures: bool = True,
-    evaluator_factory: Optional[Callable[[CoolingProblem],
-                                         Evaluator]] = None,
     resilient: bool = False,
     policy: Optional[ResiliencePolicy] = None,
     workers: Optional[int] = None,
@@ -327,6 +322,15 @@ def run_campaign(
 ) -> CampaignResult:
     """Run the three-method comparison over a set of benchmark profiles.
 
+    The campaign is one unit per benchmark in one run of the parallel
+    engine (``repro.exec``).  Units merge in submission order and each
+    runs the same per-benchmark pipeline (same stages, same fresh
+    evaluators, same failure-report ordering), so the result — and its
+    JSON — is bit-identical at every worker count.  Every benchmark or
+    stage failure is contained as a :class:`~repro.core.FailureReport`
+    on the result; template misconfigurations raise, since they would
+    fail every benchmark identically.
+
     Args:
         profiles: Benchmark name -> power profile.
         tec_problem_template: A TEC-equipped problem carrying a coverage
@@ -334,55 +338,33 @@ def run_campaign(
         baseline_problem_template: The matching no-TEC problem.
         method: Solver backend for all optimizations.
         include_tec_only: Also sweep the fan-less TEC-only system.
-        isolate_failures: Contain each benchmark/stage failure as a
-            :class:`~repro.core.FailureReport` on the campaign result
-            instead of letting it abort the run.  Template
-            misconfigurations always raise — they would fail every
-            benchmark identically.
-        evaluator_factory: Override how per-problem evaluators are
-            built (the fault-injection hook; defaults to
-            :class:`~repro.core.Evaluator`).
         resilient: Route the OFTEC stages through the
             :class:`~repro.core.ResilientSolver` fallback ladder.
         policy: Resilience policy for ``resilient=True`` (default: the
             ladder led by ``method``).
-        workers: Worker-process count for the parallel engine
-            (``repro.exec``): None defers to ``REPRO_WORKERS`` (then
-            serial), 0 forces the classic serial loop, 1 runs the
-            decomposed units in-process, N > 1 shards them across N
-            supervised worker processes (a unit that exhausts its
-            retries is listed under ``quarantined``).  Parallel
-            output is bit-identical to serial.  Incompatible with
-            ``evaluator_factory`` (a live factory cannot cross process
-            boundaries; chaos runs use
-            :func:`repro.faults.run_chaos_campaign`'s own parallel
-            path).  Error surfacing differs from serial in one way:
-            exception objects do not cross the process boundary, so
-            where the serial loop re-raises the original exception
-            (with its traceback), the parallel path raises
-            :class:`~repro.errors.SolverError` for library failures.
+        workers: Worker-process count.  None, 0 and 1 run the units
+            on the supervisor's in-process serial path; N > 1 shards
+            them across N supervised worker processes (a unit that
+            exhausts its retries is listed under ``quarantined``).
             An exception outside the library contract raises
             :class:`~repro.errors.WorkerCrashError` (every entry as
             ``"Type: message"`` text, unit labels and attempt counts
-            on ``.units``); under ``supervision`` or a journal the
-            unit is retried, then quarantined.
-        supervision: A :class:`repro.exec.SupervisionPolicy` routing
-            the benchmarks through the supervised executor: worker
-            death/hangs become retries, poison units quarantine, and
-            the campaign completes instead of raising.  Forces the
-            decomposed path (``workers`` floors at 1).
+            on ``.units``).
+        supervision: A :class:`repro.exec.SupervisionPolicy` replacing
+            the stock policy: worker death/hangs become retries,
+            poison units quarantine, and the campaign completes
+            instead of raising.
         journal_path: Write an append-only crash-consistent journal of
             completed units to this path (fresh file; see
-            :mod:`repro.exec.journal`).  Implies supervision.
+            :mod:`repro.exec.journal`).
         resume_from: Resume from an existing journal: completed units
             are loaded and skipped, new completions are appended to
             the same file, and the merged result — its canonical JSON
             in particular — is bit-identical to an uninterrupted run.
             Mutually exclusive with ``journal_path``.
         progress: A :class:`repro.obs.ProgressBoard` (or anything with
-            its hook methods) fed the benchmark lifecycle — serial
-            and supervised paths alike — plus live metric snapshots
-            from worker processes.
+            its hook methods) fed the benchmark lifecycle plus live
+            metric snapshots from worker processes.
     """
     if not tec_problem_template.has_tec:
         raise ConfigurationError(
@@ -397,95 +379,13 @@ def run_campaign(
         raise ConfigurationError(
             "journal_path (fresh journal) and resume_from (continue "
             "one) are mutually exclusive")
-    supervised = supervision is not None or journal_path is not None \
-        or resume_from is not None
-    worker_count = 0
-    if evaluator_factory is None:
-        from ..exec import resolve_workers
-        worker_count = resolve_workers(workers)
-    elif workers:
-        raise ConfigurationError(
-            "workers cannot be combined with evaluator_factory (the "
-            "factory closure cannot cross a process boundary)")
-    elif supervised:
-        raise ConfigurationError(
-            "supervision/journal/resume cannot be combined with "
-            "evaluator_factory (the factory closure cannot cross a "
-            "process boundary)")
-    if supervised and worker_count < 1:
-        # Journaling and resume need the decomposed per-unit path;
-        # one in-process worker preserves serial bit-identity.
-        worker_count = 1
-    if worker_count >= 1:
-        return _run_campaign_parallel(
-            profiles, tec_problem_template, baseline_problem_template,
-            method, include_tec_only, isolate_failures, resilient,
-            policy, worker_count, supervision, journal_path,
-            resume_from, progress=progress)
-    make = evaluator_factory or Evaluator
-    watch = stopwatch("campaign.wall_seconds")
-    if progress is not None:
-        progress.begin(len(profiles))
-    with watch, _obs.span("campaign", benchmarks=len(profiles)):
-        result = CampaignResult(
-            t_max=tec_problem_template.limits.t_max)
-        for name, profile in profiles.items():
-            tec_problem = tec_problem_template.with_profile(profile,
-                                                            name=name)
-            base_problem = baseline_problem_template.with_profile(
-                profile, name=name)
-            if progress is not None:
-                progress.unit_running(name)
-            bench_watch = stopwatch("campaign.benchmark_seconds")
-            try:
-                with _obs.span("benchmark", name), bench_watch:
-                    comparison = _run_benchmark(
-                        name, tec_problem, base_problem, method,
-                        include_tec_only, make, resilient, policy,
-                        result.failures)
-            except _StageFailure as failure:
-                if progress is not None:
-                    progress.unit_done(name, bench_watch.elapsed,
-                                       ok=False)
-                if not isolate_failures:
-                    raise failure.error
-                result.failures.append(failure_report_from_exception(
-                    name, failure.stage, failure.error))
-                continue
-            if progress is not None:
-                progress.unit_done(name, bench_watch.elapsed)
-            result.comparisons.append(comparison)
-    result.wall_seconds = watch.elapsed
-    return result
-
-
-def _run_campaign_parallel(
-    profiles: Mapping[str, BenchmarkProfile],
-    tec_problem_template: CoolingProblem,
-    baseline_problem_template: CoolingProblem,
-    method: str,
-    include_tec_only: bool,
-    isolate_failures: bool,
-    resilient: bool,
-    policy: Optional[ResiliencePolicy],
-    workers: int,
-    supervision: Optional[object] = None,
-    journal_path: Optional[str] = None,
-    resume_from: Optional[str] = None,
-    progress: Optional[object] = None,
-) -> CampaignResult:
-    """The decomposed campaign path: one unit per benchmark.
-
-    Merging happens in submission order and each unit reproduces the
-    serial per-benchmark pipeline exactly (same stages, same fresh
-    evaluators, same failure-report ordering), so the returned result
-    — and its JSON — is bit-identical to the serial loop's.
-    """
     from ..exec import (
         JournalWriter,
+        resolve_workers,
         run_campaign_units,
         unit_fingerprint,
     )
+    worker_count = resolve_workers(workers)
     journal = None
     completed = None
     if journal_path is not None or resume_from is not None:
@@ -501,16 +401,16 @@ def _run_campaign_parallel(
     watch = stopwatch("campaign.wall_seconds")
     try:
         with watch, _obs.span("campaign", benchmarks=len(profiles),
-                              workers=workers):
+                              workers=worker_count):
             merge = run_campaign_units(
                 profiles, tec_problem_template,
                 baseline_problem_template,
                 method=method, include_tec_only=include_tec_only,
                 resilient=resilient, policy=policy, fault_plan=None,
-                workers=workers, supervision=supervision,
+                workers=worker_count, supervision=supervision,
                 journal=journal, completed=completed, progress=progress)
             if merge.unhandled:
-                # A non-library exception in a worker is a bug, not a
+                # A non-library exception in a unit is a bug, not a
                 # result; surface every entry instead of a silent hole
                 # in the comparisons.
                 detail = "; ".join(
@@ -523,10 +423,6 @@ def _run_campaign_parallel(
                     reports=merge.unhandled,
                     units=[(name, attempts)
                            for name, attempts, _ in merge.crashed])
-            if merge.errors and not isolate_failures:
-                name, stage, error_type, message = merge.errors[0]
-                raise SolverError(
-                    f"{name} [{stage}] {error_type}: {message}")
             result = CampaignResult(
                 comparisons=merge.comparisons,
                 t_max=tec_problem_template.limits.t_max,

@@ -76,7 +76,6 @@ def temperature_fields(
     points: Sequence[Tuple[float, float]],
     dynamic_cell_power: np.ndarray,
     leakage: Optional[CellLeakageModel] = None,
-    workers: Optional[int] = None,
 ) -> List[Optional[np.ndarray]]:
     """Chip-temperature fields at many ``(omega, current)`` points.
 
@@ -85,16 +84,7 @@ def temperature_fields(
     repeated operating points reuse the operator's cached factorization.
     Entries are per-cell chip temperatures in K, or ``None`` where the
     point ran away.
-
-    ``workers`` fans point chunks across worker processes via
-    ``repro.exec`` (None defers to ``REPRO_WORKERS``; 0 stays
-    in-process); fields are identical across worker counts.
     """
-    from ..exec import resolve_workers, solve_fields
-    worker_count = resolve_workers(workers)
-    if worker_count >= 1 and len(points) > 1:
-        return solve_fields(model, points, dynamic_cell_power,
-                            leakage, worker_count)
     outcomes = solve_steady_state_batch(
         model, points, dynamic_cell_power, leakage=leakage)
     return [outcome.chip_temperatures

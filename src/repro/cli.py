@@ -96,7 +96,7 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="worker processes for the parallel engine (default: "
-             "REPRO_WORKERS or serial; 0 forces serial; output is "
+             "in-process; 0 and 1 run in-process; output is "
              "bit-identical across worker counts)")
 
 
@@ -284,10 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated fault kinds (default: "
                             "all evaluator-level kinds; process-level "
                             "kinds like worker-kill must be named "
-                            "explicitly and need --workers >= 1)")
+                            "explicitly and need --workers >= 2)")
     chaos.add_argument("--max-fires", type=int, default=None,
                        metavar="N",
-                       help="cap fires per fault kind (default: none)")
+                       help="cap fires per fault kind in each benchmark "
+                            "(default: none)")
     chaos.add_argument("--benchmarks", type=int, default=0, metavar="N",
                        help="limit to the first N benchmarks (0 = all)")
     chaos.add_argument("--no-resilient", action="store_true",

@@ -153,7 +153,8 @@ class Evaluator:
     Successive optimizer queries move little in ``(omega, I)``; reusing
     the previous chip temperatures as the leakage linearization point cuts
     the relinearization loop to 1-2 iterations, and a result cache absorbs
-    the repeated evaluations finite-difference gradients make.
+    the repeated queries an SQP iteration makes at one point (objective,
+    constraint and their adjoint gradients share one solve).
     """
 
     def __init__(self, problem: CoolingProblem,

@@ -74,30 +74,14 @@ class LookupTableController:
     def precompute(self, problem_template: CoolingProblem,
                    profiles: Mapping[str, Mapping[str, float]],
                    method: str = "slsqp",
-                   workers: Optional[int] = None,
                    ) -> Dict[str, OFTECResult]:
         """Run OFTEC offline for every representative profile.
 
         ``problem_template`` must carry a coverage so
         :meth:`CoolingProblem.with_profile` can retarget it.  Returns the
         full per-profile OFTEC results for inspection.
-
-        ``workers`` shards the rows across worker processes via
-        ``repro.exec`` (None defers to ``REPRO_WORKERS``; 0 stays
-        in-process).  Table order and stored entries are identical
-        across worker counts.
         """
         results: Dict[str, OFTECResult] = {}
-        from ..exec import resolve_workers, run_oftec_units
-        worker_count = resolve_workers(workers)
-        if worker_count >= 1 and len(profiles) > 1:
-            results = run_oftec_units(problem_template, profiles,
-                                      method, worker_count)
-            for label, unit_power in profiles.items():
-                result = results[label]
-                self.add_entry(label, unit_power, result.omega_star,
-                               result.current_star, result.feasible)
-            return results
         for label, unit_power in profiles.items():
             problem = problem_template.with_profile(dict(unit_power),
                                                     name=label)

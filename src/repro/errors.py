@@ -105,9 +105,7 @@ class WorkerCrashError(ReproError):
     Stage failures (a :class:`SolverError` during a unit, say) are
     *results* — packaged into failure reports and merged.  An
     exception that instead escapes to the worker's chaos boundary is
-    a resilience bug in the library itself, and a unit the supervisor
-    quarantines on a point/field/LUT fan-out (its worker kept dying or
-    hanging) has no result at all.  Either way the coordinator raises
+    a resilience bug in the library itself, so the campaign raises
     this error carrying every report so none is silently dropped, plus
     the work-unit labels and attempt counts so a post-mortem names the
     unit that died without replaying the job.

@@ -1,14 +1,13 @@
-"""Parallel execution engine: work units under one supervisor.
+"""Parallel execution engine: campaign units under one supervisor.
 
-Campaigns, chaos campaigns, heat-map batches, and LUT builds are all
-embarrassingly parallel; this package
-decomposes them into picklable :class:`WorkUnit`\\ s (one per
-benchmark for campaigns) and runs them in one supervisor run: on its
-in-process serial path, or on its managed worker processes
-(heartbeats, deadlines, bit-identical retries, quarantine).  Both
-merge deterministically (submission order) — parallel campaigns
-produce bit-identical JSON to serial ones — and per-unit telemetry
-re-parents worker spans under the coordinating trace.
+The Table 2 campaign is embarrassingly parallel; this package
+decomposes it into picklable :class:`WorkUnit`\\ s (one per benchmark)
+and runs them in one supervisor run: on its in-process serial path, or
+on its managed worker processes (heartbeats, deadlines, bit-identical
+retries, quarantine).  Both merge deterministically (submission
+order) — campaigns produce bit-identical JSON at every worker count —
+and per-unit telemetry re-parents worker spans under the coordinating
+trace.
 
 See docs/PARALLELISM.md for the two paths, the worker model, and the
 determinism contract.
@@ -24,23 +23,16 @@ from .journal import (
 from .scheduler import (
     CampaignMerge,
     START_METHOD_ENV,
-    WORKERS_ENV,
-    chunk_sizes,
-    default_chunk,
     resolve_workers,
     run_campaign_units,
-    run_oftec_units,
-    run_units,
-    solve_fields,
     worker_statistics,
 )
 from .supervisor import (
     QuarantinedUnit,
     SupervisedOutcome,
     SupervisionPolicy,
-    run_units_supervised,
 )
-from .units import UNIT_KINDS, UnitResult, WorkUnit, WorkerContext
+from .units import UnitResult, WorkUnit, WorkerContext
 from .workers import initialize, run_unit
 
 __all__ = [
@@ -52,21 +44,14 @@ __all__ = [
     "START_METHOD_ENV",
     "SupervisedOutcome",
     "SupervisionPolicy",
-    "UNIT_KINDS",
     "UnitResult",
-    "WORKERS_ENV",
     "WorkUnit",
     "WorkerContext",
-    "chunk_sizes",
-    "default_chunk",
     "initialize",
     "read_journal",
     "resolve_workers",
     "run_campaign_units",
-    "run_oftec_units",
     "run_unit",
-    "run_units",
-    "solve_fields",
     "unit_fingerprint",
     "worker_statistics",
 ]

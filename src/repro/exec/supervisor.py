@@ -1,11 +1,10 @@
 """Supervised execution: heartbeats, deadlines, retries, quarantine.
 
-The one runtime behind :func:`repro.exec.run_units` and
-:func:`repro.exec.run_campaign_units`: every call is one
-:class:`_Supervisor` run.  A fan-out runs on directly managed
-``multiprocessing`` workers the coordinator can observe and kill, so a
-hung SLSQP solve or an OOM-killed worker costs one retried unit
-instead of the whole run; everything else runs through the same
+The one runtime behind :func:`repro.exec.run_campaign_units`: every
+call is one :class:`_Supervisor` run.  A fan-out runs on directly
+managed ``multiprocessing`` workers the coordinator can observe and
+kill, so a hung SLSQP solve or an OOM-killed worker costs one retried
+unit instead of the whole run; everything else runs through the same
 supervisor's in-process serial path:
 
 * **Heartbeats.**  Each worker runs a daemon thread bumping a shared
@@ -18,15 +17,14 @@ supervisor's in-process serial path:
   :class:`~repro.obs.Deadline`; a worker that holds a unit past it is
   killed and replaced.  Wall-clock (``time.time``) never participates,
   so NTP steps and suspend/resume cannot fire or starve a watchdog.
-* **Retries.**  A failed attempt (crash, deadline, silence, unhandled
-  exception) is re-queued with exponential backoff plus deterministic
-  jitter.  Every unit execution re-derives its fault/RNG streams from
-  its own label (see :meth:`repro.faults.FaultPlan.derive`), so a
-  retried unit computes bit-identical physics to an undisturbed run.
-  A plain campaign fan-out (no explicit policy or journal) does not
-  retry an unhandled exception: the same streams would raise it
-  again, so the result comes back with its ``unhandled`` lines for
-  the caller to report, exactly as the serial path returns it.
+* **Retries.**  A failed attempt (crash, deadline, silence) is
+  re-queued with exponential backoff plus deterministic jitter.  Every
+  unit execution re-derives its fault/RNG streams from its own label
+  (see :meth:`repro.faults.FaultPlan.derive`), so a retried unit
+  computes bit-identical physics to an undisturbed run.  An unhandled
+  exception is not retried — the same streams would raise it again —
+  so the result comes back with its ``unhandled`` lines for the
+  caller to report, exactly as the serial path returns it.
 * **Quarantine.**  A unit that fails ``max_attempts`` times is
   quarantined with its per-attempt post-mortems; the campaign
   *completes* with a structured ``quarantined`` section instead of
@@ -41,9 +39,10 @@ supervisor's in-process serial path:
 
 Process-level chaos (``worker-kill`` / ``worker-hang`` /
 ``worker-slow`` in a :class:`~repro.faults.FaultPlan`) is injected
-*here*, by the supervised worker loop itself — the serial path
-ignores those kinds, because an in-process ``os._exit`` would take the
-whole campaign with it.
+*here*, by the supervised worker loop itself.  The serial path never
+fires those kinds, because an in-process ``os._exit`` would take the
+whole campaign with it; :func:`repro.faults.run_chaos_campaign`
+therefore refuses a process-level plan below two workers.
 """
 
 from __future__ import annotations
@@ -186,7 +185,7 @@ class QuarantinedUnit:
 
     Attributes:
         index: Submission index of the unit.
-        name: Unit label (benchmark name / chunk id).
+        name: Unit label (the benchmark name).
         attempts: Attempts consumed (== policy ``max_attempts``).
         errors: One ``"reason"`` line per failed attempt, in order.
     """
@@ -299,9 +298,9 @@ def _supervised_main(slot: int, payload: bytes, task_queue: Any,
         except Exception as exc:  # physlint: disable=RPR201
             # Broad by contract: run_unit already packages library
             # errors, so anything landing here is outside the library
-            # contract.  The supervisor treats it as a failed attempt
-            # (retry, then quarantine) — raising would kill the worker
-            # and cost a respawn for an error we can report precisely.
+            # contract.  It goes home as an unhandled line — raising
+            # would kill the worker and cost a respawn for an error we
+            # can report precisely.
             result = UnitResult(index=unit.index, name=unit.name)
             result.unhandled.append(f"{type(exc).__name__}: {exc}")
         result_queue.put((slot, unit.index, attempt, result))
@@ -369,15 +368,13 @@ class _Supervisor:
                  policy: SupervisionPolicy,
                  journal: Optional[JournalWriter],
                  completed: Optional[Mapping[int, UnitResult]],
-                 monitor: Optional[Any] = None,
-                 retry_unhandled: bool = True) -> None:
+                 monitor: Optional[Any] = None) -> None:
         self.context = context
         self.units = list(units)
         self.workers = max(int(workers), 1)
         self.policy = policy
         self.journal = journal
         self.monitor = monitor
-        self.retry_unhandled = retry_unhandled
         self.outcome = SupervisedOutcome(
             results=[None] * len(self.units))
         self._by_index = {unit.index: unit for unit in self.units}
@@ -412,8 +409,8 @@ class _Supervisor:
             # Broad by necessity: unpicklability surfaces as whatever
             # __reduce__ raises.  An unpicklable context cannot cross
             # a process boundary, but the serial path still runs the
-            # original object — setting REPRO_WORKERS must never turn
-            # a working serial call into a crash.
+            # original object — asking for workers must never turn a
+            # working serial call into a crash.
             _obs.event("exec.pool_fallback", error=type(exc).__name__)
         if payload is None or self.workers < 2 or _workers.in_worker():
             self._run_serial_remaining(payload)
@@ -601,12 +598,7 @@ class _Supervisor:
                     or self.outcome.results[position] is not None \
                     or index in self._quarantined_ids:
                 continue  # stale duplicate from a replaced worker
-            if result.unhandled and self.retry_unhandled:
-                for line in result.unhandled:
-                    self._attempt_failed(index, attempt,
-                                         f"unhandled: {line}")
-            else:
-                self._complete(result)
+            self._complete(result)
 
     def _sweep(self, handles: Sequence[_WorkerHandle], mp_context: Any,
                payload: bytes, heartbeats: Any,
@@ -770,42 +762,10 @@ class _Supervisor:
         self._pending = []
 
 
-def run_units_supervised(
-    context: WorkerContext,
-    units: Sequence[WorkUnit],
-    workers: int,
-    policy: Optional[SupervisionPolicy] = None,
-    journal: Optional[JournalWriter] = None,
-    completed: Optional[Mapping[int, UnitResult]] = None,
-    monitor: Optional[Any] = None,
-) -> SupervisedOutcome:
-    """Run units under supervision; never raises for worker death.
-
-    The runtime behind :func:`repro.exec.run_units`: submission-order
-    merge and bit-identical results at any worker count, with worker
-    crashes, hangs, and slowdowns absorbed by retries and — past
-    ``policy.max_attempts`` — quarantine.  ``journal`` durably records
-    every completed unit; ``completed`` (from
-    :func:`repro.exec.read_journal`) pre-seeds results so a resumed
-    campaign skips finished work.  ``workers < 2`` runs the in-process
-    serial path with journaling (nothing to supervise in-process).
-
-    ``monitor`` (a :class:`~repro.obs.ProgressBoard`, or anything with
-    its hook methods) receives the unit lifecycle — including
-    supervision-only states (``unit_retrying``, ``unit_quarantined``)
-    — plus ``live_metrics`` snapshots streamed mid-run from workers.
-    """
-    supervisor = _Supervisor(context, units, workers,
-                             policy or SupervisionPolicy(),
-                             journal, completed, monitor=monitor)
-    return supervisor.run()
-
-
 __all__ = [
     "KILL_EXIT_CODE",
     "QuarantinedUnit",
     "SLOW_FAULT_DELAY_S",
     "SupervisedOutcome",
     "SupervisionPolicy",
-    "run_units_supervised",
 ]

@@ -1,12 +1,11 @@
 """Work units: the picklable currency of the parallel scheduler.
 
-A :class:`WorkUnit` names one independent slice of a larger job — one
-campaign benchmark, one heat-map batch of temperature fields, one
-LUT row — small enough to pickle cheaply (the heavy problem templates
-travel once per worker inside the :class:`WorkerContext`, not per
-unit).  A :class:`UnitResult` carries everything the coordinator needs
-to merge deterministically: the payload value, structured failures,
-fault fires, per-unit telemetry exports, and worker identity/cache
+A :class:`WorkUnit` names one campaign benchmark — small enough to
+pickle cheaply (the heavy problem templates travel once per worker
+inside the :class:`WorkerContext`, not per unit).  A
+:class:`UnitResult` carries everything the coordinator needs to merge
+deterministically: the payload value, structured failures, fault
+fires, per-unit telemetry exports, and worker identity/cache
 statistics.
 
 Both ends of the pipe are plain data on purpose: no live evaluators,
@@ -22,36 +21,22 @@ from ..core import CoolingProblem, FailureReport, ResiliencePolicy
 from ..errors import ConfigurationError
 from ..faults.plan import FaultPlan
 
-#: The unit kinds the worker shim knows how to execute.
-UNIT_KINDS = ("benchmark", "fields", "oftec")
-
-
 @dataclass(frozen=True)
 class WorkUnit:
-    """One independent slice of a decomposed job.
+    """One benchmark of a decomposed campaign.
 
     Attributes:
         index: Submission position; the merge key (results are always
             combined in ascending index order, which is what makes
             parallel output bit-identical to serial).
-        kind: One of :data:`UNIT_KINDS`.
-        name: Unit label — the benchmark/profile name for
-            ``benchmark``/``oftec`` units, a chunk label otherwise.
-        params: Kind-specific payload (e.g. the ``(omega, I)`` tuples
-            of a ``fields`` chunk).  Must stay picklable
-            and small; bulk shared inputs belong on the context.
+        name: The benchmark name, a key of
+            :attr:`WorkerContext.profiles`.
     """
 
     index: int
-    kind: str
     name: str
-    params: Tuple = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in UNIT_KINDS:
-            raise ConfigurationError(
-                f"unknown work-unit kind {self.kind!r}; expected one "
-                f"of {UNIT_KINDS}")
         if self.index < 0:
             raise ConfigurationError(
                 f"unit index must be >= 0, got {self.index}")
@@ -64,11 +49,9 @@ class UnitResult:
     Attributes:
         index: Echo of :attr:`WorkUnit.index` (the merge key).
         name: Echo of :attr:`WorkUnit.name`.
-        value: The unit's payload — a
-            :class:`~repro.analysis.campaign.BenchmarkComparison`, a
-            list of temperature fields, or an
-            :class:`~repro.core.OFTECResult` — or None when the unit
-            failed.
+        value: The unit's
+            :class:`~repro.analysis.campaign.BenchmarkComparison`, or
+            None when the unit failed.
         failures: Structured post-mortems, in occurrence order
             (identical to what the serial path would have appended).
         error: ``(stage, error_type, message)`` when a pipeline stage
@@ -114,12 +97,8 @@ class WorkerContext:
     initializer, so per-unit submissions stay tiny and each worker's
     lazily built evaluators/operators (the splu factor cache, the LRU
     evaluation cache) stay hot across all units it executes.
-
-    Only the fields relevant to the job's unit kinds need to be set;
-    the rest default to None.
     """
 
-    # -- benchmark units ----------------------------------------------
     tec_template: Optional[CoolingProblem] = None
     baseline_template: Optional[CoolingProblem] = None
     profiles: Optional[Dict[str, Any]] = None
@@ -131,21 +110,12 @@ class WorkerContext:
     #: via :meth:`~repro.faults.FaultPlan.derive`, so fault streams are
     #: independent of scheduling order and worker count.
     fault_plan: Optional[FaultPlan] = None
-    # -- fields units -------------------------------------------------
-    field_model: Any = None
-    field_power: Any = None
-    field_leakage: Any = None
-    # -- oftec units --------------------------------------------------
-    oftec_template: Optional[CoolingProblem] = None
-    oftec_profiles: Optional[Dict[str, Any]] = None
-    # -- telemetry ----------------------------------------------------
     #: When True, each unit runs under its own worker-side
     #: telemetry session and ships spans + a metrics snapshot home.
     telemetry: bool = False
 
 
 __all__ = [
-    "UNIT_KINDS",
     "UnitResult",
     "WorkUnit",
     "WorkerContext",

@@ -14,7 +14,7 @@ serial path calls :func:`install_runtime`/:func:`run_unit` in the
 coordinating process (leaving its telemetry state alone), which is
 also what makes the shim trivially testable.
 
-Failure discipline mirrors the serial campaign exactly: library errors
+Failure discipline: library errors
 (:class:`~repro.errors.ReproError`) become structured
 :class:`~repro.core.FailureReport` entries plus a picklable
 ``(stage, type, message)`` tag — original exception objects never
@@ -33,18 +33,12 @@ import threading
 from typing import Callable, Optional
 
 from ..analysis.campaign import _run_benchmark, _StageFailure
-from ..core import (
-    CoolingProblem,
-    Evaluator,
-    failure_report_from_exception,
-    run_oftec,
-)
-from ..errors import ConfigurationError, ReproError
+from ..core import CoolingProblem, Evaluator, failure_report_from_exception
+from ..errors import ConfigurationError
 from ..faults.inject import FaultInjector, FaultyEvaluator
 from ..obs import runtime as _obs
 from ..obs.clock import monotonic, stopwatch
 from ..obs.export import span_to_dict
-from ..thermal import SteadyStateResult, solve_steady_state_batch
 from .units import UnitResult, WorkUnit, WorkerContext
 
 
@@ -65,13 +59,12 @@ _RUNTIME: Optional[_WorkerRuntime] = None
 def in_worker() -> bool:
     """True while a worker context is installed.
 
-    This is the nested-fan-out guard: while it holds, implicit
-    (environment-driven) worker resolution stays serial, so a unit
-    that internally calls a decomposed entry point (a LUT precompute,
-    :func:`~repro.exec.solve_fields`) can never spawn a pool inside a
-    worker process — or, through the serial executor, clobber the
-    enclosing executor's state.  True for the lifetime of a worker
-    process and for the duration of a serial-executor run.
+    This is the nested-fan-out guard: while it holds, worker
+    resolution stays serial, so a unit body that reaches a campaign
+    entry point can never spawn workers inside a worker process — or,
+    through the serial path, clobber the enclosing run's state.  True
+    for the lifetime of a worker process and for the duration of a
+    serial-path run.
     """
     return _RUNTIME is not None
 
@@ -193,26 +186,16 @@ def run_unit(unit: WorkUnit) -> UnitResult:
     start = monotonic()
     if context.telemetry:
         with _obs.telemetry_session() as (tracer, metrics):
-            _execute(context, unit, result)
+            _execute_benchmark(context, unit, result)
             result.spans = [span_to_dict(span)
                             for span in tracer.finished]
             result.metrics = metrics.snapshot()
     else:
-        _execute(context, unit, result)
+        _execute_benchmark(context, unit, result)
     result.wall_seconds = monotonic() - start
     result.stats["pid"] = os.getpid()
     result.stats["wall_seconds"] = result.wall_seconds
     return result
-
-
-def _execute(context: WorkerContext, unit: WorkUnit,
-             result: UnitResult) -> None:
-    if unit.kind == "benchmark":
-        _execute_benchmark(context, unit, result)
-    elif unit.kind == "fields":
-        _execute_fields(context, unit, result)
-    else:
-        _execute_oftec(context, unit, result)
 
 
 def _operator_deltas(result: UnitResult, befores, afters) -> None:
@@ -233,11 +216,10 @@ def _execute_benchmark(context: WorkerContext, unit: WorkUnit,
                        result: UnitResult) -> None:
     """One campaign benchmark: all methods, both objectives.
 
-    Identical staging to the serial loop in
-    :func:`repro.analysis.run_campaign` — same
-    :func:`~repro.analysis.campaign._run_benchmark` body, same span
-    nesting, same failure-report ordering — which is what the
-    bit-identity contract rests on.
+    The same :func:`~repro.analysis.campaign._run_benchmark` body, span
+    nesting and failure-report ordering on the serial path and in
+    every worker process — which is what the bit-identity contract
+    rests on.
     """
     name = unit.name
     if context.tec_template is None or context.profiles is None:
@@ -289,47 +271,6 @@ def _execute_benchmark(context: WorkerContext, unit: WorkUnit,
         result.fired = injector.fired_counts()
     _operator_deltas(result, befores,
                      tuple(op.stats for op in operators))
-
-
-def _execute_fields(context: WorkerContext, unit: WorkUnit,
-                    result: UnitResult) -> None:
-    """One chunk of temperature-field solves (heat-map batches)."""
-    if context.field_model is None:
-        raise ConfigurationError(
-            "fields units need field_model/field_power on the worker "
-            "context")
-    operator = context.field_model.network.operator
-    before = operator.stats
-    try:
-        with _obs.span("fields", unit.name, count=len(unit.params)):
-            outcomes = solve_steady_state_batch(
-                context.field_model, list(unit.params),
-                context.field_power, leakage=context.field_leakage)
-        result.value = [
-            outcome.chip_temperatures
-            if isinstance(outcome, SteadyStateResult) else None
-            for outcome in outcomes]
-    except ReproError as exc:
-        result.error = (unit.kind, type(exc).__name__, str(exc))
-    _operator_deltas(result, (before,), (operator.stats,))
-
-
-def _execute_oftec(context: WorkerContext, unit: WorkUnit,
-                   result: UnitResult) -> None:
-    """One LUT row: a full OFTEC run on one representative profile."""
-    if context.oftec_template is None or context.oftec_profiles is None:
-        raise ConfigurationError(
-            "oftec units need oftec_template/oftec_profiles on the "
-            "worker context")
-    operator = context.oftec_template.model.network.operator
-    before = operator.stats
-    problem = context.oftec_template.with_profile(
-        dict(context.oftec_profiles[unit.name]), name=unit.name)
-    try:
-        result.value = run_oftec(problem, method=context.method)
-    except ReproError as exc:
-        result.error = (unit.kind, type(exc).__name__, str(exc))
-    _operator_deltas(result, (before,), (operator.stats,))
 
 
 __all__ = ["LIVE_METRICS_PERIOD_S", "initialize", "run_unit",

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
-from ..analysis.campaign import CampaignResult, run_campaign
+from ..analysis.campaign import CampaignResult
 from ..core import CoolingProblem
+from ..errors import ConfigurationError
 from ..obs import runtime as _obs
 from ..obs.clock import stopwatch
 from ..power import BenchmarkProfile
-from .inject import FaultInjector, FaultyEvaluator
 from .plan import FaultPlan, full_fault_plan
 
 
@@ -67,6 +67,15 @@ def run_chaos_campaign(
 ) -> ChaosReport:
     """Run the benchmark campaign with fault injection turned on.
 
+    The plan travels to the units on the worker context; every
+    benchmark unit builds a :class:`FaultyEvaluator` around its own
+    injector, seeded by :meth:`~repro.faults.FaultPlan.derive`, so its
+    fault stream depends only on the plan and the benchmark name and
+    the report is identical at every worker count.  Fault events land
+    on that unit's spans (adopted under the coordinating ``unit``
+    span).  Fires are summed across units into
+    :attr:`ChaosReport.fired`, including process-level fires.
+
     Args:
         profiles: Benchmark name -> power profile.
         tec_problem_template: TEC-equipped problem template.
@@ -74,119 +83,65 @@ def run_chaos_campaign(
         plan: Fault plan (default: every evaluator-level kind at the
             default rate).  Process-level kinds (``worker-kill`` /
             ``worker-hang`` / ``worker-slow``) fire only in supervised
-            worker processes and are inert on serial runs (an
-            in-process ``os._exit`` would kill the coordinator
-            itself).
+            worker processes, so a plan carrying them needs
+            ``workers >= 2`` (an in-process ``os._exit`` would kill
+            the coordinator itself).
         method: Leading solver backend.
         resilient: Route OFTEC stages through the fallback ladder
             (False stresses the campaign-level isolation alone).
-        workers: Worker-process count (None defers to
-            ``REPRO_WORKERS``, 0 = serial).  Parallel chaos gives each
-            benchmark unit its own injector seeded by
-            :meth:`~repro.faults.FaultPlan.derive`, so its fault
-            sequence is deterministic for a given plan *and worker
-            count regime* but intentionally differs from the serial
-            single-stream sequence (one shared injector cannot be
-            split across processes).  Parallel runs execute on
-            supervised worker processes: a unit whose attempts keep
-            dying or raising outside the library contract is retried,
-            then quarantined, so the report carries a partial campaign
-            plus its ``quarantined`` section.
+        workers: Worker-process count (None, 0 and 1 run in-process).
+            A unit whose worker keeps dying is retried, then
+            quarantined, so the report carries a partial campaign plus
+            its ``quarantined`` section.
         supervision: A :class:`repro.exec.SupervisionPolicy` for the
-            supervised executor (the stock policy when None).  With
-            process-level kinds in the plan, it also engages on a
-            single worker.
+            supervised executor (the stock policy when None).
         progress: A :class:`repro.obs.ProgressBoard` (or anything with
             its hook methods) fed the benchmark lifecycle.
+
+    Raises:
+        ConfigurationError: The plan carries process-level kinds and
+            fewer than two workers were asked for — they would fire
+            nothing and the report would pass vacuously.
     """
     plan = plan if plan is not None else full_fault_plan()
-    from ..exec import resolve_workers
+    from ..exec import resolve_workers, run_campaign_units
     worker_count = resolve_workers(workers)
-    if supervision is None and plan.process_kinds and \
-            worker_count >= 1:
-        from ..exec import SupervisionPolicy
-        supervision = SupervisionPolicy()
-    if worker_count >= 1:
-        return _run_chaos_parallel(
-            profiles, tec_problem_template, baseline_problem_template,
-            plan, method, resilient, worker_count, supervision,
-            progress=progress)
-    injector = FaultInjector(plan)
+    if plan.process_kinds:
+        if worker_count < 2:
+            raise ConfigurationError(
+                "process-level fault kinds ("
+                + ", ".join(kind.value for kind in plan.process_kinds)
+                + ") fire only in worker processes; run with "
+                "workers >= 2")
+        if supervision is None:
+            # An explicit policy makes even a single unit run in a
+            # worker process, where the process faults can fire.
+            from ..exec import SupervisionPolicy
+            supervision = SupervisionPolicy()
     report = ChaosReport(plan=plan)
     watch = stopwatch("chaos.wall_seconds")
-    with watch, _obs.span("chaos", seed=plan.seed):
-        try:
-            report.campaign = run_campaign(
-                profiles, tec_problem_template,
-                baseline_problem_template,
-                method=method, isolate_failures=True,
-                resilient=resilient,
-                evaluator_factory=lambda p: FaultyEvaluator(p,
-                                                            injector),
-                progress=progress)
-        except Exception as exc:  # physlint: disable=RPR201
-            # The chaos boundary is the whole point of the harness: a
-            # narrower catch would let exactly the surprising
-            # exception classes under test escape.  Anything reaching
-            # this handler is a resilience bug, recorded as such.
-            report.unhandled.append(f"{type(exc).__name__}: {exc}")
-            _obs.event("chaos.unhandled", error=type(exc).__name__)
-    report.fired = injector.fired_counts()
-    _record_fired_gauges(report)
-    report.wall_seconds = watch.elapsed
-    return report
-
-
-def _record_fired_gauges(report: ChaosReport) -> None:
-    if _obs.STATE.enabled:
-        for kind, count in report.fired.items():
-            _obs.STATE.metrics.gauge(f"chaos.fired.{kind}").set(count)
-
-
-def _run_chaos_parallel(
-    profiles: Mapping[str, BenchmarkProfile],
-    tec_problem_template: CoolingProblem,
-    baseline_problem_template: CoolingProblem,
-    plan: FaultPlan,
-    method: str,
-    resilient: bool,
-    workers: int,
-    supervision: Optional[object] = None,
-    progress: Optional[object] = None,
-) -> ChaosReport:
-    """Chaos campaign over the parallel engine.
-
-    The fault plan travels to the workers on the context; every
-    benchmark unit builds a :class:`FaultyEvaluator` around its own
-    derived injector, and fault events land on that unit's worker
-    spans (adopted under the coordinating ``unit`` span).  Fires are
-    summed across units into :attr:`ChaosReport.fired` — including
-    process-level fires when the supervised executor is engaged.
-    """
-    from ..exec import run_campaign_units
-    report = ChaosReport(plan=plan)
-    watch = stopwatch("chaos.wall_seconds")
-    with watch, _obs.span("chaos", seed=plan.seed, workers=workers):
+    with watch, _obs.span("chaos", seed=plan.seed, workers=worker_count):
         merge = run_campaign_units(
             profiles, tec_problem_template, baseline_problem_template,
             method=method, include_tec_only=False,
             resilient=resilient, policy=None, fault_plan=plan,
-            workers=workers, supervision=supervision,
+            workers=worker_count, supervision=supervision,
             progress=progress)
         report.unhandled.extend(merge.unhandled)
         for text in merge.unhandled:
             _obs.event("chaos.unhandled",
                        error=text.split(":", 1)[0])
         report.fired = merge.fired
-        campaign = CampaignResult(
+        report.campaign = CampaignResult(
             comparisons=merge.comparisons,
             t_max=tec_problem_template.limits.t_max,
             failures=merge.failures,
             quarantined=list(merge.quarantined),
             worker_stats=merge.worker_stats)
-        report.campaign = campaign
     report.campaign.wall_seconds = watch.elapsed
-    _record_fired_gauges(report)
+    if _obs.STATE.enabled:
+        for kind, count in report.fired.items():
+            _obs.STATE.metrics.gauge(f"chaos.fired.{kind}").set(count)
     report.wall_seconds = watch.elapsed
     return report
 

@@ -80,7 +80,8 @@ class FaultSpec:
         rate: Bernoulli firing probability per eligible call, in [0, 1].
         start_call: Number of initial calls that are immune (lets a
             pipeline warm up before the chaos starts).
-        max_fires: Cap on total fires (None = unlimited).
+        max_fires: Cap on total fires per injector (None = unlimited);
+            a chaos campaign runs one injector per benchmark.
     """
 
     kind: FaultKind
@@ -145,7 +146,7 @@ class FaultPlan:
     def derive(self, label: str) -> "FaultPlan":
         """A sub-plan with the same specs and a label-derived seed.
 
-        Parallel chaos gives each work-unit its own injector; deriving
+        Chaos gives each benchmark unit its own injector; deriving
         the unit's seed from ``(seed, label)`` keeps every unit's fault
         stream independent of scheduling order and worker count — the
         same plan and label always yield the same stream, no matter

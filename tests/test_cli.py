@@ -166,6 +166,12 @@ class TestChaosCommand:
         assert code == 5
         assert "unknown fault kind" in capsys.readouterr().err
 
+    def test_process_faults_below_two_workers_map_to_5(self, capsys):
+        code = main(["chaos", "--resolution", "4", "--benchmarks", "1",
+                     "--faults", "worker-kill", "--workers", "1"])
+        assert code == 5
+        assert "workers >= 2" in capsys.readouterr().err
+
     def test_json_export(self, tmp_path, capsys):
         path = tmp_path / "chaos.json"
         code = main(["chaos", "--resolution", "4", "--benchmarks", "1",

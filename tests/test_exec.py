@@ -9,18 +9,17 @@ import pytest
 
 from repro import build_cooling_problem
 from repro.analysis import run_campaign, sweep_objective_surfaces
-from repro.analysis.heatmap import temperature_fields
+from repro.analysis.campaign import CampaignResult
 from repro.core import Evaluator
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.exec import (
-    WORKERS_ENV,
+    SupervisionPolicy,
     WorkUnit,
     WorkerContext,
-    default_chunk,
     resolve_workers,
-    solve_fields,
+    run_campaign_units,
 )
-from repro.exec import scheduler as exec_scheduler
+from repro.exec import supervisor as exec_supervisor
 from repro.exec import workers as exec_workers
 from repro.faults import (
     FaultKind,
@@ -47,47 +46,49 @@ def field_problem(profiles):
                                  grid_resolution=4)
 
 
-def field_context(problem, **extra):
-    """A worker context for ``fields`` units on ``problem``."""
-    return WorkerContext(field_model=problem.model,
-                         field_power=problem.dynamic_cell_power,
-                         field_leakage=problem.leakage, **extra)
+@pytest.fixture(scope="module")
+def unit_problems(profiles):
+    """Res-4 templates for benchmark units."""
+    tec = build_cooling_problem(profiles["basicmath"],
+                                grid_resolution=4)
+    base = build_cooling_problem(profiles["basicmath"], with_tec=False,
+                                 grid_resolution=4)
+    return tec, base
 
 
-def assert_same_fields(ours, theirs):
-    assert len(ours) == len(theirs)
-    for mine, other in zip(ours, theirs):
-        assert (mine == other).all()
+@pytest.fixture(scope="module")
+def two_profiles(profiles):
+    return dict(list(profiles.items())[:2])
+
+
+def campaign_units(problems, profiles, workers, **extra):
+    """One run_campaign_units call with the campaign defaults."""
+    tec, base = problems
+    options = dict(method="slsqp", include_tec_only=False,
+                   resilient=False, policy=None, fault_plan=None)
+    options.update(extra)
+    return run_campaign_units(profiles, tec, base, workers=workers,
+                              **options)
+
+
+def comparisons_digest(problems, comparisons):
+    """Canonical digest of a list of benchmark comparisons."""
+    return canonical_digest(CampaignResult(
+        comparisons=list(comparisons),
+        t_max=problems[0].limits.t_max))
 
 
 class TestResolveWorkers:
-    def test_default_is_in_process(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+    def test_default_is_in_process(self):
         assert resolve_workers(None) == 0
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        assert resolve_workers(None) == 3
-
-    def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        assert resolve_workers(0) == 0
-        assert resolve_workers(2) == 2
 
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):
             resolve_workers(-1)
 
-    def test_junk_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "many")
-        with pytest.raises(ConfigurationError):
-            resolve_workers(None)
-
-    def test_inside_worker_always_serial(self, monkeypatch):
-        """Workers inherit REPRO_WORKERS from the coordinator's env;
-        honoring it there would nest pools, so resolution inside an
-        installed worker context must always be 0."""
-        monkeypatch.setenv(WORKERS_ENV, "3")
+    def test_inside_worker_always_serial(self):
+        """Resolution inside an installed worker context is always 0,
+        so a unit body never nests pools."""
         previous = exec_workers.install_runtime(WorkerContext())
         try:
             assert exec_workers.in_worker()
@@ -96,22 +97,13 @@ class TestResolveWorkers:
         finally:
             exec_workers.restore_runtime(previous)
         assert not exec_workers.in_worker()
-        assert resolve_workers(None) == 3
+        assert resolve_workers(3) == 3
 
 
 class TestWorkUnit:
-    def test_kind_validated(self):
-        with pytest.raises(ConfigurationError):
-            WorkUnit(index=0, kind="nonsense", name="x")
-
     def test_index_validated(self):
         with pytest.raises(ConfigurationError):
-            WorkUnit(index=-1, kind="benchmark", name="x")
-
-    def test_default_chunk_positive(self):
-        assert default_chunk(1, 4) == 1
-        assert default_chunk(100, 4) >= 1
-        assert default_chunk(100, 1) >= 1
+            WorkUnit(index=-1, name="x")
 
 
 class TestFaultPlanDerive:
@@ -146,8 +138,8 @@ class TestOperatorPickle:
 
 
 class TestPointsFanOut:
-    """``(omega, I)`` grids: sweeps stay in-process, field batches fan
-    out, and neither depends on the worker count."""
+    """``(omega, I)`` sweeps stay in-process whatever the worker
+    count."""
 
     def test_sweep_parity(self, field_problem):
         serial = sweep_objective_surfaces(
@@ -158,124 +150,88 @@ class TestPointsFanOut:
         assert (serial.power == fanned.power).all()
         assert (serial.feasible == fanned.feasible).all()
 
-    def test_fields_parity(self, tec_problem):
-        points = [(200.0, 0.0), (200.0, 1.0), (260.0, 1.0),
-                  (260.0, 2.0)]
-        serial = temperature_fields(
-            tec_problem.model, points, tec_problem.dynamic_cell_power,
-            leakage=None, workers=0)
-        fanned = temperature_fields(
-            tec_problem.model, points, tec_problem.dynamic_cell_power,
-            leakage=None, workers=2)
-        assert len(serial) == len(fanned)
-        for ours, theirs in zip(fanned, serial):
-            assert (ours == theirs).all()
-
 
 class TestPoolFallback:
-    POINTS = [(200.0, 0.5), (240.0, 1.5), (280.0, 2.5)]
-
-    def test_falls_back_to_in_process(self, monkeypatch, field_problem):
+    def test_falls_back_to_in_process(self, monkeypatch, unit_problems,
+                                      two_profiles):
         """Workers that cannot be spawned open the supervisor's circuit
         breaker; the units still run, in-process."""
         def failing_start(self):
             raise OSError("no processes for you")
 
-        args = (field_problem.model, self.POINTS,
-                field_problem.dynamic_cell_power, field_problem.leakage)
-        serial = solve_fields(*args, 0)
+        serial = campaign_units(unit_problems, two_profiles, 0)
         monkeypatch.setattr(multiprocessing.process.BaseProcess,
                             "start", failing_start)
-        fanned = solve_fields(*args, 2, chunk=1)
-        assert_same_fields(fanned, serial)
+        fanned = campaign_units(unit_problems, two_profiles, 2)
+        assert fanned.worker_stats["supervision"]["circuit_opened"]
+        assert comparisons_digest(unit_problems, fanned.comparisons) \
+            == comparisons_digest(unit_problems, serial.comparisons)
 
     def test_unpicklable_context_falls_back(self, monkeypatch,
-                                            field_problem):
+                                            unit_problems, two_profiles):
         """A context that cannot pickle must degrade to the serial
-        executor (with the original object), not raise — env-driven
-        fan-out engages on previously-working serial call sites."""
+        path (with the original object), not raise."""
         def exploding_start(self):
             raise AssertionError("no worker process may start")
 
-        serial = solve_fields(field_problem.model, self.POINTS,
-                              field_problem.dynamic_cell_power,
-                              field_problem.leakage, 0)
+        serial = campaign_units(unit_problems, two_profiles, 0)
         monkeypatch.setattr(multiprocessing.process.BaseProcess,
                             "start", exploding_start)
-        context = field_context(field_problem, policy=lambda: None)
+        tec, base = unit_problems
+        context = WorkerContext(tec_template=tec, baseline_template=base,
+                                profiles=dict(two_profiles),
+                                policy=lambda: None)
         with pytest.raises(Exception):
             pickle.dumps(context)
-        units = exec_scheduler._chunk_units(self.POINTS, "fields", 2)
-        results = exec_scheduler.run_units(context, units, 2)
-        fanned = [field for result in results for field in result.value]
-        assert_same_fields(fanned, serial)
+        units = [WorkUnit(index=index, name=name)
+                 for index, name in enumerate(two_profiles)]
+        outcome = exec_supervisor._Supervisor(
+            context, units, 2, SupervisionPolicy(), None, None).run()
+        assert [result.name for result in outcome.completed] \
+            == list(two_profiles)
+        assert comparisons_digest(
+            unit_problems,
+            [result.value for result in outcome.completed]) \
+            == comparisons_digest(unit_problems, serial.comparisons)
 
 
 class TestSingleRuntime:
     """Every fan-out runs on the supervisor's managed workers."""
 
-    POINTS = [(200.0, 0.5), (220.0, 1.0), (240.0, 1.5), (260.0, 2.0)]
-
-    @staticmethod
-    def _kill_context(problem, max_fires):
+    def test_killed_workers_retry_bit_identically(self, unit_problems,
+                                                  two_profiles):
         plan = FaultPlan(seed=3, specs=(FaultSpec(
-            kind=FaultKind.WORKER_KILL, rate=1.0,
-            max_fires=max_fires),))
-        return field_context(problem, fault_plan=plan)
-
-    def test_killed_workers_retry_bit_identically(self, field_problem):
-        context = self._kill_context(field_problem, 1)
-        units = exec_scheduler._chunk_units(self.POINTS, "fields", 2)
-        fanned = exec_scheduler.run_units(context, units, 2)
-        serial = exec_scheduler.run_units(context, units, 0)
-        assert [result.name for result in fanned] \
-            == [unit.name for unit in units]
-        for ours, theirs in zip(fanned, serial):
-            assert_same_fields(ours.value, theirs.value)
-
-    def test_always_dying_unit_raises_worker_crash(self, field_problem):
-        context = self._kill_context(field_problem, None)
-        units = exec_scheduler._chunk_units(self.POINTS, "fields", 2)
-        with pytest.raises(WorkerCrashError) as excinfo:
-            exec_scheduler.run_units(context, units, 2)
-        assert sorted(excinfo.value.units) == [
-            (unit.name, 3) for unit in units]
-        assert all("exit code" in report
-                   for report in excinfo.value.reports)
+            kind=FaultKind.WORKER_KILL, rate=1.0, max_fires=1),))
+        fanned = campaign_units(unit_problems, two_profiles, 2,
+                           fault_plan=plan)
+        serial = campaign_units(unit_problems, two_profiles, 1,
+                           fault_plan=plan)
+        assert fanned.fired.get("worker-kill") == 2
+        assert fanned.worker_stats["supervision"]["retries"] == 2
+        assert [c.name for c in fanned.comparisons] \
+            == list(two_profiles)
+        assert comparisons_digest(unit_problems, fanned.comparisons) \
+            == comparisons_digest(unit_problems, serial.comparisons)
 
 
 class TestNestedFanOut:
-    """The worker-side guard: units that internally reach decomposed
-    entry points must stay serial instead of re-entering the engine."""
+    """The worker-side guard: units that internally reach the engine
+    must stay serial instead of re-entering it."""
 
-    def test_serial_executor_is_reentrant(self, field_problem):
-        """A nested run_units must restore the enclosing runtime, not
-        wipe it to None."""
+    def test_serial_executor_is_reentrant(self, unit_problems,
+                                          two_profiles):
+        """A nested run must restore the enclosing runtime, not wipe
+        it to None."""
         outer = WorkerContext()
         previous = exec_workers.install_runtime(outer)
         try:
-            units = exec_scheduler._chunk_units(
-                [(200.0, 0.5), (240.0, 1.5)], "fields", 1)
-            results = exec_scheduler.run_units(
-                field_context(field_problem), units, 1)
-            assert all(result.ok for result in results)
+            merge = campaign_units(unit_problems, two_profiles, 2)
+            assert [c.name for c in merge.comparisons] \
+                == list(two_profiles)
             assert exec_workers._RUNTIME is not None
             assert exec_workers._RUNTIME.context is outer
         finally:
             exec_workers.restore_runtime(previous)
-
-    def test_env_workers_sweep_parity(self, monkeypatch, field_problem):
-        """REPRO_WORKERS=1 leaves a sweep in-process and identical to
-        workers=0."""
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        serial = sweep_objective_surfaces(
-            field_problem, omega_points=4, current_points=3, workers=0)
-        monkeypatch.setenv(WORKERS_ENV, "1")
-        fanned = sweep_objective_surfaces(
-            field_problem, omega_points=4, current_points=3)
-        assert (serial.temperature == fanned.temperature).all()
-        assert (serial.power == fanned.power).all()
-        assert (serial.feasible == fanned.feasible).all()
 
 
 class TestTelemetryMerge:
@@ -362,20 +318,6 @@ class TestCampaignBitIdentity:
         in_process = run_campaign(subset, tec, base, workers=1)
         assert canonical_digest(in_process) == canonical_digest(serial)
 
-    def test_env_workers_campaign_digest(self, monkeypatch, profiles,
-                                         identity_problems):
-        """The env-driven path the CLI gate misses: workers resolved
-        from REPRO_WORKERS, which pool workers then inherit — their
-        in-worker guard must keep unit bodies serial."""
-        tec, base = identity_problems
-        subset = {name: profiles[name]
-                  for name in ("basicmath", "crc32")}
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        serial = run_campaign(subset, tec, base, workers=0)
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        enved = run_campaign(subset, tec, base)
-        assert canonical_digest(enved) == canonical_digest(serial)
-
     def test_unhandled_lists_every_entry(self, monkeypatch, profiles,
                                          identity_problems):
         tec, base = identity_problems
@@ -398,16 +340,34 @@ class TestCampaignBitIdentity:
         assert excinfo.value.reports == ("ValueError: first",
                                          "KeyError: second")
 
-    def test_workers_exclusive_with_factory(self, profiles,
-                                            identity_problems):
-        tec, base = identity_problems
-        subset = {"basicmath": profiles["basicmath"]}
-        with pytest.raises(ConfigurationError):
-            run_campaign(subset, tec, base, workers=2,
-                         evaluator_factory=Evaluator)
-
 
 class TestChaosUnderParallelism:
+    def test_report_identical_at_every_worker_count(self, profiles,
+                                                    unit_problems):
+        """Every run derives one fault stream per benchmark, so a chaos
+        report does not depend on the worker count."""
+        tec, base = unit_problems
+        plan = full_fault_plan(seed=11, rate=0.05)
+
+        def signature(report):
+            assert report.ok, report.unhandled
+            return (
+                report.fired,
+                [(failure.benchmark, failure.stage, failure.error_type)
+                 for failure in report.campaign.failures],
+                json.dumps(campaign_to_dict(report.campaign,
+                                            canonical=True),
+                           indent=2, sort_keys=True))
+
+        serial = signature(run_chaos_campaign(profiles, tec, base,
+                                              plan=plan, workers=0))
+        assert sum(serial[0].values()) > 0
+        assert serial[1], "seed 11 should inject failures"
+        for workers in (1, 2):
+            assert signature(run_chaos_campaign(
+                profiles, tec, base, plan=plan,
+                workers=workers)) == serial
+
     def test_fault_events_land_on_worker_spans(self, profiles):
         tec = build_cooling_problem(profiles["basicmath"],
                                     grid_resolution=4)
@@ -447,46 +407,3 @@ class TestChaosUnderParallelism:
             assert unit is not None
             assert benchmark == unit
             assert unit in subset
-
-
-class TestChunking:
-    """Balanced slicing: no runt chunks, exact multiples untouched."""
-
-    def test_remainder_spread_not_stranded(self):
-        from repro.exec import chunk_sizes
-        # The motivating case: 17 points at chunk 8 used to schedule
-        # [8, 8, 1] and leave two workers idle behind the runt.
-        assert chunk_sizes(17, 8) == [6, 6, 5]
-        assert chunk_sizes(17, 2) == [2] * 8 + [1]
-
-    def test_exact_multiples_untouched(self):
-        from repro.exec import chunk_sizes
-        assert chunk_sizes(16, 8) == [8, 8]
-        assert chunk_sizes(9, 3) == [3, 3, 3]
-
-    def test_conservation_and_balance(self):
-        from repro.exec import chunk_sizes
-        for count in (1, 5, 17, 25, 100, 101):
-            for chunk in (1, 2, 7, 8, 64):
-                sizes = chunk_sizes(count, chunk)
-                assert sum(sizes) == count
-                assert max(sizes) - min(sizes) <= 1
-                assert len(sizes) == -(-count // chunk)
-
-    def test_empty_and_invalid(self):
-        from repro.exec import chunk_sizes
-        assert chunk_sizes(0, 8) == []
-        assert chunk_sizes(-3, 8) == []
-        with pytest.raises(ConfigurationError):
-            chunk_sizes(5, 0)
-
-    def test_default_chunk_balances_17_by_3(self):
-        from repro.exec import chunk_sizes
-        # 17 points on 3 workers: every unit within one point of its
-        # neighbors, and more units than workers so the deque
-        # scheduler can rebalance.
-        chunk = default_chunk(17, 3)
-        sizes = chunk_sizes(17, chunk)
-        assert max(sizes) - min(sizes) <= 1
-        assert len(sizes) >= 3
-

@@ -301,6 +301,18 @@ class TestKillRecovery:
         assert report.fired.get("worker-slow") == 2
         assert "supervision" in report.campaign.worker_stats
 
+    @pytest.mark.parametrize("workers", [None, 0, 1])
+    def test_process_faults_need_two_workers(self, two_profiles,
+                                             small_problems, workers):
+        """Below two workers nothing can fire a process-level fault,
+        so the run is refused instead of passing vacuously."""
+        tec, base = small_problems
+        plan = FaultPlan(seed=1, specs=(FaultSpec(
+            kind=FaultKind.WORKER_KILL, rate=1.0, max_fires=1),))
+        with pytest.raises(ConfigurationError, match="workers >= 2"):
+            run_chaos_campaign(two_profiles, tec, base, plan=plan,
+                               workers=workers)
+
 
 class TestHangRecovery:
     def test_silent_workers_are_killed_by_heartbeat(
@@ -400,8 +412,8 @@ class TestWorkerCrashAttribution:
                                                two_profiles,
                                                small_problems):
         """A non-library exception inside a worker process is reported
-        like the serial executor reports it, not retried into
-        quarantine."""
+        like the serial path reports it, not retried into quarantine —
+        under an explicit policy too."""
         from repro.exec import workers as exec_workers
         tec, base = small_problems
         victim = next(iter(two_profiles))
@@ -416,9 +428,11 @@ class TestWorkerCrashAttribution:
         monkeypatch.setenv("REPRO_START_METHOD", "fork")
         monkeypatch.setattr(exec_workers, "_run_benchmark",
                             escaping_benchmark)
-        for workers in (1, 2):
+        for workers, supervision in ((1, None), (2, None),
+                                     (2, SupervisionPolicy())):
             with pytest.raises(WorkerCrashError) as excinfo:
-                run_campaign(two_profiles, tec, base, workers=workers)
+                run_campaign(two_profiles, tec, base, workers=workers,
+                             supervision=supervision)
             assert excinfo.value.units == ((victim, 1),)
             assert "RuntimeError: escaped" in str(excinfo.value)
 
@@ -572,8 +586,9 @@ class TestSupervisedProgress:
         def live_metrics(self, snapshot):
             pass
 
-    def test_serial_path_marks_unhandled_units_failed(self, monkeypatch):
-        from repro.exec import UnitResult, WorkerContext, WorkUnit
+    def test_serial_path_marks_unhandled_units_failed(
+            self, monkeypatch, two_profiles, small_problems):
+        from repro.exec import UnitResult, run_campaign_units
         from repro.exec import workers as exec_workers
 
         def crashing_unit(unit):
@@ -582,30 +597,30 @@ class TestSupervisedProgress:
             return result
 
         monkeypatch.setattr(exec_workers, "run_unit", crashing_unit)
-        units = [WorkUnit(index=0, kind="fields", name="chunk-0")]
+        tec, base = small_problems
         recorder = self.Recorder()
-        outcome = exec_supervisor.run_units_supervised(
-            WorkerContext(), units, 1, monitor=recorder)
-        assert outcome.completed[0].unhandled
-        assert recorder.events == [("begin", 1),
-                                   ("running", "chunk-0"),
-                                   ("done", "chunk-0", False)]
+        merge = run_campaign_units(
+            two_profiles, tec, base, method="slsqp",
+            include_tec_only=False, resilient=False, policy=None,
+            fault_plan=None, workers=1, progress=recorder)
+        assert merge.unhandled == ["RuntimeError: boom"] * 2
+        expected = [("begin", 2)]
+        for name in two_profiles:
+            expected += [("running", name), ("done", name, False)]
+        assert recorder.events == expected
 
-    def test_fan_out_begins_once(self, small_problems):
-        from repro.exec import WorkerContext, run_units
-        from repro.exec.scheduler import _chunk_units
-        tec, _base = small_problems
-        units = _chunk_units([(200.0, 0.5), (240.0, 1.0),
-                              (260.0, 1.5)], "fields", 1)
-        context = WorkerContext(field_model=tec.model,
-                                field_power=tec.dynamic_cell_power,
-                                field_leakage=tec.leakage)
+    def test_fan_out_begins_once(self, two_profiles, small_problems):
+        from repro.exec import run_campaign_units
+        tec, base = small_problems
         recorder = self.Recorder()
-        results = run_units(context, units, 2, progress=recorder)
-        assert all(result.ok for result in results)
+        merge = run_campaign_units(
+            two_profiles, tec, base, method="slsqp",
+            include_tec_only=False, resilient=False, policy=None,
+            fault_plan=None, workers=2, progress=recorder)
+        assert len(merge.comparisons) == len(two_profiles)
         kinds = [event[0] for event in recorder.events]
         assert kinds.count("begin") == 1
         assert kinds[0] == "begin"
         assert sorted(event for event in recorder.events
                       if event[0] == "done") \
-            == sorted(("done", unit.name, True) for unit in units)
+            == sorted(("done", name, True) for name in two_profiles)
