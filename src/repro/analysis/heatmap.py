@@ -80,8 +80,8 @@ def temperature_fields(
     """Chip-temperature fields at many ``(omega, current)`` points.
 
     The bulk producer for side-by-side heat maps (TEC off vs on, a fan
-    ladder, ...): each point is one cold-started steady solve, and
-    repeated operating points reuse the operator's cached factorization.
+    ladder, ...): each point is one cold-started steady solve, and the
+    points share one held factor (repeats back-solve against it).
     Entries are per-cell chip temperatures in K, or ``None`` where the
     point ran away.
     """

@@ -87,7 +87,7 @@ class EvaluationGradient:
         d_power_omega: ``d𝒫/d(omega)``, W/(rad/s) — total power
             including the explicit fan term.
         d_power_current: ``d𝒫/d(I_TEC)``, W/A.
-        mode: ``"adjoint"`` when computed by the transpose-solve path,
+        mode: ``"adjoint"`` when computed by the adjoint-solve path,
             ``"fd"`` when by the finite-difference fallback.
     """
 
@@ -286,8 +286,8 @@ class Evaluator:
 
         The forward value goes through :meth:`evaluate` (same cache,
         same budget accounting); the gradient rides the adjoint path —
-        one transposed ``(n, 2)`` block back-substitution against the
-        forward solve's cached LU factor, counted in
+        one ``(n, 2)`` block solve, by PCG against the solve context's
+        held factor, counted in
         :attr:`adjoint_solve_count` and in the operator's
         ``adjoint_solves``, never against the solve budget.  Gradients
         attach to the cached :class:`Evaluation` in place, so repeat
@@ -328,7 +328,8 @@ class Evaluator:
             problem.dynamic_cell_power,
             leakage=problem.leakage,
             sink_heat=problem.fan_heat_fraction * evaluation.fan_power,
-            sink_heat_gradient=problem.fan_heat_fraction * fan_gradient)
+            sink_heat_gradient=problem.fan_heat_fraction * fan_gradient,
+            context=self._context)
         self.adjoint_solve_count += 2
         if _obs.STATE.enabled:
             _obs.STATE.metrics.counter(
@@ -502,7 +503,7 @@ class Evaluator:
                 - self.evaluate(omega, current).max_chip_temperature)
 
     def clear_cache(self) -> None:
-        """Drop cached evaluations and the warm linearization point
-        (e.g. after mutating the problem)."""
+        """Drop cached evaluations, the warm linearization point and
+        the held factor (e.g. after mutating the problem)."""
         self._cache.clear()
         self._context.reset()

@@ -29,6 +29,7 @@ from ..leakage import tangent_linearization
 from ..power import PowerTrace
 from .lut import LookupTableController
 from .oftec import run_oftec
+from ..thermal import KrylovState
 from .problem import CoolingProblem
 
 #: A control policy: observed per-unit powers -> (omega, I_TEC).
@@ -135,6 +136,7 @@ def run_online_controller(
     network = model.network
     capacities = network.heat_capacities()
     c_over_dt = capacities / dt
+    warm = KrylovState()
     limits = problem.limits
 
     n = network.node_count
@@ -196,9 +198,9 @@ def run_online_controller(
             taylor.constant_term(),
             sink_heat=problem.fan_heat_fraction * fan_power)
         # Backward-Euler step through the network's build-once
-        # operator; steady control phases reuse cached factorizations.
+        # operator: PCG against the loop's last factor.
         temps = network.solve(diag + c_over_dt,
-                              rhs + c_over_dt * temps)
+                              rhs + c_over_dt * temps, warm=warm)
 
         chip = model.chip_temperatures(temps)
         hottest = float(chip.max())

@@ -126,8 +126,8 @@ class AttemptRecord:
         message: Backend status message or exception text.
         evaluations: Thermal solves this attempt consumed.
         factorizations: Sparse LU factorizations this attempt consumed
-            (strictly less than ``evaluations`` when the operator
-            layer's factor cache is pulling its weight).
+            (strictly less than ``evaluations`` when the solve
+            context's held factor is pulling its weight).
     """
 
     method: str

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..leakage import tangent_linearization
+from ..thermal import KrylovState
 from .problem import CoolingProblem
 
 
@@ -76,6 +77,7 @@ def _run_switched_controller(
     network = model.network
     capacities = network.heat_capacities()
     c_over_dt = capacities / dt
+    warm = KrylovState()
     fan_heat = problem.fan_heat_fraction * problem.fan.power(omega)
 
     n = network.node_count
@@ -117,9 +119,9 @@ def _run_switched_controller(
             omega, current, problem.dynamic_cell_power,
             taylor.a, taylor.constant_term(), sink_heat=fan_heat)
         # Backward-Euler step through the network's build-once
-        # operator; steady control phases reuse cached factorizations.
+        # operator: PCG against the loop's last factor.
         temps = network.solve(diag + c_over_dt,
-                              rhs + c_over_dt * temps)
+                              rhs + c_over_dt * temps, warm=warm)
 
         times.append(t_now)
         trace_t.append(float(model.chip_temperatures(temps).max()))

@@ -642,10 +642,10 @@ class FdGradientInLoopRule(Rule):
         "steady-state solves (each with its own leakage fixed point "
         "and, along the omega axis, a fresh factorization) per probed "
         "axis, every loop iteration.  Evaluator.evaluate_with_grad "
-        "(repro.core) returns all four slopes from one adjoint pair — "
-        "two transposed back-substitutions against the already-cached "
-        "forward factor — and degrades to a guarded FD fallback only "
-        "where the adjoint does not apply.")
+        "(repro.core) returns all four slopes from one adjoint block "
+        "solve against the solve context's held forward factor, and "
+        "degrades to a guarded FD fallback only where the adjoint does "
+        "not apply.")
 
     def __init__(self, context: LintContext) -> None:
         super().__init__(context)
@@ -692,8 +692,8 @@ class FdGradientInLoopRule(Rule):
                 "finite-difference stencil over evaluations inside a "
                 "loop; each probe pair spends full steady-state solves "
                 "per axis — use Evaluator.evaluate_with_grad, whose "
-                "adjoint returns every slope from two transposed "
-                "back-substitutions on the cached factor (repro.core)"))
+                "adjoint returns every slope from one block solve on "
+                "the held forward factor (repro.core)"))
         self.generic_visit(node)
 
 

@@ -64,34 +64,24 @@ def worker_statistics(results: Sequence[UnitResult]) -> Dict[str, Any]:
 
     Returns ``{"per_worker": [...], "units": [...]}`` where each
     per-worker entry sums the operator counters of every unit that
-    process executed — the numbers that show each worker's factor
-    cache warming once and then serving its whole share of the job.
+    process executed (solves, factorizations, exact factor reuse and
+    Krylov work; keys in :data:`~repro.exec.workers.OPERATOR_STAT_KEYS`).
     """
     per_worker: Dict[Any, Dict[str, Any]] = {}
     unit_rows: List[Dict[str, Any]] = []
     for result in results:
         pid = result.stats.get("pid")
-        row = {
-            "unit": result.name,
-            "pid": pid,
-            "wall_seconds": result.wall_seconds,
-            "solves": int(result.stats.get("solves") or 0),
-            "factorizations": int(
-                result.stats.get("factorizations") or 0),
-            "factor_cache_hits": int(
-                result.stats.get("factor_cache_hits") or 0),
-            "adjoint_solves": int(
-                result.stats.get("adjoint_solves") or 0),
-        }
+        row = {"unit": result.name, "pid": pid,
+               "wall_seconds": result.wall_seconds}
+        for key in _workers.OPERATOR_STAT_KEYS:
+            row[key] = int(result.stats.get(key) or 0)
         unit_rows.append(row)
         entry = per_worker.setdefault(pid, {
             "pid": pid, "units": 0, "wall_seconds": 0.0,
-            "solves": 0, "factorizations": 0,
-            "factor_cache_hits": 0, "adjoint_solves": 0})
+            **dict.fromkeys(_workers.OPERATOR_STAT_KEYS, 0)})
         entry["units"] += 1
         entry["wall_seconds"] += result.wall_seconds
-        for key in ("solves", "factorizations", "factor_cache_hits",
-                    "adjoint_solves"):
+        for key in _workers.OPERATOR_STAT_KEYS:
             entry[key] += row[key]
     ordered = sorted(per_worker.values(),
                      key=lambda e: (e["pid"] is None, e["pid"]))

@@ -94,9 +94,9 @@ class WorkerContext:
     """The shared inputs every worker receives exactly once.
 
     Pickled by the coordinator and unpickled in each worker's
-    initializer, so per-unit submissions stay tiny and each worker's
-    lazily built evaluators/operators (the splu factor cache, the LRU
-    evaluation cache) stay hot across all units it executes.
+    initializer, so per-unit submissions stay tiny and each worker
+    builds its problem models and sparse operators once for all the
+    units it executes.
     """
 
     tec_template: Optional[CoolingProblem] = None

@@ -4,10 +4,9 @@ One :func:`initialize` call per worker process unpickles the shared
 :class:`~repro.exec.units.WorkerContext`; after that every
 :func:`run_unit` call executes one :class:`~repro.exec.units.WorkUnit`
 against the worker's *own* lazily built evaluators and thermal
-operators.  That locality is the whole point: the splu factor cache on
-each problem template's model warms once per worker and then serves
-every subsequent unit, so N workers pay N cold starts — not one per
-unit.
+operators.  Each problem template's model and its sparse operator
+structure are built once per worker and serve every subsequent unit;
+the factors a unit makes belong to its own evaluators' solve contexts.
 
 Nothing in this module assumes a separate process.  The supervisor's
 serial path calls :func:`install_runtime`/:func:`run_unit` in the
@@ -198,18 +197,25 @@ def run_unit(unit: WorkUnit) -> UnitResult:
     return result
 
 
+#: Per-unit ``worker_stats`` key -> :class:`~repro.thermal.OperatorStats`
+#: field it is the unit's delta of.
+OPERATOR_STAT_KEYS = {
+    "solves": "solves",
+    "factorizations": "factorizations",
+    "factor_cache_hits": "cache_hits",
+    "adjoint_solves": "adjoint_solves",
+    "krylov_iterations": "krylov_iterations",
+    "krylov_solves": "krylov_solves",
+    "fresh_factorizations": "fresh_factorizations",
+}
+
+
 def _operator_deltas(result: UnitResult, befores, afters) -> None:
     """Record the unit's operator-counter deltas on ``result.stats``."""
-    result.stats["solves"] = sum(
-        a.solves - b.solves for b, a in zip(befores, afters))
-    result.stats["factorizations"] = sum(
-        a.factorizations - b.factorizations
-        for b, a in zip(befores, afters))
-    result.stats["factor_cache_hits"] = sum(
-        a.cache_hits - b.cache_hits for b, a in zip(befores, afters))
-    result.stats["adjoint_solves"] = sum(
-        a.adjoint_solves - b.adjoint_solves
-        for b, a in zip(befores, afters))
+    for key, field_name in OPERATOR_STAT_KEYS.items():
+        result.stats[key] = sum(
+            getattr(a, field_name) - getattr(b, field_name)
+            for b, a in zip(befores, afters))
 
 
 def _execute_benchmark(context: WorkerContext, unit: WorkUnit,

@@ -33,7 +33,7 @@ from ..errors import (
     ThermalRunawayError,
 )
 from ..obs import runtime as _obs
-from ..thermal import ThermalNetwork
+from ..thermal import KrylovState, ThermalNetwork
 from .plan import FaultKind, FaultPlan
 
 #: Condition estimate attached to injected singular-network faults —
@@ -109,8 +109,8 @@ class FaultyEvaluator(Evaluator):
     automatically: :meth:`Evaluator.evaluate_with_grad` detects the
     override and takes its central finite-difference fallback, built
     from ordinary :meth:`Evaluator.evaluate` calls — so every solve a
-    gradient spends stays inside this injection seam (the adjoint's
-    transposed back-substitutions would bypass it), and chaos coverage
+    gradient spends stays inside this injection seam (the adjoint
+    block solve would bypass it), and chaos coverage
     extends to gradient-driven solver runs unchanged.
     """
 
@@ -151,8 +151,10 @@ class FaultyNetwork:
     shifted so every matrix row sums to zero — a pure Laplacian with no
     path to ambient — and the *inner* solver's own degeneracy handling
     (NaN detection, solution-amplification guard, condition estimate)
-    does the rest.  All other attributes delegate to the wrapped
-    network.
+    does the rest — on the warm path too, where PCG cannot converge on
+    the sabotaged system and the fresh factorization it falls back to
+    meets the same guards.  All other attributes delegate to the
+    wrapped network.
     """
 
     def __init__(self, network: ThermalNetwork,
@@ -175,11 +177,12 @@ class FaultyNetwork:
                 dtype=float).ravel()
         return self._static_row_sums + overlay
 
-    def solve(self, diag_overlay: np.ndarray,
-              rhs: np.ndarray) -> np.ndarray:
-        """Solve the (possibly sabotaged) steady-state system."""
+    def solve(self, diag_overlay: np.ndarray, rhs: np.ndarray,
+              warm: Optional[KrylovState] = None) -> np.ndarray:
+        """Solve the (possibly sabotaged) steady-state system, warm
+        through the caller's ``warm`` state like the wrapped network."""
         if self._injector.should_fire(FaultKind.SINGULAR_NETWORK):
             overlay = np.asarray(diag_overlay, dtype=float)
             return self._network.solve(
-                overlay - self._row_sums(overlay), rhs)
-        return self._network.solve(diag_overlay, rhs)
+                overlay - self._row_sums(overlay), rhs, warm)
+        return self._network.solve(diag_overlay, rhs, warm)

@@ -89,6 +89,7 @@ class ProgressBoard:
         self.retries = 0
         self.quarantined = 0
         self._cache_rates: Dict[str, float] = {}
+        self._krylov: Optional[str] = None
 
     # -- lifecycle hooks (the exec layer calls these) ------------------
 
@@ -137,8 +138,10 @@ class ProgressBoard:
         self._pump()
 
     def live_metrics(self, snapshot: Dict[str, Any]) -> None:
-        """Fold cache hit rates out of a live metrics snapshot."""
+        """Fold cache hit rates and the operator's Krylov work (the
+        ``operator.stats.*`` gauges) out of a live metrics snapshot."""
         counters = snapshot.get("counters") or {}
+        gauges = snapshot.get("gauges") or {}
         with self._lock:
             rate = _hit_rate(counters, "evaluator.cache.hits",
                              "evaluator.cache.misses")
@@ -148,6 +151,16 @@ class ProgressBoard:
                              "operator.factorizations")
             if rate is not None:
                 self._cache_rates["factor"] = rate
+            krylov_solves = gauges.get("operator.stats.krylov_solves")
+            if krylov_solves:
+                iterations = gauges.get(
+                    "operator.stats.krylov_iterations") or 0
+                fresh = gauges.get(
+                    "operator.stats.fresh_factorizations") or 0
+                self._krylov = (
+                    f"krylov {int(krylov_solves)} solves "
+                    f"{iterations / krylov_solves:.1f} it/solve "
+                    f"{int(fresh)} fresh factors")
             self._render_locked()
 
     def finish(self) -> None:
@@ -203,6 +216,8 @@ class ProgressBoard:
         for key in sorted(self._cache_rates):
             parts.append(
                 f"{key} cache {self._cache_rates[key] * 100.0:.0f}%")
+        if self._krylov is not None:
+            parts.append(self._krylov)
         eta = self.eta_s()
         if eta is not None and self.done < self.total:
             parts.append(f"ETA {eta:.0f}s")

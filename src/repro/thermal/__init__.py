@@ -12,7 +12,12 @@ transient solver supports the controller studies.
 """
 
 from .network import ThermalNetwork, NodeKind, condition_estimate
-from .operator import Factorization, OperatorStats, ThermalOperator
+from .operator import (
+    Factorization,
+    KrylovState,
+    OperatorStats,
+    ThermalOperator,
+)
 from .adjoint import SteadyStateGradients, steady_state_gradients
 from .assembly import PackageThermalModel, build_package_model, \
     PackageModelConfig
@@ -43,6 +48,7 @@ __all__ = [
     "NodeKind",
     "condition_estimate",
     "Factorization",
+    "KrylovState",
     "OperatorStats",
     "ThermalOperator",
     "PackageThermalModel",

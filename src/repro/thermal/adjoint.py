@@ -8,21 +8,25 @@ adjoint identity
     df/dx = df/dx|_explicit + lambda^T (ds/dx - (dd/dx) * T),
     A^T lambda = df/dT
 
-prices a full gradient at *one* transposed back-substitution against
-the same LU factor the forward solve produced — instead of the
+prices a full gradient at *one* adjoint solve instead of the
 ~2 * n_vars forward solves a finite-difference stencil spends per SQP
 iteration.  Both objectives (max chip temperature, and system power
 ``P_leak + P_TEC``) share a single ``(n, 2)`` adjoint block solve.
+``A`` is exactly symmetric (every overlay term is diagonal), so the
+adjoint system is the forward one and the block rides the forward
+solve path.
 
 Leakage note: the forward path converges a fixed point of the Taylor
 relinearization loop (Equation 4).  At convergence the nonlinear
 residual's temperature Jacobian is exactly ``A`` built with the
 tangent slope ``a = beta * P_leak(T*)`` at the *converged* chip
-temperatures, so this module relinearizes there before factoring.
+temperatures, so this module relinearizes there before solving.
 That overlay usually differs from the last forward iterate's (whose
-tangent point lagged one iteration behind), costing at most one extra
-LRU-cached factorization per operating point; leakage-free problems
-rebuild the identical overlay bytes and hit the forward factor
+tangent point lagged one iteration behind), so with the forward
+solve's :class:`~repro.thermal.SolveContext` the block is solved by
+preconditioned CG against the sequence's held factor — a few
+back-substitutions, no factorization; leakage-free problems rebuild the
+identical overlay bytes and back-substitute against the held factor
 directly.  The linearization-point constant ``b - a*t_ref`` is held
 fixed under differentiation — it is data of the linearization, not a
 function of ``x``.
@@ -37,7 +41,8 @@ import numpy as np
 
 from ..leakage.linearize import tangent_linearization
 from .assembly import PackageThermalModel
-from .solver import SteadyStateResult
+from .operator import KrylovState
+from .solver import SolveContext, SteadyStateResult
 
 __all__ = ["SteadyStateGradients", "steady_state_gradients"]
 
@@ -68,6 +73,7 @@ def steady_state_gradients(
     leakage=None,
     sink_heat: float = 0.0,
     sink_heat_gradient: float = 0.0,
+    context: Optional[SolveContext] = None,
 ) -> SteadyStateGradients:
     """Adjoint gradients at a converged :class:`SteadyStateResult`.
 
@@ -84,8 +90,11 @@ def steady_state_gradients(
         sink_heat: Recirculated fan heat deposited on the sink during
             the forward solve, W.
         sink_heat_gradient: ``d(sink_heat)/d(omega)``, W/(rad/s).
+        context: The forward solve's context; its held factor
+            preconditions the block solve (and is replaced if PCG
+            misses).  Without one the block is factored fresh.
 
-    Returns one transposed ``(n, 2)`` block solve's worth of gradients
+    Returns one ``(n, 2)`` adjoint block solve's worth of gradients
     (counted in :attr:`~repro.thermal.OperatorStats.adjoint_solves`).
     """
     temps = result.temperatures
@@ -112,7 +121,8 @@ def steady_state_gradients(
     diag, _ = model.overlays(result.omega, result.current,
                              dynamic_cell_power, leak_slope,
                              leak_const, sink_heat=sink_heat)
-    duals = model.network.operator.solve_adjoint(diag, block)
+    warm = context.krylov if context is not None else KrylovState()
+    duals = model.network.operator.solve_adjoint(diag, block, warm)
 
     f_omega = model.overlay_omega_gradient(
         result.omega, temps, sink_heat_gradient=sink_heat_gradient)

@@ -14,11 +14,12 @@ written in matrix form ``G T = P``.  The network splits into
   constants, ambient sources),
 
 so that one ``(omega, I_TEC)`` evaluation costs at most a single sparse
-factorization of ``static + diag(overlay)`` — and often none at all:
+factorization of ``static + diag(overlay)`` — and usually none at all:
 solving is delegated to a lazily built
 :class:`~repro.thermal.operator.ThermalOperator`, which applies overlays
-in place through a precomputed diagonal index map and reuses cached
-``splu`` factorizations across solves at the same operating point.
+in place through a precomputed diagonal index map and, given a caller's
+:class:`~repro.thermal.operator.KrylovState`, solves by preconditioned
+CG against that sequence's last ``splu`` factor.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from scipy.sparse import coo_matrix, csr_matrix, diags
 from ..errors import ConfigurationError
 from .operator import (
     _DEGENERACY_GROWTH_LIMIT,
+    KrylovState,
     ThermalOperator,
     condition_estimate,
 )
@@ -226,10 +228,9 @@ class ThermalNetwork:
         """The build-once/update-many solve engine (lazily constructed).
 
         One operator per finalized network: it owns the precomputed CSC
-        structure, the diagonal index map, and the LRU of cached
-        factorizations.  All :meth:`solve` calls route
-        through it, so factor reuse accumulates across every consumer of
-        this network.
+        structure and the diagonal index map, and every :meth:`solve`
+        call routes through it.  It holds no factors: those belong to
+        each caller's :class:`~repro.thermal.operator.KrylovState`.
         """
         if self._static is None:
             raise ConfigurationError("Network not finalized")
@@ -251,17 +252,21 @@ class ThermalNetwork:
         matrix = self._static + diags(overlay, format="csr")
         return matrix, rhs_arr
 
-    def solve(self, diag_overlay: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, diag_overlay: np.ndarray, rhs: np.ndarray,
+              warm: Optional[KrylovState] = None) -> np.ndarray:
         """Solve one linear system ``(static + diag) T = rhs``.
 
-        Raises :class:`~repro.errors.SingularNetworkError` when the
+        ``warm`` is the solve sequence's
+        :class:`~repro.thermal.operator.KrylovState` (see
+        :meth:`ThermalOperator.solve`); without it the system is
+        factored fresh.  Raises :class:`~repro.errors.SingularNetworkError` when the
         matrix is singular (typically a node with no path to ambient) or
         the solution is non-finite.  The error chains the underlying
         linear-algebra diagnostic and carries a condition-number estimate
         of the failed system.
         """
         overlay, rhs_arr = self._checked_overlays(diag_overlay, rhs)
-        return self.operator.solve(overlay, rhs_arr)
+        return self.operator.solve(overlay, rhs_arr, warm)
 
     def _checked_overlays(self, diag_overlay: np.ndarray,
                           rhs: np.ndarray,

@@ -1,45 +1,38 @@
 """Build-once/update-many sparse thermal operator.
 
 Every steady-state query solves ``(G_static + diag(overlay)) T = rhs``
-(the KCL dual of Constraint 14).  The *structure* of that system — the
-node graph, the sparsity pattern, the CSC storage layout — is fixed the
-moment the network finalizes; only the per-operating-point *state* (the
-diagonal overlay and the right-hand side) changes between solves.  This
-module separates the two:
+(the KCL dual of Constraint 14).  The structure (node graph, sparsity,
+CSC layout) is fixed once the network finalizes; only the diagonal
+overlay and the RHS change between solves.
 
-* :class:`ThermalOperator` owns the structure: one CSC matrix with every
-  diagonal entry stored explicitly, the baseline ``data`` array of the
-  static conductances, and a precomputed index map from node ``i`` to
-  the position of entry ``(i, i)`` inside ``csc.data``.  Applying an
-  overlay is then two vectorized array writes — no COO/CSR/CSC
-  round-trips, no matrix additions, no fresh allocations.
-* :class:`Factorization` wraps one ``splu`` factor of the operator at a
-  specific overlay.  Factors are cached in an LRU keyed by a digest of
-  the overlay, so repeated solves at the same operating point (leakage
-  iterations at a converged linearization point, re-evaluations after a
-  cache clear, campaign stages revisiting the canonical initial point,
-  transient steps under constant schedules) back-substitute instead of
-  refactorizing.
+* :class:`ThermalOperator` owns the structure — one CSC matrix with
+  every diagonal entry stored, and each ``(i, i)`` position in
+  ``csc.data`` — so applying an overlay is two array writes.  It holds
+  no factors.
+* :class:`Factorization` wraps one ``splu`` factor at one overlay.
+* :class:`KrylovState` holds one solve sequence's last factor.  It
+  lives with the caller (a :class:`~repro.thermal.SolveContext` or a
+  backward-Euler loop), so a result depends only on its own sequence.
 
-Keying and bit-identity: the digest hashes the overlay's exact float64
-bytes, so a cache hit implies the matrix is bit-for-bit the one the
-factor was computed from and the operator path is bit-identical to a
-fresh factorization.
-
-SuperLU note: ``scipy.sparse.linalg.spsolve`` and ``splu(...).solve``
-run the same SuperLU driver and produce bit-identical solutions for
-these systems (verified in ``tests/test_operator.py``), so routing the
-legacy :meth:`repro.thermal.ThermalNetwork.solve` through this layer
-changes no fault-free result.
+Every overlay term (fan coupling, Peltier, leakage slope, ``C/dt``) is
+diagonal, so ``A`` is exactly symmetric and successive systems of a
+sequence differ only on the diagonal.  ``solve(..., warm=state)``
+back-solves the held factor's exact overlay; any other overlay runs
+preconditioned CG with that factor as ``M``, from ``x0 = M^-1 b`` until
+the error estimate ``max|M^-1 r|`` is at most 1e-10 K (relative too for
+adjoint columns below 1 in magnitude), within 15 iterations.  A budget
+miss, ``p^T A p <= 0`` or a non-finite iterate factors fresh, and the
+sequence holds that factor from then on.  Without ``warm`` a solve is a
+fresh factor and a back-solve, bit-identical to ``spsolve`` (same
+SuperLU driver; ``tests/test_operator.py``); warm solves agree with it
+to ~1e-10 K.
 """
 
 from __future__ import annotations
 
-import hashlib
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
@@ -54,11 +47,17 @@ from ..obs.clock import monotonic
 #: :meth:`ThermalOperator.solve`).  Physical packages stay below ~1e6.
 _DEGENERACY_GROWTH_LIMIT = 1.0e13
 
-#: Default number of cached factorizations.  Each entry holds one
-#: SuperLU factor (roughly the fill-in of the matrix, a few hundred kB
-#: at production grid resolutions), so the default working set stays in
-#: the tens of MB.
-DEFAULT_FACTOR_CAPACITY = 64
+#: PCG stops once the error estimate ``max|M^-1 r|`` is at most this
+#: (K on temperatures), times the solution scale where that is below 1.
+KRYLOV_TOLERANCE = 1.0e-10
+
+#: CG iterations a warm solve may spend before it factors fresh.
+KRYLOV_BUDGET = 15
+
+
+#: The :class:`OperatorStats` fields, in order.
+_COUNTERS = ("solves", "factorizations", "cache_hits", "adjoint_solves",
+             "krylov_iterations", "krylov_solves", "fresh_factorizations")
 
 
 @dataclass(frozen=True)
@@ -68,60 +67,79 @@ class OperatorStats:
     Attributes:
         solves: Forward right-hand sides solved.
         factorizations: Sparse LU factorizations performed.
-        cache_hits: Solves served from a cached factorization.
-        cache_evictions: Factorizations dropped by the LRU cap.
-        adjoint_solves: Transposed-system right-hand sides solved by
-            the gradient path (counted separately from ``solves`` so
-            forward-solve comparisons stay meaningful).
+        cache_hits: Warm solves at the exact overlay of the held
+            factor (plain back-substitutions).
+        adjoint_solves: Adjoint right-hand sides solved by the gradient
+            path (counted separately from ``solves`` so forward-solve
+            comparisons stay meaningful).
+        krylov_iterations: Conjugate-gradient iterations spent by warm
+            solves, failed attempts included.
+        krylov_solves: Warm systems (a vector or an ``(n, k)`` block)
+            that PCG solved without a fresh factorization.
+        fresh_factorizations: Factorizations on the warm path: cold
+            starts plus Krylov misses.
     """
 
     solves: int
     factorizations: int
     cache_hits: int
-    cache_evictions: int
     adjoint_solves: int = 0
+    krylov_iterations: int = 0
+    krylov_solves: int = 0
+    fresh_factorizations: int = 0
 
     @property
     def reuse_ratio(self) -> float:
-        """Fraction of factor requests served from the cache."""
-        total = self.factorizations + self.cache_hits
-        return self.cache_hits / total if total else 0.0
+        """Fraction of warm systems solved against an already held
+        factor (exact hit or PCG) instead of a fresh factorization."""
+        reused = self.cache_hits + self.krylov_solves
+        total = reused + self.fresh_factorizations
+        return reused / total if total else 0.0
 
 
 class Factorization:
-    """One ``splu`` factor of ``static + diag(overlay)``.
-
-    Holds everything a back-substitution needs so cached reuse never
-    touches the operator's mutable CSC scratch matrix: the SuperLU
-    object, the matrix 1-norm (for the degeneracy guard), and the
-    digest it is filed under.
+    """One ``splu`` factor of ``static + diag(overlay)``, with the
+    matrix 1-norm (for the degeneracy guard) and a copy of the overlay
+    it was made at, so reuse never touches the operator's scratch CSC.
     """
 
-    __slots__ = ("_lu", "digest", "norm1", "solve_count")
+    __slots__ = ("_lu", "overlay", "norm1")
 
-    def __init__(self, lu, digest: bytes, norm1: float):
+    def __init__(self, lu, overlay: np.ndarray, norm1: float):
         self._lu = lu
-        self.digest = digest
+        self.overlay = overlay
         self.norm1 = norm1
-        self.solve_count = 0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Back-substitute one RHS vector or an ``(n, k)`` RHS block."""
-        self.solve_count += 1
         with np.errstate(all="ignore"):
             return self._lu.solve(rhs)
 
-    def solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
-        """Back-substitute the *transposed* system ``A^T x = rhs``.
 
-        The adjoint entry point: SuperLU stores one factorization of
-        ``A`` and serves both ``A x = b`` and ``A^T x = b`` from it, so
-        a gradient costs a back-substitution — never a second
-        factorization.  Accepts one RHS vector or an ``(n, k)`` block.
-        """
-        self.solve_count += 1
-        with np.errstate(all="ignore"):
-            return self._lu.solve(rhs, trans="T")
+class KrylovState:
+    """The preconditioner of one solve sequence: its last factor.
+
+    Pass one as ``warm`` to every solve of a sequence; the operator
+    fills it on the first solve and replaces it when PCG misses.  It
+    pickles empty: SuperLU factors never cross a process boundary.
+    """
+
+    __slots__ = ("factor",)
+
+    def __init__(self) -> None:
+        self.factor: Optional[Factorization] = None
+
+    def reset(self) -> None:
+        """Drop the held factor (the next warm solve factors fresh)."""
+        self.factor = None
+
+    def holds(self, overlay: np.ndarray) -> bool:
+        """Whether the held factor was made at exactly ``overlay``."""
+        return self.factor is not None \
+            and np.array_equal(self.factor.overlay, overlay)
+
+    def __reduce__(self):
+        return (KrylovState, ())
 
 
 class _OperatorInstruments:
@@ -138,8 +156,7 @@ class _OperatorInstruments:
     """
 
     __slots__ = ("metrics", "solves", "solve_seconds", "factor_hits",
-                 "factorizations", "factorize_seconds",
-                 "factor_evictions", "_tick")
+                 "factorizations", "factorize_seconds", "_tick")
 
     #: Only every Nth warm solve is timed: the latency histogram needs
     #: a sample, not a census, and the two ``monotonic()`` reads are
@@ -156,8 +173,6 @@ class _OperatorInstruments:
             "operator.factorizations")
         self.factorize_seconds = metrics.histogram(
             "operator.factorize_seconds")
-        self.factor_evictions = metrics.counter(
-            "operator.factor.evictions")
         self._tick = 0
 
     def sample_solve(self) -> bool:
@@ -175,31 +190,23 @@ class _OperatorInstruments:
 class ThermalOperator:
     """Structure/state split over one finalized static matrix.
 
-    The operator is immutable in structure (built once from the static
-    CSR matrix) and cheap in state: :meth:`solve` writes the diagonal
-    overlay into a preallocated CSC ``data`` array through the
-    precomputed diagonal index map, factorizes (or reuses a cached
-    factor), back-substitutes, and applies the same singularity and
-    degeneracy guards as the legacy solve path.
+    Immutable in structure and cheap in state: :meth:`solve` writes the
+    diagonal overlay into a preallocated CSC ``data`` array, solves
+    directly or by PCG against the caller's :class:`KrylovState`, and
+    applies the singularity and degeneracy guards.
     """
 
-    def __init__(self, static: csr_matrix,
-                 factor_capacity: int = DEFAULT_FACTOR_CAPACITY):
+    def __init__(self, static: csr_matrix):
         """Build the operator structure from a static CSR matrix.
 
         Args:
             static: Finalized static conductance matrix, W/K entries.
-            factor_capacity: LRU cap on cached factorizations (>= 1).
         """
-        if factor_capacity < 1:
-            raise ConfigurationError(
-                f"factor_capacity must be >= 1, got {factor_capacity}")
         n = static.shape[0]
         if static.shape != (n, n):
             raise ConfigurationError(
                 f"static matrix must be square, got {static.shape}")
         self._n = n
-        self._capacity = int(factor_capacity)
         # CSC with every diagonal entry stored explicitly (appending
         # zero-valued (i, i) entries before conversion; sum_duplicates
         # keeps explicit zeros), so the overlay always has a slot to
@@ -212,13 +219,16 @@ class ThermalOperator:
         csc.sum_duplicates()
         self._csc: csc_matrix = csc
         self._base_data: np.ndarray = csc.data.copy()
-        self._diag_index = self._build_diag_index(csc)
-        self._lru: "OrderedDict[bytes, Factorization]" = OrderedDict()
-        self._solves = 0
-        self._factorizations = 0
-        self._hits = 0
-        self._evictions = 0
-        self._adjoint_solves = 0
+        # Position of entry (j, j) inside csc.data, per node.
+        columns = np.repeat(np.arange(n), np.diff(csc.indptr))
+        self._diag_index = np.flatnonzero(csc.indices == columns)
+        # Column sums of |off-diagonal| entries: with them the 1-norm of
+        # any loaded matrix is one O(n) pass over its diagonal.
+        off_diagonal = np.abs(self._base_data)
+        off_diagonal[self._diag_index] = 0.0
+        self._off_diagonal_norms = np.add.reduceat(
+            off_diagonal, csc.indptr[:-1])
+        self._counts = dict.fromkeys(_COUNTERS, 0)
         self._obs_handles: Optional[_OperatorInstruments] = None
 
     def _instruments(self) -> _OperatorInstruments:
@@ -234,39 +244,14 @@ class ThermalOperator:
         return handles
 
     def _stats_gauges(self) -> dict:
-        """Gauge contributions mirroring the lifetime :attr:`stats`.
-
-        Distinct ``operator.stats.*`` names: the per-event
-        ``operator.*`` counters above are registered as counters, and
-        a name is bound to one instrument type per registry.
-        """
-        return {
-            "operator.stats.solves": float(self._solves),
-            "operator.stats.factorizations":
-                float(self._factorizations),
-            "operator.stats.factor_hits": float(self._hits),
-            "operator.stats.factor_evictions": float(self._evictions),
-            "operator.stats.adjoint_solves":
-                float(self._adjoint_solves),
-            "operator.stats.factor_cache_size": float(len(self._lru)),
-        }
-
-    @staticmethod
-    def _build_diag_index(csc: csc_matrix) -> np.ndarray:
-        """Position of entry ``(j, j)`` inside ``csc.data`` per node."""
-        n = csc.shape[0]
-        index = np.empty(n, dtype=np.int64)
-        indptr, indices = csc.indptr, csc.indices
-        for j in range(n):
-            start, stop = indptr[j], indptr[j + 1]
-            pos = start + int(np.searchsorted(indices[start:stop], j))
-            if pos >= stop or indices[pos] != j:
-                raise ConfigurationError(
-                    f"no diagonal storage slot for node {j}")
-            index[j] = pos
-        return index
-
-    # -- introspection ------------------------------------------------
+        """Gauge contributions mirroring the lifetime :attr:`stats`:
+        ``operator.stats.<field>``, with ``cache_hits`` exported as
+        ``factor_hits``.  The names differ from the per-event
+        ``operator.*`` counters because a name is bound to one
+        instrument type per registry."""
+        return {"operator.stats." + ("factor_hits" if name == "cache_hits"
+                                     else name): float(count)
+                for name, count in self._counts.items()}
 
     @property
     def node_count(self) -> int:
@@ -274,59 +259,26 @@ class ThermalOperator:
         return self._n
 
     @property
-    def factor_capacity(self) -> int:
-        """LRU cap on cached factorizations."""
-        return self._capacity
-
-    @property
-    def cached_factor_count(self) -> int:
-        """Factorizations currently held by the LRU."""
-        return len(self._lru)
-
-    @property
     def stats(self) -> OperatorStats:
-        """Lifetime counters (solves, factorizations, hits, evictions)."""
-        return OperatorStats(
-            solves=self._solves,
-            factorizations=self._factorizations,
-            cache_hits=self._hits,
-            cache_evictions=self._evictions,
-            adjoint_solves=self._adjoint_solves)
+        """Lifetime counters (solves, factorizations, reuse, Krylov)."""
+        return OperatorStats(**self._counts)
 
     def clear(self) -> None:
-        """Drop every cached factorization (counters are kept)."""
-        self._lru.clear()
+        """No-op: the operator holds no factors (each sequence's
+        :class:`KrylovState` does).  Kept for callers that reset
+        operators between phases."""
 
     def reset_stats(self) -> None:
-        """Zero the lifetime counters (the cache is kept)."""
-        self._solves = 0
-        self._factorizations = 0
-        self._hits = 0
-        self._evictions = 0
-        self._adjoint_solves = 0
-
-    # -- pickling -----------------------------------------------------
+        """Zero the lifetime counters."""
+        self._counts = dict.fromkeys(_COUNTERS, 0)
 
     def __getstate__(self) -> dict:
-        """Pickle the structure, not the process-local state.
-
-        SuperLU factor objects hold pointers into native memory and
-        cannot cross a process boundary, so the LRU is dropped and the
-        lifetime counters are zeroed: an unpickled operator starts cold
-        in its new process (the worker rebuilds factors on demand,
-        which is exactly the exec layer's cache-locality contract).
-        """
+        """Pickle the structure with zeroed lifetime counters, so an
+        unpickled operator starts its new process from scratch."""
         state = self.__dict__.copy()
-        state["_lru"] = OrderedDict()
-        state["_solves"] = 0
-        state["_factorizations"] = 0
-        state["_hits"] = 0
-        state["_evictions"] = 0
-        state["_adjoint_solves"] = 0
+        state["_counts"] = dict.fromkeys(_COUNTERS, 0)
         state["_obs_handles"] = None
         return state
-
-    # -- state application --------------------------------------------
 
     def _checked_overlay(self, diag_overlay: np.ndarray) -> np.ndarray:
         overlay = np.asarray(diag_overlay, dtype=float)
@@ -342,29 +294,21 @@ class ThermalOperator:
         self._csc.data[self._diag_index] += overlay
         return self._csc
 
-    def _digest(self, overlay: np.ndarray) -> bytes:
-        return hashlib.blake2b(overlay.tobytes(),
-                               digest_size=16).digest()
+    def _norm1(self) -> float:
+        """1-norm of the matrix currently loaded by :meth:`_load`."""
+        diagonal = np.abs(self._csc.data[self._diag_index])
+        return float(np.max(self._off_diagonal_norms + diagonal))
 
     def factor(self, diag_overlay: np.ndarray) -> Factorization:
-        """Factorization of ``static + diag(overlay)``, cached by LRU.
+        """Fresh factorization of ``static + diag(overlay)``.
 
         Raises :class:`SingularNetworkError` (with a condition-number
-        estimate) when the matrix does not factor; failures are never
-        cached.
+        estimate) when the matrix does not factor.
         """
         overlay = self._checked_overlay(diag_overlay)
-        key = self._digest(overlay)
-        cached = self._lru.get(key)
-        if cached is not None:
-            self._lru.move_to_end(key)
-            self._hits += 1
-            if _obs.STATE.enabled:
-                self._instruments().factor_hits.inc()
-            return cached
         started = monotonic() if _obs.STATE.enabled else 0.0
         csc = self._load(overlay)
-        norm1 = float(np.abs(csc).sum(axis=0).max())
+        norm1 = self._norm1()
         try:
             with np.errstate(all="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -375,36 +319,22 @@ class ThermalOperator:
                 f"Sparse steady-state solve failed ({exc}); 1-norm "
                 f"condition estimate {estimate:.3e}",
                 condition_estimate=estimate) from exc
-        self._factorizations += 1
-        factorization = Factorization(lu, key, norm1)
-        self._lru[key] = factorization
-        evicted = False
-        if len(self._lru) > self._capacity:
-            self._lru.popitem(last=False)
-            self._evictions += 1
-            evicted = True
+        self._counts["factorizations"] += 1
         if _obs.STATE.enabled:
             handles = self._instruments()
             handles.factorizations.inc()
             handles.factorize_seconds.observe(monotonic() - started)
-            if evicted:
-                handles.factor_evictions.inc()
-            _obs.STATE.tracer.event(
-                "operator.factorize", cached=len(self._lru),
-                evicted=evicted)
-        return factorization
+            _obs.STATE.tracer.event("operator.factorize")
+        return Factorization(lu, overlay.copy(), norm1)
 
-    # -- solving ------------------------------------------------------
-
-    def solve(self, diag_overlay: np.ndarray,
-              rhs: np.ndarray) -> np.ndarray:
+    def solve(self, diag_overlay: np.ndarray, rhs: np.ndarray,
+              warm: Optional[KrylovState] = None) -> np.ndarray:
         """Solve ``(static + diag(overlay)) T = rhs`` for one RHS.
 
-        Semantically identical to the legacy
-        :meth:`repro.thermal.ThermalNetwork.solve`: raises
-        :class:`SingularNetworkError` on singular or numerically
-        degenerate systems, chaining the linear-algebra diagnostic and
-        a 1-norm condition estimate.
+        Without ``warm`` the system is factored fresh; with it, solved
+        against the sequence's held factor (see the module docstring).
+        Raises :class:`SingularNetworkError`, with a 1-norm condition
+        estimate, on singular or numerically degenerate systems.
         """
         overlay = self._checked_overlay(diag_overlay)
         rhs_arr = np.asarray(rhs, dtype=float)
@@ -414,27 +344,21 @@ class ThermalOperator:
         handles = self._instruments() if _obs.STATE.enabled else None
         sampled = handles is not None and handles.sample_solve()
         started = monotonic() if sampled else 0.0
-        factorization = self.factor(overlay)
-        temps = factorization.solve(rhs_arr)
-        self._solves += 1
-        self._guard(temps, rhs_arr, overlay, factorization)
+        temps = self._solve(overlay, rhs_arr, warm)
+        self._counts["solves"] += 1
         if handles is not None:
             handles.solves.inc()
             if sampled:
                 handles.solve_seconds.observe(monotonic() - started)
         return temps
 
-    def solve_adjoint(self, diag_overlay: np.ndarray,
-                      rhs: np.ndarray) -> np.ndarray:
-        """Solve the transposed system ``(static + diag(overlay))^T x = rhs``.
+    def solve_adjoint(self, diag_overlay: np.ndarray, rhs: np.ndarray,
+                      warm: Optional[KrylovState] = None) -> np.ndarray:
+        """Solve the adjoint system ``(static + diag(overlay))^T x = rhs``.
 
-        The gradient entry point: factors through the same LRU as the
-        forward path (an adjoint at a just-solved operating point is a
-        guaranteed cache hit) and back-substitutes the transposed
-        system from the shared factor.  Accepts one RHS vector or an
-        ``(n, k)`` block of adjoint right-hand sides; the solve count
-        lands in :attr:`OperatorStats.adjoint_solves`, never in
-        ``solves``, so forward-solve comparisons stay clean.
+        The operator is symmetric, so this is the forward path on one
+        RHS vector or an ``(n, k)`` block; the count lands in
+        :attr:`OperatorStats.adjoint_solves`, never in ``solves``.
         """
         overlay = self._checked_overlay(diag_overlay)
         rhs_arr = np.asarray(rhs, dtype=float)
@@ -442,16 +366,87 @@ class ThermalOperator:
             raise ConfigurationError(
                 f"Adjoint RHS must have shape ({self._n},) or "
                 f"({self._n}, k), got {rhs_arr.shape}")
-        factorization = self.factor(overlay)
-        duals = factorization.solve_transpose(rhs_arr)
-        count = 1 if rhs_arr.ndim == 1 else rhs_arr.shape[1]
-        self._adjoint_solves += count
-        self._guard(duals, rhs_arr, overlay, factorization)
+        duals = self._solve(overlay, rhs_arr, warm)
+        self._counts["adjoint_solves"] += 1 if rhs_arr.ndim == 1 \
+            else rhs_arr.shape[1]
         return duals
 
+    def _solve(self, overlay: np.ndarray, rhs: np.ndarray,
+               warm: Optional[KrylovState]) -> np.ndarray:
+        """Exact-repeat, PCG or fresh-factor solve, guarded."""
+        if warm is not None and warm.factor is not None:
+            if warm.holds(overlay):
+                self._counts["cache_hits"] += 1
+                if _obs.STATE.enabled:
+                    self._instruments().factor_hits.inc()
+                return self._back_solve(warm.factor, overlay, rhs)
+            solution = self._pcg(overlay, rhs, warm.factor)
+            if solution is not None:
+                self._guard(solution, rhs, overlay, self._norm1(), None)
+                return solution
+        factor = self.factor(overlay)
+        if warm is None:
+            return self._back_solve(factor, overlay, rhs)
+        self._counts["fresh_factorizations"] += 1
+        solution = self._back_solve(factor, overlay, rhs)
+        # Only a factor whose solve passed the guards preconditions
+        # the rest of the sequence.
+        warm.factor = factor
+        return solution
+
+    def _back_solve(self, factor: Factorization, overlay: np.ndarray,
+                    rhs: np.ndarray) -> np.ndarray:
+        solution = factor.solve(rhs)
+        self._guard(solution, rhs, overlay, factor.norm1, factor._lu)
+        return solution
+
+    def _pcg(self, overlay: np.ndarray, rhs: np.ndarray,
+             preconditioner: Factorization) -> Optional[np.ndarray]:
+        """PCG on ``static + diag(overlay)`` preconditioned by a factor
+        of a nearby overlay; ``None`` when it misses its budget, meets
+        non-positive curvature or a non-finite iterate.
+
+        The columns of an ``(n, k)`` block run as independent CG
+        recurrences sharing each back-substitution; a column stops
+        updating once it converges.
+        """
+        matrix = self._load(overlay)
+        block = rhs.reshape(self._n, -1)
+        iterations = 0
+        with np.errstate(all="ignore"):
+            solution = preconditioner.solve(block)
+            residual = block - matrix @ solution
+            z = preconditioner.solve(residual)
+            tolerance = KRYLOV_TOLERANCE * np.minimum(
+                1.0, np.abs(solution).max(axis=0))
+            # A NaN error estimate keeps its column active, and the next
+            # curvature test (NaN > 0 is False) fails the solve.
+            active = ~(np.abs(z).max(axis=0) <= tolerance)
+            direction, rho = z, np.einsum("ij,ij->j", residual, z)
+            while active.any() and iterations < KRYLOV_BUDGET:
+                iterations += 1
+                product = matrix @ direction
+                curvature = np.einsum("ij,ij->j", direction, product)
+                if not (np.all(curvature[active] > 0.0)
+                        and np.all(rho[active] > 0.0)):
+                    break
+                alpha = np.where(active, rho / curvature, 0.0)
+                solution += alpha * direction
+                residual -= alpha * product
+                z = preconditioner.solve(residual)
+                active &= ~(np.abs(z).max(axis=0) <= tolerance)
+                rho_next = np.einsum("ij,ij->j", residual, z)
+                direction = z + np.where(active, rho_next / rho,
+                                         0.0) * direction
+                rho = rho_next
+        self._counts["krylov_iterations"] += iterations
+        if active.any() or not np.all(np.isfinite(solution)):
+            return None
+        self._counts["krylov_solves"] += 1
+        return solution.reshape(rhs.shape)
+
     def _guard(self, temps: np.ndarray, rhs: np.ndarray,
-               overlay: np.ndarray,
-               factorization: Factorization) -> None:
+               overlay: np.ndarray, norm1: float, lu) -> None:
         """Singularity/degeneracy checks shared by every solve path.
 
         A singular-to-working-precision matrix often still factors (the
@@ -459,30 +454,25 @@ class ThermalOperator:
         or non-finite solution; the dimensionless growth
         ``||x|| ||A|| / ||b||`` lower-bounds ``cond_1(A)``, and healthy
         thermal systems sit many orders of magnitude below the limit.
-        The live factor is handed to :func:`condition_estimate` so the
-        diagnostic reuses it instead of refactorizing the matrix it
-        just factored.
+        ``norm1`` is the 1-norm of the matrix actually solved.  When
+        ``lu`` factors that matrix it is handed to
+        :func:`condition_estimate`, so the diagnostic reuses it instead
+        of refactorizing (a PCG result passes ``None``).
         """
-        if not np.all(np.isfinite(temps)):
-            estimate = condition_estimate(self._load(overlay),
-                                          lu=factorization._lu)
-            raise SingularNetworkError(
-                "Thermal system is singular or numerically degenerate "
-                f"(1-norm condition estimate {estimate:.3e})",
-                condition_estimate=estimate)
         rhs_scale = float(np.abs(rhs).max())
-        if rhs_scale > 0.0:
-            growth = (float(np.abs(temps).max())
-                      * factorization.norm1 / rhs_scale)
-            if growth > _DEGENERACY_GROWTH_LIMIT:
-                estimate = condition_estimate(self._load(overlay),
-                                              lu=factorization._lu)
-                raise SingularNetworkError(
-                    "Thermal system is numerically degenerate: solution "
-                    f"amplification {growth:.3e} exceeds "
-                    f"{_DEGENERACY_GROWTH_LIMIT:.1e} (1-norm condition "
-                    f"estimate {estimate:.3e})",
-                    condition_estimate=estimate)
+        growth = float(np.abs(temps).max()) * norm1 / rhs_scale \
+            if rhs_scale > 0.0 else 0.0
+        if not np.all(np.isfinite(temps)):
+            problem = "singular or numerically degenerate"
+        elif growth > _DEGENERACY_GROWTH_LIMIT:
+            problem = (f"numerically degenerate: solution amplification "
+                       f"{growth:.3e} exceeds {_DEGENERACY_GROWTH_LIMIT:.1e}")
+        else:
+            return
+        estimate = condition_estimate(self._load(overlay), lu=lu)
+        raise SingularNetworkError(
+            f"Thermal system is {problem} (1-norm condition estimate "
+            f"{estimate:.3e})", condition_estimate=estimate)
 
 
 def condition_estimate(matrix, lu=None) -> float:
@@ -491,7 +481,7 @@ def condition_estimate(matrix, lu=None) -> float:
     Used on the failure path only: a Hager-style norm estimate against
     a sparse LU factor, orders of magnitude cheaper than a dense
     condition number.  When the caller already holds a factorization of
-    ``matrix`` (the operator's guard path always does), pass it as
+    ``matrix`` (the operator's guard path usually does), pass it as
     ``lu`` and the estimate is pure back-substitution — no second
     ``splu`` of a matrix that was just factored.  Returns ``inf`` when
     the factorization fails (an exactly singular system).
@@ -517,8 +507,8 @@ def condition_estimate(matrix, lu=None) -> float:
 
 
 __all__ = [
-    "DEFAULT_FACTOR_CAPACITY",
     "Factorization",
+    "KrylovState",
     "OperatorStats",
     "ThermalOperator",
     "condition_estimate",

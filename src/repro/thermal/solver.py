@@ -9,6 +9,16 @@ reference [13]'s protocol, which typically converges in a handful of
 iterations.  If the loop diverges, or the temperatures exceed the ceiling,
 the evaluation reports **thermal runaway** (Section 6.2: the objective
 "tends to infinity for small values of omega").
+
+Every linear system of that loop is one step of a *solve sequence*: a
+:class:`SolveContext` carries the sequence's last converged chip
+temperatures (``warm_chip``) and its last sparse factor (``krylov``),
+and each relinearized system after the first factor is solved by
+preconditioned CG against that factor (see
+:mod:`repro.thermal.operator`).  A call without a context is a sequence
+of its own.  The leakage-free path is one linear system per point, so
+it reuses the held factor only at the exact same overlay and otherwise
+factors fresh, staying bit-identical to the direct solve.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from ..leakage import CellLeakageModel, tangent_linearization
 from ..obs import runtime as _obs
 from ..obs.metrics import DEFAULT_COUNT_BUCKETS
 from .assembly import PackageThermalModel
-from .operator import ThermalOperator
+from .operator import KrylovState, ThermalOperator
 
 
 @dataclass
@@ -37,8 +47,9 @@ class SolveContext:
     Replaces the hidden warm-start state the evaluator used to keep in
     ``Evaluator._warm_chip``: the previous converged chip temperatures
     (the leakage linearization point that makes successive nearby
-    queries converge in 1-2 iterations) live here explicitly, and the
-    context hands out the network's build-once
+    queries converge in 1-2 iterations) live here explicitly, next to
+    the sequence's last sparse factor, and the context hands out the
+    network's build-once
     :class:`~repro.thermal.operator.ThermalOperator`.
 
     Attributes:
@@ -46,10 +57,13 @@ class SolveContext:
         warm_chip: Chip-temperature vector (K) of the last successful
             solve, used as the next linearization point; ``None`` falls
             back to the ambient + 30 K cold start.
+        krylov: The sequence's preconditioner (its last factor); every
+            system after the first is solved by PCG against it.
     """
 
     model: PackageThermalModel
     warm_chip: Optional[np.ndarray] = field(default=None)
+    krylov: KrylovState = field(default_factory=KrylovState)
 
     @classmethod
     def for_model(cls, model: PackageThermalModel) -> "SolveContext":
@@ -62,8 +76,10 @@ class SolveContext:
         return self.model.network.operator
 
     def reset(self) -> None:
-        """Forget the warm linearization point (cold-start next solve)."""
+        """Forget the warm linearization point and the held factor
+        (cold-start next solve)."""
         self.warm_chip = None
+        self.krylov.reset()
 
 
 @dataclass
@@ -146,8 +162,8 @@ def solve_steady_state(
         sink_heat: Extra heat deposited on the sink surface (recirculated
             fan power), W.
         context: Optional :class:`SolveContext` carrying the warm
-            linearization point across calls; updated in place on every
-            successful solve.
+            linearization point and the held factor across calls;
+            updated in place on every successful solve.
 
     Raises:
         ThermalRunawayError: When no bounded steady state exists at this
@@ -156,12 +172,15 @@ def solve_steady_state(
     config = model.config
     ncell = model.grid.cell_count
     zeros = np.zeros(ncell, dtype=float)
+    warm = context.krylov if context is not None else KrylovState()
 
     if leakage is None:
         diag, rhs = model.overlays(omega, current, dynamic_cell_power,
                                    zeros, zeros, sink_heat=sink_heat)
+        if not warm.holds(diag):
+            warm.reset()
         temps = _network_solve(model, diag, rhs, omega, current,
-                               iteration=1)
+                               iteration=1, warm=warm)
         _check_physical(model, temps, omega, current, iteration=1)
         result = _package_result(model, temps, omega, current,
                                  leakage_power=0.0,
@@ -191,7 +210,8 @@ def solve_steady_state(
             omega, current, dynamic_cell_power,
             leak_slope=taylor.a, leak_const=taylor.constant_term(),
             sink_heat=sink_heat)
-        temps = _network_solve(model, diag, rhs, omega, current, iteration)
+        temps = _network_solve(model, diag, rhs, omega, current,
+                               iteration, warm=warm)
         _check_physical(model, temps, omega, current, iteration)
         chip = model.chip_temperatures(temps)
         update = float(np.max(np.abs(chip - t_ref)))
@@ -250,9 +270,10 @@ def solve_steady_state_batch(
     """Solve many ``(omega, I_TEC)`` points against one power map.
 
     Each point is one :func:`solve_steady_state` call, in input order,
-    warm-chaining through ``context`` exactly like repeated calls;
-    repeated operating points reuse the operator's cached
-    factorizations.
+    warm-chaining through ``context`` exactly like repeated calls.
+    Without a context each point cold-starts its linearization, but
+    the points share one held factor, so repeated operating points
+    reuse its factorization.
 
     Args:
         model: Assembled package thermal model.
@@ -277,12 +298,15 @@ def solve_steady_state_batch(
         if len(heats) != count:
             raise ConfigurationError(
                 f"sink_heats must have {count} entries, got {len(heats)}")
+    shared = KrylovState()
     results: List[Union[SteadyStateResult, ThermalRunawayError]] = []
     for (omega, current), heat in zip(points, heats):
         try:
             results.append(solve_steady_state(
                 model, omega, current, dynamic_cell_power,
-                leakage=leakage, sink_heat=heat, context=context))
+                leakage=leakage, sink_heat=heat,
+                context=context if context is not None
+                else SolveContext(model, krylov=shared)))
         except ThermalRunawayError as err:
             results.append(err)
     return results
@@ -291,11 +315,12 @@ def solve_steady_state_batch(
 def _network_solve(model: PackageThermalModel, diag: np.ndarray,
                    rhs: np.ndarray, omega: float,
                    current: Union[float, np.ndarray],
-                   iteration: int) -> np.ndarray:
-    """One network solve; re-raises singularities with operating-point
-    context (omega in rad/s, current in A) chained onto the original."""
+                   iteration: int, warm: KrylovState) -> np.ndarray:
+    """One warm network solve; re-raises singularities with
+    operating-point context (omega in rad/s, current in A) chained onto
+    the original."""
     try:
-        return model.network.solve(diag, rhs)
+        return model.network.solve(diag, rhs, warm=warm)
     except SingularNetworkError as exc:
         raise SingularNetworkError(
             f"{exc} during steady-state solve at omega={omega:.1f}, "

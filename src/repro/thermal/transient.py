@@ -25,6 +25,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..leakage import CellLeakageModel, tangent_linearization
 from .assembly import PackageThermalModel
+from .operator import KrylovState
 
 ScalarSchedule = Union[float, Callable[[float], float]]
 PowerSchedule = Union[np.ndarray, Callable[[float], np.ndarray]]
@@ -116,6 +117,7 @@ def simulate_transient(
     mean_trace = [float(chip0.mean())]
     leak_trace = [leakage.total_power(chip0) if leakage else 0.0]
     c_over_dt = capacities / dt
+    warm = KrylovState()
     network = model.network
     runaway = False
     runaway_time: Optional[float] = None
@@ -135,10 +137,11 @@ def simulate_transient(
             omega_t, current_t, power_t, slope, const,
             sink_heat=_schedule_value(sink_heat, t))
         # Backward-Euler step through the build-once operator: the
-        # capacity term rides on the diagonal overlay, so constant
-        # schedules reuse one cached factorization across all steps.
+        # capacity term rides on the diagonal overlay, so successive
+        # steps differ only on the diagonal and PCG against the loop's
+        # last factor solves them.
         temps = network.solve(diag + c_over_dt,
-                              rhs + c_over_dt * temps)
+                              rhs + c_over_dt * temps, warm=warm)
 
         chip = model.chip_temperatures(temps)
         times.append(t)

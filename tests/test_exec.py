@@ -308,6 +308,10 @@ class TestCampaignBitIdentity:
         for row in per_worker:
             assert row["solves"] > 0
             assert row["factorizations"] > 0
+            # Each unit factors a few times and solves the rest of its
+            # systems by PCG on its solve contexts' held factors.
+            assert row["krylov_solves"] > row["fresh_factorizations"] > 0
+            assert row["krylov_iterations"] >= row["krylov_solves"]
 
     def test_in_process_executor_digest(self, profiles,
                                         identity_problems):

@@ -336,6 +336,17 @@ class TestProgressBoard:
         line = board.status_line()
         assert "eval cache 75%" in line
         assert "factor cache 25%" in line
+        assert "krylov" not in line
+
+    def test_krylov_work_from_live_gauges(self):
+        out = io.StringIO()
+        board = ProgressBoard(out, total=2, interval_s=0.001)
+        board.live_metrics({"gauges": {
+            "operator.stats.krylov_solves": 40.0,
+            "operator.stats.krylov_iterations": 300.0,
+            "operator.stats.fresh_factorizations": 2.0}})
+        assert "krylov 40 solves 7.5 it/solve 2 fresh factors" \
+            in board.status_line()
 
     def test_eta_appears_after_first_completion(self):
         out = io.StringIO()

@@ -1,10 +1,12 @@
-"""ThermalOperator: structure/state split, factor LRU, bit-identity.
+"""ThermalOperator: structure/state split, warm solves, bit-identity.
 
 The bit-identity tests here back the operator module's claim that the
-build-once/update-many path (``splu`` through the precomputed diagonal
-index map) reproduces the legacy construction (``spsolve`` on a freshly
-assembled ``static + diag(overlay)``) bit for bit, fault-free, across
-all eight MiBench benchmarks.
+cold build-once/update-many path (``splu`` through the precomputed
+diagonal index map) reproduces the legacy construction (``spsolve`` on
+a freshly assembled ``static + diag(overlay)``) bit for bit, fault-free,
+across all eight MiBench benchmarks.  The tolerance gates back its
+second claim: every warm solve (an exact repeat of the held factor, or
+PCG preconditioned by it) stays within 1e-9 K of that direct solve.
 """
 
 import numpy as np
@@ -12,8 +14,17 @@ import pytest
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import spsolve
 
+from repro import run_oftec
 from repro.errors import ConfigurationError, SingularNetworkError
+from repro.faults import (
+    FaultInjector,
+    FaultKind,
+    FaultPlan,
+    FaultSpec,
+    FaultyNetwork,
+)
 from repro.thermal import (
+    KrylovState,
     OperatorStats,
     SolveContext,
     ThermalOperator,
@@ -47,9 +58,9 @@ def legacy_solve(network, overlay, rhs):
     return spsolve(matrix.tocsc(), rhs)
 
 
-def fresh_operator(network, **kwargs):
+def fresh_operator(network):
     """Independent operator over a copy of the network's structure."""
-    return ThermalOperator(network.static_matrix, **kwargs)
+    return ThermalOperator(network.static_matrix)
 
 
 def grounded_laplacian(n=6, ground=1.0):
@@ -63,9 +74,6 @@ def grounded_laplacian(n=6, ground=1.0):
 
 class TestStructure:
     def test_validation(self, tec_problem):
-        static = tec_problem.model.network.static_matrix
-        with pytest.raises(ConfigurationError):
-            ThermalOperator(static, factor_capacity=0)
         with pytest.raises(ConfigurationError):
             ThermalOperator(csr_matrix(np.ones((2, 3))))
 
@@ -106,76 +114,72 @@ class TestBitIdentity:
     def test_repeated_solve_reuses_factor_bitwise(self, tec_problem):
         operator = fresh_operator(tec_problem.model.network)
         overlay, rhs = model_overlays(tec_problem, *POINTS[1])
-        first = operator.solve(overlay, rhs)
-        second = operator.solve(overlay, rhs)
+        warm = KrylovState()
+        first = operator.solve(overlay, rhs, warm)
+        second = operator.solve(overlay, rhs, warm)
         assert (first == second).all()
-        assert operator.stats.factorizations == 1
+        assert (first == operator.solve(overlay, rhs)).all()
+        assert operator.stats.factorizations == 2
         assert operator.stats.cache_hits == 1
 
 
 class TestFactorCache:
+    """The solve sequence's held factor: the only factor reuse left."""
+
     def test_hit_and_solve_counters(self, tec_problem):
         operator = fresh_operator(tec_problem.model.network)
         overlay, rhs = model_overlays(tec_problem, *POINTS[0])
-        operator.solve(overlay, rhs)
-        operator.solve(overlay, 2.0 * rhs)
+        warm = KrylovState()
+        operator.solve(overlay, rhs, warm)
+        operator.solve(overlay, 2.0 * rhs, warm)
         stats = operator.stats
         assert stats == OperatorStats(solves=2, factorizations=1,
-                                      cache_hits=1, cache_evictions=0)
+                                      cache_hits=1,
+                                      fresh_factorizations=1)
         assert stats.reuse_ratio == 0.5
-
-    def test_lru_capacity_evicts_oldest(self, tec_problem):
-        operator = fresh_operator(tec_problem.model.network,
-                                  factor_capacity=2)
-        overlay, rhs = model_overlays(tec_problem, *POINTS[0])
-        for shift in (0.0, 1.0, 2.0):
-            operator.solve(overlay + shift, rhs)
-        assert operator.cached_factor_count == 2
-        assert operator.stats.cache_evictions == 1
-        # The evicted (oldest) overlay must refactorize.
-        operator.solve(overlay, rhs)
-        assert operator.stats.factorizations == 4
-
-    def test_recent_use_protects_against_eviction(self, tec_problem):
-        operator = fresh_operator(tec_problem.model.network,
-                                  factor_capacity=2)
-        overlay, rhs = model_overlays(tec_problem, *POINTS[0])
-        operator.solve(overlay, rhs)
-        operator.solve(overlay + 1.0, rhs)
-        operator.solve(overlay, rhs)        # refresh the first factor
-        operator.solve(overlay + 2.0, rhs)  # evicts overlay + 1.0
-        operator.solve(overlay, rhs)
-        assert operator.stats.factorizations == 3
-        assert operator.stats.cache_hits == 2
 
     def test_clear_drops_factors_keeps_counters(self, tec_problem):
         operator = fresh_operator(tec_problem.model.network)
         overlay, rhs = model_overlays(tec_problem, *POINTS[0])
-        operator.solve(overlay, rhs)
-        operator.clear()
-        assert operator.cached_factor_count == 0
+        context = SolveContext.for_model(tec_problem.model)
+        operator.solve(overlay, rhs, context.krylov)
+        context.reset()
+        assert context.krylov.factor is None
         assert operator.stats.factorizations == 1
-        operator.solve(overlay, rhs)
+        operator.solve(overlay, rhs, context.krylov)
         assert operator.stats.factorizations == 2
+        assert operator.stats.cache_hits == 0
 
     def test_reset_stats_keeps_factors(self, tec_problem):
         operator = fresh_operator(tec_problem.model.network)
         overlay, rhs = model_overlays(tec_problem, *POINTS[0])
-        operator.solve(overlay, rhs)
+        warm = KrylovState()
+        operator.solve(overlay, rhs, warm)
         operator.reset_stats()
         assert operator.stats == OperatorStats(0, 0, 0, 0)
-        operator.solve(overlay, rhs)
+        operator.solve(overlay, rhs, warm)
         assert operator.stats.cache_hits == 1
         assert operator.stats.factorizations == 0
 
-
-class TestQuantizedDigest:
-    def test_exact_keying_separates_close_overlays(self, tec_problem):
+    def test_operator_holds_no_factor_across_sequences(self,
+                                                       tec_problem):
         operator = fresh_operator(tec_problem.model.network)
         overlay, rhs = model_overlays(tec_problem, *POINTS[0])
-        operator.solve(overlay, rhs)
-        operator.solve(overlay + 1e-9, rhs)
+        operator.solve(overlay, rhs, KrylovState())
+        operator.solve(overlay, rhs, KrylovState())
         assert operator.stats.factorizations == 2
+        assert operator.stats.cache_hits == 0
+
+    def test_state_pickles_empty(self, tec_problem):
+        import pickle
+
+        operator = fresh_operator(tec_problem.model.network)
+        overlay, rhs = model_overlays(tec_problem, *POINTS[0])
+        context = SolveContext.for_model(tec_problem.model)
+        operator.solve(overlay, rhs, context.krylov)
+        clone = pickle.loads(pickle.dumps(context))
+        assert clone.krylov.factor is None
+        assert context.krylov.factor is not None
 
 
 class TestFailurePaths:
@@ -199,15 +203,17 @@ class TestFailurePaths:
     def test_failures_are_not_cached(self):
         operator = ThermalOperator(grounded_laplacian(ground=1.0))
         n = operator.node_count
-        healthy = operator.solve(np.zeros(n), np.ones(n))
+        warm = KrylovState()
+        healthy = operator.solve(np.zeros(n), np.ones(n), warm)
         assert np.all(np.isfinite(healthy))
-        before = operator.cached_factor_count
+        held = warm.factor
         with pytest.raises(SingularNetworkError):
             # Cancel the grounding via the overlay: singular again.
             sabotage = np.zeros(n)
             sabotage[0] = -1.0
-            operator.solve(sabotage, np.ones(n))
-        assert operator.cached_factor_count == before
+            operator.solve(sabotage, np.ones(n), warm)
+        # The failed system never becomes the preconditioner.
+        assert warm.factor is held
 
     def test_condition_estimate_blows_up_when_singular(self):
         estimate = condition_estimate(grounded_laplacian(ground=0.0))
@@ -325,12 +331,170 @@ class TestFactorReuseWorkloads:
         operator = evaluator.context.operator
         evaluator.evaluate(230.0, 0.8)
         mid = operator.stats
-        # Dropping the evaluation cache forgets the results but not the
-        # factor LRU: the rerun repeats the same relinearization
-        # sequence and back-substitutes against cached factors only.
+        # Dropping the evaluation cache drops the held factor too: the
+        # rerun is a cold sequence that factors once and solves the
+        # rest of its relinearized systems by PCG on that factor.
         evaluator.clear_cache()
         evaluator.evaluate(230.0, 0.8)
         after = operator.stats
-        assert after.solves > mid.solves
-        assert after.factorizations == mid.factorizations
-        assert after.cache_hits > mid.cache_hits
+        solves = after.solves - mid.solves
+        assert solves > 1
+        assert after.factorizations - mid.factorizations == 1
+        assert after.krylov_solves - mid.krylov_solves == solves - 1
+
+
+def direct_solve(network, overlay, rhs):
+    """Reference: assemble ``static + diag(overlay)`` and spsolve."""
+    matrix = (network.static_matrix + diags(overlay, format="csr")).tocsc()
+    return spsolve(matrix, rhs)
+
+
+class WarmSolveAudit:
+    """Wraps one operator's solve entry points for a test and compares
+    every warm result with the direct solve of the same system."""
+
+    def __init__(self, network, monkeypatch):
+        self.forward_error = 0.0
+        self.adjoint_error = 0.0
+        self.forward = 0
+        self.adjoint = 0
+        operator = network.operator
+        solve, solve_adjoint = operator.solve, operator.solve_adjoint
+
+        def audited_solve(overlay, rhs, warm=None):
+            result = solve(overlay, rhs, warm)
+            if warm is not None:
+                exact = direct_solve(network, overlay, rhs)
+                self.forward_error = max(
+                    self.forward_error, float(np.abs(result - exact).max()))
+                self.forward += 1
+            return result
+
+        def audited_adjoint(overlay, rhs, warm=None):
+            result = solve_adjoint(overlay, rhs, warm)
+            exact = np.column_stack([direct_solve(network, overlay, col)
+                                     for col in rhs.T])
+            relative = np.abs(result - exact).max(axis=0) \
+                / np.abs(exact).max(axis=0)
+            self.adjoint_error = max(self.adjoint_error,
+                                     float(relative.max()))
+            self.adjoint += 1
+            return result
+
+        monkeypatch.setattr(operator, "solve", audited_solve)
+        monkeypatch.setattr(operator, "solve_adjoint", audited_adjoint)
+
+
+class TestWarmSolves:
+    """Tolerance gates of the context-scoped PCG path."""
+
+    def test_exact_keying_separates_close_overlays(self, tec_problem):
+        operator = fresh_operator(tec_problem.model.network)
+        overlay, rhs = model_overlays(tec_problem, *POINTS[0])
+        warm = KrylovState()
+        operator.solve(overlay, rhs, warm)
+        operator.solve(overlay + 1e-9, rhs, warm)
+        stats = operator.stats
+        assert stats.factorizations == 1
+        assert stats.cache_hits == 0
+        assert stats.krylov_solves == 1
+
+    @pytest.mark.parametrize("workload", BENCHMARKS)
+    def test_oftec_trace_within_tolerance_of_direct_solve(
+            self, tec_problem, profiles, workload, monkeypatch):
+        problem = tec_problem.with_profile(profiles[workload])
+        operator = problem.model.network.operator
+        audit = WarmSolveAudit(problem.model.network, monkeypatch)
+        before = operator.stats
+        run_oftec(problem)
+        after = operator.stats
+        assert audit.forward > 0 and audit.adjoint > 0
+        assert audit.forward_error <= 1e-9
+        assert audit.adjoint_error <= 1e-9
+        # The trace really ran on PCG, not on fresh factors.
+        assert after.krylov_solves - before.krylov_solves \
+            > after.factorizations - before.factorizations
+
+    def test_operator_is_exactly_symmetric_with_tec_on(self,
+                                                       tec_problem):
+        # Every overlay term (fan coupling, Peltier, leakage slope)
+        # lands on the diagonal, so A^T = A and the adjoint needs no
+        # transposed solve.
+        model = tec_problem.model
+        cells = model.grid.cell_count
+        diag, _ = model.overlays(
+            300.0, tec_problem.current_upper_bound,
+            tec_problem.dynamic_cell_power, np.full(cells, 0.01),
+            np.zeros(cells), sink_heat=1.0)
+        matrix = model.network.static_matrix + diags(diag, format="csr")
+        assert (matrix != matrix.T).nnz == 0
+
+    def test_stale_preconditioner_converges_or_refactors(
+            self, tec_problem):
+        network = tec_problem.model.network
+        operator = fresh_operator(network)
+        warm = KrylovState()
+        operator.solve(*model_overlays(tec_problem, 0.0, 0.0), warm)
+        before = operator.stats
+        overlay, rhs = model_overlays(tec_problem,
+                                      tec_problem.limits.omega_max,
+                                      tec_problem.current_upper_bound)
+        result = operator.solve(overlay, rhs, warm)
+        after = operator.stats
+        krylov = after.krylov_solves - before.krylov_solves
+        refactored = after.fresh_factorizations \
+            - before.fresh_factorizations
+        assert krylov + refactored == 1
+        assert refactored == after.factorizations - before.factorizations
+        assert np.abs(result - direct_solve(network, overlay, rhs)).max() \
+            <= 1e-9
+
+    def test_singular_fault_on_warm_path_raises_typed_error(
+            self, tec_problem):
+        plan = FaultPlan(seed=0, specs=(FaultSpec(
+            kind=FaultKind.SINGULAR_NETWORK, rate=1.0, start_call=1),))
+        faulty = FaultyNetwork(tec_problem.model.network,
+                               FaultInjector(plan))
+        overlay, rhs = model_overlays(tec_problem, *POINTS[0])
+        warm = KrylovState()
+        faulty.solve(overlay, rhs, warm)  # immune first call: primes
+        held = warm.factor
+        assert held is not None
+        with pytest.raises(SingularNetworkError) as excinfo:
+            faulty.solve(overlay, rhs, warm)
+        assert excinfo.value.condition_estimate is not None
+        assert excinfo.value.condition_estimate > 1e12
+        assert warm.factor is held
+
+    def test_krylov_counters_exported_as_gauges(self, tec_problem):
+        from repro.obs import telemetry_session
+
+        operator = fresh_operator(tec_problem.model.network)
+        overlay, rhs = model_overlays(tec_problem, *POINTS[0])
+        warm = KrylovState()
+        nearby, _ = model_overlays(tec_problem, 185.0, 0.5)
+        with telemetry_session() as (_tracer, metrics):
+            operator.solve(overlay, rhs, warm)
+            operator.solve(nearby, rhs, warm)
+            gauges = metrics.snapshot()["gauges"]
+        stats = operator.stats
+        assert stats.krylov_solves == 1 and stats.krylov_iterations > 0
+        assert gauges["operator.stats.krylov_solves"] == 1.0
+        assert gauges["operator.stats.krylov_iterations"] \
+            == float(stats.krylov_iterations)
+        assert gauges["operator.stats.fresh_factorizations"] == 1.0
+        assert "operator.stats.factor_evictions" not in gauges
+        assert "operator.stats.factor_cache_size" not in gauges
+
+    def test_results_independent_of_earlier_runs(self, tec_problem,
+                                                 profiles):
+        # The held factor is scoped to a run's own solve context, so
+        # whatever ran before on the shared operator cannot leak in.
+        target = tec_problem.with_profile(profiles["fft"])
+        alone = run_oftec(target)
+        run_oftec(tec_problem.with_profile(profiles["crc32"]))
+        after = run_oftec(target)
+        assert after.omega_star == alone.omega_star
+        assert after.current_star == alone.current_star
+        assert (after.evaluation.steady.temperatures
+                == alone.evaluation.steady.temperatures).all()
