@@ -337,18 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated code prefixes to run")
     lint.add_argument("--ignore", default="", metavar="CODES",
                       help="comma-separated code prefixes to skip")
-    lint.add_argument("--cache", default=None, metavar="FILE",
-                      dest="lint_cache",
-                      help="incremental analysis cache file")
     lint.add_argument("--baseline", default=None, metavar="FILE",
                       dest="lint_baseline",
                       help="suppress findings recorded in FILE")
     lint.add_argument("--update-baseline", default=None,
                       metavar="FILE", dest="lint_update_baseline",
                       help="write current findings to FILE and exit 0")
-    lint.add_argument("--stats", action="store_true",
-                      dest="lint_stats",
-                      help="print cache/parse statistics to stderr")
     lint.add_argument("--explain", default=None, metavar="CODE",
                       dest="lint_explain",
                       help="explain one rule (rationale + examples)")
@@ -490,14 +484,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         forwarded += ["--select", args.select]
     if args.ignore:
         forwarded += ["--ignore", args.ignore]
-    if args.lint_cache:
-        forwarded += ["--cache", args.lint_cache]
     if args.lint_baseline:
         forwarded += ["--baseline", args.lint_baseline]
     if args.lint_update_baseline:
         forwarded += ["--update-baseline", args.lint_update_baseline]
-    if args.lint_stats:
-        forwarded.append("--stats")
     if args.lint_explain:
         forwarded += ["--explain", args.lint_explain]
     if args.list_rules:

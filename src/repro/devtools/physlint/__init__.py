@@ -2,14 +2,14 @@
 
 Run it as ``repro lint [PATH ...]`` or
 ``python -m repro.devtools.physlint [PATH ...]``; use
-:func:`lint_paths` / :func:`lint_source` (per-file rules) or
-:func:`lint_project` (the v2 whole-program engine: dimensional flow,
-process-safety reachability, incremental cache) as the library API.
+:func:`lint_paths` / :func:`lint_file` / :func:`lint_source` as the
+library API.  Each is one pass: the per-file rules, then the
+cross-module unit check (RPR703) over the same parse.
 
 See :mod:`repro.devtools.physlint.rules` for the per-file rule
-catalogue, :mod:`repro.devtools.physlint.projectrules` for the
-whole-program rules, and docs/LINTING.md for the engine guide,
-suppression syntax, and baseline/SARIF workflow.
+catalogue, :mod:`repro.devtools.physlint.project` for the cross-module
+rule, and docs/LINTING.md for the engine guide, suppression syntax,
+and baseline/SARIF workflow.
 """
 
 from __future__ import annotations
@@ -27,18 +27,14 @@ from .core import (
     LintContext,
     Rule,
     available_rules,
-    lint_file,
-    lint_paths,
-    lint_source,
     rule,
 )
 from .project import (
     ProjectGraph,
-    ProjectReport,
     ProjectRule,
-    available_project_rules,
-    lint_project,
-    project_rule,
+    lint_file,
+    lint_paths,
+    lint_source,
 )
 from .reporters import (
     findings_to_dict,
@@ -47,19 +43,17 @@ from .reporters import (
     format_text,
 )
 
-# Importing these modules registers the built-in rules.
+# Importing this module registers the built-in per-file rules (the
+# dimensional and cross-module rules register through .project).
 from . import rules as _builtin_rules  # noqa: F401  (import for effect)
-from . import projectrules as _builtin_project_rules  # noqa: F401
 
 __all__ = [
     "PARSE_ERROR_CODE",
     "Finding",
     "LintContext",
     "ProjectGraph",
-    "ProjectReport",
     "ProjectRule",
     "Rule",
-    "available_project_rules",
     "available_rules",
     "build_parser",
     "filter_new",
@@ -70,11 +64,9 @@ __all__ = [
     "format_text",
     "lint_file",
     "lint_paths",
-    "lint_project",
     "lint_source",
     "load_baseline",
     "main",
-    "project_rule",
     "rule",
     "write_baseline",
 ]

@@ -2,10 +2,10 @@
 
 Exit codes: 0 clean, 1 findings, 2 usage error.
 
-The v2 engine always runs the whole-program analysis; add ``--cache``
-to make repeated runs incremental, ``--baseline`` to gate CI on new
-findings only, and ``--explain RPRxxx`` to read a rule's rationale
-with a minimal fail/pass example.
+Every run is one lint pass: the per-file rules plus the cross-module
+unit check.  Add ``--baseline`` to gate CI on new findings only, and
+``--explain RPRxxx`` to read a rule's rationale with a minimal
+fail/pass example.
 """
 
 from __future__ import annotations
@@ -15,16 +15,12 @@ import inspect
 import os
 import sys
 import textwrap
-from typing import Dict, List, Optional, Type, Union
+from typing import List, Optional
 
 from ...errors import ConfigurationError
 from .baseline import filter_new, load_baseline, write_baseline
 from .core import Rule, available_rules
-from .project import (
-    ProjectRule,
-    available_project_rules,
-    lint_project,
-)
+from .project import lint_paths
 from .reporters import format_json, format_sarif, format_text
 
 
@@ -34,9 +30,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="physlint",
         description=("Domain-aware static analysis for the OFTEC "
                      "reproduction: units discipline, exception "
-                     "hygiene, numerics conventions, and "
-                     "whole-program process-safety and "
-                     "dimensional-flow checks."))
+                     "hygiene, numerics conventions, process "
+                     "safety, and dimensional flow across "
+                     "modules."))
     parser.add_argument(
         "paths", nargs="*", default=["src"], metavar="PATH",
         help="files or directories to lint (default: src)")
@@ -50,19 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--ignore", default="", metavar="CODES",
         help="comma-separated code prefixes to skip")
     parser.add_argument(
-        "--cache", default=None, metavar="FILE",
-        help=("incremental analysis cache file; unchanged files are "
-              "not re-parsed on later runs"))
-    parser.add_argument(
         "--baseline", default=None, metavar="FILE",
         help=("committed baseline of accepted findings; only "
               "findings not in it are reported"))
     parser.add_argument(
         "--update-baseline", default=None, metavar="FILE",
         help="write the current findings to FILE as the new baseline")
-    parser.add_argument(
-        "--stats", action="store_true",
-        help="print engine statistics (files, cache hits) to stderr")
     parser.add_argument(
         "--explain", default=None, metavar="CODE",
         help="print a rule's rationale and fail/pass example, then "
@@ -73,28 +62,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_AnyRule = Union[Type[Rule], Type[ProjectRule]]
-
-
-def _all_rules() -> Dict[str, _AnyRule]:
-    merged: Dict[str, _AnyRule] = {}
-    merged.update(available_rules())
-    merged.update(available_project_rules())
-    return dict(sorted(merged.items()))
-
-
 def _render_rule_table() -> str:
     lines = ["registered physlint rules:"]
-    project_codes = set(available_project_rules())
-    for code, rule_cls in _all_rules().items():
-        scope = "project" if code in project_codes else "file"
+    for code, rule_cls in available_rules().items():
+        scope = "file" if issubclass(rule_cls, Rule) else "project"
         lines.append(f"  {code}  {rule_cls.name:<18} [{scope:>7}] "
                      f"{rule_cls.rationale.split('.')[0].strip()}.")
     return "\n".join(lines)
 
 
 def _render_explanation(code: str) -> Optional[str]:
-    rule_cls = _all_rules().get(code.upper())
+    rule_cls = available_rules().get(code.upper())
     if rule_cls is None:
         return None
     lines = [f"{rule_cls.code} ({rule_cls.name})", ""]
@@ -134,9 +112,7 @@ def _run(argv: Optional[List[str]]) -> int:
     select = [c for c in args.select.split(",") if c.strip()]
     ignore = [c for c in args.ignore.split(",") if c.strip()]
     try:
-        report = lint_project(args.paths, select=select,
-                              ignore=ignore, cache_path=args.cache)
-        findings = report.findings
+        findings = lint_paths(args.paths, select=select, ignore=ignore)
         if args.update_baseline is not None:
             write_baseline(findings, args.update_baseline)
             print(f"physlint: baseline of {len(findings)} finding(s) "
@@ -148,11 +124,6 @@ def _run(argv: Optional[List[str]]) -> int:
     except ConfigurationError as error:
         print(f"physlint: error: {error}", file=sys.stderr)
         return 2
-    if args.stats:
-        print(f"physlint: {report.files} file(s), "
-              f"{report.cache_hits} cache hit(s), "
-              f"{report.cache_misses} miss(es), "
-              f"{report.parsed} parsed", file=sys.stderr)
     if args.format == "json":
         print(format_json(findings))
     elif args.format == "sarif":

@@ -1,4 +1,4 @@
-"""The physlint engine: rule registry, suppressions, and file walking.
+"""The physlint engine core: rule catalogue, suppressions, per-file pass.
 
 ``physlint`` is an AST-based linter for the *domain* conventions of this
 repository — strict-SI units, the :class:`~repro.errors.ReproError`
@@ -6,11 +6,14 @@ exception hierarchy, and the sparse-solver discipline of the thermal
 core.  Generic style is left to ``ruff``; physlint only checks what a
 general-purpose tool cannot know.
 
-Rules are :class:`Rule` subclasses registered with the :func:`rule`
-decorator; each carries a stable ``RPRxxx`` code.  Findings on a line
-that carries a ``# physlint: disable=RPRxxx`` comment are suppressed,
-as is every finding of a code named by a file-level
-``# physlint: disable-file=RPRxxx`` comment.
+Every rule registers with the :func:`rule` decorator into one catalogue
+and carries a stable ``RPRxxx`` code.  Per-file rules subclass
+:class:`Rule`; the cross-module rule subclasses
+:class:`~repro.devtools.physlint.project.ProjectRule` and runs in the
+same :func:`~repro.devtools.physlint.project.lint_paths` pass.
+Findings on a line that carries a ``# physlint: disable=RPRxxx``
+comment are suppressed, as is every finding of a code named by a
+file-level ``# physlint: disable-file=RPRxxx`` comment.
 """
 
 from __future__ import annotations
@@ -18,9 +21,17 @@ from __future__ import annotations
 import ast
 import os
 import re
-import tokenize
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
 from ...errors import ConfigurationError
 
@@ -78,24 +89,32 @@ class LintContext:
     lines: Tuple[str, ...]
 
 
-class Rule(ast.NodeVisitor):
-    """Base class for physlint rules.
+class BaseRule:
+    """What every catalogued rule carries.
+
+    Attributes:
+        code: Stable ``RPRxxx`` diagnostic code.
+        name: Short kebab-case rule name shown in reports.
+        rationale: One-paragraph description of why the rule exists.
+    """
+
+    code: str = ""
+    name: str = ""
+    rationale: str = ""
+
+
+class Rule(BaseRule, ast.NodeVisitor):
+    """Base class for per-file physlint rules.
 
     Subclasses set the class attributes below, implement ``visit_*``
     methods, and call :meth:`emit` for each violation.  One instance is
     created per file; the engine then calls ``visit`` on the module tree.
 
     Attributes:
-        code: Stable ``RPRxxx`` diagnostic code.
-        name: Short kebab-case rule name shown in reports.
-        rationale: One-paragraph description of why the rule exists.
         exempt_suffixes: Posix path suffixes the rule never applies to
             (e.g. ``("units.py",)`` for the unit-literal rule).
     """
 
-    code: str = ""
-    name: str = ""
-    rationale: str = ""
     exempt_suffixes: Tuple[str, ...] = ()
 
     def __init__(self, context: LintContext) -> None:
@@ -127,11 +146,13 @@ class Rule(ast.NodeVisitor):
 
 # Populated only at import time by @rule, then read-only: identical in
 # every process, so exempt from the per-process-state rule.
-_REGISTRY: Dict[str, Type[Rule]] = {}  # physlint: disable=RPR601
+_REGISTRY: Dict[str, Type[BaseRule]] = {}  # physlint: disable=RPR601
+
+_RuleT = TypeVar("_RuleT", bound=BaseRule)
 
 
-def rule(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator registering a :class:`Rule` by its code."""
+def rule(cls: Type[_RuleT]) -> Type[_RuleT]:
+    """Class decorator registering a rule by its code."""
     if not _CODE_RE.match(cls.code):
         raise ConfigurationError(
             f"rule {cls.__name__} has invalid code {cls.code!r}; "
@@ -147,7 +168,7 @@ def rule(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
-def available_rules() -> Dict[str, Type[Rule]]:
+def available_rules() -> Dict[str, Type[BaseRule]]:
     """All registered rules, keyed by code (sorted copy)."""
     return dict(sorted(_REGISTRY.items()))
 
@@ -181,11 +202,10 @@ def _file_suppressed_codes(source: str) -> Tuple[str, ...]:
 def extract_suppressions(source: str,
                          ) -> Tuple[Tuple[str, ...],
                                     Dict[int, Tuple[str, ...]]]:
-    """The file's suppression state, as serializable maps.
+    """The file's suppression state.
 
-    Returns ``(file codes, {1-based line: same-line codes})`` — the
-    form the incremental cache stores so whole-program findings can be
-    suppression-filtered without re-reading the file.
+    Returns ``(file codes, {1-based line: same-line codes})``, so
+    cross-module findings anchored in the file can be filtered too.
     """
     file_codes = _file_suppressed_codes(source)
     line_codes: Dict[int, Tuple[str, ...]] = {}
@@ -206,8 +226,8 @@ def suppressed_by_maps(finding: Finding,
     return _match_codes(finding.code, codes) or "ALL" in codes
 
 
-def _selected(finding: Finding, select: Tuple[str, ...],
-              ignore: Tuple[str, ...]) -> bool:
+def selected(finding: Finding, select: Tuple[str, ...],
+             ignore: Tuple[str, ...]) -> bool:
     if finding.code == PARSE_ERROR_CODE:
         return not _match_codes(finding.code, ignore)
     if select and not _match_codes(finding.code, select):
@@ -232,11 +252,10 @@ def validate_code_patterns(patterns: Iterable[str]) -> Tuple[str, ...]:
 
 @dataclass
 class FileAnalysis:
-    """The cacheable result of running every per-file rule on a file.
+    """The result of running every per-file rule on a file.
 
     ``findings`` are post-suppression but *pre* ``--select``/
-    ``--ignore`` — selection is cheap and run-specific, so the cache
-    stores the superset and the engine filters on the way out.
+    ``--ignore``; the engine filters on the way out.
     :data:`PARSE_ERROR_CODE` findings are never suppressible: a file
     that does not parse cannot be trusted to have meant its own
     suppression comments.
@@ -281,32 +300,13 @@ def analyze_source(source: str, path: str) -> FileAnalysis:
                             file_codes, line_codes)
     findings = []
     for rule_cls in _REGISTRY.values():
-        if not rule_cls.applies_to(posix_path):
-            continue
-        findings.extend(rule_cls(context).run(tree))
+        if issubclass(rule_cls, Rule) and rule_cls.applies_to(posix_path):
+            findings.extend(rule_cls(context).run(tree))
     findings = [f for f in findings
                 if not suppressed_by_maps(f, file_codes, line_codes)]
     findings.sort(key=lambda f: (f.path, f.line, f.column, f.code))
     return FileAnalysis(context, tree, findings,
                         file_codes, line_codes)
-
-
-def lint_source(source: str, path: str,
-                select: Tuple[str, ...] = (),
-                ignore: Tuple[str, ...] = ()) -> List[Finding]:
-    """Lint one already-read source string."""
-    analysis = analyze_source(source, path)
-    return [f for f in analysis.findings
-            if _selected(f, select, ignore)]
-
-
-def lint_file(path: str,
-              select: Tuple[str, ...] = (),
-              ignore: Tuple[str, ...] = ()) -> List[Finding]:
-    """Lint one file on disk."""
-    with tokenize.open(path) as handle:
-        source = handle.read()
-    return lint_source(source, path, select=select, ignore=ignore)
 
 
 def iter_python_files(paths: Sequence[str]) -> List[str]:
@@ -329,24 +329,72 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
     return collected
 
 
-def lint_paths(paths: Sequence[str],
-               select: Optional[Sequence[str]] = None,
-               ignore: Optional[Sequence[str]] = None) -> List[Finding]:
-    """Lint files and directories; the main library entry point.
+def _relative_base(module: Optional[str], is_package: bool,
+                   level: int) -> Optional[str]:
+    """The absolute package a ``from ...`` import resolves against."""
+    if module is None:
+        return None
+    parts = module.split(".")
+    cut = len(parts) - level + (1 if is_package else 0)
+    if cut < 0:
+        return None
+    return ".".join(parts[:cut])
 
-    Args:
-        paths: Files and/or directories (directories are walked for
-            ``.py`` files).
-        select: Optional code prefixes to restrict the run to.
-        ignore: Optional code prefixes to drop from the results.
 
-    Returns:
-        All findings, sorted by ``(path, line, column, code)``.
+def collect_imports(tree: ast.Module, module: Optional[str] = None,
+                    is_package: bool = False,
+                    ) -> Tuple[Dict[str, str], Dict[str, str]]:
+    """All import bindings anywhere in the file.
+
+    Returns ``(aliases, from_imports)``: ``import numpy as np`` binds
+    ``np -> numpy``, ``from random import choice`` binds
+    ``choice -> random.choice``.  Relative imports resolve only when
+    the file's ``module`` name is known.  Function-local imports are
+    folded into the module-level maps — an approximation that can only
+    widen resolution, never corrupt per-file findings.
     """
-    select_codes = validate_code_patterns(select or ())
-    ignore_codes = validate_code_patterns(ignore or ())
-    findings: List[Finding] = []
-    for file_path in iter_python_files(paths):
-        findings.extend(lint_file(file_path, select=select_codes,
-                                  ignore=ignore_codes))
-    return findings
+    aliases: Dict[str, str] = {}
+    from_imports: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is not None:
+                    aliases[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".")[0]
+                    aliases[head] = head
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = _relative_base(module, is_package, node.level)
+                if base is None:
+                    continue
+                origin = f"{base}.{node.module}" if node.module \
+                    else base
+                origin = origin.lstrip(".")
+            else:
+                origin = node.module or ""
+            if not origin:
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                bound = alias.asname or alias.name
+                from_imports[bound] = f"{origin}.{alias.name}"
+    return aliases, from_imports
+
+
+def resolve_dotted(dotted: str, aliases: Dict[str, str],
+                   from_imports: Dict[str, str]) -> Optional[str]:
+    """Rewrite a local dotted name through the import bindings.
+
+    None when the name's head is not bound by an import.
+    """
+    parts = dotted.split(".")
+    head = parts[0]
+    if head in from_imports:
+        full = from_imports[head]
+    elif head in aliases:
+        full = aliases[head]
+    else:
+        return None
+    return ".".join([full, *parts[1:]])

@@ -1,29 +1,15 @@
-"""The whole-program analysis layer: symbol table, call graph, engine.
+"""The lint pass: per-file rules, then the cross-module unit check.
 
 Per-file rules (:mod:`~repro.devtools.physlint.rules`) see one module
-at a time.  The bug classes that motivated physlint v2 — nested pool
-fan-out reached through three modules, a rad/s value handed to a
-parameter documented in RPM — only exist *between* files, so this
-module builds the project-wide picture:
-
-* :func:`extract_summary` condenses one parsed file into a
-  serializable :class:`FileSummary` — import aliases, per-function
-  parameter/return units, call sites with known argument units,
-  ``global`` statements, module-attribute writes, and pool-submission
-  targets.  Summaries are pure functions of file content, which is
-  what makes the incremental cache sound.
-* :class:`ProjectGraph` stitches summaries into a symbol table and
-  cross-module call graph, resolves call sites through import aliases
-  and re-exports, discovers worker entry points from pool-submission
-  sites, and computes worker reachability.  Functions that consult
-  :func:`~repro.exec.workers.in_worker` (or a ``resolve_workers``
-  guard built on it) are *barriers*: they demonstrably check their
-  process context before acting, so traversal stops there — the
-  static encoding of the PR 5 fix.
-* :func:`lint_project` is the v2 engine: per-file analysis through
-  the :class:`~repro.devtools.physlint.cache.AnalysisCache`, then the
-  registered :class:`ProjectRule` set over the graph.  On a warm
-  cache an unchanged tree re-parses zero files.
+at a time.  A rad/s value handed to a parameter documented in RPM —
+the paper's recurring fan-speed bug — only exists *between* files, so
+:func:`lint_paths` parses each file once, runs the per-file rules on
+the tree, condenses the same tree into a :class:`FileSummary` (import
+bindings, per-function parameter units, call sites with known argument
+units), and then runs RPR703 over the :class:`ProjectGraph` stitched
+from those summaries.  The graph resolves call sites through import
+aliases and one re-export hop (a package ``__init__`` forwarding a
+submodule's function).
 """
 
 from __future__ import annotations
@@ -31,29 +17,21 @@ from __future__ import annotations
 import ast
 import os
 import tokenize
-from collections import deque
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Type,
-)
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ...errors import ConfigurationError
-from .cache import AnalysisCache, content_digest, engine_salt
 from .core import (
+    BaseRule,
+    FileAnalysis,
     Finding,
     LintContext,
-    _selected,
     analyze_source,
     available_rules,
+    collect_imports,
     iter_python_files,
+    resolve_dotted,
+    rule,
+    selected,
     suppressed_by_maps,
     validate_code_patterns,
 )
@@ -62,22 +40,7 @@ from .dimensional import (
     analyze_functions,
     function_signature_units,
 )
-from .unitlang import Unit
-
-#: Callee tails treated as process-context guards: a function that
-#: calls one of these checks where it runs before acting, so
-#: reachability does not traverse it.
-GUARD_TAILS = frozenset({"in_worker", "resolve_workers"})
-
-#: Method names whose first positional argument is submitted to a
-#: pool as work (plus the spawn keywords handled separately).
-_SUBMIT_METHODS = frozenset({
-    "submit", "apply_async", "map", "map_async", "imap",
-    "imap_unordered", "starmap", "starmap_async",
-})
-
-#: Call keywords whose value runs in a child process.
-_SPAWN_KEYWORDS = frozenset({"initializer", "target"})
+from .unitlang import Unit, render_unit
 
 
 def module_name_for(path: str) -> Tuple[Optional[str], bool]:
@@ -104,84 +67,12 @@ def module_name_for(path: str) -> Tuple[Optional[str], bool]:
 
 
 @dataclass
-class Site:
-    """One location-bearing fact about a function body."""
-
-    desc: str
-    line: int
-    column: int
-
-    def to_list(self) -> List[Any]:
-        return [self.desc, self.line, self.column]
-
-    @classmethod
-    def from_list(cls, data: Sequence[Any]) -> "Site":
-        return cls(desc=str(data[0]), line=int(data[1]),
-                   column=int(data[2]))
-
-
-@dataclass
 class FunctionSummary:
-    """Everything the project layer knows about one function."""
+    """What the cross-module check knows about one function."""
 
-    name: str
-    line: int
-    column: int
     params: List[str]
     param_units: Dict[str, Unit]
-    return_unit: Optional[Unit]
-    calls: List[CallRecord] = field(default_factory=list)
-    nested: List[str] = field(default_factory=list)
-    global_names: List[Site] = field(default_factory=list)
-    attr_writes: List[Site] = field(default_factory=list)
-    submits: List[Site] = field(default_factory=list)
-    guard: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "column": self.column,
-            "params": list(self.params),
-            "param_units": dict(self.param_units),
-            "return_unit": self.return_unit,
-            "calls": [
-                {"callee": c.callee, "line": c.line,
-                 "column": c.column,
-                 "args": [[k, u] for k, u in c.args]}
-                for c in self.calls],
-            "nested": list(self.nested),
-            "global_names": [s.to_list() for s in self.global_names],
-            "attr_writes": [s.to_list() for s in self.attr_writes],
-            "submits": [s.to_list() for s in self.submits],
-            "guard": self.guard,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionSummary":
-        calls = [
-            CallRecord(
-                callee=c["callee"], line=c["line"],
-                column=c["column"],
-                args=[(k, u) for k, u in c["args"]])
-            for c in data["calls"]]
-        return cls(
-            name=data["name"],
-            line=data["line"],
-            column=data["column"],
-            params=list(data["params"]),
-            param_units={k: dict(v)
-                         for k, v in data["param_units"].items()},
-            return_unit=data["return_unit"],
-            calls=calls,
-            nested=list(data["nested"]),
-            global_names=[Site.from_list(s)
-                          for s in data["global_names"]],
-            attr_writes=[Site.from_list(s)
-                         for s in data["attr_writes"]],
-            submits=[Site.from_list(s) for s in data["submits"]],
-            guard=bool(data["guard"]),
-        )
+    calls: List[CallRecord]
 
 
 @dataclass
@@ -190,188 +81,31 @@ class FileSummary:
 
     path: str
     module: Optional[str]
-    is_package: bool
     aliases: Dict[str, str]
     from_imports: Dict[str, str]
     functions: Dict[str, FunctionSummary]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "is_package": self.is_package,
-            "aliases": dict(self.aliases),
-            "from_imports": dict(self.from_imports),
-            "functions": {qual: fn.to_dict()
-                          for qual, fn in self.functions.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FileSummary":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            is_package=bool(data["is_package"]),
-            aliases=dict(data["aliases"]),
-            from_imports=dict(data["from_imports"]),
-            functions={
-                qual: FunctionSummary.from_dict(fn)
-                for qual, fn in data["functions"].items()},
-        )
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = _dotted(node.value)
-        return None if base is None else f"{base}.{node.attr}"
-    return None
-
-
-def _relative_base(module: Optional[str], is_package: bool,
-                   level: int) -> Optional[str]:
-    """The absolute package a ``from ...`` import resolves against."""
-    if module is None:
-        return None
-    parts = module.split(".")
-    cut = len(parts) - level + (1 if is_package else 0)
-    if cut < 0:
-        return None
-    return ".".join(parts[:cut])
-
-
-def _collect_imports(tree: ast.Module, module: Optional[str],
-                     is_package: bool,
-                     ) -> Tuple[Dict[str, str], Dict[str, str]]:
-    """All import bindings anywhere in the file.
-
-    Function-local imports are folded into the module-level maps —
-    an approximation that can only widen resolution, never corrupt
-    per-file findings.
-    """
-    aliases: Dict[str, str] = {}
-    from_imports: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname is not None:
-                    aliases[alias.asname] = alias.name
-                else:
-                    head = alias.name.split(".")[0]
-                    aliases[head] = head
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base = _relative_base(module, is_package, node.level)
-                if base is None:
-                    continue
-                origin = f"{base}.{node.module}" if node.module \
-                    else base
-                origin = origin.lstrip(".")
-            else:
-                origin = node.module or ""
-            if not origin:
-                continue
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                bound = alias.asname or alias.name
-                from_imports[bound] = f"{origin}.{alias.name}"
-    return aliases, from_imports
-
-
-def _shallow_nodes(function: ast.AST) -> Iterable[ast.AST]:
-    """Every node in a function body, excluding nested def bodies."""
-    stack: List[ast.AST] = list(getattr(function, "body", []))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _is_bound_head(dotted: str, aliases: Dict[str, str],
-                   from_imports: Dict[str, str]) -> bool:
-    head = dotted.split(".")[0]
-    return head in aliases or head in from_imports
 
 
 def extract_summary(context: LintContext,
                     tree: ast.Module) -> FileSummary:
     """Condense one parsed file into its :class:`FileSummary`."""
     module, is_package = module_name_for(context.path)
-    aliases, from_imports = _collect_imports(tree, module, is_package)
+    aliases, from_imports = collect_imports(tree, module, is_package)
     functions: Dict[str, FunctionSummary] = {}
-
     for qual, node, flow in analyze_functions(context, tree):
         if not isinstance(node, (ast.FunctionDef,
                                  ast.AsyncFunctionDef)):
             continue
-        params_units, return_unit = function_signature_units(node)
+        param_units, _ = function_signature_units(node)
         args = node.args
-        ordered = [a.arg for a in (*args.posonlyargs, *args.args)]
-        summary = FunctionSummary(
-            name=qual,
-            line=node.lineno,
-            column=node.col_offset + 1,
-            params=ordered,
-            param_units=params_units,
-            return_unit=return_unit,
+        functions[qual] = FunctionSummary(
+            params=[a.arg for a in (*args.posonlyargs, *args.args)],
+            param_units=param_units,
             calls=flow.calls,
-            guard=any(
-                call.callee.split(".")[-1] in GUARD_TAILS
-                for call in flow.calls),
         )
-        for item in _shallow_nodes(node):
-            if isinstance(item, ast.Global):
-                for name in item.names:
-                    summary.global_names.append(Site(
-                        desc=name, line=item.lineno,
-                        column=item.col_offset + 1))
-            elif isinstance(item, (ast.Assign, ast.AugAssign,
-                                   ast.AnnAssign)):
-                targets = item.targets \
-                    if isinstance(item, ast.Assign) else [item.target]
-                for target in targets:
-                    if not isinstance(target, ast.Attribute):
-                        continue
-                    dotted = _dotted(target)
-                    if dotted is not None and _is_bound_head(
-                            dotted, aliases, from_imports):
-                        summary.attr_writes.append(Site(
-                            desc=dotted, line=target.lineno,
-                            column=target.col_offset + 1))
-            elif isinstance(item, ast.Call):
-                func = item.func
-                if isinstance(func, ast.Attribute) \
-                        and func.attr in _SUBMIT_METHODS \
-                        and item.args:
-                    target_name = _dotted(item.args[0])
-                    if target_name is not None:
-                        summary.submits.append(Site(
-                            desc=target_name, line=item.lineno,
-                            column=item.col_offset + 1))
-                for keyword in item.keywords:
-                    if keyword.arg in _SPAWN_KEYWORDS:
-                        target_name = _dotted(keyword.value)
-                        if target_name is not None:
-                            summary.submits.append(Site(
-                                desc=target_name, line=item.lineno,
-                                column=item.col_offset + 1))
-        functions[qual] = summary
-
-    for qual in functions:
-        if "." in qual:
-            parent = qual.rsplit(".", 1)[0]
-            if parent in functions:
-                functions[parent].nested.append(qual)
-
     return FileSummary(
         path=context.path,
         module=module,
-        is_package=is_package,
         aliases=aliases,
         from_imports=from_imports,
         functions=functions,
@@ -400,23 +134,6 @@ class ProjectGraph:
             for qual, fn in summary.functions.items():
                 self.nodes.setdefault((summary.module, qual),
                                       (summary, fn))
-        self._reachable: Optional[Dict[NodeKey,
-                                       Tuple[str, ...]]] = None
-
-    # -- name resolution ----------------------------------------------
-
-    def resolve_name(self, summary: FileSummary,
-                     dotted: str) -> str:
-        """Rewrite a local dotted name through the import bindings."""
-        parts = dotted.split(".")
-        head = parts[0]
-        if head in summary.from_imports:
-            full = summary.from_imports[head]
-        elif head in summary.aliases:
-            full = summary.aliases[head]
-        else:
-            return dotted
-        return ".".join([full, *parts[1:]])
 
     def resolve_call(self, module: str, caller_qual: str,
                      callee: str,
@@ -442,18 +159,18 @@ class ProjectGraph:
             if key in self.nodes:
                 return key, True
             return None
-        if head not in summary.from_imports \
-                and head not in summary.aliases:
-            for qual, implicit in (
-                    (callee, False),
-                    (f"{callee}.__init__", True),
-                    (f"{caller_qual}.{callee}", False)):
-                key = (module, qual)
-                if key in self.nodes:
-                    return key, implicit
-            return None
-        return self._resolve_full(
-            self.resolve_name(summary, callee), 0)
+        full = resolve_dotted(callee, summary.aliases,
+                              summary.from_imports)
+        if full is not None:
+            return self._resolve_full(full, 0)
+        for qual, implicit in (
+                (callee, False),
+                (f"{callee}.__init__", True),
+                (f"{caller_qual}.{callee}", False)):
+            key = (module, qual)
+            if key in self.nodes:
+                return key, implicit
+        return None
 
     def _resolve_full(self, full: str, depth: int,
                       ) -> Optional[Tuple[NodeKey, bool]]:
@@ -484,80 +201,16 @@ class ProjectGraph:
             return None
         return None
 
-    # -- worker reachability ------------------------------------------
 
-    def worker_roots(self) -> List[NodeKey]:
-        """Functions handed to a pool anywhere in the project."""
-        roots: Set[NodeKey] = set()
-        for module, qual in sorted(self.nodes):
-            _, fn = self.nodes[(module, qual)]
-            for site in fn.submits:
-                resolved = self.resolve_call(module, qual, site.desc)
-                if resolved is not None:
-                    roots.add(resolved[0])
-        return sorted(roots)
+class ProjectRule(BaseRule):
+    """Base class for cross-module rules.
 
-    def _edges(self, key: NodeKey) -> List[NodeKey]:
-        module, qual = key
-        summary, fn = self.nodes[key]
-        out: List[NodeKey] = []
-        for call in fn.calls:
-            resolved = self.resolve_call(module, qual, call.callee)
-            if resolved is not None:
-                out.append(resolved[0])
-        for nested in fn.nested:
-            nested_key = (module, nested)
-            if nested_key in self.nodes:
-                out.append(nested_key)
-        return out
-
-    def worker_reachable(self) -> Dict[NodeKey, Tuple[str, ...]]:
-        """Functions reachable from worker entry points.
-
-        Maps each reachable node to a witness call chain (qualified
-        names, entry point first).  Guard barriers — functions that
-        call ``in_worker``/``resolve_workers`` — terminate traversal
-        and are never themselves reported.
-        """
-        if self._reachable is not None:
-            return self._reachable
-        chains: Dict[NodeKey, Tuple[str, ...]] = {}
-        queue: "deque[NodeKey]" = deque()
-        for key in self.worker_roots():
-            _, fn = self.nodes[key]
-            if fn.guard or key in chains:
-                continue
-            chains[key] = (key[1],)
-            queue.append(key)
-        while queue:
-            key = queue.popleft()
-            for target in self._edges(key):
-                if target in chains:
-                    continue
-                _, fn = self.nodes[target]
-                if fn.guard:
-                    continue
-                chains[target] = (*chains[key], target[1])
-                queue.append(target)
-        self._reachable = chains
-        return chains
-
-
-# -- project rule registry -----------------------------------------------
-
-
-class ProjectRule:
-    """Base class for whole-program rules.
-
-    Like :class:`~repro.devtools.physlint.core.Rule` but runs once
-    per project over the :class:`ProjectGraph` instead of once per
-    file over an AST.  Findings carry the path of the file they
-    anchor in, so per-file suppression comments still apply.
+    Registered with :func:`~repro.devtools.physlint.core.rule` like
+    every per-file :class:`~repro.devtools.physlint.core.Rule`, but
+    runs once per lint pass over the :class:`ProjectGraph` instead of
+    once per file over an AST.  Findings carry the path of the file
+    they anchor in, so per-file suppression comments still apply.
     """
-
-    code: str = ""
-    name: str = ""
-    rationale: str = ""
 
     def __init__(self) -> None:
         self.findings: List[Finding] = []
@@ -578,170 +231,175 @@ class ProjectRule:
         raise NotImplementedError
 
 
-_ProjectRules = Dict[str, Type[ProjectRule]]
+@rule
+class UnitCallRule(ProjectRule):
+    """Call-site argument units must match the parameter's docstring.
 
-# Populated only at import time by @project_rule, then read-only:
-# identical in every process, so exempt from the per-process-state rule.
-_PROJECT_REGISTRY: _ProjectRules = {}  # physlint: disable=RPR601
+    Fail::
 
+        # fan.py
+        def fan_power(omega):
+            \"\"\"Args:
+                omega: Fan speed, rad/s.
+            \"\"\"
 
-def project_rule(cls: Type[ProjectRule]) -> Type[ProjectRule]:
-    """Class decorator registering a :class:`ProjectRule`."""
-    if not cls.code or not cls.name:
-        raise ConfigurationError(
-            f"project rule {cls.__name__} must set code and name")
-    if cls.code in _PROJECT_REGISTRY or cls.code in available_rules():
-        raise ConfigurationError(
-            f"duplicate rule code {cls.code}: {cls.__name__}")
-    _PROJECT_REGISTRY[cls.code] = cls
-    return cls
+        # control.py
+        from fan import fan_power
 
+        def step(omega_rpm):
+            \"\"\"Args:
+                omega_rpm: Commanded speed, RPM.
+            \"\"\"
+            return fan_power(omega_rpm)   # RPR703: RPM into rad/s
 
-def available_project_rules() -> Dict[str, Type[ProjectRule]]:
-    """All registered project rules, keyed by code (sorted copy)."""
-    return dict(sorted(_PROJECT_REGISTRY.items()))
+    Pass::
 
+        from repro.units import rpm_to_rad_s
 
-# -- the v2 engine -------------------------------------------------------
-
-
-@dataclass
-class ProjectReport:
-    """What one :func:`lint_project` run did and found.
-
-    Attributes:
-        findings: All findings after suppression and selection,
-            sorted by ``(path, line, column, code)``.
-        files: Number of files covered.
-        parsed: Files actually parsed this run (cache misses).
-        cache_hits: Files served entirely from the cache.
-        cache_misses: Files analyzed fresh.
+        def step(omega_rpm):
+            \"\"\"Args:
+                omega_rpm: Commanded speed, RPM.
+            \"\"\"
+            return fan_power(rpm_to_rad_s(omega_rpm))
     """
 
-    findings: List[Finding]
-    files: int
-    parsed: int
-    cache_hits: int
-    cache_misses: int
+    code = "RPR703"
+    name = "unit-call"
+    rationale = (
+        "The paper's quantities (A, rad/s vs RPM, K/W, W) cross many "
+        "module boundaries; a call passing RPM where the callee "
+        "documents rad/s is off by 2*pi/60 at every operating point.  "
+        "This check joins each call site's flow-inferred argument "
+        "units against the callee's declared parameter units across "
+        "every file of the lint pass.")
+
+    def check(self, graph: ProjectGraph) -> None:
+        for key in sorted(graph.nodes):
+            module, qual = key
+            summary, fn = graph.nodes[key]
+            for call in fn.calls:
+                if not call.args:
+                    continue
+                resolved = graph.resolve_call(module, qual,
+                                              call.callee)
+                if resolved is None:
+                    continue
+                self._check_call(graph, summary.path, call,
+                                 resolved[0], resolved[1])
+
+    def _check_call(self, graph: ProjectGraph, path: str,
+                    call: CallRecord, target_key: NodeKey,
+                    implicit_self: bool) -> None:
+        target_module, target_qual = target_key
+        _, target = graph.nodes[target_key]
+        offset = 1 if implicit_self else 0
+        for slot, unit in call.args:
+            name = self._param_name(target, slot, offset)
+            if name is None:
+                continue
+            declared = target.param_units.get(name)
+            if declared is not None and declared != unit:
+                self.emit(path, call.line, call.column, (
+                    f"argument `{name}` of "
+                    f"{target_module}.{target_qual} is documented "
+                    f"as {render_unit(declared)} but receives "
+                    f"{render_unit(unit)}; convert at the call "
+                    "site (repro.units)"))
+
+    @staticmethod
+    def _param_name(target: FunctionSummary,
+                    slot: Union[int, str],
+                    offset: int) -> Optional[str]:
+        if isinstance(slot, int):
+            index = slot + offset
+            if 0 <= index < len(target.params):
+                return target.params[index]
+            return None
+        return slot
 
 
-def _finding_to_dict(finding: Finding) -> Dict[str, Any]:
-    return {
-        "code": finding.code, "rule": finding.rule,
-        "message": finding.message, "path": finding.path,
-        "line": finding.line, "column": finding.column,
-    }
-
-
-def _finding_from_dict(data: Dict[str, Any]) -> Finding:
-    return Finding(
-        code=str(data["code"]), rule=str(data["rule"]),
-        message=str(data["message"]), path=str(data["path"]),
-        line=int(data["line"]), column=int(data["column"]))
-
-
-def lint_project(paths: Sequence[str],
-                 select: Optional[Sequence[str]] = None,
-                 ignore: Optional[Sequence[str]] = None,
-                 cache_path: Optional[str] = None) -> ProjectReport:
-    """Run the full v2 analysis: per-file rules + project rules.
-
-    Args:
-        paths: Files and/or directories to analyze.
-        select: Optional code prefixes to restrict the run to.
-        ignore: Optional code prefixes to drop from the results.
-        cache_path: Optional incremental cache file; unchanged files
-            are served from it without re-parsing.
-
-    Returns:
-        A :class:`ProjectReport` with the findings and cache stats.
-    """
+def _lint_sources(sources: Sequence[Tuple[str, str]],
+                  select: Optional[Sequence[str]],
+                  ignore: Optional[Sequence[str]]) -> List[Finding]:
+    """The one lint pass over ``(source, path)`` pairs."""
     select_codes = validate_code_patterns(select or ())
     ignore_codes = validate_code_patterns(ignore or ())
-    salt = engine_salt([*available_rules(), *_PROJECT_REGISTRY])
-    cache = AnalysisCache.load(cache_path, salt)
-
     findings: List[Finding] = []
-    suppressions: Dict[str, Tuple[Tuple[str, ...],
-                                  Dict[int, Tuple[str, ...]]]] = {}
+    analyses: Dict[str, FileAnalysis] = {}
     summaries: Dict[str, FileSummary] = {}
-    parsed = 0
-
-    file_list = iter_python_files(paths)
-    for path in file_list:
-        with tokenize.open(path) as handle:
-            source = handle.read()
-        posix = path.replace(os.sep, "/")
-        digest = content_digest(source)
-        entry = cache.lookup(posix, digest)
-        summary: Optional[FileSummary]
-        if entry is None:
-            parsed += 1
-            analysis = analyze_source(source, path)
-            summary = extract_summary(analysis.context, analysis.tree) \
-                if analysis.tree is not None else None
-            cache.store(posix, digest, {
-                "findings": [_finding_to_dict(f)
-                             for f in analysis.findings],
-                "summary": None if summary is None
-                else summary.to_dict(),
-                "file_codes": list(analysis.file_codes),
-                "line_codes": {str(line): list(codes)
-                               for line, codes
-                               in analysis.line_codes.items()},
-            })
-            file_findings = analysis.findings
-            file_codes = analysis.file_codes
-            line_codes = analysis.line_codes
-        else:
-            file_findings = [_finding_from_dict(d)
-                             for d in entry["findings"]]
-            file_codes = tuple(entry["file_codes"])
-            line_codes = {int(line): tuple(codes)
-                          for line, codes
-                          in entry["line_codes"].items()}
-            summary = None if entry["summary"] is None \
-                else FileSummary.from_dict(entry["summary"])
-        suppressions[posix] = (file_codes, line_codes)
-        if summary is not None:
-            summaries[posix] = summary
-        findings.extend(file_findings)
-
+    for source, path in sources:
+        analysis = analyze_source(source, path)
+        findings.extend(analysis.findings)
+        if analysis.tree is not None:
+            posix = analysis.context.posix_path
+            analyses[posix] = analysis
+            summaries[posix] = extract_summary(analysis.context,
+                                               analysis.tree)
     graph = ProjectGraph(summaries)
-    for rule_cls in available_project_rules().values():
+    for rule_cls in available_rules().values():
+        if not issubclass(rule_cls, ProjectRule):
+            continue
         for finding in rule_cls().run(graph):
-            posix = finding.path.replace(os.sep, "/")
-            maps = suppressions.get(posix)
-            if maps is not None and suppressed_by_maps(
-                    finding, maps[0], maps[1]):
-                continue
-            findings.append(finding)
-
+            anchor = analyses[finding.path.replace(os.sep, "/")]
+            if not suppressed_by_maps(finding, anchor.file_codes,
+                                      anchor.line_codes):
+                findings.append(finding)
     findings = [f for f in findings
-                if _selected(f, select_codes, ignore_codes)]
+                if selected(f, select_codes, ignore_codes)]
     findings.sort(key=lambda f: (f.path, f.line, f.column, f.code))
-    cache.save(cache_path)
-    return ProjectReport(
-        findings=findings,
-        files=len(file_list),
-        parsed=parsed,
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
-    )
+    return findings
+
+
+def lint_source(source: str, path: str,
+                select: Optional[Sequence[str]] = None,
+                ignore: Optional[Sequence[str]] = None,
+                ) -> List[Finding]:
+    """Lint one already-read source string."""
+    return _lint_sources([(source, path)], select, ignore)
+
+
+def lint_file(path: str,
+              select: Optional[Sequence[str]] = None,
+              ignore: Optional[Sequence[str]] = None) -> List[Finding]:
+    """Lint one file on disk."""
+    return lint_paths([path], select=select, ignore=ignore)
+
+
+def lint_paths(paths: Sequence[str],
+               select: Optional[Sequence[str]] = None,
+               ignore: Optional[Sequence[str]] = None) -> List[Finding]:
+    """Lint files and directories; the main library entry point.
+
+    Every file is parsed once: the per-file rules run on its tree, and
+    the cross-module unit check (RPR703) runs over the summaries of
+    all the files given.
+
+    Args:
+        paths: Files and/or directories (directories are walked for
+            ``.py`` files).
+        select: Optional code prefixes to restrict the run to.
+        ignore: Optional code prefixes to drop from the results.
+
+    Returns:
+        All findings, sorted by ``(path, line, column, code)``.
+    """
+    sources: List[Tuple[str, str]] = []
+    for path in iter_python_files(paths):
+        with tokenize.open(path) as handle:
+            sources.append((handle.read(), path))
+    return _lint_sources(sources, select, ignore)
 
 
 __all__ = [
     "FileSummary",
     "FunctionSummary",
-    "GUARD_TAILS",
     "NodeKey",
     "ProjectGraph",
-    "ProjectReport",
     "ProjectRule",
-    "Site",
-    "available_project_rules",
+    "UnitCallRule",
     "extract_summary",
-    "lint_project",
+    "lint_file",
+    "lint_paths",
+    "lint_source",
     "module_name_for",
-    "project_rule",
 ]

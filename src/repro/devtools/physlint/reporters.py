@@ -6,7 +6,7 @@ import json
 from collections import Counter
 from typing import Any, Dict, List, Sequence
 
-from .core import PARSE_ERROR_CODE, Finding
+from .core import PARSE_ERROR_CODE, Finding, available_rules
 
 #: Bumped when the JSON schema changes shape.
 JSON_SCHEMA_VERSION = 1
@@ -61,14 +61,8 @@ _SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/"
 
 
 def _sarif_rules() -> List[Dict[str, Any]]:
-    # Imported lazily so the reporter works regardless of which rule
-    # modules have been imported for registration side effects.
-    from .core import available_rules
-    from .project import available_project_rules
     catalogue: List[Dict[str, Any]] = []
-    entries = {**available_rules(), **available_project_rules()}
-    for code in sorted(entries):
-        rule_cls = entries[code]
+    for code, rule_cls in available_rules().items():
         catalogue.append({
             "id": code,
             "name": rule_cls.name,

@@ -38,17 +38,18 @@ Code        Name                Convention guarded
                                 instead of writing sinks directly.
 ``RPR601``  process-state       Module globals stay process-safe: no
                                 module-level mutable caches, no unseeded
-                                RNG construction (``repro.exec`` workers).
+                                RNG construction, no draws from the
+                                ambient ``random``/``numpy.random``
+                                stream (``repro.exec`` workers).
 ``RPR701``  unit-arith          Addition/subtraction operands carry the
                                 same declared unit (dimensional flow).
 ``RPR702``  unit-compare        Comparison operands carry the same
                                 declared unit (dimensional flow).
 ==========  ==================  ==============================================
 
-The whole-program rules — ``RPR602`` worker-state, ``RPR603``
-worker-fanout, ``RPR703`` unit-call — live in
-:mod:`~repro.devtools.physlint.projectrules` and run over the project
-graph instead of a single file.
+The cross-module rule ``RPR703`` unit-call lives in
+:mod:`~repro.devtools.physlint.project` and runs in the same lint pass
+over the summaries of every linted file.
 
 New rules: subclass :class:`~repro.devtools.physlint.core.Rule`, pick the
 next free code in the band (1xx units, 2xx exceptions/control flow,
@@ -66,7 +67,13 @@ import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...units import RPM_TO_RAD_S, ZERO_CELSIUS_K
-from .core import LintContext, Rule, rule
+from .core import (
+    LintContext,
+    Rule,
+    collect_imports,
+    resolve_dotted,
+    rule,
+)
 
 # ---------------------------------------------------------------------------
 # RPR101 — unit-literal
@@ -899,6 +906,21 @@ _BUILTIN_CONTAINERS = frozenset({"dict", "list", "set"})
 #: RNG constructor tails that must receive an explicit seed.
 _RNG_CONSTRUCTORS = frozenset({"Random", "RandomState", "default_rng"})
 
+#: Module-level functions of :mod:`random` and :mod:`numpy.random`
+#: that draw from (or reseed) the process-global stream.
+_AMBIENT_RNG = frozenset(
+    {f"random.{name}" for name in (
+        "betavariate", "choice", "choices", "expovariate", "gauss",
+        "getrandbits", "normalvariate", "paretovariate", "randint",
+        "random", "randrange", "sample", "seed", "shuffle",
+        "triangular", "uniform", "vonmisesvariate", "weibullvariate",
+    )}
+    | {f"numpy.random.{name}" for name in (
+        "choice", "exponential", "normal", "permutation", "poisson",
+        "rand", "randint", "randn", "random", "random_sample", "seed",
+        "shuffle", "standard_normal", "uniform",
+    )})
+
 
 def _empty_mutable_init(node: ast.expr) -> Optional[str]:
     """Describe an empty-mutable-container initializer; None otherwise."""
@@ -925,6 +947,7 @@ class ProcessStateRule(Rule):
 
         _CACHE = {}
         rng = np.random.default_rng()
+        noise = np.random.normal(0.0, 1.0)
 
     Pass::
 
@@ -933,6 +956,7 @@ class ProcessStateRule(Rule):
                 self._entries = {}
 
         rng = np.random.default_rng(seed)
+        noise = rng.normal(0.0, 1.0)
     """
 
     code = "RPR601"
@@ -942,10 +966,18 @@ class ProcessStateRule(Rule):
         "module re-imports, under fork inherited telemetry state is "
         "reset.  A module-level mutable cache silently becomes one "
         "independent copy per process whose contents never merge "
-        "back, and an unseeded RNG draws a different stream in every "
-        "process — both break the parallel bit-identity contract.")
+        "back, and an unseeded RNG — or a draw from the ambient "
+        "random/numpy.random stream — yields a different stream in "
+        "every process; all break the parallel bit-identity "
+        "contract.")
+
+    def __init__(self, context: LintContext) -> None:
+        super().__init__(context)
+        self._aliases: Dict[str, str] = {}
+        self._from_imports: Dict[str, str] = {}
 
     def visit_Module(self, node: ast.Module) -> None:
+        self._aliases, self._from_imports = collect_imports(node)
         for statement in node.body:
             targets: Sequence[ast.expr] = ()
             value: Optional[ast.expr] = None
@@ -978,6 +1010,13 @@ class ProcessStateRule(Rule):
                 "different stream in every process and every run; "
                 "pass an explicit seed (derive per-worker streams "
                 "with SeedSequence or FaultPlan.derive)"))
+        full = resolve_dotted(dotted, self._aliases,
+                              self._from_imports) if dotted else None
+        if full in _AMBIENT_RNG:
+            self.emit(node, (
+                f"ambient RNG `{full}` draws from the process-global "
+                "stream, which differs per worker and per run; use a "
+                "Generator seeded from the unit payload"))
         self.generic_visit(node)
 
     @staticmethod

@@ -91,7 +91,7 @@ def install_runtime(context: WorkerContext,
     # _RUNTIME is *deliberately* per-process: it IS the worker-local
     # runtime that in_worker() reads, installed by initialize() in
     # each child.  Nothing merges back by design.
-    global _RUNTIME  # physlint: disable=RPR602
+    global _RUNTIME
     previous = _RUNTIME
     _RUNTIME = _WorkerRuntime(context)
     return previous

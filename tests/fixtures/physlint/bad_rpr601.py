@@ -2,8 +2,10 @@
 
 import random
 from collections import Counter, OrderedDict, defaultdict, deque
+from random import choice
 
 import numpy as np
+import numpy.random as npr
 
 _CACHE = {}  # BAD: per-process copy, mutations never merge back
 _RESULTS = []  # BAD
@@ -22,3 +24,12 @@ def draw_samples(count):
     legacy = np.random.RandomState()  # BAD
     stdlib = random.Random()  # BAD
     return rng, explicit, keyword, legacy, stdlib, count
+
+
+def ambient_draws(values):
+    np.random.seed(0)  # BAD: reseeds the process-global stream
+    noise = np.random.normal(0.0, 1.0)  # BAD: np. alias resolves
+    random.shuffle(values)  # BAD: stdlib ambient stream
+    pick = choice(values)  # BAD: from-imported ambient draw
+    jitter = npr.uniform(0.0, 1.0)  # BAD: aliased numpy.random
+    return noise, pick, jitter

@@ -26,3 +26,13 @@ def draw_samples(seed, count):
     child = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     stdlib = random.Random(seed)
     return rng, child, stdlib, count
+
+
+def seeded_draws(seed, values):
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, 1.0)  # Generator method, not the module
+    rng.shuffle(values)
+    stdlib = random.Random(seed)
+    pick = stdlib.choice(values)
+    return noise, pick
+

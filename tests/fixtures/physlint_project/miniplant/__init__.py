@@ -1,12 +1,9 @@
-"""Mini plant model: the physlint whole-program fixture package.
+"""Mini plant model: the physlint cross-module fixture package.
 
-Each module seeds one class of cross-module defect the v2 engine must
-find (see tests/test_physlint_project.py for the expected sets):
+Each module seeds one class of defect the lint pass must find (see
+tests/test_physlint_project.py for the expected set):
 
 * ``control``/``panel`` — dimensional-flow bugs (RPR701/702/703);
-* ``scheduler``/``workers``/``pools`` — the PR 5 nested fan-out shape
-  and coordinator-state mutation (RPR602/603), plus a guarded variant
-  that must stay clean;
 * ``tracing`` — span/stopwatch hygiene (RPR502).
 
 The ``fan_power`` re-export below is load-bearing: ``panel`` imports

@@ -233,6 +233,43 @@ class TestNestedFanOut:
         finally:
             exec_workers.restore_runtime(previous)
 
+    def test_unit_body_campaign_call_runs_in_process(
+            self, monkeypatch, unit_problems, two_profiles):
+        """A unit body that calls a campaign entry point with
+        ``workers=2`` resolves to 0 workers and starts no process."""
+        def exploding_start(self):
+            raise AssertionError("no worker process may start")
+
+        import repro.exec
+        tec, base = unit_problems
+        real_units = repro.exec.run_campaign_units
+        real_body = exec_workers._execute_benchmark
+        resolved, inner = [], {}
+
+        def spy_units(*args, **kwargs):
+            resolved.append(kwargs["workers"])
+            return real_units(*args, **kwargs)
+
+        def nesting_body(context, unit, result):
+            # Only the outer unit nests; the inner units run as usual.
+            if "entered" not in inner:
+                inner["entered"] = True
+                inner["campaign"] = run_campaign(
+                    two_profiles, tec, base, workers=2)
+            real_body(context, unit, result)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess,
+                            "start", exploding_start)
+        monkeypatch.setattr(repro.exec, "run_campaign_units", spy_units)
+        monkeypatch.setattr(exec_workers, "_execute_benchmark",
+                            nesting_body)
+        outer = campaign_units(
+            unit_problems, dict(list(two_profiles.items())[:1]), 0)
+        assert outer.unhandled == []
+        assert resolved == [0]
+        assert [c.name for c in inner["campaign"].comparisons] \
+            == list(two_profiles)
+
 
 class TestTelemetryMerge:
     def test_adopt_records_reparents_and_shifts(self):

@@ -10,11 +10,12 @@ import pytest
 from repro.cli import main as repro_main
 from repro.devtools.physlint import (
     PARSE_ERROR_CODE,
-    available_project_rules,
+    ProjectRule,
     available_rules,
     lint_paths,
     lint_source,
     main as physlint_main,
+    rule,
 )
 from repro.errors import ConfigurationError
 
@@ -24,8 +25,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ALL_CODES = ("RPR101", "RPR201", "RPR202", "RPR204", "RPR301",
              "RPR302", "RPR303", "RPR401", "RPR501", "RPR502",
              "RPR503", "RPR504", "RPR601", "RPR701",
-             "RPR702")
-PROJECT_CODES = ("RPR602", "RPR603", "RPR703")
+             "RPR702", "RPR703")
+PROJECT_CODES = ("RPR703",)
 
 
 def codes_in(path):
@@ -37,15 +38,21 @@ class TestRegistry:
         assert tuple(sorted(available_rules())) == ALL_CODES
 
     def test_project_rules_registered(self):
-        assert tuple(sorted(available_project_rules())) == PROJECT_CODES
+        """The cross-module rule sits in the one catalogue."""
+        project = tuple(code for code, rule_cls in available_rules().items()
+                        if issubclass(rule_cls, ProjectRule))
+        assert project == PROJECT_CODES
 
     def test_registries_do_not_overlap(self):
-        assert not set(available_rules()) & set(available_project_rules())
+        """Per-file and cross-module rules share one code space."""
+        clash = type("Clash", (ProjectRule,),
+                     {"code": "RPR101", "name": "clash"})
+        with pytest.raises(ConfigurationError):
+            rule(clash)
+        assert available_rules()["RPR101"] is not clash
 
     def test_rules_carry_metadata(self):
-        registries = dict(available_rules())
-        registries.update(available_project_rules())
-        for code, rule_cls in registries.items():
+        for code, rule_cls in available_rules().items():
             assert rule_cls.code == code
             assert rule_cls.name
             assert rule_cls.rationale
@@ -53,9 +60,7 @@ class TestRegistry:
     def test_rule_docstrings_carry_examples(self):
         # --explain renders these; every rule must ship a minimal
         # failing and passing example in its docstring.
-        registries = dict(available_rules())
-        registries.update(available_project_rules())
-        for rule_cls in registries.values():
+        for rule_cls in available_rules().values():
             doc = rule_cls.__doc__ or ""
             assert "Fail::" in doc, rule_cls.code
             assert "Pass::" in doc, rule_cls.code
@@ -74,7 +79,7 @@ class TestBadFixtures:
         ("rpr501", 3),
         ("rpr503", 5),
         ("rpr504", 5),
-        ("rpr601", 13),
+        ("rpr601", 18),
     ])
     def test_bad_fixture_findings(self, code, expected):
         found = codes_in(FIXTURES / f"bad_{code}.py")
@@ -240,7 +245,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert physlint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ALL_CODES + PROJECT_CODES:
+        for code in ALL_CODES:
             assert code in out
 
     def test_repro_lint_subcommand(self, capsys):
@@ -262,5 +267,6 @@ class TestCli:
 
 class TestSelfCheck:
     def test_src_tree_is_clean(self):
+        """Every rule, the cross-module RPR703 included, over src/."""
         findings = lint_paths([str(SRC)])
         assert findings == [], "\n".join(f.render() for f in findings)

@@ -1,9 +1,8 @@
-"""Tests for the physlint v2 whole-program engine.
+"""Tests for the physlint cross-module pass and its reporting surface.
 
-Covers the project graph (worker reachability, guard barriers,
-cross-module unit joins), the incremental cache (zero re-parse on a
-warm run, suppression filtering of cached whole-program findings),
-the SARIF reporter, the baseline gate, and the CLI surface.
+Covers the project graph (cross-module unit joins through imports and
+re-exports, suppression of cross-module findings), the SARIF reporter,
+the baseline gate, and the CLI surface.
 """
 
 import json
@@ -16,7 +15,7 @@ from repro.cli import main as repro_main
 from repro.devtools.physlint import (
     filter_new,
     format_sarif,
-    lint_project,
+    lint_paths,
     lint_source,
     load_baseline,
     main as physlint_main,
@@ -36,13 +35,9 @@ EXPECTED = frozenset({
     ("control.py", 23, "RPR702"),
     ("control.py", 32, "RPR703"),
     ("panel.py", 12, "RPR703"),
-    ("pools.py", 8, "RPR603"),
     ("tracing.py", 8, "RPR502"),
     ("tracing.py", 16, "RPR502"),
     ("tracing.py", 22, "RPR502"),
-    ("workers.py", 29, "RPR602"),
-    ("workers.py", 35, "RPR602"),
-    ("workers.py", 40, "RPR602"),
 })
 
 
@@ -50,9 +45,8 @@ def _keyed(findings):
     return {(Path(f.path).name, f.line, f.code) for f in findings}
 
 
-def _lint_miniplant(root=MINIPLANT, cache=None):
-    return lint_project([str(root)], select=SELECT,
-                        cache_path=cache)
+def _lint_miniplant(root=MINIPLANT):
+    return lint_paths([str(root)], select=SELECT)
 
 
 @pytest.fixture()
@@ -65,108 +59,27 @@ def project_copy(tmp_path):
 
 class TestSeededFindings:
     def test_exact_finding_set(self):
-        report = _lint_miniplant()
-        assert _keyed(report.findings) == EXPECTED
+        assert _keyed(_lint_miniplant()) == EXPECTED
 
     def test_three_dimensional_mismatch_shapes(self):
-        report = _lint_miniplant()
-        codes = {f.code for f in report.findings}
+        codes = {f.code for f in _lint_miniplant()}
         # Arithmetic, comparison, and cross-module call mismatches
         # are all distinct seeded shapes.
         assert {"RPR701", "RPR702", "RPR703"} <= codes
 
-    def test_pr5_fanout_shape_carries_witness_chain(self):
-        report = _lint_miniplant()
-        fanout = [f for f in report.findings if f.code == "RPR603"]
-        assert len(fanout) == 1
-        assert "run_unit -> step -> expand_parallel" \
-            in fanout[0].message
-
-    def test_guard_barrier_not_flagged(self):
-        # safe_expand consults in_worker() before fanning out: the
-        # traversal must stop there, so neither it nor its pool use
-        # appears anywhere in the findings.
-        report = _lint_miniplant()
-        assert not any("safe_expand" in f.message
-                       for f in report.findings)
-
-    def test_coordinator_pool_not_flagged(self):
-        # scheduler.run_all spawns the pool but never runs in a
-        # worker; it must stay clean.
-        report = _lint_miniplant()
-        assert not any(Path(f.path).name == "scheduler.py"
-                       for f in report.findings)
-
     def test_reexport_hop_resolves(self):
         # panel.py imports fan_power through the package __init__;
         # the RPR703 there proves one-hop re-export resolution.
-        report = _lint_miniplant()
-        assert ("panel.py", 12, "RPR703") in _keyed(report.findings)
+        assert ("panel.py", 12, "RPR703") in _keyed(_lint_miniplant())
 
-
-class TestIncrementalCache:
-    def test_warm_run_parses_zero_files(self, tmp_path):
-        cache = str(tmp_path / "cache.json")
-        cold = _lint_miniplant(cache=cache)
-        assert cold.parsed == cold.files
-        assert cold.cache_hits == 0
-        warm = _lint_miniplant(cache=cache)
-        assert warm.parsed == 0
-        assert warm.cache_hits == warm.files
-        assert warm.cache_misses == 0
-        assert _keyed(warm.findings) == _keyed(cold.findings)
-
-    def test_changed_file_reparses_only_itself(self, project_copy,
-                                               tmp_path):
-        cache = str(tmp_path / "cache.json")
-        cold = _lint_miniplant(project_copy, cache=cache)
-        control = project_copy / "control.py"
-        control.write_text(
-            control.read_text().replace(
-                "return power_w + current_a",
-                "return power_w"))
-        warm = _lint_miniplant(project_copy, cache=cache)
-        assert warm.parsed == 1
-        assert warm.cache_hits == warm.files - 1
-        assert len(warm.findings) == len(cold.findings) - 1
-
-    def test_cross_module_findings_recompute_from_summaries(
-            self, project_copy, tmp_path):
-        # Changing only the callee's docstring must update call-site
-        # findings in *other* (still cached) files: project findings
-        # are recomputed from summaries each run, never cached.
-        cache = str(tmp_path / "cache.json")
-        _lint_miniplant(project_copy, cache=cache)
+    def test_callee_docstring_drives_call_findings(self, project_copy):
+        # Changing only the callee's docstring must clear the call-site
+        # findings in the *other* files of the same pass.
         fan = project_copy / "fan.py"
         fan.write_text(fan.read_text().replace(
             "omega: Fan speed, rad/s.", "omega: Fan speed, RPM."))
-        warm = _lint_miniplant(project_copy, cache=cache)
-        assert warm.parsed == 1
-        assert not any(f.code == "RPR703" for f in warm.findings)
-
-    def test_suppression_filters_cached_project_findings(
-            self, project_copy, tmp_path):
-        # A suppression added to one file must silence the
-        # whole-program finding even though every other file is
-        # served from the cache.
-        cache = str(tmp_path / "cache.json")
-        workers = project_copy / "workers.py"
-        workers.write_text(workers.read_text().replace(
-            "    global TOTALS\n",
-            "    global TOTALS  # physlint: disable=RPR602\n"))
-        _lint_miniplant(project_copy, cache=cache)
-        warm = _lint_miniplant(project_copy, cache=cache)
-        assert warm.parsed == 0
-        assert ("workers.py", 29, "RPR602") \
-            not in _keyed(warm.findings)
-        assert ("workers.py", 35, "RPR602") in _keyed(warm.findings)
-
-    def test_corrupt_cache_falls_back_to_cold(self, tmp_path):
-        cache = tmp_path / "cache.json"
-        cache.write_text("{ not json")
-        report = _lint_miniplant(cache=str(cache))
-        assert report.parsed == report.files
-        assert _keyed(report.findings) == EXPECTED
+        findings = _lint_miniplant(project_copy)
+        assert not any(f.code == "RPR703" for f in findings)
 
 
 class TestParseErrors:
@@ -174,20 +87,20 @@ class TestParseErrors:
         # broken.py carries `# physlint: disable-file=RPR000`; a file
         # that does not parse cannot be trusted to have meant its own
         # suppressions, so the finding survives.
-        report = lint_project([str(FIXPROJ / "broken.py")])
-        assert [f.code for f in report.findings] == ["RPR000"]
+        findings = lint_paths([str(FIXPROJ / "broken.py")])
+        assert [f.code for f in findings] == ["RPR000"]
 
     def test_rpr000_bypasses_select(self):
-        report = lint_project([str(FIXPROJ)], select=["RPR7"])
-        codes = {f.code for f in report.findings}
+        codes = {f.code for f in lint_paths([str(FIXPROJ)],
+                                            select=["RPR7"])}
         assert "RPR000" in codes
         assert "RPR703" in codes
-        assert "RPR602" not in codes
+        assert "RPR502" not in codes
 
     def test_rpr000_droppable_by_ignore(self):
-        report = lint_project([str(FIXPROJ)], select=["RPR7"],
+        findings = lint_paths([str(FIXPROJ)], select=["RPR7"],
                               ignore=["RPR000"])
-        assert not any(f.code == "RPR000" for f in report.findings)
+        assert not any(f.code == "RPR000" for f in findings)
 
 
 class TestSuppressionEdgeCases:
@@ -206,6 +119,18 @@ class TestSuppressionEdgeCases:
                "  # physlint: disable=RPR202\n")
         assert [f.code for f in lint_source(one, "x.py")] == ["RPR101"]
 
+    def test_same_line_disable_filters_cross_module_finding(
+            self, project_copy):
+        # A suppression on the call line silences the RPR703 anchored
+        # there; the other file's cross-module finding stays.
+        panel = project_copy / "panel.py"
+        panel.write_text(panel.read_text().replace(
+            "# seeded RPR703 via re-export",
+            "# physlint: disable=RPR703"))
+        keyed = _keyed(_lint_miniplant(project_copy))
+        assert ("panel.py", 12, "RPR703") not in keyed
+        assert ("control.py", 32, "RPR703") in keyed
+
     def test_disable_file_times_baseline(self, project_copy,
                                          tmp_path):
         # A disable-file'd finding never reaches the baseline, and
@@ -215,29 +140,28 @@ class TestSuppressionEdgeCases:
         control.write_text(
             "# physlint: disable-file=RPR701\n" + original)
         baseline = str(tmp_path / "baseline.json")
-        report = _lint_miniplant(project_copy)
-        assert not any(f.code == "RPR701" for f in report.findings)
-        write_baseline(report.findings, baseline)
+        findings = _lint_miniplant(project_copy)
+        assert not any(f.code == "RPR701" for f in findings)
+        write_baseline(findings, baseline)
         control.write_text(original)
         fresh = _lint_miniplant(project_copy)
-        new = filter_new(fresh.findings, load_baseline(baseline))
+        new = filter_new(fresh, load_baseline(baseline))
         assert [f.code for f in new] == ["RPR701"]
 
 
 class TestBaseline:
     def test_round_trip_absorbs_everything(self, tmp_path):
         baseline = str(tmp_path / "baseline.json")
-        report = _lint_miniplant()
-        write_baseline(report.findings, baseline)
-        assert filter_new(report.findings,
-                          load_baseline(baseline)) == []
+        findings = _lint_miniplant()
+        write_baseline(findings, baseline)
+        assert filter_new(findings, load_baseline(baseline)) == []
 
     def test_partial_baseline_reports_the_rest(self, tmp_path):
         baseline = str(tmp_path / "baseline.json")
-        report = _lint_miniplant()
-        write_baseline(report.findings[1:], baseline)
-        new = filter_new(report.findings, load_baseline(baseline))
-        assert new == [report.findings[0]]
+        findings = _lint_miniplant()
+        write_baseline(findings[1:], baseline)
+        new = filter_new(findings, load_baseline(baseline))
+        assert new == [findings[0]]
 
     def test_malformed_baseline_rejected(self, tmp_path):
         path = tmp_path / "baseline.json"
@@ -248,8 +172,7 @@ class TestBaseline:
 
 class TestSarif:
     def test_round_trips_with_results(self):
-        report = _lint_miniplant()
-        payload = json.loads(format_sarif(report.findings))
+        payload = json.loads(format_sarif(_lint_miniplant()))
         assert payload["version"] == "2.1.0"
         run = payload["runs"][0]
         results = run["results"]
@@ -263,8 +186,8 @@ class TestSarif:
             assert location["region"]["startLine"] >= 1
 
     def test_parse_errors_are_sarif_errors(self):
-        report = lint_project([str(FIXPROJ / "broken.py")])
-        payload = json.loads(format_sarif(report.findings))
+        findings = lint_paths([str(FIXPROJ / "broken.py")])
+        payload = json.loads(format_sarif(findings))
         levels = [r["level"]
                   for r in payload["runs"][0]["results"]]
         assert levels == ["error"]
@@ -273,14 +196,11 @@ class TestSarif:
 class TestCli:
     SELECT_ARG = "RPR502,RPR6,RPR7"
 
-    def test_exit_one_and_stats(self, capsys):
+    def test_exit_one_on_findings(self, capsys):
         code = physlint_main([str(MINIPLANT),
-                              "--select", self.SELECT_ARG,
-                              "--stats"])
+                              "--select", self.SELECT_ARG])
         assert code == 1
-        captured = capsys.readouterr()
-        assert "RPR603" in captured.out
-        assert "cache" in captured.err
+        assert "RPR703" in capsys.readouterr().out
 
     def test_sarif_format(self, capsys):
         code = physlint_main([str(MINIPLANT),
@@ -307,9 +227,9 @@ class TestCli:
         assert code == 2
 
     def test_explain_known_rule(self, capsys):
-        assert physlint_main(["--explain", "RPR603"]) == 0
+        assert physlint_main(["--explain", "RPR703"]) == 0
         out = capsys.readouterr().out
-        assert "RPR603" in out
+        assert "RPR703" in out
         assert "Fail::" in out
         assert "Pass::" in out
 
@@ -322,22 +242,21 @@ class TestCli:
         assert "unknown rule code" in capsys.readouterr().err
 
     def test_repro_lint_forwards_new_flags(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache.json")
+        baseline = str(tmp_path / "baseline.json")
         code = repro_main(["lint", str(MINIPLANT),
                            "--select", self.SELECT_ARG,
-                           "--cache", cache, "--stats",
                            "--format", "json"])
         assert code == 1
-        captured = capsys.readouterr()
-        payload = json.loads(captured.out)
+        payload = json.loads(capsys.readouterr().out)
         assert payload["total"] == len(EXPECTED)
-        assert "0 cache hit(s)" in captured.err
-        capsys.readouterr()
-        code = repro_main(["lint", str(MINIPLANT),
+        assert repro_main(["lint", str(MINIPLANT),
                            "--select", self.SELECT_ARG,
-                           "--cache", cache, "--stats"])
-        assert code == 1
-        assert "0 parsed" in capsys.readouterr().err
+                           "--update-baseline", baseline]) == 0
+        capsys.readouterr()
+        assert repro_main(["lint", str(MINIPLANT),
+                           "--select", self.SELECT_ARG,
+                           "--baseline", baseline]) == 0
+        assert "no findings" in capsys.readouterr().out
 
     def test_repro_lint_explain(self, capsys):
         assert repro_main(["lint", "--explain", "RPR502"]) == 0
