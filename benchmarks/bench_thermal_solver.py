@@ -100,7 +100,7 @@ def test_operator_reuse_and_emit(tec_problem, baseline_problem,
     units = campaign.worker_stats["units"]
     solves = sum(unit["solves"] for unit in units)
     factorizations = sum(unit["factorizations"] for unit in units)
-    hits = sum(unit["factor_cache_hits"] for unit in units)
+    hits = sum(unit["cache_hits"] for unit in units)
     krylov_solves = sum(unit["krylov_solves"] for unit in units)
     krylov_iterations = sum(unit["krylov_iterations"] for unit in units)
     fresh = sum(unit["fresh_factorizations"] for unit in units)

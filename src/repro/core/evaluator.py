@@ -51,6 +51,11 @@ CACHE_DECIMALS = 9
 #: temperature vectors.
 DEFAULT_CACHE_LIMIT = 4096
 
+#: The :class:`CacheInfo` counts; each is mirrored, in a telemetry
+#: session, by the registry counter ``evaluator.cache.<name>``.
+_CACHE_COUNTS = ("hits", "misses", "evictions", "gradient_hits",
+                 "gradient_misses")
+
 
 @dataclass(frozen=True)
 class CacheInfo:
@@ -166,45 +171,21 @@ class Evaluator:
         self._cache: "OrderedDict[Tuple[float, float], Evaluation]" = \
             OrderedDict()
         self._cache_limit = int(cache_limit)
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._cache_evictions = 0
+        self._counts = dict.fromkeys(_CACHE_COUNTS, 0)
         self._context = SolveContext.for_model(problem.model)
         self.call_count = 0
         self.solve_count = 0
         self.adjoint_solve_count = 0
-        self._gradient_hits = 0
-        self._gradient_misses = 0
         self._solve_budget: Optional[int] = None
         self._budget_used = 0
-        self._gauge_registry: Optional[object] = None
 
-    def _ensure_gauges(self) -> None:
-        """Register the cache-health collector on the live registry.
-
-        Identity-guarded: runs once per installed registry, so the
-        hot path pays one ``is`` check.  The registry holds the bound
-        method weakly (see
-        :meth:`repro.obs.MetricsRegistry.add_collector`), so the
-        evaluator stays collectable; contributions from several
-        evaluators sharing a registry are summed per gauge.
-        """
-        metrics = _obs.STATE.metrics
-        if self._gauge_registry is not metrics:
-            self._gauge_registry = metrics
-            metrics.add_collector(self._cache_gauges)
-
-    def _cache_gauges(self) -> dict:
-        """Gauge contributions snapshotting :meth:`cache_info`."""
-        info = self.cache_info()
-        return {
-            "evaluator.cache.size": float(info.size),
-            "evaluator.cache.capacity": float(info.limit),
-            "evaluator.cache.evictions": float(info.evictions),
-            "evaluator.cache.gradient_hits": float(info.gradient_hits),
-            "evaluator.cache.gradient_misses":
-                float(info.gradient_misses),
-        }
+    def _count(self, name: str) -> None:
+        """Bump the cache count ``name`` and, in a telemetry session,
+        the registry counter ``evaluator.cache.<name>`` (the one place
+        a cache count is incremented)."""
+        self._counts[name] += 1
+        if _obs.STATE.enabled:
+            _obs.STATE.metrics.counter("evaluator.cache." + name).inc()
 
     @property
     def cache_limit(self) -> int:
@@ -218,14 +199,8 @@ class Evaluator:
 
     def cache_info(self) -> CacheInfo:
         """Hit/miss/eviction counters and current size of the cache."""
-        return CacheInfo(
-            hits=self._cache_hits,
-            misses=self._cache_misses,
-            evictions=self._cache_evictions,
-            size=len(self._cache),
-            limit=self._cache_limit,
-            gradient_hits=self._gradient_hits,
-            gradient_misses=self._gradient_misses)
+        return CacheInfo(size=len(self._cache), limit=self._cache_limit,
+                         **self._counts)
 
     def set_solve_budget(self, budget: Optional[int]) -> None:
         """Cap the number of *fresh* thermal solves until the next call.
@@ -259,16 +234,10 @@ class Evaluator:
         hit = self._cache.get(key)
         if hit is not None:
             self._cache.move_to_end(key)
-            self._cache_hits += 1
-            if _obs.STATE.enabled:
-                self._ensure_gauges()
-                _obs.STATE.metrics.counter(
-                    "evaluator.cache.hits").inc()
+            self._count("hits")
             return hit
-        self._cache_misses += 1
+        self._count("misses")
         if _obs.STATE.enabled:
-            self._ensure_gauges()
-            _obs.STATE.metrics.counter("evaluator.cache.misses").inc()
             with _obs.STATE.tracer.span("evaluate", omega=omega,
                                         current=current):
                 result = self._guard_finite(
@@ -300,9 +269,9 @@ class Evaluator:
         """
         evaluation = self.evaluate(omega, current)
         if evaluation.gradient is not None:
-            self._gradient_hits += 1
+            self._count("gradient_hits")
             return evaluation
-        self._gradient_misses += 1
+        self._count("gradient_misses")
         if self._adjoint_capable() and not evaluation.runaway:
             evaluation.gradient = self._adjoint_gradient(evaluation)
         else:
@@ -390,7 +359,7 @@ class Evaluator:
         self._cache[key] = result
         if len(self._cache) > self._cache_limit:
             self._cache.popitem(last=False)
-            self._cache_evictions += 1
+            self._count("evictions")
 
     def _guard_finite(self, evaluation: Evaluation) -> Evaluation:
         """NaN/Inf guard: corrupt objective values (a NaN power entry,

@@ -27,13 +27,14 @@ platform's default start method; see docs/PARALLELISM.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import CoolingProblem, FailureReport, ResiliencePolicy
 from ..errors import ConfigurationError
 from ..faults.plan import FaultPlan
 from ..obs import runtime as _obs
+from ..thermal import OperatorStats
 from . import workers as _workers
 from .supervisor import START_METHOD_ENV, SupervisionPolicy, _Supervisor
 from .units import UnitResult, WorkUnit, WorkerContext
@@ -62,27 +63,28 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 def worker_statistics(results: Sequence[UnitResult]) -> Dict[str, Any]:
     """Aggregate per-unit stats into per-worker cache-locality totals.
 
-    Returns ``{"per_worker": [...], "units": [...]}`` where each
-    per-worker entry sums the operator counters of every unit that
-    process executed (solves, factorizations, exact factor reuse and
-    Krylov work; keys in :data:`~repro.exec.workers.OPERATOR_STAT_KEYS`).
+    Returns ``{"per_worker": [...], "units": [...]}`` where each row
+    carries the :class:`~repro.thermal.OperatorStats` fields (the
+    unit's deltas) and each per-worker entry sums them over every unit
+    that process executed.
     """
+    names = [stat.name for stat in fields(OperatorStats)]
     per_worker: Dict[Any, Dict[str, Any]] = {}
     unit_rows: List[Dict[str, Any]] = []
     for result in results:
         pid = result.stats.get("pid")
         row = {"unit": result.name, "pid": pid,
                "wall_seconds": result.wall_seconds}
-        for key in _workers.OPERATOR_STAT_KEYS:
-            row[key] = int(result.stats.get(key) or 0)
+        for name in names:
+            row[name] = result.stats.get(name, 0)
         unit_rows.append(row)
         entry = per_worker.setdefault(pid, {
             "pid": pid, "units": 0, "wall_seconds": 0.0,
-            **dict.fromkeys(_workers.OPERATOR_STAT_KEYS, 0)})
+            **dict.fromkeys(names, 0)})
         entry["units"] += 1
         entry["wall_seconds"] += result.wall_seconds
-        for key in _workers.OPERATOR_STAT_KEYS:
-            entry[key] += row[key]
+        for name in names:
+            entry[name] += row[name]
     ordered = sorted(per_worker.values(),
                      key=lambda e: (e["pid"] is None, e["pid"]))
     return {"per_worker": ordered, "units": unit_rows}

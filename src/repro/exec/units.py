@@ -60,8 +60,9 @@ class UnitResult:
         unhandled: ``"Type: message"`` lines for non-library exceptions
             (the chaos contract's escape hatch).
         fired: Fault fires per kind value, for chaos merges.
-        stats: Worker identity and cache-locality counters: ``pid``
-            plus the unit's operator/evaluator deltas.
+        stats: ``pid``, ``wall_seconds`` and the unit's
+            :class:`~repro.thermal.OperatorStats` deltas, by field
+            name.
         spans: Exported span records
             (:func:`repro.obs.span_to_dict` dictionaries) when the
             coordinator asked for telemetry, else None.  The

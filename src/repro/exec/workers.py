@@ -29,6 +29,7 @@ import os
 import pickle
 import queue as queue_module
 import threading
+from dataclasses import fields
 from typing import Callable, Optional
 
 from ..analysis.campaign import _run_benchmark, _StageFailure
@@ -38,6 +39,7 @@ from ..faults.inject import FaultInjector, FaultyEvaluator
 from ..obs import runtime as _obs
 from ..obs.clock import monotonic, stopwatch
 from ..obs.export import span_to_dict
+from ..thermal import OperatorStats
 from .units import UnitResult, WorkUnit, WorkerContext
 
 
@@ -197,24 +199,12 @@ def run_unit(unit: WorkUnit) -> UnitResult:
     return result
 
 
-#: Per-unit ``worker_stats`` key -> :class:`~repro.thermal.OperatorStats`
-#: field it is the unit's delta of.
-OPERATOR_STAT_KEYS = {
-    "solves": "solves",
-    "factorizations": "factorizations",
-    "factor_cache_hits": "cache_hits",
-    "adjoint_solves": "adjoint_solves",
-    "krylov_iterations": "krylov_iterations",
-    "krylov_solves": "krylov_solves",
-    "fresh_factorizations": "fresh_factorizations",
-}
-
-
 def _operator_deltas(result: UnitResult, befores, afters) -> None:
-    """Record the unit's operator-counter deltas on ``result.stats``."""
-    for key, field_name in OPERATOR_STAT_KEYS.items():
-        result.stats[key] = sum(
-            getattr(a, field_name) - getattr(b, field_name)
+    """Record the unit's :class:`~repro.thermal.OperatorStats` deltas
+    on ``result.stats``, keyed by field name."""
+    for stat in fields(OperatorStats):
+        result.stats[stat.name] = sum(
+            getattr(a, stat.name) - getattr(b, stat.name)
             for b, a in zip(befores, afters))
 
 

@@ -20,18 +20,11 @@ single attribute check per seam (see :mod:`repro.obs.runtime`).
 from __future__ import annotations
 
 import math
-import weakref
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
 
 Number = Union[int, float]
-
-#: A gauge collector: zero-arg callable returning name → value
-#: contributions folded into the snapshot (see
-#: :meth:`MetricsRegistry.add_collector`).
-GaugeCollector = Callable[[], Dict[str, float]]
 
 #: Default histogram bucket upper bounds for durations, seconds.
 #: Spans five decades: sub-100-microsecond sparse back-substitutions up
@@ -47,15 +40,15 @@ DEFAULT_COUNT_BUCKETS: Tuple[float, ...] = (
 
 
 class Counter:
-    """A monotonically increasing count."""
+    """A monotonically increasing count or sum (e.g. of seconds)."""
 
     __slots__ = ("name", "value")
 
     def __init__(self, name: str):
         self.name = name
-        self.value = 0
+        self.value: Number = 0
 
-    def inc(self, amount: int = 1) -> None:
+    def inc(self, amount: Number = 1) -> None:
         """Add ``amount`` (must be >= 0) to the counter."""
         if amount < 0:
             raise ConfigurationError(
@@ -131,7 +124,7 @@ class Histogram:
 class _NullCounter:
     __slots__ = ()
 
-    def inc(self, amount: int = 1) -> None:
+    def inc(self, amount: Number = 1) -> None:
         pass
 
 
@@ -173,9 +166,6 @@ class NullMetrics:
         """A shared no-op histogram."""
         return _NULL_HISTOGRAM
 
-    def add_collector(self, collector: GaugeCollector) -> None:
-        """Accepted and ignored (the registry is disabled)."""
-
     def snapshot(self) -> dict:
         """Always empty."""
         return {}
@@ -200,8 +190,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._collectors: List[Callable[[], Optional[GaugeCollector]]] \
-            = []
 
     def _check_free(self, name: str, kind: str) -> None:
         for type_name, table in (("counter", self._counters),
@@ -250,45 +238,13 @@ class MetricsRegistry:
         return sorted([*self._counters, *self._gauges,
                        *self._histograms])
 
-    def add_collector(self, collector: GaugeCollector) -> None:
-        """Register a gauge collector run at every :meth:`snapshot`.
-
-        ``collector`` is a zero-arg callable returning ``{gauge_name:
-        value}``; at snapshot time every live collector runs and
-        contributions are *summed per name* before being written into
-        the named gauges, so several evaluators or operators sharing a
-        registry aggregate instead of clobbering each other.  Bound
-        methods are held weakly: a collector whose owner has been
-        garbage-collected is pruned silently, so instrumented objects
-        never leak through the registry.
-        """
-        try:
-            self._collectors.append(weakref.WeakMethod(collector))
-        except TypeError:
-            # Plain functions/lambdas: hold them directly behind the
-            # same call-to-resolve shape as WeakMethod.
-            self._collectors.append(lambda _c=collector: _c)
-
-    def _collect_gauges(self) -> None:
-        totals: Dict[str, float] = {}
-        live: List[Callable[[], Optional[GaugeCollector]]] = []
-        for ref in self._collectors:
-            collector = ref()
-            if collector is None:
-                continue
-            live.append(ref)
-            for name, value in (collector() or {}).items():
-                totals[name] = totals.get(name, 0.0) + float(value)
-        self._collectors = live
-        for name, value in totals.items():
-            self.gauge(name).set(value)
-
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold another registry's :meth:`snapshot` into this one.
 
         Used by the ``repro.exec`` scheduler to aggregate per-worker
-        metrics: counters add, gauges take the incoming value (last
-        write wins, matching :meth:`Gauge.set`), histograms add
+        metrics: counters add exactly (integer counts and float
+        seconds alike), gauges take the incoming value (last write
+        wins, matching :meth:`Gauge.set`), histograms add
         per-bucket counts plus count/sum and widen min/max.  Instruments
         absent here are created; a histogram that exists with different
         bucket bounds raises
@@ -296,7 +252,7 @@ class MetricsRegistry:
         buckets would silently corrupt the distribution).
         """
         for name, value in (snapshot.get("counters") or {}).items():
-            self.counter(name).inc(int(value))
+            self.counter(name).inc(value)
         for name, value in (snapshot.get("gauges") or {}).items():
             self.gauge(name).set(value)
         for name, entry in (snapshot.get("histograms") or {}).items():
@@ -335,11 +291,8 @@ class MetricsRegistry:
                                    "overflow": n}}}
 
         Histogram ``min``/``max`` are omitted while empty (they are
-        sentinels, not observations).  Registered gauge collectors run
-        first (see :meth:`add_collector`), so cache-health gauges are
-        current in every snapshot.
+        sentinels, not observations).
         """
-        self._collect_gauges()
         histograms = {}
         for name, histogram in self._histograms.items():
             entry: dict = {
@@ -369,7 +322,6 @@ __all__ = [
     "DEFAULT_COUNT_BUCKETS",
     "DEFAULT_TIME_BUCKETS_S",
     "Gauge",
-    "GaugeCollector",
     "Histogram",
     "MetricsRegistry",
     "NOOP_METRICS",

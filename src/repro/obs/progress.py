@@ -138,25 +138,24 @@ class ProgressBoard:
         self._pump()
 
     def live_metrics(self, snapshot: Dict[str, Any]) -> None:
-        """Fold cache hit rates and the operator's Krylov work (the
-        ``operator.stats.*`` gauges) out of a live metrics snapshot."""
+        """Fold cache hit rates and the operator's Krylov work out of
+        the counters of a live metrics snapshot."""
         counters = snapshot.get("counters") or {}
-        gauges = snapshot.get("gauges") or {}
         with self._lock:
             rate = _hit_rate(counters, "evaluator.cache.hits",
                              "evaluator.cache.misses")
             if rate is not None:
                 self._cache_rates["eval"] = rate
-            rate = _hit_rate(counters, "operator.factor.hits",
+            rate = _hit_rate(counters, "operator.cache_hits",
                              "operator.factorizations")
             if rate is not None:
                 self._cache_rates["factor"] = rate
-            krylov_solves = gauges.get("operator.stats.krylov_solves")
+            krylov_solves = counters.get("operator.krylov_solves")
             if krylov_solves:
-                iterations = gauges.get(
-                    "operator.stats.krylov_iterations") or 0
-                fresh = gauges.get(
-                    "operator.stats.fresh_factorizations") or 0
+                iterations = counters.get(
+                    "operator.krylov_iterations") or 0
+                fresh = counters.get(
+                    "operator.fresh_factorizations") or 0
                 self._krylov = (
                     f"krylov {int(krylov_solves)} solves "
                     f"{iterations / krylov_solves:.1f} it/solve "

@@ -32,12 +32,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix, diags
 
 from ..errors import ConfigurationError
-from .operator import (
-    _DEGENERACY_GROWTH_LIMIT,
-    KrylovState,
-    ThermalOperator,
-    condition_estimate,
-)
+from .operator import KrylovState, ThermalOperator, condition_estimate
 
 __all__ = [
     "NodeInfo",

@@ -57,12 +57,13 @@ KRYLOV_BUDGET = 15
 
 #: The :class:`OperatorStats` fields, in order.
 _COUNTERS = ("solves", "factorizations", "cache_hits", "adjoint_solves",
-             "krylov_iterations", "krylov_solves", "fresh_factorizations")
+             "krylov_iterations", "krylov_solves", "fresh_factorizations",
+             "factor_seconds", "solve_seconds")
 
 
 @dataclass(frozen=True)
 class OperatorStats:
-    """Counters of one :class:`ThermalOperator`'s lifetime.
+    """Counts and seconds of one :class:`ThermalOperator`'s lifetime.
 
     Attributes:
         solves: Forward right-hand sides solved.
@@ -78,6 +79,9 @@ class OperatorStats:
             that PCG solved without a fresh factorization.
         fresh_factorizations: Factorizations on the warm path: cold
             starts plus Krylov misses.
+        factor_seconds: Wall time of the counted factorizations, s.
+        solve_seconds: Wall time of the counted forward and adjoint
+            solves (any fresh factor they trigger included), s.
     """
 
     solves: int
@@ -87,6 +91,8 @@ class OperatorStats:
     krylov_iterations: int = 0
     krylov_solves: int = 0
     fresh_factorizations: int = 0
+    factor_seconds: float = 0.0
+    solve_seconds: float = 0.0
 
     @property
     def reuse_ratio(self) -> float:
@@ -142,51 +148,6 @@ class KrylovState:
         return (KrylovState, ())
 
 
-class _OperatorInstruments:
-    """Telemetry handles resolved once per installed registry.
-
-    ``metrics.counter(name)`` is a dict lookup plus a string hash per
-    call; on the warm-solve path (a few hundred microseconds of
-    back-substitution) that resolution cost plus two clock reads was
-    the bulk of the enabled-session overhead measured by
-    ``benchmarks/bench_obs_overhead.py``.  One of these is built the
-    first time an operator observes a given registry and reused until
-    a different registry is installed (sessions install fresh
-    registries, so identity comparison is the correct invalidation).
-    """
-
-    __slots__ = ("metrics", "solves", "solve_seconds", "factor_hits",
-                 "factorizations", "factorize_seconds", "_tick")
-
-    #: Only every Nth warm solve is timed: the latency histogram needs
-    #: a sample, not a census, and the two ``monotonic()`` reads are
-    #: the single largest per-solve cost of an enabled session.
-    SAMPLE_EVERY = 16
-
-    def __init__(self, metrics) -> None:
-        self.metrics = metrics
-        self.solves = metrics.counter("operator.solves")
-        self.solve_seconds = metrics.histogram(
-            "operator.solve_seconds")
-        self.factor_hits = metrics.counter("operator.factor.hits")
-        self.factorizations = metrics.counter(
-            "operator.factorizations")
-        self.factorize_seconds = metrics.histogram(
-            "operator.factorize_seconds")
-        self._tick = 0
-
-    def sample_solve(self) -> bool:
-        """True on the solves whose latency should be observed.
-
-        The first solve under a fresh registry always samples, so even
-        a one-solve session snapshots a latency histogram; after that,
-        one solve in :data:`SAMPLE_EVERY`.
-        """
-        tick = self._tick
-        self._tick = tick + 1
-        return tick % self.SAMPLE_EVERY == 0
-
-
 class ThermalOperator:
     """Structure/state split over one finalized static matrix.
 
@@ -229,29 +190,14 @@ class ThermalOperator:
         self._off_diagonal_norms = np.add.reduceat(
             off_diagonal, csc.indptr[:-1])
         self._counts = dict.fromkeys(_COUNTERS, 0)
-        self._obs_handles: Optional[_OperatorInstruments] = None
 
-    def _instruments(self) -> _OperatorInstruments:
-        """Handles for the currently installed registry (cached)."""
-        handles = self._obs_handles
-        metrics = _obs.STATE.metrics
-        if handles is None or handles.metrics is not metrics:
-            handles = _OperatorInstruments(metrics)
-            self._obs_handles = handles
-            # Once per registry: snapshot-time gauges mirroring
-            # :attr:`stats` (held weakly — see ``add_collector``).
-            metrics.add_collector(self._stats_gauges)
-        return handles
-
-    def _stats_gauges(self) -> dict:
-        """Gauge contributions mirroring the lifetime :attr:`stats`:
-        ``operator.stats.<field>``, with ``cache_hits`` exported as
-        ``factor_hits``.  The names differ from the per-event
-        ``operator.*`` counters because a name is bound to one
-        instrument type per registry."""
-        return {"operator.stats." + ("factor_hits" if name == "cache_hits"
-                                     else name): float(count)
-                for name, count in self._counts.items()}
+    def _count(self, name: str, amount: float = 1) -> None:
+        """Add ``amount`` to the lifetime count ``name`` and, in a
+        telemetry session, to the registry counter ``operator.<name>``
+        (the one place an operator count is incremented)."""
+        self._counts[name] += amount
+        if _obs.STATE.enabled:
+            _obs.STATE.metrics.counter("operator." + name).inc(amount)
 
     @property
     def node_count(self) -> int:
@@ -260,7 +206,8 @@ class ThermalOperator:
 
     @property
     def stats(self) -> OperatorStats:
-        """Lifetime counters (solves, factorizations, reuse, Krylov)."""
+        """Lifetime counts and seconds (solves, factorizations, reuse,
+        Krylov)."""
         return OperatorStats(**self._counts)
 
     def clear(self) -> None:
@@ -277,7 +224,6 @@ class ThermalOperator:
         unpickled operator starts its new process from scratch."""
         state = self.__dict__.copy()
         state["_counts"] = dict.fromkeys(_COUNTERS, 0)
-        state["_obs_handles"] = None
         return state
 
     def _checked_overlay(self, diag_overlay: np.ndarray) -> np.ndarray:
@@ -306,7 +252,7 @@ class ThermalOperator:
         estimate) when the matrix does not factor.
         """
         overlay = self._checked_overlay(diag_overlay)
-        started = monotonic() if _obs.STATE.enabled else 0.0
+        started = monotonic()
         csc = self._load(overlay)
         norm1 = self._norm1()
         try:
@@ -319,11 +265,9 @@ class ThermalOperator:
                 f"Sparse steady-state solve failed ({exc}); 1-norm "
                 f"condition estimate {estimate:.3e}",
                 condition_estimate=estimate) from exc
-        self._counts["factorizations"] += 1
+        self._count("factorizations")
+        self._count("factor_seconds", monotonic() - started)
         if _obs.STATE.enabled:
-            handles = self._instruments()
-            handles.factorizations.inc()
-            handles.factorize_seconds.observe(monotonic() - started)
             _obs.STATE.tracer.event("operator.factorize")
         return Factorization(lu, overlay.copy(), norm1)
 
@@ -341,15 +285,10 @@ class ThermalOperator:
         if rhs_arr.shape != (self._n,):
             raise ConfigurationError(
                 f"RHS must have shape ({self._n},), got {rhs_arr.shape}")
-        handles = self._instruments() if _obs.STATE.enabled else None
-        sampled = handles is not None and handles.sample_solve()
-        started = monotonic() if sampled else 0.0
+        started = monotonic()
         temps = self._solve(overlay, rhs_arr, warm)
-        self._counts["solves"] += 1
-        if handles is not None:
-            handles.solves.inc()
-            if sampled:
-                handles.solve_seconds.observe(monotonic() - started)
+        self._count("solves")
+        self._count("solve_seconds", monotonic() - started)
         return temps
 
     def solve_adjoint(self, diag_overlay: np.ndarray, rhs: np.ndarray,
@@ -366,9 +305,11 @@ class ThermalOperator:
             raise ConfigurationError(
                 f"Adjoint RHS must have shape ({self._n},) or "
                 f"({self._n}, k), got {rhs_arr.shape}")
+        started = monotonic()
         duals = self._solve(overlay, rhs_arr, warm)
-        self._counts["adjoint_solves"] += 1 if rhs_arr.ndim == 1 \
-            else rhs_arr.shape[1]
+        self._count("adjoint_solves",
+                    1 if rhs_arr.ndim == 1 else rhs_arr.shape[1])
+        self._count("solve_seconds", monotonic() - started)
         return duals
 
     def _solve(self, overlay: np.ndarray, rhs: np.ndarray,
@@ -376,9 +317,7 @@ class ThermalOperator:
         """Exact-repeat, PCG or fresh-factor solve, guarded."""
         if warm is not None and warm.factor is not None:
             if warm.holds(overlay):
-                self._counts["cache_hits"] += 1
-                if _obs.STATE.enabled:
-                    self._instruments().factor_hits.inc()
+                self._count("cache_hits")
                 return self._back_solve(warm.factor, overlay, rhs)
             solution = self._pcg(overlay, rhs, warm.factor)
             if solution is not None:
@@ -387,7 +326,7 @@ class ThermalOperator:
         factor = self.factor(overlay)
         if warm is None:
             return self._back_solve(factor, overlay, rhs)
-        self._counts["fresh_factorizations"] += 1
+        self._count("fresh_factorizations")
         solution = self._back_solve(factor, overlay, rhs)
         # Only a factor whose solve passed the guards preconditions
         # the rest of the sequence.
@@ -439,10 +378,10 @@ class ThermalOperator:
                 direction = z + np.where(active, rho_next / rho,
                                          0.0) * direction
                 rho = rho_next
-        self._counts["krylov_iterations"] += iterations
+        self._count("krylov_iterations", iterations)
         if active.any() or not np.all(np.isfinite(solution)):
             return None
-        self._counts["krylov_solves"] += 1
+        self._count("krylov_solves")
         return solution.reshape(rhs.shape)
 
     def _guard(self, temps: np.ndarray, rhs: np.ndarray,

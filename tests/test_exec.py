@@ -4,6 +4,7 @@ import hashlib
 import json
 import multiprocessing.process
 import pickle
+from dataclasses import fields
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.faults import (
 from repro.io import campaign_to_dict
 from repro.obs import telemetry_session
 from repro.obs.export import span_to_dict
+from repro.thermal import OperatorStats
 
 
 def canonical_digest(campaign):
@@ -295,6 +297,30 @@ class TestTelemetryMerge:
             assert spans["benchmark"].parent_id == host.span_id
             assert spans["stage"].events[0].name == "fault.injected"
             assert spans["benchmark"].start_s >= 100.0
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_campaign_counters_equal_unit_stats(self, profiles,
+                                                unit_problems, workers):
+        """Every operator count reaches the campaign's telemetry block
+        exactly once, whichever process ran the unit."""
+        tec, base = unit_problems
+        subset = dict(list(profiles.items())[:3])
+        with telemetry_session() as (_tracer, metrics):
+            campaign = run_campaign(subset, tec, base,
+                                    include_tec_only=True,
+                                    workers=workers)
+        snapshot = metrics.snapshot()
+        units = campaign.worker_stats["units"]
+        assert len(units) == 3
+        for stat in fields(OperatorStats):
+            if stat.name.endswith("_seconds"):
+                continue
+            total = sum(unit[stat.name] for unit in units)
+            assert snapshot["counters"].get(f"operator.{stat.name}", 0) \
+                == total, stat.name
+        assert snapshot["counters"]["operator.solves"] > 0
+        assert not any(name.startswith("operator.stats.")
+                       for name in snapshot["gauges"])
 
     def test_merge_snapshot_accumulates(self):
         with telemetry_session() as (_tracer, metrics):

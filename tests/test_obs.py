@@ -379,14 +379,18 @@ def small_problems(profiles):
 class TestTracedPipeline:
     def test_oftec_produces_span_tree(self, small_problems):
         tec, _ = small_problems
+        operator = tec.model.network.operator
+        before = operator.stats
         with telemetry_session() as (tracer, metrics):
             result = run_oftec(tec)
         assert result.feasible
         kinds = {span.kind for span in tracer.finished}
         assert {"oftec", "evaluate"} <= kinds
-        snapshot = metrics.snapshot()
-        assert snapshot["counters"]["evaluator.cache.misses"] > 0
-        assert "operator.solve_seconds" in snapshot["histograms"]
+        counters = metrics.snapshot()["counters"]
+        assert counters["evaluator.cache.misses"] > 0
+        assert counters["operator.solves"] \
+            == operator.stats.solves - before.solves > 0
+        assert counters["operator.solve_seconds"] > 0.0
 
     def test_traced_chaos_attaches_fault_events(self, profiles,
                                                 small_problems,

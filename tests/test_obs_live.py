@@ -332,19 +332,19 @@ class TestProgressBoard:
         board = ProgressBoard(out, total=2, interval_s=0.001)
         board.live_metrics({"counters": {
             "evaluator.cache.hits": 3, "evaluator.cache.misses": 1,
-            "operator.factor.hits": 1, "operator.factorizations": 3}})
+            "operator.cache_hits": 1, "operator.factorizations": 3}})
         line = board.status_line()
         assert "eval cache 75%" in line
         assert "factor cache 25%" in line
         assert "krylov" not in line
 
-    def test_krylov_work_from_live_gauges(self):
+    def test_krylov_work_from_live_counters(self):
         out = io.StringIO()
         board = ProgressBoard(out, total=2, interval_s=0.001)
-        board.live_metrics({"gauges": {
-            "operator.stats.krylov_solves": 40.0,
-            "operator.stats.krylov_iterations": 300.0,
-            "operator.stats.fresh_factorizations": 2.0}})
+        board.live_metrics({"counters": {
+            "operator.krylov_solves": 40,
+            "operator.krylov_iterations": 300,
+            "operator.fresh_factorizations": 2}})
         assert "krylov 40 solves 7.5 it/solve 2 fresh factors" \
             in board.status_line()
 
