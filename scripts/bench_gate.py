@@ -14,7 +14,9 @@ Two layers of checking, both machine-independent:
   relative movement of the machine-independent ratios.  Drift is a
   warning by default because even ratio metrics have run-to-run noise;
   ``--strict-drift`` promotes it to a failure for perf-focused CI
-  lanes.
+  lanes.  The BENCH_5 canonical digest has no noise: when the fresh
+  and baseline artifacts ran at the same ``grid_resolution``, the two
+  digests must be equal, or the gate fails.
 
 Usage::
 
@@ -206,6 +208,28 @@ def check_drift(gate: Gate, directory: str, baseline_dir: str) -> None:
                       f"{baseline:.4g} -> {current:.4g} "
                       f"({drift:+.0%} vs tolerance "
                       f"{DRIFT_TOLERANCE:.0%})")
+    check_digest(gate, _load(directory, "BENCH_5.json"),
+                 _load(baseline_dir, "BENCH_5.json"))
+
+
+def check_digest(gate: Gate, current: Optional[dict],
+                 baseline: Optional[dict]) -> None:
+    """Same grid, same campaign: the canonical digests must be equal."""
+    label = "BENCH_5 canonical digest vs baseline"
+    if current is None or baseline is None:
+        return
+    resolution = current.get("grid_resolution")
+    if resolution is None \
+            or resolution != baseline.get("grid_resolution"):
+        gate.skip(label, f"fresh grid_resolution {resolution} vs "
+                         f"baseline {baseline.get('grid_resolution')}")
+        return
+    fresh = current.get("canonical_digest")
+    committed = baseline.get("canonical_digest")
+    gate.check(label, fresh == committed,
+               f"fresh {fresh} vs baseline {committed} at "
+               f"grid_resolution {resolution} (same inputs must give "
+               "the same campaign)")
 
 
 def run_gate(directory: str, baseline_dir: Optional[str],

@@ -30,7 +30,6 @@ from ..core import (
     ResilientSolver,
     minimize_temperature,
     run_fixed_fan_baseline,
-    run_oftec,
     run_oftec_resilient,
     run_tec_only,
     run_variable_fan_baseline,
@@ -223,44 +222,40 @@ def _stage_specs(
     base_problem: CoolingProblem,
     method: str,
     make: Callable[[CoolingProblem], Evaluator],
-    resilient: bool,
-    policy: Optional[ResiliencePolicy],
     failures: List[FailureReport],
 ) -> Dict[str, Callable]:
     """Zero-argument thunks for every pipeline stage of one benchmark.
 
     Each thunk builds its own fresh evaluator via ``make``, so no
-    stage's cache state leaks into the next.
+    stage's cache state leaks into the next.  The OFTEC stages run
+    through the fallback ladder led by ``method``; its first rung is
+    the plain solver, so a healthy benchmark gets the plain result.
+    DVFS degradation is off: no campaign reads the throttle estimate.
     """
-    if resilient:
-        def oftec_stage() -> OFTECResult:
-            outcome = run_oftec_resilient(
-                tec_problem, policy=policy,
-                evaluator=make(tec_problem))
-            failures.extend(outcome.failures)
-            if outcome.result is None:
-                raise SolverError(
-                    f"{name}: every resilient OFTEC stage failed")
-            return outcome.result
+    policy = ResiliencePolicy(
+        ladder=(method,) + tuple(m for m in SOLVER_METHODS
+                                 if m != method),
+        degrade_to_dvfs=False)
 
-        def opt2_stage() -> OptimizationOutcome:
-            solve = ResilientSolver(
-                make(tec_problem), policy).minimize_temperature()
-            if solve.failure is not None:
-                failures.append(solve.failure)
-            if solve.outcome is None:
-                raise SolverError(
-                    f"{name}: Optimization 2 failed on every ladder "
-                    "rung")
-            return solve.outcome
-    else:
-        def oftec_stage() -> OFTECResult:
-            return run_oftec(tec_problem, method=method,
-                             evaluator=make(tec_problem))
+    def oftec_stage() -> OFTECResult:
+        outcome = run_oftec_resilient(
+            tec_problem, policy=policy, evaluator=make(tec_problem))
+        failures.extend(outcome.failures)
+        if outcome.result is None:
+            raise SolverError(
+                f"{name}: every resilient OFTEC stage failed")
+        return outcome.result
 
-        def opt2_stage() -> OptimizationOutcome:
-            return minimize_temperature(make(tec_problem),
-                                        method=method)
+    def opt2_stage() -> OptimizationOutcome:
+        solve = ResilientSolver(
+            make(tec_problem), policy).minimize_temperature()
+        if solve.failure is not None:
+            failures.append(solve.failure)
+        if solve.outcome is None:
+            raise SolverError(
+                f"{name}: Optimization 2 failed on every ladder rung")
+        return solve.outcome
+
     return {
         "oftec-opt1": oftec_stage,
         "oftec-opt2": opt2_stage,
@@ -283,13 +278,11 @@ def _run_benchmark(
     method: str,
     include_tec_only: bool,
     make: Callable[[CoolingProblem], Evaluator],
-    resilient: bool,
-    policy: Optional[ResiliencePolicy],
     failures: List[FailureReport],
 ) -> BenchmarkComparison:
     """All methods on one benchmark, each stage individually tagged."""
     specs = _stage_specs(name, tec_problem, base_problem, method, make,
-                         resilient, policy, failures)
+                         failures)
     values: Dict[str, object] = {}
     for stage in CAMPAIGN_STAGES:
         if stage == "tec-only" and not include_tec_only:
@@ -312,8 +305,6 @@ def run_campaign(
     baseline_problem_template: CoolingProblem,
     method: str = "slsqp",
     include_tec_only: bool = False,
-    resilient: bool = False,
-    policy: Optional[ResiliencePolicy] = None,
     workers: Optional[int] = None,
     supervision: Optional[object] = None,
     journal_path: Optional[str] = None,
@@ -336,12 +327,9 @@ def run_campaign(
         tec_problem_template: A TEC-equipped problem carrying a coverage
             (retargeted per profile via :meth:`CoolingProblem.with_profile`).
         baseline_problem_template: The matching no-TEC problem.
-        method: Solver backend for all optimizations.
+        method: Solver backend for all optimizations; it leads the
+            fallback ladder of the OFTEC stages.
         include_tec_only: Also sweep the fan-less TEC-only system.
-        resilient: Route the OFTEC stages through the
-            :class:`~repro.core.ResilientSolver` fallback ladder.
-        policy: Resilience policy for ``resilient=True`` (default: the
-            ladder led by ``method``).
         workers: Worker-process count.  None, 0 and 1 run the units
             on the supervisor's in-process serial path; N > 1 shards
             them across N supervised worker processes (a unit that
@@ -372,9 +360,6 @@ def run_campaign(
     if baseline_problem_template.has_tec:
         raise ConfigurationError(
             "baseline_problem_template must not include a TEC array")
-    if resilient and policy is None:
-        policy = ResiliencePolicy(ladder=(method,) + tuple(
-            m for m in SOLVER_METHODS if m != method))
     if journal_path is not None and resume_from is not None:
         raise ConfigurationError(
             "journal_path (fresh journal) and resume_from (continue "
@@ -391,8 +376,7 @@ def run_campaign(
     if journal_path is not None or resume_from is not None:
         fingerprint = unit_fingerprint(
             tuple(profiles),
-            f"campaign:{method}:{int(include_tec_only)}:"
-            f"{int(resilient)}")
+            f"campaign:{method}:{int(include_tec_only)}")
         journal = JournalWriter(
             resume_from or journal_path,
             meta={"fingerprint": fingerprint, "job": "campaign"},
@@ -406,7 +390,7 @@ def run_campaign(
                 profiles, tec_problem_template,
                 baseline_problem_template,
                 method=method, include_tec_only=include_tec_only,
-                resilient=resilient, policy=policy, fault_plan=None,
+                fault_plan=None,
                 workers=worker_count, supervision=supervision,
                 journal=journal, completed=completed, progress=progress)
             if merge.unhandled:

@@ -291,9 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: none)")
     chaos.add_argument("--benchmarks", type=int, default=0, metavar="N",
                        help="limit to the first N benchmarks (0 = all)")
-    chaos.add_argument("--no-resilient", action="store_true",
-                       help="bypass the fallback ladder (stresses the "
-                            "campaign-level isolation alone)")
     chaos.add_argument("--json", metavar="PATH", default=None,
                        help="save the (partial) campaign as JSON")
     _add_supervision(chaos)
@@ -532,7 +529,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         board = _progress_board(args, session, "chaos")
         report = run_chaos_campaign(
             profiles, tec_problem, baseline_problem, plan=plan,
-            resilient=not args.no_resilient, workers=args.workers,
+            workers=args.workers,
             supervision=_supervision_from_args(args),
             progress=board)
         if board is not None:

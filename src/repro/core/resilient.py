@@ -52,35 +52,40 @@ from .solvers import (
 )
 
 
+#: Relative amplitude of the deterministic warm-restart jitter, as a
+#: fraction of each variable's range.
+RESTART_PERTURBATION = 0.05
+
+#: Seed of the restart-perturbation stream.
+RESTART_SEED = 0
+
+#: Bracket width of the degradation-path frequency search (coarse by
+#: design: this is a salvage estimate).
+DVFS_TOLERANCE = 0.2
+
+
 @dataclass(frozen=True)
 class ResiliencePolicy:
     """Knobs of the fallback ladder.
+
+    Each attempt runs with the backends' own iteration budget; the
+    restart jitter and the DVFS search use the module constants above.
 
     Attributes:
         ladder: Solver backends to try, in order (each must be one of
             :data:`repro.core.SOLVER_METHODS`).
         retries_per_method: Extra perturbed-restart attempts per rung
             after the first (0 disables retries).
-        restart_perturbation: Relative amplitude of the deterministic
-            warm-restart jitter, as a fraction of each variable's range.
-        seed: Seed of the restart-perturbation stream.
         max_evaluations: Per-attempt thermal-solve budget (cache hits
             are free).
-        max_iterations: Per-attempt backend iteration budget.
         degrade_to_dvfs: Fall back to frequency throttling when no
             cooling configuration is feasible.
-        dvfs_tolerance: Bracket width of the degradation-path frequency
-            search (coarse by design: this is a salvage estimate).
     """
 
     ladder: Tuple[str, ...] = ("slsqp", "trust-constr", "grid")
     retries_per_method: int = 1
-    restart_perturbation: float = 0.05
-    seed: int = 0
     max_evaluations: int = 500
-    max_iterations: int = 60
     degrade_to_dvfs: bool = True
-    dvfs_tolerance: float = 0.2
 
     def __post_init__(self) -> None:
         if not self.ladder:
@@ -94,22 +99,10 @@ class ResiliencePolicy:
             raise ConfigurationError(
                 "retries_per_method must be >= 0, got "
                 f"{self.retries_per_method}")
-        if not (0.0 <= self.restart_perturbation <= 0.5):
-            raise ConfigurationError(
-                "restart_perturbation must be in [0, 0.5], got "
-                f"{self.restart_perturbation}")
         if self.max_evaluations <= 0:
             raise ConfigurationError(
                 f"max_evaluations must be positive, got "
                 f"{self.max_evaluations}")
-        if self.max_iterations <= 0:
-            raise ConfigurationError(
-                f"max_iterations must be positive, got "
-                f"{self.max_iterations}")
-        if not (0.0 < self.dvfs_tolerance < 1.0):
-            raise ConfigurationError(
-                f"dvfs_tolerance must be in (0, 1), got "
-                f"{self.dvfs_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -249,7 +242,7 @@ class ResilientSolver:
         self.evaluator = evaluator
         self.policy = policy or ResiliencePolicy()
         self._rng = np.random.default_rng(
-            np.random.SeedSequence([self.policy.seed]))
+            np.random.SeedSequence([RESTART_SEED]))
 
     def minimize_temperature(
         self,
@@ -264,8 +257,7 @@ class ResilientSolver:
                    point: Tuple[float, float]) -> OptimizationOutcome:
             return minimize_temperature(
                 self.evaluator, x0=point, method=method,
-                early_stop_below=early_stop_below,
-                max_iterations=self.policy.max_iterations)
+                early_stop_below=early_stop_below)
 
         return self._run_ladder("minimize-temperature", runner, x0,
                                 prefer="temperature")
@@ -276,9 +268,7 @@ class ResilientSolver:
 
         def runner(method: str,
                    point: Tuple[float, float]) -> OptimizationOutcome:
-            return minimize_power(
-                self.evaluator, x0=point, method=method,
-                max_iterations=self.policy.max_iterations)
+            return minimize_power(self.evaluator, x0=point, method=method)
 
         return self._run_ladder("minimize-power", runner, x0,
                                 prefer="power")
@@ -362,8 +352,8 @@ class ResilientSolver:
         problem = self.evaluator.problem
         omega_max = problem.limits.omega_max
         current_max = problem.current_upper_bound
-        scale = self.policy.restart_perturbation
-        jitter = self._rng.uniform(-scale, scale, size=2)
+        jitter = self._rng.uniform(-RESTART_PERTURBATION,
+                                   RESTART_PERTURBATION, size=2)
         omega = float(np.clip(point[0] + jitter[0] * omega_max,
                               0.0, omega_max))
         if current_max > 0.0:
@@ -540,7 +530,7 @@ def _run_oftec_resilient_impl(
     if policy.degrade_to_dvfs and problem.coverage is not None:
         try:
             throttle = find_max_frequency(
-                problem, dvfs=dvfs, tolerance=policy.dvfs_tolerance)
+                problem, dvfs=dvfs, tolerance=DVFS_TOLERANCE)
             degraded = True
         except ReproError as exc:
             failures.append(failure_report_from_exception(

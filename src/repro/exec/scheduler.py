@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core import CoolingProblem, FailureReport, ResiliencePolicy
+from ..core import CoolingProblem, FailureReport
 from ..errors import ConfigurationError
 from ..faults.plan import FaultPlan
 from ..obs import runtime as _obs
@@ -131,8 +131,6 @@ def run_campaign_units(
     baseline_template: CoolingProblem,
     method: str,
     include_tec_only: bool,
-    resilient: bool,
-    policy: Optional[ResiliencePolicy],
     fault_plan: Optional[FaultPlan],
     workers: int,
     supervision: Optional[Any] = None,
@@ -162,8 +160,6 @@ def run_campaign_units(
         profiles=dict(profiles),
         method=method,
         include_tec_only=include_tec_only,
-        resilient=resilient,
-        policy=policy,
         fault_plan=fault_plan,
         telemetry=_obs.STATE.enabled)
     explicit = supervision is not None or journal is not None \

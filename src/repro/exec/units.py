@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core import CoolingProblem, FailureReport, ResiliencePolicy
+from ..core import CoolingProblem, FailureReport
 from ..errors import ConfigurationError
 from ..faults.plan import FaultPlan
 
@@ -105,8 +105,6 @@ class WorkerContext:
     profiles: Optional[Dict[str, Any]] = None
     method: str = "slsqp"
     include_tec_only: bool = False
-    resilient: bool = False
-    policy: Optional[ResiliencePolicy] = None
     #: Chaos root plan; each benchmark unit derives its own sub-plan
     #: via :meth:`~repro.faults.FaultPlan.derive`, so fault streams are
     #: independent of scheduling order and worker count.

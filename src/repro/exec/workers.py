@@ -247,8 +247,7 @@ def _execute_benchmark(context: WorkerContext, unit: WorkUnit,
                 stopwatch("campaign.benchmark_seconds"):
             result.value = _run_benchmark(
                 name, tec_problem, base_problem, context.method,
-                context.include_tec_only, make, context.resilient,
-                context.policy, result.failures)
+                context.include_tec_only, make, result.failures)
     except _StageFailure as failure:
         result.failures.append(failure_report_from_exception(
             name, failure.stage, failure.error))

@@ -60,7 +60,6 @@ def run_chaos_campaign(
     baseline_problem_template: CoolingProblem,
     plan: Optional[FaultPlan] = None,
     method: str = "slsqp",
-    resilient: bool = True,
     workers: Optional[int] = None,
     supervision: Optional[object] = None,
     progress: Optional[object] = None,
@@ -86,9 +85,8 @@ def run_chaos_campaign(
             worker processes, so a plan carrying them needs
             ``workers >= 2`` (an in-process ``os._exit`` would kill
             the coordinator itself).
-        method: Leading solver backend.
-        resilient: Route OFTEC stages through the fallback ladder
-            (False stresses the campaign-level isolation alone).
+        method: Leading solver backend (the first rung of the OFTEC
+            stages' fallback ladder).
         workers: Worker-process count (None, 0 and 1 run in-process).
             A unit whose worker keeps dying is retried, then
             quarantined, so the report carries a partial campaign plus
@@ -123,8 +121,7 @@ def run_chaos_campaign(
     with watch, _obs.span("chaos", seed=plan.seed, workers=worker_count):
         merge = run_campaign_units(
             profiles, tec_problem_template, baseline_problem_template,
-            method=method, include_tec_only=False,
-            resilient=resilient, policy=None, fault_plan=plan,
+            method=method, include_tec_only=False, fault_plan=plan,
             workers=worker_count, supervision=supervision,
             progress=progress)
         report.unhandled.extend(merge.unhandled)

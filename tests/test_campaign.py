@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import build_cooling_problem
 from repro.analysis import (
     format_comparison_table,
     format_surface,
@@ -10,6 +11,7 @@ from repro.analysis import (
     sweep_objective_surfaces,
 )
 from repro.errors import ConfigurationError
+from repro.obs import telemetry_session
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +125,30 @@ class TestReports:
         assert "power surface" in power_text
         with pytest.raises(ConfigurationError):
             format_surface(sweep, "entropy")
+
+
+class TestFirstRung:
+    @pytest.mark.parametrize("resolution", [4, 6, 8])
+    def test_fault_free_ladders_stop_at_first_attempt(self, profiles,
+                                                       resolution):
+        """A fault-free campaign gives the plain Algorithm 1 result only
+        while every ladder's first attempt (plain SLSQP) reports success
+        within the solve budget; a retry or a later rung would change
+        the Table 2 numbers.  Pinned at the CI grids (4, 6) and the
+        test grid (8) on all eight profiles."""
+        tec = build_cooling_problem(profiles["basicmath"],
+                                    grid_resolution=resolution)
+        base = build_cooling_problem(profiles["basicmath"],
+                                     with_tec=False,
+                                     grid_resolution=resolution)
+        with telemetry_session() as (tracer, metrics):
+            campaign = run_campaign(profiles, tec, base, workers=0)
+        assert not campaign.failures
+        ladders = [s for s in tracer.finished if s.kind == "ladder"]
+        attempts = [s for s in tracer.finished if s.kind == "attempt"]
+        assert len(ladders) >= 2 * len(profiles)
+        assert len(attempts) == len(ladders)
+        assert {s.name for s in attempts} == {"slsqp"}
+        counters = metrics.snapshot()["counters"]
+        assert counters["resilient.attempts"] == len(ladders)
+        assert "resilient.attempts.failed" not in counters

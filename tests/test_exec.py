@@ -67,7 +67,7 @@ def campaign_units(problems, profiles, workers, **extra):
     """One run_campaign_units call with the campaign defaults."""
     tec, base = problems
     options = dict(method="slsqp", include_tec_only=False,
-                   resilient=False, policy=None, fault_plan=None)
+                   fault_plan=None)
     options.update(extra)
     return run_campaign_units(profiles, tec, base, workers=workers,
                               **options)
@@ -171,8 +171,9 @@ class TestPoolFallback:
 
     def test_unpicklable_context_falls_back(self, monkeypatch,
                                             unit_problems, two_profiles):
-        """A context that cannot pickle must degrade to the serial
-        path (with the original object), not raise."""
+        """A context that cannot pickle (here: a caller-supplied
+        profile map holding a closure no unit reads) must degrade to
+        the serial path (with the original object), not raise."""
         def exploding_start(self):
             raise AssertionError("no worker process may start")
 
@@ -180,9 +181,9 @@ class TestPoolFallback:
         monkeypatch.setattr(multiprocessing.process.BaseProcess,
                             "start", exploding_start)
         tec, base = unit_problems
-        context = WorkerContext(tec_template=tec, baseline_template=base,
-                                profiles=dict(two_profiles),
-                                policy=lambda: None)
+        context = WorkerContext(
+            tec_template=tec, baseline_template=base,
+            profiles={**two_profiles, "unpicklable": lambda: None})
         with pytest.raises(Exception):
             pickle.dumps(context)
         units = [WorkUnit(index=index, name=name)

@@ -293,6 +293,28 @@ class TestChaosCampaign:
         assert ours.oftec_opt1.total_power == pytest.approx(
             theirs.oftec_opt1.total_power, rel=1e-5)
 
+    def test_campaign_never_runs_dvfs_salvage(self, profiles,
+                                              monkeypatch):
+        """No campaign reads a DVFS throttle estimate, so none runs the
+        search.  At seed 1, fft's derived fault stream leaves
+        Algorithm 1 without a feasible point, where a DVFS-degrading
+        policy would start the throttling bisection."""
+        import repro.core.resilient as resilient_module
+
+        def no_dvfs(*args, **kwargs):
+            raise AssertionError("the campaign ran the DVFS salvage")
+
+        monkeypatch.setattr(resilient_module, "find_max_frequency",
+                            no_dvfs)
+        tec = build_cooling_problem(profiles["basicmath"],
+                                    grid_resolution=6)
+        base = build_cooling_problem(profiles["basicmath"],
+                                     with_tec=False, grid_resolution=6)
+        report = run_chaos_campaign(
+            {"fft": profiles["fft"]}, tec, base,
+            plan=full_fault_plan(seed=1), workers=0)
+        assert report.ok, report.unhandled
+
     def test_report_formatting(self, profiles, chaos_problems):
         tec, base = chaos_problems
         few = dict(list(profiles.items())[:1])

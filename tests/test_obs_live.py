@@ -586,6 +586,38 @@ class TestBenchGate:
                               "--baseline", str(baseline),
                               "--strict-drift"]) == 1
 
+    def test_bench5_digest_must_match_baseline(self, tmp_path, capsys):
+        current = tmp_path / "current"
+        baseline = tmp_path / "baseline"
+        current.mkdir()
+        baseline.mkdir()
+        bench5 = {"grid_resolution": 12, "benchmarks": 2,
+                  "canonical_digest": "ab" * 32,
+                  "parallel": {"workers_2": {"per_worker": [
+                      {"units": 1}, {"units": 1}]}}}
+        self.seed_artifacts(baseline, **{"BENCH_5.json": bench5})
+        changed = dict(bench5, canonical_digest="cd" * 32)
+        self.seed_artifacts(current, **{"BENCH_5.json": changed})
+        assert self.run_gate(["--dir", str(current),
+                              "--baseline", str(baseline)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  BENCH_5 canonical digest vs baseline" in out
+        assert "ab" * 32 in out and "cd" * 32 in out
+        # A different grid is a different campaign: no comparison.
+        self.seed_artifacts(current, **{"BENCH_5.json": dict(
+            changed, grid_resolution=6)})
+        assert self.run_gate(["--dir", str(current),
+                              "--baseline", str(baseline)]) == 0
+        assert "SKIP  BENCH_5 canonical digest vs baseline" \
+            in capsys.readouterr().out
+        # Same grid, same digest passes.
+        self.seed_artifacts(current, **{"BENCH_5.json": bench5})
+        assert self.run_gate(["--dir", str(current),
+                              "--baseline", str(baseline),
+                              "--strict-drift"]) == 0
+        assert "PASS  BENCH_5 canonical digest vs baseline" \
+            in capsys.readouterr().out
+
     def test_bad_directories_are_config_errors(self, tmp_path):
         assert self.run_gate(["--dir", str(tmp_path / "nope")]) == 5
         assert self.run_gate(["--dir", str(tmp_path),

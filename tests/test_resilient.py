@@ -8,6 +8,7 @@ from repro.core import (
     ResiliencePolicy,
     ResilientSolver,
     failure_report_from_exception,
+    minimize_temperature,
     run_oftec_resilient,
 )
 from repro.errors import (
@@ -36,12 +37,7 @@ class TestResiliencePolicy:
         {"ladder": ()},
         {"ladder": ("newton",)},
         {"retries_per_method": -1},
-        {"restart_perturbation": 0.75},
-        {"restart_perturbation": -0.1},
         {"max_evaluations": 0},
-        {"max_iterations": 0},
-        {"dvfs_tolerance": 0.0},
-        {"dvfs_tolerance": 1.0},
     ])
     def test_invalid_policy_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -106,15 +102,41 @@ class TestFailureReport:
 
 
 class TestFallbackLadder:
-    def test_no_faults_bit_identical_to_plain_oftec(self, tec_problem):
-        plain = run_oftec(tec_problem)
-        resilient = run_oftec_resilient(tec_problem)
+    # basicmath's midpoint already meets T_max; fft's does not, so its
+    # Algorithm 1 runs Optimization 2 before Optimization 1.
+    @pytest.mark.parametrize("name,needs_opt2", [
+        ("basicmath", False),
+        ("fft", True),
+    ])
+    def test_no_faults_bit_identical_to_plain_oftec(
+            self, tec_problem, profiles, name, needs_opt2):
+        """The campaign's only OFTEC path is the ladder, so on a
+        healthy problem it must reproduce the plain solvers exactly."""
+        problem = tec_problem.with_profile(profiles[name], name=name)
+        plain = run_oftec(problem)
+        assert (plain.opt2 is not None) == needs_opt2
+        resilient = run_oftec_resilient(problem)
         assert resilient.result is not None
+        assert (resilient.result.opt2 is not None) == needs_opt2
         assert resilient.result.omega_star == plain.omega_star
         assert resilient.result.current_star == plain.current_star
         assert resilient.result.total_power == plain.total_power
+        assert resilient.result.max_chip_temperature \
+            == plain.max_chip_temperature
+        assert resilient.result.thermal_solves == plain.thermal_solves
         assert resilient.failures == []
         assert not resilient.degraded_to_dvfs
+
+        direct = minimize_temperature(Evaluator(problem))
+        laddered = ResilientSolver(
+            Evaluator(problem)).minimize_temperature()
+        assert laddered.failure is None
+        ours = laddered.outcome
+        assert ours.evaluation.omega == direct.evaluation.omega
+        assert ours.evaluation.current == direct.evaluation.current
+        assert ours.evaluation.max_chip_temperature \
+            == direct.evaluation.max_chip_temperature
+        assert ours.evaluations == direct.evaluations
 
     def test_forced_slsqp_failure_recovers_via_grid(self, tec_problem):
         clean = run_oftec(tec_problem)
@@ -180,8 +202,7 @@ class TestGracefulDegradation:
             small.dynamic_cell_power * 8.0, small.limits,
             small.coverage, small.fan_heat_fraction)
         policy = ResiliencePolicy(ladder=("slsqp",),
-                                  retries_per_method=0,
-                                  dvfs_tolerance=0.35)
+                                  retries_per_method=0)
         outcome = run_oftec_resilient(hot, policy=policy)
         assert not outcome.feasible
         assert outcome.degraded_to_dvfs

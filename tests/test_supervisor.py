@@ -601,8 +601,8 @@ class TestSupervisedProgress:
         recorder = self.Recorder()
         merge = run_campaign_units(
             two_profiles, tec, base, method="slsqp",
-            include_tec_only=False, resilient=False, policy=None,
-            fault_plan=None, workers=1, progress=recorder)
+            include_tec_only=False, fault_plan=None, workers=1,
+            progress=recorder)
         assert merge.unhandled == ["RuntimeError: boom"] * 2
         expected = [("begin", 2)]
         for name in two_profiles:
@@ -615,8 +615,8 @@ class TestSupervisedProgress:
         recorder = self.Recorder()
         merge = run_campaign_units(
             two_profiles, tec, base, method="slsqp",
-            include_tec_only=False, resilient=False, policy=None,
-            fault_plan=None, workers=2, progress=recorder)
+            include_tec_only=False, fault_plan=None, workers=2,
+            progress=recorder)
         assert len(merge.comparisons) == len(two_profiles)
         kinds = [event[0] for event in recorder.events]
         assert kinds.count("begin") == 1
