@@ -4,8 +4,9 @@ Not a paper figure — this bench guards the reproduction's own engine:
 model assembly cost, the per-evaluation sparse solve, the transient
 stepper, and the payoff of the solve context's held factor, at the
 production grid resolution.  The operator metrics (repeated-solve
-throughput, factorizations per solve over the Table 2 campaign) are
-written to ``BENCH_3.json`` at the repository root.
+throughput; factorizations per solve and CG iterations per Krylov
+solve over the Table 2 campaign) are written to ``BENCH_3.json`` at
+the repository root.
 """
 
 import time
@@ -127,6 +128,8 @@ def test_operator_reuse_and_emit(tec_problem, baseline_problem,
             "factor_cache_hits": hits,
             "krylov_solves": krylov_solves,
             "krylov_iterations": krylov_iterations,
+            "krylov_iterations_per_solve": krylov_iterations
+            / krylov_solves,
             "fresh_factorizations": fresh,
         },
     }

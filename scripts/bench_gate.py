@@ -44,9 +44,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 #: benchmarks/bench_obs_overhead.py.
 OBS_OVERHEAD_BUDGET_PCT = 5.0
 
-#: The operator layer must make repeated solves at least this many
-#: times faster than cold solve-per-call (BENCH_3's claim is ~40x; 3x
-#: catches a broken factor cache without flaking on slow hosts).
+#: Warm solves against a solve context's held factor must be at least
+#: this many times faster than a fresh factor per call (BENCH_3 reads
+#: ~48x; 3x catches a broken held-factor path without flaking on slow
+#: hosts).
 REPEATED_SOLVE_MIN_SPEEDUP = 3.0
 
 #: A campaign that refactorizes more than this often per solve has
@@ -106,7 +107,7 @@ def gate_bench3(gate: Gate, doc: dict) -> None:
         "BENCH_3 repeated-solve speedup",
         speedup is not None and speedup >= REPEATED_SOLVE_MIN_SPEEDUP,
         f"{speedup} >= {REPEATED_SOLVE_MIN_SPEEDUP} "
-        "(factor cache must make warm solves cheap)")
+        "(the held factor must make warm solves cheap)")
     per_solve = _dig(doc, "table2_campaign.factorizations_per_solve")
     gate.check(
         "BENCH_3 factorizations per solve",
@@ -183,6 +184,8 @@ DRIFT_METRICS: Tuple[Tuple[str, str, str], ...] = (
      "repeated-solve speedup"),
     ("BENCH_3.json", "table2_campaign.factorizations_per_solve",
      "factorizations per solve"),
+    ("BENCH_3.json", "table2_campaign.krylov_iterations_per_solve",
+     "CG iterations per Krylov solve"),
     ("BENCH_4.json", "oftec.overhead_pct",
      "oftec telemetry overhead pct"),
     ("BENCH_4.json", "streaming.overhead_pct",

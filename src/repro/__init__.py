@@ -60,7 +60,7 @@ from .errors import (
 )
 from .power import BenchmarkProfile, mibench_profiles
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "I_TEC_MAX",

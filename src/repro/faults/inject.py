@@ -34,6 +34,7 @@ from ..errors import (
 )
 from ..obs import runtime as _obs
 from ..thermal import KrylovState, ThermalNetwork
+from ..thermal.operator import KRYLOV_TOLERANCE
 from .plan import FaultKind, FaultPlan
 
 #: Condition estimate attached to injected singular-network faults —
@@ -178,11 +179,13 @@ class FaultyNetwork:
         return self._static_row_sums + overlay
 
     def solve(self, diag_overlay: np.ndarray, rhs: np.ndarray,
-              warm: Optional[KrylovState] = None) -> np.ndarray:
+              warm: Optional[KrylovState] = None, *,
+              start: Optional[np.ndarray] = None,
+              tolerance: float = KRYLOV_TOLERANCE) -> np.ndarray:
         """Solve the (possibly sabotaged) steady-state system, warm
         through the caller's ``warm`` state like the wrapped network."""
         if self._injector.should_fire(FaultKind.SINGULAR_NETWORK):
             overlay = np.asarray(diag_overlay, dtype=float)
-            return self._network.solve(
-                overlay - self._row_sums(overlay), rhs, warm)
-        return self._network.solve(diag_overlay, rhs, warm)
+            diag_overlay = overlay - self._row_sums(overlay)
+        return self._network.solve(diag_overlay, rhs, warm, start=start,
+                                   tolerance=tolerance)

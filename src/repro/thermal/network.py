@@ -32,7 +32,12 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix, diags
 
 from ..errors import ConfigurationError
-from .operator import KrylovState, ThermalOperator, condition_estimate
+from .operator import (
+    KRYLOV_TOLERANCE,
+    KrylovState,
+    ThermalOperator,
+    condition_estimate,
+)
 
 __all__ = [
     "NodeInfo",
@@ -248,12 +253,15 @@ class ThermalNetwork:
         return matrix, rhs_arr
 
     def solve(self, diag_overlay: np.ndarray, rhs: np.ndarray,
-              warm: Optional[KrylovState] = None) -> np.ndarray:
+              warm: Optional[KrylovState] = None, *,
+              start: Optional[np.ndarray] = None,
+              tolerance: float = KRYLOV_TOLERANCE) -> np.ndarray:
         """Solve one linear system ``(static + diag) T = rhs``.
 
         ``warm`` is the solve sequence's
-        :class:`~repro.thermal.operator.KrylovState` (see
-        :meth:`ThermalOperator.solve`); without it the system is
+        :class:`~repro.thermal.operator.KrylovState`, and ``start`` and
+        ``tolerance`` (K) steer its PCG (see
+        :meth:`ThermalOperator.solve`); without ``warm`` the system is
         factored fresh.  Raises :class:`~repro.errors.SingularNetworkError` when the
         matrix is singular (typically a node with no path to ambient) or
         the solution is non-finite.  The error chains the underlying
@@ -261,7 +269,8 @@ class ThermalNetwork:
         of the failed system.
         """
         overlay, rhs_arr = self._checked_overlays(diag_overlay, rhs)
-        return self.operator.solve(overlay, rhs_arr, warm)
+        return self.operator.solve(overlay, rhs_arr, warm, start=start,
+                                   tolerance=tolerance)
 
     def _checked_overlays(self, diag_overlay: np.ndarray,
                           rhs: np.ndarray,

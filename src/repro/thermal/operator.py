@@ -18,13 +18,20 @@ Every overlay term (fan coupling, Peltier, leakage slope, ``C/dt``) is
 diagonal, so ``A`` is exactly symmetric and successive systems of a
 sequence differ only on the diagonal.  ``solve(..., warm=state)``
 back-solves the held factor's exact overlay; any other overlay runs
-preconditioned CG with that factor as ``M``, from ``x0 = M^-1 b`` until
-the error estimate ``max|M^-1 r|`` is at most 1e-10 K (relative too for
-adjoint columns below 1 in magnitude), within 15 iterations.  A budget
-miss, ``p^T A p <= 0`` or a non-finite iterate factors fresh, and the
-sequence holds that factor from then on.  Without ``warm`` a solve is a
-fresh factor and a back-solve, bit-identical to ``spsolve`` (same
-SuperLU driver; ``tests/test_operator.py``); warm solves agree with it
+preconditioned CG with that factor as ``M``, from ``x0 = M^-1 b`` (or
+the caller's ``start``) until the error estimate ``max|M^-1 r|`` is at
+most ``tolerance`` (default :data:`KRYLOV_TOLERANCE`, 1e-10 K; relative
+too for adjoint columns below 1 in magnitude), within 15 iterations.
+Only the leakage loop passes ``start`` and a looser ``tolerance``
+(:data:`NEWTON_TOLERANCE`, 1e-6 K) for its non-final Newton systems;
+the system it returns is polished to 1e-10 K.  A 1-D right-hand side
+runs a plain scalar CG recurrence; an ``(n, k)`` adjoint block runs
+its columns as masked recurrences sharing each back-substitution.  A
+budget miss, ``p^T A p <= 0``, ``rho <= 0`` or a non-finite iterate
+factors fresh, and the sequence holds that factor from then on.
+Without ``warm`` a solve is a fresh factor and a back-solve,
+bit-identical to ``spsolve`` (same SuperLU driver;
+``tests/test_operator.py``); full-tolerance warm solves agree with it
 to ~1e-10 K.
 """
 
@@ -50,6 +57,11 @@ _DEGENERACY_GROWTH_LIMIT = 1.0e13
 #: PCG stops once the error estimate ``max|M^-1 r|`` is at most this
 #: (K on temperatures), times the solution scale where that is below 1.
 KRYLOV_TOLERANCE = 1.0e-10
+
+#: Loose PCG tolerance (K) of the leakage loop's non-final Newton
+#: systems: only the last system's solution is returned, and that one
+#: is polished to :data:`KRYLOV_TOLERANCE`.
+NEWTON_TOLERANCE = 1.0e-6
 
 #: CG iterations a warm solve may spend before it factors fresh.
 KRYLOV_BUDGET = 15
@@ -272,11 +284,16 @@ class ThermalOperator:
         return Factorization(lu, overlay.copy(), norm1)
 
     def solve(self, diag_overlay: np.ndarray, rhs: np.ndarray,
-              warm: Optional[KrylovState] = None) -> np.ndarray:
+              warm: Optional[KrylovState] = None, *,
+              start: Optional[np.ndarray] = None,
+              tolerance: float = KRYLOV_TOLERANCE) -> np.ndarray:
         """Solve ``(static + diag(overlay)) T = rhs`` for one RHS.
 
         Without ``warm`` the system is factored fresh; with it, solved
         against the sequence's held factor (see the module docstring).
+        A PCG solve starts from ``start`` (K) when given, else from
+        ``M^-1 b``, and stops at ``tolerance`` (K); an exact repeat or a
+        fresh factor back-solves and ignores both.
         Raises :class:`SingularNetworkError`, with a 1-norm condition
         estimate, on singular or numerically degenerate systems.
         """
@@ -286,7 +303,7 @@ class ThermalOperator:
             raise ConfigurationError(
                 f"RHS must have shape ({self._n},), got {rhs_arr.shape}")
         started = monotonic()
-        temps = self._solve(overlay, rhs_arr, warm)
+        temps = self._solve(overlay, rhs_arr, warm, start, tolerance)
         self._count("solves")
         self._count("solve_seconds", monotonic() - started)
         return temps
@@ -306,21 +323,29 @@ class ThermalOperator:
                 f"Adjoint RHS must have shape ({self._n},) or "
                 f"({self._n}, k), got {rhs_arr.shape}")
         started = monotonic()
-        duals = self._solve(overlay, rhs_arr, warm)
+        duals = self._solve(overlay, rhs_arr, warm, None,
+                            KRYLOV_TOLERANCE)
         self._count("adjoint_solves",
                     1 if rhs_arr.ndim == 1 else rhs_arr.shape[1])
         self._count("solve_seconds", monotonic() - started)
         return duals
 
     def _solve(self, overlay: np.ndarray, rhs: np.ndarray,
-               warm: Optional[KrylovState]) -> np.ndarray:
+               warm: Optional[KrylovState], start: Optional[np.ndarray],
+               tolerance: float) -> np.ndarray:
         """Exact-repeat, PCG or fresh-factor solve, guarded."""
         if warm is not None and warm.factor is not None:
             if warm.holds(overlay):
                 self._count("cache_hits")
                 return self._back_solve(warm.factor, overlay, rhs)
-            solution = self._pcg(overlay, rhs, warm.factor)
+            matrix = self._load(overlay)
+            if rhs.ndim == 1:
+                solution = self._pcg(matrix, rhs, warm.factor, start,
+                                     tolerance)
+            else:
+                solution = self._block_pcg(matrix, rhs, warm.factor)
             if solution is not None:
+                self._count("krylov_solves")
                 self._guard(solution, rhs, overlay, self._norm1(), None)
                 return solution
         factor = self.factor(overlay)
@@ -339,27 +364,57 @@ class ThermalOperator:
         self._guard(solution, rhs, overlay, factor.norm1, factor._lu)
         return solution
 
-    def _pcg(self, overlay: np.ndarray, rhs: np.ndarray,
-             preconditioner: Factorization) -> Optional[np.ndarray]:
-        """PCG on ``static + diag(overlay)`` preconditioned by a factor
-        of a nearby overlay; ``None`` when it misses its budget, meets
-        non-positive curvature or a non-finite iterate.
-
-        The columns of an ``(n, k)`` block run as independent CG
-        recurrences sharing each back-substitution; a column stops
-        updating once it converges.
-        """
-        matrix = self._load(overlay)
-        block = rhs.reshape(self._n, -1)
+    def _pcg(self, matrix: csc_matrix, rhs: np.ndarray,
+             preconditioner: Factorization, start: Optional[np.ndarray],
+             tolerance: float) -> Optional[np.ndarray]:
+        """Scalar PCG on one RHS vector, preconditioned by a factor of
+        a nearby overlay; ``None`` when it misses its budget, meets
+        ``p^T A p <= 0`` or ``rho <= 0``, or a non-finite iterate."""
         iterations = 0
         with np.errstate(all="ignore"):
-            solution = preconditioner.solve(block)
-            residual = block - matrix @ solution
+            solution = preconditioner.solve(rhs) if start is None \
+                else np.array(start, dtype=float)
+            residual = rhs - matrix @ solution
+            z = preconditioner.solve(residual)
+            tolerance *= min(1.0, float(np.abs(solution).max()))
+            # A NaN error estimate fails this test, and the next
+            # curvature test (NaN > 0 is False) fails the solve.
+            converged = float(np.abs(z).max()) <= tolerance
+            direction, rho = z, float(residual @ z)
+            while not converged and iterations < KRYLOV_BUDGET:
+                iterations += 1
+                product = matrix @ direction
+                curvature = float(direction @ product)
+                if not (curvature > 0.0 and rho > 0.0):
+                    break
+                alpha = rho / curvature
+                solution += alpha * direction
+                residual -= alpha * product
+                z = preconditioner.solve(residual)
+                converged = float(np.abs(z).max()) <= tolerance
+                rho_next = float(residual @ z)
+                direction = z + (rho_next / rho) * direction
+                rho = rho_next
+        self._count("krylov_iterations", iterations)
+        if not converged or not np.all(np.isfinite(solution)):
+            return None
+        return solution
+
+    def _block_pcg(self, matrix: csc_matrix, rhs: np.ndarray,
+                   preconditioner: Factorization) -> Optional[np.ndarray]:
+        """PCG on an ``(n, k)`` block to :data:`KRYLOV_TOLERANCE`, with
+        the same failure modes as :meth:`_pcg`.
+
+        The columns run as independent CG recurrences sharing each
+        back-substitution; a column stops updating once it converges.
+        """
+        iterations = 0
+        with np.errstate(all="ignore"):
+            solution = preconditioner.solve(rhs)
+            residual = rhs - matrix @ solution
             z = preconditioner.solve(residual)
             tolerance = KRYLOV_TOLERANCE * np.minimum(
                 1.0, np.abs(solution).max(axis=0))
-            # A NaN error estimate keeps its column active, and the next
-            # curvature test (NaN > 0 is False) fails the solve.
             active = ~(np.abs(z).max(axis=0) <= tolerance)
             direction, rho = z, np.einsum("ij,ij->j", residual, z)
             while active.any() and iterations < KRYLOV_BUDGET:
@@ -381,8 +436,7 @@ class ThermalOperator:
         self._count("krylov_iterations", iterations)
         if active.any() or not np.all(np.isfinite(solution)):
             return None
-        self._count("krylov_solves")
-        return solution.reshape(rhs.shape)
+        return solution
 
     def _guard(self, temps: np.ndarray, rhs: np.ndarray,
                overlay: np.ndarray, norm1: float, lu) -> None:

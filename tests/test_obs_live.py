@@ -586,6 +586,29 @@ class TestBenchGate:
                               "--baseline", str(baseline),
                               "--strict-drift"]) == 1
 
+    def test_krylov_iterations_drift_warns(self, tmp_path, capsys):
+        # Re-tightening the leakage loop's Newton solves shows up as
+        # more CG iterations per Krylov solve.
+        current = tmp_path / "current"
+        baseline = tmp_path / "baseline"
+        current.mkdir()
+        baseline.mkdir()
+        bench3 = {"grid_resolution": 12,
+                  "repeated_solve": {"speedup": 38.0},
+                  "table2_campaign": {"factorizations_per_solve": 0.9,
+                                      "krylov_iterations_per_solve": 3.9}}
+        self.seed_artifacts(baseline, **{"BENCH_3.json": bench3})
+        self.seed_artifacts(current, **{"BENCH_3.json": bench3})
+        assert self.run_gate(["--dir", str(current), "--baseline",
+                              str(baseline), "--strict-drift"]) == 0
+        capsys.readouterr()
+        bench3["table2_campaign"]["krylov_iterations_per_solve"] = 7.1
+        self.seed_artifacts(current, **{"BENCH_3.json": bench3})
+        assert self.run_gate(["--dir", str(current), "--baseline",
+                              str(baseline), "--strict-drift"]) == 1
+        assert "DRIFT BENCH_3.json CG iterations per Krylov solve" \
+            in capsys.readouterr().out
+
     def test_bench5_digest_must_match_baseline(self, tmp_path, capsys):
         current = tmp_path / "current"
         baseline = tmp_path / "baseline"

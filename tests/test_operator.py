@@ -5,8 +5,10 @@ cold build-once/update-many path (``splu`` through the precomputed
 diagonal index map) reproduces the legacy construction (``spsolve`` on
 a freshly assembled ``static + diag(overlay)``) bit for bit, fault-free,
 across all eight MiBench benchmarks.  The tolerance gates back its
-second claim: every warm solve (an exact repeat of the held factor, or
-PCG preconditioned by it) stays within 1e-9 K of that direct solve.
+second claim: every full-tolerance warm solve (an exact repeat of the
+held factor, or PCG preconditioned by it) stays within 1e-9 K of that
+direct solve, and the leakage loop's loose Newton solves stay within
+ten times their tolerance of it.
 """
 
 from dataclasses import replace
@@ -34,6 +36,7 @@ from repro.thermal import (
     solve_steady_state,
     solve_steady_state_batch,
 )
+from repro.thermal.operator import KRYLOV_TOLERANCE, NEWTON_TOLERANCE
 
 BENCHMARKS = ("basicmath", "bitcount", "crc32", "djkstra", "fft",
               "quicksort", "stringsearch", "susan")
@@ -355,23 +358,38 @@ def direct_solve(network, overlay, rhs):
 
 class WarmSolveAudit:
     """Wraps one operator's solve entry points for a test and compares
-    every warm result with the direct solve of the same system."""
+    every warm result with the direct solve of the same system.
+
+    Full-tolerance warm solves (every result a caller receives,
+    including the leakage loop's polish) land in ``forward_error``;
+    the loop's loose Newton solves are audited separately in
+    ``loose_error``.
+    """
 
     def __init__(self, network, monkeypatch):
         self.forward_error = 0.0
+        self.loose_error = 0.0
         self.adjoint_error = 0.0
         self.forward = 0
+        self.loose = 0
         self.adjoint = 0
         operator = network.operator
         solve, solve_adjoint = operator.solve, operator.solve_adjoint
 
-        def audited_solve(overlay, rhs, warm=None):
-            result = solve(overlay, rhs, warm)
+        def audited_solve(overlay, rhs, warm=None, *, start=None,
+                          tolerance=KRYLOV_TOLERANCE):
+            result = solve(overlay, rhs, warm, start=start,
+                           tolerance=tolerance)
             if warm is not None:
-                exact = direct_solve(network, overlay, rhs)
-                self.forward_error = max(
-                    self.forward_error, float(np.abs(result - exact).max()))
-                self.forward += 1
+                error = float(np.abs(
+                    result - direct_solve(network, overlay, rhs)).max())
+                if tolerance == KRYLOV_TOLERANCE:
+                    self.forward_error = max(self.forward_error, error)
+                    self.forward += 1
+                else:
+                    assert tolerance == NEWTON_TOLERANCE
+                    self.loose_error = max(self.loose_error, error)
+                    self.loose += 1
             return result
 
         def audited_adjoint(overlay, rhs, warm=None):
@@ -387,6 +405,19 @@ class WarmSolveAudit:
 
         monkeypatch.setattr(operator, "solve", audited_solve)
         monkeypatch.setattr(operator, "solve_adjoint", audited_adjoint)
+
+
+class BrokenFactor:
+    """A held factor whose back-solves return NaN (``non-finite``) or
+    the negated solution (``negated``)."""
+
+    def __init__(self, factor, breakage):
+        self.overlay = factor.overlay
+        self._factor = factor
+        self._scale = np.nan if breakage == "non-finite" else -1.0
+
+    def solve(self, rhs):
+        return self._scale * self._factor.solve(rhs)
 
 
 class TestWarmSolves:
@@ -412,9 +443,10 @@ class TestWarmSolves:
         before = operator.stats
         run_oftec(problem)
         after = operator.stats
-        assert audit.forward > 0 and audit.adjoint > 0
+        assert audit.forward > 0 and audit.adjoint > 0 and audit.loose > 0
         assert audit.forward_error <= 1e-9
         assert audit.adjoint_error <= 1e-9
+        assert audit.loose_error <= 10 * NEWTON_TOLERANCE
         # The trace really ran on PCG, not on fresh factors.
         assert after.krylov_solves - before.krylov_solves \
             > after.factorizations - before.factorizations
@@ -452,6 +484,70 @@ class TestWarmSolves:
         assert refactored == after.factorizations - before.factorizations
         assert np.abs(result - direct_solve(network, overlay, rhs)).max() \
             <= 1e-9
+
+    def test_vector_and_block_recurrences_agree(self, tec_problem):
+        # One RHS through the scalar path (solve) and as an (n, 1)
+        # block through the masked path (solve_adjoint), both on PCG
+        # against the same held factor.
+        operator = fresh_operator(tec_problem.model.network)
+        warm = KrylovState()
+        operator.solve(*model_overlays(tec_problem, *POINTS[0]), warm)
+        overlay, rhs = model_overlays(tec_problem, 185.0, 0.6)
+        iterations = []
+        solutions = []
+        for solve, system in ((operator.solve, rhs),
+                              (operator.solve_adjoint, rhs[:, None])):
+            before = operator.stats
+            solutions.append(solve(overlay, system, warm).reshape(-1))
+            after = operator.stats
+            assert after.krylov_solves - before.krylov_solves == 1
+            iterations.append(after.krylov_iterations
+                              - before.krylov_iterations)
+        vector, block = solutions
+        assert iterations[0] == iterations[1] > 0
+        assert np.abs(vector - block).max() <= 1e-12 * np.abs(block).max()
+
+    @pytest.mark.parametrize("breakage", ["non-finite", "negated"])
+    def test_vector_pcg_refactors_on_broken_preconditioner(
+            self, tec_problem, breakage):
+        # A held factor whose back-solves go non-finite gives a
+        # non-finite iterate; a negated one makes rho = r^T M^-1 r < 0.
+        network = tec_problem.model.network
+        operator = fresh_operator(network)
+        warm = KrylovState()
+        operator.solve(*model_overlays(tec_problem, *POINTS[0]), warm)
+        warm.factor = BrokenFactor(warm.factor, breakage)
+        overlay, rhs = model_overlays(tec_problem, 185.0, 0.6)
+        self.assert_refactors(operator, network, warm, overlay, rhs)
+
+    def test_vector_pcg_refactors_on_non_positive_curvature(
+            self, tec_problem):
+        # Shifting the diagonal down by twice the 1-norm makes the
+        # system negative definite, so p^T A p < 0 on the first step.
+        network = tec_problem.model.network
+        operator = fresh_operator(network)
+        warm = KrylovState()
+        overlay, rhs = model_overlays(tec_problem, *POINTS[0])
+        operator.solve(overlay, rhs, warm)
+        matrix = network.static_matrix + diags(overlay, format="csr")
+        shift = 2.0 * float(abs(matrix).sum(axis=0).max())
+        self.assert_refactors(operator, network, warm, overlay - shift,
+                              rhs)
+
+    @staticmethod
+    def assert_refactors(operator, network, warm, overlay, rhs):
+        before = operator.stats
+        result = operator.solve(overlay, rhs, warm)
+        after = operator.stats
+        # Each breakage stops the recurrence on its first step.
+        assert after.krylov_iterations - before.krylov_iterations == 1
+        assert after.krylov_solves == before.krylov_solves
+        assert after.fresh_factorizations \
+            - before.fresh_factorizations == 1
+        assert warm.holds(overlay)
+        exact = direct_solve(network, overlay, rhs)
+        assert np.abs(result - exact).max() \
+            <= 1e-9 * max(1.0, np.abs(exact).max())
 
     def test_singular_fault_on_warm_path_raises_typed_error(
             self, tec_problem):

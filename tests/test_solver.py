@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ThermalRunawayError
-from repro.thermal import solve_steady_state
+from repro.thermal import SolveContext, solve_steady_state
+from repro.thermal import solver
+from repro.thermal.operator import KRYLOV_TOLERANCE, NEWTON_TOLERANCE
 
 
 class TestLeakageLoop:
@@ -45,6 +47,64 @@ class TestLeakageLoop:
         with pytest.raises(ConfigurationError):
             solve_steady_state(tec_model, 262.0, 0.0, basicmath_power,
                                leakage, initial_guess=np.zeros(3))
+
+
+class TestInexactNewton:
+    """Non-final Newton systems are solved loosely from the previous
+    iterate; only the polished last system becomes the answer."""
+
+    @staticmethod
+    def primed_context(model, power, leakage):
+        context = SolveContext.for_model(model)
+        solve_steady_state(model, 262.0, 0.5, power, leakage,
+                           context=context)
+        return context
+
+    def test_loose_newton_steps_then_one_polish(
+            self, tec_model, basicmath_power, leakage, monkeypatch):
+        # Every Newton system at full tolerance, as before inexact
+        # Newton: 3 iterations at this point, and the count must hold.
+        monkeypatch.setattr(solver, "NEWTON_TOLERANCE", KRYLOV_TOLERANCE)
+        tight = solve_steady_state(
+            tec_model, 275.0, 0.9, basicmath_power, leakage,
+            context=self.primed_context(tec_model, basicmath_power,
+                                        leakage))
+        monkeypatch.undo()
+
+        operator = tec_model.network.operator
+        solve = operator.solve
+        calls = []
+
+        def spy(overlay, rhs, warm=None, *, start=None,
+                tolerance=KRYLOV_TOLERANCE):
+            result = solve(overlay, rhs, warm, start=start,
+                           tolerance=tolerance)
+            calls.append((overlay.copy(), None if start is None
+                          else start.copy(), tolerance, result.copy()))
+            return result
+
+        context = self.primed_context(tec_model, basicmath_power, leakage)
+        monkeypatch.setattr(operator, "solve", spy)
+        result = solve_steady_state(tec_model, 275.0, 0.9,
+                                    basicmath_power, leakage,
+                                    context=context)
+
+        stats = result.stats
+        assert stats.outer_iterations == tight.stats.outer_iterations == 3
+        assert stats.linear_solves == len(calls) \
+            == stats.outer_iterations + 1
+        *newton, polish = calls
+        assert all(tolerance == NEWTON_TOLERANCE
+                   for _, _, tolerance, _ in newton)
+        assert newton[0][1] is None
+        for previous, following in zip(newton, newton[1:]):
+            assert (following[1] == previous[3]).all()
+        overlay, start, tolerance, temps = polish
+        assert tolerance == KRYLOV_TOLERANCE
+        assert (overlay == newton[-1][0]).all()
+        assert (start == newton[-1][3]).all()
+        assert (temps == result.temperatures).all()
+        assert np.abs(temps - tight.temperatures).max() <= 1e-9
 
 
 class TestResultFields:
