@@ -4,9 +4,10 @@ Not a paper figure — this bench guards the reproduction's own engine:
 model assembly cost, the per-evaluation sparse solve, the transient
 stepper, and the payoff of the solve context's held factor, at the
 production grid resolution.  The operator metrics (repeated-solve
-throughput; factorizations per solve and CG iterations per Krylov
-solve over the Table 2 campaign) are written to ``BENCH_3.json`` at
-the repository root.
+throughput; factorizations and CG iterations per point of one 16x14
+Figure 6 Basicmath surface; factorizations per solve and CG iterations
+per Krylov solve over the Table 2 campaign) are written to
+``BENCH_3.json`` at the repository root.
 """
 
 import time
@@ -14,7 +15,7 @@ import time
 import numpy as np
 
 from _common import emit_bench_json
-from repro.analysis import run_campaign
+from repro.analysis import run_campaign, sweep_objective_surfaces
 from repro.materials import default_package_stack
 from repro.geometry import Grid, alpha21264_floorplan
 from repro.tec import TECArray, default_tec_device
@@ -76,8 +77,9 @@ def _time_solves(network, overlay, rhs, rounds, cold):
 def test_operator_reuse_and_emit(tec_problem, baseline_problem,
                                  profiles, resolution):
     """Held-factor payoff: repeated-solve throughput (fresh factor per
-    solve vs context-warm solves at the same overlay) and the Table 2
-    campaign's factorizations-per-solve ratio; emits BENCH_3.json."""
+    solve vs context-warm solves at the same overlay), the operator work
+    per point of a Figure 6 sweep, and the Table 2 campaign's
+    factorizations-per-solve ratio; emits BENCH_3.json."""
     model = tec_problem.model
     zeros = np.zeros(model.grid.cell_count)
     diag, rhs = model.overlays(262.0, 1.0,
@@ -92,6 +94,21 @@ def test_operator_reuse_and_emit(tec_problem, baseline_problem,
     speedup = cold / warm
     print(f"\nrepeated same-omega solve: cold {1.0 / cold:.1f}/s, "
           f"warm {1.0 / warm:.1f}/s ({speedup:.1f}x)")
+
+    # The sweep runs in-process on the template's operator, so the
+    # operator's counters before and after are the sweep's own work.
+    operator = network.operator
+    before = operator.stats
+    surfaces = sweep_objective_surfaces(tec_problem, omega_points=16,
+                                        current_points=14)
+    after = operator.stats
+    points = surfaces.temperature.size
+    sweep_factorizations = after.factorizations - before.factorizations
+    sweep_iterations = after.krylov_iterations - before.krylov_iterations
+    print(f"fig6 sweep: {points} points "
+          f"({int(surfaces.runaway_mask.sum())} runaway), "
+          f"{sweep_factorizations} factorizations, "
+          f"{sweep_iterations} CG iterations")
 
     # The campaign units run on an unpickled copy of the templates, so
     # the operator counters come from the per-unit statistics.
@@ -118,6 +135,14 @@ def test_operator_reuse_and_emit(tec_problem, baseline_problem,
             "cold_solves_per_sec": 1.0 / cold,
             "warm_solves_per_sec": 1.0 / warm,
             "speedup": speedup,
+        },
+        "fig6_sweep": {
+            "points": points,
+            "runaway_points": int(surfaces.runaway_mask.sum()),
+            "factorizations": sweep_factorizations,
+            "factorizations_per_point": sweep_factorizations / points,
+            "krylov_iterations": sweep_iterations,
+            "krylov_iterations_per_point": sweep_iterations / points,
         },
         "table2_campaign": {
             "wall_seconds": wall,

@@ -186,6 +186,8 @@ DRIFT_METRICS: Tuple[Tuple[str, str, str], ...] = (
      "factorizations per solve"),
     ("BENCH_3.json", "table2_campaign.krylov_iterations_per_solve",
      "CG iterations per Krylov solve"),
+    ("BENCH_3.json", "fig6_sweep.factorizations_per_point",
+     "Fig. 6 sweep factorizations per point"),
     ("BENCH_4.json", "oftec.overhead_pct",
      "oftec telemetry overhead pct"),
     ("BENCH_4.json", "streaming.overhead_pct",

@@ -47,6 +47,7 @@ from .errors import (
     EvaluationBudgetError,
     FloorplanParseError,
     GeometryError,
+    IndefiniteSystemError,
     InfeasibleProblemError,
     JournalCorruptionError,
     JournalError,
@@ -60,7 +61,7 @@ from .errors import (
 )
 from .power import BenchmarkProfile, mibench_profiles
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "I_TEC_MAX",
@@ -90,6 +91,7 @@ __all__ = [
     "EvaluationBudgetError",
     "SolveTimeoutError",
     "ThermalRunawayError",
+    "IndefiniteSystemError",
     "InfeasibleProblemError",
     "CalibrationError",
     "WorkerCrashError",

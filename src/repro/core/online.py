@@ -29,7 +29,7 @@ from ..leakage import tangent_linearization
 from ..power import PowerTrace
 from .lut import LookupTableController
 from .oftec import run_oftec
-from ..thermal import KrylovState
+from ..thermal import KrylovState, backward_euler_solve
 from .problem import CoolingProblem
 
 #: A control policy: observed per-unit powers -> (omega, I_TEC).
@@ -199,8 +199,8 @@ def run_online_controller(
             sink_heat=problem.fan_heat_fraction * fan_power)
         # Backward-Euler step through the network's build-once
         # operator: PCG against the loop's last factor.
-        temps = network.solve(diag + c_over_dt,
-                              rhs + c_over_dt * temps, warm=warm)
+        temps = backward_euler_solve(network, diag + c_over_dt,
+                                     rhs + c_over_dt * temps, warm)
 
         chip = model.chip_temperatures(temps)
         hottest = float(chip.max())

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..leakage import tangent_linearization
-from ..thermal import KrylovState
+from ..thermal import KrylovState, backward_euler_solve
 from .problem import CoolingProblem
 
 
@@ -120,8 +120,8 @@ def _run_switched_controller(
             taylor.a, taylor.constant_term(), sink_heat=fan_heat)
         # Backward-Euler step through the network's build-once
         # operator: PCG against the loop's last factor.
-        temps = network.solve(diag + c_over_dt,
-                              rhs + c_over_dt * temps, warm=warm)
+        temps = backward_euler_solve(network, diag + c_over_dt,
+                                     rhs + c_over_dt * temps, warm)
 
         times.append(t_now)
         trace_t.append(float(model.chip_temperatures(temps).max()))

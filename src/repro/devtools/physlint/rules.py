@@ -342,6 +342,7 @@ _REPRO_ERROR_NAMES = frozenset({
     "EvaluationBudgetError",
     "FloorplanParseError",
     "GeometryError",
+    "IndefiniteSystemError",
     "InfeasibleProblemError",
     "MaterialError",
     "ReproError",

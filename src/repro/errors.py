@@ -87,6 +87,24 @@ class ThermalRunawayError(SolverError):
         self.max_temperature = max_temperature
 
 
+class IndefiniteSystemError(ThermalRunawayError):
+    """A warm thermal solve proved its system not positive definite.
+
+    The thermal matrix ``G + diag(overlay)`` is symmetric; it stops
+    being positive definite only when the linearized leakage slope
+    outweighs the cooling on some mode, so no stable bounded steady
+    state exists there.  Preconditioned CG proves it with a direction
+    ``p`` whose curvature ``p^T A p`` is clearly negative (Steihaug's
+    negative-curvature exit) and stops the solve instead of factoring.
+    """
+
+    def __init__(self, message: str, rayleigh_quotient: float) -> None:
+        super().__init__(message)
+        #: The witness's Rayleigh quotient ``p^T A p / p^T p`` (W/K),
+        #: an upper bound on the matrix's smallest eigenvalue.
+        self.rayleigh_quotient = rayleigh_quotient
+
+
 class InfeasibleProblemError(ReproError):
     """Optimization 2 could not find any point meeting the thermal limit.
 

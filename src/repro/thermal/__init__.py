@@ -28,7 +28,11 @@ from .solver import (
     solve_steady_state,
     solve_steady_state_batch,
 )
-from .transient import TransientResult, simulate_transient
+from .transient import (
+    TransientResult,
+    backward_euler_solve,
+    simulate_transient,
+)
 from .validation import (
     StackProfile,
     format_stack_profile,
@@ -63,6 +67,7 @@ __all__ = [
     "solve_steady_state_batch",
     "TransientResult",
     "simulate_transient",
+    "backward_euler_solve",
     "StackProfile",
     "format_stack_profile",
     "layer_vertical_resistances",

@@ -28,7 +28,14 @@ the system it returns is polished to 1e-10 K.  A 1-D right-hand side
 runs a plain scalar CG recurrence; an ``(n, k)`` adjoint block runs
 its columns as masked recurrences sharing each back-substitution.  A
 budget miss, ``p^T A p <= 0``, ``rho <= 0`` or a non-finite iterate
-factors fresh, and the sequence holds that factor from then on.
+factors fresh, and the sequence holds that factor from then on, with
+one exception: a vector solve whose curvature is clearly negative,
+``p^T A p < -INDEFINITE_MARGIN * ||A||_1 * p^T p``, has proved ``A``
+indefinite (Steihaug's negative-curvature exit), so it raises
+:class:`~repro.errors.IndefiniteSystemError`, a thermal runaway,
+without factoring and leaves the held factor as it was.  Curvature
+within the margin, as on an exactly singular PSD system, still factors
+fresh and meets the singularity guards.
 Without ``warm`` a solve is a fresh factor and a back-solve,
 bit-identical to ``spsolve`` (same SuperLU driver;
 ``tests/test_operator.py``); full-tolerance warm solves agree with it
@@ -45,7 +52,11 @@ import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from ..errors import ConfigurationError, SingularNetworkError
+from ..errors import (
+    ConfigurationError,
+    IndefiniteSystemError,
+    SingularNetworkError,
+)
 from ..obs import runtime as _obs
 from ..obs.clock import monotonic
 
@@ -65,6 +76,12 @@ NEWTON_TOLERANCE = 1.0e-6
 
 #: CG iterations a warm solve may spend before it factors fresh.
 KRYLOV_BUDGET = 15
+
+#: A vector PCG step whose curvature ``p^T A p`` is below
+#: ``-INDEFINITE_MARGIN * ||A||_1 * p^T p`` certifies ``A`` indefinite.
+#: Rounding in ``p^T A p`` stays orders of magnitude below the margin,
+#: so an exactly singular PSD system never certifies.
+INDEFINITE_MARGIN = 1.0e-10
 
 
 #: The :class:`OperatorStats` fields, in order.
@@ -295,7 +312,9 @@ class ThermalOperator:
         ``M^-1 b``, and stops at ``tolerance`` (K); an exact repeat or a
         fresh factor back-solves and ignores both.
         Raises :class:`SingularNetworkError`, with a 1-norm condition
-        estimate, on singular or numerically degenerate systems.
+        estimate, on singular or numerically degenerate systems, and
+        :class:`IndefiniteSystemError` when PCG proves the matrix
+        indefinite (``warm`` keeps its factor).
         """
         overlay = self._checked_overlay(diag_overlay)
         rhs_arr = np.asarray(rhs, dtype=float)
@@ -369,8 +388,13 @@ class ThermalOperator:
              tolerance: float) -> Optional[np.ndarray]:
         """Scalar PCG on one RHS vector, preconditioned by a factor of
         a nearby overlay; ``None`` when it misses its budget, meets
-        ``p^T A p <= 0`` or ``rho <= 0``, or a non-finite iterate."""
+        ``p^T A p <= 0`` or ``rho <= 0``, or a non-finite iterate.
+
+        Raises :class:`IndefiniteSystemError` when a step's curvature
+        certifies ``matrix`` indefinite (see :data:`INDEFINITE_MARGIN`).
+        """
         iterations = 0
+        witness = None
         with np.errstate(all="ignore"):
             solution = preconditioner.solve(rhs) if start is None \
                 else np.array(start, dtype=float)
@@ -386,6 +410,10 @@ class ThermalOperator:
                 product = matrix @ direction
                 curvature = float(direction @ product)
                 if not (curvature > 0.0 and rho > 0.0):
+                    length = float(direction @ direction)
+                    if curvature < -INDEFINITE_MARGIN * self._norm1() \
+                            * length:
+                        witness = curvature / length
                     break
                 alpha = rho / curvature
                 solution += alpha * direction
@@ -396,6 +424,11 @@ class ThermalOperator:
                 direction = z + (rho_next / rho) * direction
                 rho = rho_next
         self._count("krylov_iterations", iterations)
+        if witness is not None:
+            raise IndefiniteSystemError(
+                f"Thermal system is not positive definite: PCG found "
+                f"curvature p^T A p / p^T p = {witness:.3e} W/K",
+                rayleigh_quotient=witness)
         if not converged or not np.all(np.isfinite(solution)):
             return None
         return solution
@@ -403,7 +436,8 @@ class ThermalOperator:
     def _block_pcg(self, matrix: csc_matrix, rhs: np.ndarray,
                    preconditioner: Factorization) -> Optional[np.ndarray]:
         """PCG on an ``(n, k)`` block to :data:`KRYLOV_TOLERANCE`, with
-        the same failure modes as :meth:`_pcg`.
+        the failure modes of :meth:`_pcg` but no certificate: negative
+        curvature also returns ``None``.
 
         The columns run as independent CG recurrences sharing each
         back-substitution; a column stops updating once it converges.

@@ -6,9 +6,13 @@ matrix), so one evaluation is a sparse solve.  Because the *linearization
 point* of the leakage law matters, an outer loop re-expands the Taylor
 series at the freshly solved chip temperatures until they stop moving —
 reference [13]'s protocol, which typically converges in a handful of
-iterations.  If the loop diverges, or the temperatures exceed the ceiling,
-the evaluation reports **thermal runaway** (Section 6.2: the objective
-"tends to infinity for small values of omega").
+iterations.  The evaluation reports **thermal runaway** (Section 6.2: the
+objective "tends to infinity for small values of omega") when a Newton
+system is proved indefinite (PCG's negative-curvature certificate,
+:class:`~repro.errors.IndefiniteSystemError`), when the temperatures
+leave the envelope (above the runaway ceiling or below the physical
+floor), or when the loop diverges (three growing updates, or no
+convergence within ``leak_max_iterations``).
 
 Every linear system of that loop is one step of a *solve sequence*: a
 :class:`SolveContext` carries the sequence's last converged chip
@@ -40,6 +44,7 @@ import numpy as np
 
 from ..errors import (
     ConfigurationError,
+    IndefiniteSystemError,
     SingularNetworkError,
     ThermalRunawayError,
 )
@@ -185,7 +190,8 @@ def solve_steady_state(
 
     Raises:
         ThermalRunawayError: When no bounded steady state exists at this
-            operating point.
+            operating point (an :class:`~repro.errors.IndefiniteSystemError`
+            when PCG proved a Newton system indefinite).
     """
     config = model.config
     ncell = model.grid.cell_count
@@ -350,8 +356,9 @@ def _network_solve(model: PackageThermalModel, diag: np.ndarray,
                    start: Optional[np.ndarray] = None,
                    tolerance: float = KRYLOV_TOLERANCE) -> np.ndarray:
     """One warm network solve from ``start`` to ``tolerance`` (K);
-    re-raises singularities with operating-point context (omega in
-    rad/s, current in A) chained onto the original."""
+    re-raises singularities and indefiniteness certificates (runaway)
+    with operating-point context (omega in rad/s, current in A)
+    chained onto the original."""
     try:
         return model.network.solve(diag, rhs, warm, start=start,
                                    tolerance=tolerance)
@@ -360,6 +367,18 @@ def _network_solve(model: PackageThermalModel, diag: np.ndarray,
             f"{exc} during steady-state solve at omega={omega:.1f}, "
             f"I={_fmt_current(current)} (leakage iteration {iteration})",
             condition_estimate=exc.condition_estimate) from exc
+    except IndefiniteSystemError as exc:
+        _count_runaway("indefinite")
+        raise IndefiniteSystemError(
+            f"{exc} at omega={omega:.1f}, I={_fmt_current(current)} "
+            f"(leakage iteration {iteration})",
+            rayleigh_quotient=exc.rayleigh_quotient) from exc
+
+
+def _count_runaway(cause: str) -> None:
+    """Count one runaway verdict by cause in a telemetry session."""
+    if _obs.STATE.enabled:
+        _obs.STATE.metrics.counter("leakage.runaway." + cause).inc()
 
 
 def _fmt_current(current: Union[float, np.ndarray]) -> str:
@@ -378,12 +397,14 @@ def _check_physical(model: PackageThermalModel, temps: np.ndarray,
     t_max = float(temps.max())
     t_min = float(temps.min())
     if t_max > config.runaway_ceiling:
+        _count_runaway("ceiling")
         raise ThermalRunawayError(
             f"Temperature {t_max:.1f} K exceeds the runaway ceiling "
             f"({config.runaway_ceiling:.0f} K) at omega={omega:.1f}, "
             f"I={_fmt_current(current)} (iteration {iteration})",
             max_temperature=t_max)
     if t_min < config.temperature_floor:
+        _count_runaway("floor")
         raise ThermalRunawayError(
             f"Temperature {t_min:.1f} K fell below the physical floor "
             f"({config.temperature_floor:.0f} K) at omega={omega:.1f}, "

@@ -22,9 +22,10 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, IndefiniteSystemError
 from ..leakage import CellLeakageModel, tangent_linearization
 from .assembly import PackageThermalModel
+from .network import ThermalNetwork
 from .operator import KrylovState
 
 ScalarSchedule = Union[float, Callable[[float], float]]
@@ -67,6 +68,24 @@ def _power_value(schedule: PowerSchedule, t: float) -> np.ndarray:
     if callable(schedule):
         return np.asarray(schedule(t), dtype=float)
     return np.asarray(schedule, dtype=float)
+
+
+def backward_euler_solve(network: ThermalNetwork, overlay: np.ndarray,
+                         rhs: np.ndarray, warm: KrylovState) -> np.ndarray:
+    """One backward-Euler step's solve, warm through the loop's ``warm``.
+
+    A trajectory is not ended by PCG's indefiniteness certificate: on
+    :class:`~repro.errors.IndefiniteSystemError` the step drops the held
+    factor and solves again, which factors this step's matrix fresh and
+    holds that factor from then on, so the steps are exactly those of a
+    loop that factors fresh on every PCG breakdown.  Runaway in time is
+    the ceiling test of the caller.
+    """
+    try:
+        return network.solve(overlay, rhs, warm=warm)
+    except IndefiniteSystemError:
+        warm.reset()
+        return network.solve(overlay, rhs, warm=warm)
 
 
 def simulate_transient(
@@ -140,8 +159,8 @@ def simulate_transient(
         # capacity term rides on the diagonal overlay, so successive
         # steps differ only on the diagonal and PCG against the loop's
         # last factor solves them.
-        temps = network.solve(diag + c_over_dt,
-                              rhs + c_over_dt * temps, warm=warm)
+        temps = backward_euler_solve(network, diag + c_over_dt,
+                                     rhs + c_over_dt * temps, warm)
 
         chip = model.chip_temperatures(temps)
         times.append(t)

@@ -609,6 +609,29 @@ class TestBenchGate:
         assert "DRIFT BENCH_3.json CG iterations per Krylov solve" \
             in capsys.readouterr().out
 
+    def test_sweep_factorizations_drift_warns(self, tmp_path, capsys):
+        # A sweep that factors fresh at most of its points again (every
+        # runaway probe, and the point after it) shows up here.
+        current = tmp_path / "current"
+        baseline = tmp_path / "baseline"
+        current.mkdir()
+        baseline.mkdir()
+        bench3 = {"grid_resolution": 12,
+                  "repeated_solve": {"speedup": 38.0},
+                  "fig6_sweep": {"factorizations_per_point": 0.004},
+                  "table2_campaign": {"factorizations_per_solve": 0.9}}
+        self.seed_artifacts(baseline, **{"BENCH_3.json": bench3})
+        self.seed_artifacts(current, **{"BENCH_3.json": bench3})
+        assert self.run_gate(["--dir", str(current), "--baseline",
+                              str(baseline), "--strict-drift"]) == 0
+        capsys.readouterr()
+        bench3["fig6_sweep"]["factorizations_per_point"] = 0.6
+        self.seed_artifacts(current, **{"BENCH_3.json": bench3})
+        assert self.run_gate(["--dir", str(current), "--baseline",
+                              str(baseline), "--strict-drift"]) == 1
+        assert "DRIFT BENCH_3.json Fig. 6 sweep factorizations per point" \
+            in capsys.readouterr().out
+
     def test_bench5_digest_must_match_baseline(self, tmp_path, capsys):
         current = tmp_path / "current"
         baseline = tmp_path / "baseline"

@@ -19,7 +19,12 @@ from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import spsolve
 
 from repro import run_oftec
-from repro.errors import ConfigurationError, SingularNetworkError
+from repro.errors import (
+    ConfigurationError,
+    IndefiniteSystemError,
+    SingularNetworkError,
+    ThermalRunawayError,
+)
 from repro.faults import (
     FaultInjector,
     FaultKind,
@@ -221,6 +226,25 @@ class TestFailurePaths:
             operator.solve(sabotage, np.ones(n), warm)
         # The failed system never becomes the preconditioner.
         assert warm.factor is held
+
+    def test_singular_psd_system_is_not_certified(self):
+        # A floating path graph is exactly singular and PSD: on its null
+        # direction PCG's curvature is rounding noise of either sign
+        # (negative for these weights), which must not read as an
+        # indefiniteness certificate.
+        weights = np.array([0.67, 0.34, 0.14, 0.11, 0.83])
+        n = weights.size + 1
+        main = np.zeros(n)
+        main[:-1] += weights
+        main[1:] += weights
+        operator = ThermalOperator(
+            csr_matrix(diags([-weights, main, -weights], [-1, 0, 1])))
+        warm = KrylovState()
+        operator.solve(np.ones(n), np.ones(n), warm)
+        before = operator.stats
+        with pytest.raises(SingularNetworkError):
+            operator.solve(np.zeros(n), np.ones(n), warm)
+        assert operator.stats.krylov_iterations > before.krylov_iterations
 
     def test_condition_estimate_blows_up_when_singular(self):
         estimate = condition_estimate(grounded_laplacian(ground=0.0))
@@ -520,10 +544,11 @@ class TestWarmSolves:
         overlay, rhs = model_overlays(tec_problem, 185.0, 0.6)
         self.assert_refactors(operator, network, warm, overlay, rhs)
 
-    def test_vector_pcg_refactors_on_non_positive_curvature(
-            self, tec_problem):
-        # Shifting the diagonal down by twice the 1-norm makes the
-        # system negative definite, so p^T A p < 0 on the first step.
+    @staticmethod
+    def negative_definite(tec_problem):
+        """An operator holding a factor at ``POINTS[0]``, and that
+        overlay shifted down by twice the 1-norm: a negative definite
+        system, so ``p^T A p < 0`` on PCG's first step."""
         network = tec_problem.model.network
         operator = fresh_operator(network)
         warm = KrylovState()
@@ -531,8 +556,43 @@ class TestWarmSolves:
         operator.solve(overlay, rhs, warm)
         matrix = network.static_matrix + diags(overlay, format="csr")
         shift = 2.0 * float(abs(matrix).sum(axis=0).max())
-        self.assert_refactors(operator, network, warm, overlay - shift,
-                              rhs)
+        return operator, warm, overlay - shift, rhs
+
+    def test_vector_pcg_certifies_negative_curvature(self, tec_problem):
+        operator, warm, shifted, rhs = self.negative_definite(tec_problem)
+        held = warm.factor
+        before = operator.stats
+        with pytest.raises(IndefiniteSystemError) as excinfo:
+            operator.solve(shifted, rhs, warm)
+        after = operator.stats
+        assert isinstance(excinfo.value, ThermalRunawayError)
+        assert excinfo.value.max_temperature == float("inf")
+        assert excinfo.value.rayleigh_quotient < 0.0
+        # One CG step proves it; nothing is factored or replaced.
+        assert after.krylov_iterations - before.krylov_iterations == 1
+        assert after.factorizations == before.factorizations
+        assert after.fresh_factorizations == before.fresh_factorizations
+        assert after.krylov_solves == before.krylov_solves
+        assert warm.factor is held
+
+    def test_block_pcg_refactors_on_negative_curvature(self, tec_problem):
+        # The (n, k) adjoint block has no certificate: at the same
+        # shifted overlay it factors fresh and holds that factor.
+        operator, warm, shifted, rhs = self.negative_definite(tec_problem)
+        network = tec_problem.model.network
+        block = np.column_stack([rhs, np.ones_like(rhs)])
+        before = operator.stats
+        duals = operator.solve_adjoint(shifted, block, warm)
+        after = operator.stats
+        assert after.krylov_iterations - before.krylov_iterations == 1
+        assert after.krylov_solves == before.krylov_solves
+        assert after.fresh_factorizations \
+            - before.fresh_factorizations == 1
+        assert warm.holds(shifted)
+        for column in range(2):
+            exact = direct_solve(network, shifted, block[:, column])
+            assert np.abs(duals[:, column] - exact).max() \
+                <= 1e-9 * max(1.0, np.abs(exact).max())
 
     @staticmethod
     def assert_refactors(operator, network, warm, overlay, rhs):

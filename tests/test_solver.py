@@ -1,12 +1,34 @@
 """Steady-state solver: leakage loop, warm start, runaway detection."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ThermalRunawayError
-from repro.thermal import SolveContext, solve_steady_state
+from repro import build_cooling_problem
+from repro.analysis import sweep_objective_surfaces
+from repro.errors import (
+    ConfigurationError,
+    IndefiniteSystemError,
+    ThermalRunawayError,
+)
+from repro.obs import telemetry_session
+from repro.thermal import (
+    SolveContext,
+    ThermalOperator,
+    solve_steady_state,
+)
 from repro.thermal import solver
 from repro.thermal.operator import KRYLOV_TOLERANCE, NEWTON_TOLERANCE
+
+#: Fig. 6 masks at grid 6 recorded when every PCG breakdown factored
+#: fresh instead of ending the solve as runaway.
+RECORDED_MASKS = Path(__file__).parent / "fixtures" / "fig6_masks_res6.json"
+
+#: Runaway-verdict counters of ``solve_steady_state``, one per cause.
+RUNAWAY_COUNTERS = ("leakage.runaway.indefinite", "leakage.runaway.ceiling",
+                    "leakage.runaway.floor", "leakage.diverged")
 
 
 class TestLeakageLoop:
@@ -177,3 +199,87 @@ class TestRunaway:
                                     quicksort_power, leakage)
         assert result.max_chip_temperature < \
             tec_model.config.runaway_ceiling
+
+
+def _mask(array):
+    return ["".join("1" if flag else "0" for flag in row) for row in array]
+
+
+@pytest.fixture(scope="module")
+def certified_sweeps(profiles):
+    """16x14 grid-6 sweeps of Basicmath and Quicksort, traced, with the
+    dense smallest eigenvalue of every system PCG certified indefinite
+    and the Rayleigh quotient of its witness."""
+    pcg = ThermalOperator._pcg
+    certificates = []
+
+    def spy(self, matrix, *args, **kwargs):
+        try:
+            return pcg(self, matrix, *args, **kwargs)
+        except IndefiniteSystemError as err:
+            smallest = np.linalg.eigvalsh(matrix.toarray())[0]
+            certificates.append((smallest, err.rayleigh_quotient))
+            raise
+
+    sweeps = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ThermalOperator, "_pcg", spy)
+        for name in ("basicmath", "quicksort"):
+            problem = build_cooling_problem(profiles[name],
+                                            grid_resolution=6)
+            certificates.clear()
+            with telemetry_session() as (_tracer, metrics):
+                surfaces = sweep_objective_surfaces(
+                    problem, omega_points=16, current_points=14)
+                counters = metrics.snapshot()["counters"]
+            sweeps[name] = (surfaces, counters, list(certificates))
+    return sweeps
+
+
+class TestRunawayCertificate:
+    """PCG's negative-curvature certificate ends a solve as runaway."""
+
+    @pytest.mark.parametrize("name", ["basicmath", "quicksort"])
+    def test_every_certificate_is_indefinite(self, certified_sweeps,
+                                             name):
+        _surfaces, _counters, certificates = certified_sweeps[name]
+        assert certificates
+        for smallest, quotient in certificates:
+            # The Rayleigh quotient bounds the smallest eigenvalue.
+            assert smallest <= quotient * (1.0 - 1e-9) < 0.0
+
+    @pytest.mark.parametrize("name", ["basicmath", "quicksort"])
+    def test_masks_match_the_recorded_sweep(self, certified_sweeps,
+                                            name):
+        surfaces, _counters, _certificates = certified_sweeps[name]
+        recorded = json.loads(RECORDED_MASKS.read_text())[name]
+        assert _mask(surfaces.runaway_mask) == recorded["runaway"]
+        assert _mask(surfaces.feasible) == recorded["feasible"]
+
+    @pytest.mark.parametrize("name", ["basicmath", "quicksort"])
+    def test_runaway_counters_sum_to_runaway_points(self,
+                                                    certified_sweeps,
+                                                    name):
+        surfaces, counters, certificates = certified_sweeps[name]
+        causes = [counters.get(key, 0) for key in RUNAWAY_COUNTERS]
+        assert sum(causes) == int(surfaces.runaway_mask.sum())
+        assert causes[0] == len(certificates) > 0
+
+    def test_verdict_carries_operating_point(self, heavy_tec_problem):
+        # omega = 10 rad/s under Quicksort, warm from a bounded point at
+        # 300 rad/s: the second Newton system is indefinite.
+        problem = heavy_tec_problem
+        context = SolveContext.for_model(problem.model)
+        solve_steady_state(problem.model, 300.0, 0.0,
+                           problem.dynamic_cell_power, problem.leakage,
+                           context=context)
+        held = context.krylov.factor
+        with pytest.raises(IndefiniteSystemError) as excinfo:
+            solve_steady_state(problem.model, 10.0, 0.0,
+                               problem.dynamic_cell_power,
+                               problem.leakage, context=context)
+        assert "omega=10.0, I=0.00 (leakage iteration 2)" in \
+            str(excinfo.value)
+        assert excinfo.value.rayleigh_quotient < 0.0
+        assert excinfo.value.max_temperature == float("inf")
+        assert context.krylov.factor is held

@@ -1,10 +1,21 @@
 """Transient solver: settling, runaway trajectories, schedules."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.thermal import simulate_transient, solve_steady_state
+from repro.errors import ConfigurationError, IndefiniteSystemError
+from repro.thermal import (
+    ThermalOperator,
+    simulate_transient,
+    solve_steady_state,
+)
+
+#: A runaway trajectory recorded when every PCG breakdown factored fresh.
+RECORDED_RUNAWAY = Path(__file__).parent / "fixtures" \
+    / "transient_runaway_res8.json"
 
 
 class TestSettling:
@@ -63,6 +74,35 @@ class TestRunawayTrajectory:
         assert transient.runaway
         assert transient.runaway_time is not None
         assert transient.runaway_time <= 2000.0
+
+    def test_certified_steps_keep_the_recorded_trajectory(
+            self, tec_model, quicksort_power, leakage, monkeypatch):
+        # PCG proves several of these steps' systems indefinite; the
+        # loop then factors that step fresh, exactly as when every
+        # breakdown did, so the recorded trajectory holds bit for bit.
+        certificates = []
+        pcg = ThermalOperator._pcg
+
+        def spy(self, *args, **kwargs):
+            try:
+                return pcg(self, *args, **kwargs)
+            except IndefiniteSystemError as err:
+                certificates.append(err)
+                raise
+
+        monkeypatch.setattr(ThermalOperator, "_pcg", spy)
+        transient = simulate_transient(
+            tec_model, duration=2000.0, dt=5.0, omega=0.0, current=0.0,
+            dynamic_cell_power=quicksort_power, leakage=leakage)
+        assert certificates
+        recorded = json.loads(RECORDED_RUNAWAY.read_text())
+        assert transient.runaway
+        assert transient.runaway_time == recorded["runaway_time"]
+        for key in ("times", "max_chip_temperature",
+                    "mean_chip_temperature", "leakage_power",
+                    "final_temperatures"):
+            assert [float(value).hex() for value in getattr(
+                transient, key)] == recorded[key], key
 
     def test_no_runaway_with_fan(self, tec_model, quicksort_power,
                                  leakage):
