@@ -230,12 +230,10 @@ def _stage_specs(
     stage's cache state leaks into the next.  The OFTEC stages run
     through the fallback ladder led by ``method``; its first rung is
     the plain solver, so a healthy benchmark gets the plain result.
-    DVFS degradation is off: no campaign reads the throttle estimate.
     """
     policy = ResiliencePolicy(
         ladder=(method,) + tuple(m for m in SOLVER_METHODS
-                                 if m != method),
-        degrade_to_dvfs=False)
+                                 if m != method))
 
     def oftec_stage() -> OFTECResult:
         outcome = run_oftec_resilient(

@@ -37,10 +37,6 @@ RUNAWAY_POWER_PENALTY = 1.0e3
 #: Cap on the runaway temperature signal, K, to keep penalties bounded.
 RUNAWAY_SIGNAL_CAP = 5.0e3
 
-#: Relative step of the finite-difference gradient fallback, as a
-#: fraction of each variable's box span.
-FD_STEP_FRACTION = 1.0e-3
-
 #: Decimal places ``(omega, I)`` are rounded to when keying the cache.
 CACHE_DECIMALS = 9
 
@@ -70,7 +66,7 @@ class CacheInfo:
         gradient_hits: :meth:`Evaluator.evaluate_with_grad` queries
             served a gradient already attached to a cached evaluation.
         gradient_misses: Gradient queries that had to compute one
-            (adjoint block solve or finite-difference fallback).
+            (one adjoint block solve).
     """
 
     hits: int
@@ -92,15 +88,12 @@ class EvaluationGradient:
         d_power_omega: ``d𝒫/d(omega)``, W/(rad/s) — total power
             including the explicit fan term.
         d_power_current: ``d𝒫/d(I_TEC)``, W/A.
-        mode: ``"adjoint"`` when computed by the adjoint-solve path,
-            ``"fd"`` when by the finite-difference fallback.
     """
 
     d_temp_omega: float
     d_temp_current: float
     d_power_omega: float
     d_power_current: float
-    mode: str = "adjoint"
 
     @property
     def d_margin_omega(self) -> float:
@@ -262,30 +255,29 @@ class Evaluator:
         attach to the cached :class:`Evaluation` in place, so repeat
         queries at one operating point are gradient cache hits.
 
-        Subclasses that override ``_solve`` (the fault injectors) and
-        runaway penalty points degrade to a central finite-difference
-        fallback built from bounded, cached, budget-accounted
-        :meth:`evaluate` calls.
+        A runaway penalty point has no steady state to differentiate:
+        there the query raises :class:`~repro.errors.ThermalRunawayError`
+        (a :class:`~repro.errors.SolverError`, which the fallback ladder
+        and the campaign's stage isolation absorb) and no gradient is
+        attached.
         """
         evaluation = self.evaluate(omega, current)
+        if evaluation.runaway:
+            raise ThermalRunawayError(
+                "no gradient at the runaway point "
+                f"omega={evaluation.omega:.1f}, I={evaluation.current:.2f}",
+                max_temperature=evaluation.max_chip_temperature)
         if evaluation.gradient is not None:
             self._count("gradient_hits")
             return evaluation
         self._count("gradient_misses")
-        if self._adjoint_capable() and not evaluation.runaway:
-            evaluation.gradient = self._adjoint_gradient(evaluation)
+        if _obs.STATE.enabled:
+            with _obs.STATE.tracer.span("gradient", omega=evaluation.omega,
+                                        current=evaluation.current):
+                evaluation.gradient = self._adjoint_gradient(evaluation)
         else:
-            evaluation.gradient = self._fd_gradient(evaluation)
+            evaluation.gradient = self._adjoint_gradient(evaluation)
         return evaluation
-
-    def _adjoint_capable(self) -> bool:
-        """Whether the analytic adjoint path applies to this instance.
-
-        Subclasses that intercept ``_solve`` (fault injection) must see
-        every solve the gradient spends, so they take the
-        finite-difference fallback built on :meth:`evaluate`.
-        """
-        return type(self)._solve is Evaluator._solve
 
     def _adjoint_gradient(self, evaluation: Evaluation,
                           ) -> EvaluationGradient:
@@ -307,45 +299,7 @@ class Evaluator:
             d_temp_omega=grads.d_temp_omega,
             d_temp_current=grads.d_temp_current,
             d_power_omega=grads.d_power_omega + fan_gradient,
-            d_power_current=grads.d_power_current,
-            mode="adjoint")
-
-    def _fd_gradient(self, evaluation: Evaluation) -> EvaluationGradient:
-        """Central-difference fallback (fault seams, runaway points).
-
-        Differences :meth:`evaluate` itself, so every probe is clamped,
-        cached, budget-accounted, and — on fault-injecting subclasses —
-        intercepted like any other solve.  Steps shrink to one-sided
-        differences against an active bound.
-        """
-        limits = self.problem.limits
-        d_temp = [0.0, 0.0]
-        d_power = [0.0, 0.0]
-        spans = (limits.omega_max, self.problem.current_upper_bound)
-        point = (evaluation.omega, evaluation.current)
-        for axis, span in enumerate(spans):
-            if span <= 0.0:
-                continue
-            step = FD_STEP_FRACTION * span
-            lo = max(point[axis] - step, 0.0)
-            hi = min(point[axis] + step, span)
-            if hi <= lo:
-                continue
-            probe_hi = list(point)
-            probe_lo = list(point)
-            probe_hi[axis] = hi
-            probe_lo[axis] = lo
-            hi_eval = self.evaluate(*probe_hi)
-            lo_eval = self.evaluate(*probe_lo)
-            width = hi - lo
-            d_temp[axis] = (hi_eval.max_chip_temperature  # physlint: disable=RPR303
-                            - lo_eval.max_chip_temperature) / width
-            d_power[axis] = (hi_eval.total_power  # physlint: disable=RPR303
-                             - lo_eval.total_power) / width
-        return EvaluationGradient(
-            d_temp_omega=d_temp[0], d_temp_current=d_temp[1],
-            d_power_omega=d_power[0], d_power_current=d_power[1],
-            mode="fd")
+            d_power_current=grads.d_power_current)
 
     def evaluate_many(self, points: Sequence[Tuple[float, float]],
                       ) -> List[Evaluation]:

@@ -12,10 +12,6 @@ run needs:
   :meth:`repro.core.Evaluator.set_solve_budget` so a stuck line search
   raises :class:`~repro.errors.EvaluationBudgetError` instead of
   spinning;
-* **graceful degradation** — when no cooling configuration is feasible,
-  :func:`run_oftec_resilient` falls back to the DVFS throttling search
-  of :mod:`repro.core.dvfs`, quantifying the performance the system must
-  give up (the paper's Section 6.2 remedy);
 * **structured post-mortems** — every hard failure is condensed into a
   :class:`FailureReport` (stage, attempts, exception chain, last
   iterate, condition estimate) instead of a traceback.
@@ -32,15 +28,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import (
-    ConfigurationError,
-    ReproError,
-    SingularNetworkError,
-    SolverError,
-)
+from ..errors import ConfigurationError, SingularNetworkError, SolverError
 from ..obs import runtime as _obs
 from ..obs.clock import stopwatch
-from .dvfs import DVFSModel, ThrottleResult, find_max_frequency
 from .evaluator import Evaluation, Evaluator
 from .oftec import OFTECResult, initial_operating_point
 from .problem import CoolingProblem
@@ -59,17 +49,13 @@ RESTART_PERTURBATION = 0.05
 #: Seed of the restart-perturbation stream.
 RESTART_SEED = 0
 
-#: Bracket width of the degradation-path frequency search (coarse by
-#: design: this is a salvage estimate).
-DVFS_TOLERANCE = 0.2
-
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
     """Knobs of the fallback ladder.
 
     Each attempt runs with the backends' own iteration budget; the
-    restart jitter and the DVFS search use the module constants above.
+    restart jitter uses the module constants above.
 
     Attributes:
         ladder: Solver backends to try, in order (each must be one of
@@ -78,14 +64,11 @@ class ResiliencePolicy:
             after the first (0 disables retries).
         max_evaluations: Per-attempt thermal-solve budget (cache hits
             are free).
-        degrade_to_dvfs: Fall back to frequency throttling when no
-            cooling configuration is feasible.
     """
 
     ladder: Tuple[str, ...] = ("slsqp", "trust-constr", "grid")
     retries_per_method: int = 1
     max_evaluations: int = 500
-    degrade_to_dvfs: bool = True
 
     def __post_init__(self) -> None:
         if not self.ladder:
@@ -139,7 +122,7 @@ class FailureReport:
     Attributes:
         benchmark: Workload label.
         stage: Pipeline stage that failed (e.g. ``"minimize-power"``,
-            ``"oftec-opt2"``, ``"dvfs-degrade"``).
+            ``"oftec-opt2"``).
         error_type: Class name of the terminal exception.
         message: Terminal exception text.
         exception_chain: ``"Type: message"`` lines walking the
@@ -392,16 +375,11 @@ class ResilientOFTECResult:
             the initial-point evaluation, broke down).
         attempts: All ladder attempts across both stages.
         failures: Post-mortems of every hard-failed stage.
-        degraded_to_dvfs: True when the pipeline fell back to frequency
-            throttling.
-        throttle: The DVFS search outcome when degraded.
     """
 
     result: Optional[OFTECResult]
     attempts: List[AttemptRecord] = field(default_factory=list)
     failures: List[FailureReport] = field(default_factory=list)
-    degraded_to_dvfs: bool = False
-    throttle: Optional[ThrottleResult] = None
 
     @property
     def feasible(self) -> bool:
@@ -413,41 +391,26 @@ def run_oftec_resilient(
     problem: CoolingProblem,
     policy: Optional[ResiliencePolicy] = None,
     evaluator: Optional[Evaluator] = None,
-    dvfs: Optional[DVFSModel] = None,
 ) -> ResilientOFTECResult:
-    """Algorithm 1 with the fallback ladder and graceful degradation.
+    """Algorithm 1 with the fallback ladder.
 
     Mirrors :func:`repro.core.run_oftec` stage by stage, but never lets
     a solver breakdown escape: each stage runs through the
-    :class:`ResilientSolver` ladder, hard failures become
-    :class:`FailureReport` entries, and a genuinely infeasible instance
-    degrades to the DVFS throttling search (when the policy allows and
-    the problem carries the coverage DVFS scaling needs).
-    Fault-injecting evaluators degrade adjoint gradients to finite
-    differences through the evaluator's own fallback seam, so every
-    ladder attempt stays safe under chaos.
+    :class:`ResilientSolver` ladder, and hard failures (a gradient
+    query at a runaway point among them) become :class:`FailureReport`
+    entries.  A genuinely infeasible instance reports the best point
+    it saw, with ``feasible`` False.
     """
-    policy = policy or ResiliencePolicy()
     evaluator = evaluator or Evaluator(problem)
     solver = ResilientSolver(evaluator, policy)
-    if not _obs.STATE.enabled:
-        return _run_oftec_resilient_impl(problem, policy, evaluator,
-                                         solver, dvfs)
-    with _obs.STATE.tracer.span("oftec", problem.name):
-        outcome = _run_oftec_resilient_impl(problem, policy, evaluator,
-                                            solver, dvfs)
-        if outcome.degraded_to_dvfs:
-            _obs.STATE.tracer.event("dvfs.degraded")
-            _obs.STATE.metrics.counter("resilient.dvfs.degraded").inc()
-        return outcome
+    with _obs.span("oftec", problem.name):
+        return _run_oftec_resilient_impl(problem, evaluator, solver)
 
 
 def _run_oftec_resilient_impl(
     problem: CoolingProblem,
-    policy: ResiliencePolicy,
     evaluator: Evaluator,
     solver: ResilientSolver,
-    dvfs: Optional[DVFSModel],
 ) -> ResilientOFTECResult:
     """The stage-by-stage body of :func:`run_oftec_resilient`."""
     watch = stopwatch()
@@ -513,7 +476,7 @@ def _run_oftec_resilient_impl(
         return ResilientOFTECResult(result, attempts, failures)
 
     # Lines 4-5: infeasible (or every stage broke down).  Report the
-    # best point we saw, then quantify the DVFS remedy.
+    # best point we saw.
     result = None
     if best_eval is not None:
         result = OFTECResult(
@@ -525,16 +488,4 @@ def _run_oftec_resilient_impl(
             runtime_seconds=watch.elapsed,
             opt2=opt2, opt1=None,
             thermal_solves=evaluator.solve_count - solves_before)
-    throttle: Optional[ThrottleResult] = None
-    degraded = False
-    if policy.degrade_to_dvfs and problem.coverage is not None:
-        try:
-            throttle = find_max_frequency(
-                problem, dvfs=dvfs, tolerance=DVFS_TOLERANCE)
-            degraded = True
-        except ReproError as exc:
-            failures.append(failure_report_from_exception(
-                problem.name, "dvfs-degrade", exc))
-    return ResilientOFTECResult(
-        result, attempts, failures,
-        degraded_to_dvfs=degraded, throttle=throttle)
+    return ResilientOFTECResult(result, attempts, failures)

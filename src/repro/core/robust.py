@@ -96,13 +96,11 @@ class EnvelopeEvaluator:
         envelope = self.evaluate(omega, current)
         worst_t = max(members, key=lambda m: m.max_chip_temperature)
         worst_p = max(members, key=lambda m: m.total_power)
-        modes = {worst_t.gradient.mode, worst_p.gradient.mode}
         envelope.gradient = EvaluationGradient(
             d_temp_omega=worst_t.gradient.d_temp_omega,
             d_temp_current=worst_t.gradient.d_temp_current,
             d_power_omega=worst_p.gradient.d_power_omega,
-            d_power_current=worst_p.gradient.d_power_current,
-            mode="adjoint" if modes == {"adjoint"} else "fd")
+            d_power_current=worst_p.gradient.d_power_current)
         return envelope
 
 

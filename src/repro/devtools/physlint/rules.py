@@ -19,10 +19,6 @@ Code        Name                Convention guarded
 ``RPR302``  solver-in-loop      Factorizations and format conversions are
                                 hoisted out of loops; the operator layer in
                                 ``thermal/operator.py`` caches them.
-``RPR303``  fd-gradient-in-loop Derivatives of evaluation results come from
-                                the adjoint (``evaluate_with_grad``), not
-                                from finite-difference stencils rebuilt in
-                                a loop.
 ``RPR401``  docstring-units     Public functions taking physical quantities
                                 state their units.
 ``RPR501``  print-in-library    Library code returns data, raises, or emits
@@ -595,113 +591,6 @@ class SolverInLoopRule(Rule):
                     "sparse index arrays every iteration; convert once "
                     "before the loop or use the operator layer's "
                     "in-place diagonal update (repro.thermal)"))
-        self.generic_visit(node)
-
-
-# ---------------------------------------------------------------------------
-# RPR303 — fd-gradient-in-loop
-# ---------------------------------------------------------------------------
-
-#: Substring marking a name as holding (or producing) an evaluation:
-#: ``evaluate``/``evaluate_with_grad`` calls, ``hi_eval``-style probe
-#: results, ``evaluation`` locals.
-_EVAL_MARKER = "eval"
-
-
-def _is_evaluation_probe(node: ast.AST) -> bool:
-    """Does this expression read a thermal-evaluation result?
-
-    Matches a call whose target name contains ``eval`` (``evaluate``,
-    ``evaluate_with_grad``), a variable whose name contains ``eval``
-    (``hi_eval``, ``evaluation``), and attribute reads off either
-    (``hi_eval.total_power``).
-    """
-    if isinstance(node, ast.Attribute):
-        return _is_evaluation_probe(node.value)
-    if isinstance(node, ast.Call):
-        return _is_evaluation_probe(node.func)
-    if isinstance(node, ast.Name):
-        return _EVAL_MARKER in node.id.lower()
-    return False
-
-
-@rule
-class FdGradientInLoopRule(Rule):
-    """Difference quotients of evaluations do not belong in loops.
-
-    Fail::
-
-        for axis, step in enumerate(steps):
-            hi_eval = evaluator.evaluate(*(point + step))
-            lo_eval = evaluator.evaluate(*(point - step))
-            grad[axis] = (hi_eval.total_power
-                          - lo_eval.total_power) / (2 * step)
-
-    Pass::
-
-        gradient = evaluator.evaluate_with_grad(omega, current).gradient
-        grad = [gradient.d_power_omega, gradient.d_power_current]
-    """
-
-    code = "RPR303"
-    name = "fd-gradient-in-loop"
-    rationale = (
-        "A finite-difference stencil over evaluate() spends two full "
-        "steady-state solves (each with its own leakage fixed point "
-        "and, along the omega axis, a fresh factorization) per probed "
-        "axis, every loop iteration.  Evaluator.evaluate_with_grad "
-        "(repro.core) returns all four slopes from one adjoint block "
-        "solve against the solve context's held forward factor, and "
-        "degrades to a guarded FD fallback only where the adjoint does "
-        "not apply.")
-
-    def __init__(self, context: LintContext) -> None:
-        super().__init__(context)
-        self._loop_depth = 0
-
-    def visit_For(self, node: ast.For) -> None:
-        self._visit_loop(node)
-
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._visit_loop(node)
-
-    def visit_While(self, node: ast.While) -> None:
-        self._visit_loop(node)
-
-    def _visit_loop(self, node: ast.AST) -> None:
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_scope(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_scope(node)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._visit_scope(node)
-
-    def _visit_scope(self, node: ast.AST) -> None:
-        # A def nested in a loop body runs when *called*, not once per
-        # iteration, so the loop context does not carry into it.
-        saved = self._loop_depth
-        self._loop_depth = 0
-        self.generic_visit(node)
-        self._loop_depth = saved
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        if self._loop_depth > 0 and isinstance(node.op, ast.Div) \
-                and isinstance(node.left, ast.BinOp) \
-                and isinstance(node.left.op, ast.Sub) \
-                and _is_evaluation_probe(node.left.left) \
-                and _is_evaluation_probe(node.left.right):
-            self.emit(node, (
-                "finite-difference stencil over evaluations inside a "
-                "loop; each probe pair spends full steady-state solves "
-                "per axis — use Evaluator.evaluate_with_grad, whose "
-                "adjoint returns every slope from one block solve on "
-                "the held forward factor (repro.core)"))
         self.generic_visit(node)
 
 

@@ -3,9 +3,10 @@
 Two injection points cover the stack:
 
 * :class:`FaultyEvaluator` — an :class:`~repro.core.Evaluator` subclass
-  that intercepts ``_solve`` and raises (or corrupts) according to the
-  plan.  This is the workhorse of the chaos campaign: every optimizer,
-  baseline, and Algorithm 1 stage consumes evaluators.
+  that intercepts ``_solve`` and ``_adjoint_gradient`` and raises (or
+  corrupts) according to the plan.  This is the workhorse of the chaos
+  campaign: every optimizer, baseline, and Algorithm 1 stage consumes
+  evaluators.
 * :class:`FaultyNetwork` — a delegation proxy over
   :class:`~repro.thermal.ThermalNetwork` that makes the *real* sparse
   system singular to working precision (by zeroing every row sum),
@@ -24,7 +25,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..core.evaluator import Evaluation, Evaluator
+from ..core.evaluator import Evaluation, EvaluationGradient, Evaluator
 from ..core.problem import CoolingProblem
 from ..errors import (
     EvaluationBudgetError,
@@ -106,20 +107,19 @@ class FaultyEvaluator(Evaluator):
     fault corrupts the result *after* a healthy solve, so the base
     class's NaN/Inf guard is what keeps it from reaching the optimizer.
 
-    Because ``_solve`` is overridden here, the gradient path degrades
-    automatically: :meth:`Evaluator.evaluate_with_grad` detects the
-    override and takes its central finite-difference fallback, built
-    from ordinary :meth:`Evaluator.evaluate` calls — so every solve a
-    gradient spends stays inside this injection seam (the adjoint
-    block solve would bypass it), and chaos coverage
-    extends to gradient-driven solver runs unchanged.
+    Gradients run the real adjoint block solve of the base class; a
+    fresh one (cached gradients are never faulted) may first fail with
+    an injected solve timeout or near-singular system, the two faults a
+    linear solve can meet.
     """
 
     def __init__(self, problem: CoolingProblem, injector: FaultInjector):
         super().__init__(problem)
         self.injector = injector
 
-    def _solve(self, omega: float, current: float) -> Evaluation:
+    def _linear_solve_faults(self, omega: float, current: float) -> None:
+        """Raise the injected timeout or singular-system fault, if one
+        fires on this solve."""
         where = f"omega={omega:.1f}, I={current:.2f}"
         if self.injector.should_fire(FaultKind.SOLVE_TIMEOUT):
             raise SolveTimeoutError(
@@ -130,6 +130,15 @@ class FaultyEvaluator(Evaluator):
                 f"(1-norm condition estimate "
                 f"{INJECTED_CONDITION_ESTIMATE:.3e})",
                 condition_estimate=INJECTED_CONDITION_ESTIMATE)
+
+    def _adjoint_gradient(self, evaluation: Evaluation,
+                          ) -> EvaluationGradient:
+        self._linear_solve_faults(evaluation.omega, evaluation.current)
+        return super()._adjoint_gradient(evaluation)
+
+    def _solve(self, omega: float, current: float) -> Evaluation:
+        self._linear_solve_faults(omega, current)
+        where = f"omega={omega:.1f}, I={current:.2f}"
         if self.injector.should_fire(FaultKind.ITERATION_EXHAUSTION):
             raise EvaluationBudgetError(
                 f"injected solver iteration exhaustion at {where}")

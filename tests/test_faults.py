@@ -26,6 +26,7 @@ from repro.faults import (
     run_chaos_campaign,
 )
 from repro.io import campaign_to_dict
+from repro.obs import telemetry_session
 
 
 def single_fault_plan(kind, rate=1.0, **kwargs):
@@ -217,10 +218,15 @@ class TestChaosCampaign:
                                             chaos_problems):
         tec, base = chaos_problems
         plan = full_fault_plan(seed=11, rate=0.05)
-        report = run_chaos_campaign(profiles, tec, base, plan=plan)
+        with telemetry_session() as (_tracer, metrics):
+            report = run_chaos_campaign(profiles, tec, base, plan=plan)
         # The chaos contract: no exception escapes, ever.
         assert report.ok, report.unhandled
         assert report.unhandled == []
+        # Chaos gradients run the same adjoint block solve as
+        # fault-free runs.
+        counters = metrics.snapshot()["counters"]
+        assert counters["evaluator.adjoint.solves"] > 0
         # Every evaluator-level fault kind actually exercised the
         # stack (process-level kinds only fire under supervision).
         assert set(report.fired) == {
@@ -297,15 +303,16 @@ class TestChaosCampaign:
                                               monkeypatch):
         """No campaign reads a DVFS throttle estimate, so none runs the
         search.  At seed 1, fft's derived fault stream leaves
-        Algorithm 1 without a feasible point, where a DVFS-degrading
-        policy would start the throttling bisection."""
+        Algorithm 1 without a feasible point, where the deleted DVFS
+        salvage used to start the throttling bisection."""
+        import repro.core.dvfs as dvfs_module
         import repro.core.resilient as resilient_module
 
         def no_dvfs(*args, **kwargs):
-            raise AssertionError("the campaign ran the DVFS salvage")
+            raise AssertionError("the campaign ran the DVFS search")
 
-        monkeypatch.setattr(resilient_module, "find_max_frequency",
-                            no_dvfs)
+        assert not hasattr(resilient_module, "find_max_frequency")
+        monkeypatch.setattr(dvfs_module, "find_max_frequency", no_dvfs)
         tec = build_cooling_problem(profiles["basicmath"],
                                     grid_resolution=6)
         base = build_cooling_problem(profiles["basicmath"],

@@ -5,8 +5,8 @@ against central finite differences of the evaluator's own objectives
 across all eight benchmarks at randomized interior points, plus the edge
 behavior the adjoint has to get right: the natural-convection floor
 below the fan crossover speed (where ``d/d(omega)`` vanishes exactly),
-active box bounds, runaway penalty points, and the fault-injection seam
-that degrades to finite differences.
+active box bounds, runaway penalty points (which have no gradient), and
+the fault-injecting evaluator, which runs the same adjoint.
 
 The FD comparisons run on problems rebuilt with a tight leakage loop
 tolerance: the default ~1e-3 K convergence noise sits far above the
@@ -20,6 +20,7 @@ import pytest
 
 from repro import build_cooling_problem, mibench_profiles
 from repro.core import Evaluator
+from repro.errors import ThermalRunawayError
 from repro.faults import FaultPlan
 from repro.faults.inject import FaultInjector, FaultyEvaluator
 from repro.thermal import PackageModelConfig
@@ -79,20 +80,21 @@ class TestAdjointAgainstFiniteDifferences:
         while checked < 3:
             # Interior points: above the crossover kink, inside both
             # boxes with step-sized margin.  High-current/low-airflow
-            # draws can land in thermal runaway, where the adjoint
-            # rightly declines (the penalty point has no steady state
-            # to differentiate) — redraw those.
+            # draws can land in thermal runaway, where there is no
+            # gradient (the penalty point has no steady state to
+            # differentiate) — redraw those.
             omega = float(rng.uniform(
                 max(crossover * 1.5, 0.25 * omega_max),
                 omega_max - 2 * OMEGA_STEP))
             current = float(rng.uniform(2 * CURRENT_STEP,
                                         0.75 * i_max))
-            evaluation = evaluator.evaluate_with_grad(omega, current)
-            if evaluation.runaway:
+            if evaluator.evaluate(omega, current).runaway:
                 continue
             checked += 1
-            gradient = evaluation.gradient
-            assert gradient.mode == "adjoint"
+            adjoint_before = evaluator.adjoint_solve_count
+            gradient = evaluator.evaluate_with_grad(
+                omega, current).gradient
+            assert evaluator.adjoint_solve_count == adjoint_before + 2
             reference = _fd_reference(evaluator, omega, current)
             analytic = (gradient.d_temp_omega, gradient.d_temp_current,
                         gradient.d_power_omega,
@@ -107,7 +109,7 @@ class TestAdjointAgainstFiniteDifferences:
         evaluator = Evaluator(problem)
         omega = 0.4 * problem.limits.omega_max
         gradient = evaluator.evaluate_with_grad(omega, 0.0).gradient
-        assert gradient.mode == "adjoint"
+        assert evaluator.adjoint_solve_count == 2
         reference = _fd_reference(evaluator, omega, 0.0)
         assert gradient.d_temp_omega == pytest.approx(reference[0],
                                                       rel=RTOL)
@@ -145,14 +147,6 @@ class TestEdgeBehavior:
         # quadratically at stall rather than blowing up.
         assert problem.fan.power_gradient(0.0) == 0.0
 
-    def test_gradient_finite_at_omega_zero(self, problem):
-        evaluator = Evaluator(problem)
-        gradient = evaluator.evaluate_with_grad(0.0, 1.0).gradient
-        for value in (gradient.d_temp_omega, gradient.d_temp_current,
-                      gradient.d_power_omega,
-                      gradient.d_power_current):
-            assert np.isfinite(value)
-
     def test_active_bounds_clamp_before_differentiating(self, problem):
         # Out-of-box queries clamp exactly like evaluate(); the
         # gradient is the one-sided physical slope at the bound.
@@ -171,23 +165,29 @@ class TestEdgeBehavior:
 
 
 class TestFallbackAndCounters:
-    def test_faulty_evaluator_degrades_to_fd(self, tec_problem):
+    def test_quiet_faulty_evaluator_matches_adjoint(self, tec_problem):
         quiet = FaultInjector(FaultPlan(seed=0, specs=()))
         evaluator = FaultyEvaluator(tec_problem, quiet)
         gradient = evaluator.evaluate_with_grad(200.0, 1.0).gradient
-        assert gradient.mode == "fd"
-        assert evaluator.adjoint_solve_count == 0
-        # The fallback differences evaluate(), so its probes are
-        # cached, clamped solves the injector sees.
-        assert evaluator.solve_count >= 5
+        plain = Evaluator(tec_problem).evaluate_with_grad(
+            200.0, 1.0).gradient
+        assert gradient == plain
+        assert evaluator.adjoint_solve_count == 2
+        assert evaluator.solve_count == 1
 
-    def test_runaway_point_degrades_to_fd(self, tec_problem):
-        evaluator = Evaluator(tec_problem)
-        # Fan off at max current: the Section 6.2 runaway regime.
-        evaluation = evaluator.evaluate_with_grad(
-            0.0, tec_problem.current_upper_bound)
-        assert evaluation.runaway
-        assert evaluation.gradient.mode == "fd"
+    def test_runaway_point_raises(self):
+        # Fan off: on the tight basicmath problem the Section 6.2
+        # runaway regime covers omega = 0 at every TEC current, and a
+        # penalty point has no steady state to differentiate.
+        problem = _tight_problem("basicmath")
+        evaluator = Evaluator(problem)
+        for current in np.linspace(0.0, problem.current_upper_bound, 3):
+            with pytest.raises(ThermalRunawayError, match="omega=0.0"):
+                evaluator.evaluate_with_grad(0.0, current)
+            cached = evaluator.evaluate(0.0, current)
+            assert cached.runaway
+            assert cached.gradient is None
+        assert evaluator.adjoint_solve_count == 0
 
     def test_gradient_hit_counters(self, tec_problem):
         evaluator = Evaluator(tec_problem)
@@ -217,4 +217,5 @@ class TestFallbackAndCounters:
         evaluator = Evaluator(tec_problem)
         evaluator.set_solve_budget(1)
         evaluation = evaluator.evaluate_with_grad(215.0, 1.2)
-        assert evaluation.gradient.mode == "adjoint"
+        assert evaluation.gradient is not None
+        assert evaluator.adjoint_solve_count == 2

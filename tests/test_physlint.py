@@ -1,8 +1,10 @@
 """Tests for repro.devtools.physlint: rules, engine, CLI, self-check."""
 
 import json
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -23,10 +25,14 @@ FIXTURES = Path(__file__).parent / "fixtures" / "physlint"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 ALL_CODES = ("RPR101", "RPR201", "RPR202", "RPR204", "RPR301",
-             "RPR302", "RPR303", "RPR401", "RPR501", "RPR502",
+             "RPR302", "RPR401", "RPR501", "RPR502",
              "RPR503", "RPR504", "RPR601", "RPR701",
              "RPR702", "RPR703")
 PROJECT_CODES = ("RPR703",)
+
+#: A same-line or file-level suppression comment and its code list.
+SUPPRESSION = re.compile(
+    r"#\s*physlint:\s*disable(?:-file)?=([A-Za-z0-9_, \t]+)")
 
 
 def codes_in(path):
@@ -74,7 +80,6 @@ class TestBadFixtures:
         ("rpr204", 4),
         ("rpr301", 3),
         ("rpr302", 4),
-        ("rpr303", 4),
         ("rpr401", 2),
         ("rpr501", 3),
         ("rpr503", 5),
@@ -94,7 +99,7 @@ class TestBadFixtures:
 class TestGoodFixtures:
     @pytest.mark.parametrize("name", [
         "good_rpr101", "good_rpr201", "good_rpr204", "good_rpr301",
-        "good_rpr302", "good_rpr303", "good_rpr401", "good_rpr501",
+        "good_rpr302", "good_rpr401", "good_rpr501",
         "good_rpr503", "good_rpr504", "good_rpr601",
     ])
     def test_good_fixture_clean(self, name):
@@ -270,3 +275,23 @@ class TestSelfCheck:
         """Every rule, the cross-module RPR703 included, over src/."""
         findings = lint_paths([str(SRC)])
         assert findings == [], "\n".join(f.render() for f in findings)
+
+    def test_src_suppressions_name_registered_rules(self):
+        """A ``# physlint: disable=`` comment naming a deleted rule
+        suppresses nothing and is never reported by the lint pass."""
+        registered = set(available_rules())
+        stale = []
+        for path in sorted(SRC.rglob("*.py")):
+            with tokenize.open(path) as handle:
+                tokens = list(tokenize.generate_tokens(handle.readline))
+            for token in tokens:
+                if token.type != tokenize.COMMENT:
+                    continue
+                match = SUPPRESSION.search(token.string)
+                if match is None:
+                    continue
+                for code in match.group(1).split(","):
+                    if code.strip().upper() not in registered:
+                        stale.append(f"{path}:{token.start[0]}: "
+                                     f"{code.strip()}")
+        assert stale == [], "\n".join(stale)

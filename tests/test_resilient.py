@@ -1,4 +1,4 @@
-"""Resilient solve pipeline: ladder, budgets, graceful degradation."""
+"""Resilient solve pipeline: ladder, budgets, infeasible reports."""
 
 import pytest
 
@@ -11,6 +11,7 @@ from repro.core import (
     minimize_temperature,
     run_oftec_resilient,
 )
+from repro.core.oftec import initial_operating_point
 from repro.errors import (
     ConfigurationError,
     EvaluationBudgetError,
@@ -125,7 +126,6 @@ class TestFallbackLadder:
             == plain.max_chip_temperature
         assert resilient.result.thermal_solves == plain.thermal_solves
         assert resilient.failures == []
-        assert not resilient.degraded_to_dvfs
 
         direct = minimize_temperature(Evaluator(problem))
         laddered = ResilientSolver(
@@ -164,6 +164,29 @@ class TestFallbackLadder:
         assert outcome.result.total_power \
             == pytest.approx(clean.total_power, rel=0.01)
 
+    def test_adjoint_timeout_becomes_failed_attempt(self, tec_problem):
+        # Call 0 of the timeout stream is the start point's forward
+        # solve; call 1 is the first fresh solve after it.  The start
+        # point is cached, so that solve is the adjoint block solve of
+        # SLSQP's first gradient query.
+        plan = FaultPlan(seed=5, specs=(
+            FaultSpec(kind=FaultKind.SOLVE_TIMEOUT, rate=1.0,
+                      start_call=1, max_fires=1),))
+        faulty = FaultyEvaluator(tec_problem, FaultInjector(plan))
+        start = initial_operating_point(tec_problem)
+        faulty.evaluate(*start)
+        policy = ResiliencePolicy(ladder=("slsqp",), retries_per_method=0)
+        outcome = ResilientSolver(faulty, policy).minimize_power(start)
+        [attempt] = outcome.attempts
+        assert (attempt.method, attempt.success, attempt.error_type) \
+            == ("slsqp", False, "SolveTimeoutError")
+        assert outcome.failure.error_type == "SolveTimeoutError"
+        assert faulty.injector.fired_counts() == {"solve-timeout": 1}
+        # The fault struck before any adjoint finished and before any
+        # forward solve beyond the start point.
+        assert faulty.adjoint_solve_count == 0
+        assert faulty.solve_count == 1
+
     def test_exhausted_ladder_yields_failure_report(self, tec_problem):
         # A 3-solve budget starves every rung including the grid scan.
         policy = ResiliencePolicy(ladder=("slsqp", "grid"),
@@ -193,39 +216,38 @@ class TestFallbackLadder:
             evaluator.evaluate(50.0 + index, 0.1)
 
 
+def _hot_problem(profiles):
+    """Basicmath at 8x its dynamic power: no cooling point meets T_max."""
+    small = build_cooling_problem(profiles["basicmath"],
+                                  grid_resolution=4)
+    return CoolingProblem(
+        "hot", small.model, small.leakage, small.fan,
+        small.dynamic_cell_power * 8.0, small.limits,
+        small.coverage, small.fan_heat_fraction)
+
+
 class TestGracefulDegradation:
+    # Both tests predate the removal of the DVFS salvage and keep their
+    # names; what is left of each is the infeasible report.
+
     def test_infeasible_problem_degrades_to_dvfs(self, profiles):
-        small = build_cooling_problem(profiles["basicmath"],
-                                      grid_resolution=4)
-        hot = CoolingProblem(
-            "hot", small.model, small.leakage, small.fan,
-            small.dynamic_cell_power * 8.0, small.limits,
-            small.coverage, small.fan_heat_fraction)
         policy = ResiliencePolicy(ladder=("slsqp",),
                                   retries_per_method=0)
-        outcome = run_oftec_resilient(hot, policy=policy)
+        outcome = run_oftec_resilient(_hot_problem(profiles),
+                                      policy=policy)
         assert not outcome.feasible
-        assert outcome.degraded_to_dvfs
-        assert outcome.throttle is not None
         if outcome.result is not None:
             assert outcome.result.feasible is False
-        if outcome.throttle.feasible:
-            assert outcome.throttle.scaling < 1.0
 
     def test_degradation_can_be_disabled(self, profiles):
-        small = build_cooling_problem(profiles["basicmath"],
-                                      grid_resolution=4)
-        hot = CoolingProblem(
-            "hot", small.model, small.leakage, small.fan,
-            small.dynamic_cell_power * 8.0, small.limits,
-            small.coverage, small.fan_heat_fraction)
-        policy = ResiliencePolicy(ladder=("slsqp",),
-                                  retries_per_method=0,
-                                  degrade_to_dvfs=False)
-        outcome = run_oftec_resilient(hot, policy=policy)
+        # The same report from the grid rung alone.
+        policy = ResiliencePolicy(ladder=("grid",),
+                                  retries_per_method=0)
+        outcome = run_oftec_resilient(_hot_problem(profiles),
+                                      policy=policy)
         assert not outcome.feasible
-        assert not outcome.degraded_to_dvfs
-        assert outcome.throttle is None
+        if outcome.result is not None:
+            assert outcome.result.feasible is False
 
 
 class TestRunawayBoundary:
