@@ -28,12 +28,11 @@ from ..core import (
     OptimizationOutcome,
     ResiliencePolicy,
     ResilientSolver,
-    minimize_temperature,
     run_fixed_fan_baseline,
     run_oftec_resilient,
     run_tec_only,
-    run_variable_fan_baseline,
 )
+from ..core.baselines import variable_fan_result
 from ..errors import (
     ConfigurationError,
     ReproError,
@@ -227,26 +226,27 @@ def _stage_specs(
     """Zero-argument thunks for every pipeline stage of one benchmark.
 
     Each thunk builds its own fresh evaluator via ``make``, so no
-    stage's cache state leaks into the next.  The OFTEC stages run
-    through the fallback ladder led by ``method``; its first rung is
-    the plain solver, so a healthy benchmark gets the plain result.
+    stage's cache state leaks into the next.  The optimizing stages
+    (OFTEC and variable-omega, both objectives) run through the
+    fallback ladder led by ``method``; its first rung is the plain
+    solver, so a healthy benchmark gets the plain result.
     """
     policy = ResiliencePolicy(
         ladder=(method,) + tuple(m for m in SOLVER_METHODS
                                  if m != method))
 
-    def oftec_stage() -> OFTECResult:
+    def algorithm1(problem: CoolingProblem) -> OFTECResult:
         outcome = run_oftec_resilient(
-            tec_problem, policy=policy, evaluator=make(tec_problem))
+            problem, policy=policy, evaluator=make(problem))
         failures.extend(outcome.failures)
         if outcome.result is None:
             raise SolverError(
-                f"{name}: every resilient OFTEC stage failed")
+                f"{name}: every resilient Algorithm 1 stage failed")
         return outcome.result
 
-    def opt2_stage() -> OptimizationOutcome:
+    def optimization2(problem: CoolingProblem) -> OptimizationOutcome:
         solve = ResilientSolver(
-            make(tec_problem), policy).minimize_temperature()
+            make(problem), policy).minimize_temperature()
         if solve.failure is not None:
             failures.append(solve.failure)
         if solve.outcome is None:
@@ -255,13 +255,11 @@ def _stage_specs(
         return solve.outcome
 
     return {
-        "oftec-opt1": oftec_stage,
-        "oftec-opt2": opt2_stage,
-        "variable-opt1": lambda: run_variable_fan_baseline(
-            base_problem, method=method,
-            evaluator=make(base_problem)),
-        "variable-opt2": lambda: minimize_temperature(
-            make(base_problem), method=method),
+        "oftec-opt1": lambda: algorithm1(tec_problem),
+        "oftec-opt2": lambda: optimization2(tec_problem),
+        "variable-opt1": lambda: variable_fan_result(
+            algorithm1(base_problem)),
+        "variable-opt2": lambda: optimization2(base_problem),
         "fixed-omega": lambda: run_fixed_fan_baseline(
             base_problem, evaluator=make(base_problem)),
         "tec-only": lambda: run_tec_only(

@@ -73,10 +73,15 @@ def run_variable_fan_baseline(problem: CoolingProblem,
         raise ConfigurationError(
             "Variable-omega baseline expects a no-TEC problem; build it "
             "with build_cooling_problem(..., with_tec=False)")
-    result: OFTECResult = run_oftec(problem, method=method,
-                                    evaluator=evaluator)
+    return variable_fan_result(run_oftec(problem, method=method,
+                                         evaluator=evaluator))
+
+
+def variable_fan_result(result: OFTECResult) -> BaselineResult:
+    """The variable-omega baseline read off an Algorithm 1 run on a
+    no-TEC problem (plain or through the fallback ladder)."""
     return BaselineResult(
-        problem_name=problem.name,
+        problem_name=result.problem_name,
         controller="variable-omega",
         omega=result.omega_star,
         current=0.0,

@@ -18,6 +18,7 @@ as analytic Jacobians.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -167,10 +168,18 @@ def _run_backend(
         if constraint is not None:
             constraints.append(NonlinearConstraint(
                 constraint, 0.0, np.inf, jac=norm.margin_gradient))
-        result = _checked_minimize(
-            objective, x0, method="trust-constr", bounds=bounds,
-            jac=objective_grad, constraints=constraints,
-            options={"maxiter": max_iterations * 4, "xtol": 1e-6})
+        with warnings.catch_warnings():
+            # trust-constr re-queries an iterate a few ulps away; the
+            # evaluator's cache (keyed to CACHE_DECIMALS) serves the
+            # same evaluation, so its BFGS update meets a repeated
+            # gradient and warns about a linear function.
+            warnings.filterwarnings(
+                "ignore", message=r"delta_grad == 0\.0",
+                category=UserWarning)
+            result = _checked_minimize(
+                objective, x0, method="trust-constr", bounds=bounds,
+                jac=objective_grad, constraints=constraints,
+                options={"maxiter": max_iterations * 4, "xtol": 1e-6})
         return result.x, bool(result.success), str(result.message)
     raise SolverError(f"Unknown solver method {method!r}; "
                       f"choose one of {SOLVER_METHODS}")

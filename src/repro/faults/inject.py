@@ -189,12 +189,11 @@ class FaultyNetwork:
 
     def solve(self, diag_overlay: np.ndarray, rhs: np.ndarray,
               warm: Optional[KrylovState] = None, *,
-              start: Optional[np.ndarray] = None,
               tolerance: float = KRYLOV_TOLERANCE) -> np.ndarray:
         """Solve the (possibly sabotaged) steady-state system, warm
         through the caller's ``warm`` state like the wrapped network."""
         if self._injector.should_fire(FaultKind.SINGULAR_NETWORK):
             overlay = np.asarray(diag_overlay, dtype=float)
             diag_overlay = overlay - self._row_sums(overlay)
-        return self._network.solve(diag_overlay, rhs, warm, start=start,
+        return self._network.solve(diag_overlay, rhs, warm,
                                    tolerance=tolerance)

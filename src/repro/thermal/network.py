@@ -254,22 +254,21 @@ class ThermalNetwork:
 
     def solve(self, diag_overlay: np.ndarray, rhs: np.ndarray,
               warm: Optional[KrylovState] = None, *,
-              start: Optional[np.ndarray] = None,
               tolerance: float = KRYLOV_TOLERANCE) -> np.ndarray:
         """Solve one linear system ``(static + diag) T = rhs``.
 
         ``warm`` is the solve sequence's
-        :class:`~repro.thermal.operator.KrylovState`, and ``start`` and
-        ``tolerance`` (K) steer its PCG (see
-        :meth:`ThermalOperator.solve`); without ``warm`` the system is
-        factored fresh.  Raises :class:`~repro.errors.SingularNetworkError` when the
-        matrix is singular (typically a node with no path to ambient) or
-        the solution is non-finite.  The error chains the underlying
+        :class:`~repro.thermal.operator.KrylovState`, and ``tolerance``
+        (K) steers its PCG (see :meth:`ThermalOperator.solve`); without
+        ``warm`` the system is factored fresh.  Raises
+        :class:`~repro.errors.SingularNetworkError` when the matrix is
+        singular (typically a node with no path to ambient) or the
+        solution is non-finite.  The error chains the underlying
         linear-algebra diagnostic and carries a condition-number estimate
         of the failed system.
         """
         overlay, rhs_arr = self._checked_overlays(diag_overlay, rhs)
-        return self.operator.solve(overlay, rhs_arr, warm, start=start,
+        return self.operator.solve(overlay, rhs_arr, warm,
                                    tolerance=tolerance)
 
     def _checked_overlays(self, diag_overlay: np.ndarray,

@@ -10,23 +10,28 @@ overlay and the RHS change between solves.
   ``csc.data`` — so applying an overlay is two array writes.  It holds
   no factors.
 * :class:`Factorization` wraps one ``splu`` factor at one overlay.
-* :class:`KrylovState` holds one solve sequence's last factor.  It
-  lives with the caller (a :class:`~repro.thermal.SolveContext` or a
-  backward-Euler loop), so a result depends only on its own sequence.
+* :class:`KrylovState` holds what one solve sequence already knows:
+  its last factor and its last accepted answer per right-hand-side
+  shape.  It lives with the caller (a
+  :class:`~repro.thermal.SolveContext` or a backward-Euler loop), so a
+  result depends only on its own sequence.
 
 Every overlay term (fan coupling, Peltier, leakage slope, ``C/dt``) is
 diagonal, so ``A`` is exactly symmetric and successive systems of a
 sequence differ only on the diagonal.  ``solve(..., warm=state)``
 back-solves the held factor's exact overlay; any other overlay runs
-preconditioned CG with that factor as ``M``, from ``x0 = M^-1 b`` (or
-the caller's ``start``) until the error estimate ``max|M^-1 r|`` is at
-most ``tolerance`` (default :data:`KRYLOV_TOLERANCE`, 1e-10 K; relative
-too for adjoint columns below 1 in magnitude), within 15 iterations.
-Only the leakage loop passes ``start`` and a looser ``tolerance``
-(:data:`NEWTON_TOLERANCE`, 1e-6 K) for its non-final Newton systems;
-the system it returns is polished to 1e-10 K.  A 1-D right-hand side
-runs a plain scalar CG recurrence; an ``(n, k)`` adjoint block runs
-its columns as masked recurrences sharing each back-substitution.  A
+preconditioned CG with that factor as ``M``, from the held answer of
+the same shape (the last ``(n,)`` vector or ``(n, k)`` block of the
+sequence that passed the guards), else from ``M^-1 b``, until the error
+estimate ``max|M^-1 r|`` is at most ``tolerance`` (default
+:data:`KRYLOV_TOLERANCE`, 1e-10 K; relative too for adjoint columns
+below 1 in magnitude), within 15 iterations.  Only the leakage loop
+passes a looser ``tolerance``, for its non-final Newton systems
+(Eisenstat-Walker forcing, floored at :data:`NEWTON_TOLERANCE`,
+1e-6 K); the system it returns is polished to 1e-10 K.  A 1-D
+right-hand side runs a plain scalar CG recurrence; an ``(n, k)``
+adjoint block runs its columns as masked recurrences sharing each
+back-substitution.  A
 budget miss, ``p^T A p <= 0``, ``rho <= 0`` or a non-finite iterate
 factors fresh, and the sequence holds that factor from then on, with
 one exception: a vector solve whose curvature is clearly negative,
@@ -69,9 +74,9 @@ _DEGENERACY_GROWTH_LIMIT = 1.0e13
 #: (K on temperatures), times the solution scale where that is below 1.
 KRYLOV_TOLERANCE = 1.0e-10
 
-#: Loose PCG tolerance (K) of the leakage loop's non-final Newton
-#: systems: only the last system's solution is returned, and that one
-#: is polished to :data:`KRYLOV_TOLERANCE`.
+#: Floor (K) of the loose PCG tolerances of the leakage loop's
+#: non-final Newton systems: only the last system's solution is
+#: returned, and that one is polished to :data:`KRYLOV_TOLERANCE`.
 NEWTON_TOLERANCE = 1.0e-6
 
 #: CG iterations a warm solve may spend before it factors fresh.
@@ -87,7 +92,7 @@ INDEFINITE_MARGIN = 1.0e-10
 #: The :class:`OperatorStats` fields, in order.
 _COUNTERS = ("solves", "factorizations", "cache_hits", "adjoint_solves",
              "krylov_iterations", "krylov_solves", "fresh_factorizations",
-             "factor_seconds", "solve_seconds")
+             "held_starts", "factor_seconds", "solve_seconds")
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,8 @@ class OperatorStats:
             that PCG solved without a fresh factorization.
         fresh_factorizations: Factorizations on the warm path: cold
             starts plus Krylov misses.
+        held_starts: Warm PCG solves (vector or block) that started
+            from the sequence's held answer instead of ``M^-1 b``.
         factor_seconds: Wall time of the counted factorizations, s.
         solve_seconds: Wall time of the counted forward and adjoint
             solves (any fresh factor they trigger included), s.
@@ -120,6 +127,7 @@ class OperatorStats:
     krylov_iterations: int = 0
     krylov_solves: int = 0
     fresh_factorizations: int = 0
+    held_starts: int = 0
     factor_seconds: float = 0.0
     solve_seconds: float = 0.0
 
@@ -152,26 +160,48 @@ class Factorization:
 
 
 class KrylovState:
-    """The preconditioner of one solve sequence: its last factor.
+    """What one solve sequence already knows: its last factor and its
+    last accepted answer per right-hand-side shape.
 
     Pass one as ``warm`` to every solve of a sequence; the operator
-    fills it on the first solve and replaces it when PCG misses.  It
-    pickles empty: SuperLU factors never cross a process boundary.
+    fills it on the first solve and replaces the factor when PCG
+    misses.  ``vector`` is the last ``(n,)`` answer and ``block`` the
+    last ``(n, k)`` one; a warm PCG begins from the held answer of its
+    own shape.  It pickles empty: SuperLU factors never cross a
+    process boundary.
     """
 
-    __slots__ = ("factor",)
+    __slots__ = ("factor", "vector", "block")
 
     def __init__(self) -> None:
         self.factor: Optional[Factorization] = None
+        self.vector: Optional[np.ndarray] = None
+        self.block: Optional[np.ndarray] = None
 
     def reset(self) -> None:
-        """Drop the held factor (the next warm solve factors fresh)."""
+        """Drop the held factor and answers (the next warm solve
+        factors fresh)."""
         self.factor = None
+        self.vector = None
+        self.block = None
 
     def holds(self, overlay: np.ndarray) -> bool:
         """Whether the held factor was made at exactly ``overlay``."""
         return self.factor is not None \
             and np.array_equal(self.factor.overlay, overlay)
+
+    def answer(self, rhs: np.ndarray) -> Optional[np.ndarray]:
+        """The held answer of ``rhs``'s shape, else ``None``."""
+        held = self.vector if rhs.ndim == 1 else self.block
+        return held if held is not None and held.shape == rhs.shape \
+            else None
+
+    def accept(self, solution: np.ndarray) -> None:
+        """Hold a guarded ``solution`` (a copy) as its shape's answer."""
+        if solution.ndim == 1:
+            self.vector = solution.copy()
+        else:
+            self.block = solution.copy()
 
     def __reduce__(self):
         return (KrylovState, ())
@@ -302,15 +332,14 @@ class ThermalOperator:
 
     def solve(self, diag_overlay: np.ndarray, rhs: np.ndarray,
               warm: Optional[KrylovState] = None, *,
-              start: Optional[np.ndarray] = None,
               tolerance: float = KRYLOV_TOLERANCE) -> np.ndarray:
         """Solve ``(static + diag(overlay)) T = rhs`` for one RHS.
 
         Without ``warm`` the system is factored fresh; with it, solved
         against the sequence's held factor (see the module docstring).
-        A PCG solve starts from ``start`` (K) when given, else from
+        A PCG solve starts from ``warm``'s held answer, else from
         ``M^-1 b``, and stops at ``tolerance`` (K); an exact repeat or a
-        fresh factor back-solves and ignores both.
+        fresh factor back-solves and ignores it.
         Raises :class:`SingularNetworkError`, with a 1-norm condition
         estimate, on singular or numerically degenerate systems, and
         :class:`IndefiniteSystemError` when PCG proves the matrix
@@ -322,7 +351,7 @@ class ThermalOperator:
             raise ConfigurationError(
                 f"RHS must have shape ({self._n},), got {rhs_arr.shape}")
         started = monotonic()
-        temps = self._solve(overlay, rhs_arr, warm, start, tolerance)
+        temps = self._solve(overlay, rhs_arr, warm, tolerance)
         self._count("solves")
         self._count("solve_seconds", monotonic() - started)
         return temps
@@ -342,30 +371,38 @@ class ThermalOperator:
                 f"Adjoint RHS must have shape ({self._n},) or "
                 f"({self._n}, k), got {rhs_arr.shape}")
         started = monotonic()
-        duals = self._solve(overlay, rhs_arr, warm, None,
-                            KRYLOV_TOLERANCE)
+        duals = self._solve(overlay, rhs_arr, warm, KRYLOV_TOLERANCE)
         self._count("adjoint_solves",
                     1 if rhs_arr.ndim == 1 else rhs_arr.shape[1])
         self._count("solve_seconds", monotonic() - started)
         return duals
 
     def _solve(self, overlay: np.ndarray, rhs: np.ndarray,
-               warm: Optional[KrylovState], start: Optional[np.ndarray],
+               warm: Optional[KrylovState],
                tolerance: float) -> np.ndarray:
-        """Exact-repeat, PCG or fresh-factor solve, guarded."""
+        """Exact-repeat, PCG or fresh-factor solve, guarded.  A warm
+        solution that passes the guards becomes the sequence's held
+        answer of its shape."""
         if warm is not None and warm.factor is not None:
             if warm.holds(overlay):
                 self._count("cache_hits")
-                return self._back_solve(warm.factor, overlay, rhs)
+                solution = self._back_solve(warm.factor, overlay, rhs)
+                warm.accept(solution)
+                return solution
+            start = warm.answer(rhs)
+            if start is not None:
+                self._count("held_starts")
             matrix = self._load(overlay)
             if rhs.ndim == 1:
                 solution = self._pcg(matrix, rhs, warm.factor, start,
                                      tolerance)
             else:
-                solution = self._block_pcg(matrix, rhs, warm.factor)
+                solution = self._block_pcg(matrix, rhs, warm.factor,
+                                           start)
             if solution is not None:
                 self._count("krylov_solves")
                 self._guard(solution, rhs, overlay, self._norm1(), None)
+                warm.accept(solution)
                 return solution
         factor = self.factor(overlay)
         if warm is None:
@@ -375,6 +412,7 @@ class ThermalOperator:
         # Only a factor whose solve passed the guards preconditions
         # the rest of the sequence.
         warm.factor = factor
+        warm.accept(solution)
         return solution
 
     def _back_solve(self, factor: Factorization, overlay: np.ndarray,
@@ -434,17 +472,20 @@ class ThermalOperator:
         return solution
 
     def _block_pcg(self, matrix: csc_matrix, rhs: np.ndarray,
-                   preconditioner: Factorization) -> Optional[np.ndarray]:
-        """PCG on an ``(n, k)`` block to :data:`KRYLOV_TOLERANCE`, with
-        the failure modes of :meth:`_pcg` but no certificate: negative
-        curvature also returns ``None``.
+                   preconditioner: Factorization,
+                   start: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """PCG on an ``(n, k)`` block from ``start`` (else ``M^-1 B``)
+        to :data:`KRYLOV_TOLERANCE`, with the failure modes of
+        :meth:`_pcg` but no certificate: negative curvature also
+        returns ``None``.
 
         The columns run as independent CG recurrences sharing each
         back-substitution; a column stops updating once it converges.
         """
         iterations = 0
         with np.errstate(all="ignore"):
-            solution = preconditioner.solve(rhs)
+            solution = preconditioner.solve(rhs) if start is None \
+                else np.array(start, dtype=float)
             residual = rhs - matrix @ solution
             z = preconditioner.solve(residual)
             tolerance = KRYLOV_TOLERANCE * np.minimum(

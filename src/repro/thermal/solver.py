@@ -16,23 +16,29 @@ convergence within ``leak_max_iterations``).
 
 Every linear system of that loop is one step of a *solve sequence*: a
 :class:`SolveContext` carries the sequence's last converged chip
-temperatures (``warm_chip``) and its last sparse factor (``krylov``),
-and each relinearized system after the first factor is solved by
-preconditioned CG against that factor (see
-:mod:`repro.thermal.operator`).  A call without a context is a sequence
-of its own.  The leakage-free path is one linear system per point, so
-it reuses the held factor only at the exact same overlay and otherwise
-factors fresh, staying bit-identical to the direct solve.
+temperatures (``warm_chip``) and its :class:`KrylovState` (``krylov``:
+the last sparse factor and the last accepted answers), and each
+relinearized system after the first factor is solved by preconditioned
+CG against that factor (see :mod:`repro.thermal.operator`).  A call
+without a context is a sequence of its own.  The leakage-free path is
+one linear system per point, so it reuses the held factor only at the
+exact same overlay and otherwise factors fresh, staying bit-identical
+to the direct solve.
 
 The relinearization loop is an inexact Newton iteration (Dembo,
-Eisenstat & Steihaug 1982): each Newton system is solved by PCG only to
-:data:`~repro.thermal.operator.NEWTON_TOLERANCE` (1e-6 K), every system
-after a call's first starting from the previous iterate.  Once the chip
-update falls below ``leak_tolerance``, that same system is polished to
+Eisenstat & Steihaug 1982) with Eisenstat & Walker (1996) forcing
+terms.  Every system starts PCG from the sequence's held answer: the
+previous query's temperatures for a call's first Newton system, the
+previous iterate after that.  The first system is solved to
+``leak_tolerance`` (1e-3 K); after a chip update of ``u`` K the next is
+solved to ``FORCING * u``, clipped to ``[NEWTON_TOLERANCE,
+leak_tolerance]``.  Once the chip update falls below
+``leak_tolerance``, that same system is polished to
 :data:`~repro.thermal.operator.KRYLOV_TOLERANCE` (1e-10 K) from its
-loose solution, and the call returns only if the update recomputed from
-the polished temperatures is still below ``leak_tolerance``; so every
-returned temperature vector comes from a 1e-10 K solve.
+loose solution, and the call returns only if the update
+recomputed from the polished temperatures is still below
+``leak_tolerance``; so every returned temperature vector comes from a
+1e-10 K solve.
 """
 
 from __future__ import annotations
@@ -59,6 +65,11 @@ from .operator import (
     ThermalOperator,
 )
 
+#: Forcing term of the leakage loop's inexact Newton iteration: the
+#: Newton system after a chip update of ``u`` K is solved to
+#: ``FORCING * u`` K, clipped to ``[NEWTON_TOLERANCE, leak_tolerance]``.
+FORCING = 1.0e-2
+
 
 @dataclass
 class SolveContext:
@@ -77,8 +88,9 @@ class SolveContext:
         warm_chip: Chip-temperature vector (K) of the last successful
             solve, used as the next linearization point; ``None`` falls
             back to the ambient + 30 K cold start.
-        krylov: The sequence's preconditioner (its last factor); every
-            system after the first is solved by PCG against it.
+        krylov: The sequence's preconditioner (its last factor) and
+            its last accepted answers; every system after the first is
+            solved by PCG against the factor, from the held answer.
     """
 
     model: PackageThermalModel
@@ -96,8 +108,8 @@ class SolveContext:
         return self.model.network.operator
 
     def reset(self) -> None:
-        """Forget the warm linearization point and the held factor
-        (cold-start next solve)."""
+        """Forget the warm linearization point, the held factor and
+        the held answers (cold-start next solve)."""
         self.warm_chip = None
         self.krylov.reset()
 
@@ -225,10 +237,10 @@ def solve_steady_state(
     else:
         t_ref = np.full(ncell, config.ambient + 30.0)
 
-    temps = None
     solves = 0
     previous_update = np.inf
     growth_strikes = 0
+    tolerance = config.leak_tolerance
     for iteration in range(1, config.leak_max_iterations + 1):
         taylor = tangent_linearization(leakage, t_ref)
         diag, rhs = model.overlays(
@@ -236,8 +248,7 @@ def solve_steady_state(
             leak_slope=taylor.a, leak_const=taylor.constant_term(),
             sink_heat=sink_heat)
         temps = _network_solve(model, diag, rhs, omega, current,
-                               iteration, warm, start=temps,
-                               tolerance=NEWTON_TOLERANCE)
+                               iteration, warm, tolerance)
         solves += 1
         _check_physical(model, temps, omega, current, iteration)
         chip = model.chip_temperatures(temps)
@@ -246,8 +257,7 @@ def solve_steady_state(
             # Polish the converged Newton system to full tolerance; the
             # answer always comes from this solve.
             temps = _network_solve(model, diag, rhs, omega, current,
-                                   iteration, warm, start=temps,
-                                   tolerance=KRYLOV_TOLERANCE)
+                                   iteration, warm, KRYLOV_TOLERANCE)
             solves += 1
             _check_physical(model, temps, omega, current, iteration)
             chip = model.chip_temperatures(temps)
@@ -284,6 +294,10 @@ def solve_steady_state(
             growth_strikes = 0
         previous_update = update
         t_ref = chip
+        # Eisenstat-Walker forcing: the next system only as tightly as
+        # the step it has to resolve.
+        tolerance = min(config.leak_tolerance,
+                        max(NEWTON_TOLERANCE, FORCING * update))
     if _obs.STATE.enabled:
         _obs.STATE.tracer.event(
             "leakage.exhausted",
@@ -353,15 +367,13 @@ def _network_solve(model: PackageThermalModel, diag: np.ndarray,
                    rhs: np.ndarray, omega: float,
                    current: Union[float, np.ndarray],
                    iteration: int, warm: KrylovState,
-                   start: Optional[np.ndarray] = None,
                    tolerance: float = KRYLOV_TOLERANCE) -> np.ndarray:
-    """One warm network solve from ``start`` to ``tolerance`` (K);
-    re-raises singularities and indefiniteness certificates (runaway)
-    with operating-point context (omega in rad/s, current in A)
-    chained onto the original."""
+    """One warm network solve to ``tolerance`` (K), from the
+    sequence's held answer; re-raises singularities and
+    indefiniteness certificates (runaway) with operating-point context
+    (omega in rad/s, current in A) chained onto the original."""
     try:
-        return model.network.solve(diag, rhs, warm, start=start,
-                                   tolerance=tolerance)
+        return model.network.solve(diag, rhs, warm, tolerance=tolerance)
     except SingularNetworkError as exc:
         raise SingularNetworkError(
             f"{exc} during steady-state solve at omega={omega:.1f}, "

@@ -10,7 +10,16 @@ from repro.analysis import (
     run_campaign,
     sweep_objective_surfaces,
 )
+from repro.analysis.campaign import _stage_specs
+from repro.core import Evaluator
 from repro.errors import ConfigurationError
+from repro.faults import (
+    FaultInjector,
+    FaultKind,
+    FaultPlan,
+    FaultSpec,
+    FaultyEvaluator,
+)
 from repro.obs import telemetry_session
 
 
@@ -152,3 +161,31 @@ class TestFirstRung:
         counters = metrics.snapshot()["counters"]
         assert counters["resilient.attempts"] == len(ladders)
         assert "resilient.attempts.failed" not in counters
+
+
+class TestBaselineStagesOnTheLadder:
+    @pytest.mark.parametrize("stage,objective", [
+        ("variable-opt1", "total_power"),
+        ("variable-opt2", "max_chip_temperature"),
+    ])
+    def test_fault_at_start_point_is_retried(self, tec_problem,
+                                             baseline_problem, stage,
+                                             objective):
+        # One injected leakage divergence on the stage's first solve
+        # makes its start point a runaway point with no gradient; the
+        # ladder retries from a perturbed start and lands on the
+        # fault-free optimum instead of losing the stage.
+        plan = FaultPlan(seed=0, specs=(FaultSpec(
+            kind=FaultKind.LEAKAGE_DIVERGENCE, rate=1.0, max_fires=1),))
+        failures = []
+        faulty = _stage_specs(
+            "basicmath", tec_problem, baseline_problem, "slsqp",
+            lambda problem: FaultyEvaluator(problem,
+                                            FaultInjector(plan)),
+            failures)[stage]()
+        clean = _stage_specs("basicmath", tec_problem, baseline_problem,
+                             "slsqp", Evaluator, [])[stage]()
+        assert failures == []
+        assert not faulty.evaluation.runaway
+        assert getattr(faulty.evaluation, objective) == pytest.approx(
+            getattr(clean.evaluation, objective), rel=1e-6)

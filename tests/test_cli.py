@@ -1,9 +1,14 @@
 """Command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -171,6 +176,20 @@ class TestChaosCommand:
                      "--faults", "worker-kill", "--workers", "1"])
         assert code == 5
         assert "workers >= 2" in capsys.readouterr().err
+
+    def test_stderr_carries_no_user_warning(self):
+        # The documented seed-0 drive feeds trust-constr repeated
+        # gradients; scipy's BFGS warning about them must not reach
+        # the user.
+        source = str(Path(repro.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "chaos", "--resolution", "6",
+             "--seed", "0", "--rate", "0.03", "--max-fires", "4"],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": source})
+        assert completed.returncode == 0, completed.stderr
+        assert "chaos campaign PASSED" in completed.stdout
+        assert "UserWarning" not in completed.stderr
 
     def test_json_export(self, tmp_path, capsys):
         path = tmp_path / "chaos.json"

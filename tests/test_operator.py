@@ -7,8 +7,8 @@ a freshly assembled ``static + diag(overlay)``) bit for bit, fault-free,
 across all eight MiBench benchmarks.  The tolerance gates back its
 second claim: every full-tolerance warm solve (an exact repeat of the
 held factor, or PCG preconditioned by it) stays within 1e-9 K of that
-direct solve, and the leakage loop's loose Newton solves stay within
-ten times their tolerance of it.
+direct solve, and each of the leakage loop's loose Newton solves stays
+within ten times the tolerance it asked for.
 """
 
 from dataclasses import replace
@@ -386,13 +386,14 @@ class WarmSolveAudit:
 
     Full-tolerance warm solves (every result a caller receives,
     including the leakage loop's polish) land in ``forward_error``;
-    the loop's loose Newton solves are audited separately in
-    ``loose_error``.
+    the loop's loose Newton solves are audited separately, each
+    against the tolerance it asked for, in ``loose_ratio`` (largest
+    error over requested tolerance).
     """
 
     def __init__(self, network, monkeypatch):
         self.forward_error = 0.0
-        self.loose_error = 0.0
+        self.loose_ratio = 0.0
         self.adjoint_error = 0.0
         self.forward = 0
         self.loose = 0
@@ -400,10 +401,9 @@ class WarmSolveAudit:
         operator = network.operator
         solve, solve_adjoint = operator.solve, operator.solve_adjoint
 
-        def audited_solve(overlay, rhs, warm=None, *, start=None,
+        def audited_solve(overlay, rhs, warm=None, *,
                           tolerance=KRYLOV_TOLERANCE):
-            result = solve(overlay, rhs, warm, start=start,
-                           tolerance=tolerance)
+            result = solve(overlay, rhs, warm, tolerance=tolerance)
             if warm is not None:
                 error = float(np.abs(
                     result - direct_solve(network, overlay, rhs)).max())
@@ -411,8 +411,9 @@ class WarmSolveAudit:
                     self.forward_error = max(self.forward_error, error)
                     self.forward += 1
                 else:
-                    assert tolerance == NEWTON_TOLERANCE
-                    self.loose_error = max(self.loose_error, error)
+                    assert tolerance >= NEWTON_TOLERANCE
+                    self.loose_ratio = max(self.loose_ratio,
+                                           error / tolerance)
                     self.loose += 1
             return result
 
@@ -470,7 +471,7 @@ class TestWarmSolves:
         assert audit.forward > 0 and audit.adjoint > 0 and audit.loose > 0
         assert audit.forward_error <= 1e-9
         assert audit.adjoint_error <= 1e-9
-        assert audit.loose_error <= 10 * NEWTON_TOLERANCE
+        assert audit.loose_ratio <= 10.0
         # The trace really ran on PCG, not on fresh factors.
         assert after.krylov_solves - before.krylov_solves \
             > after.factorizations - before.factorizations
@@ -512,7 +513,7 @@ class TestWarmSolves:
     def test_vector_and_block_recurrences_agree(self, tec_problem):
         # One RHS through the scalar path (solve) and as an (n, 1)
         # block through the masked path (solve_adjoint), both on PCG
-        # against the same held factor.
+        # from M^-1 b against the same held factor.
         operator = fresh_operator(tec_problem.model.network)
         warm = KrylovState()
         operator.solve(*model_overlays(tec_problem, *POINTS[0]), warm)
@@ -521,6 +522,7 @@ class TestWarmSolves:
         solutions = []
         for solve, system in ((operator.solve, rhs),
                               (operator.solve_adjoint, rhs[:, None])):
+            warm.vector = warm.block = None
             before = operator.stats
             solutions.append(solve(overlay, system, warm).reshape(-1))
             after = operator.stats
@@ -661,3 +663,128 @@ class TestWarmSolves:
         assert after.current_star == alone.current_star
         assert (after.evaluation.steady.temperatures
                 == alone.evaluation.steady.temperatures).all()
+
+
+class TestHeldAnswers:
+    """A warm PCG runs from the sequence's last accepted answer of the
+    same shape, else from ``M^-1 b``."""
+
+    #: Priming point, then the point whose answer is held, then the
+    #: target system (omega in rad/s, current in A).
+    SEQUENCE = ((180.0, 0.5), (182.0, 0.55), (183.0, 0.56))
+
+    @staticmethod
+    def adjoint_block(rhs):
+        return np.column_stack([rhs, np.ones_like(rhs)])
+
+    def primed(self, tec_problem):
+        """An operator and a state holding a factor at the first point
+        and the answers (vector and block) at the second."""
+        operator = fresh_operator(tec_problem.model.network)
+        warm = KrylovState()
+        operator.solve(*model_overlays(tec_problem, *self.SEQUENCE[0]),
+                       warm)
+        overlay, rhs = model_overlays(tec_problem, *self.SEQUENCE[1])
+        operator.solve(overlay, rhs, warm)
+        operator.solve_adjoint(overlay, self.adjoint_block(rhs), warm)
+        return operator, warm
+
+    @staticmethod
+    def without_answers(warm):
+        """The same factor, no held answers: PCG runs from M^-1 b."""
+        bare = KrylovState()
+        bare.factor = warm.factor
+        return bare
+
+    @staticmethod
+    def counted(operator, solve, *args):
+        before = operator.stats
+        result = solve(*args)
+        after = operator.stats
+        return (result, after.krylov_iterations - before.krylov_iterations,
+                after.held_starts - before.held_starts)
+
+    def test_vector_solve_starts_from_held_answer(self, tec_problem):
+        network = tec_problem.model.network
+        operator, warm = self.primed(tec_problem)
+        overlay, rhs = model_overlays(tec_problem, *self.SEQUENCE[2])
+        _, bare_iterations, bare_held = self.counted(
+            operator, operator.solve, overlay, rhs,
+            self.without_answers(warm))
+        result, iterations, held = self.counted(
+            operator, operator.solve, overlay, rhs, warm)
+        assert (bare_held, held) == (0, 1)
+        assert 0 < iterations < bare_iterations
+        assert np.abs(result - direct_solve(network, overlay, rhs)).max() \
+            <= 1e-10
+        assert np.array_equal(warm.vector, result)
+
+    def test_block_solve_starts_from_held_answer(self, tec_problem):
+        network = tec_problem.model.network
+        operator, warm = self.primed(tec_problem)
+        overlay, rhs = model_overlays(tec_problem, *self.SEQUENCE[2])
+        block = self.adjoint_block(rhs)
+        _, bare_iterations, bare_held = self.counted(
+            operator, operator.solve_adjoint, overlay, block,
+            self.without_answers(warm))
+        duals, iterations, held = self.counted(
+            operator, operator.solve_adjoint, overlay, block, warm)
+        assert (bare_held, held) == (0, 1)
+        assert 0 < iterations < bare_iterations
+        for column in range(2):
+            exact = direct_solve(network, overlay, block[:, column])
+            assert np.abs(duals[:, column] - exact).max() <= 1e-10
+        assert np.array_equal(warm.block, duals)
+
+    def test_reset_and_pickling_drop_held_answers(self, tec_problem):
+        import pickle
+
+        _, warm = self.primed(tec_problem)
+        assert warm.vector is not None and warm.block is not None
+        clone = pickle.loads(pickle.dumps(warm))
+        assert (clone.factor, clone.vector, clone.block) \
+            == (None, None, None)
+        warm.reset()
+        assert (warm.factor, warm.vector, warm.block) == (None, None, None)
+
+    def test_shape_mismatch_starts_from_preconditioned_rhs(
+            self, tec_problem):
+        operator, warm = self.primed(tec_problem)
+        overlay, rhs = model_overlays(tec_problem, *self.SEQUENCE[2])
+        # The held block has two columns: a one-column block finds no
+        # answer of its shape and runs exactly like a bare state.
+        bare, bare_iterations, _ = self.counted(
+            operator, operator.solve_adjoint, overlay, rhs[:, None],
+            self.without_answers(warm))
+        duals, iterations, held = self.counted(
+            operator, operator.solve_adjoint, overlay, rhs[:, None], warm)
+        assert held == 0
+        assert iterations == bare_iterations
+        assert np.array_equal(duals, bare)
+        assert warm.block.shape == (rhs.size, 1)
+
+    def test_guard_failure_never_becomes_held_answer(self):
+        # PCG against the healthy factor converges on a system whose
+        # one 1e-14 W/K path to ambient amplifies the solution by
+        # ~1e14: the growth guard rejects it, and the held answer stays
+        # the last healthy one.
+        operator = ThermalOperator(grounded_laplacian(ground=1.0))
+        n = operator.node_count
+        warm = KrylovState()
+        healthy = operator.solve(np.zeros(n), np.ones(n), warm)
+        degenerate = np.zeros(n)
+        degenerate[0] = -1.0 + 1e-14
+        before = operator.stats
+        with pytest.raises(SingularNetworkError, match="degenerate"):
+            operator.solve(degenerate, np.ones(n), warm)
+        assert operator.stats.krylov_solves == before.krylov_solves + 1
+        assert np.array_equal(warm.vector, healthy)
+        # The fresh-factor path: a broken preconditioner sends the same
+        # system to a fresh factor, whose back-solve the guard rejects.
+        warm.factor = BrokenFactor(warm.factor, "non-finite")
+        before = operator.stats
+        with pytest.raises(SingularNetworkError, match="degenerate"):
+            operator.solve(degenerate, np.ones(n), warm)
+        assert operator.stats.fresh_factorizations \
+            == before.fresh_factorizations + 1
+        assert np.array_equal(warm.vector, healthy)

@@ -72,8 +72,9 @@ class TestLeakageLoop:
 
 
 class TestInexactNewton:
-    """Non-final Newton systems are solved loosely from the previous
-    iterate; only the polished last system becomes the answer."""
+    """Newton systems are solved only as tightly as the step they
+    resolve (Eisenstat-Walker forcing), each from the previous iterate;
+    only the polished last system becomes the answer."""
 
     @staticmethod
     def primed_context(model, power, leakage):
@@ -84,28 +85,33 @@ class TestInexactNewton:
 
     def test_loose_newton_steps_then_one_polish(
             self, tec_model, basicmath_power, leakage, monkeypatch):
-        # Every Newton system at full tolerance, as before inexact
-        # Newton: 3 iterations at this point, and the count must hold.
-        monkeypatch.setattr(solver, "NEWTON_TOLERANCE", KRYLOV_TOLERANCE)
+        operator = tec_model.network.operator
+        solve = operator.solve
+
+        # Every Newton system at full tolerance, as in exact Newton.
+        def tight_solve(overlay, rhs, warm=None, *,
+                        tolerance=KRYLOV_TOLERANCE):
+            return solve(overlay, rhs, warm, tolerance=KRYLOV_TOLERANCE)
+
+        monkeypatch.setattr(operator, "solve", tight_solve)
         tight = solve_steady_state(
             tec_model, 275.0, 0.9, basicmath_power, leakage,
             context=self.primed_context(tec_model, basicmath_power,
                                         leakage))
         monkeypatch.undo()
 
-        operator = tec_model.network.operator
-        solve = operator.solve
         calls = []
 
-        def spy(overlay, rhs, warm=None, *, start=None,
-                tolerance=KRYLOV_TOLERANCE):
-            result = solve(overlay, rhs, warm, start=start,
-                           tolerance=tolerance)
-            calls.append((overlay.copy(), None if start is None
-                          else start.copy(), tolerance, result.copy()))
+        def spy(overlay, rhs, warm=None, *, tolerance=KRYLOV_TOLERANCE):
+            held = warm.vector.copy()
+            result = solve(overlay, rhs, warm, tolerance=tolerance)
+            calls.append((overlay.copy(), held, tolerance, result.copy()))
             return result
 
         context = self.primed_context(tec_model, basicmath_power, leakage)
+        primed_chip = context.warm_chip
+        primed_answer = context.krylov.vector.copy()
+        held_before = operator.stats.held_starts
         monkeypatch.setattr(operator, "solve", spy)
         result = solve_steady_state(tec_model, 275.0, 0.9,
                                     basicmath_power, leakage,
@@ -115,16 +121,30 @@ class TestInexactNewton:
         assert stats.outer_iterations == tight.stats.outer_iterations == 3
         assert stats.linear_solves == len(calls) \
             == stats.outer_iterations + 1
-        *newton, polish = calls
-        assert all(tolerance == NEWTON_TOLERANCE
-                   for _, _, tolerance, _ in newton)
-        assert newton[0][1] is None
-        for previous, following in zip(newton, newton[1:]):
+        # Every system ran PCG from the held answer: the priming
+        # solve's for the first, the previous system's after that.
+        assert operator.stats.held_starts - held_before == len(calls)
+        assert (calls[0][1] == primed_answer).all()
+        for previous, following in zip(calls, calls[1:]):
             assert (following[1] == previous[3]).all()
-        overlay, start, tolerance, temps = polish
+        *newton, polish = calls
+        # The first system to leak_tolerance, system k+1 to FORCING
+        # times the chip update of system k.
+        leak_tolerance = tec_model.config.leak_tolerance
+        assert newton[0][2] == leak_tolerance
+        t_ref = primed_chip
+        for previous, following in zip(newton, newton[1:]):
+            chip = tec_model.chip_temperatures(previous[3])
+            update = float(np.max(np.abs(chip - t_ref)))
+            assert following[2] == min(leak_tolerance, max(
+                NEWTON_TOLERANCE, solver.FORCING * update))
+            t_ref = chip
+        assert [tolerance for _, _, tolerance, _ in newton] \
+            == sorted((tolerance for _, _, tolerance, _ in newton),
+                      reverse=True)
+        overlay, _, tolerance, temps = polish
         assert tolerance == KRYLOV_TOLERANCE
         assert (overlay == newton[-1][0]).all()
-        assert (start == newton[-1][3]).all()
         assert (temps == result.temperatures).all()
         assert np.abs(temps - tight.temperatures).max() <= 1e-9
 

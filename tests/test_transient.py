@@ -13,7 +13,8 @@ from repro.thermal import (
     solve_steady_state,
 )
 
-#: A runaway trajectory recorded when every PCG breakdown factored fresh.
+#: A runaway trajectory recorded with warm steps starting PCG from the
+#: previous step's answer.
 RECORDED_RUNAWAY = Path(__file__).parent / "fixtures" \
     / "transient_runaway_res8.json"
 
@@ -77,9 +78,9 @@ class TestRunawayTrajectory:
 
     def test_certified_steps_keep_the_recorded_trajectory(
             self, tec_model, quicksort_power, leakage, monkeypatch):
-        # PCG proves several of these steps' systems indefinite; the
-        # loop then factors that step fresh, exactly as when every
-        # breakdown did, so the recorded trajectory holds bit for bit.
+        # PCG proves some of these steps' systems indefinite; the loop
+        # then factors that step fresh, exactly as when every breakdown
+        # did, and the recorded trajectory holds bit for bit.
         certificates = []
         pcg = ThermalOperator._pcg
 
