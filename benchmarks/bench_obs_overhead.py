@@ -11,9 +11,9 @@ repository root:
   back-substitution costs hundreds of microseconds; tiny smoke grids
   amortize the fixed per-seam cost over less work, so the hard gate
   only applies at resolution >= 8);
-* **streaming**: attaching live sinks (rotating JSONL + OpenMetrics
-  behind the BackgroundFlusher, pumped per unit like the progress
-  board does) keeps a campaign-shaped batch within the same <5%
+* **streaming**: attaching live sinks (rotating JSONL + OpenMetrics,
+  written and flushed by each per-unit pump like the progress board
+  triggers) keeps a campaign-shaped batch within the same <5%
   budget at realistic grids (resolution >= 12, where a unit's solves
   dominate the ~1 ms of per-unit export CPU).
 """
@@ -28,7 +28,6 @@ from _common import emit_bench_json, paired_overhead_pct
 from repro import run_oftec
 from repro.core import Evaluator
 from repro.obs import (
-    BackgroundFlusher,
     OpenMetricsSink,
     RotatingJsonlSink,
     TelemetryStream,
@@ -86,10 +85,10 @@ def _paired_oftec_seconds(problem, repeats=_OFTEC_PAIRS):
                                enabled_sample, repeats=repeats)
 
 
-#: Campaign units per streaming sample.  The session, flusher thread,
-#: and sinks are set up once per campaign in real use, so the bench
-#: amortizes that fixed cost over a campaign-shaped batch of units
-#: rather than charging it to a single run.
+#: Campaign units per streaming sample.  The session, stream and sinks
+#: are set up once per campaign in real use, so the bench amortizes
+#: that fixed cost over a campaign-shaped batch of units rather than
+#: charging it to a single run.
 _STREAMING_UNITS = 3
 
 
@@ -119,8 +118,8 @@ def _streaming_batch_sample(profile, resolution, directory):
     """Wall seconds of the same batch with live sinks attached.
 
     This is the full streaming path the CLI wires for ``--live-trace``
-    / ``--openmetrics``: a telemetry session plus a BackgroundFlusher
-    feeding a rotating JSONL sink and an OpenMetrics snapshot sink.
+    / ``--openmetrics``: a telemetry session plus a TelemetryStream
+    writing a rotating JSONL sink and an OpenMetrics snapshot sink.
     The TelemetryStream is pumped after every unit (exactly what the
     progress board does on unit completions) and flushed to a final
     snapshot before the clock stops — the measured time includes
@@ -130,16 +129,16 @@ def _streaming_batch_sample(profile, resolution, directory):
     om = os.path.join(directory, "metrics.om")
     start = time.perf_counter()
     with telemetry_session() as (tracer, metrics):
-        flusher = BackgroundFlusher(
+        stream = TelemetryStream(
+            tracer, metrics,
             [RotatingJsonlSink(live), OpenMetricsSink(om)])
-        stream = TelemetryStream(tracer, metrics, flusher)
         try:
             for _ in range(_STREAMING_UNITS):
                 _campaign_unit(profile, resolution)
                 stream.pump()
             stream.pump(final=True)
         finally:
-            flusher.close()
+            stream.close()
     return time.perf_counter() - start
 
 
@@ -227,11 +226,11 @@ def test_obs_overhead_and_emit(tec_problem, profiles, resolution):
     assert oftec_overhead_pct < 5.0
     if resolution >= 12:
         # Live export costs ~1 ms of CPU per unit (a few dozen span
-        # records plus an OpenMetrics rewrite) regardless of grid
-        # size, and on a single-core host the flusher thread cannot
-        # overlap with the solves.  At realistic grids a unit is
-        # hundreds of milliseconds and the budget binds; smoke grids
-        # would measure export CPU against near-zero work.
+        # records plus an OpenMetrics rewrite), paid on the caller's
+        # thread inside each pump, regardless of grid size.  At
+        # realistic grids a unit is tens to hundreds of milliseconds
+        # and the budget binds; smoke grids would measure export CPU
+        # against near-zero work.
         assert stream_overhead_pct < 5.0
     if resolution >= 8:
         # Per-solve budget only binds where a solve does real work.

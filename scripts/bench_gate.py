@@ -145,7 +145,7 @@ def gate_bench4(gate: Gate, doc: dict) -> None:
             "BENCH_4 streaming overhead",
             stream_pct < OBS_OVERHEAD_BUDGET_PCT,
             f"{stream_pct}% < {OBS_OVERHEAD_BUDGET_PCT}% "
-            "(live sinks must ride the background flusher)")
+            "(live sinks are written by each per-unit pump)")
     else:
         gate.skip("BENCH_4 streaming overhead",
                   f"budget binds at resolution >= 12, ran at "

@@ -61,7 +61,7 @@ from .errors import (
 )
 from .power import BenchmarkProfile, mibench_profiles
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "I_TEC_MAX",

@@ -139,18 +139,17 @@ def _traced(path: Optional[str],
     run still leaves its trace behind.
 
     ``live_path`` / ``openmetrics_path`` additionally attach streaming
-    sinks behind a :class:`~repro.obs.BackgroundFlusher`: spans and
-    metric snapshots are exported *while the run progresses* (the
-    holder carries the :class:`~repro.obs.TelemetryStream` under
-    ``"stream"``, which a progress board pumps on unit completions),
-    and the files survive a crash mid-run with everything published so
-    far.
+    sinks to a :class:`~repro.obs.TelemetryStream`: spans and metric
+    snapshots are written *while the run progresses* (the holder
+    carries the stream under ``"stream"``, which a progress board pumps
+    on unit completions), and each pump's records are on disk when it
+    returns, so the files survive a crash mid-run with everything
+    pumped so far.
     """
     if not (path or live_path or openmetrics_path):
         yield None
         return
     from .obs import (
-        BackgroundFlusher,
         OpenMetricsSink,
         RotatingJsonlSink,
         TelemetryStream,
@@ -164,20 +163,17 @@ def _traced(path: Optional[str],
         sinks.append(OpenMetricsSink(openmetrics_path))
     holder: dict = {}
     with telemetry_session() as (tracer, metrics):
-        flusher = None
+        stream = None
         if sinks:
-            flusher = BackgroundFlusher(sinks)
-            holder["stream"] = TelemetryStream(tracer, metrics,
-                                               flusher)
+            stream = TelemetryStream(tracer, metrics, sinks)
+            holder["stream"] = stream
         try:
             yield holder
         finally:
             holder["telemetry"] = metrics.snapshot()
-            stream = holder.get("stream")
             if stream is not None:
                 stream.pump(final=True)
-            if flusher is not None:
-                flusher.close()
+                stream.close()
                 for sink_path in (live_path, openmetrics_path):
                     if sink_path:
                         print(f"telemetry streamed to {sink_path}",

@@ -49,26 +49,27 @@ RESTART_PERTURBATION = 0.05
 #: Seed of the restart-perturbation stream.
 RESTART_SEED = 0
 
+#: Extra perturbed-restart attempts per ladder rung after the first.
+RETRIES_PER_METHOD = 1
+
+#: Per-attempt thermal-solve budget (cache hits are free).
+MAX_EVALUATIONS = 500
+
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Knobs of the fallback ladder.
+    """The fallback ladder.
 
     Each attempt runs with the backends' own iteration budget; the
-    restart jitter uses the module constants above.
+    retry count, solve budget and restart jitter are the module
+    constants above.
 
     Attributes:
         ladder: Solver backends to try, in order (each must be one of
             :data:`repro.core.SOLVER_METHODS`).
-        retries_per_method: Extra perturbed-restart attempts per rung
-            after the first (0 disables retries).
-        max_evaluations: Per-attempt thermal-solve budget (cache hits
-            are free).
     """
 
     ladder: Tuple[str, ...] = ("slsqp", "trust-constr", "grid")
-    retries_per_method: int = 1
-    max_evaluations: int = 500
 
     def __post_init__(self) -> None:
         if not self.ladder:
@@ -78,14 +79,6 @@ class ResiliencePolicy:
                 raise ConfigurationError(
                     f"Unknown ladder rung {method!r}; choose from "
                     f"{SOLVER_METHODS}")
-        if self.retries_per_method < 0:
-            raise ConfigurationError(
-                "retries_per_method must be >= 0, got "
-                f"{self.retries_per_method}")
-        if self.max_evaluations <= 0:
-            raise ConfigurationError(
-                f"max_evaluations must be positive, got "
-                f"{self.max_evaluations}")
 
 
 @dataclass(frozen=True)
@@ -266,21 +259,19 @@ class ResilientSolver:
         x0: Tuple[float, float],
         prefer: str,
     ) -> ResilientOutcome:
-        policy = self.policy
         attempts: List[AttemptRecord] = []
         best: Optional[OptimizationOutcome] = None
         last_error: Optional[SolverError] = None
         point = (float(x0[0]), float(x0[1]))
         operator = self.evaluator.context.operator
         with _obs.span("ladder", stage):
-            for method in policy.ladder:
-                for retry in range(policy.retries_per_method + 1):
+            for method in self.policy.ladder:
+                for retry in range(RETRIES_PER_METHOD + 1):
                     start = point if retry == 0 \
                         else self._perturb(point)
                     solves_before = self.evaluator.solve_count
                     factor_before = operator.stats.factorizations
-                    self.evaluator.set_solve_budget(
-                        policy.max_evaluations)
+                    self.evaluator.set_solve_budget(MAX_EVALUATIONS)
                     try:
                         # The attempt span sits inside the try so a
                         # SolverError is recorded on it before the

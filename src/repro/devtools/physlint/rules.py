@@ -28,10 +28,8 @@ Code        Name                Convention guarded
                                 every path (context manager or try/finally).
 ``RPR503``  wall-clock-deadline Deadline and timeout arithmetic uses the
                                 monotonic clock, never ``time.time()``.
-``RPR504``  telemetry-hot-loop  Spans are entered (``with``), never
-                                discarded; hot loops publish to the
-                                :class:`~repro.obs.BackgroundFlusher`
-                                instead of writing sinks directly.
+``RPR504``  telemetry-hot-loop  Spans and stopwatches are entered
+                                (``with``), never discarded.
 ``RPR601``  process-state       Module globals stay process-safe: no
                                 module-level mutable caches, no unseeded
                                 RNG construction, no draws from the
@@ -1236,61 +1234,19 @@ class WallClockDeadlineRule(Rule):
 #: one as a bare expression statement discards it unrecorded.
 _CM_TELEMETRY_TAILS = frozenset({"span", "stopwatch"})
 
-#: Receiver-name fragments that mark a streaming-telemetry consumer.
-_SINK_NAME_RE = re.compile(r"sink|exporter|flusher", re.IGNORECASE)
-
-#: Methods on a sink that perform blocking I/O per record.
-_SINK_IO_METHODS = frozenset({"write"})
-
-
-def _receiver_name(func: ast.expr) -> Optional[str]:
-    """The terminal variable/attribute name a method is called on."""
-    if not isinstance(func, ast.Attribute):
-        return None
-    value = func.value
-    if isinstance(value, ast.Name):
-        return value.id
-    if isinstance(value, ast.Attribute):
-        return value.attr
-    return None
-
-
-def _loop_bodies(root: ast.AST) -> List[Sequence[ast.stmt]]:
-    """Statement lists inside for/while loops, excluding nested defs
-    (they are visited as their own scopes)."""
-    bodies: List[Sequence[ast.stmt]] = []
-    stack: List[ast.AST] = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef, ast.Lambda)) \
-                and node is not root:
-            continue
-        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-            bodies.append(node.body)
-        stack.extend(ast.iter_child_nodes(node))
-    return bodies
-
-
 @rule
 class TelemetryHotLoopRule(Rule):
-    """Spans are entered and hot loops never block on sink I/O.
+    """Spans and stopwatches are entered, never discarded.
 
     Fail::
 
         _obs.span("solve", name)          # discarded: records nothing
         temps = operator.solve(loads)
 
-        for record in records:
-            sink.write(record)            # blocking I/O per iteration
-
     Pass::
 
         with _obs.span("solve", name):
             temps = operator.solve(loads)
-
-        for record in records:
-            flusher.publish(record)       # non-blocking bounded queue
     """
 
     code = "RPR504"
@@ -1299,11 +1255,7 @@ class TelemetryHotLoopRule(Rule):
         "repro.obs spans and stopwatches are context managers: calling "
         "span(...) without entering it builds the object and records "
         "nothing, so the trace silently misses the region it was meant "
-        "to cover.  And a TelemetrySink.write() inside a loop puts "
-        "blocking file I/O on the hot path per iteration — the "
-        "streaming plane's contract is that producers hand records to "
-        "a BackgroundFlusher (publish() on a bounded queue, never "
-        "blocks) and only the flusher's worker thread touches sinks.")
+        "to cover.")
 
     def visit_Expr(self, node: ast.Expr) -> None:
         call = node.value
@@ -1317,31 +1269,3 @@ class TelemetryHotLoopRule(Rule):
                     "recorded — enter it with `with` (or bind and "
                     "close it explicitly)"))
         self.generic_visit(node)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_loops(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self,
-                               node: ast.AsyncFunctionDef) -> None:
-        self._check_loops(node)
-        self.generic_visit(node)
-
-    def _check_loops(self, function: ast.AST) -> None:
-        for body in _loop_bodies(function):
-            for loop_node in _deep_nodes(body):
-                if not isinstance(loop_node, ast.Call):
-                    continue
-                func = loop_node.func
-                if not isinstance(func, ast.Attribute) \
-                        or func.attr not in _SINK_IO_METHODS:
-                    continue
-                receiver = _receiver_name(func)
-                if receiver is None \
-                        or not _SINK_NAME_RE.search(receiver):
-                    continue
-                self.emit(loop_node, (
-                    f"`{receiver}.{func.attr}(...)` inside a loop "
-                    "blocks the hot path on sink I/O every iteration "
-                    "— publish to a BackgroundFlusher and let its "
-                    "worker thread write"))

@@ -249,8 +249,7 @@ def _heartbeat_loop(slot: int, heartbeats: Any, interval: float,
 
 def _supervised_main(slot: int, payload: bytes, task_queue: Any,
                      result_queue: Any, heartbeats: Any,
-                     interval: float,
-                     telemetry_queue: Any = None) -> None:
+                     interval: float) -> None:
     """Entry point of a supervised worker process.
 
     Installs the shared context, starts the heartbeat thread, then
@@ -259,8 +258,7 @@ def _supervised_main(slot: int, payload: bytes, task_queue: Any,
     deterministically, per (unit label, attempt) — before the unit
     runs, so the coordinator can recompute every decision without a
     side channel.  Each result carries its unit's spans and metrics
-    home; with a ``telemetry_queue`` a live-metrics thread also
-    publishes periodic snapshots mid-unit for the progress board.
+    home; nothing else crosses back while a unit runs.
     """
     _workers.initialize(payload)
     silenced = threading.Event()
@@ -268,17 +266,12 @@ def _supervised_main(slot: int, payload: bytes, task_queue: Any,
         target=_heartbeat_loop,
         args=(slot, heartbeats, interval, silenced), daemon=True)
     beat.start()
-    live_stop: Optional[threading.Event] = None
-    if telemetry_queue is not None:
-        live_stop = _workers.start_live_metrics(slot, telemetry_queue)
     context = _workers.current_context()
     plan = context.fault_plan if context is not None else None
     while True:
         item = task_queue.get()
         if item is None:
             silenced.set()
-            if live_stop is not None:
-                live_stop.set()
             return
         unit, attempt = item
         fault = process_fault_decision(plan, unit.name, attempt)
@@ -384,7 +377,6 @@ class _Supervisor:
         self._pending: List[tuple] = []  # (ready_at, index, attempt)
         self._quarantined_ids: set = set()
         self._spawn_failures = 0
-        self._telemetry_queue: Any = None
         seeded = dict(completed or {})
         for unit in self.units:
             prior = seeded.get(unit.index)
@@ -425,10 +417,6 @@ class _Supervisor:
         slots = min(self.workers, len(self._pending))
         heartbeats = mp_context.Array("d", slots)
         result_queue = mp_context.Queue()
-        if self.context.telemetry and self.monitor is not None:
-            # Live snapshots exist only inside a worker telemetry
-            # session, and only the progress board reads them.
-            self._telemetry_queue = mp_context.Queue()
         handles = [_WorkerHandle(slot) for slot in range(slots)]
         try:
             for handle in handles:
@@ -446,7 +434,6 @@ class _Supervisor:
                     return
                 self._dispatch(handles)
                 self._collect(result_queue, handles)
-                self._drain_live_metrics()
                 self._sweep(handles, mp_context, payload, heartbeats,
                             result_queue)
         finally:
@@ -462,8 +449,7 @@ class _Supervisor:
         process = mp_context.Process(
             target=_supervised_main,
             args=(handle.slot, payload, handle.queue, result_queue,
-                  heartbeats, self.policy.heartbeat_interval_seconds,
-                  self._telemetry_queue),
+                  heartbeats, self.policy.heartbeat_interval_seconds),
             daemon=True)
         try:
             process.start()
@@ -651,18 +637,6 @@ class _Supervisor:
                 self._replace(handle, "heartbeat", mp_context,
                               payload, heartbeats, result_queue)
 
-    def _drain_live_metrics(self) -> None:
-        """Feed every queued live snapshot to the monitor."""
-        queue = self._telemetry_queue
-        if queue is None:
-            return
-        while True:
-            try:
-                snapshot = queue.get_nowait()
-            except _queue.Empty:
-                return
-            self.monitor.live_metrics(snapshot)
-
     # -- attempt bookkeeping ------------------------------------------
 
     def _complete(self, result: UnitResult) -> None:
@@ -672,12 +646,14 @@ class _Supervisor:
         ran the unit.  Stale duplicates of an accepted unit never get
         here (:meth:`_collect` drops them), so no phantom unit is
         adopted.  The spans and metrics are cleared once adopted, so
-        journal records stay telemetry-free.
+        journal records stay telemetry-free.  The monitor's only
+        metrics feed is the session registry after adoption: the
+        campaign's totals so far, whichever path ran which unit.
         """
         self.outcome.results[self._position[result.index]] = result
         _adopt_unit_telemetry(result)
-        if self.monitor is not None and result.metrics:
-            self.monitor.live_metrics(result.metrics)
+        if self.monitor is not None and _obs.STATE.enabled:
+            self.monitor.live_metrics(_obs.STATE.metrics.snapshot())
         result.spans = None
         result.metrics = None
         if self.journal is not None:

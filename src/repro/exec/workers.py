@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import queue as queue_module
-import threading
 from dataclasses import fields
 from typing import Callable, Optional
 
@@ -119,54 +117,6 @@ def initialize(payload: bytes) -> None:
     """
     _obs.reset()
     install_runtime(pickle.loads(payload))
-
-
-#: Seconds between live metric snapshots published by supervised
-#: workers (see :func:`start_live_metrics`).
-LIVE_METRICS_PERIOD_S = 0.5
-
-
-def start_live_metrics(slot: int, telemetry_queue,
-                       period: float = LIVE_METRICS_PERIOD_S,
-                       ) -> threading.Event:
-    """Publish periodic metric snapshots from a supervised worker.
-
-    Starts a daemon thread that, every ``period`` seconds while the
-    worker's telemetry session is active, snapshots the worker-local
-    metrics registry and puts the snapshot on ``telemetry_queue`` —
-    the incremental feed the supervisor drains into the live progress
-    board, so cache hit rates update *during* long units instead of
-    only at unit completion.  Returns the stop event; setting it ends
-    the thread at the next period boundary.
-
-    Best-effort by design: a full queue drops the snapshot (the next
-    one supersedes it anyway) and a snapshot torn by a concurrent
-    update is skipped — the publisher must never stall or crash the
-    unit it is narrating.
-    """
-    stop = threading.Event()
-
-    def _loop() -> None:
-        while not stop.wait(period):
-            if not _obs.STATE.enabled:
-                continue
-            try:
-                snapshot = _obs.get_metrics().snapshot()
-            except Exception:  # physlint: disable=RPR201
-                # The worker's main thread mutates the registry while
-                # we snapshot it; any torn read (dict-changed-size,
-                # transient inconsistency) just skips this period.
-                continue
-            try:
-                telemetry_queue.put_nowait(snapshot)
-            except queue_module.Full:
-                continue
-
-    thread = threading.Thread(target=_loop,
-                              name=f"repro-live-metrics-{slot}",
-                              daemon=True)
-    thread.start()
-    return stop
 
 
 def run_unit(unit: WorkUnit) -> UnitResult:
@@ -268,5 +218,4 @@ def _execute_benchmark(context: WorkerContext, unit: WorkUnit,
                      tuple(op.stats for op in operators))
 
 
-__all__ = ["LIVE_METRICS_PERIOD_S", "initialize", "run_unit",
-           "start_live_metrics"]
+__all__ = ["initialize", "run_unit"]

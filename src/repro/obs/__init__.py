@@ -33,7 +33,6 @@ from .export import (
     write_trace_jsonl,
 )
 from .live import (
-    BackgroundFlusher,
     OpenMetricsSink,
     RotatingJsonlSink,
     TelemetrySink,
@@ -64,7 +63,6 @@ from .runtime import (
 from .tracing import NoopTracer, Span, SpanEvent, Tracer
 
 __all__ = [
-    "BackgroundFlusher",
     "Counter",
     "DEFAULT_COUNT_BUCKETS",
     "Deadline",

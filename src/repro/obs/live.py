@@ -1,4 +1,4 @@
-"""Streaming telemetry: sinks, the background flusher, and the pump.
+"""Streaming telemetry: sinks and the pump that writes them.
 
 The rest of the obs plane is *post-hoc*: spans and metrics accumulate
 in memory and materialize once, after the run (``save_trace``, the
@@ -15,29 +15,24 @@ is still going:
 * ``{"record": "event", ...}`` — anything else a caller wants logged.
 
 Two sink implementations ship here: :class:`RotatingJsonlSink` (append
-records as JSONL, rotate at a byte budget so soaks cannot fill the
-disk) and :class:`OpenMetricsSink` (render the latest metrics snapshot
-as Prometheus/OpenMetrics text, atomically, for scrapers to poll).
+records as JSONL, rotate at a byte budget so the file stays bounded)
+and :class:`OpenMetricsSink` (render the latest metrics snapshot as
+Prometheus/OpenMetrics text, atomically, for scrapers to poll).
 
-Sinks never sit on the hot path.  Producers hand records to a
-:class:`BackgroundFlusher` — a bounded queue drained by a daemon
-thread — whose :meth:`~BackgroundFlusher.publish` is non-blocking: when
-the queue is full the record is *dropped and counted*, never waited
-for.  A solve loop therefore pays one ``put_nowait`` per record at
-worst, regardless of how slow the disk is.
-
-:class:`TelemetryStream` is the standard producer: it tails a live
-:class:`~repro.obs.Tracer` (publishing spans finished since the last
-pump) and periodically re-publishes the registry snapshot.  The exec
-supervisor drives it from unit-completion callbacks, so a campaign's
-trace file grows while the campaign runs instead of appearing at join.
+:class:`TelemetryStream` owns the sinks.  It tails a live
+:class:`~repro.obs.Tracer` and :meth:`~TelemetryStream.pump` writes the
+spans finished since the last pump, plus a throttled registry
+snapshot, to every sink and flushes them before it returns.  The exec
+supervisor pumps it from unit-completion callbacks — once per unit and
+once at the end, about nine times for the eight-benchmark campaign —
+so a campaign's live trace grows while the campaign runs, and each
+pump's records are on disk when it returns.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import queue
 import threading
 from typing import IO, Any, Dict, List, Optional, Sequence
 
@@ -53,10 +48,7 @@ DEFAULT_MAX_BYTES = 8 * 1024 * 1024
 #: Default rotated-segment count (``path.1`` .. ``path.N``).
 DEFAULT_MAX_FILES = 3
 
-#: Default bounded-queue depth for the background flusher.
-DEFAULT_QUEUE_SIZE = 4096
-
-#: Default minimum seconds between metric-snapshot publishes.
+#: Default minimum seconds between metric-snapshot records.
 DEFAULT_PUMP_INTERVAL_S = 0.5
 
 
@@ -65,9 +57,10 @@ class TelemetrySink:
 
     A sink accepts telemetry records one at a time via :meth:`write`,
     persists buffered state on :meth:`flush`, and releases resources on
-    :meth:`close`.  Sinks are driven from a single flusher thread, so
-    implementations need no internal locking; they must tolerate
-    records of unknown ``"record"`` type by ignoring them.
+    :meth:`close`.  A :class:`TelemetryStream` calls them under its
+    lock, one at a time, so implementations need no internal locking;
+    they must tolerate records of unknown ``"record"`` type by
+    ignoring them.
     """
 
     def write(self, record: Dict[str, Any]) -> None:
@@ -90,7 +83,7 @@ class RotatingJsonlSink(TelemetrySink):
     on up to ``max_files`` retained rotated segments (the oldest is
     discarded).  Records that fail to serialize are replaced by an
     ``{"record": "error"}`` marker rather than raised, so one bad
-    attribute cannot kill the flusher thread.
+    attribute cannot fail the pump.
     """
 
     def __init__(self, path: str, max_bytes: int = DEFAULT_MAX_BYTES,
@@ -246,202 +239,98 @@ class OpenMetricsSink(TelemetrySink):
         self._dirty = False
 
 
-_CLOSE_SENTINEL: Dict[str, Any] = {"record": "__close__"}
-
-
-class BackgroundFlusher:
-    """Bounded-queue fan-out from producers to sinks, off the hot path.
-
-    Producers call :meth:`publish`, which enqueues without blocking:
-    when the queue is full the record is dropped and
-    :attr:`dropped_records` incremented — a slow disk degrades
-    telemetry, never the solve.  A daemon thread drains the queue into
-    every sink and flushes them at most every ``interval_s`` seconds of
-    idleness.  :meth:`close` delivers everything already queued, then
-    flushes and closes the sinks; it is idempotent.
-
-    A sink whose ``write`` raises is disabled for the rest of the run
-    (and counted in :attr:`sink_errors`) rather than allowed to kill
-    the flusher thread.
-    """
-
-    def __init__(self, sinks: Sequence[TelemetrySink],
-                 maxsize: int = DEFAULT_QUEUE_SIZE,
-                 interval_s: float = 0.25):
-        if maxsize < 1:
-            raise ConfigurationError(
-                f"maxsize must be >= 1, got {maxsize}")
-        if interval_s <= 0.0:
-            raise ConfigurationError(
-                f"interval_s must be > 0, got {interval_s}")
-        self._sinks: List[TelemetrySink] = list(sinks)
-        self._dead: List[TelemetrySink] = []
-        self._queue: "queue.Queue[Dict[str, Any]]" = queue.Queue(
-            maxsize=maxsize)
-        self._interval_s = float(interval_s)
-        self._closed = False
-        self.published_records = 0
-        self.dropped_records = 0
-        self.sink_errors = 0
-        self._thread = threading.Thread(
-            target=self._drain_loop, name="repro-telemetry-flusher",
-            daemon=True)
-        self._thread.start()
-
-    def publish(self, record: Dict[str, Any]) -> bool:
-        """Enqueue one record without blocking.
-
-        Returns True if accepted, False if dropped (queue full or
-        flusher already closed).
-        """
-        if self._closed:
-            self.dropped_records += 1
-            return False
-        try:
-            self._queue.put_nowait(record)
-        except queue.Full:
-            self.dropped_records += 1
-            return False
-        self.published_records += 1
-        return True
-
-    def _deliver(self, record: Dict[str, Any]) -> None:
-        for sink in list(self._sinks):
-            try:
-                # This IS the flusher's worker thread — the one place
-                # sink I/O is supposed to happen per record.
-                sink.write(record)  # physlint: disable=RPR504
-            except Exception:  # physlint: disable=RPR201
-                # A failing sink must not take down the flusher thread
-                # (or, transitively, drop telemetry for healthy sinks):
-                # quarantine it and keep draining.
-                self.sink_errors += 1
-                self._sinks.remove(sink)
-                self._dead.append(sink)
-
-    def _flush_sinks(self) -> None:
-        for sink in list(self._sinks):
-            try:
-                sink.flush()
-            except Exception:  # physlint: disable=RPR201
-                # Same quarantine contract as _deliver.
-                self.sink_errors += 1
-                self._sinks.remove(sink)
-                self._dead.append(sink)
-
-    def _drain_loop(self) -> None:
-        while True:
-            try:
-                record = self._queue.get(timeout=self._interval_s)
-            except queue.Empty:
-                self._flush_sinks()
-                continue
-            if record is _CLOSE_SENTINEL:
-                return
-            self._deliver(record)
-
-    def close(self, timeout_s: float = 5.0) -> None:
-        """Deliver queued records, flush and close sinks, stop the
-        thread.  Safe to call more than once."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._queue.put(_CLOSE_SENTINEL, timeout=timeout_s)
-        except queue.Full:
-            pass
-        self._thread.join(timeout=timeout_s)
-        # Drain anything the thread did not get to (including the case
-        # where the sentinel never fit in the queue).
-        while True:
-            try:
-                record = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if record is not _CLOSE_SENTINEL:
-                self._deliver(record)
-        self._flush_sinks()
-        for sink in list(self._sinks) + list(self._dead):
-            try:
-                sink.close()
-            except Exception:  # physlint: disable=RPR201
-                # Closing is best-effort; a sink that cannot close has
-                # nothing left we can do for it.
-                self.sink_errors += 1
-
-    def __enter__(self) -> "BackgroundFlusher":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
-
-
 class TelemetryStream:
-    """Tail a live tracer/registry into a :class:`BackgroundFlusher`.
+    """Tail a live tracer/registry straight into a set of sinks.
 
-    :meth:`pump` publishes every span finished since the previous pump
+    :meth:`pump` writes every span finished since the previous pump
     (in finish order, by cursor — spans already streamed are never
     re-sent) and, at most once per ``interval_s`` seconds, a fresh
-    metrics-snapshot record.  Callers invoke it opportunistically from
-    progress callbacks; it is cheap when there is nothing new and
-    thread-safe.
+    metrics-snapshot record to each sink, then flushes each sink
+    before it returns: everything a pump wrote is on disk when it
+    returns, so a run that crashes later keeps it.  Callers invoke it
+    from unit-completion callbacks; it is cheap when there is nothing
+    new and thread-safe.
 
     ``pump(final=True)`` bypasses the snapshot throttle so the last
-    snapshot of a run is always published.
+    snapshot of a run is always written.
+
+    A sink whose ``write`` or ``flush`` raises is quarantined for the
+    rest of the run (and counted in :attr:`sink_errors`), so telemetry
+    can never fail the run it narrates; the other sinks keep receiving
+    every record.  :meth:`close` closes every sink; it is idempotent.
     """
 
     def __init__(self, tracer: Tracer, metrics: MetricsRegistry,
-                 flusher: BackgroundFlusher,
+                 sinks: Sequence[TelemetrySink],
                  interval_s: float = DEFAULT_PUMP_INTERVAL_S):
         if interval_s < 0.0:
             raise ConfigurationError(
                 f"interval_s must be >= 0, got {interval_s}")
         self._tracer = tracer
         self._metrics = metrics
-        self._flusher = flusher
+        self._sinks: List[TelemetrySink] = list(sinks)
+        self._dead: List[TelemetrySink] = []
         self._interval_s = float(interval_s)
         self._cursor = 0
         self._seq = 0
         self._last_snapshot_at = -float("inf")
         self._lock = threading.Lock()
+        self.sink_errors = 0
 
     @property
     def spans_streamed(self) -> int:
-        """Spans published so far (cursor position)."""
+        """Spans pumped so far (cursor position)."""
         return self._cursor
 
     def pump(self, final: bool = False) -> int:
-        """Publish new spans (and maybe a snapshot); returns the number
-        of records published."""
-        published = 0
+        """Write new spans (and maybe a snapshot) to every healthy
+        sink and flush them; returns the number of records pumped."""
         with self._lock:
             finished = self._tracer.finished
             # The tracer caps its finished list; if spans were dropped
             # from the front the cursor must not re-send survivors.
             cursor = min(self._cursor, len(finished))
-            for span in finished[cursor:]:
-                if self._flusher.publish(span_to_dict(span)):
-                    published += 1
+            records = [span_to_dict(span) for span in finished[cursor:]]
             self._cursor = len(finished)
             now = monotonic()
             if final or now - self._last_snapshot_at \
                     >= self._interval_s:
                 self._seq += 1
-                record = {"record": "metrics", "seq": self._seq,
-                          "snapshot": self._metrics.snapshot()}
-                if self._flusher.publish(record):
-                    published += 1
+                records.append({"record": "metrics", "seq": self._seq,
+                                "snapshot": self._metrics.snapshot()})
                 self._last_snapshot_at = now
-        return published
+            for sink in list(self._sinks):
+                try:
+                    for record in records:
+                        sink.write(record)
+                    sink.flush()
+                except Exception:  # physlint: disable=RPR201
+                    # A failing sink must not fail the run (or starve
+                    # the healthy sinks): quarantine it and go on.
+                    self.sink_errors += 1
+                    self._sinks.remove(sink)
+                    self._dead.append(sink)
+        return len(records)
+
+    def close(self) -> None:
+        """Close every sink, quarantined ones included.  Safe to call
+        more than once; later pumps write nothing."""
+        with self._lock:
+            for sink in self._sinks + self._dead:
+                try:
+                    sink.close()
+                except Exception:  # physlint: disable=RPR201
+                    # Closing is best-effort; a sink that cannot close
+                    # has nothing left we can do for it.
+                    self.sink_errors += 1
+            self._sinks = []
+            self._dead = []
 
 
 __all__ = [
-    "BackgroundFlusher",
     "DEFAULT_MAX_BYTES",
     "DEFAULT_MAX_FILES",
     "DEFAULT_PUMP_INTERVAL_S",
-    "DEFAULT_QUEUE_SIZE",
     "OpenMetricsSink",
     "RotatingJsonlSink",
     "TelemetrySink",

@@ -5,8 +5,10 @@ progress hooks.  The scheduler, supervisor, and serial campaign loops
 call the ``unit_*`` methods as units move through their lifecycle
 (queued → running → retrying/quarantined → done); the board aggregates
 counts, derives throughput and an ETA from completions, folds cache
-hit rates out of live metric snapshots, and renders to an injected
-text stream:
+rates and Krylov work out of the session's metrics snapshot (fed once
+per completed unit, after that unit's metrics are merged, so it
+always reads campaign totals), and renders to an injected text
+stream:
 
 * on a TTY, a single status line continuously rewritten in place
   (carriage return, no scroll);
@@ -21,8 +23,9 @@ responsibility for closing it.
 
 A board can also carry a ``publisher`` — typically a
 :class:`repro.obs.live.TelemetryStream` — whose ``pump()`` is invoked
-on every unit completion, which is how ``--progress`` and the
-streaming sinks share one set of exec-layer hooks.
+on every unit completion and writes the streaming sinks there and
+then, which is how ``--progress`` and the streaming sinks share one
+set of exec-layer hooks.
 """
 
 from __future__ import annotations
@@ -40,11 +43,9 @@ DEFAULT_LOG_INTERVAL_S = 5.0
 _LINE_WIDTH = 110
 
 
-def _hit_rate(counters: Dict[str, Any], hits_key: str,
-              misses_key: str) -> Optional[float]:
-    hits = float(counters.get(hits_key) or 0)
-    misses = float(counters.get(misses_key) or 0)
-    total = hits + misses
+def _hit_rate(hits: Any, misses: Any) -> Optional[float]:
+    hits = float(hits or 0)
+    total = hits + float(misses or 0)
     if total <= 0:
         return None
     return hits / total
@@ -138,18 +139,21 @@ class ProgressBoard:
         self._pump()
 
     def live_metrics(self, snapshot: Dict[str, Any]) -> None:
-        """Fold cache hit rates and the operator's Krylov work out of
-        the counters of a live metrics snapshot."""
+        """Fold cache rates and the operator's Krylov work out of the
+        counters of a cumulative metrics snapshot."""
         counters = snapshot.get("counters") or {}
         with self._lock:
-            rate = _hit_rate(counters, "evaluator.cache.hits",
-                             "evaluator.cache.misses")
+            rate = _hit_rate(counters.get("evaluator.cache.hits"),
+                             counters.get("evaluator.cache.misses"))
             if rate is not None:
                 self._cache_rates["eval"] = rate
-            rate = _hit_rate(counters, "operator.cache_hits",
-                             "operator.factorizations")
-            if rate is not None:
-                self._cache_rates["factor"] = rate
+            warm = [counters.get(f"operator.{name}") or 0
+                    for name in ("cache_hits", "krylov_solves",
+                                 "fresh_factorizations")]
+            if any(warm):
+                # Imported here: obs sits below the thermal layer.
+                from ..thermal.operator import factor_reuse_ratio
+                self._cache_rates["factor"] = factor_reuse_ratio(*warm)
             krylov_solves = counters.get("operator.krylov_solves")
             if krylov_solves:
                 iterations = counters.get(

@@ -135,9 +135,19 @@ class OperatorStats:
     def reuse_ratio(self) -> float:
         """Fraction of warm systems solved against an already held
         factor (exact hit or PCG) instead of a fresh factorization."""
-        reused = self.cache_hits + self.krylov_solves
-        total = reused + self.fresh_factorizations
-        return reused / total if total else 0.0
+        return factor_reuse_ratio(self.cache_hits, self.krylov_solves,
+                                  self.fresh_factorizations)
+
+
+def factor_reuse_ratio(cache_hits: float, krylov_solves: float,
+                       fresh_factorizations: float) -> float:
+    """Fraction of warm systems solved against an already held factor
+    (exact hit or PCG) instead of a fresh factorization; 0 before the
+    first warm system.  Shared by :attr:`OperatorStats.reuse_ratio`
+    and the progress board, which reads the ``operator.*`` counters."""
+    reused = cache_hits + krylov_solves
+    total = reused + fresh_factorizations
+    return reused / total if total else 0.0
 
 
 class Factorization:

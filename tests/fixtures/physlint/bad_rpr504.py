@@ -12,19 +12,3 @@ def solve_traced(operator, loads):
 def time_assembly(assembler):
     stopwatch("assembly_seconds")  # BAD: watch discarded
     return assembler.build()
-
-
-def export_spans(spans, sink):
-    for span in spans:
-        sink.write(span)  # BAD: blocking sink I/O per iteration
-
-
-def export_metrics(snapshots, metrics_exporter):
-    while snapshots:
-        metrics_exporter.write(snapshots.pop())  # BAD: same, exporter
-
-
-class Streamer:
-    def drain(self, records):
-        for record in records:
-            self._sink.write(record)  # BAD: attribute receiver

@@ -13,22 +13,3 @@ def time_assembly(assembler):
     watch = stopwatch("assembly_seconds")
     with watch:
         return assembler.build()
-
-
-def export_spans(spans, flusher):
-    # publish() hands the record to a bounded queue and never blocks;
-    # the flusher's worker thread does the sink I/O.
-    for span in spans:
-        flusher.publish(span)
-
-
-def export_once(snapshot, sink):
-    # A single write outside any loop is fine (shutdown, final dump).
-    sink.write(snapshot)
-
-
-def persist(records, handle):
-    # Receivers that are not telemetry sinks are out of scope — the
-    # journal writes its own records with durability guarantees.
-    for record in records:
-        handle.write(record)

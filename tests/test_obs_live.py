@@ -1,6 +1,6 @@
 """Tests for the streaming telemetry plane.
 
-Covers the sinks and background flusher (``repro.obs.live``), span
+Covers the sinks and the telemetry stream (``repro.obs.live``), span
 analytics (``repro.obs.analyze``), the progress board
 (``repro.obs.progress``), snapshot merging and streamed span adoption
 edge cases, and the perf-regression gate script.
@@ -17,7 +17,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import (
-    BackgroundFlusher,
     OpenMetricsSink,
     ProgressBoard,
     RotatingJsonlSink,
@@ -134,82 +133,11 @@ class TestOpenMetricsSink:
         assert not path.exists()
 
 
-class TestBackgroundFlusher:
-    def test_delivers_to_all_sinks(self, tmp_path):
-        a = RotatingJsonlSink(str(tmp_path / "a.jsonl"))
-        b = RotatingJsonlSink(str(tmp_path / "b.jsonl"))
-        with BackgroundFlusher([a, b]) as flusher:
-            for index in range(5):
-                assert flusher.publish({"record": "span", "i": index})
-        assert len(read_jsonl(tmp_path / "a.jsonl")) == 5
-        assert len(read_jsonl(tmp_path / "b.jsonl")) == 5
-        assert flusher.published_records == 5
-        assert flusher.dropped_records == 0
-
-    def test_failing_sink_is_quarantined(self, tmp_path):
-        class ExplodingSink:
-            def write(self, record):
-                raise RuntimeError("disk on fire")
-
-            def flush(self):
-                pass
-
-            def close(self):
-                pass
-
-        healthy = RotatingJsonlSink(str(tmp_path / "ok.jsonl"))
-        flusher = BackgroundFlusher([ExplodingSink(), healthy])
-        for index in range(3):
-            flusher.publish({"record": "span", "i": index})
-        flusher.close()
-        # The healthy sink got every record; the bad one was dropped
-        # after its first failure instead of killing the thread.
-        assert len(read_jsonl(tmp_path / "ok.jsonl")) == 3
-        assert flusher.sink_errors >= 1
-
-    def test_publish_after_close_drops(self, tmp_path):
-        flusher = BackgroundFlusher(
-            [RotatingJsonlSink(str(tmp_path / "a.jsonl"))])
-        flusher.close()
-        assert flusher.publish({"record": "span"}) is False
-        assert flusher.dropped_records == 1
-
-    def test_bounded_queue_drops_not_blocks(self, tmp_path):
-        # A sink that blocks forever would wedge the queue; publish
-        # must keep returning (False) instead of blocking the hot path.
-        import threading
-        release = threading.Event()
-
-        class SlowSink:
-            def write(self, record):
-                release.wait(5.0)
-
-            def flush(self):
-                pass
-
-            def close(self):
-                pass
-
-        flusher = BackgroundFlusher([SlowSink()], maxsize=4)
-        results = [flusher.publish({"i": index}) for index in range(50)]
-        assert False in results  # queue filled, records dropped
-        assert flusher.dropped_records > 0
-        release.set()
-        flusher.close()
-
-    def test_close_is_idempotent(self, tmp_path):
-        flusher = BackgroundFlusher(
-            [RotatingJsonlSink(str(tmp_path / "a.jsonl"))])
-        flusher.close()
-        flusher.close()
-
-
 class TestTelemetryStream:
     def test_pumps_spans_once(self, tmp_path):
         sink = RotatingJsonlSink(str(tmp_path / "live.jsonl"))
         with telemetry_session() as (tracer, metrics):
-            flusher = BackgroundFlusher([sink])
-            stream = TelemetryStream(tracer, metrics, flusher,
+            stream = TelemetryStream(tracer, metrics, [sink],
                                      interval_s=3600.0)
             with tracer.span("unit", "a"):
                 pass
@@ -218,7 +146,7 @@ class TestTelemetryStream:
                 pass
             stream.pump()
             stream.pump()  # nothing new: no duplicate records
-            flusher.close()
+            stream.close()
         names = [r.get("name") for r in
                  read_jsonl(tmp_path / "live.jsonl")
                  if r["record"] == "span"]
@@ -228,18 +156,76 @@ class TestTelemetryStream:
     def test_snapshot_throttled_until_final(self, tmp_path):
         sink = RotatingJsonlSink(str(tmp_path / "live.jsonl"))
         with telemetry_session() as (tracer, metrics):
-            flusher = BackgroundFlusher([sink])
-            stream = TelemetryStream(tracer, metrics, flusher,
+            stream = TelemetryStream(tracer, metrics, [sink],
                                      interval_s=3600.0)
             stream.pump()   # first pump always snapshots
             stream.pump()   # throttled
             stream.pump(final=True)  # forced
-            flusher.close()
+            stream.close()
         metric_records = [r for r in
                           read_jsonl(tmp_path / "live.jsonl")
                           if r["record"] == "metrics"]
         assert len(metric_records) == 2
         assert [r["seq"] for r in metric_records] == [1, 2]
+
+    def test_pumped_records_are_on_disk_before_close(self, tmp_path):
+        live = tmp_path / "live.jsonl"
+        om = tmp_path / "metrics.om"
+        with telemetry_session() as (tracer, metrics):
+            stream = TelemetryStream(
+                tracer, metrics,
+                [RotatingJsonlSink(str(live)), OpenMetricsSink(str(om))],
+                interval_s=0.0)
+            for name in ("a", "b", "c"):
+                with tracer.span("unit", name):
+                    metrics.counter("units").inc()
+            written = stream.pump()
+            # No close yet: a run that dies here keeps all of it.
+            records = read_jsonl(live)
+            assert om.exists()
+            assert "repro_units_total 3" in om.read_text()
+            stream.close()
+        assert written == 4
+        assert [r.get("name") for r in records
+                if r["record"] == "span"] == ["a", "b", "c"]
+        [snapshot] = [r for r in records if r["record"] == "metrics"]
+        assert snapshot["snapshot"]["counters"]["units"] == 3
+
+    def test_failing_sink_is_quarantined(self, tmp_path):
+        class ExplodingSink:
+            closed = False
+
+            def write(self, record):
+                raise RuntimeError("disk on fire")
+
+            def flush(self):
+                pass
+
+            def close(self):
+                self.closed = True
+
+        bad = ExplodingSink()
+        healthy = RotatingJsonlSink(str(tmp_path / "ok.jsonl"))
+        with telemetry_session() as (tracer, metrics):
+            stream = TelemetryStream(tracer, metrics, [bad, healthy],
+                                     interval_s=3600.0)
+            for name in ("a", "b", "c"):
+                with tracer.span("unit", name):
+                    pass
+                stream.pump()
+            stream.pump(final=True)
+            stream.close()
+            stream.close()  # idempotent
+        # The healthy sink got every record; the bad one was dropped
+        # after its first failure instead of failing the run, and
+        # still closed at the end.
+        records = read_jsonl(tmp_path / "ok.jsonl")
+        assert [r.get("name") for r in records
+                if r["record"] == "span"] == ["a", "b", "c"]
+        assert [r["seq"] for r in records
+                if r["record"] == "metrics"] == [1, 2]
+        assert stream.sink_errors == 1
+        assert bad.closed
 
 
 def _span(span_id, parent_id, kind, name, start_s, end_s):
@@ -332,10 +318,14 @@ class TestProgressBoard:
         board = ProgressBoard(out, total=2, interval_s=0.001)
         board.live_metrics({"counters": {
             "evaluator.cache.hits": 3, "evaluator.cache.misses": 1,
-            "operator.cache_hits": 1, "operator.factorizations": 3}})
+            "operator.cache_hits": 1, "operator.factorizations": 3,
+            "operator.fresh_factorizations": 1}})
         line = board.status_line()
         assert "eval cache 75%" in line
-        assert "factor cache 25%" in line
+        # Reuse over warm systems, as OperatorStats.reuse_ratio: one
+        # exact hit against one fresh factor (cold factors are not
+        # warm systems and do not count).
+        assert "factor cache 50%" in line
         assert "krylov" not in line
 
     def test_krylov_work_from_live_counters(self):
@@ -345,8 +335,10 @@ class TestProgressBoard:
             "operator.krylov_solves": 40,
             "operator.krylov_iterations": 300,
             "operator.fresh_factorizations": 2}})
-        assert "krylov 40 solves 7.5 it/solve 2 fresh factors" \
-            in board.status_line()
+        line = board.status_line()
+        assert "krylov 40 solves 7.5 it/solve 2 fresh factors" in line
+        # PCG on the held factor counts as reuse: 40 of 42 warm systems.
+        assert "factor cache 95%" in line
 
     def test_eta_appears_after_first_completion(self):
         out = io.StringIO()

@@ -83,7 +83,7 @@ class TestBadFixtures:
         ("rpr401", 2),
         ("rpr501", 3),
         ("rpr503", 5),
-        ("rpr504", 5),
+        ("rpr504", 2),
         ("rpr601", 18),
     ])
     def test_bad_fixture_findings(self, code, expected):

@@ -11,6 +11,7 @@ from repro.core import (
     minimize_temperature,
     run_oftec_resilient,
 )
+from repro.core import resilient as resilient_module
 from repro.core.oftec import initial_operating_point
 from repro.errors import (
     ConfigurationError,
@@ -37,8 +38,6 @@ class TestResiliencePolicy:
     @pytest.mark.parametrize("kwargs", [
         {"ladder": ()},
         {"ladder": ("newton",)},
-        {"retries_per_method": -1},
-        {"max_evaluations": 0},
     ])
     def test_invalid_policy_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -138,7 +137,8 @@ class TestFallbackLadder:
             == direct.evaluation.max_chip_temperature
         assert ours.evaluations == direct.evaluations
 
-    def test_forced_slsqp_failure_recovers_via_grid(self, tec_problem):
+    def test_forced_slsqp_failure_recovers_via_grid(
+            self, tec_problem, monkeypatch):
         clean = run_oftec(tec_problem)
         # Fire one injected timeout on the first fresh solve *after*
         # the midpoint evaluation: it lands inside the slsqp attempt,
@@ -147,8 +147,8 @@ class TestFallbackLadder:
             FaultSpec(kind=FaultKind.SOLVE_TIMEOUT, rate=1.0,
                       start_call=1, max_fires=1),))
         faulty = FaultyEvaluator(tec_problem, FaultInjector(plan))
-        policy = ResiliencePolicy(ladder=("slsqp", "grid"),
-                                  retries_per_method=0)
+        monkeypatch.setattr(resilient_module, "RETRIES_PER_METHOD", 0)
+        policy = ResiliencePolicy(ladder=("slsqp", "grid"))
         outcome = run_oftec_resilient(tec_problem, policy=policy,
                                       evaluator=faulty)
         assert outcome.result is not None and outcome.result.feasible
@@ -164,7 +164,8 @@ class TestFallbackLadder:
         assert outcome.result.total_power \
             == pytest.approx(clean.total_power, rel=0.01)
 
-    def test_adjoint_timeout_becomes_failed_attempt(self, tec_problem):
+    def test_adjoint_timeout_becomes_failed_attempt(
+            self, tec_problem, monkeypatch):
         # Call 0 of the timeout stream is the start point's forward
         # solve; call 1 is the first fresh solve after it.  The start
         # point is cached, so that solve is the adjoint block solve of
@@ -175,7 +176,8 @@ class TestFallbackLadder:
         faulty = FaultyEvaluator(tec_problem, FaultInjector(plan))
         start = initial_operating_point(tec_problem)
         faulty.evaluate(*start)
-        policy = ResiliencePolicy(ladder=("slsqp",), retries_per_method=0)
+        monkeypatch.setattr(resilient_module, "RETRIES_PER_METHOD", 0)
+        policy = ResiliencePolicy(ladder=("slsqp",))
         outcome = ResilientSolver(faulty, policy).minimize_power(start)
         [attempt] = outcome.attempts
         assert (attempt.method, attempt.success, attempt.error_type) \
@@ -187,11 +189,12 @@ class TestFallbackLadder:
         assert faulty.adjoint_solve_count == 0
         assert faulty.solve_count == 1
 
-    def test_exhausted_ladder_yields_failure_report(self, tec_problem):
+    def test_exhausted_ladder_yields_failure_report(
+            self, tec_problem, monkeypatch):
         # A 3-solve budget starves every rung including the grid scan.
-        policy = ResiliencePolicy(ladder=("slsqp", "grid"),
-                                  retries_per_method=0,
-                                  max_evaluations=3)
+        monkeypatch.setattr(resilient_module, "RETRIES_PER_METHOD", 0)
+        monkeypatch.setattr(resilient_module, "MAX_EVALUATIONS", 3)
+        policy = ResiliencePolicy(ladder=("slsqp", "grid"))
         solver = ResilientSolver(Evaluator(tec_problem), policy)
         outcome = solver.minimize_temperature()
         assert outcome.outcome is None
@@ -205,11 +208,11 @@ class TestFallbackLadder:
         assert failure.last_iterate is not None
         assert len(failure.attempts) == 2
 
-    def test_budget_cleared_after_ladder(self, tec_problem):
+    def test_budget_cleared_after_ladder(self, tec_problem, monkeypatch):
         evaluator = Evaluator(tec_problem)
-        policy = ResiliencePolicy(ladder=("slsqp",),
-                                  retries_per_method=0,
-                                  max_evaluations=3)
+        monkeypatch.setattr(resilient_module, "RETRIES_PER_METHOD", 0)
+        monkeypatch.setattr(resilient_module, "MAX_EVALUATIONS", 3)
+        policy = ResiliencePolicy(ladder=("slsqp",))
         ResilientSolver(evaluator, policy).minimize_temperature()
         # The try/finally must have cleared the per-attempt budget.
         for index in range(5):
@@ -230,19 +233,20 @@ class TestGracefulDegradation:
     # Both tests predate the removal of the DVFS salvage and keep their
     # names; what is left of each is the infeasible report.
 
-    def test_infeasible_problem_degrades_to_dvfs(self, profiles):
-        policy = ResiliencePolicy(ladder=("slsqp",),
-                                  retries_per_method=0)
+    def test_infeasible_problem_degrades_to_dvfs(self, profiles,
+                                                 monkeypatch):
+        monkeypatch.setattr(resilient_module, "RETRIES_PER_METHOD", 0)
+        policy = ResiliencePolicy(ladder=("slsqp",))
         outcome = run_oftec_resilient(_hot_problem(profiles),
                                       policy=policy)
         assert not outcome.feasible
         if outcome.result is not None:
             assert outcome.result.feasible is False
 
-    def test_degradation_can_be_disabled(self, profiles):
+    def test_degradation_can_be_disabled(self, profiles, monkeypatch):
         # The same report from the grid rung alone.
-        policy = ResiliencePolicy(ladder=("grid",),
-                                  retries_per_method=0)
+        monkeypatch.setattr(resilient_module, "RETRIES_PER_METHOD", 0)
+        policy = ResiliencePolicy(ladder=("grid",))
         outcome = run_oftec_resilient(_hot_problem(profiles),
                                       policy=policy)
         assert not outcome.feasible

@@ -463,10 +463,11 @@ class TestWorkerCrashAttribution:
 class TestSupervisedStreaming:
     def test_monitor_hooks_fire_and_digest_stays_identical(
             self, two_profiles, small_problems):
-        """A traced, monitored, supervised parallel campaign produces
-        the same canonical digest as an untraced serial run, while the
-        monitor sees the full unit lifecycle and the session adopts
-        the workers' spans and metrics."""
+        """A traced, monitored, supervised campaign, serial or
+        parallel, produces the same canonical digest as an untraced
+        serial run, while the monitor sees the full unit lifecycle,
+        the session adopts the workers' spans and metrics, and every
+        metrics feed is the session's running totals."""
         from repro.obs import telemetry_session
 
         tec, base = small_problems
@@ -491,38 +492,48 @@ class TestSupervisedStreaming:
                 events.append(("done", name, ok))
 
             def live_metrics(self, snapshot):
-                events.append(("live",))
+                events.append(("live", snapshot["counters"]))
 
             def finish(self):
                 events.append(("finish",))
 
-        with telemetry_session() as (tracer, metrics):
-            supervised = run_campaign(
-                two_profiles, tec, base, workers=2,
-                supervision=SupervisionPolicy(),
-                progress=Recorder())
-            unit_spans = [span for span in tracer.finished
-                          if span.kind == "unit"]
-            snapshot = metrics.snapshot()
+        for workers in (0, 2):
+            events.clear()
+            with telemetry_session() as (tracer, metrics):
+                supervised = run_campaign(
+                    two_profiles, tec, base, workers=workers,
+                    supervision=SupervisionPolicy(),
+                    progress=Recorder())
+                unit_spans = [span for span in tracer.finished
+                              if span.kind == "unit"]
+                totals = metrics.snapshot()["counters"]
 
-        assert canonical_digest(supervised) == canonical_digest(serial)
-        kinds = [event[0] for event in events]
-        assert kinds.count("begin") >= 1
-        assert kinds.count("running") == 2
-        done = sorted(event for event in events
-                      if event[0] == "done")
-        assert done == sorted(("done", name, True)
-                              for name in two_profiles)
-        assert "retrying" not in kinds
-        assert "quarantined" not in kinds
-        # The workers' telemetry was adopted into the parent session:
-        # one unit span per benchmark carrying the worker pid, and the
-        # worker counters folded into the session registry.
-        assert sorted(span.name for span in unit_spans) == \
-            sorted(two_profiles)
-        assert all(span.attributes.get("worker_pid")
-                   for span in unit_spans)
-        assert snapshot["counters"]["operator.solves"] > 0
+            assert canonical_digest(supervised) == \
+                canonical_digest(serial)
+            kinds = [event[0] for event in events]
+            assert kinds.count("begin") >= 1
+            assert kinds.count("running") == 2
+            done = sorted(event for event in events
+                          if event[0] == "done")
+            assert done == sorted(("done", name, True)
+                                  for name in two_profiles)
+            assert "retrying" not in kinds
+            assert "quarantined" not in kinds
+            # The workers' telemetry was adopted into the parent
+            # session: one unit span per benchmark carrying the worker
+            # pid, and the worker counters folded into the registry.
+            assert sorted(span.name for span in unit_spans) == \
+                sorted(two_profiles)
+            assert all(span.attributes.get("worker_pid")
+                       for span in unit_spans)
+            assert totals["operator.solves"] > 0
+            # One feed per unit, each the session's running totals,
+            # so the last one is the campaign's, not its unit's.
+            feeds = [event[1] for event in events if event[0] == "live"]
+            assert len(feeds) == len(two_profiles)
+            assert 0 < feeds[0]["operator.krylov_solves"] \
+                < totals["operator.krylov_solves"]
+            assert feeds[-1] == totals
 
     def test_monitor_without_session_still_reports(
             self, two_profiles, small_problems):
