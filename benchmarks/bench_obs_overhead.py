@@ -121,9 +121,10 @@ def _streaming_batch_sample(profile, resolution, directory):
     / ``--openmetrics``: a telemetry session plus a TelemetryStream
     writing a rotating JSONL sink and an OpenMetrics snapshot sink.
     The TelemetryStream is pumped after every unit (exactly what the
-    progress board does on unit completions) and flushed to a final
-    snapshot before the clock stops — the measured time includes
-    exporting every span and metrics record, not just producing them.
+    progress board does on unit completions), each pump writing the new
+    spans and a metrics snapshot before the clock stops — the measured
+    time includes exporting every span and metrics record, not just
+    producing them.
     """
     live = os.path.join(directory, "live.jsonl")
     om = os.path.join(directory, "metrics.om")
@@ -136,7 +137,6 @@ def _streaming_batch_sample(profile, resolution, directory):
             for _ in range(_STREAMING_UNITS):
                 _campaign_unit(profile, resolution)
                 stream.pump()
-            stream.pump(final=True)
         finally:
             stream.close()
     return time.perf_counter() - start

@@ -11,7 +11,8 @@ Two layers of checking, both machine-independent:
 
 * **Drift** (optional, ``--baseline DIR``) — compares the freshly
   emitted artifacts against the committed baselines and reports
-  relative movement of the machine-independent ratios.  Drift is a
+  relative movement of the machine-independent ratios, and movement in
+  percentage points of the telemetry overhead percentages.  Drift is a
   warning by default because even ratio metrics have run-to-run noise;
   ``--strict-drift`` promotes it to a failure for perf-focused CI
   lanes.  The BENCH_5 canonical digest has no noise: when the fresh
@@ -55,8 +56,15 @@ REPEATED_SOLVE_MIN_SPEEDUP = 3.0
 MAX_FACTORIZATIONS_PER_SOLVE = 1.5
 
 #: Relative drift beyond this fraction of the baseline value is
-#: reported (ratio metrics only; 50% keeps noise quiet).
+#: reported (ratio metrics; 50% keeps noise quiet).
 DRIFT_TOLERANCE = 0.5
+
+#: Drift of an overhead percentage beyond this many percentage points
+#: is reported.  Those values sit near zero, where a relative change
+#: says nothing (0.30% -> 1.57% is +127%).  Single BENCH_4 streaming
+#: runs on one 2-vCPU host ranged from -1.9% to +3.2%, so a warning
+#: here asks for repeated runs; the 5% budget is the verdict.
+DRIFT_TOLERANCE_PTS = 3.0
 
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 
@@ -177,8 +185,9 @@ GATES: Dict[str, Callable[[Gate, dict], None]] = {
     "BENCH_5.json": gate_bench5,
 }
 
-#: Machine-independent ratio metrics compared against the baseline:
-#: (filename, dotted path, human label).
+#: Machine-independent metrics compared against the baseline:
+#: (filename, dotted path, human label).  A ``*_pct`` path drifts in
+#: percentage points, every other one relative to its baseline.
 DRIFT_METRICS: Tuple[Tuple[str, str, str], ...] = (
     ("BENCH_3.json", "repeated_solve.speedup",
      "repeated-solve speedup"),
@@ -205,6 +214,14 @@ def check_drift(gate: Gate, directory: str, baseline_dir: str) -> None:
         baseline = _dig(baseline_doc, dotted)
         if not isinstance(current, (int, float)) \
                 or not isinstance(baseline, (int, float)):
+            continue
+        if dotted.endswith("_pct"):
+            points = current - baseline
+            if abs(points) > DRIFT_TOLERANCE_PTS:
+                gate.warn(f"{filename} {label}",
+                          f"{baseline:.2f}% -> {current:.2f}%: "
+                          f"{points:+.2f} pts vs tolerance "
+                          f"{DRIFT_TOLERANCE_PTS:.2f} pts")
             continue
         scale = max(abs(baseline), 1.0)
         drift = (current - baseline) / scale

@@ -33,11 +33,9 @@ from .core import (
     FailureReport,
     OFTECResult,
     ProblemLimits,
-    ResiliencePolicy,
     build_cooling_problem,
     run_fixed_fan_baseline,
     run_oftec,
-    run_oftec_resilient,
     run_tec_only,
     run_variable_fan_baseline,
 )
@@ -48,7 +46,6 @@ from .errors import (
     FloorplanParseError,
     GeometryError,
     IndefiniteSystemError,
-    InfeasibleProblemError,
     JournalCorruptionError,
     JournalError,
     MaterialError,
@@ -61,7 +58,7 @@ from .errors import (
 )
 from .power import BenchmarkProfile, mibench_profiles
 
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 __all__ = [
     "I_TEC_MAX",
@@ -75,8 +72,6 @@ __all__ = [
     "ProblemLimits",
     "build_cooling_problem",
     "run_oftec",
-    "run_oftec_resilient",
-    "ResiliencePolicy",
     "FailureReport",
     "run_variable_fan_baseline",
     "run_fixed_fan_baseline",
@@ -92,7 +87,6 @@ __all__ = [
     "SolveTimeoutError",
     "ThermalRunawayError",
     "IndefiniteSystemError",
-    "InfeasibleProblemError",
     "CalibrationError",
     "WorkerCrashError",
     "JournalError",

@@ -26,10 +26,9 @@ from ..core import (
     FailureReport,
     OFTECResult,
     OptimizationOutcome,
-    ResiliencePolicy,
     ResilientSolver,
     run_fixed_fan_baseline,
-    run_oftec_resilient,
+    run_oftec,
     run_tec_only,
 )
 from ..core.baselines import variable_fan_result
@@ -231,22 +230,16 @@ def _stage_specs(
     fallback ladder led by ``method``; its first rung is the plain
     solver, so a healthy benchmark gets the plain result.
     """
-    policy = ResiliencePolicy(
-        ladder=(method,) + tuple(m for m in SOLVER_METHODS
-                                 if m != method))
 
     def algorithm1(problem: CoolingProblem) -> OFTECResult:
-        outcome = run_oftec_resilient(
-            problem, policy=policy, evaluator=make(problem))
-        failures.extend(outcome.failures)
-        if outcome.result is None:
-            raise SolverError(
-                f"{name}: every resilient Algorithm 1 stage failed")
-        return outcome.result
+        result = run_oftec(problem, method=method,
+                           evaluator=make(problem))
+        failures.extend(result.failures)
+        return result
 
     def optimization2(problem: CoolingProblem) -> OptimizationOutcome:
         solve = ResilientSolver(
-            make(problem), policy).minimize_temperature()
+            make(problem), method).minimize_temperature()
         if solve.failure is not None:
             failures.append(solve.failure)
         if solve.outcome is None:
@@ -356,6 +349,10 @@ def run_campaign(
     if baseline_problem_template.has_tec:
         raise ConfigurationError(
             "baseline_problem_template must not include a TEC array")
+    if method not in SOLVER_METHODS:
+        raise ConfigurationError(
+            f"Unknown solver method {method!r}; choose from "
+            f"{SOLVER_METHODS}")
     if journal_path is not None and resume_from is not None:
         raise ConfigurationError(
             "journal_path (fresh journal) and resume_from (continue "

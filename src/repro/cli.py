@@ -41,8 +41,7 @@ from .analysis import (
     run_campaign,
     sweep_objective_surfaces,
 )
-from .errors import ConfigurationError, InfeasibleProblemError, \
-    SolverError
+from .errors import ConfigurationError, SolverError
 from .power import MIBENCH_NAMES
 from .units import kelvin_to_celsius, rad_s_to_rpm, s_to_ms
 
@@ -172,7 +171,7 @@ def _traced(path: Optional[str],
         finally:
             holder["telemetry"] = metrics.snapshot()
             if stream is not None:
-                stream.pump(final=True)
+                stream.pump()
                 stream.close()
                 for sink_path in (live_path, openmetrics_path):
                     if sink_path:
@@ -598,9 +597,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except InfeasibleProblemError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -51,12 +51,9 @@ from .dvfs import (
 from .resilient import (
     AttemptRecord,
     FailureReport,
-    ResiliencePolicy,
-    ResilientOFTECResult,
     ResilientOutcome,
     ResilientSolver,
     failure_report_from_exception,
-    run_oftec_resilient,
 )
 from .robust import EnvelopeEvaluator, RobustResult, run_oftec_robust
 from .placement import (
@@ -109,12 +106,9 @@ __all__ = [
     "scaled_problem",
     "AttemptRecord",
     "FailureReport",
-    "ResiliencePolicy",
-    "ResilientOFTECResult",
     "ResilientOutcome",
     "ResilientSolver",
     "failure_report_from_exception",
-    "run_oftec_resilient",
     "EnvelopeEvaluator",
     "RobustResult",
     "run_oftec_robust",

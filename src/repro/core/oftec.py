@@ -12,20 +12,33 @@ The paper's pipeline:
 4. From the feasible point, run Optimization 1 (minimize
    𝒫 = P_leakage + P_TEC + P_fan subject to 𝒯 < T_max) and return
    ``(omega*, I_TEC*)``.
+
+Both optimizing stages run through the fallback ladder of
+:class:`~repro.core.resilient.ResilientSolver`.  Its first rung is the
+plain solver from the unperturbed start, so a healthy run gets exactly
+the plain solvers' answer; a solver breakdown becomes a failed attempt
+and the next rung takes over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional
 
-from ..errors import InfeasibleProblemError
+from ..errors import SolverError
 from ..obs import runtime as _obs
 from ..obs.clock import stopwatch
 from .evaluator import Evaluation, Evaluator
 from .problem import CoolingProblem
+from .resilient import (
+    AttemptRecord,
+    FailureReport,
+    ResilientSolver,
+    failure_report_from_exception,
+)
 from .solvers import (
     OptimizationOutcome,
+    initial_operating_point,
     minimize_power,
     minimize_temperature,
 )
@@ -45,8 +58,13 @@ class OFTECResult:
             (Table 2's runtime column).
         opt2: The Optimization 2 stage outcome (None when the initial
             point was already feasible).
-        opt1: The Optimization 1 stage outcome (None when infeasible).
+        opt1: The Optimization 1 stage outcome (None when infeasible,
+            or when every ladder rung of Optimization 1 broke down and
+            the result fell back to its feasible start point).
         thermal_solves: Total steady-state solves consumed.
+        attempts: Every ladder attempt of both stages, in order.
+        failures: Post-mortems of stages that broke down (empty on a
+            healthy run).
     """
 
     problem_name: str
@@ -58,6 +76,8 @@ class OFTECResult:
     opt2: Optional[OptimizationOutcome]
     opt1: Optional[OptimizationOutcome]
     thermal_solves: int
+    attempts: List[AttemptRecord] = field(default_factory=list)
+    failures: List[FailureReport] = field(default_factory=list)
 
     @property
     def total_power(self) -> float:
@@ -70,98 +90,95 @@ class OFTECResult:
         return self.evaluation.max_chip_temperature
 
 
-def initial_operating_point(problem: CoolingProblem) -> Tuple[float,
-                                                              float]:
-    """Algorithm 1 line 1: the midpoint initial guess
-    ``(omega_max/2, I_max/2)`` in (rad/s, A) — the empirical sweet spot
-    of the Optimization 2 landscape (Figure 6(a))."""
-    return (problem.limits.omega_max / 2.0,
-            problem.current_upper_bound / 2.0)
-
-
 def run_oftec(
     problem: CoolingProblem,
     method: str = "slsqp",
     evaluator: Optional[Evaluator] = None,
-    raise_on_infeasible: bool = False,
-    max_iterations: int = 60,
 ) -> OFTECResult:
     """Execute Algorithm 1 on a cooling problem.
 
     Args:
         problem: The assembled instance.
-        method: Solver backend (see :data:`repro.core.SOLVER_METHODS`).
+        method: Solver backend (see :data:`repro.core.SOLVER_METHODS`);
+            it leads each stage's fallback ladder.
         evaluator: Optional pre-warmed evaluator to reuse its cache.
-        raise_on_infeasible: Raise :class:`InfeasibleProblemError` instead
-            of returning a failed result.
-        max_iterations: Per-stage solver iteration budget.
 
     Returns:
         An :class:`OFTECResult`; when infeasible, it carries the best
         temperature-minimizing point found with ``feasible=False``.
+
+    Raises:
+        SolverError: The last attempt's error, when no stage produced a
+            point to report (the midpoint evaluation and every
+            Optimization 2 attempt broke down).
     """
-    with _obs.span("oftec", problem.name):
-        return _run_oftec_impl(problem, method, evaluator,
-                               raise_on_infeasible, max_iterations)
+    with _obs.span("oftec", problem.name), stopwatch() as watch:
+        evaluator = evaluator or Evaluator(problem)
+        solver = ResilientSolver(evaluator, method)
+        solves_before = evaluator.solve_count
+        attempts: List[AttemptRecord] = []
+        failures: List[FailureReport] = []
+        t_max = problem.limits.t_max
 
-
-def _run_oftec_impl(
-    problem: CoolingProblem,
-    method: str,
-    evaluator: Optional[Evaluator],
-    raise_on_infeasible: bool,
-    max_iterations: int,
-) -> OFTECResult:
-    """The Algorithm 1 body of :func:`run_oftec`."""
-    watch = stopwatch()
-    evaluator = evaluator or Evaluator(problem)
-    solves_before = evaluator.solve_count
-    limits = problem.limits
-    t_max = limits.t_max
-
-    # Line 1: the midpoint initial guess.
-    omega0, current0 = initial_operating_point(problem)
-    initial = evaluator.evaluate(omega0, current0)
-
-    opt2: Optional[OptimizationOutcome] = None
-    if initial.max_chip_temperature > t_max:
-        # Lines 2-3: hunt for feasibility by minimizing 𝒯.
-        opt2 = minimize_temperature(
-            evaluator, x0=(omega0, current0), method=method,
-            early_stop_below=t_max, max_iterations=max_iterations)
-        feasible_point = opt2.evaluation
-        if feasible_point.max_chip_temperature > t_max:
-            # Lines 4-5: no solution exists.
-            runtime = watch.elapsed
-            if raise_on_infeasible:
-                raise InfeasibleProblemError(
-                    f"{problem.name}: even the temperature-minimizing "
-                    "point reaches "
-                    f"{feasible_point.max_chip_temperature:.1f} K "
-                    f"> T_max = {t_max:.1f} K")
+        def finish(evaluation: Evaluation, feasible: bool,
+                   opt2: Optional[OptimizationOutcome],
+                   opt1: Optional[OptimizationOutcome]) -> OFTECResult:
             return OFTECResult(
                 problem_name=problem.name,
-                omega_star=feasible_point.omega,
-                current_star=feasible_point.current,
-                evaluation=feasible_point,
-                feasible=False,
-                runtime_seconds=runtime,
-                opt2=opt2, opt1=None,
-                thermal_solves=evaluator.solve_count - solves_before)
-        start_point = (feasible_point.omega, feasible_point.current)
-    else:
-        start_point = (omega0, current0)
+                omega_star=evaluation.omega,
+                current_star=evaluation.current,
+                evaluation=evaluation,
+                feasible=feasible,
+                runtime_seconds=watch.elapsed,
+                opt2=opt2, opt1=opt1,
+                thermal_solves=evaluator.solve_count - solves_before,
+                attempts=attempts, failures=failures)
 
-    # Line 6: minimize the cooling-related power from the feasible point.
-    opt1 = minimize_power(evaluator, x0=start_point, method=method,
-                          max_iterations=max_iterations)
-    runtime = watch.elapsed
-    return OFTECResult(
-        problem_name=problem.name,
-        omega_star=opt1.omega,
-        current_star=opt1.current,
-        evaluation=opt1.evaluation,
-        feasible=opt1.evaluation.feasible,
-        runtime_seconds=runtime,
-        opt2=opt2, opt1=opt1,
-        thermal_solves=evaluator.solve_count - solves_before)
+        # Line 1: the midpoint initial guess (guarded — even a single
+        # evaluation can hit an injected or genuine network fault).
+        start = initial_operating_point(problem)
+        initial: Optional[Evaluation] = None
+        try:
+            initial = evaluator.evaluate(*start)
+        except SolverError as exc:
+            failures.append(failure_report_from_exception(
+                problem.name, "initial-point", exc, last_iterate=start))
+
+        opt2: Optional[OptimizationOutcome] = None
+        if initial is None or initial.max_chip_temperature > t_max:
+            # Lines 2-3: hunt for feasibility by minimizing 𝒯.
+            stage2 = solver.run(
+                "minimize-temperature",
+                lambda rung, point: minimize_temperature(
+                    evaluator, x0=point, method=rung,
+                    early_stop_below=t_max),
+                start, prefer="temperature")
+            attempts.extend(stage2.attempts)
+            if stage2.failure is not None:
+                failures.append(stage2.failure)
+            opt2 = stage2.outcome
+            best = opt2.evaluation if opt2 is not None else initial
+            if best is None:
+                raise stage2.error
+            if best.max_chip_temperature > t_max:
+                # Lines 4-5: no solution exists; report the coolest
+                # point seen.
+                return finish(best, False, opt2, None)
+            start = (best.omega, best.current)
+
+        # Line 6: minimize the cooling-related power from the feasible
+        # point.
+        stage1 = solver.run(
+            "minimize-power",
+            lambda rung, point: minimize_power(
+                evaluator, x0=point, method=rung),
+            start, prefer="power")
+        attempts.extend(stage1.attempts)
+        if stage1.failure is not None:
+            failures.append(stage1.failure)
+        opt1 = stage1.outcome
+        # When Optimization 1 broke down on every rung, the feasible
+        # start point survives (a cache hit — it cannot re-fault).
+        chosen = opt1.evaluation if opt1 is not None \
+            else evaluator.evaluate(*start)
+        return finish(chosen, chosen.feasible, opt2, opt1)

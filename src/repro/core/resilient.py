@@ -5,9 +5,11 @@ This module wraps the Optimization 1/2 solvers of
 :mod:`repro.core.solvers` with the defensive machinery a long unattended
 run needs:
 
-* a **fallback ladder** — try ``slsqp``, then ``trust-constr``, then the
-  ``grid`` scan; each rung gets a bounded number of retries from
-  deterministically perturbed warm restarts;
+* a **fallback ladder** — try the requested backend, then the other
+  :data:`~repro.core.SOLVER_METHODS` in their listed order (``slsqp``,
+  then ``trust-constr``, then the ``grid`` scan by default); each rung
+  gets a bounded number of retries from deterministically perturbed
+  warm restarts;
 * a **per-attempt evaluation budget** — every attempt runs under
   :meth:`repro.core.Evaluator.set_solve_budget` so a stuck line search
   raises :class:`~repro.errors.EvaluationBudgetError` instead of
@@ -19,6 +21,8 @@ run needs:
 Nothing here changes the numerics of a healthy solve: the first ladder
 rung starts from the unperturbed initial point with the same iteration
 budget as the plain solvers, so fault-free results are identical.
+:func:`repro.core.run_oftec` runs both of Algorithm 1's optimizing
+stages through this ladder.
 """
 
 from __future__ import annotations
@@ -30,13 +34,11 @@ import numpy as np
 
 from ..errors import ConfigurationError, SingularNetworkError, SolverError
 from ..obs import runtime as _obs
-from ..obs.clock import stopwatch
-from .evaluator import Evaluation, Evaluator
-from .oftec import OFTECResult, initial_operating_point
-from .problem import CoolingProblem
+from .evaluator import Evaluator
 from .solvers import (
     SOLVER_METHODS,
     OptimizationOutcome,
+    initial_operating_point,
     minimize_power,
     minimize_temperature,
 )
@@ -54,31 +56,6 @@ RETRIES_PER_METHOD = 1
 
 #: Per-attempt thermal-solve budget (cache hits are free).
 MAX_EVALUATIONS = 500
-
-
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """The fallback ladder.
-
-    Each attempt runs with the backends' own iteration budget; the
-    retry count, solve budget and restart jitter are the module
-    constants above.
-
-    Attributes:
-        ladder: Solver backends to try, in order (each must be one of
-            :data:`repro.core.SOLVER_METHODS`).
-    """
-
-    ladder: Tuple[str, ...] = ("slsqp", "trust-constr", "grid")
-
-    def __post_init__(self) -> None:
-        if not self.ladder:
-            raise ConfigurationError("ladder must not be empty")
-        for method in self.ladder:
-            if method not in SOLVER_METHODS:
-                raise ConfigurationError(
-                    f"Unknown ladder rung {method!r}; choose from "
-                    f"{SOLVER_METHODS}")
 
 
 @dataclass(frozen=True)
@@ -191,11 +168,14 @@ class ResilientOutcome:
             when every attempt raised.
         attempts: All attempts, in ladder order.
         failure: Post-mortem report when ``outcome`` is None.
+        error: The exception that ended the last attempt when
+            ``outcome`` is None.
     """
 
     outcome: Optional[OptimizationOutcome]
     attempts: List[AttemptRecord]
     failure: Optional[FailureReport]
+    error: Optional[SolverError] = None
 
     @property
     def succeeded(self) -> bool:
@@ -206,17 +186,23 @@ class ResilientOutcome:
 class ResilientSolver:
     """Fallback-ladder wrapper around the Optimization 1/2 solvers.
 
-    Never raises on solver breakdowns: every rung failure is recorded in
-    an :class:`AttemptRecord` and the ladder moves on; a fully exhausted
+    The ladder is ``method`` followed by the other
+    :data:`SOLVER_METHODS` in their listed order.  Never raises on
+    solver breakdowns: every rung failure is recorded in an
+    :class:`AttemptRecord` and the ladder moves on; a fully exhausted
     ladder yields a :class:`FailureReport` instead of an exception.
     Configuration errors still propagate — a misconfigured problem fails
     identically on every rung and retrying it would only hide the bug.
     """
 
-    def __init__(self, evaluator: Evaluator,
-                 policy: Optional[ResiliencePolicy] = None):
+    def __init__(self, evaluator: Evaluator, method: str = "slsqp"):
+        if method not in SOLVER_METHODS:
+            raise ConfigurationError(
+                f"Unknown solver method {method!r}; choose from "
+                f"{SOLVER_METHODS}")
         self.evaluator = evaluator
-        self.policy = policy or ResiliencePolicy()
+        self.ladder = (method,) + tuple(m for m in SOLVER_METHODS
+                                        if m != method)
         self._rng = np.random.default_rng(
             np.random.SeedSequence([RESTART_SEED]))
 
@@ -235,8 +221,8 @@ class ResilientSolver:
                 self.evaluator, x0=point, method=method,
                 early_stop_below=early_stop_below)
 
-        return self._run_ladder("minimize-temperature", runner, x0,
-                                prefer="temperature")
+        return self.run("minimize-temperature", runner, x0,
+                        prefer="temperature")
 
     def minimize_power(self, x0: Tuple[float, float],
                        ) -> ResilientOutcome:
@@ -246,12 +232,9 @@ class ResilientSolver:
                    point: Tuple[float, float]) -> OptimizationOutcome:
             return minimize_power(self.evaluator, x0=point, method=method)
 
-        return self._run_ladder("minimize-power", runner, x0,
-                                prefer="power")
+        return self.run("minimize-power", runner, x0, prefer="power")
 
-    # -- internals ----------------------------------------------------
-
-    def _run_ladder(
+    def run(
         self,
         stage: str,
         runner: Callable[[str, Tuple[float, float]],
@@ -259,13 +242,19 @@ class ResilientSolver:
         x0: Tuple[float, float],
         prefer: str,
     ) -> ResilientOutcome:
+        """Run ``runner(method, start)`` down the ladder from ``x0``.
+
+        Returns at the first attempt that reports success; otherwise
+        the best outcome seen (``prefer`` is ``"temperature"`` or
+        ``"power"``), or a failure report when every attempt raised.
+        """
         attempts: List[AttemptRecord] = []
         best: Optional[OptimizationOutcome] = None
         last_error: Optional[SolverError] = None
         point = (float(x0[0]), float(x0[1]))
         operator = self.evaluator.context.operator
         with _obs.span("ladder", stage):
-            for method in self.policy.ladder:
+            for method in self.ladder:
                 for retry in range(RETRIES_PER_METHOD + 1):
                     start = point if retry == 0 \
                         else self._perturb(point)
@@ -318,7 +307,8 @@ class ResilientSolver:
             None, attempts,
             failure_report_from_exception(
                 self.evaluator.problem.name, stage, error,
-                attempts=attempts, last_iterate=point))
+                attempts=attempts, last_iterate=point),
+            error)
 
     def _perturb(self, point: Tuple[float, float],
                  ) -> Tuple[float, float]:
@@ -355,128 +345,3 @@ class ResilientSolver:
         if outcome.evaluation.total_power < best.evaluation.total_power:
             return outcome
         return best
-
-
-@dataclass
-class ResilientOFTECResult:
-    """Algorithm 1 outcome under the resilience policy.
-
-    Attributes:
-        result: The OFTEC result (None only when every stage, including
-            the initial-point evaluation, broke down).
-        attempts: All ladder attempts across both stages.
-        failures: Post-mortems of every hard-failed stage.
-    """
-
-    result: Optional[OFTECResult]
-    attempts: List[AttemptRecord] = field(default_factory=list)
-    failures: List[FailureReport] = field(default_factory=list)
-
-    @property
-    def feasible(self) -> bool:
-        """True when a thermally feasible cooling point was found."""
-        return self.result is not None and self.result.feasible
-
-
-def run_oftec_resilient(
-    problem: CoolingProblem,
-    policy: Optional[ResiliencePolicy] = None,
-    evaluator: Optional[Evaluator] = None,
-) -> ResilientOFTECResult:
-    """Algorithm 1 with the fallback ladder.
-
-    Mirrors :func:`repro.core.run_oftec` stage by stage, but never lets
-    a solver breakdown escape: each stage runs through the
-    :class:`ResilientSolver` ladder, and hard failures (a gradient
-    query at a runaway point among them) become :class:`FailureReport`
-    entries.  A genuinely infeasible instance reports the best point
-    it saw, with ``feasible`` False.
-    """
-    evaluator = evaluator or Evaluator(problem)
-    solver = ResilientSolver(evaluator, policy)
-    with _obs.span("oftec", problem.name):
-        return _run_oftec_resilient_impl(problem, evaluator, solver)
-
-
-def _run_oftec_resilient_impl(
-    problem: CoolingProblem,
-    evaluator: Evaluator,
-    solver: ResilientSolver,
-) -> ResilientOFTECResult:
-    """The stage-by-stage body of :func:`run_oftec_resilient`."""
-    watch = stopwatch()
-    solves_before = evaluator.solve_count
-    attempts: List[AttemptRecord] = []
-    failures: List[FailureReport] = []
-    t_max = problem.limits.t_max
-
-    # Line 1: the midpoint initial guess (guarded — even a single
-    # evaluation can hit an injected or genuine network fault).
-    omega0, current0 = initial_operating_point(problem)
-    initial: Optional[Evaluation] = None
-    try:
-        initial = evaluator.evaluate(omega0, current0)
-    except SolverError as exc:
-        failures.append(failure_report_from_exception(
-            problem.name, "initial-point", exc,
-            last_iterate=(omega0, current0)))
-
-    # Lines 2-3: hunt for feasibility when the midpoint violates T_max.
-    opt2: Optional[OptimizationOutcome] = None
-    start_point: Optional[Tuple[float, float]] = None
-    best_eval: Optional[Evaluation] = initial
-    if initial is not None and not initial.max_chip_temperature > t_max:
-        start_point = (omega0, current0)
-    else:
-        stage2 = solver.minimize_temperature(
-            x0=(omega0, current0), early_stop_below=t_max)
-        attempts.extend(stage2.attempts)
-        if stage2.failure is not None:
-            failures.append(stage2.failure)
-        opt2 = stage2.outcome
-        if opt2 is not None:
-            best_eval = opt2.evaluation
-            if not opt2.evaluation.max_chip_temperature > t_max:
-                start_point = (opt2.evaluation.omega,
-                               opt2.evaluation.current)
-
-    if start_point is not None:
-        # Line 6: minimize power from the feasible point.
-        stage1 = solver.minimize_power(x0=start_point)
-        attempts.extend(stage1.attempts)
-        if stage1.failure is not None:
-            failures.append(stage1.failure)
-        if stage1.outcome is not None:
-            opt1 = stage1.outcome
-            chosen = opt1.evaluation
-        else:
-            # Optimization 1 broke down on every rung, but the feasible
-            # start point survives (a cache hit — cannot re-fault):
-            # degrade to it rather than report nothing.
-            opt1 = None
-            chosen = evaluator.evaluate(*start_point)
-        result = OFTECResult(
-            problem_name=problem.name,
-            omega_star=chosen.omega,
-            current_star=chosen.current,
-            evaluation=chosen,
-            feasible=chosen.feasible,
-            runtime_seconds=watch.elapsed,
-            opt2=opt2, opt1=opt1,
-            thermal_solves=evaluator.solve_count - solves_before)
-        return ResilientOFTECResult(result, attempts, failures)
-
-    # Lines 4-5: infeasible (or every stage broke down).  Report the
-    # best point we saw.
-    result = None
-    if best_eval is not None:
-        result = OFTECResult(
-            problem_name=problem.name,
-            omega_star=best_eval.omega,
-            current_star=best_eval.current,
-            evaluation=best_eval,
-            feasible=False,
-            runtime_seconds=watch.elapsed,
-            opt2=opt2, opt1=None,
-            thermal_solves=evaluator.solve_count - solves_before)
-    return ResilientOFTECResult(result, attempts, failures)

@@ -27,9 +27,14 @@ from scipy.optimize import NonlinearConstraint, minimize
 
 from ..errors import SolverError
 from .evaluator import Evaluation, Evaluator
+from .problem import CoolingProblem
 
 #: Supported solver backends.
 SOLVER_METHODS = ("slsqp", "trust-constr", "grid")
+
+#: Backend iteration budget of one Optimization 1 or 2 run (SLSQP
+#: ``maxiter``; trust-constr gets four times as many).
+MAX_ITERATIONS = 60
 
 #: Strict-feasibility backoff (K) on the thermal constraint.  Exact
 #: adjoint gradients drive the active-set method onto the margin = 0
@@ -144,7 +149,6 @@ def _run_backend(
     objective_grad: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     method: str,
-    max_iterations: int,
     constraint: Optional[Callable[[np.ndarray], float]] = None,
 ) -> Tuple[np.ndarray, bool, str]:
     """Dispatch one local solve; returns (x_best, success, message).
@@ -161,7 +165,7 @@ def _run_backend(
         result = _checked_minimize(
             objective, x0, method="SLSQP", bounds=bounds,
             jac=objective_grad, constraints=constraints,
-            options={"maxiter": max_iterations, "ftol": 1e-7})
+            options={"maxiter": MAX_ITERATIONS, "ftol": 1e-7})
         return result.x, bool(result.success), str(result.message)
     if method == "trust-constr":
         constraints = []
@@ -179,7 +183,7 @@ def _run_backend(
             result = _checked_minimize(
                 objective, x0, method="trust-constr", bounds=bounds,
                 jac=objective_grad, constraints=constraints,
-                options={"maxiter": max_iterations * 4, "xtol": 1e-6})
+                options={"maxiter": MAX_ITERATIONS * 4, "xtol": 1e-6})
         return result.x, bool(result.success), str(result.message)
     raise SolverError(f"Unknown solver method {method!r}; "
                       f"choose one of {SOLVER_METHODS}")
@@ -212,12 +216,20 @@ def _grid_candidates(dimensions: int, points: int = 7) -> np.ndarray:
     return grid
 
 
+def initial_operating_point(problem: CoolingProblem) -> Tuple[float,
+                                                              float]:
+    """Algorithm 1 line 1: the midpoint initial guess
+    ``(omega_max/2, I_max/2)`` in (rad/s, A) — the empirical sweet spot
+    of the Optimization 2 landscape (Figure 6(a))."""
+    return (problem.limits.omega_max / 2.0,
+            problem.current_upper_bound / 2.0)
+
+
 def minimize_temperature(
     evaluator: Evaluator,
     x0: Optional[Tuple[float, float]] = None,
     method: str = "slsqp",
     early_stop_below: Optional[float] = None,
-    max_iterations: int = 60,
 ) -> OptimizationOutcome:
     """Optimization 2: minimize 𝒯 subject to the box constraints.
 
@@ -228,14 +240,11 @@ def minimize_temperature(
         method: One of :data:`SOLVER_METHODS`.
         early_stop_below: If given, stop as soon as an iterate achieves
             𝒯 strictly below this value (Algorithm 1 line 3).
-        max_iterations: Backend iteration budget.
     """
     norm = _NormalizedProblem(evaluator)
     solves_before = evaluator.solve_count
     if x0 is None:
-        limits = evaluator.problem.limits
-        x0 = (limits.omega_max / 2.0,
-              evaluator.problem.current_upper_bound / 2.0)
+        x0 = initial_operating_point(evaluator.problem)
     x0_n = norm.to_normalized(*x0)
 
     best: dict = {"t": np.inf, "x": x0_n.copy()}
@@ -253,12 +262,11 @@ def minimize_temperature(
     try:
         if method == "grid":
             x_best, success, message = _grid_then_polish(
-                norm, objective, norm.temperature_gradient,
-                max_iterations)
+                norm, objective, norm.temperature_gradient)
         else:
             x_best, success, message = _run_backend(
                 norm, objective, norm.temperature_gradient, x0_n,
-                method, max_iterations)
+                method)
     except _EarlyStop as stop:
         x_best, success, message = stop.x, True, "early stop below T_max"
         early = True
@@ -280,7 +288,6 @@ def minimize_power(
     evaluator: Evaluator,
     x0: Tuple[float, float],
     method: str = "slsqp",
-    max_iterations: int = 60,
 ) -> OptimizationOutcome:
     """Optimization 1: minimize 𝒫 subject to 𝒯 < T_max and the boxes.
 
@@ -312,12 +319,11 @@ def minimize_power(
 
     if method == "grid":
         x_best, success, message = _grid_then_polish(
-            norm, objective, norm.power_gradient, max_iterations,
-            constraint=margin)
+            norm, objective, norm.power_gradient, constraint=margin)
     else:
         x_best, success, message = _run_backend(
             norm, objective, norm.power_gradient, x0_n, method,
-            max_iterations, constraint=margin)
+            constraint=margin)
     # Prefer the best feasible iterate seen over the solver's return
     # value when the latter is infeasible or worse.
     final = norm.evaluate(x_best)
@@ -338,7 +344,6 @@ def _grid_then_polish(
     norm: _NormalizedProblem,
     objective: Callable[[np.ndarray], float],
     objective_grad: Callable[[np.ndarray], np.ndarray],
-    max_iterations: int,
     constraint: Optional[Callable[[np.ndarray], float]] = None,
 ) -> Tuple[np.ndarray, bool, str]:
     """Coarse grid scan, then SLSQP from the best grid point."""
@@ -358,5 +363,5 @@ def _grid_then_polish(
         best_x = min(candidates,
                      key=lambda x: -constraint(x) if constraint else 0.0)
     return _run_backend(norm, objective, objective_grad,
-                        np.asarray(best_x), "slsqp", max_iterations,
+                        np.asarray(best_x), "slsqp",
                         constraint=constraint)

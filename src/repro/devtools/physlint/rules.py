@@ -337,7 +337,6 @@ _REPRO_ERROR_NAMES = frozenset({
     "FloorplanParseError",
     "GeometryError",
     "IndefiniteSystemError",
-    "InfeasibleProblemError",
     "MaterialError",
     "ReproError",
     "SingularNetworkError",

@@ -105,14 +105,6 @@ class IndefiniteSystemError(ThermalRunawayError):
         self.rayleigh_quotient = rayleigh_quotient
 
 
-class InfeasibleProblemError(ReproError):
-    """Optimization 2 could not find any point meeting the thermal limit.
-
-    Raised by Algorithm 1 (line 5, ``return failed``) when even the
-    temperature-minimizing operating point exceeds ``T_max``.
-    """
-
-
 class CalibrationError(ReproError):
     """A regression / curve fit did not converge or had too few samples."""
 

@@ -37,7 +37,6 @@ import threading
 from typing import IO, Any, Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError
-from .clock import monotonic
 from .export import span_to_dict
 from .metrics import MetricsRegistry
 from .tracing import Tracer
@@ -47,9 +46,6 @@ DEFAULT_MAX_BYTES = 8 * 1024 * 1024
 
 #: Default rotated-segment count (``path.1`` .. ``path.N``).
 DEFAULT_MAX_FILES = 3
-
-#: Default minimum seconds between metric-snapshot records.
-DEFAULT_PUMP_INTERVAL_S = 0.5
 
 
 class TelemetrySink:
@@ -244,15 +240,11 @@ class TelemetryStream:
 
     :meth:`pump` writes every span finished since the previous pump
     (in finish order, by cursor — spans already streamed are never
-    re-sent) and, at most once per ``interval_s`` seconds, a fresh
-    metrics-snapshot record to each sink, then flushes each sink
-    before it returns: everything a pump wrote is on disk when it
-    returns, so a run that crashes later keeps it.  Callers invoke it
-    from unit-completion callbacks; it is cheap when there is nothing
-    new and thread-safe.
-
-    ``pump(final=True)`` bypasses the snapshot throttle so the last
-    snapshot of a run is always written.
+    re-sent) and a fresh metrics-snapshot record to each sink, then
+    flushes each sink before it returns: everything a pump wrote is on
+    disk when it returns, so a run that crashes later keeps it.
+    Callers invoke it from unit-completion callbacks and once at the
+    end of a run; it is thread-safe.
 
     A sink whose ``write`` or ``flush`` raises is quarantined for the
     rest of the run (and counted in :attr:`sink_errors`), so telemetry
@@ -261,19 +253,13 @@ class TelemetryStream:
     """
 
     def __init__(self, tracer: Tracer, metrics: MetricsRegistry,
-                 sinks: Sequence[TelemetrySink],
-                 interval_s: float = DEFAULT_PUMP_INTERVAL_S):
-        if interval_s < 0.0:
-            raise ConfigurationError(
-                f"interval_s must be >= 0, got {interval_s}")
+                 sinks: Sequence[TelemetrySink]):
         self._tracer = tracer
         self._metrics = metrics
         self._sinks: List[TelemetrySink] = list(sinks)
         self._dead: List[TelemetrySink] = []
-        self._interval_s = float(interval_s)
         self._cursor = 0
         self._seq = 0
-        self._last_snapshot_at = -float("inf")
         self._lock = threading.Lock()
         self.sink_errors = 0
 
@@ -282,8 +268,8 @@ class TelemetryStream:
         """Spans pumped so far (cursor position)."""
         return self._cursor
 
-    def pump(self, final: bool = False) -> int:
-        """Write new spans (and maybe a snapshot) to every healthy
+    def pump(self) -> int:
+        """Write new spans and a metrics snapshot to every healthy
         sink and flush them; returns the number of records pumped."""
         with self._lock:
             finished = self._tracer.finished
@@ -292,13 +278,9 @@ class TelemetryStream:
             cursor = min(self._cursor, len(finished))
             records = [span_to_dict(span) for span in finished[cursor:]]
             self._cursor = len(finished)
-            now = monotonic()
-            if final or now - self._last_snapshot_at \
-                    >= self._interval_s:
-                self._seq += 1
-                records.append({"record": "metrics", "seq": self._seq,
-                                "snapshot": self._metrics.snapshot()})
-                self._last_snapshot_at = now
+            self._seq += 1
+            records.append({"record": "metrics", "seq": self._seq,
+                            "snapshot": self._metrics.snapshot()})
             for sink in list(self._sinks):
                 try:
                     for record in records:
@@ -330,7 +312,6 @@ class TelemetryStream:
 __all__ = [
     "DEFAULT_MAX_BYTES",
     "DEFAULT_MAX_FILES",
-    "DEFAULT_PUMP_INTERVAL_S",
     "OpenMetricsSink",
     "RotatingJsonlSink",
     "TelemetrySink",

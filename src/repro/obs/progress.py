@@ -168,7 +168,7 @@ class ProgressBoard:
 
     def finish(self) -> None:
         """Render the final state and terminate the TTY line."""
-        self._pump(final=True)
+        self._pump()
         with self._lock:
             self._render_locked(force=True)
             if self._tty and self._rendered_any:
@@ -196,10 +196,10 @@ class ProgressBoard:
 
     # -- rendering -----------------------------------------------------
 
-    def _pump(self, final: bool = False) -> None:
+    def _pump(self) -> None:
         publisher = self._publisher
         if publisher is not None:
-            publisher.pump(final=final)
+            publisher.pump()
 
     def status_line(self) -> str:
         """The current one-line status (also what gets rendered)."""

@@ -116,12 +116,23 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_oftec", boom)
 
     def test_infeasible_maps_to_3(self, monkeypatch, capsys):
-        from repro.errors import InfeasibleProblemError
-        self._patched_oftec(monkeypatch,
-                            InfeasibleProblemError("too hot"))
+        # Algorithm 1 reports an infeasible instance as a result with
+        # feasible=False (its best point), never as an exception.
+        import types
+
+        import repro.cli as cli
+        evaluation = types.SimpleNamespace(
+            leakage_power=1.0, tec_power=2.0, fan_power=3.0)
+        result = types.SimpleNamespace(
+            feasible=False, omega_star=100.0, current_star=1.0,
+            max_chip_temperature=400.0, total_power=6.0,
+            evaluation=evaluation, runtime_seconds=0.5,
+            thermal_solves=7)
+        monkeypatch.setattr(cli, "run_oftec",
+                            lambda *args, **kwargs: result)
         code = main(["oftec", "--resolution", "4"])
         assert code == 3
-        assert "infeasible" in capsys.readouterr().err
+        assert "MISSES T_max" in capsys.readouterr().out
 
     def test_solver_failure_maps_to_4(self, monkeypatch, capsys):
         from repro.errors import SolverError

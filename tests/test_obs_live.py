@@ -137,8 +137,7 @@ class TestTelemetryStream:
     def test_pumps_spans_once(self, tmp_path):
         sink = RotatingJsonlSink(str(tmp_path / "live.jsonl"))
         with telemetry_session() as (tracer, metrics):
-            stream = TelemetryStream(tracer, metrics, [sink],
-                                     interval_s=3600.0)
+            stream = TelemetryStream(tracer, metrics, [sink])
             with tracer.span("unit", "a"):
                 pass
             stream.pump()
@@ -153,20 +152,24 @@ class TestTelemetryStream:
         assert names == ["a", "b"]
         assert stream.spans_streamed == 2
 
-    def test_snapshot_throttled_until_final(self, tmp_path):
+    def test_snapshot_on_every_pump(self, tmp_path):
         sink = RotatingJsonlSink(str(tmp_path / "live.jsonl"))
         with telemetry_session() as (tracer, metrics):
-            stream = TelemetryStream(tracer, metrics, [sink],
-                                     interval_s=3600.0)
-            stream.pump()   # first pump always snapshots
-            stream.pump()   # throttled
-            stream.pump(final=True)  # forced
+            stream = TelemetryStream(tracer, metrics, [sink])
+            counts = []
+            for _ in range(3):
+                metrics.counter("units").inc()
+                counts.append(stream.pump())
             stream.close()
         metric_records = [r for r in
                           read_jsonl(tmp_path / "live.jsonl")
                           if r["record"] == "metrics"]
-        assert len(metric_records) == 2
-        assert [r["seq"] for r in metric_records] == [1, 2]
+        # No spans were finished, so each pump wrote exactly its own
+        # snapshot, taken at pump time.
+        assert counts == [1, 1, 1]
+        assert [r["seq"] for r in metric_records] == [1, 2, 3]
+        assert [r["snapshot"]["counters"]["units"]
+                for r in metric_records] == [1, 2, 3]
 
     def test_pumped_records_are_on_disk_before_close(self, tmp_path):
         live = tmp_path / "live.jsonl"
@@ -174,8 +177,7 @@ class TestTelemetryStream:
         with telemetry_session() as (tracer, metrics):
             stream = TelemetryStream(
                 tracer, metrics,
-                [RotatingJsonlSink(str(live)), OpenMetricsSink(str(om))],
-                interval_s=0.0)
+                [RotatingJsonlSink(str(live)), OpenMetricsSink(str(om))])
             for name in ("a", "b", "c"):
                 with tracer.span("unit", name):
                     metrics.counter("units").inc()
@@ -207,13 +209,11 @@ class TestTelemetryStream:
         bad = ExplodingSink()
         healthy = RotatingJsonlSink(str(tmp_path / "ok.jsonl"))
         with telemetry_session() as (tracer, metrics):
-            stream = TelemetryStream(tracer, metrics, [bad, healthy],
-                                     interval_s=3600.0)
+            stream = TelemetryStream(tracer, metrics, [bad, healthy])
             for name in ("a", "b", "c"):
                 with tracer.span("unit", name):
                     pass
                 stream.pump()
-            stream.pump(final=True)
             stream.close()
             stream.close()  # idempotent
         # The healthy sink got every record; the bad one was dropped
@@ -223,7 +223,7 @@ class TestTelemetryStream:
         assert [r.get("name") for r in records
                 if r["record"] == "span"] == ["a", "b", "c"]
         assert [r["seq"] for r in records
-                if r["record"] == "metrics"] == [1, 2]
+                if r["record"] == "metrics"] == [1, 2, 3]
         assert stream.sink_errors == 1
         assert bad.closed
 
@@ -354,8 +354,8 @@ class TestProgressBoard:
         calls = []
 
         class Recorder:
-            def pump(self, final=False):
-                calls.append(final)
+            def pump(self):
+                calls.append("pump")
 
         board = ProgressBoard(io.StringIO(), total=1,
                               interval_s=0.001,
@@ -363,7 +363,7 @@ class TestProgressBoard:
         board.unit_running("a")
         board.unit_done("a", 0.1)
         board.finish()
-        assert calls == [False, True]
+        assert calls == ["pump", "pump"]
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ConfigurationError):
@@ -577,6 +577,32 @@ class TestBenchGate:
         assert self.run_gate(["--dir", str(current),
                               "--baseline", str(baseline),
                               "--strict-drift"]) == 1
+
+    def test_overhead_drift_in_points(self, tmp_path, capsys):
+        # Overhead percentages sit near zero: 0.30% -> 1.57% is noise
+        # (+1.27 points), not +127% drift; 4.5% is +4.20 points.
+        current = tmp_path / "current"
+        baseline = tmp_path / "baseline"
+        current.mkdir()
+        baseline.mkdir()
+        bench4 = {"grid_resolution": 12,
+                  "oftec": {"overhead_pct": 0.30},
+                  "warm_solve": {"overhead_pct": 0.5},
+                  "streaming": {"overhead_pct": 0.30}}
+        self.seed_artifacts(baseline, **{"BENCH_4.json": bench4})
+        bench4 = dict(bench4, oftec={"overhead_pct": 1.57})
+        self.seed_artifacts(current, **{"BENCH_4.json": bench4})
+        argv = ["--dir", str(current), "--baseline", str(baseline),
+                "--strict-drift"]
+        assert self.run_gate(argv) == 0
+        assert "DRIFT" not in capsys.readouterr().out
+        bench4 = dict(bench4, streaming={"overhead_pct": 4.5})
+        self.seed_artifacts(current, **{"BENCH_4.json": bench4})
+        assert self.run_gate(argv) == 1
+        out = capsys.readouterr().out
+        assert "DRIFT BENCH_4.json streaming overhead pct: " \
+            "0.30% -> 4.50%: +4.20 pts vs tolerance 3.00 pts" in out
+        assert "oftec telemetry overhead pct" not in out
 
     def test_krylov_iterations_drift_warns(self, tmp_path, capsys):
         # Re-tightening the leakage loop's Newton solves shows up as

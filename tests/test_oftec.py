@@ -4,7 +4,13 @@ import pytest
 
 from repro import run_oftec
 from repro.core import Evaluator, ProblemLimits, build_cooling_problem
-from repro.errors import InfeasibleProblemError
+from repro.faults import (
+    FaultInjector,
+    FaultKind,
+    FaultPlan,
+    FaultSpec,
+    FaultyEvaluator,
+)
 
 
 class TestLightWorkload:
@@ -19,6 +25,10 @@ class TestLightWorkload:
         result = run_oftec(tec_problem)
         assert result.opt2 is None
         assert result.opt1 is not None
+        # A healthy run stops at the ladder's first attempt.
+        assert [(a.method, a.retry, a.success)
+                for a in result.attempts] == [("slsqp", 0, True)]
+        assert result.failures == []
 
     def test_operating_point_within_bounds(self, tec_problem):
         result = run_oftec(tec_problem)
@@ -100,9 +110,27 @@ class TestInfeasible:
         assert not result.feasible
         assert result.opt1 is None
 
-    def test_raises_when_asked(self, impossible_problem):
-        with pytest.raises(InfeasibleProblemError):
-            run_oftec(impossible_problem, raise_on_infeasible=True)
+
+class TestSolverBreakdown:
+    def test_timeout_inside_opt1_falls_down_the_ladder(self,
+                                                      tec_problem):
+        # Call 0 of the timeout stream is the midpoint's solve (light
+        # workload: feasible, so no Optimization 2); call 1 is the
+        # first fresh solve of Optimization 1's SLSQP attempt.
+        plan = FaultPlan(seed=5, specs=(
+            FaultSpec(kind=FaultKind.SOLVE_TIMEOUT, rate=1.0,
+                      start_call=1, max_fires=1),))
+        faulty = FaultyEvaluator(tec_problem, FaultInjector(plan))
+        result = run_oftec(tec_problem, evaluator=faulty)
+        assert faulty.injector.fired_counts() == {"solve-timeout": 1}
+        assert result.feasible
+        assert result.opt2 is None and result.opt1 is not None
+        first = result.attempts[0]
+        assert (first.method, first.retry, first.success,
+                first.error_type) \
+            == ("slsqp", 0, False, "SolveTimeoutError")
+        assert result.attempts[-1].success
+        assert result.failures == []
 
 
 class TestEvaluatorReuse:

@@ -4,15 +4,15 @@ import pytest
 
 from repro import CoolingProblem, build_cooling_problem, run_oftec
 from repro.core import (
+    SOLVER_METHODS,
     Evaluator,
-    ResiliencePolicy,
     ResilientSolver,
     failure_report_from_exception,
+    minimize_power,
     minimize_temperature,
-    run_oftec_resilient,
 )
 from repro.core import resilient as resilient_module
-from repro.core.oftec import initial_operating_point
+from repro.core.solvers import initial_operating_point
 from repro.errors import (
     ConfigurationError,
     EvaluationBudgetError,
@@ -30,18 +30,18 @@ from repro.faults import (
 from repro.leakage import lumped_fixed_point
 
 
-class TestResiliencePolicy:
-    def test_defaults_are_valid(self):
-        policy = ResiliencePolicy()
-        assert policy.ladder == ("slsqp", "trust-constr", "grid")
+class TestLadderOrder:
+    def test_ladder_led_by_method(self, tec_problem):
+        evaluator = Evaluator(tec_problem)
+        assert ResilientSolver(evaluator).ladder == SOLVER_METHODS
+        assert ResilientSolver(evaluator, "grid").ladder \
+            == ("grid", "slsqp", "trust-constr")
 
-    @pytest.mark.parametrize("kwargs", [
-        {"ladder": ()},
-        {"ladder": ("newton",)},
-    ])
-    def test_invalid_policy_rejected(self, kwargs):
+    def test_unknown_method_rejected(self, tec_problem):
         with pytest.raises(ConfigurationError):
-            ResiliencePolicy(**kwargs)
+            ResilientSolver(Evaluator(tec_problem), "newton")
+        with pytest.raises(ConfigurationError):
+            run_oftec(tec_problem, method="newton")
 
 
 class TestEvaluationBudget:
@@ -110,21 +110,27 @@ class TestFallbackLadder:
     ])
     def test_no_faults_bit_identical_to_plain_oftec(
             self, tec_problem, profiles, name, needs_opt2):
-        """The campaign's only OFTEC path is the ladder, so on a
-        healthy problem it must reproduce the plain solvers exactly."""
+        """Algorithm 1 runs its stages through the ladder, so on a
+        healthy problem it must reproduce the plain solvers, called
+        stage by stage, exactly."""
         problem = tec_problem.with_profile(profiles[name], name=name)
-        plain = run_oftec(problem)
-        assert (plain.opt2 is not None) == needs_opt2
-        resilient = run_oftec_resilient(problem)
-        assert resilient.result is not None
-        assert (resilient.result.opt2 is not None) == needs_opt2
-        assert resilient.result.omega_star == plain.omega_star
-        assert resilient.result.current_star == plain.current_star
-        assert resilient.result.total_power == plain.total_power
-        assert resilient.result.max_chip_temperature \
-            == plain.max_chip_temperature
-        assert resilient.result.thermal_solves == plain.thermal_solves
-        assert resilient.failures == []
+        evaluator = Evaluator(problem)
+        start = initial_operating_point(problem)
+        t_max = problem.limits.t_max
+        if evaluator.evaluate(*start).max_chip_temperature > t_max:
+            opt2 = minimize_temperature(evaluator, x0=start,
+                                        early_stop_below=t_max)
+            start = (opt2.evaluation.omega, opt2.evaluation.current)
+        plain = minimize_power(evaluator, x0=start)
+        laddered = run_oftec(problem)
+        assert (laddered.opt2 is not None) == needs_opt2
+        assert laddered.omega_star == plain.omega
+        assert laddered.current_star == plain.current
+        assert laddered.total_power == plain.evaluation.total_power
+        assert laddered.max_chip_temperature \
+            == plain.evaluation.max_chip_temperature
+        assert laddered.thermal_solves == evaluator.solve_count
+        assert laddered.failures == []
 
         direct = minimize_temperature(Evaluator(problem))
         laddered = ResilientSolver(
@@ -148,20 +154,21 @@ class TestFallbackLadder:
                       start_call=1, max_fires=1),))
         faulty = FaultyEvaluator(tec_problem, FaultInjector(plan))
         monkeypatch.setattr(resilient_module, "RETRIES_PER_METHOD", 0)
-        policy = ResiliencePolicy(ladder=("slsqp", "grid"))
-        outcome = run_oftec_resilient(tec_problem, policy=policy,
-                                      evaluator=faulty)
-        assert outcome.result is not None and outcome.result.feasible
+        monkeypatch.setattr(resilient_module, "SOLVER_METHODS",
+                            ("slsqp", "grid"))
+        result = run_oftec(tec_problem, method="slsqp",
+                           evaluator=faulty)
+        assert result.feasible
         records = [(a.method, a.success, a.error_type)
-                   for a in outcome.attempts]
+                   for a in result.attempts]
         assert ("slsqp", False, "SolveTimeoutError") in records
         assert any(method == "grid" and success
                    for method, success, _ in records)
-        assert outcome.result.omega_star \
+        assert result.omega_star \
             == pytest.approx(clean.omega_star, rel=0.01)
-        assert outcome.result.current_star \
+        assert result.current_star \
             == pytest.approx(clean.current_star, rel=0.01, abs=0.01)
-        assert outcome.result.total_power \
+        assert result.total_power \
             == pytest.approx(clean.total_power, rel=0.01)
 
     def test_adjoint_timeout_becomes_failed_attempt(
@@ -177,8 +184,9 @@ class TestFallbackLadder:
         start = initial_operating_point(tec_problem)
         faulty.evaluate(*start)
         monkeypatch.setattr(resilient_module, "RETRIES_PER_METHOD", 0)
-        policy = ResiliencePolicy(ladder=("slsqp",))
-        outcome = ResilientSolver(faulty, policy).minimize_power(start)
+        monkeypatch.setattr(resilient_module, "SOLVER_METHODS",
+                            ("slsqp",))
+        outcome = ResilientSolver(faulty).minimize_power(start)
         [attempt] = outcome.attempts
         assert (attempt.method, attempt.success, attempt.error_type) \
             == ("slsqp", False, "SolveTimeoutError")
@@ -194,8 +202,9 @@ class TestFallbackLadder:
         # A 3-solve budget starves every rung including the grid scan.
         monkeypatch.setattr(resilient_module, "RETRIES_PER_METHOD", 0)
         monkeypatch.setattr(resilient_module, "MAX_EVALUATIONS", 3)
-        policy = ResiliencePolicy(ladder=("slsqp", "grid"))
-        solver = ResilientSolver(Evaluator(tec_problem), policy)
+        monkeypatch.setattr(resilient_module, "SOLVER_METHODS",
+                            ("slsqp", "grid"))
+        solver = ResilientSolver(Evaluator(tec_problem))
         outcome = solver.minimize_temperature()
         assert outcome.outcome is None
         assert not outcome.succeeded
@@ -212,8 +221,9 @@ class TestFallbackLadder:
         evaluator = Evaluator(tec_problem)
         monkeypatch.setattr(resilient_module, "RETRIES_PER_METHOD", 0)
         monkeypatch.setattr(resilient_module, "MAX_EVALUATIONS", 3)
-        policy = ResiliencePolicy(ladder=("slsqp",))
-        ResilientSolver(evaluator, policy).minimize_temperature()
+        monkeypatch.setattr(resilient_module, "SOLVER_METHODS",
+                            ("slsqp",))
+        ResilientSolver(evaluator).minimize_temperature()
         # The try/finally must have cleared the per-attempt budget.
         for index in range(5):
             evaluator.evaluate(50.0 + index, 0.1)
@@ -236,22 +246,21 @@ class TestGracefulDegradation:
     def test_infeasible_problem_degrades_to_dvfs(self, profiles,
                                                  monkeypatch):
         monkeypatch.setattr(resilient_module, "RETRIES_PER_METHOD", 0)
-        policy = ResiliencePolicy(ladder=("slsqp",))
-        outcome = run_oftec_resilient(_hot_problem(profiles),
-                                      policy=policy)
-        assert not outcome.feasible
-        if outcome.result is not None:
-            assert outcome.result.feasible is False
+        monkeypatch.setattr(resilient_module, "SOLVER_METHODS",
+                            ("slsqp",))
+        result = run_oftec(_hot_problem(profiles), method="slsqp")
+        assert not result.feasible
+        assert result.opt1 is None
 
     def test_degradation_can_be_disabled(self, profiles, monkeypatch):
         # The same report from the grid rung alone.
         monkeypatch.setattr(resilient_module, "RETRIES_PER_METHOD", 0)
-        policy = ResiliencePolicy(ladder=("grid",))
-        outcome = run_oftec_resilient(_hot_problem(profiles),
-                                      policy=policy)
-        assert not outcome.feasible
-        if outcome.result is not None:
-            assert outcome.result.feasible is False
+        monkeypatch.setattr(resilient_module, "SOLVER_METHODS",
+                            ("grid",))
+        result = run_oftec(_hot_problem(profiles), method="grid")
+        assert not result.feasible
+        assert result.opt1 is None
+        assert [a.method for a in result.attempts] == ["grid"]
 
 
 class TestRunawayBoundary:
