@@ -81,15 +81,20 @@ def paired_overhead_pct(sample_a: Callable[[], float],
     slow drift *between* repeats (frequency scaling ramping over the
     run) attributed to whichever arm it coincided with.  Here the
     ratio is formed inside each interleaved repeat — the two samples
-    of a pair run back to back, so drift cancels — and the median is
-    taken over the per-pair overheads.  Returns
+    of a pair run back to back, so drift cancels, and every other pair
+    runs B first, so neither arm always pays for running second — and
+    the median is taken over the per-pair overheads.  Returns
     ``(median_a, median_b, median_overhead_pct)``; the first two are
     the usual per-arm medians for rate reporting.
     """
     a_values, b_values, pcts = [], [], []
-    for _ in range(repeats):
-        a = sample_a()
-        b = sample_b()
+    for index in range(repeats):
+        if index % 2:
+            b = sample_b()
+            a = sample_a()
+        else:
+            a = sample_a()
+            b = sample_b()
         a_values.append(a)
         b_values.append(b)
         pcts.append(100.0 * (b - a) / a)

@@ -53,6 +53,23 @@ _CACHE_COUNTS = ("hits", "misses", "evictions", "gradient_hits",
                  "gradient_misses")
 
 
+def runaway_penalty(ceiling: float,
+                    err: ThermalRunawayError) -> Tuple[float, float]:
+    """``(𝒯, 𝒫)`` penalty values, K and W, for an unbounded point.
+
+    The 𝒯 signal grows with the diverging temperature so an optimizer
+    can climb out, but never drops below the runaway ``ceiling``: a
+    wildly unphysical solve (e.g. all-negative temperatures from an
+    indefinite system) must still read as "worse than any bounded
+    state".  It is capped at :data:`RUNAWAY_SIGNAL_CAP`, which also
+    stands in for a non-finite temperature.
+    """
+    signal = min(max(err.max_temperature, ceiling), RUNAWAY_SIGNAL_CAP)
+    if not np.isfinite(signal):
+        signal = RUNAWAY_SIGNAL_CAP
+    return signal, RUNAWAY_POWER_PENALTY + signal
+
+
 @dataclass(frozen=True)
 class CacheInfo:
     """Snapshot of the evaluation cache counters.
@@ -339,23 +356,15 @@ class Evaluator:
     def _runaway_evaluation(self, omega: float, current: float,
                             fan_power: float,
                             err: ThermalRunawayError) -> Evaluation:
-        """The penalty evaluation for an unbounded operating point.
-
-        The signal grows with the diverging temperature so the optimizer
-        can climb out, but never drops below the runaway ceiling: a
-        wildly unphysical solve (e.g. all-negative temperatures from an
-        indefinite system) must still read as "worse than any bounded
-        state".  (omega in rad/s, current in A, fan_power in W.)
+        """The :func:`runaway_penalty` evaluation for an unbounded
+        operating point (omega in rad/s, current in A, fan_power in W).
         """
-        floor = self.problem.model.config.runaway_ceiling
-        signal = min(max(err.max_temperature, floor),
-                     RUNAWAY_SIGNAL_CAP)
-        if not np.isfinite(signal):
-            signal = RUNAWAY_SIGNAL_CAP
+        signal, penalty = runaway_penalty(
+            self.problem.model.config.runaway_ceiling, err)
         return Evaluation(
             omega=omega, current=current,
             max_chip_temperature=signal,
-            total_power=RUNAWAY_POWER_PENALTY + signal,
+            total_power=penalty,
             leakage_power=float("inf"),
             tec_power=0.0, fan_power=fan_power,
             feasible=False, runaway=True, steady=None)

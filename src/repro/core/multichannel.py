@@ -24,8 +24,8 @@ from scipy.optimize import minimize
 
 from ..errors import ConfigurationError, ThermalRunawayError
 from ..obs.clock import stopwatch
-from ..thermal import solve_steady_state
-from .evaluator import RUNAWAY_POWER_PENALTY, RUNAWAY_SIGNAL_CAP
+from ..thermal import SolveContext, solve_steady_state
+from .evaluator import runaway_penalty
 from .problem import CoolingProblem
 
 
@@ -176,7 +176,7 @@ class MultiChannelEvaluator:
         self.assignment = assignment
         self.problem = assignment.problem
         self._cache: Dict[Tuple[float, ...], MultiChannelEvaluation] = {}
-        self._warm: Optional[np.ndarray] = None
+        self._context = SolveContext.for_model(self.problem.model)
         self.solve_count = 0
 
     def evaluate(self, omega: float, channel_currents: Sequence[float],
@@ -200,23 +200,18 @@ class MultiChannelEvaluator:
             steady = solve_steady_state(
                 problem.model, omega, cell_currents,
                 problem.dynamic_cell_power, problem.leakage,
-                initial_guess=self._warm,
-                sink_heat=problem.fan_heat_fraction * fan_power)
+                sink_heat=problem.fan_heat_fraction * fan_power,
+                context=self._context)
         except ThermalRunawayError as err:
-            floor = problem.model.config.runaway_ceiling
-            signal = min(max(err.max_temperature, floor),
-                         RUNAWAY_SIGNAL_CAP)
-            if not np.isfinite(signal):
-                signal = RUNAWAY_SIGNAL_CAP
+            signal, penalty = runaway_penalty(
+                problem.model.config.runaway_ceiling, err)
             result = MultiChannelEvaluation(
                 omega=omega, channel_currents=currents,
-                max_chip_temperature=signal,
-                total_power=RUNAWAY_POWER_PENALTY + signal,
+                max_chip_temperature=signal, total_power=penalty,
                 leakage_power=float("inf"), tec_power=0.0,
                 fan_power=fan_power, feasible=False, runaway=True)
             self._cache[key] = result
             return result
-        self._warm = steady.chip_temperatures
         total = steady.leakage_power + steady.tec_power + fan_power
         result = MultiChannelEvaluation(
             omega=omega, channel_currents=currents,

@@ -25,11 +25,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..leakage import tangent_linearization
 from ..power import PowerTrace
+from ..thermal.transient import _march
 from .lut import LookupTableController
 from .oftec import run_oftec
-from ..thermal import KrylovState, backward_euler_solve
 from .problem import CoolingProblem
 
 #: A control policy: observed per-unit powers -> (omega, I_TEC).
@@ -133,24 +132,9 @@ def run_online_controller(
             "Online control requires the problem's CellCoverage")
 
     model = problem.model
-    network = model.network
-    capacities = network.heat_capacities()
-    c_over_dt = capacities / dt
-    warm = KrylovState()
     limits = problem.limits
-
-    n = network.node_count
-    if initial_temperatures is None:
-        temps = np.full(n, model.config.ambient, dtype=float)
-    else:
-        temps = np.asarray(initial_temperatures, dtype=float).copy()
-        if temps.shape != (n,):
-            raise ConfigurationError(
-                f"initial_temperatures must have shape ({n},)")
-
     duration = trace.duration
     t_start = float(trace.times[0])
-    steps = int(round(duration / dt))
     cell_power_cache: Dict[int, np.ndarray] = {}
 
     def cell_power_at(t: float) -> np.ndarray:
@@ -163,18 +147,12 @@ def run_online_controller(
             cell_power_cache[idx] = cached
         return cached
 
-    times: List[float] = []
-    temp_trace: List[float] = []
-    omega_trace: List[float] = []
-    current_trace: List[float] = []
     decisions: List[IntervalDecision] = []
-    cooling_energy = 0.0
-    violation_time = 0.0
-
-    omega, current = 0.0, 0.0
+    omega, current, fan_power = 0.0, 0.0, 0.0
     next_decision = t_start
-    for step in range(1, steps + 1):
-        t = t_start + step * dt
+
+    def drive(t: float, _temps: np.ndarray):
+        nonlocal omega, current, fan_power, next_decision
         if t - dt >= next_decision - 1e-12:
             window_end = min(next_decision + control_interval,
                              t_start + duration)
@@ -186,24 +164,24 @@ def run_online_controller(
             omega = float(np.clip(omega_raw, 0.0, limits.omega_max))
             current = float(np.clip(current_raw, 0.0,
                                     problem.current_upper_bound))
+            fan_power = problem.fan.power(omega)
             decisions.append(IntervalDecision(next_decision, omega,
                                               current))
             next_decision += control_interval
+        return (omega, current, cell_power_at(t),
+                problem.fan_heat_fraction * fan_power)
 
-        chip = model.chip_temperatures(temps)
-        taylor = tangent_linearization(problem.leakage, chip)
-        fan_power = problem.fan.power(omega)
-        diag, rhs = model.overlays(
-            omega, current, cell_power_at(t), taylor.a,
-            taylor.constant_term(),
-            sink_heat=problem.fan_heat_fraction * fan_power)
-        # Backward-Euler step through the network's build-once
-        # operator: PCG against the loop's last factor.
-        temps = backward_euler_solve(network, diag + c_over_dt,
-                                     rhs + c_over_dt * temps, warm)
-
-        chip = model.chip_temperatures(temps)
-        hottest = float(chip.max())
+    times: List[float] = []
+    temp_trace: List[float] = []
+    omega_trace: List[float] = []
+    current_trace: List[float] = []
+    cooling_energy = 0.0
+    violation_time = 0.0
+    march = _march(model, dt, int(round(duration / dt)),
+                   initial_temperatures, problem.leakage, drive, t_start)
+    next(march)  # the initial state is not a sample
+    for t, temps in march:
+        hottest = float(model.chip_temperatures(temps).max())
         times.append(t)
         temp_trace.append(hottest)
         omega_trace.append(omega)

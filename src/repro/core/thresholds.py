@@ -9,8 +9,9 @@ current that is switched on and off by die-temperature comparisons.
   ``t_off``, reducing the on/off switching rate (each transition stresses
   the devices).
 
-Both run closed-loop on the transient solver: temperature feedback from
-step ``n`` decides the current applied during step ``n+1``.
+Both run closed-loop on the transient solver's backward-Euler loop:
+temperature feedback from step ``n`` decides the current applied during
+step ``n+1``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..leakage import tangent_linearization
-from ..thermal import KrylovState, backward_euler_solve
+from ..thermal.transient import _march
 from .problem import CoolingProblem
 
 
@@ -74,33 +74,15 @@ def _run_switched_controller(
             f"on_current must lie in [0, {problem.limits.i_tec_max}]")
 
     model = problem.model
-    network = model.network
-    capacities = network.heat_capacities()
-    c_over_dt = capacities / dt
-    warm = KrylovState()
     fan_heat = problem.fan_heat_fraction * problem.fan.power(omega)
-
-    n = network.node_count
-    if initial_temperatures is None:
-        temps = np.full(n, model.config.ambient, dtype=float)
-    else:
-        temps = np.asarray(initial_temperatures, dtype=float).copy()
-        if temps.shape != (n,):
-            raise ConfigurationError(
-                f"initial_temperatures must have shape ({n},)")
-
     steps = int(round(duration / dt))
-    times = [0.0]
-    chip = model.chip_temperatures(temps)
-    trace_t = [float(chip.max())]
-    trace_i: List[float] = [0.0]
     tec_on = False
+    current = 0.0
     switches = 0
     on_steps = 0
-    runaway = False
 
-    for step in range(1, steps + 1):
-        t_now = step * dt
+    def drive(_t: float, temps: np.ndarray):
+        nonlocal tec_on, current, switches, on_steps
         hottest = float(model.chip_temperatures(temps).max())
         was_on = tec_on
         if hottest > t_on:
@@ -112,21 +94,18 @@ def _run_switched_controller(
         current = on_current if tec_on else 0.0
         if tec_on:
             on_steps += 1
+        return omega, current, problem.dynamic_cell_power, fan_heat
 
-        chip = model.chip_temperatures(temps)
-        taylor = tangent_linearization(problem.leakage, chip)
-        diag, rhs = model.overlays(
-            omega, current, problem.dynamic_cell_power,
-            taylor.a, taylor.constant_term(), sink_heat=fan_heat)
-        # Backward-Euler step through the network's build-once
-        # operator: PCG against the loop's last factor.
-        temps = backward_euler_solve(network, diag + c_over_dt,
-                                     rhs + c_over_dt * temps, warm)
-
-        times.append(t_now)
+    times: List[float] = []
+    trace_t: List[float] = []
+    trace_i: List[float] = []
+    runaway = False
+    for t, temps in _march(model, dt, steps, initial_temperatures,
+                           problem.leakage, drive):
+        times.append(t)
         trace_t.append(float(model.chip_temperatures(temps).max()))
         trace_i.append(current)
-        if float(temps.max()) > model.config.runaway_ceiling:
+        if t > 0.0 and float(temps.max()) > model.config.runaway_ceiling:
             runaway = True
             break
 

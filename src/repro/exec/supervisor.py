@@ -75,108 +75,78 @@ KILL_EXIT_CODE = 113
 #: enough never to threaten a sane deadline.
 SLOW_FAULT_DELAY_S = 0.25
 
+#: Period of each worker's heartbeat thread (s).
+HEARTBEAT_INTERVAL_S = 0.1
+
+#: Heartbeat silence after which a live worker is declared hung and
+#: killed (s); well above the interval, or every healthy worker would
+#: look hung.
+HEARTBEAT_TIMEOUT_S = 5.0
+
+#: Retry backoff: the first retry waits ``BACKOFF_BASE_S``, each later
+#: one ``BACKOFF_FACTOR`` times longer, capped at ``BACKOFF_MAX_S``, and
+#: each (unit, attempt) scales its delay by a hash-derived factor in
+#: ``[1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER]``.
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 2.0
+BACKOFF_JITTER = 0.25
+
+#: Worker *spawn* failures tolerated before the circuit opens and the
+#: remaining units run serially in-process.
+CIRCUIT_BREAKER_FAILURES = 3
+
+#: Coordinator supervision poll period (s).
+POLL_INTERVAL_S = 0.05
+
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """Knobs of the supervised executor.
+    """The two settable knobs of the supervised executor.
+
+    The heartbeat, backoff, circuit-breaker and poll settings are the
+    module constants above.
 
     Attributes:
         unit_deadline_seconds: Monotonic wall budget per unit attempt
             (s); a worker holding a unit longer is killed and the
             attempt counted as failed.
-        heartbeat_interval_seconds: Period of the worker heartbeat
-            thread (s).
-        heartbeat_timeout_seconds: Silence tolerated before a live
-            worker is declared hung and killed (s); must exceed the
-            interval by a comfortable margin.
         max_attempts: Total attempts per unit before quarantine
             (1 = never retry).
-        backoff_base_seconds: Delay before the first retry (s).
-        backoff_factor: Multiplier applied per subsequent retry.
-        backoff_max_seconds: Ceiling on any single backoff delay (s).
-        backoff_jitter: Fractional deterministic jitter in
-            ``[0, 1)`` — each (unit, attempt) perturbs its delay by a
-            hash-derived factor in ``[1 - j, 1 + j]``, decorrelating
-            retry bursts without introducing nondeterminism.
-        circuit_breaker_failures: Worker *spawn* failures tolerated
-            before the circuit opens and the remaining units run
-            serially in-process.
-        poll_interval_seconds: Coordinator supervision poll period (s).
     """
 
     unit_deadline_seconds: float = 300.0
-    heartbeat_interval_seconds: float = 0.1
-    heartbeat_timeout_seconds: float = 5.0
     max_attempts: int = 3
-    backoff_base_seconds: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_seconds: float = 2.0
-    backoff_jitter: float = 0.25
-    circuit_breaker_failures: int = 3
-    poll_interval_seconds: float = 0.05
 
     def __post_init__(self) -> None:
         if self.unit_deadline_seconds <= 0.0:
             raise ConfigurationError(
                 f"unit_deadline_seconds must be > 0, got "
                 f"{self.unit_deadline_seconds}")
-        if self.heartbeat_interval_seconds <= 0.0:
-            raise ConfigurationError(
-                f"heartbeat_interval_seconds must be > 0, got "
-                f"{self.heartbeat_interval_seconds}")
-        if self.heartbeat_timeout_seconds \
-                < 2.0 * self.heartbeat_interval_seconds:
-            raise ConfigurationError(
-                "heartbeat_timeout_seconds must be at least twice the "
-                "interval or every healthy worker looks hung")
         if self.max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base_seconds < 0.0:
-            raise ConfigurationError(
-                f"backoff_base_seconds must be >= 0, got "
-                f"{self.backoff_base_seconds}")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got "
-                f"{self.backoff_factor}")
-        if self.backoff_max_seconds < self.backoff_base_seconds:
-            raise ConfigurationError(
-                "backoff_max_seconds must be >= backoff_base_seconds")
-        if not (0.0 <= self.backoff_jitter < 1.0):
-            raise ConfigurationError(
-                f"backoff_jitter must be in [0, 1), got "
-                f"{self.backoff_jitter}")
-        if self.circuit_breaker_failures < 1:
-            raise ConfigurationError(
-                f"circuit_breaker_failures must be >= 1, got "
-                f"{self.circuit_breaker_failures}")
-        if self.poll_interval_seconds <= 0.0:
-            raise ConfigurationError(
-                f"poll_interval_seconds must be > 0, got "
-                f"{self.poll_interval_seconds}")
 
-    def backoff_seconds(self, label: str, attempt: int) -> float:
-        """Delay before retrying ``label`` after failed attempt N (s).
 
-        Exponential in the attempt number, capped, and jittered by a
-        blake2b hash of ``(label, attempt)`` — deterministic, so a
-        replayed campaign schedules byte-identical retries, yet
-        decorrelated across units so a mass failure does not thunder
-        back as one herd.
-        """
-        import hashlib
-        delay = min(
-            self.backoff_base_seconds
-            * self.backoff_factor ** max(attempt - 1, 0),
-            self.backoff_max_seconds)
-        if self.backoff_jitter > 0.0 and delay > 0.0:
-            digest = hashlib.blake2b(
-                f"{label}:{attempt}".encode("utf-8"),
-                digest_size=8).digest()
-            unit_draw = int.from_bytes(digest, "big") / float(2 ** 64)
-            delay *= 1.0 + self.backoff_jitter * (2.0 * unit_draw - 1.0)
-        return delay
+def backoff_seconds(label: str, attempt: int) -> float:
+    """Delay before retrying ``label`` after failed attempt N (s).
+
+    Exponential in the attempt number, capped, and jittered by a
+    blake2b hash of ``(label, attempt)`` — deterministic, so a
+    replayed campaign schedules byte-identical retries, yet
+    decorrelated across units so a mass failure does not thunder
+    back as one herd.
+    """
+    import hashlib
+    delay = min(BACKOFF_BASE_S * BACKOFF_FACTOR ** max(attempt - 1, 0),
+                BACKOFF_MAX_S)
+    if BACKOFF_JITTER > 0.0 and delay > 0.0:
+        digest = hashlib.blake2b(
+            f"{label}:{attempt}".encode("utf-8"),
+            digest_size=8).digest()
+        unit_draw = int.from_bytes(digest, "big") / float(2 ** 64)
+        delay *= 1.0 + BACKOFF_JITTER * (2.0 * unit_draw - 1.0)
+    return delay
 
 
 @dataclass
@@ -449,7 +419,7 @@ class _Supervisor:
         process = mp_context.Process(
             target=_supervised_main,
             args=(handle.slot, payload, handle.queue, result_queue,
-                  heartbeats, self.policy.heartbeat_interval_seconds),
+                  heartbeats, HEARTBEAT_INTERVAL_S),
             daemon=True)
         try:
             process.start()
@@ -564,8 +534,7 @@ class _Supervisor:
         while True:
             try:
                 message = result_queue.get(
-                    timeout=self.policy.poll_interval_seconds
-                    if block else 0.0)
+                    timeout=POLL_INTERVAL_S if block else 0.0)
             except _queue.Empty:
                 return
             block = False
@@ -627,12 +596,11 @@ class _Supervisor:
                 _counter("exec.supervisor.deadline_kills")
                 self._replace(handle, "deadline", mp_context, payload,
                               heartbeats, result_queue)
-            elif now - handle.beat_seen_at \
-                    > self.policy.heartbeat_timeout_seconds:
+            elif now - handle.beat_seen_at > HEARTBEAT_TIMEOUT_S:
                 self._attempt_failed(
                     index, attempt,
                     f"worker heartbeats silent for "
-                    f"{self.policy.heartbeat_timeout_seconds:g} s")
+                    f"{HEARTBEAT_TIMEOUT_S:g} s")
                 _counter("exec.supervisor.heartbeat_kills")
                 self._replace(handle, "heartbeat", mp_context,
                               payload, heartbeats, result_queue)
@@ -680,7 +648,7 @@ class _Supervisor:
                 self.monitor.unit_quarantined(unit.name, attempt)
             return
         self.outcome.retries += 1
-        delay = self.policy.backoff_seconds(unit.name, attempt)
+        delay = backoff_seconds(unit.name, attempt)
         ready_at = monotonic() + delay
         _obs.event("exec.retry", unit=unit.name, attempt=attempt,
                    reason=reason, backoff_seconds=delay)
@@ -693,8 +661,7 @@ class _Supervisor:
     # -- degraded paths -----------------------------------------------
 
     def _circuit_should_open(self) -> bool:
-        return self._spawn_failures \
-            >= self.policy.circuit_breaker_failures
+        return self._spawn_failures >= CIRCUIT_BREAKER_FAILURES
 
     def _open_circuit(self, handles: Sequence[_WorkerHandle],
                       payload: bytes) -> None:

@@ -28,11 +28,7 @@ from .solver import (
     solve_steady_state,
     solve_steady_state_batch,
 )
-from .transient import (
-    TransientResult,
-    backward_euler_solve,
-    simulate_transient,
-)
+from .transient import TransientResult, simulate_transient
 from .validation import (
     StackProfile,
     format_stack_profile,
@@ -67,7 +63,6 @@ __all__ = [
     "solve_steady_state_batch",
     "TransientResult",
     "simulate_transient",
-    "backward_euler_solve",
     "StackProfile",
     "format_stack_profile",
     "layer_vertical_resistances",

@@ -5,7 +5,10 @@ inherently transient: the thermal-runaway trajectory at insufficient
 cooling, and the transient TEC boost of Section 6.2 ("increase I*_TEC by
 about 1 A for 1 s" — the Peltier effect acts immediately while Joule
 heating arrives with the thermal time constant).  This solver supports
-both, plus the threshold/hysteresis controllers from the related work.
+both, plus the threshold/hysteresis controllers from the related work and
+the online interval controller: all four step through one loop,
+:func:`_march`, and differ only in how they choose each step's operating
+point and what they record.
 
 Discretization: ``C dT/dt = P - G T`` stepped implicitly as
 
@@ -18,18 +21,21 @@ refreshed at every step (semi-implicit in the nonlinear terms).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import ConfigurationError, IndefiniteSystemError
 from ..leakage import CellLeakageModel, tangent_linearization
 from .assembly import PackageThermalModel
-from .network import ThermalNetwork
 from .operator import KrylovState
 
 ScalarSchedule = Union[float, Callable[[float], float]]
 PowerSchedule = Union[np.ndarray, Callable[[float], np.ndarray]]
+#: One step's operating point from (t in s, previous temperatures in K):
+#: (omega rad/s, TEC current A, dynamic cell power W, sink heat W).
+Drive = Callable[[float, np.ndarray],
+                 Tuple[float, float, np.ndarray, float]]
 
 
 @dataclass
@@ -70,22 +76,62 @@ def _power_value(schedule: PowerSchedule, t: float) -> np.ndarray:
     return np.asarray(schedule, dtype=float)
 
 
-def backward_euler_solve(network: ThermalNetwork, overlay: np.ndarray,
-                         rhs: np.ndarray, warm: KrylovState) -> np.ndarray:
-    """One backward-Euler step's solve, warm through the loop's ``warm``.
+def _march(model: PackageThermalModel, dt: float, steps: int,
+           temps: Optional[np.ndarray],
+           leakage: Optional[CellLeakageModel], drive: Drive,
+           t_start: float = 0.0) -> Iterator[Tuple[float, np.ndarray]]:
+    """The one backward-Euler loop behind every transient entry point.
 
-    A trajectory is not ended by PCG's indefiniteness certificate: on
+    Yields ``(t_start, T_0)`` first — ``temps`` in K, or ambient
+    everywhere when None — and then ``(t, T)`` after each of ``steps``
+    steps of ``dt`` s.  Step ``n`` takes its operating point from
+    ``drive(t, T_{n-1})`` and linearizes leakage at the previous step's
+    chip temperatures.  The capacity term rides on the diagonal overlay,
+    so successive steps differ only on the diagonal and PCG against the
+    loop's last factor solves them.  A trajectory is not ended by PCG's
+    indefiniteness certificate: on
     :class:`~repro.errors.IndefiniteSystemError` the step drops the held
-    factor and solves again, which factors this step's matrix fresh and
-    holds that factor from then on, so the steps are exactly those of a
-    loop that factors fresh on every PCG breakdown.  Runaway in time is
-    the ceiling test of the caller.
+    factor and factors its matrix fresh, so the steps are exactly those
+    of a loop that factors fresh on every PCG breakdown.  Runaway in
+    time is the caller's ceiling test.
     """
-    try:
-        return network.solve(overlay, rhs, warm=warm)
-    except IndefiniteSystemError:
-        warm.reset()
-        return network.solve(overlay, rhs, warm=warm)
+    network = model.network
+    n = network.node_count
+    capacities = network.heat_capacities()
+    if (capacities <= 0.0).any():
+        raise ConfigurationError(
+            "Transient simulation requires positive heat capacities on "
+            "every node")
+    if temps is None:
+        temps = np.full(n, model.config.ambient, dtype=float)
+    else:
+        temps = np.asarray(temps, dtype=float).copy()
+        if temps.shape != (n,):
+            raise ConfigurationError(
+                f"initial_temperatures must have shape ({n},)")
+    yield t_start, temps
+
+    c_over_dt = capacities / dt
+    zeros = np.zeros(model.grid.cell_count, dtype=float)
+    warm = KrylovState()
+    for step in range(1, steps + 1):
+        t = t_start + step * dt
+        omega, current, cell_power, sink_heat = drive(t, temps)
+        chip = model.chip_temperatures(temps)
+        if leakage is not None:
+            taylor = tangent_linearization(leakage, chip)
+            slope, const = taylor.a, taylor.constant_term()
+        else:
+            slope, const = zeros, zeros
+        diag, rhs = model.overlays(omega, current, cell_power, slope,
+                                   const, sink_heat=sink_heat)
+        overlay, rhs = diag + c_over_dt, rhs + c_over_dt * temps
+        try:
+            temps = network.solve(overlay, rhs, warm=warm)
+        except IndefiniteSystemError:
+            warm.reset()
+            temps = network.solve(overlay, rhs, warm=warm)
+        yield t, temps
 
 
 def simulate_transient(
@@ -112,63 +158,25 @@ def simulate_transient(
     if dt > duration:
         raise ConfigurationError("dt must not exceed duration")
 
-    n = model.network.node_count
-    ncell = model.grid.cell_count
-    capacities = model.network.heat_capacities()
-    if (capacities <= 0.0).any():
-        raise ConfigurationError(
-            "Transient simulation requires positive heat capacities on "
-            "every node")
+    def drive(t: float, _temps: np.ndarray):
+        return (_schedule_value(omega, t), _schedule_value(current, t),
+                _power_value(dynamic_cell_power, t),
+                _schedule_value(sink_heat, t))
 
-    if initial_temperatures is None:
-        temps = np.full(n, model.config.ambient, dtype=float)
-    else:
-        temps = np.asarray(initial_temperatures, dtype=float).copy()
-        if temps.shape != (n,):
-            raise ConfigurationError(
-                f"initial_temperatures must have shape ({n},)")
-
-    steps = int(round(duration / dt))
-    times: List[float] = [0.0]
-    zeros = np.zeros(ncell, dtype=float)
-    chip0 = model.chip_temperatures(temps)
-    max_trace = [float(chip0.max())]
-    mean_trace = [float(chip0.mean())]
-    leak_trace = [leakage.total_power(chip0) if leakage else 0.0]
-    c_over_dt = capacities / dt
-    warm = KrylovState()
-    network = model.network
-    runaway = False
+    times: List[float] = []
+    max_trace: List[float] = []
+    mean_trace: List[float] = []
+    leak_trace: List[float] = []
     runaway_time: Optional[float] = None
-
-    for step in range(1, steps + 1):
-        t = step * dt
-        omega_t = _schedule_value(omega, t)
-        current_t = _schedule_value(current, t)
-        power_t = _power_value(dynamic_cell_power, t)
-        chip = model.chip_temperatures(temps)
-        if leakage is not None:
-            taylor = tangent_linearization(leakage, chip)
-            slope, const = taylor.a, taylor.constant_term()
-        else:
-            slope, const = zeros, zeros
-        diag, rhs = model.overlays(
-            omega_t, current_t, power_t, slope, const,
-            sink_heat=_schedule_value(sink_heat, t))
-        # Backward-Euler step through the build-once operator: the
-        # capacity term rides on the diagonal overlay, so successive
-        # steps differ only on the diagonal and PCG against the loop's
-        # last factor solves them.
-        temps = backward_euler_solve(network, diag + c_over_dt,
-                                     rhs + c_over_dt * temps, warm)
-
+    for t, temps in _march(model, dt, int(round(duration / dt)),
+                           initial_temperatures, leakage, drive):
         chip = model.chip_temperatures(temps)
         times.append(t)
         max_trace.append(float(chip.max()))
         mean_trace.append(float(chip.mean()))
         leak_trace.append(leakage.total_power(chip) if leakage else 0.0)
-        if float(temps.max()) > model.config.runaway_ceiling:
-            runaway = True
+        # The initial state is given, not stepped: no ceiling test at 0.
+        if t > 0.0 and float(temps.max()) > model.config.runaway_ceiling:
             runaway_time = t
             break
 
@@ -178,6 +186,6 @@ def simulate_transient(
         mean_chip_temperature=np.array(mean_trace),
         leakage_power=np.array(leak_trace),
         final_temperatures=temps,
-        runaway=runaway,
+        runaway=runaway_time is not None,
         runaway_time=runaway_time,
     )

@@ -61,31 +61,36 @@ class TestSupervisionPolicy:
         {"poll_interval_seconds": 0.0},
     ])
     def test_invalid_knobs_rejected(self, overrides):
-        with pytest.raises(ConfigurationError):
+        # The deadline and the attempt count are validated; the other
+        # eight knobs are module constants and not settable at all.
+        settable = {"unit_deadline_seconds", "max_attempts"}
+        expected = ConfigurationError if set(overrides) <= settable \
+            else TypeError
+        with pytest.raises(expected):
             SupervisionPolicy(**overrides)
 
-    def test_backoff_is_deterministic_and_bounded(self):
-        policy = SupervisionPolicy(backoff_base_seconds=0.1,
-                                   backoff_factor=2.0,
-                                   backoff_max_seconds=1.0,
-                                   backoff_jitter=0.25)
+    def test_backoff_is_deterministic_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(exec_supervisor, "BACKOFF_BASE_S", 0.1)
+        monkeypatch.setattr(exec_supervisor, "BACKOFF_FACTOR", 2.0)
+        monkeypatch.setattr(exec_supervisor, "BACKOFF_MAX_S", 1.0)
+        monkeypatch.setattr(exec_supervisor, "BACKOFF_JITTER", 0.25)
+        backoff = exec_supervisor.backoff_seconds
         for attempt in (1, 2, 3, 7):
-            first = policy.backoff_seconds("basicmath", attempt)
-            assert first == policy.backoff_seconds("basicmath",
-                                                   attempt)
+            first = backoff("basicmath", attempt)
+            assert first == backoff("basicmath", attempt)
             nominal = min(0.1 * 2.0 ** (attempt - 1), 1.0)
             assert 0.75 * nominal <= first <= 1.25 * nominal
         # Jitter decorrelates units.
-        assert policy.backoff_seconds("basicmath", 1) \
-            != policy.backoff_seconds("bitcount", 1)
+        assert backoff("basicmath", 1) != backoff("bitcount", 1)
 
-    def test_zero_jitter_is_exact_exponential(self):
-        policy = SupervisionPolicy(backoff_base_seconds=0.1,
-                                   backoff_factor=3.0,
-                                   backoff_max_seconds=10.0,
-                                   backoff_jitter=0.0)
-        assert policy.backoff_seconds("x", 1) == pytest.approx(0.1)
-        assert policy.backoff_seconds("x", 3) == pytest.approx(0.9)
+    def test_zero_jitter_is_exact_exponential(self, monkeypatch):
+        monkeypatch.setattr(exec_supervisor, "BACKOFF_BASE_S", 0.1)
+        monkeypatch.setattr(exec_supervisor, "BACKOFF_FACTOR", 3.0)
+        monkeypatch.setattr(exec_supervisor, "BACKOFF_MAX_S", 10.0)
+        monkeypatch.setattr(exec_supervisor, "BACKOFF_JITTER", 0.0)
+        backoff = exec_supervisor.backoff_seconds
+        assert backoff("x", 1) == pytest.approx(0.1)
+        assert backoff("x", 3) == pytest.approx(0.9)
 
 
 class TestDeadline:
@@ -273,15 +278,14 @@ class TestOrphanGuard:
 
 class TestKillRecovery:
     def test_killed_workers_are_replaced_and_units_retried(
-            self, two_profiles, small_problems):
+            self, two_profiles, small_problems, monkeypatch):
         tec, base = small_problems
+        monkeypatch.setattr(exec_supervisor, "BACKOFF_BASE_S", 0.01)
         plan = FaultPlan(seed=1, specs=(FaultSpec(
             kind=FaultKind.WORKER_KILL, rate=1.0, max_fires=1),))
         report = run_chaos_campaign(
             two_profiles, tec, base, plan=plan, workers=2,
-            supervision=SupervisionPolicy(
-                unit_deadline_seconds=120.0,
-                backoff_base_seconds=0.01))
+            supervision=SupervisionPolicy(unit_deadline_seconds=120.0))
         assert report.ok, report.unhandled
         assert report.fired.get("worker-kill") == 2
         assert len(report.campaign.comparisons) == 2
@@ -316,15 +320,14 @@ class TestKillRecovery:
 
 class TestHangRecovery:
     def test_silent_workers_are_killed_by_heartbeat(
-            self, two_profiles, small_problems):
+            self, two_profiles, small_problems, monkeypatch):
         tec, base = small_problems
         plan = FaultPlan(seed=1, specs=(FaultSpec(
             kind=FaultKind.WORKER_HANG, rate=1.0, max_fires=1),))
-        policy = SupervisionPolicy(
-            unit_deadline_seconds=120.0,
-            heartbeat_interval_seconds=0.05,
-            heartbeat_timeout_seconds=1.0,
-            backoff_base_seconds=0.01)
+        monkeypatch.setattr(exec_supervisor, "HEARTBEAT_INTERVAL_S", 0.05)
+        monkeypatch.setattr(exec_supervisor, "HEARTBEAT_TIMEOUT_S", 1.0)
+        monkeypatch.setattr(exec_supervisor, "BACKOFF_BASE_S", 0.01)
+        policy = SupervisionPolicy(unit_deadline_seconds=120.0)
         report = run_chaos_campaign(two_profiles, tec, base, plan=plan,
                                     workers=2, supervision=policy)
         assert report.ok, report.unhandled
@@ -337,13 +340,13 @@ class TestHangRecovery:
 
 class TestQuarantine:
     def test_poison_units_quarantine_and_campaign_completes(
-            self, two_profiles, small_problems):
+            self, two_profiles, small_problems, monkeypatch):
         tec, base = small_problems
+        monkeypatch.setattr(exec_supervisor, "BACKOFF_BASE_S", 0.01)
         plan = FaultPlan(seed=2, specs=(FaultSpec(
             kind=FaultKind.WORKER_KILL, rate=1.0),))
         policy = SupervisionPolicy(unit_deadline_seconds=120.0,
-                                   max_attempts=2,
-                                   backoff_base_seconds=0.01)
+                                   max_attempts=2)
         report = run_chaos_campaign(two_profiles, tec, base, plan=plan,
                                     workers=2, supervision=policy)
         assert report.ok, report.unhandled

@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import run_online_controller, run_threshold_controller, \
+    static_policy
 from repro.errors import ConfigurationError, IndefiniteSystemError
+from repro.power import PowerTrace
 from repro.thermal import (
     ThermalOperator,
     simulate_transient,
@@ -152,6 +155,42 @@ class TestSchedules:
         idx_before = int(120.0 / 2.0)
         assert transient.max_chip_temperature[-1] < \
             transient.max_chip_temperature[idx_before]
+
+    @pytest.mark.parametrize("controller", ["online-static",
+                                            "threshold-never-on"])
+    def test_controllers_step_the_same_loop(self, tec_problem, profiles,
+                                            controller):
+        # A controller whose decision never changes is the plain
+        # transient at that operating point, sample for sample (the
+        # online trace has no t = 0 sample).
+        problem, omega, dt = tec_problem, 300.0, 0.1
+        unit_power = profiles["basicmath"].as_dict()
+        if controller == "online-static":
+            current = 0.5
+            times = np.linspace(0.0, 2.0, 41)
+            trace = PowerTrace("constant", list(unit_power), times,
+                               np.tile(list(unit_power.values()),
+                                       (times.size, 1)))
+            result = run_online_controller(
+                problem, trace, static_policy(omega, current),
+                control_interval=0.5, dt=dt)
+            first = 1
+        else:
+            current = 0.0
+            result = run_threshold_controller(
+                problem, omega, on_current=1.5, threshold=450.0,
+                duration=2.0, dt=dt)
+            assert result.switch_count == 0
+            first = 0
+        transient = simulate_transient(
+            problem.model, duration=2.0, dt=dt, omega=omega,
+            current=current,
+            dynamic_cell_power=problem.coverage.power_map(unit_power),
+            leakage=problem.leakage,
+            sink_heat=problem.fan_heat_fraction * problem.fan.power(omega))
+        assert np.array_equal(result.times, transient.times[first:])
+        assert np.array_equal(result.max_chip_temperature,
+                              transient.max_chip_temperature[first:])
 
 
 class TestValidation:
