@@ -11,12 +11,15 @@ repository root:
   back-substitution costs hundreds of microseconds; tiny smoke grids
   amortize the fixed per-seam cost over less work, so the hard gate
   only applies at resolution >= 8);
-* **streaming**: attaching live sinks (rotating JSONL + OpenMetrics,
-  written and flushed by each per-unit pump like the progress board
-  triggers) keeps a campaign-shaped batch within the same <5%
+* **streaming**: attaching the session's sinks (the JSONL trace file
+  + OpenMetrics, written and flushed by the per-unit pump the exec
+  supervisor does) keeps a campaign-shaped batch within the same <5%
   budget at realistic grids (resolution >= 12, where a unit's solves
   dominate the ~1 ms of per-unit export CPU).  This arm is timed in
   process CPU seconds over :data:`_STREAMING_PAIRS` pairs (see there).
+
+The warm-solve arm is timed in process CPU seconds too, over
+:data:`_WARM_SOLVE_PAIRS` pairs (see there).
 """
 
 import os
@@ -28,26 +31,32 @@ import numpy as np
 from _common import emit_bench_json, paired_overhead_pct
 from repro import run_oftec
 from repro.core import Evaluator
-from repro.obs import (
-    OpenMetricsSink,
-    RotatingJsonlSink,
-    TelemetryStream,
-    telemetry_session,
-)
+from repro.obs import JsonlTraceSink, OpenMetricsSink, telemetry_session
+from repro.obs import runtime as obs_runtime
 from repro.thermal import KrylovState
 
 
 def _solve_sample(network, overlay, rhs, rounds, warm):
-    """Mean seconds per warm ``network.solve`` over one batch (each a
-    back-substitution against the factor ``warm`` holds)."""
-    start = time.perf_counter()
+    """Mean CPU seconds per warm ``network.solve`` over one batch (each
+    a back-substitution against the factor ``warm`` holds)."""
+    start = time.process_time()
     for _ in range(rounds):
         network.solve(overlay, rhs, warm)
-    return (time.perf_counter() - start) / rounds
+    return (time.process_time() - start) / rounds
 
 
-def _paired_warm_solve_seconds(network, overlay, rhs, rounds, warm):
-    """Median (disabled, enabled, overhead pct) per warm solve."""
+#: Paired batches behind the warm-solve overhead.  A batch is 200 warm
+#: solves, ~70 ms at grid 12, so the arm measures a few microseconds
+#: of per-solve telemetry against host noise, and reads process CPU
+#: time.  On a shared 2-vCPU host at grid 12, 15 runs of 7 wall-clock
+#: pairs read -11.2% to +10.0%; five back-to-back runs of the arm
+#: alone spanned 2.6 points over 61 CPU-time pairs and 0.6 over 101.
+_WARM_SOLVE_PAIRS = 101
+
+
+def _paired_warm_solve_seconds(network, overlay, rhs, rounds, warm,
+                               repeats=_WARM_SOLVE_PAIRS):
+    """Median (disabled, enabled, overhead pct) CPU s per warm solve."""
     network.solve(overlay, rhs, warm)  # prime the held factor
 
     def enabled_sample():
@@ -56,7 +65,7 @@ def _paired_warm_solve_seconds(network, overlay, rhs, rounds, warm):
 
     return paired_overhead_pct(
         lambda: _solve_sample(network, overlay, rhs, rounds, warm),
-        enabled_sample)
+        enabled_sample, repeats=repeats)
 
 
 def _oftec_sample(problem):
@@ -126,30 +135,24 @@ def _plain_batch_sample(profile, resolution):
 
 
 def _streaming_batch_sample(profile, resolution, directory):
-    """CPU seconds of the same batch with live sinks attached.
+    """CPU seconds of the same batch with the session's sinks attached.
 
-    This is the full streaming path the CLI wires for ``--live-trace``
-    / ``--openmetrics``: a telemetry session plus a TelemetryStream
-    writing a rotating JSONL sink and an OpenMetrics snapshot sink.
-    The TelemetryStream is pumped after every unit (exactly what the
-    progress board does on unit completions), each pump writing the new
-    spans and a metrics snapshot before the clock stops — the measured
-    time includes exporting every span and metrics record, not just
-    producing them.
+    This is the full streaming path the CLI wires for ``--trace`` /
+    ``--openmetrics``: a telemetry session owning a TelemetryStream
+    that writes the JSONL trace file and an OpenMetrics snapshot.  The
+    stream is pumped after every unit (exactly what the exec supervisor
+    does when it accepts a unit) and closed with the session, each pump
+    writing the new spans and a metrics snapshot before the clock stops
+    — the measured time includes exporting every span and metrics
+    record, not just producing them.
     """
-    live = os.path.join(directory, "live.jsonl")
-    om = os.path.join(directory, "metrics.om")
     start = time.process_time()
-    with telemetry_session() as (tracer, metrics):
-        stream = TelemetryStream(
-            tracer, metrics,
-            [RotatingJsonlSink(live), OpenMetricsSink(om)])
-        try:
-            for _ in range(_STREAMING_UNITS):
-                _campaign_unit(profile, resolution)
-                stream.pump()
-        finally:
-            stream.close()
+    sinks = [JsonlTraceSink(os.path.join(directory, "trace.jsonl")),
+             OpenMetricsSink(os.path.join(directory, "metrics.om"))]
+    with telemetry_session(sinks=sinks):
+        for _ in range(_STREAMING_UNITS):
+            _campaign_unit(profile, resolution)
+            obs_runtime.pump()
     return time.process_time() - start
 
 
@@ -202,8 +205,8 @@ def test_obs_overhead_and_emit(tec_problem, profiles, resolution):
           f"{oftec_enabled:.3f} s ({oftec_overhead_pct:+.2f}%), "
           f"{spans} spans")
     print(f"streaming ({_STREAMING_UNITS} units, CPU s): disabled "
-          f"{stream_disabled:.3f} s, live sinks {stream_enabled:.3f} s "
-          f"({stream_overhead_pct:+.2f}%)")
+          f"{stream_disabled:.3f} s, trace + OpenMetrics "
+          f"{stream_enabled:.3f} s ({stream_overhead_pct:+.2f}%)")
 
     payload = {
         "bench": "obs_overhead",
@@ -213,6 +216,8 @@ def test_obs_overhead_and_emit(tec_problem, profiles, resolution):
             "disabled_solves_per_sec": 1.0 / disabled,
             "enabled_solves_per_sec": 1.0 / enabled,
             "overhead_pct": solve_overhead_pct,
+            "pairs": _WARM_SOLVE_PAIRS,
+            "clock": "process_time",
         },
         "oftec": {
             "disabled_seconds": oftec_disabled,

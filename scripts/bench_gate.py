@@ -62,9 +62,9 @@ DRIFT_TOLERANCE = 0.5
 #: Drift of an overhead percentage beyond this many percentage points
 #: is reported.  Those values sit near zero, where a relative change
 #: says nothing (0.30% -> 1.57% is +127%).  Five back-to-back BENCH_4
-#: runs on one shared 2-vCPU host spanned 1.9 points on the streaming
-#: arm and 1.2 on the oftec arm, so a warning here asks for repeated
-#: runs; the 5% budget is the verdict.
+#: runs on one shared 2-vCPU host spanned 2.7 points on the streaming
+#: arm, 2.9 on the oftec arm and 0.5 on the warm-solve arm, so a
+#: warning here asks for repeated runs; the 5% budget is the verdict.
 DRIFT_TOLERANCE_PTS = 3.0
 
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
@@ -154,7 +154,8 @@ def gate_bench4(gate: Gate, doc: dict) -> None:
             "BENCH_4 streaming overhead",
             stream_pct < OBS_OVERHEAD_BUDGET_PCT,
             f"{stream_pct}% < {OBS_OVERHEAD_BUDGET_PCT}% "
-            "(live sinks are written by each per-unit pump)")
+            "(the trace and OpenMetrics sinks are written by each "
+            "per-unit pump)")
     else:
         gate.skip("BENCH_4 streaming overhead",
                   f"budget binds at resolution >= 12, ran at "

@@ -69,13 +69,8 @@ def _add_trace(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", metavar="FILE", default=None,
         help="record a telemetry session and write the span trace "
-             "here as JSONL (inspect with `repro trace summarize`)")
-    parser.add_argument(
-        "--live-trace", metavar="FILE", default=None,
-        dest="live_trace",
-        help="stream finished spans and metric snapshots to this "
-             "rotating JSONL file while the run is still going "
-             "(engages a telemetry session)")
+             "here as JSONL while the run goes, one completed unit at "
+             "a time (inspect with `repro trace summarize`)")
     parser.add_argument(
         "--openmetrics", metavar="FILE", default=None,
         help="keep an OpenMetrics text snapshot of the live metrics "
@@ -127,70 +122,48 @@ def _supervision_from_args(args: argparse.Namespace):
 
 @contextmanager
 def _traced(path: Optional[str],
-            live_path: Optional[str] = None,
             openmetrics_path: Optional[str] = None,
             ) -> Iterator[Optional[dict]]:
     """Run the body under a telemetry session when any sink is given.
 
     Yields None (telemetry disabled, zero overhead) or a holder dict
-    that gains a ``"telemetry"`` metrics snapshot on exit; the span
-    trace is written to ``path`` even when the body fails, so a crashed
-    run still leaves its trace behind.
-
-    ``live_path`` / ``openmetrics_path`` additionally attach streaming
-    sinks to a :class:`~repro.obs.TelemetryStream`: spans and metric
-    snapshots are written *while the run progresses* (the holder
-    carries the stream under ``"stream"``, which a progress board pumps
-    on unit completions), and each pump's records are on disk when it
-    returns, so the files survive a crash mid-run with everything
-    pumped so far.
+    that gains a ``"telemetry"`` metrics snapshot on exit.  The
+    session's stream writes the span trace to ``path`` and the
+    OpenMetrics snapshot to ``openmetrics_path`` while the run
+    progresses — a campaign's files hold each unit once it completes —
+    and closes them even when the body fails, so a crashed run still
+    leaves its trace behind.
     """
-    if not (path or live_path or openmetrics_path):
+    if not (path or openmetrics_path):
         yield None
         return
-    from .obs import (
-        OpenMetricsSink,
-        RotatingJsonlSink,
-        TelemetryStream,
-        save_trace,
-        telemetry_session,
-    )
+    from .obs import JsonlTraceSink, OpenMetricsSink, telemetry_session
     sinks = []
-    if live_path:
-        sinks.append(RotatingJsonlSink(live_path))
+    if path:
+        sinks.append(JsonlTraceSink(path))
     if openmetrics_path:
         sinks.append(OpenMetricsSink(openmetrics_path))
     holder: dict = {}
-    with telemetry_session() as (tracer, metrics):
-        stream = None
-        if sinks:
-            stream = TelemetryStream(tracer, metrics, sinks)
-            holder["stream"] = stream
+    with telemetry_session(sinks=sinks) as (tracer, metrics):
         try:
             yield holder
         finally:
             holder["telemetry"] = metrics.snapshot()
-            if stream is not None:
-                stream.pump()
-                stream.close()
-                for sink_path in (live_path, openmetrics_path):
-                    if sink_path:
-                        print(f"telemetry streamed to {sink_path}",
-                              file=sys.stderr)
             if path:
-                count = save_trace(tracer, path)
-                print(f"trace written to {path} ({count} spans)",
+                print(f"trace written to {path} "
+                      f"({len(tracer.finished)} spans)",
+                      file=sys.stderr)
+            if openmetrics_path:
+                print(f"telemetry streamed to {openmetrics_path}",
                       file=sys.stderr)
 
 
-def _progress_board(args: argparse.Namespace,
-                    session: Optional[dict], label: str):
+def _progress_board(args: argparse.Namespace, label: str):
     """A ProgressBoard on stderr when ``--progress`` was given."""
     if not getattr(args, "progress", False):
         return None
     from .obs import ProgressBoard
-    publisher = session.get("stream") if session else None
-    return ProgressBoard(sys.stderr, label=label, publisher=publisher)
+    return ProgressBoard(sys.stderr, label=label)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,7 +320,7 @@ def _cmd_oftec(args: argparse.Namespace) -> int:
     profile = mibench_profiles()[args.benchmark]
     problem = build_cooling_problem(profile,
                                     grid_resolution=args.resolution)
-    with _traced(args.trace, args.live_trace, args.openmetrics):
+    with _traced(args.trace, args.openmetrics):
         result = run_oftec(problem, method=args.method)
     if args.json:
         payload = {
@@ -390,9 +363,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         template, grid_resolution=args.resolution)
     baseline_problem = build_cooling_problem(
         template, with_tec=False, grid_resolution=args.resolution)
-    with _traced(args.trace, args.live_trace,
-                 args.openmetrics) as session:
-        board = _progress_board(args, session, "campaign")
+    with _traced(args.trace, args.openmetrics) as session:
+        board = _progress_board(args, "campaign")
         campaign = run_campaign(profiles, tec_problem, baseline_problem,
                                 include_tec_only=args.tec_only,
                                 workers=args.workers,
@@ -519,9 +491,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         template, grid_resolution=args.resolution)
     baseline_problem = build_cooling_problem(
         template, with_tec=False, grid_resolution=args.resolution)
-    with _traced(args.trace, args.live_trace,
-                 args.openmetrics) as session:
-        board = _progress_board(args, session, "chaos")
+    with _traced(args.trace, args.openmetrics) as session:
+        board = _progress_board(args, "chaos")
         report = run_chaos_campaign(
             profiles, tec_problem, baseline_problem, plan=plan,
             workers=args.workers,

@@ -40,7 +40,8 @@ RUNAWAY_SIGNAL_CAP = 5.0e3
 #: Decimal places ``(omega, I)`` are rounded to when keying the cache.
 CACHE_DECIMALS = 9
 
-#: Default LRU cap on cached evaluations.  Chosen far above the distinct
+#: LRU cap on cached evaluations, read when an evaluator is built.
+#: Chosen far above the distinct
 #: operating-point count of any real campaign (a few hundred), so the
 #: bound only engages on pathological workloads (long chaos soaks,
 #: unbounded online sweeps) where unbounded growth used to leak full
@@ -172,15 +173,11 @@ class Evaluator:
     constraint and their adjoint gradients share one solve).
     """
 
-    def __init__(self, problem: CoolingProblem,
-                 cache_limit: int = DEFAULT_CACHE_LIMIT):
-        if cache_limit < 1:
-            raise ConfigurationError(
-                f"cache_limit must be >= 1, got {cache_limit}")
+    def __init__(self, problem: CoolingProblem):
         self.problem = problem
         self._cache: "OrderedDict[Tuple[float, float], Evaluation]" = \
             OrderedDict()
-        self._cache_limit = int(cache_limit)
+        self._cache_limit = DEFAULT_CACHE_LIMIT
         self._counts = dict.fromkeys(_CACHE_COUNTS, 0)
         self._context = SolveContext.for_model(problem.model)
         self.call_count = 0
@@ -196,11 +193,6 @@ class Evaluator:
         self._counts[name] += 1
         if _obs.STATE.enabled:
             _obs.STATE.metrics.counter("evaluator.cache." + name).inc()
-
-    @property
-    def cache_limit(self) -> int:
-        """LRU cap on cached evaluations."""
-        return self._cache_limit
 
     @property
     def context(self) -> SolveContext:

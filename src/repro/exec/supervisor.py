@@ -613,15 +613,20 @@ class _Supervisor:
         The single adoption point for worker telemetry, whichever path
         ran the unit.  Stale duplicates of an accepted unit never get
         here (:meth:`_collect` drops them), so no phantom unit is
-        adopted.  The spans and metrics are cleared once adopted, so
-        journal records stay telemetry-free.  The monitor's only
-        metrics feed is the session registry after adoption: the
-        campaign's totals so far, whichever path ran which unit.
+        adopted.  The session's telemetry stream is pumped right after
+        adoption, so a trace file holds each unit once it completes.
+        The spans and metrics are cleared once adopted, so journal
+        records stay telemetry-free.  The monitor's only metrics feed
+        is the session registry after adoption: the campaign's totals
+        so far, whichever path ran which unit.
         """
         self.outcome.results[self._position[result.index]] = result
         _adopt_unit_telemetry(result)
-        if self.monitor is not None and _obs.STATE.enabled:
-            self.monitor.live_metrics(_obs.STATE.metrics.snapshot())
+        if _obs.STATE.enabled:
+            _obs.pump()
+            if self.monitor is not None:
+                self.monitor.live_metrics(
+                    _obs.STATE.metrics.snapshot())
         result.spans = None
         result.metrics = None
         if self.journal is not None:

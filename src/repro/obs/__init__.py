@@ -3,12 +3,18 @@
 The observability plane for the OFTEC pipeline (see
 docs/OBSERVABILITY.md for the span taxonomy and metric table).  Usage:
 
-    from repro.obs import telemetry_session, save_trace
+    from repro.obs import JsonlTraceSink, telemetry_session
 
-    with telemetry_session() as (tracer, metrics):
+    sinks = [JsonlTraceSink("run.jsonl")]
+    with telemetry_session(sinks=sinks) as (tracer, metrics):
         result = run_oftec(problem)
-    save_trace(tracer, "run.jsonl")
     snapshot = metrics.snapshot()
+
+The trace file is written while the run goes: its header when the
+session opens, the spans finished so far on each pump of the session's
+:class:`TelemetryStream` (the exec supervisor pumps once per completed
+unit), and the rest when the session closes.  ``repro trace
+summarize`` reads it at any point.
 
 Everything defaults to a zero-overhead no-op: without an active
 session, instrumented seams cost one attribute check and results are
@@ -27,14 +33,12 @@ from .export import (
     format_trace_summary,
     load_trace,
     read_trace_jsonl,
-    save_trace,
     span_to_dict,
     summarize_spans,
-    write_trace_jsonl,
 )
 from .live import (
+    JsonlTraceSink,
     OpenMetricsSink,
-    RotatingJsonlSink,
     TelemetrySink,
     TelemetryStream,
     metrics_to_openmetrics,
@@ -70,12 +74,12 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS_S",
     "Gauge",
     "Histogram",
+    "JsonlTraceSink",
     "MetricsRegistry",
     "NoopTracer",
     "NullMetrics",
     "OpenMetricsSink",
     "ProgressBoard",
-    "RotatingJsonlSink",
     "Span",
     "SpanEvent",
     "Stopwatch",
@@ -98,12 +102,10 @@ __all__ = [
     "monotonic",
     "read_trace_jsonl",
     "reset",
-    "save_trace",
     "span",
     "span_to_dict",
     "stopwatch",
     "summarize_spans",
     "telemetry_session",
     "traced",
-    "write_trace_jsonl",
 ]

@@ -1,32 +1,37 @@
-"""Trace export and summarization: JSONL writer/reader, text tree.
+"""Trace format and summarization: JSONL records, reader, text tree.
 
-The on-disk format is one JSON object per line:
+A trace file is one JSON object per line, appended while the run goes
+by the session's :class:`~repro.obs.TelemetryStream`:
 
 * the first line is a ``{"record": "meta", ...}`` header carrying the
-  format version, the wall-clock epoch of the trace origin, and the
-  span/drop counts;
-* every further line is a ``{"record": "span", ...}`` object (see
-  :func:`span_to_dict`); orphan events ride on a virtual root span of
-  kind ``trace`` with ``span_id`` 0.
+  format version and the wall-clock epoch of the trace origin;
+* ``{"record": "span", ...}`` lines (see :func:`span_to_dict`) follow
+  in finish order, each pump's batch followed by one
+  ``{"record": "metrics", ...}`` registry snapshot;
+* a finished run ends with the orphan events on a virtual root span of
+  kind ``trace`` with ``span_id`` 0 (when there are any) and one
+  ``{"record": "end", ...}`` line with the span, dropped-span and
+  open-span counts.
 
-``repro trace summarize FILE`` renders per-span-kind count / total /
-p50 / p95 as a tree, nesting each kind under the kind that most often
-parents it — close to the runtime hierarchy without needing every span
-to agree.
+:func:`read_trace_jsonl` keeps the span records only, so a file can be
+read at any point of the run.  ``repro trace summarize FILE`` renders
+per-span-kind count / total / p50 / p95 as a tree, nesting each kind
+under the kind that most often parents it — close to the runtime
+hierarchy without needing every span to agree.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import IO, Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..units import s_to_ms
 from .tracing import Span, Tracer
 
 #: Bumped when the JSONL layout changes incompatibly.
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 #: Virtual root span id used for orphan events in exported traces.
 ROOT_SPAN_ID = 0
@@ -57,59 +62,48 @@ def span_to_dict(span: Span) -> Dict[str, Any]:
     return record
 
 
-def _meta_record(tracer: Tracer) -> Dict[str, Any]:
+def meta_record(tracer: Tracer) -> Dict[str, Any]:
+    """The header line of a trace file."""
     return {
         "record": "meta",
         "format": TRACE_FORMAT_VERSION,
         "created_unix": tracer.created_unix,
-        "spans": len(tracer.finished),
-        "dropped_spans": tracer.dropped_spans,
-        "open_spans": tracer.open_span_count,
     }
 
 
-def write_trace_jsonl(tracer: Tracer, stream: IO[str]) -> int:
-    """Write the tracer's finished spans to ``stream`` as JSONL.
-
-    Returns the number of span records written (the meta header and
-    any virtual root for orphan events are not counted).
-    """
-    stream.write(json.dumps(_meta_record(tracer)) + "\n")
-    written = 0
-    if tracer.orphan_events:
-        root = {
-            "record": "span",
-            "span_id": ROOT_SPAN_ID,
-            "parent_id": None,
-            "kind": "trace",
-            "name": None,
-            "start_s": 0.0,
-            "end_s": None,
-            "duration_s": 0.0,
-            "status": "ok",
-            "events": [
-                {"name": event.name, "time_s": event.time_s,
-                 "attributes": event.attributes}
-                for event in tracer.orphan_events],
-        }
-        stream.write(json.dumps(root) + "\n")
-    for span in tracer.finished:
-        stream.write(json.dumps(span_to_dict(span)) + "\n")
-        written += 1
-    return written
+def orphan_root_record(tracer: Tracer) -> Optional[Dict[str, Any]]:
+    """The virtual root span carrying the tracer's orphan events, or
+    None when there are none."""
+    if not tracer.orphan_events:
+        return None
+    return {
+        "record": "span",
+        "span_id": ROOT_SPAN_ID,
+        "parent_id": None,
+        "kind": "trace",
+        "name": None,
+        "start_s": 0.0,
+        "end_s": None,
+        "duration_s": 0.0,
+        "status": "ok",
+        "events": [
+            {"name": event.name, "time_s": event.time_s,
+             "attributes": event.attributes}
+            for event in tracer.orphan_events],
+    }
 
 
-def save_trace(tracer: Tracer, path: str) -> int:
-    """Write the trace to ``path``; returns the span-record count."""
-    with open(path, "w", encoding="utf-8") as stream:
-        return write_trace_jsonl(tracer, stream)
+#: Record types a reader skips: the header, the per-pump metrics
+#: snapshots and the end-of-run counts.
+_NON_SPAN_RECORDS = frozenset({"meta", "metrics", "end"})
 
 
 def read_trace_jsonl(lines: Iterable[str]) -> List[Dict[str, Any]]:
     """Parse JSONL trace lines into span records.
 
-    Returns the span records only (the meta header is validated and
-    dropped).  Raises :class:`~repro.errors.ConfigurationError` on
+    Returns the span records only (meta, metrics and end records are
+    skipped), so a trace still being written reads as the spans
+    streamed so far.  Raises :class:`~repro.errors.ConfigurationError` on
     malformed input so the CLI can map it to the usual exit code.
     """
     spans: List[Dict[str, Any]] = []
@@ -127,7 +121,7 @@ def read_trace_jsonl(lines: Iterable[str]) -> List[Dict[str, Any]]:
             raise ConfigurationError(
                 f"trace line {number} is not a JSON object")
         record_type = record.get("record")
-        if record_type == "meta":
+        if record_type in _NON_SPAN_RECORDS:
             continue
         if record_type != "span":
             raise ConfigurationError(
@@ -256,9 +250,9 @@ __all__ = [
     "TRACE_FORMAT_VERSION",
     "format_trace_summary",
     "load_trace",
+    "meta_record",
+    "orphan_root_record",
     "read_trace_jsonl",
-    "save_trace",
     "span_to_dict",
     "summarize_spans",
-    "write_trace_jsonl",
 ]

@@ -1,32 +1,33 @@
-"""Streaming telemetry: sinks and the pump that writes them.
+"""Streaming telemetry: the sinks and the stream that writes them.
 
-The rest of the obs plane is *post-hoc*: spans and metrics accumulate
-in memory and materialize once, after the run (``save_trace``, the
-``"telemetry"`` block of a results file).  This module is the live
-half.  A :class:`TelemetrySink` consumes telemetry *records* — small
-JSON-friendly dictionaries tagged by ``"record"`` type — while the run
-is still going:
+A telemetry session (:func:`repro.obs.telemetry_session`) owns one
+:class:`TelemetryStream` when it is given sinks.  The stream tails the
+session's live :class:`~repro.obs.Tracer` and writes *records* — small
+JSON-friendly dictionaries tagged by ``"record"`` type, in the trace
+layout of :mod:`repro.obs.export` — to every sink while the run is
+still going:
 
+* ``{"record": "meta", ...}`` — the header, written and flushed when
+  the stream opens;
 * ``{"record": "span", ...}`` — one finished span
   (:func:`repro.obs.span_to_dict` layout);
 * ``{"record": "metrics", "seq": n, "snapshot": {...}}`` — a full
-  registry snapshot (:meth:`MetricsRegistry.snapshot` layout), newest
-  wins;
-* ``{"record": "event", ...}`` — anything else a caller wants logged.
+  registry snapshot (:meth:`MetricsRegistry.snapshot` layout) after
+  each pump's spans, newest wins;
+* ``{"record": "end", ...}`` — the end-of-run counts, after the
+  orphan-event root span, written once by :meth:`TelemetryStream.close`.
 
-Two sink implementations ship here: :class:`RotatingJsonlSink` (append
-records as JSONL, rotate at a byte budget so the file stays bounded)
-and :class:`OpenMetricsSink` (render the latest metrics snapshot as
+Two sinks ship here: :class:`JsonlTraceSink` (append every record to a
+JSONL trace file — what ``--trace FILE`` writes) and
+:class:`OpenMetricsSink` (render the latest metrics snapshot as
 Prometheus/OpenMetrics text, atomically, for scrapers to poll).
 
-:class:`TelemetryStream` owns the sinks.  It tails a live
-:class:`~repro.obs.Tracer` and :meth:`~TelemetryStream.pump` writes the
-spans finished since the last pump, plus a throttled registry
-snapshot, to every sink and flushes them before it returns.  The exec
-supervisor pumps it from unit-completion callbacks — once per unit and
-once at the end, about nine times for the eight-benchmark campaign —
-so a campaign's live trace grows while the campaign runs, and each
-pump's records are on disk when it returns.
+The exec supervisor pumps the session's stream once per accepted unit,
+right after adopting the unit's telemetry, and the session's exit does
+the final pump — about nine pumps for the eight-benchmark campaign —
+so a campaign's trace file grows while the campaign runs, with or
+without a progress board, and each pump's records are on disk when it
+returns.
 """
 
 from __future__ import annotations
@@ -36,16 +37,9 @@ import os
 import threading
 from typing import IO, Any, Dict, List, Optional, Sequence
 
-from ..errors import ConfigurationError
-from .export import span_to_dict
+from .export import meta_record, orphan_root_record, span_to_dict
 from .metrics import MetricsRegistry
 from .tracing import Tracer
-
-#: Default byte budget per JSONL segment before rotation.
-DEFAULT_MAX_BYTES = 8 * 1024 * 1024
-
-#: Default rotated-segment count (``path.1`` .. ``path.N``).
-DEFAULT_MAX_FILES = 3
 
 
 class TelemetrySink:
@@ -71,74 +65,31 @@ class TelemetrySink:
         self.flush()
 
 
-class RotatingJsonlSink(TelemetrySink):
-    """Append telemetry records to a JSONL file with size rotation.
+class JsonlTraceSink(TelemetrySink):
+    """Append telemetry records to a JSONL trace file.
 
-    When the active segment exceeds ``max_bytes`` it is rotated:
-    ``path`` becomes ``path.1``, ``path.1`` becomes ``path.2``, and so
-    on up to ``max_files`` retained rotated segments (the oldest is
-    discarded).  Records that fail to serialize are replaced by an
-    ``{"record": "error"}`` marker rather than raised, so one bad
-    attribute cannot fail the pump.
+    The file is truncated when the sink opens.  Attribute values JSON
+    cannot encode are written as their ``str``.
     """
 
-    def __init__(self, path: str, max_bytes: int = DEFAULT_MAX_BYTES,
-                 max_files: int = DEFAULT_MAX_FILES):
-        if max_bytes < 1024:
-            raise ConfigurationError(
-                f"max_bytes must be >= 1024, got {max_bytes}")
-        if max_files < 1:
-            raise ConfigurationError(
-                f"max_files must be >= 1, got {max_files}")
+    def __init__(self, path: str):
         self.path = path
-        self.max_bytes = int(max_bytes)
-        self.max_files = int(max_files)
-        self.records_written = 0
-        self.rotations = 0
         self._stream: Optional[IO[str]] = open(
-            path, "a", encoding="utf-8")
-        self._size = self._stream.tell()
-
-    def _rotate(self) -> None:
-        if self._stream is None:
-            return
-        self._stream.close()
-        oldest = f"{self.path}.{self.max_files}"
-        if os.path.exists(oldest):
-            os.remove(oldest)
-        for index in range(self.max_files - 1, 0, -1):
-            src = f"{self.path}.{index}"
-            if os.path.exists(src):
-                os.replace(src, f"{self.path}.{index + 1}")
-        os.replace(self.path, f"{self.path}.1")
-        self._stream = open(self.path, "a", encoding="utf-8")
-        self._size = 0
-        self.rotations += 1
+            path, "w", encoding="utf-8")
 
     def write(self, record: Dict[str, Any]) -> None:
-        """Append one record as a JSON line, rotating when over budget."""
-        if self._stream is None:
-            return
-        try:
-            line = json.dumps(record, default=str)
-        except (TypeError, ValueError):
-            line = json.dumps({"record": "error",
-                               "reason": "unserializable-record"})
-        if self._size + len(line) + 1 > self.max_bytes and self._size:
-            self._rotate()
-        self._stream.write(line + "\n")
-        self._size += len(line) + 1
-        self.records_written += 1
+        """Append one record as a JSON line."""
+        if self._stream is not None:
+            self._stream.write(json.dumps(record, default=str) + "\n")
 
     def flush(self) -> None:
-        """Flush the active segment to the OS."""
+        """Flush the file to the OS."""
         if self._stream is not None:
             self._stream.flush()
 
     def close(self) -> None:
-        """Flush and close the active segment."""
+        """Flush and close the file; later writes are dropped."""
         if self._stream is not None:
-            self._stream.flush()
             self._stream.close()
             self._stream = None
 
@@ -238,18 +189,21 @@ class OpenMetricsSink(TelemetrySink):
 class TelemetryStream:
     """Tail a live tracer/registry straight into a set of sinks.
 
-    :meth:`pump` writes every span finished since the previous pump
-    (in finish order, by cursor — spans already streamed are never
-    re-sent) and a fresh metrics-snapshot record to each sink, then
-    flushes each sink before it returns: everything a pump wrote is on
-    disk when it returns, so a run that crashes later keeps it.
-    Callers invoke it from unit-completion callbacks and once at the
-    end of a run; it is thread-safe.
+    Opening the stream writes the trace header to every sink and
+    flushes it at once, so a worker forked later inherits no buffered
+    bytes.  :meth:`pump` writes every span finished since the previous
+    pump (in finish order — spans already streamed are never re-sent)
+    and a fresh metrics-snapshot record to each sink, then flushes
+    each sink before it returns: everything a pump wrote is on disk
+    when it returns, so a run that crashes later keeps it.  It is
+    thread-safe.
 
     A sink whose ``write`` or ``flush`` raises is quarantined for the
     rest of the run (and counted in :attr:`sink_errors`), so telemetry
     can never fail the run it narrates; the other sinks keep receiving
-    every record.  :meth:`close` closes every sink; it is idempotent.
+    every record.  :meth:`close` does a final pump, writes the
+    orphan-event root and the end record, and closes every sink; it is
+    idempotent, and later pumps write nothing.
     """
 
     def __init__(self, tracer: Tracer, metrics: MetricsRegistry,
@@ -258,46 +212,76 @@ class TelemetryStream:
         self._metrics = metrics
         self._sinks: List[TelemetrySink] = list(sinks)
         self._dead: List[TelemetrySink] = []
-        self._cursor = 0
+        # _seen: spans the tracer had finished at the last pump,
+        # counting those it has dropped past its cap; _lost: spans it
+        # dropped before any pump could write them.
+        self._seen = 0
+        self._written = 0
+        self._lost = 0
         self._seq = 0
+        self._closed = False
         self._lock = threading.Lock()
         self.sink_errors = 0
+        self._emit([meta_record(tracer)])
 
     @property
     def spans_streamed(self) -> int:
-        """Spans pumped so far (cursor position)."""
-        return self._cursor
+        """Span records written so far."""
+        return self._written
+
+    def _emit(self, records: List[Dict[str, Any]]) -> None:
+        """Write ``records`` to every healthy sink and flush it."""
+        for sink in list(self._sinks):
+            try:
+                for record in records:
+                    sink.write(record)
+                sink.flush()
+            except Exception:  # physlint: disable=RPR201
+                # A failing sink must not fail the run (or starve
+                # the healthy sinks): quarantine it and go on.
+                self.sink_errors += 1
+                self._sinks.remove(sink)
+                self._dead.append(sink)
+
+    def _pump_locked(self) -> int:
+        finished = self._tracer.finished
+        seen = len(finished) + self._tracer.dropped_spans
+        fresh = seen - self._seen
+        kept = min(fresh, len(finished))
+        self._lost += fresh - kept
+        self._seen = seen
+        self._written += kept
+        records = [span_to_dict(span)
+                   for span in finished[len(finished) - kept:]]
+        self._seq += 1
+        records.append({"record": "metrics", "seq": self._seq,
+                        "snapshot": self._metrics.snapshot()})
+        self._emit(records)
+        return len(records)
 
     def pump(self) -> int:
         """Write new spans and a metrics snapshot to every healthy
         sink and flush them; returns the number of records pumped."""
         with self._lock:
-            finished = self._tracer.finished
-            # The tracer caps its finished list; if spans were dropped
-            # from the front the cursor must not re-send survivors.
-            cursor = min(self._cursor, len(finished))
-            records = [span_to_dict(span) for span in finished[cursor:]]
-            self._cursor = len(finished)
-            self._seq += 1
-            records.append({"record": "metrics", "seq": self._seq,
-                            "snapshot": self._metrics.snapshot()})
-            for sink in list(self._sinks):
-                try:
-                    for record in records:
-                        sink.write(record)
-                    sink.flush()
-                except Exception:  # physlint: disable=RPR201
-                    # A failing sink must not fail the run (or starve
-                    # the healthy sinks): quarantine it and go on.
-                    self.sink_errors += 1
-                    self._sinks.remove(sink)
-                    self._dead.append(sink)
-        return len(records)
+            if self._closed:
+                return 0
+            return self._pump_locked()
 
     def close(self) -> None:
-        """Close every sink, quarantined ones included.  Safe to call
-        more than once; later pumps write nothing."""
+        """Final pump, closing records, then close every sink,
+        quarantined ones included."""
         with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._pump_locked()
+            root = orphan_root_record(self._tracer)
+            closing = [] if root is None else [root]
+            closing.append({"record": "end",
+                            "spans": self._written,
+                            "dropped_spans": self._lost,
+                            "open_spans": self._tracer.open_span_count})
+            self._emit(closing)
             for sink in self._sinks + self._dead:
                 try:
                     sink.close()
@@ -310,10 +294,8 @@ class TelemetryStream:
 
 
 __all__ = [
-    "DEFAULT_MAX_BYTES",
-    "DEFAULT_MAX_FILES",
+    "JsonlTraceSink",
     "OpenMetricsSink",
-    "RotatingJsonlSink",
     "TelemetrySink",
     "TelemetryStream",
     "metrics_to_openmetrics",

@@ -20,12 +20,6 @@ loop, the serial executor in-line) and cheap enough to invoke per
 unit.  The board never owns the stream: callers pass
 ``sys.stderr`` (the CLI) or a capture buffer (tests) and keep
 responsibility for closing it.
-
-A board can also carry a ``publisher`` — typically a
-:class:`repro.obs.live.TelemetryStream` — whose ``pump()`` is invoked
-on every unit completion and writes the streaming sinks there and
-then, which is how ``--progress`` and the streaming sinks share one
-set of exec-layer hooks.
 """
 
 from __future__ import annotations
@@ -61,15 +55,11 @@ class ProgressBoard:
         interval_s: Minimum seconds between renders when ``out`` is
             not a TTY (TTY renders are throttled to 10 Hz).
         label: Short campaign label shown on every line.
-        publisher: Optional object with a ``pump()`` method (a
-            :class:`~repro.obs.live.TelemetryStream`), pumped on unit
-            completions and at ``finish``.
     """
 
     def __init__(self, out: IO[str], total: int = 0,
                  interval_s: float = DEFAULT_LOG_INTERVAL_S,
-                 label: str = "campaign",
-                 publisher: Optional[Any] = None):
+                 label: str = "campaign"):
         if interval_s <= 0.0:
             raise ConfigurationError(
                 f"interval_s must be > 0, got {interval_s}")
@@ -78,7 +68,6 @@ class ProgressBoard:
         self._interval_s = float(interval_s)
         self._min_render_gap = 0.1 if self._tty else self._interval_s
         self._label = label
-        self._publisher = publisher
         self._lock = threading.Lock()
         self._started_at: Optional[float] = None
         self._last_render_at = -float("inf")
@@ -136,7 +125,6 @@ class ProgressBoard:
             if not ok:
                 self.failed += 1
             self._render_locked()
-        self._pump()
 
     def live_metrics(self, snapshot: Dict[str, Any]) -> None:
         """Fold cache rates and the operator's Krylov work out of the
@@ -168,7 +156,6 @@ class ProgressBoard:
 
     def finish(self) -> None:
         """Render the final state and terminate the TTY line."""
-        self._pump()
         with self._lock:
             self._render_locked(force=True)
             if self._tty and self._rendered_any:
@@ -195,11 +182,6 @@ class ProgressBoard:
         return remaining / rate
 
     # -- rendering -----------------------------------------------------
-
-    def _pump(self) -> None:
-        publisher = self._publisher
-        if publisher is not None:
-            publisher.pump()
 
     def status_line(self) -> str:
         """The current one-line status (also what gets rendered)."""

@@ -14,14 +14,17 @@ enough that separately toggling tracing and metrics buys nothing but
 matrix-testing surface.  :func:`telemetry_session` is the frontend used
 by the CLI and tests: it installs a fresh ``(Tracer, MetricsRegistry)``
 pair, yields them, and restores the previous state on exit even when
-the traced run fails.
+the traced run fails.  Given sinks, the session also owns one
+:class:`~repro.obs.live.TelemetryStream` writing them while the run
+goes; :func:`pump` advances it.
 
 Process semantics (see docs/PARALLELISM.md): :data:`STATE` is
 per-process.  Under the ``spawn`` start method a worker imports this
 module fresh and starts disabled; under ``fork`` the child would
 inherit a copy of the parent's *enabled* state pointing at a tracer
-the parent can never read back, so an ``os.register_at_fork`` hook
-resets forked children to the disabled no-op state.  Workers that want
+the parent can never read back (and at the parent's open trace
+file), so an ``os.register_at_fork`` hook resets forked children to
+the disabled no-op state, stream dropped.  Workers that want
 telemetry open their own :func:`telemetry_session` and ship the
 exported spans/snapshot home (the ``repro.exec`` scheduler re-parents
 them under the coordinating span).
@@ -31,8 +34,9 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional, Tuple, TypeVar
+from typing import Any, Callable, Iterator, Optional, Sequence, Tuple, TypeVar
 
+from .live import TelemetrySink, TelemetryStream
 from .metrics import NOOP_METRICS, MetricsRegistry
 from .tracing import NOOP_TRACER, NULL_SPAN_CONTEXT, Tracer
 
@@ -43,14 +47,16 @@ class ObsState:
     """The mutable holder for the active telemetry backends.
 
     ``enabled`` is the single hot-path flag: True exactly when a real
-    tracer/registry pair is installed.
+    tracer/registry pair is installed.  ``stream`` is the session's
+    telemetry stream, None when the session has no sinks.
     """
 
-    __slots__ = ("tracer", "metrics", "enabled")
+    __slots__ = ("tracer", "metrics", "stream", "enabled")
 
     def __init__(self) -> None:
         self.tracer = NOOP_TRACER
         self.metrics = NOOP_METRICS
+        self.stream: Optional[TelemetryStream] = None
         self.enabled = False
 
 
@@ -96,6 +102,7 @@ def reset() -> None:
     """Return to the disabled (no-op) state."""
     STATE.tracer = NOOP_TRACER
     STATE.metrics = NOOP_METRICS
+    STATE.stream = None
     STATE.enabled = False
 
 
@@ -105,9 +112,11 @@ def _reset_after_fork() -> None:
     A fork clones an enabled parent's tracer into the child, where
     every span it records is invisible to the parent — worse than
     useless, because the child pays the tracing cost for data nobody
-    can collect.  Children therefore start disabled and opt back in
-    with their own :func:`telemetry_session` (which the ``repro.exec``
-    worker shim does when the coordinator asked for telemetry).
+    can collect — and the parent's stream, whose trace file the child
+    must never write or close.  Children therefore start disabled and
+    opt back in with their own :func:`telemetry_session` (which the
+    ``repro.exec`` worker shim does when the coordinator asked for
+    telemetry).
     """
     reset()
 
@@ -119,6 +128,7 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
 @contextmanager
 def telemetry_session(tracer: Optional[Tracer] = None,
                       metrics: Optional[MetricsRegistry] = None,
+                      sinks: Sequence[TelemetrySink] = (),
                       ) -> Iterator[Tuple[Tracer, MetricsRegistry]]:
     """Enable telemetry for the enclosed block.
 
@@ -126,18 +136,38 @@ def telemetry_session(tracer: Optional[Tracer] = None,
     previous state afterwards, so sessions nest and a failing traced
     run cannot leak an enabled tracer into later work.
 
+    With ``sinks`` (a :class:`~repro.obs.JsonlTraceSink` for a trace
+    file, an :class:`~repro.obs.OpenMetricsSink`) the session owns a
+    :class:`~repro.obs.TelemetryStream` that writes the trace header
+    now, advances on each :func:`pump`, and is closed — final pump,
+    end record — when the block exits, failing or not.
+
     Safe to open inside pool workers: each process has its own
     :data:`STATE` (fork-inherited copies are reset by the at-fork
     hook), so a worker session never races the coordinator's.  Export
     the finished spans and a metrics snapshot before the worker
     returns — in-memory state dies with the process.
     """
-    previous = (STATE.tracer, STATE.metrics, STATE.enabled)
+    previous = (STATE.tracer, STATE.metrics, STATE.stream,
+                STATE.enabled)
     pair = install(tracer, metrics)
+    stream = TelemetryStream(*pair, sinks) if sinks else None
+    STATE.stream = stream
     try:
         yield pair
     finally:
-        STATE.tracer, STATE.metrics, STATE.enabled = previous
+        if stream is not None:
+            stream.close()
+        STATE.tracer, STATE.metrics, STATE.stream, STATE.enabled = \
+            previous
+
+
+def pump() -> None:
+    """Write what the session's stream has not yet written (no-op
+    without a stream)."""
+    stream = STATE.stream
+    if stream is not None:
+        stream.pump()
 
 
 def span(kind: str, name: Optional[str] = None, **attributes: Any):
@@ -190,6 +220,7 @@ __all__ = [
     "get_tracer",
     "install",
     "is_enabled",
+    "pump",
     "reset",
     "span",
     "telemetry_session",

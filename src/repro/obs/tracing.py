@@ -173,8 +173,8 @@ class Tracer:
 
     Single-threaded by design (the solve pipeline is synchronous); the
     open-span stack *is* the hierarchy.  Finished spans accumulate in
-    :attr:`finished` until exported with
-    :func:`repro.obs.write_trace_jsonl`.
+    :attr:`finished`, where the session's
+    :class:`~repro.obs.TelemetryStream` tails them.
     """
 
     enabled = True

@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.obs import load_trace
 
 
 class TestParser:
@@ -221,21 +222,55 @@ class TestStreamingFlags:
         om = tmp_path / "metrics.om"
         code = main(["oftec", "--benchmark", "basicmath",
                      "--resolution", "6",
-                     "--live-trace", str(live),
+                     "--trace", str(live),
                      "--openmetrics", str(om)])
         captured = capsys.readouterr()
         assert code == 0
-        assert f"telemetry streamed to {live}" in captured.err
+        assert f"trace written to {live}" in captured.err
         assert f"telemetry streamed to {om}" in captured.err
         with open(live, encoding="utf-8") as handle:
             records = [json.loads(line) for line in handle
                        if line.strip()]
+        assert records[0]["record"] == "meta"
+        assert records[-1]["record"] == "end"
         assert any(r["record"] == "span" for r in records)
         assert any(r["record"] == "metrics" for r in records)
         text = om.read_text()
         assert text.startswith("# TYPE")
         assert "repro_operator_solves_total" in text
         assert text.endswith("# EOF\n")
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_campaign_trace_readable_after_each_unit(
+            self, tmp_path, monkeypatch, capsys, workers):
+        # No --progress: the trace must still advance per unit.  The
+        # probe is the exec layer's monitor, called once a unit is
+        # accepted; it reads the file the way `repro trace` does.
+        import repro.cli as cli
+
+        path = tmp_path / "trace.jsonl"
+        seen = []
+
+        class Probe:
+            def unit_done(self, name, wall_seconds=0.0, ok=True):
+                units = [r["name"] for r in load_trace(str(path))
+                         if r["kind"] == "unit"]
+                seen.append((name, units))
+
+            def __getattr__(self, hook):
+                return lambda *args, **kwargs: None
+
+        monkeypatch.setattr(cli, "_progress_board",
+                            lambda *args: Probe())
+        code = main(["campaign", "--resolution", "4", "--benchmarks",
+                     "3", "--workers", str(workers),
+                     "--trace", str(path)])
+        capsys.readouterr()
+        assert code == 0
+        assert len(seen) == 3
+        for done, (name, units) in enumerate(seen, start=1):
+            assert name in units
+            assert len(units) == done
 
     def test_campaign_progress_renders_to_stderr(self, tmp_path,
                                                  capsys):

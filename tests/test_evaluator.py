@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Evaluator
-from repro.errors import ConfigurationError
+from repro.core import evaluator as evaluator_module
 
 
 class TestEvaluation:
@@ -66,14 +66,10 @@ class TestCaching:
 
 
 class TestCacheBounds:
-    def test_cache_limit_validated(self, tec_problem):
-        with pytest.raises(ConfigurationError):
-            Evaluator(tec_problem, cache_limit=0)
-
     def test_cache_info_counters(self, evaluator):
         info = evaluator.cache_info()
         assert (info.hits, info.misses, info.size) == (0, 0, 0)
-        assert info.limit == evaluator.cache_limit
+        assert info.limit == evaluator_module.DEFAULT_CACHE_LIMIT
         evaluator.evaluate(200.0, 1.0)
         evaluator.evaluate(200.0, 1.0)
         info = evaluator.cache_info()
@@ -82,8 +78,9 @@ class TestCacheBounds:
         assert info.size == 1
         assert info.evictions == 0
 
-    def test_eviction_at_limit(self, tec_problem):
-        evaluator = Evaluator(tec_problem, cache_limit=2)
+    def test_eviction_at_limit(self, tec_problem, monkeypatch):
+        monkeypatch.setattr(evaluator_module, "DEFAULT_CACHE_LIMIT", 2)
+        evaluator = Evaluator(tec_problem)
         for omega in (200.0, 210.0, 220.0):
             evaluator.evaluate(omega, 1.0)
         info = evaluator.cache_info()
@@ -94,8 +91,9 @@ class TestCacheBounds:
         evaluator.evaluate(200.0, 1.0)
         assert evaluator.solve_count == solves + 1
 
-    def test_recency_protects_hot_entry(self, tec_problem):
-        evaluator = Evaluator(tec_problem, cache_limit=2)
+    def test_recency_protects_hot_entry(self, tec_problem, monkeypatch):
+        monkeypatch.setattr(evaluator_module, "DEFAULT_CACHE_LIMIT", 2)
+        evaluator = Evaluator(tec_problem)
         evaluator.evaluate(200.0, 1.0)
         evaluator.evaluate(210.0, 1.0)
         evaluator.evaluate(200.0, 1.0)  # refresh before the cap bites

@@ -1,7 +1,7 @@
 """Tests for repro.obs: tracing, metrics, export, pipeline telemetry."""
 
-import io
 import json
+import os
 
 import pytest
 
@@ -15,19 +15,20 @@ from repro.obs import (
     DEFAULT_COUNT_BUCKETS,
     Gauge,
     Histogram,
+    JsonlTraceSink,
     MetricsRegistry,
     NullMetrics,
+    TRACE_FORMAT_VERSION,
+    TelemetryStream,
     Tracer,
     format_trace_summary,
     is_enabled,
     load_trace,
     read_trace_jsonl,
-    save_trace,
     stopwatch,
     summarize_spans,
     telemetry_session,
     traced,
-    write_trace_jsonl,
 )
 from repro.obs import runtime as obs_runtime
 from repro.obs.tracing import NOOP_SPAN, NOOP_TRACER, NULL_SPAN_CONTEXT
@@ -265,6 +266,46 @@ class TestRuntime:
         assert [s.kind for s in tracer.finished] == ["helper"]
         assert tracer.finished[0].name == "double"
 
+    def test_session_streams_trace_file(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with telemetry_session(sinks=[JsonlTraceSink(str(path))]) \
+                as (tracer, _):
+            # The header is on disk as soon as the session opens.
+            assert [json.loads(line)["record"] for line
+                    in path.read_text().splitlines()] == ["meta"]
+            with tracer.span("unit", "a"):
+                pass
+            obs_runtime.pump()
+            assert [r["name"] for r in load_trace(str(path))] == ["a"]
+            with tracer.span("unit", "b"):
+                pass
+        # Closing the session did the final pump and the end record.
+        assert obs_runtime.STATE.stream is None
+        assert [r["name"] for r in load_trace(str(path))] == ["a", "b"]
+        last = json.loads(path.read_text().splitlines()[-1])
+        assert last == {"record": "end", "spans": 2,
+                        "dropped_spans": 0, "open_spans": 0}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX fork")
+    def test_forked_child_drops_the_stream(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with telemetry_session(sinks=[JsonlTraceSink(str(path))]):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    dropped = obs_runtime.STATE.stream is None
+                    obs_runtime.pump()  # a no-op without a stream
+                    code = 0 if dropped and not is_enabled() else 1
+                finally:
+                    os._exit(code)
+            _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        # The child neither wrote to nor closed the parent's file.
+        records = [json.loads(line)["record"]
+                   for line in path.read_text().splitlines()]
+        assert records == ["meta", "metrics", "end"]
+
 
 class TestExport:
     def _sample_tracer(self):
@@ -278,24 +319,33 @@ class TestExport:
                     raise SolverError("bad")
         return tracer
 
+    @staticmethod
+    def _write(tracer, path):
+        """Stream ``tracer`` to a trace file and close it."""
+        stream = TelemetryStream(tracer, MetricsRegistry(),
+                                 [JsonlTraceSink(str(path))])
+        stream.close()
+        return stream
+
     def test_jsonl_round_trip(self, tmp_path):
         tracer = self._sample_tracer()
         path = tmp_path / "trace.jsonl"
-        written = save_trace(tracer, str(path))
-        assert written == 3
-        lines = path.read_text().splitlines()
-        meta = json.loads(lines[0])
-        assert meta["record"] == "meta"
-        assert meta["spans"] == 3
-        assert meta["open_spans"] == 0
+        self._write(tracer, path)
+        lines = [json.loads(line)
+                 for line in path.read_text().splitlines()]
+        assert lines[0]["record"] == "meta"
+        assert lines[0]["format"] == TRACE_FORMAT_VERSION
+        assert lines[-1] == {"record": "end", "spans": 3,
+                             "dropped_spans": 0, "open_spans": 0}
         records = load_trace(str(path))
-        # virtual root (orphan events) + three real spans
+        # three real spans + the virtual root (orphan events), which
+        # closes the file
         assert len(records) == 4
-        root = records[0]
+        root = records[-1]
         assert root["span_id"] == 0 and root["kind"] == "trace"
         assert root["events"][0]["name"] == "orphan.start"
         by_kind = {}
-        for record in records[1:]:
+        for record in records[:-1]:
             by_kind.setdefault(record["kind"], []).append(record)
         assert len(by_kind["benchmark"]) == 2
         failed = [r for r in by_kind["benchmark"]
@@ -303,10 +353,10 @@ class TestExport:
         assert len(failed) == 1
         assert "SolverError" in failed[0]["error"]
 
-    def test_writer_returns_span_count(self):
+    def test_writer_returns_span_count(self, tmp_path):
         tracer = self._sample_tracer()
-        stream = io.StringIO()
-        assert write_trace_jsonl(tracer, stream) == 3
+        stream = self._write(tracer, tmp_path / "trace.jsonl")
+        assert stream.spans_streamed == 3
 
     @pytest.mark.parametrize("line,fragment", [
         ("not json", "not valid JSON"),
@@ -319,8 +369,10 @@ class TestExport:
             read_trace_jsonl([line])
 
     def test_blank_lines_and_meta_skipped(self):
-        lines = ['{"record": "meta", "format": 1}', "",
-                 '{"record": "span", "kind": "x", "span_id": 1}']
+        lines = ['{"record": "meta", "format": 2}', "",
+                 '{"record": "span", "kind": "x", "span_id": 1}',
+                 '{"record": "metrics", "seq": 1, "snapshot": {}}',
+                 '{"record": "end", "spans": 1}']
         assert len(read_trace_jsonl(lines)) == 1
 
     def test_load_trace_missing_file(self, tmp_path):
@@ -346,12 +398,11 @@ class TestExport:
         assert solve["parent_kind"] == "run"
         assert summary["run"]["parent_kind"] is None
 
-    def test_format_summary_tree(self):
+    def test_format_summary_tree(self, tmp_path):
         tracer = self._sample_tracer()
-        stream = io.StringIO()
-        write_trace_jsonl(tracer, stream)
-        stream.seek(0)
-        text = format_trace_summary(read_trace_jsonl(stream))
+        path = tmp_path / "trace.jsonl"
+        self._write(tracer, path)
+        text = format_trace_summary(load_trace(str(path)))
         lines = text.splitlines()
         assert lines[0].startswith("trace: 4 spans")
         body = "\n".join(lines[1:])
@@ -398,7 +449,9 @@ class TestTracedPipeline:
         tec, base = small_problems
         few = dict(list(profiles.items())[:2])
         plan = full_fault_plan(seed=7, rate=0.05)
-        with telemetry_session() as (tracer, metrics):
+        path = tmp_path / "chaos.jsonl"
+        with telemetry_session(sinks=[JsonlTraceSink(str(path))]) \
+                as (tracer, metrics):
             report = run_chaos_campaign(few, tec, base, plan=plan)
         # Chaos contract holds under tracing: nothing escapes.
         assert report.ok, report.unhandled
@@ -430,11 +483,9 @@ class TestTracedPipeline:
                     f"faults.injected.{kind}"] == count
             assert snapshot["gauges"][f"chaos.fired.{kind}"] == count
 
-        # The trace exports as parseable JSONL.
-        path = tmp_path / "chaos.jsonl"
-        save_trace(tracer, str(path))
+        # The session streamed the trace as parseable JSONL.
         records = load_trace(str(path))
-        assert records
+        assert len(records) == len(tracer.finished)
         assert format_trace_summary(records)
 
     def test_failure_reports_carry_trace_excerpt(self, profiles,

@@ -17,10 +17,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import (
+    JsonlTraceSink,
     OpenMetricsSink,
     ProgressBoard,
-    RotatingJsonlSink,
     TelemetryStream,
+    Tracer,
     critical_path,
     folded_stacks,
     format_critical_path,
@@ -29,6 +30,7 @@ from repro.obs import (
     span_to_dict,
     telemetry_session,
 )
+from repro.obs import runtime as obs_runtime
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -38,56 +40,29 @@ def read_jsonl(path):
         return [json.loads(line) for line in handle if line.strip()]
 
 
-class TestRotatingJsonlSink:
+class TestJsonlTraceSink:
     def test_writes_json_lines(self, tmp_path):
-        sink = RotatingJsonlSink(str(tmp_path / "live.jsonl"))
+        sink = JsonlTraceSink(str(tmp_path / "trace.jsonl"))
         sink.write({"record": "span", "name": "a"})
         sink.write({"record": "metrics", "seq": 1})
         sink.close()
-        records = read_jsonl(tmp_path / "live.jsonl")
+        records = read_jsonl(tmp_path / "trace.jsonl")
         assert [r["record"] for r in records] == ["span", "metrics"]
-        assert sink.records_written == 2
-
-    def test_rotates_at_size_budget(self, tmp_path):
-        path = tmp_path / "live.jsonl"
-        sink = RotatingJsonlSink(str(path), max_bytes=1024,
-                                 max_files=2)
-        payload = {"record": "span", "pad": "x" * 100}
-        for _ in range(40):
-            sink.write(payload)
-        sink.close()
-        assert sink.rotations >= 1
-        assert path.exists()
-        assert (tmp_path / "live.jsonl.1").exists()
-        # Rotation bounds disk: never more than max_files rotated
-        # segments beside the active one.
-        segments = sorted(p.name for p in tmp_path.iterdir())
-        assert len(segments) <= 3
-        # Every surviving segment is still valid JSONL.
-        for segment in segments:
-            assert read_jsonl(tmp_path / segment)
 
     def test_unserializable_record_degrades(self, tmp_path):
-        sink = RotatingJsonlSink(str(tmp_path / "live.jsonl"))
+        sink = JsonlTraceSink(str(tmp_path / "trace.jsonl"))
         sink.write({"record": "span", "bad": {1, 2}})
         sink.close()
-        # default=str handles most of it; whatever happens the line
-        # must parse back.
-        records = read_jsonl(tmp_path / "live.jsonl")
+        # default=str handles it; the line must parse back.
+        records = read_jsonl(tmp_path / "trace.jsonl")
         assert len(records) == 1
 
     def test_write_after_close_is_noop(self, tmp_path):
-        sink = RotatingJsonlSink(str(tmp_path / "live.jsonl"))
+        sink = JsonlTraceSink(str(tmp_path / "trace.jsonl"))
         sink.close()
         sink.write({"record": "span"})
         sink.close()
-        assert read_jsonl(tmp_path / "live.jsonl") == []
-
-    def test_rejects_silly_budgets(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            RotatingJsonlSink(str(tmp_path / "x"), max_bytes=10)
-        with pytest.raises(ConfigurationError):
-            RotatingJsonlSink(str(tmp_path / "x"), max_files=0)
+        assert read_jsonl(tmp_path / "trace.jsonl") == []
 
 
 class TestOpenMetricsSink:
@@ -135,7 +110,7 @@ class TestOpenMetricsSink:
 
 class TestTelemetryStream:
     def test_pumps_spans_once(self, tmp_path):
-        sink = RotatingJsonlSink(str(tmp_path / "live.jsonl"))
+        sink = JsonlTraceSink(str(tmp_path / "live.jsonl"))
         with telemetry_session() as (tracer, metrics):
             stream = TelemetryStream(tracer, metrics, [sink])
             with tracer.span("unit", "a"):
@@ -153,7 +128,7 @@ class TestTelemetryStream:
         assert stream.spans_streamed == 2
 
     def test_snapshot_on_every_pump(self, tmp_path):
-        sink = RotatingJsonlSink(str(tmp_path / "live.jsonl"))
+        sink = JsonlTraceSink(str(tmp_path / "live.jsonl"))
         with telemetry_session() as (tracer, metrics):
             stream = TelemetryStream(tracer, metrics, [sink])
             counts = []
@@ -165,11 +140,11 @@ class TestTelemetryStream:
                           read_jsonl(tmp_path / "live.jsonl")
                           if r["record"] == "metrics"]
         # No spans were finished, so each pump wrote exactly its own
-        # snapshot, taken at pump time.
+        # snapshot, taken at pump time; close pumped once more.
         assert counts == [1, 1, 1]
-        assert [r["seq"] for r in metric_records] == [1, 2, 3]
+        assert [r["seq"] for r in metric_records] == [1, 2, 3, 4]
         assert [r["snapshot"]["counters"]["units"]
-                for r in metric_records] == [1, 2, 3]
+                for r in metric_records] == [1, 2, 3, 3]
 
     def test_pumped_records_are_on_disk_before_close(self, tmp_path):
         live = tmp_path / "live.jsonl"
@@ -177,7 +152,7 @@ class TestTelemetryStream:
         with telemetry_session() as (tracer, metrics):
             stream = TelemetryStream(
                 tracer, metrics,
-                [RotatingJsonlSink(str(live)), OpenMetricsSink(str(om))])
+                [JsonlTraceSink(str(live)), OpenMetricsSink(str(om))])
             for name in ("a", "b", "c"):
                 with tracer.span("unit", name):
                     metrics.counter("units").inc()
@@ -207,7 +182,7 @@ class TestTelemetryStream:
                 self.closed = True
 
         bad = ExplodingSink()
-        healthy = RotatingJsonlSink(str(tmp_path / "ok.jsonl"))
+        healthy = JsonlTraceSink(str(tmp_path / "ok.jsonl"))
         with telemetry_session() as (tracer, metrics):
             stream = TelemetryStream(tracer, metrics, [bad, healthy])
             for name in ("a", "b", "c"):
@@ -217,15 +192,37 @@ class TestTelemetryStream:
             stream.close()
             stream.close()  # idempotent
         # The healthy sink got every record; the bad one was dropped
-        # after its first failure instead of failing the run, and
-        # still closed at the end.
+        # after its first failure (the header) instead of failing the
+        # run, and still closed at the end.
         records = read_jsonl(tmp_path / "ok.jsonl")
+        assert records[0]["record"] == "meta"
+        assert records[-1]["record"] == "end"
         assert [r.get("name") for r in records
                 if r["record"] == "span"] == ["a", "b", "c"]
         assert [r["seq"] for r in records
-                if r["record"] == "metrics"] == [1, 2, 3]
+                if r["record"] == "metrics"] == [1, 2, 3, 4]
         assert stream.sink_errors == 1
         assert bad.closed
+
+
+    @pytest.mark.parametrize("pump_between", [True, False])
+    def test_spans_past_the_tracer_cap(self, tmp_path, pump_between):
+        # The tracer keeps its newest two spans.  Spans pumped before
+        # they leave its memory are all in the file; spans it dropped
+        # before any pump are counted as dropped in the end record.
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer(max_spans=2)
+        with telemetry_session(tracer,
+                               sinks=[JsonlTraceSink(str(path))]):
+            for name in "abcde":
+                with tracer.span("unit", name):
+                    pass
+                if pump_between:
+                    obs_runtime.pump()
+        records = read_jsonl(path)
+        names = [r["name"] for r in records if r["record"] == "span"]
+        assert names == (list("abcde") if pump_between else ["d", "e"])
+        assert records[-1]["dropped_spans"] == len("abcde") - len(names)
 
 
 def _span(span_id, parent_id, kind, name, start_s, end_s):
@@ -349,21 +346,6 @@ class TestProgressBoard:
         board.unit_done("a", 0.1)
         assert board.eta_s() is not None
         assert board.throughput() > 0.0
-
-    def test_publisher_pumped_on_completion_and_finish(self):
-        calls = []
-
-        class Recorder:
-            def pump(self):
-                calls.append("pump")
-
-        board = ProgressBoard(io.StringIO(), total=1,
-                              interval_s=0.001,
-                              publisher=Recorder())
-        board.unit_running("a")
-        board.unit_done("a", 0.1)
-        board.finish()
-        assert calls == ["pump", "pump"]
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ConfigurationError):
