@@ -71,7 +71,7 @@ class AttemptRecord:
             else None.
         message: Backend status message or exception text.
         evaluations: Thermal solves this attempt consumed.
-        factorizations: Sparse LU factorizations this attempt consumed
+        factorizations: Factorizations this attempt consumed
             (strictly less than ``evaluations`` when the solve
             context's held factor is pulling its weight).
     """

@@ -500,10 +500,11 @@ class DenseSolveRule(Rule):
 # RPR302 — solver-in-loop
 # ---------------------------------------------------------------------------
 
-#: Function names whose call performs (or prepares) a fresh sparse
-#: factorization; calling one per loop iteration discards the work the
-#: operator layer exists to cache.
-_FACTOR_CALLS = frozenset({"factorized", "splu", "spsolve"})
+#: Function names whose call performs (or prepares) a fresh sparse or
+#: banded factorization; calling one per loop iteration discards the
+#: work the operator layer exists to cache.
+_FACTOR_CALLS = frozenset({"cholesky_banded", "dpbtrf", "factorized",
+                           "splu", "spsolve"})
 
 #: Sparse-format conversion methods; in a loop they rebuild index
 #: arrays that the precomputed diagonal map makes unnecessary.
@@ -529,7 +530,8 @@ class SolverInLoopRule(Rule):
     code = "RPR302"
     name = "solver-in-loop"
     rationale = (
-        "spsolve/splu inside a for/while loop refactorizes a matrix "
+        "spsolve/splu (or a banded Cholesky, dpbtrf/cholesky_banded) "
+        "inside a for/while loop refactorizes a matrix "
         "with the same sparsity pattern every iteration, and .tocsc()/"
         ".tocsr() rebuilds its index arrays; both throw away work that "
         "ThermalOperator caches.  Route repeated solves through "

@@ -9,7 +9,7 @@ fires, per-unit telemetry exports, and worker identity/cache
 statistics.
 
 Both ends of the pipe are plain data on purpose: no live evaluators,
-no SuperLU factors, no open spans ever cross the process boundary.
+no factors, no open spans ever cross the process boundary.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ solving is delegated to a lazily built
 :class:`~repro.thermal.operator.ThermalOperator`, which applies overlays
 in place through a precomputed diagonal index map and, given a caller's
 :class:`~repro.thermal.operator.KrylovState`, solves by preconditioned
-CG against that sequence's last ``splu`` factor.
+CG against that sequence's last factor.
 """
 
 from __future__ import annotations

@@ -9,7 +9,11 @@ overlay and the RHS change between solves.
   every diagonal entry stored, and each ``(i, i)`` position in
   ``csc.data`` — so applying an overlay is two array writes.  It holds
   no factors.
-* :class:`Factorization` wraps one ``splu`` factor at one overlay.
+* :class:`Factorization` holds one factor at one overlay: a banded
+  Cholesky factor (LAPACK ``dpbtrf``) of the matrix in reverse
+  Cuthill-McKee order when the static matrix is exactly symmetric, its
+  band fits :data:`BAND_BUDGET_BYTES` and the loaded matrix is positive
+  definite; otherwise an ``splu`` factor.
 * :class:`KrylovState` holds what one solve sequence already knows:
   its last factor and its last accepted answer per right-hand-side
   shape.  It lives with the caller (a
@@ -41,20 +45,29 @@ indefinite (Steihaug's negative-curvature exit), so it raises
 without factoring and leaves the held factor as it was.  Curvature
 within the margin, as on an exactly singular PSD system, still factors
 fresh and meets the singularity guards.
-Without ``warm`` a solve is a fresh factor and a back-solve,
-bit-identical to ``spsolve`` (same SuperLU driver;
-``tests/test_operator.py``); full-tolerance warm solves agree with it
-to ~1e-10 K.
+Without ``warm`` a solve is a fresh factor and a back-solve.  On the
+band path it agrees with ``spsolve`` to ~1e-14 relative (a different
+elimination order, not a looser tolerance); on the SuperLU path
+(asymmetric static matrix, band over budget, or a matrix that is not
+positive definite) it is bit-identical to ``spsolve`` (same SuperLU
+driver), so singular and indefinite systems meet the same guards and
+condition estimates as before (``tests/test_operator.py``).
+Full-tolerance warm solves agree with the direct solve to ~1e-10 K.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from ..errors import (
@@ -89,6 +102,17 @@ KRYLOV_BUDGET = 15
 INDEFINITE_MARGIN = 1.0e-10
 
 
+#: Largest band (``8 * (bandwidth + 1) * n`` bytes, in reverse
+#: Cuthill-McKee order) factored by banded Cholesky; a larger band
+#: factors with SuperLU.  Set from the crossover table in
+#: ``BENCH_3.json`` (``banded_cholesky.crossover``): up to the 14x14
+#: grid (3.25 MB) the band factors and back-solves (vector and
+#: two-column) faster than SuperLU; at 16x16 (5.24 MB) its two-column
+#: back-solve only ties SuperLU's, from 18x18 it is slower, and from
+#: 20x20 the vector back-solve too.
+BAND_BUDGET_BYTES = 4_000_000
+
+
 #: The :class:`OperatorStats` fields, in order.
 _COUNTERS = ("solves", "factorizations", "cache_hits", "adjoint_solves",
              "krylov_iterations", "krylov_solves", "fresh_factorizations",
@@ -101,7 +125,8 @@ class OperatorStats:
 
     Attributes:
         solves: Forward right-hand sides solved.
-        factorizations: Sparse LU factorizations performed.
+        factorizations: Factorizations performed (banded Cholesky or
+            SuperLU).
         cache_hits: Warm solves at the exact overlay of the held
             factor (plain back-substitutions).
         adjoint_solves: Adjoint right-hand sides solved by the gradient
@@ -150,23 +175,134 @@ def factor_reuse_ratio(cache_hits: float, krylov_solves: float,
     return reused / total if total else 0.0
 
 
+class _BandLayout:
+    """Where the band path puts one operator's matrix: the reverse
+    Cuthill-McKee order ``perm`` (and its ``inverse``), the band's row
+    count ``width`` (bandwidth + 1), and the map from ``csc.data``
+    positions ``source`` (the lower triangle in that order) to
+    positions ``target`` of the Fortran-ordered ``(width, n)`` band
+    that ``dpbtrf`` factors with ``lower=1``."""
+
+    __slots__ = ("perm", "inverse", "width", "source", "target")
+
+    def __init__(self, perm, inverse, width, source, target):
+        self.perm = perm
+        self.inverse = inverse
+        self.width = width
+        self.source = source
+        self.target = target
+
+    @classmethod
+    def of(cls, csc: csc_matrix) -> Optional["_BandLayout"]:
+        """The layout of ``csc``, or ``None`` when it is not exactly
+        symmetric or its band exceeds :data:`BAND_BUDGET_BYTES`."""
+        n = csc.shape[0]
+        if (csc != csc.T).nnz:
+            return None
+        perm = reverse_cuthill_mckee(csc, symmetric_mode=True) \
+            .astype(np.intp)
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(n)
+        rows = inverse[csc.indices]
+        columns = inverse[np.repeat(np.arange(n), np.diff(csc.indptr))]
+        source = np.flatnonzero(rows >= columns)
+        offsets = rows[source] - columns[source]
+        width = int(offsets.max()) + 1
+        if 8 * width * n > BAND_BUDGET_BYTES:
+            return None
+        return cls(perm, inverse, width, source,
+                   offsets + width * columns[source])
+
+    def cholesky(self, data: np.ndarray):
+        """``dpbtrf`` of the matrix with CSC values ``data``; ``None``
+        unless it is positive definite."""
+        flat = np.zeros(self.width * self.perm.size)
+        flat[self.target] = data[self.source]
+        with np.errstate(all="ignore"), _one_blas_thread():
+            band, info = dpbtrf(flat.reshape(
+                (self.width, self.perm.size), order="F"),
+                lower=1, overwrite_ab=1)
+        return band if info == 0 else None
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_setters() -> Tuple[Callable[[int], int], ...]:
+    """``openblas_set_num_threads_local`` of every OpenBLAS loaded in
+    this process (scipy's and numpy's may be two), found through
+    ``/proc/self/maps``; empty on other platforms and BLAS libraries."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({line.split()[-1] for line in maps
+                            if "openblas" in line.split()[-1]})
+    except (OSError, IndexError):
+        return ()
+    setters = []
+    for path in paths:
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        setters.append(setter)
+    return tuple(setters)
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body with OpenBLAS at one thread on the calling thread.
+
+    ``dpbtrf``'s blocked updates are level-3 BLAS calls small enough
+    that a thread pool only adds synchronization: on two CPUs shared
+    by two processes (a two-worker campaign) each factor took ~140 ms
+    instead of ~5 ms.  One thread also makes the factor's bits
+    independent of the host's core count.
+    """
+    setters = _openblas_thread_setters()
+    previous = [setter(1) for setter in setters]
+    try:
+        yield
+    finally:
+        for setter, count in zip(setters, previous):
+            setter(count)
+
+
 class Factorization:
-    """One ``splu`` factor of ``static + diag(overlay)``, with the
-    matrix 1-norm (for the degeneracy guard) and a copy of the overlay
-    it was made at, so reuse never touches the operator's scratch CSC.
+    """One factor of ``static + diag(overlay)``, with the matrix 1-norm
+    (for the degeneracy guard) and a copy of the overlay it was made
+    at, so reuse never touches the operator's scratch CSC.
+
+    The factor is a banded Cholesky factor in the layout's order
+    (``_lu`` is ``None``) or an ``splu`` factor (``_band`` is
+    ``None``).
     """
 
-    __slots__ = ("_lu", "overlay", "norm1")
+    __slots__ = ("_lu", "_band", "_layout", "overlay", "norm1")
 
-    def __init__(self, lu, overlay: np.ndarray, norm1: float):
+    def __init__(self, lu, overlay: np.ndarray, norm1: float,
+                 band: Optional[np.ndarray] = None,
+                 layout: Optional[_BandLayout] = None):
         self._lu = lu
+        self._band = band
+        self._layout = layout
         self.overlay = overlay
         self.norm1 = norm1
+
+    @property
+    def banded(self) -> bool:
+        """Whether this is a banded Cholesky factor."""
+        return self._band is not None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Back-substitute one RHS vector or an ``(n, k)`` RHS block."""
         with np.errstate(all="ignore"):
-            return self._lu.solve(rhs)
+            if self._band is None:
+                return self._lu.solve(rhs)
+            layout = self._layout
+            permuted, _ = dpbtrs(self._band,
+                                 np.take(rhs, layout.perm, axis=0),
+                                 lower=1, overwrite_b=1)
+            return np.take(permuted, layout.inverse, axis=0)
 
 
 class KrylovState:
@@ -177,7 +313,7 @@ class KrylovState:
     fills it on the first solve and replaces the factor when PCG
     misses.  ``vector`` is the last ``(n,)`` answer and ``block`` the
     last ``(n, k)`` one; a warm PCG begins from the held answer of its
-    own shape.  It pickles empty: SuperLU factors never cross a
+    own shape.  It pickles empty: factors never cross a
     process boundary.
     """
 
@@ -258,6 +394,9 @@ class ThermalOperator:
         off_diagonal[self._diag_index] = 0.0
         self._off_diagonal_norms = np.add.reduceat(
             off_diagonal, csc.indptr[:-1])
+        # Every overlay is diagonal, so a symmetric static matrix stays
+        # symmetric under any overlay and one layout serves them all.
+        self._layout = _BandLayout.of(csc)
         self._counts = dict.fromkeys(_COUNTERS, 0)
 
     def _count(self, name: str, amount: float = 1) -> None:
@@ -315,7 +454,9 @@ class ThermalOperator:
         return float(np.max(self._off_diagonal_norms + diagonal))
 
     def factor(self, diag_overlay: np.ndarray) -> Factorization:
-        """Fresh factorization of ``static + diag(overlay)``.
+        """Fresh factorization of ``static + diag(overlay)``: banded
+        Cholesky when the operator has a band layout and the matrix is
+        positive definite, else ``splu``.
 
         Raises :class:`SingularNetworkError` (with a condition-number
         estimate) when the matrix does not factor.
@@ -324,6 +465,12 @@ class ThermalOperator:
         started = monotonic()
         csc = self._load(overlay)
         norm1 = self._norm1()
+        band = None if self._layout is None \
+            else self._layout.cholesky(csc.data)
+        if band is not None:
+            self._counted_factor(started)
+            return Factorization(None, overlay.copy(), norm1, band,
+                                 self._layout)
         try:
             with np.errstate(all="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -334,11 +481,14 @@ class ThermalOperator:
                 f"Sparse steady-state solve failed ({exc}); 1-norm "
                 f"condition estimate {estimate:.3e}",
                 condition_estimate=estimate) from exc
+        self._counted_factor(started)
+        return Factorization(lu, overlay.copy(), norm1)
+
+    def _counted_factor(self, started: float) -> None:
         self._count("factorizations")
         self._count("factor_seconds", monotonic() - started)
         if _obs.STATE.enabled:
             _obs.STATE.tracer.event("operator.factorize")
-        return Factorization(lu, overlay.copy(), norm1)
 
     def solve(self, diag_overlay: np.ndarray, rhs: np.ndarray,
               warm: Optional[KrylovState] = None, *,
@@ -533,9 +683,10 @@ class ThermalOperator:
         ``||x|| ||A|| / ||b||`` lower-bounds ``cond_1(A)``, and healthy
         thermal systems sit many orders of magnitude below the limit.
         ``norm1`` is the 1-norm of the matrix actually solved.  When
-        ``lu`` factors that matrix it is handed to
+        ``lu`` is an ``splu`` factor of that matrix it is handed to
         :func:`condition_estimate`, so the diagnostic reuses it instead
-        of refactorizing (a PCG result passes ``None``).
+        of refactorizing (a PCG result or a band factor passes
+        ``None``, and the estimate factors on this failure path only).
         """
         rhs_scale = float(np.abs(rhs).max())
         growth = float(np.abs(temps).max()) * norm1 / rhs_scale \

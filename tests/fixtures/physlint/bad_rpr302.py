@@ -1,5 +1,6 @@
 """Known-bad fixture for RPR302 (solver-in-loop)."""
 
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu, spsolve
 
 
@@ -20,4 +21,13 @@ def march(static, capacitance, load, steps):
         lu = splu((static + capacitance).tocsc())  # BAD: both calls
         temps = lu.solve(load + capacitance @ temps)
         step += 1
+    return temps
+
+
+def band_march(band, capacitance, load, steps):
+    """Banded march; band in W/K, capacitance in J/K, load in W."""
+    temps = load * 0.0
+    for _ in range(steps):
+        factor, _ = dpbtrf(band + capacitance, lower=1)  # BAD: refactor
+        temps, _ = dpbtrs(factor, load + capacitance[0] * temps, lower=1)
     return temps

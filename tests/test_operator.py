@@ -1,14 +1,17 @@
-"""ThermalOperator: structure/state split, warm solves, bit-identity.
+"""ThermalOperator: structure/state split, factor paths, warm solves.
 
-The bit-identity tests here back the operator module's claim that the
-cold build-once/update-many path (``splu`` through the precomputed
-diagonal index map) reproduces the legacy construction (``spsolve`` on
-a freshly assembled ``static + diag(overlay)``) bit for bit, fault-free,
-across all eight MiBench benchmarks.  The tolerance gates back its
-second claim: every full-tolerance warm solve (an exact repeat of the
-held factor, or PCG preconditioned by it) stays within 1e-9 K of that
-direct solve, and each of the leakage loop's loose Newton solves stays
-within ten times the tolerance it asked for.
+The direct-solve tests here back the operator module's claims about
+its cold path against the legacy construction (``spsolve`` on a freshly
+assembled ``static + diag(overlay)``), across all eight MiBench
+benchmarks: the banded Cholesky path agrees with it to 1e-12 relative
+on the 6x6, 8x8 and 12x12 grids, and the SuperLU path (a band over
+budget, a matrix that is not positive definite, an asymmetric static
+matrix) reproduces it bit for bit and raises the same typed errors.
+The tolerance gates back its second claim: every full-tolerance warm
+solve (an exact repeat of the held factor, or PCG preconditioned by it)
+stays within 1e-9 K of that direct solve, and each of the leakage
+loop's loose Newton solves stays within ten times the tolerance it
+asked for.
 """
 
 from dataclasses import replace
@@ -18,7 +21,7 @@ import pytest
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import spsolve
 
-from repro import run_oftec
+from repro import build_cooling_problem, run_oftec
 from repro.errors import (
     ConfigurationError,
     IndefiniteSystemError,
@@ -41,13 +44,36 @@ from repro.thermal import (
     solve_steady_state,
     solve_steady_state_batch,
 )
-from repro.thermal.operator import KRYLOV_TOLERANCE, NEWTON_TOLERANCE
+from repro.thermal import operator as operator_module
+from repro.thermal.operator import (
+    BAND_BUDGET_BYTES,
+    KRYLOV_TOLERANCE,
+    NEWTON_TOLERANCE,
+)
 
 BENCHMARKS = ("basicmath", "bitcount", "crc32", "djkstra", "fft",
               "quicksort", "stringsearch", "susan")
 
 #: Operating points spanning the fan/TEC box for equivalence checks.
 POINTS = ((180.0, 0.5), (320.0, 1.5))
+
+#: Grids on which the band path is gated against ``spsolve``.
+BAND_RESOLUTIONS = (6, 8, 12)
+
+#: A grid whose band is over :data:`BAND_BUDGET_BYTES` (SuperLU path).
+OVER_BUDGET_RESOLUTION = 16
+
+
+@pytest.fixture(scope="module")
+def grid_problems(tec_problem, profiles):
+    """Basicmath TEC problems on the band-path grids and one over-budget
+    grid, keyed by resolution (the 8x8 one is the session's)."""
+    problems = {resolution: build_cooling_problem(
+        profiles["basicmath"], grid_resolution=resolution)
+        for resolution in BAND_RESOLUTIONS + (OVER_BUDGET_RESOLUTION,)
+        if resolution != 8}
+    problems[8] = tec_problem
+    return problems
 
 
 def model_overlays(problem, omega, current):
@@ -110,16 +136,51 @@ class TestStructure:
 
 class TestBitIdentity:
     @pytest.mark.parametrize("workload", BENCHMARKS)
-    def test_operator_matches_legacy_spsolve(self, tec_problem,
+    def test_operator_matches_legacy_spsolve(self, grid_problems,
                                              profiles, workload):
-        problem = tec_problem.with_profile(profiles[workload])
+        # The band path: a different elimination order, so agreement to
+        # rounding (1e-12 relative), not bit for bit.
+        for resolution in BAND_RESOLUTIONS:
+            problem = grid_problems[resolution].with_profile(
+                profiles[workload])
+            network = problem.model.network
+            for omega, current in POINTS:
+                overlay, rhs = model_overlays(problem, omega, current)
+                assert network.operator.factor(overlay).banded
+                ours = network.solve(overlay, rhs)
+                theirs = legacy_solve(network, overlay, rhs)
+                assert np.abs(ours - theirs).max() \
+                    <= 1e-12 * np.abs(theirs).max(), \
+                    f"{workload} at {resolution}x{resolution}, " \
+                    f"omega={omega}, I={current}"
+
+    @pytest.mark.parametrize("workload", BENCHMARKS)
+    def test_over_budget_band_is_bitwise_spsolve(self, grid_problems,
+                                                 profiles, workload):
+        problem = grid_problems[OVER_BUDGET_RESOLUTION].with_profile(
+            profiles[workload])
         network = problem.model.network
         for omega, current in POINTS:
             overlay, rhs = model_overlays(problem, omega, current)
+            assert not network.operator.factor(overlay).banded
             ours = network.solve(overlay, rhs)
             theirs = legacy_solve(network, overlay, rhs)
             assert (ours == theirs).all(), \
                 f"{workload} at omega={omega}, I={current}"
+
+    @pytest.mark.parametrize("workload", BENCHMARKS)
+    def test_non_spd_overlay_is_bitwise_spsolve(self, tec_problem,
+                                                profiles, workload):
+        # Shifted down by twice the 1-norm the matrix is negative
+        # definite: dpbtrf refuses it and SuperLU factors it.
+        problem = tec_problem.with_profile(profiles[workload])
+        network = problem.model.network
+        overlay, rhs = model_overlays(problem, *POINTS[0])
+        matrix = network.static_matrix + diags(overlay, format="csr")
+        shifted = overlay - 2.0 * float(abs(matrix).sum(axis=0).max())
+        assert not network.operator.factor(shifted).banded
+        ours = network.solve(shifted, rhs)
+        assert (ours == legacy_solve(network, shifted, rhs)).all()
 
     def test_repeated_solve_reuses_factor_bitwise(self, tec_problem):
         operator = fresh_operator(tec_problem.model.network)
@@ -192,6 +253,142 @@ class TestFactorCache:
         clone = pickle.loads(pickle.dumps(context))
         assert clone.krylov.factor is None
         assert context.krylov.factor is not None
+
+
+class SuperLUSpy:
+    """Counts the operator module's ``splu`` calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        splu = operator_module.splu
+
+        def spy(matrix):
+            self.calls += 1
+            return splu(matrix)
+
+        monkeypatch.setattr(operator_module, "splu", spy)
+
+
+class TestFactorPaths:
+    """Which factor ``ThermalOperator.factor`` makes, and that the
+    systems that fall back to SuperLU keep their typed errors."""
+
+    def test_band_layout_fits_the_budget(self, grid_problems):
+        for resolution, problem in grid_problems.items():
+            operator = problem.model.network.operator
+            n = operator.node_count
+            layout = operator._layout
+            if resolution == OVER_BUDGET_RESOLUTION:
+                assert layout is None
+                continue
+            assert 8 * layout.width * n <= BAND_BUDGET_BYTES
+            assert sorted(layout.perm) == list(range(n))
+            assert (layout.perm[layout.inverse] == np.arange(n)).all()
+
+    def test_spd_in_budget_takes_the_band(self, tec_problem,
+                                          monkeypatch):
+        spy = SuperLUSpy(monkeypatch)
+        operator = fresh_operator(tec_problem.model.network)
+        overlay, rhs = model_overlays(tec_problem, *POINTS[0])
+        factor = operator.factor(overlay)
+        assert factor.banded and factor._lu is None
+        vector = factor.solve(rhs)
+        block = factor.solve(np.column_stack([rhs, 2.0 * rhs]))
+        assert vector.shape == rhs.shape
+        assert (block[:, 0] == vector).all()
+        assert np.abs(block[:, 1] - 2.0 * vector).max() \
+            <= 1e-14 * np.abs(vector).max()
+        assert spy.calls == 0
+
+    def test_band_factor_runs_on_one_blas_thread(self, tec_problem,
+                                                 monkeypatch):
+        # dpbtrf runs with every loaded OpenBLAS at one thread on the
+        # calling thread, and the caller's own setting comes back.
+        setters = operator_module._openblas_thread_setters()
+        if not setters:
+            pytest.skip("no OpenBLAS with per-thread thread counts")
+        inside = []
+        dpbtrf = operator_module.dpbtrf
+
+        def spy(*args, **kwargs):
+            inside.append([setter(1) for setter in setters])
+            return dpbtrf(*args, **kwargs)
+
+        monkeypatch.setattr(operator_module, "dpbtrf", spy)
+        previous = [setter(3) for setter in setters]
+        try:
+            overlay, _ = model_overlays(tec_problem, *POINTS[0])
+            assert fresh_operator(
+                tec_problem.model.network).factor(overlay).banded
+            after = [setter(3) for setter in setters]
+        finally:
+            for setter, count in zip(setters, previous):
+                setter(count)
+        assert inside == [[1] * len(setters)]
+        assert after == [3] * len(setters)
+
+    def test_asymmetric_static_takes_superlu(self, monkeypatch):
+        spy = SuperLUSpy(monkeypatch)
+        static = csr_matrix(np.array([[2.0, -1.0], [-0.5, 2.0]]))
+        operator = ThermalOperator(static)
+        assert operator._layout is None
+        overlay, rhs = np.array([0.5, 0.25]), np.array([1.0, 2.0])
+        assert not operator.factor(overlay).banded
+        assert (operator.solve(overlay, rhs) == spsolve(
+            (static + diags(overlay)).tocsc(), rhs)).all()
+        assert spy.calls == 2
+
+    def test_asymmetric_singular_raises_typed_error(self):
+        operator = ThermalOperator(
+            csr_matrix(np.array([[1.0, -1.0], [-2.0, 2.0]])))
+        with pytest.raises(SingularNetworkError) as excinfo:
+            operator.solve(np.zeros(2), np.ones(2))
+        assert excinfo.value.condition_estimate == float("inf")
+
+    def test_indefinite_shift_takes_superlu(self, tec_problem,
+                                            monkeypatch):
+        # Cold: dpbtrf refuses the shifted matrix and SuperLU solves it.
+        # Warm: PCG against the band factor still certifies it.
+        operator, warm, shifted, rhs = \
+            TestWarmSolves.negative_definite(tec_problem)
+        assert warm.factor.banded
+        spy = SuperLUSpy(monkeypatch)
+        assert not operator.factor(shifted).banded
+        assert spy.calls == 1
+        with pytest.raises(IndefiniteSystemError):
+            operator.solve(shifted, rhs, warm)
+        assert spy.calls == 1
+
+    def test_singular_psd_takes_superlu(self, monkeypatch):
+        # An exactly singular PSD Laplacian: dpbtrf meets a zero pivot,
+        # and the SuperLU fallback raises the typed error with the
+        # condition estimate it always had.
+        spy = SuperLUSpy(monkeypatch)
+        static = grounded_laplacian(ground=0.0)
+        operator = ThermalOperator(static)
+        assert operator._layout is not None
+        n = operator.node_count
+        with pytest.raises(SingularNetworkError) as excinfo:
+            operator.factor(np.zeros(n))
+        assert spy.calls == 2  # the fallback, then the estimate
+        assert excinfo.value.condition_estimate == float("inf")
+
+    def test_band_degenerate_guard_estimates_by_refactoring(
+            self, monkeypatch):
+        # A 1e-14 W/K path to ambient: positive definite, so the band
+        # factors it, and the growth guard rejects the answer.  The band
+        # factor is no SuperLU object, so the estimate factors anew.
+        static = grounded_laplacian(ground=1e-14)
+        operator = ThermalOperator(static)
+        n = operator.node_count
+        assert operator.factor(np.zeros(n)).banded
+        spy = SuperLUSpy(monkeypatch)
+        with pytest.raises(SingularNetworkError,
+                           match="degenerate") as excinfo:
+            operator.solve(np.zeros(n), np.ones(n))
+        assert spy.calls == 1
+        assert excinfo.value.condition_estimate \
+            == condition_estimate(static)
 
 
 class TestFailurePaths:

@@ -79,7 +79,7 @@ class TestBadFixtures:
         ("rpr202", 2),
         ("rpr204", 4),
         ("rpr301", 3),
-        ("rpr302", 4),
+        ("rpr302", 5),
         ("rpr401", 2),
         ("rpr501", 3),
         ("rpr503", 5),
@@ -171,6 +171,24 @@ class TestSolverInLoop:
                 "        out.append(sla.spsolve(m, b))\n"
                 "    return out\n")
         assert [f.code for f in lint_source(loop, "x.py")] == ["RPR302"]
+
+
+    @pytest.mark.parametrize("call", ["dpbtrf(ab, lower=1)",
+                                      "cholesky_banded(ab, lower=True)"])
+    def test_banded_cholesky_in_loop_flagged(self, call):
+        src = ("from scipy.linalg import cholesky_banded\n"
+               "from scipy.linalg.lapack import dpbtrf\n"
+               "def f(bands):\n"
+               "    out = []\n"
+               "    for ab in bands:\n"
+               f"        out.append({call})\n"
+               "    return out\n")
+        assert [f.code for f in lint_source(src, "x.py")] == ["RPR302"]
+        hoisted = ("from scipy.linalg.lapack import dpbtrf\n"
+                   "def f(ab, loads):\n"
+                   "    factor = dpbtrf(ab, lower=1)\n"
+                   "    return [factor for _ in loads]\n")
+        assert lint_source(hoisted, "x.py") == []
 
 
 class TestSelectIgnore:

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import repro
 
-API_MD = Path(__file__).resolve().parents[1] / "docs" / "API.md"
+ROOT = Path(__file__).resolve().parents[1]
+API_MD = ROOT / "docs" / "API.md"
 
 
 def documented_top_level_names():
@@ -59,3 +60,14 @@ def test_every_documented_exception_importable():
         if name.endswith("Error"):
             exc = getattr(repro, name)
             assert issubclass(exc, repro.ReproError) or exc is repro.ReproError
+
+
+def test_package_versions_agree():
+    # The setuptools shim, the PEP 621 metadata and the package itself
+    # declare one version.
+    shim = re.search(r'version="([^"]+)"',
+                     (ROOT / "setup.py").read_text(encoding="utf-8"))
+    metadata = re.search(r'^version = "([^"]+)"$',
+                         (ROOT / "pyproject.toml").read_text(
+                             encoding="utf-8"), re.MULTILINE)
+    assert shim.group(1) == metadata.group(1) == repro.__version__

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import diags
+from scipy.sparse.linalg import spsolve
 
 from repro.core import run_online_controller, run_threshold_controller, \
     static_policy
@@ -17,7 +19,7 @@ from repro.thermal import (
 )
 
 #: A runaway trajectory recorded with warm steps starting PCG from the
-#: previous step's answer.
+#: previous step's answer, against banded Cholesky factors.
 RECORDED_RUNAWAY = Path(__file__).parent / "fixtures" \
     / "transient_runaway_res8.json"
 
@@ -95,10 +97,27 @@ class TestRunawayTrajectory:
                 raise
 
         monkeypatch.setattr(ThermalOperator, "_pcg", spy)
+        # Every step the loop takes agrees with the direct solve of its
+        # own system, so the recorded bits are a right trajectory.
+        network = tec_model.network
+        solve = network.solve
+        errors = []
+
+        def audited(overlay, rhs, warm=None, **kwargs):
+            temps = solve(overlay, rhs, warm, **kwargs)
+            direct = spsolve((network.static_matrix
+                              + diags(overlay, format="csr")).tocsc(), rhs)
+            errors.append(float(np.abs(temps - direct).max())
+                          / max(1.0, float(np.abs(direct).max())))
+            return temps
+
+        monkeypatch.setattr(network, "solve", audited)
         transient = simulate_transient(
             tec_model, duration=2000.0, dt=5.0, omega=0.0, current=0.0,
             dynamic_cell_power=quicksort_power, leakage=leakage)
         assert certificates
+        assert len(errors) == len(transient.times) - 1
+        assert max(errors) <= 1e-12
         recorded = json.loads(RECORDED_RUNAWAY.read_text())
         assert transient.runaway
         assert transient.runaway_time == recorded["runaway_time"]
