@@ -7,10 +7,11 @@ production grid resolution.  The operator metrics (repeated-solve
 throughput; factorizations and CG iterations per point of one 16x14
 Figure 6 Basicmath surface; factorizations per solve and CG iterations
 per Krylov solve over the Table 2 campaign), and the banded Cholesky
-crossover table (factor, vector and two-column back-solve times of the
-band factor and of SuperLU on the same matrix, and the path the
-operator takes, at grids 6x6 to 24x24) are written to ``BENCH_3.json``
-at the repository root.
+crossover table (border size, bandwidth with and without the border,
+factor bytes, factor, vector and two-column back-solve times of the
+bordered band factor and of SuperLU on the same matrix, and the path
+the operator takes, at grids 6x6 to 24x24) are written to
+``BENCH_3.json`` at the repository root.
 """
 
 import time
@@ -24,7 +25,7 @@ from repro.analysis import run_campaign, sweep_objective_surfaces
 from repro.materials import default_package_stack
 from repro.geometry import Grid, alpha21264_floorplan
 from repro.tec import TECArray, default_tec_device
-from repro.thermal import KrylovState, build_package_model, \
+from repro.thermal import KrylovState, NodeKind, build_package_model, \
     simulate_transient, solve_steady_state
 from repro.thermal import operator as thermal_operator
 
@@ -83,10 +84,11 @@ def _time_solves(network, overlay, rhs, rounds, cold):
 #: Interleaved warm/cold pairs behind the repeated-solve speedup.
 _REPEATED_SOLVE_PAIRS = 7
 
-#: Grids of the banded Cholesky crossover table, and the one whose
-#: band back-solves ``scripts/bench_gate.py`` requires to beat SuperLU.
+#: Grids of the banded Cholesky crossover table, and those whose band
+#: back-solves ``scripts/bench_gate.py`` requires to beat SuperLU: the
+#: paper-scale 12x12 grid and the library's default 16x16.
 CROSSOVER_RESOLUTIONS = (6, 8, 10, 12, 14, 16, 18, 20, 22, 24)
-GATED_RESOLUTION = 12
+GATED_RESOLUTIONS = (12, 16)
 
 #: Interleaved band/SuperLU pairs per timed operation, and the wall
 #: time one sample of a pair spends repeating it.
@@ -125,27 +127,30 @@ def _crossover_row(profile, resolution):
     zeros = np.zeros(model.grid.cell_count)
     overlay, rhs = model.overlays(262.0, 1.0, problem.dynamic_cell_power,
                                   zeros, zeros, sink_heat=2.0)
-    operator = thermal_operator.ThermalOperator(
-        model.network.static_matrix)
+    operator = model.network.operator
     path = "banded" if operator.factor(overlay).banded else "superlu"
     csc = operator._load(overlay)
+    border = model.network.nodes_of_kind(NodeKind.PERIPHERY)
     budget = thermal_operator.BAND_BUDGET_BYTES
     thermal_operator.BAND_BUDGET_BYTES = float("inf")
     try:
-        layout = thermal_operator._BandLayout.of(csc)
+        layout = thermal_operator._BandLayout.of(csc, border)
     finally:
         thermal_operator.BAND_BUDGET_BYTES = budget
+    plain = thermal_operator._BandLayout(csc, np.empty(0, dtype=np.intp))
     data = csc.data.copy()
     band = thermal_operator.Factorization(
-        None, overlay, 0.0, layout.cholesky(data), layout)
+        None, overlay, 0.0, layout.cholesky(data))
     lu = thermal_operator.Factorization(splu(csc), overlay, 0.0)
     block = np.column_stack([rhs, np.ones_like(rhs)])
     exact = lu.solve(block)
     n = rhs.size
     row = {
         "nodes": n,
+        "border_nodes": layout.border,
         "bandwidth": layout.width - 1,
-        "band_bytes": 8 * layout.width * n,
+        "plain_bandwidth": plain.width - 1,
+        "band_bytes": layout.factor_bytes,
         "path": path,
         "band_rel_error": float(np.abs(band.solve(block) - exact).max()
                                 / np.abs(exact).max()),
@@ -259,7 +264,9 @@ def test_operator_reuse_and_emit(tec_problem, baseline_problem,
     }
     crossover = banded_cholesky_crossover(profiles["basicmath"])
     for grid, row in crossover.items():
-        print(f"grid {grid}: {row['path']}, band "
+        print(f"grid {grid}: {row['path']}, border "
+              f"{row['border_nodes']}, bandwidth {row['plain_bandwidth']}"
+              f" -> {row['bandwidth']}, factor "
               f"{row['band_bytes'] / 1e6:.2f} MB; band/SuperLU ms: "
               f"factor {row['factor_band_ms']:.3f}/"
               f"{row['factor_superlu_ms']:.3f}, vector "
@@ -269,7 +276,7 @@ def test_operator_reuse_and_emit(tec_problem, baseline_problem,
               f"{row['two_column_backsolve_superlu_ms']:.3f}")
     payload["banded_cholesky"] = {
         "budget_bytes": thermal_operator.BAND_BUDGET_BYTES,
-        "gated_resolution": GATED_RESOLUTION,
+        "gated_resolutions": list(GATED_RESOLUTIONS),
         "pairs": _CROSSOVER_PAIRS,
         "crossover": crossover,
     }

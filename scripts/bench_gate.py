@@ -5,8 +5,8 @@ Two layers of checking, both machine-independent:
 
 * **Invariants** — structural performance claims that must hold on any
   host: the operator layer actually reuses factorizations and its
-  banded Cholesky back-solves beat SuperLU's where it takes them
-  (BENCH_3),
+  banded Cholesky back-solves beat SuperLU's on the gated grids, where
+  it takes them (BENCH_3),
   telemetry overhead stays inside its budget (BENCH_4), and the
   parallel campaign is bit-reproducible (BENCH_5).  Wall-clock rates
   and speedups that depend on core count are deliberately not gated.
@@ -135,20 +135,22 @@ def gate_bench3(gate: Gate, doc: dict) -> None:
 
 
 def gate_banded_backsolves(gate: Gate, banded: dict) -> None:
-    """On the gated grid the operator takes the band factor, and its
+    """On each gated grid the operator takes the band factor, and its
     vector and two-column back-solves beat SuperLU's on that matrix."""
-    resolution = banded.get("gated_resolution")
-    row = (banded.get("crossover") or {}).get(str(resolution)) or {}
-    for kind in ("vector", "two_column"):
-        band = row.get(f"{kind}_backsolve_band_ms")
-        superlu = row.get(f"{kind}_backsolve_superlu_ms")
-        gate.check(
-            f"BENCH_3 banded {kind.replace('_', '-')} back-solve",
-            row.get("path") == "banded" and band is not None
-            and superlu is not None and band < superlu,
-            f"{band} ms < SuperLU {superlu} ms on the {resolution}x"
-            f"{resolution} grid, path {row.get('path')!r} (the band "
-            "factor must pay for itself where the operator takes it)")
+    crossover = banded.get("crossover") or {}
+    for resolution in banded.get("gated_resolutions") or [None]:
+        row = crossover.get(str(resolution)) or {}
+        for kind in ("vector", "two_column"):
+            band = row.get(f"{kind}_backsolve_band_ms")
+            superlu = row.get(f"{kind}_backsolve_superlu_ms")
+            gate.check(
+                f"BENCH_3 banded {kind.replace('_', '-')} back-solve "
+                f"({resolution}x{resolution})",
+                row.get("path") == "banded" and band is not None
+                and superlu is not None and band < superlu,
+                f"{band} ms < SuperLU {superlu} ms, path "
+                f"{row.get('path')!r} (the band factor must pay for "
+                "itself where the operator takes it)")
 
 
 def gate_bench4(gate: Gate, doc: dict) -> None:

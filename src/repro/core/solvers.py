@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import NonlinearConstraint, minimize
 
+from .._blas import one_blas_thread
 from ..errors import SolverError
 from .evaluator import Evaluation, Evaluator
 from .problem import CoolingProblem
@@ -195,10 +196,13 @@ def _checked_minimize(objective, x0, **kwargs):
     failure instead of scipy's assorted numerics exceptions.
 
     Library exceptions (``ReproError`` subclasses, including the early
-    stop control flow) pass through untouched.
+    stop control flow) pass through untouched.  The backend runs with
+    OpenBLAS at one thread, so its iterates (and the run's last bits)
+    do not depend on the host's core count.
     """
     try:
-        return minimize(objective, x0, **kwargs)
+        with one_blas_thread():
+            return minimize(objective, x0, **kwargs)
     except (ValueError, ZeroDivisionError, FloatingPointError,
             np.linalg.LinAlgError) as exc:
         raise SolverError(

@@ -235,7 +235,8 @@ class ThermalNetwork:
         if self._static is None:
             raise ConfigurationError("Network not finalized")
         if self._operator is None:
-            self._operator = ThermalOperator(self._static)
+            self._operator = ThermalOperator(
+                self._static, self.nodes_of_kind(NodeKind.PERIPHERY))
         return self._operator
 
     def system(self, diag_overlay: np.ndarray, rhs: np.ndarray,

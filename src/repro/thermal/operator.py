@@ -9,11 +9,20 @@ overlay and the RHS change between solves.
   every diagonal entry stored, and each ``(i, i)`` position in
   ``csc.data`` — so applying an overlay is two array writes.  It holds
   no factors.
-* :class:`Factorization` holds one factor at one overlay: a banded
-  Cholesky factor (LAPACK ``dpbtrf``) of the matrix in reverse
-  Cuthill-McKee order when the static matrix is exactly symmetric, its
-  band fits :data:`BAND_BUDGET_BYTES` and the loaded matrix is positive
-  definite; otherwise an ``splu`` factor.
+* :class:`Factorization` holds one factor at one overlay: a bordered
+  banded Cholesky factor when the static matrix is exactly symmetric,
+  the factor fits :data:`BAND_BUDGET_BYTES` and the loaded matrix is
+  positive definite; otherwise an ``splu`` factor.  The border is the
+  network's periphery (12 nodes, each coupled to a whole grid edge),
+  ordered last; the interior ``A_II`` is a band in reverse
+  Cuthill-McKee order (width 99 instead of 195 with the periphery in
+  it, at 12x12) factored by LAPACK ``dpbtrf``, and the border is
+  eliminated through the dense Schur complement
+  ``S = A_BB - A_IB^T A_II^-1 A_IB`` (``dpotrf``).  A back-solve is one
+  ``dpbtrs`` of the interior plus two thin products with
+  ``Z = A_II^-1 A_IB``.  Without a border that shrinks the factor the
+  layout is plain reverse Cuthill-McKee.  The factor and its solves
+  run at one OpenBLAS thread.
 * :class:`KrylovState` holds what one solve sequence already knows:
   its last factor and its last accepted answer per right-hand-side
   shape.  It lives with the caller (a
@@ -48,28 +57,27 @@ fresh and meets the singularity guards.
 Without ``warm`` a solve is a fresh factor and a back-solve.  On the
 band path it agrees with ``spsolve`` to ~1e-14 relative (a different
 elimination order, not a looser tolerance); on the SuperLU path
-(asymmetric static matrix, band over budget, or a matrix that is not
-positive definite) it is bit-identical to ``spsolve`` (same SuperLU
-driver), so singular and indefinite systems meet the same guards and
-condition estimates as before (``tests/test_operator.py``).
+(asymmetric static matrix, factor over budget, or a matrix that is not
+positive definite: ``A_II`` or ``S`` refused) it is bit-identical to
+``spsolve`` (the same SuperLU code), so singular and indefinite systems
+meet the same guards and condition estimates as before
+(``tests/test_operator.py``).
 Full-tolerance warm solves agree with the direct solve to ~1e-10 K.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs
 from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
+from .._blas import one_blas_thread
 from ..errors import (
     ConfigurationError,
     IndefiniteSystemError,
@@ -102,15 +110,14 @@ KRYLOV_BUDGET = 15
 INDEFINITE_MARGIN = 1.0e-10
 
 
-#: Largest band (``8 * (bandwidth + 1) * n`` bytes, in reverse
-#: Cuthill-McKee order) factored by banded Cholesky; a larger band
-#: factors with SuperLU.  Set from the crossover table in
-#: ``BENCH_3.json`` (``banded_cholesky.crossover``): up to the 14x14
-#: grid (3.25 MB) the band factors and back-solves (vector and
-#: two-column) faster than SuperLU; at 16x16 (5.24 MB) its two-column
-#: back-solve only ties SuperLU's, from 18x18 it is slower, and from
-#: 20x20 the vector back-solve too.
-BAND_BUDGET_BYTES = 4_000_000
+#: Largest factor (:attr:`_BandLayout.factor_bytes`: the band, ``Z``
+#: and the Schur complement) made by bordered banded Cholesky; a larger
+#: one factors with SuperLU.  Set from the crossover table in
+#: ``BENCH_3.json`` (``banded_cholesky.crossover``): up to the 18x18
+#: grid (4.26 MB) the band factors and back-solves (vector and
+#: two-column) faster than SuperLU; at 20x20 (6.01 MB) its two-column
+#: back-solve is slower.
+BAND_BUDGET_BYTES = 5_000_000
 
 
 #: The :class:`OperatorStats` fields, in order.
@@ -176,95 +183,135 @@ def factor_reuse_ratio(cache_hits: float, krylov_solves: float,
 
 
 class _BandLayout:
-    """Where the band path puts one operator's matrix: the reverse
-    Cuthill-McKee order ``perm`` (and its ``inverse``), the band's row
-    count ``width`` (bandwidth + 1), and the map from ``csc.data``
-    positions ``source`` (the lower triangle in that order) to
-    positions ``target`` of the Fortran-ordered ``(width, n)`` band
-    that ``dpbtrf`` factors with ``lower=1``."""
+    """Where the band path puts one operator's matrix.
 
-    __slots__ = ("perm", "inverse", "width", "source", "target")
+    ``perm`` (and its ``inverse``) orders the ``interior`` nodes first,
+    in reverse Cuthill-McKee order, and the border nodes last; the
+    interior block is a band of ``width`` rows (bandwidth + 1).
+    ``source``/``target`` map the interior's lower triangle from
+    ``csc.data`` into the Fortran-ordered ``(width, interior)`` band
+    that ``dpbtrf`` factors with ``lower=1``, and ``edge_source``/
+    ``edge_target`` map the border columns into a Fortran-ordered
+    ``(n, border)`` array.
+    """
 
-    def __init__(self, perm, inverse, width, source, target):
-        self.perm = perm
-        self.inverse = inverse
-        self.width = width
-        self.source = source
-        self.target = target
+    __slots__ = ("perm", "inverse", "interior", "width", "source",
+                 "target", "edge_source", "edge_target")
+
+    def __init__(self, csc: csc_matrix, border: np.ndarray):
+        n = csc.shape[0]
+        inside = np.ones(n, dtype=bool)
+        inside[border] = False
+        interior = np.flatnonzero(inside)
+        order = interior[reverse_cuthill_mckee(
+            csc[interior][:, interior] if border.size else csc,
+            symmetric_mode=True)]
+        self.perm = np.concatenate([order, border]).astype(np.intp)
+        self.inverse = np.empty_like(self.perm)
+        self.inverse[self.perm] = np.arange(n)
+        self.interior = interior.size
+        rows = self.inverse[csc.indices]
+        columns = self.inverse[np.repeat(np.arange(n),
+                                         np.diff(csc.indptr))]
+        self.source = np.flatnonzero((rows >= columns)
+                                     & (rows < self.interior))
+        offsets = rows[self.source] - columns[self.source]
+        self.width = int(offsets.max()) + 1
+        self.target = offsets + self.width * columns[self.source]
+        self.edge_source = np.flatnonzero(columns >= self.interior)
+        self.edge_target = rows[self.edge_source] \
+            + n * (columns[self.edge_source] - self.interior)
 
     @classmethod
-    def of(cls, csc: csc_matrix) -> Optional["_BandLayout"]:
-        """The layout of ``csc``, or ``None`` when it is not exactly
-        symmetric or its band exceeds :data:`BAND_BUDGET_BYTES`."""
-        n = csc.shape[0]
+    def of(cls, csc: csc_matrix,
+           border: Sequence[int] = ()) -> Optional["_BandLayout"]:
+        """The layout of ``csc``: with ``border`` ordered last when that
+        makes the factor smaller, else plain reverse Cuthill-McKee.
+        ``None`` when ``csc`` is not exactly symmetric or the factor
+        exceeds :data:`BAND_BUDGET_BYTES`."""
         if (csc != csc.T).nnz:
             return None
-        perm = reverse_cuthill_mckee(csc, symmetric_mode=True) \
-            .astype(np.intp)
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(n)
-        rows = inverse[csc.indices]
-        columns = inverse[np.repeat(np.arange(n), np.diff(csc.indptr))]
-        source = np.flatnonzero(rows >= columns)
-        offsets = rows[source] - columns[source]
-        width = int(offsets.max()) + 1
-        if 8 * width * n > BAND_BUDGET_BYTES:
-            return None
-        return cls(perm, inverse, width, source,
-                   offsets + width * columns[source])
+        layout = cls(csc, np.empty(0, dtype=np.intp))
+        border = np.unique(np.asarray(border, dtype=np.intp))
+        if 0 < border.size < csc.shape[0]:
+            bordered = cls(csc, border)
+            if bordered.factor_bytes < layout.factor_bytes:
+                layout = bordered
+        return layout if layout.factor_bytes <= BAND_BUDGET_BYTES \
+            else None
 
-    def cholesky(self, data: np.ndarray):
-        """``dpbtrf`` of the matrix with CSC values ``data``; ``None``
-        unless it is positive definite."""
-        flat = np.zeros(self.width * self.perm.size)
+    @property
+    def border(self) -> int:
+        """Number of border nodes."""
+        return self.perm.size - self.interior
+
+    @property
+    def factor_bytes(self) -> int:
+        """Bytes of a factor: the band, ``Z = A_II^-1 A_IB`` and the
+        border's Schur complement."""
+        return 8 * ((self.width + self.border) * self.interior
+                    + self.border ** 2)
+
+    def cholesky(self, data: np.ndarray) -> Optional["_BandFactor"]:
+        """Bordered banded Cholesky of the matrix with CSC values
+        ``data``; ``None`` unless it is positive definite.
+
+        ``dpbtrf`` factors the interior band ``A_II``, ``dpbtrs`` gives
+        ``Z = A_II^-1 A_IB``, and ``dpotrf`` the border's Schur
+        complement ``S = A_BB - A_IB^T Z``.  ``A`` is positive definite
+        exactly when ``A_II`` and ``S`` are.
+        """
+        n, interior = self.perm.size, self.interior
+        flat = np.zeros(self.width * interior)
         flat[self.target] = data[self.source]
-        with np.errstate(all="ignore"), _one_blas_thread():
+        with np.errstate(all="ignore"), one_blas_thread():
             band, info = dpbtrf(flat.reshape(
-                (self.width, self.perm.size), order="F"),
+                (self.width, interior), order="F"),
                 lower=1, overwrite_ab=1)
-        return band if info == 0 else None
+            if info != 0:
+                return None
+            if not self.border:
+                return _BandFactor(self, band, None, None)
+            edge = np.zeros(n * self.border)
+            edge[self.edge_target] = data[self.edge_source]
+            edge = edge.reshape((n, self.border), order="F")
+            coupling = edge[:interior]
+            correction, _ = dpbtrs(band, coupling, lower=1)
+            schur, info = dpotrf(edge[interior:] - coupling.T @ correction,
+                                 lower=1)
+        return _BandFactor(self, band, correction, schur) \
+            if info == 0 else None
 
 
-@functools.lru_cache(maxsize=None)
-def _openblas_thread_setters() -> Tuple[Callable[[int], int], ...]:
-    """``openblas_set_num_threads_local`` of every OpenBLAS loaded in
-    this process (scipy's and numpy's may be two), found through
-    ``/proc/self/maps``; empty on other platforms and BLAS libraries."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = sorted({line.split()[-1] for line in maps
-                            if "openblas" in line.split()[-1]})
-    except (OSError, IndexError):
-        return ()
-    setters = []
-    for path in paths:
-        try:
-            setter = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = ctypes.c_int
-        setters.append(setter)
-    return tuple(setters)
+class _BandFactor:
+    """A bordered banded Cholesky factor in its layout's order: the
+    interior band ``band``, ``correction`` ``Z = A_II^-1 A_IB`` and
+    the Cholesky factor ``schur`` of ``S = A_BB - A_IB^T Z`` (both
+    ``None`` without a border)."""
 
+    __slots__ = ("layout", "band", "correction", "schur")
 
-@contextlib.contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Run the body with OpenBLAS at one thread on the calling thread.
+    def __init__(self, layout, band, correction, schur):
+        self.layout = layout
+        self.band = band
+        self.correction = correction
+        self.schur = schur
 
-    ``dpbtrf``'s blocked updates are level-3 BLAS calls small enough
-    that a thread pool only adds synchronization: on two CPUs shared
-    by two processes (a two-worker campaign) each factor took ~140 ms
-    instead of ~5 ms.  One thread also makes the factor's bits
-    independent of the host's core count.
-    """
-    setters = _openblas_thread_setters()
-    previous = [setter(1) for setter in setters]
-    try:
-        yield
-    finally:
-        for setter, count in zip(setters, previous):
-            setter(count)
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for one RHS vector: ``y = A_II^-1 b_I``,
+        ``x_B = S^-1 (b_B - Z^T b_I)``, ``x_I = y - Z x_B``."""
+        layout = self.layout
+        permuted = np.take(rhs, layout.perm)
+        interior = permuted[:layout.interior]
+        if self.correction is not None:
+            border, _ = dpotrs(self.schur, permuted[layout.interior:]
+                               - interior @ self.correction, lower=1,
+                               overwrite_b=1)
+        solved, _ = dpbtrs(self.band, interior, lower=1, overwrite_b=1)
+        if self.correction is not None:
+            solved = np.concatenate([solved - self.correction @ border,
+                                     border])
+        return np.take(solved, layout.inverse)
 
 
 class Factorization:
@@ -272,19 +319,16 @@ class Factorization:
     (for the degeneracy guard) and a copy of the overlay it was made
     at, so reuse never touches the operator's scratch CSC.
 
-    The factor is a banded Cholesky factor in the layout's order
-    (``_lu`` is ``None``) or an ``splu`` factor (``_band`` is
-    ``None``).
+    The factor is a bordered banded Cholesky factor (``_lu`` is
+    ``None``) or an ``splu`` factor (``_band`` is ``None``).
     """
 
-    __slots__ = ("_lu", "_band", "_layout", "overlay", "norm1")
+    __slots__ = ("_lu", "_band", "overlay", "norm1")
 
     def __init__(self, lu, overlay: np.ndarray, norm1: float,
-                 band: Optional[np.ndarray] = None,
-                 layout: Optional[_BandLayout] = None):
+                 band: Optional[_BandFactor] = None):
         self._lu = lu
         self._band = band
-        self._layout = layout
         self.overlay = overlay
         self.norm1 = norm1
 
@@ -294,15 +338,17 @@ class Factorization:
         return self._band is not None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Back-substitute one RHS vector or an ``(n, k)`` RHS block."""
+        """Back-substitute one RHS vector or an ``(n, k)`` RHS block
+        (on the band path column by column, so column ``j`` of a block
+        is bitwise the solve of that column)."""
         with np.errstate(all="ignore"):
             if self._band is None:
                 return self._lu.solve(rhs)
-            layout = self._layout
-            permuted, _ = dpbtrs(self._band,
-                                 np.take(rhs, layout.perm, axis=0),
-                                 lower=1, overwrite_b=1)
-            return np.take(permuted, layout.inverse, axis=0)
+            with one_blas_thread():
+                if rhs.ndim == 1:
+                    return self._band.solve(rhs)
+                return np.column_stack([self._band.solve(column)
+                                        for column in rhs.T])
 
 
 class KrylovState:
@@ -362,11 +408,15 @@ class ThermalOperator:
     applies the singularity and degeneracy guards.
     """
 
-    def __init__(self, static: csr_matrix):
+    def __init__(self, static: csr_matrix, border: Sequence[int] = ()):
         """Build the operator structure from a static CSR matrix.
 
         Args:
             static: Finalized static conductance matrix, W/K entries.
+            border: Nodes the band factor orders last and eliminates
+                through a dense Schur complement (the network's
+                periphery nodes, each coupled to a whole grid edge),
+                when that makes the factor smaller.
         """
         n = static.shape[0]
         if static.shape != (n, n):
@@ -396,7 +446,7 @@ class ThermalOperator:
             off_diagonal, csc.indptr[:-1])
         # Every overlay is diagonal, so a symmetric static matrix stays
         # symmetric under any overlay and one layout serves them all.
-        self._layout = _BandLayout.of(csc)
+        self._layout = _BandLayout.of(csc, border)
         self._counts = dict.fromkeys(_COUNTERS, 0)
 
     def _count(self, name: str, amount: float = 1) -> None:
@@ -469,8 +519,7 @@ class ThermalOperator:
             else self._layout.cholesky(csc.data)
         if band is not None:
             self._counted_factor(started)
-            return Factorization(None, overlay.copy(), norm1, band,
-                                 self._layout)
+            return Factorization(None, overlay.copy(), norm1, band)
         try:
             with np.errstate(all="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("ignore")

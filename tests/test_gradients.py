@@ -107,10 +107,11 @@ class TestAdjointAgainstFiniteDifferences:
                                             abs=1e-8), (name, omega,
                                                         current)
 
-    def test_near_zero_current_derivative_within_fd_scatter(self):
+    def test_near_zero_current_derivative_within_fd_scatter(
+            self, monkeypatch):
         # Bitcount at this point has d𝒯/dI ~ -5.3e-3 K/A, where the
         # central difference is noise-limited: over steps h*{4, 2, 1,
-        # 1/2, 1/4} it scatters by ~3e-7 K/A, more than RTOL of the
+        # 1/2, 1/4} it scatters by ~1e-7 K/A, more than RTOL of the
         # derivative.  The adjoint must sit within that scatter of the
         # differences' median; the other three components keep RTOL.
         omega, current = 302.27775639167817, 2.0999167270782038
@@ -122,8 +123,19 @@ class TestAdjointAgainstFiniteDifferences:
                  gradient.d_power_current),
                 (reference[0], reference[2], reference[3])):
             assert got == pytest.approx(want, rel=RTOL, abs=1e-8)
+        # A difference divides each evaluation's error by 2h (down to
+        # 5e-5 A), and a warm PCG solve may stop 1e-10 K short of its
+        # system's answer: that alone moves a difference by up to
+        # ~2e-6 K/A, past the bound, so the differences are taken over
+        # direct solves (a fresh factor each, on a fresh cache).
+        operator = evaluator.problem.model.network.operator
+        solve = operator.solve
+        monkeypatch.setattr(
+            operator, "solve",
+            lambda overlay, rhs, warm=None, **_: solve(overlay, rhs))
+        direct = Evaluator(evaluator.problem)
         differences = [_central(
-            lambda i: evaluator.evaluate(omega, i).max_chip_temperature,
+            lambda i: direct.evaluate(omega, i).max_chip_temperature,
             current, CURRENT_STEP * factor)
             for factor in (4.0, 2.0, 1.0, 0.5, 0.25)]
         scatter = max(differences) - min(differences)

@@ -1,7 +1,13 @@
 """Algorithm 1 (OFTEC) end-to-end behaviour."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import run_oftec
 from repro.core import Evaluator, ProblemLimits, build_cooling_problem
 from repro.faults import (
@@ -144,3 +150,38 @@ class TestEvaluatorReuse:
             solves_after_first
         assert second.omega_star == pytest.approx(first.omega_star,
                                                   rel=0.05)
+
+
+#: Runs Algorithm 1 on every MiBench profile at the 6x6 grid (whose
+#: band factor has the periphery as its border) and prints each
+#: result's operating point, temperature, power and solve count in hex.
+_OFTEC_DIGEST_SCRIPT = """
+from repro import build_cooling_problem, mibench_profiles, run_oftec
+for name, profile in mibench_profiles().items():
+    problem = build_cooling_problem(profile, grid_resolution=6)
+    assert problem.model.network.operator._layout.border > 0
+    result = run_oftec(problem)
+    print(name, *(float(value).hex() for value in (
+        result.omega_star, result.current_star,
+        result.max_chip_temperature, result.total_power)),
+        result.thermal_solves)
+"""
+
+
+class TestBlasThreads:
+    def test_results_independent_of_openblas_threads(self):
+        # The band factor, its back-solves and the SQP backend all run
+        # at one OpenBLAS thread, so one and two threads agree bit for
+        # bit.
+        source = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            completed = subprocess.run(
+                [sys.executable, "-c", _OFTEC_DIGEST_SCRIPT],
+                capture_output=True, text=True, timeout=600,
+                env={**os.environ, "PYTHONPATH": source,
+                     "OPENBLAS_NUM_THREADS": threads})
+            assert completed.returncode == 0, completed.stderr
+            outputs.append(completed.stdout)
+        assert len(outputs[0].splitlines()) == 8
+        assert outputs[0] == outputs[1]

@@ -3,8 +3,9 @@
 The direct-solve tests here back the operator module's claims about
 its cold path against the legacy construction (``spsolve`` on a freshly
 assembled ``static + diag(overlay)``), across all eight MiBench
-benchmarks: the banded Cholesky path agrees with it to 1e-12 relative
-on the 6x6, 8x8 and 12x12 grids, and the SuperLU path (a band over
+benchmarks: the bordered banded Cholesky path agrees with it to 1e-12
+relative on the 6x6, 8x8, 12x12 and 16x16 grids, and the SuperLU path
+(a band over
 budget, a matrix that is not positive definite, an asymmetric static
 matrix) reproduces it bit for bit and raises the same typed errors.
 The tolerance gates back its second claim: every full-tolerance warm
@@ -21,7 +22,7 @@ import pytest
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import spsolve
 
-from repro import build_cooling_problem, run_oftec
+from repro import _blas, build_cooling_problem, run_oftec
 from repro.errors import (
     ConfigurationError,
     IndefiniteSystemError,
@@ -37,6 +38,7 @@ from repro.faults import (
 )
 from repro.thermal import (
     KrylovState,
+    NodeKind,
     OperatorStats,
     SolveContext,
     ThermalOperator,
@@ -58,10 +60,11 @@ BENCHMARKS = ("basicmath", "bitcount", "crc32", "djkstra", "fft",
 POINTS = ((180.0, 0.5), (320.0, 1.5))
 
 #: Grids on which the band path is gated against ``spsolve``.
-BAND_RESOLUTIONS = (6, 8, 12)
+BAND_RESOLUTIONS = (6, 8, 12, 16)
 
-#: A grid whose band is over :data:`BAND_BUDGET_BYTES` (SuperLU path).
-OVER_BUDGET_RESOLUTION = 16
+#: The first grid whose band is over :data:`BAND_BUDGET_BYTES`
+#: (SuperLU path).
+OVER_BUDGET_RESOLUTION = 20
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +98,25 @@ def legacy_solve(network, overlay, rhs):
 
 
 def fresh_operator(network):
-    """Independent operator over a copy of the network's structure."""
-    return ThermalOperator(network.static_matrix)
+    """Independent operator over a copy of the network's structure,
+    with its periphery as the border (as the network's own)."""
+    return ThermalOperator(network.static_matrix,
+                           network.nodes_of_kind(NodeKind.PERIPHERY))
+
+
+def star_laplacian(leaves=8):
+    """Floating star: node 0 is a hub tied by 1 W/K to each leaf.  Its
+    Laplacian is exactly singular, and with the hub as the border the
+    interior block is the identity."""
+    main = np.ones(leaves + 1)
+    main[0] = leaves
+    hub = np.zeros(leaves + 1, dtype=int)
+    spokes = np.arange(1, leaves + 1)
+    rows = np.concatenate([np.arange(leaves + 1), hub[1:], spokes])
+    columns = np.concatenate([np.arange(leaves + 1), spokes, hub[1:]])
+    values = np.concatenate([main, -np.ones(2 * leaves)])
+    return csr_matrix((values, (rows, columns)),
+                      shape=(leaves + 1, leaves + 1))
 
 
 def grounded_laplacian(n=6, ground=1.0):
@@ -281,9 +301,82 @@ class TestFactorPaths:
             if resolution == OVER_BUDGET_RESOLUTION:
                 assert layout is None
                 continue
-            assert 8 * layout.width * n <= BAND_BUDGET_BYTES
+            assert layout.factor_bytes <= BAND_BUDGET_BYTES
             assert sorted(layout.perm) == list(range(n))
             assert (layout.perm[layout.inverse] == np.arange(n)).all()
+
+    def test_periphery_is_the_border_at_res_12(self, grid_problems):
+        # The 12 periphery nodes each couple to a whole grid edge; taken
+        # out of the RCM band they halve its width (195 -> 99).
+        network = grid_problems[12].model.network
+        layout = network.operator._layout
+        periphery = network.nodes_of_kind(NodeKind.PERIPHERY)
+        assert len(periphery) == 12
+        assert layout.border == 12
+        assert sorted(layout.perm[layout.interior:]) == sorted(periphery)
+        plain = operator_module._BandLayout(network.operator._csc,
+                                            np.empty(0, dtype=np.intp))
+        assert (plain.width, layout.width) == (195, 99)
+
+    def test_plain_rcm_kept_when_the_border_does_not_shrink(self):
+        # An end node of a path graph as the border: the interior band
+        # is no narrower, so the border's Z column only adds bytes.
+        static = grounded_laplacian()
+        operator = ThermalOperator(static, border=[0])
+        layout = operator._layout
+        assert layout.border == 0 and layout.width == 2
+        overlay, rhs = np.zeros(static.shape[0]), np.ones(static.shape[0])
+        np.testing.assert_allclose(
+            operator.solve(overlay, rhs),
+            spsolve(static.tocsc(), rhs), rtol=1e-12)
+
+    def test_non_spd_schur_complement_takes_superlu(self, monkeypatch):
+        # Grounded through the hub, then the hub's diagonal lowered by
+        # the overlay: the interior (the identity) still factors, but
+        # the Schur complement 8 + 1 - 8 - 2 is negative, so SuperLU
+        # solves the indefinite system, bit for bit as spsolve.
+        infos = []
+        dpbtrf = operator_module.dpbtrf
+
+        def spy_dpbtrf(*args, **kwargs):
+            band, info = dpbtrf(*args, **kwargs)
+            infos.append(info)
+            return band, info
+
+        monkeypatch.setattr(operator_module, "dpbtrf", spy_dpbtrf)
+        static = star_laplacian() + diags(np.eye(9)[0])
+        operator = ThermalOperator(static, border=[0])
+        assert operator._layout.border == 1
+        overlay = np.zeros(9)
+        assert operator.factor(overlay).banded
+        overlay[0] = -2.0
+        spy = SuperLUSpy(monkeypatch)
+        assert not operator.factor(overlay).banded
+        assert infos == [0, 0] and spy.calls == 1
+        rhs = np.arange(1.0, 10.0)
+        assert (operator.solve(overlay, rhs) == spsolve(
+            (static + diags(overlay)).tocsc(), rhs)).all()
+
+    def test_singular_schur_complement_raises_typed_error(
+            self, monkeypatch):
+        # A floating star: the interior factors, the Schur complement is
+        # exactly 0, and the SuperLU fallback raises the typed error the
+        # plain band path (whose last pivot is that 0) raises too: the
+        # LU's rounded pivot amplifies the answer past the growth guard,
+        # whose estimate reuses that LU.
+        static = star_laplacian()
+        errors = []
+        for border in ([0], []):
+            operator = ThermalOperator(static, border=border)
+            assert operator._layout.border == len(border)
+            spy = SuperLUSpy(monkeypatch)
+            with pytest.raises(SingularNetworkError) as excinfo:
+                operator.solve(np.zeros(9), np.ones(9))
+            assert spy.calls == 1
+            errors.append((str(excinfo.value),
+                           excinfo.value.condition_estimate))
+        assert errors[0] == errors[1]
+        assert "degenerate" in errors[0][0] and errors[0][1] > 1e13
 
     def test_spd_in_budget_takes_the_band(self, tec_problem,
                                           monkeypatch):
@@ -304,7 +397,7 @@ class TestFactorPaths:
                                                  monkeypatch):
         # dpbtrf runs with every loaded OpenBLAS at one thread on the
         # calling thread, and the caller's own setting comes back.
-        setters = operator_module._openblas_thread_setters()
+        setters = _blas.openblas_thread_setters()
         if not setters:
             pytest.skip("no OpenBLAS with per-thread thread counts")
         inside = []
