@@ -22,10 +22,10 @@ residual's temperature Jacobian is exactly ``A`` built with the
 tangent slope ``a = beta * P_leak(T*)`` at the *converged* chip
 temperatures, so this module relinearizes there before solving.
 That overlay usually differs from the last forward iterate's (whose
-tangent point lagged one iteration behind), so with the forward
-solve's :class:`~repro.thermal.SolveContext` the block is solved by
-preconditioned CG against the sequence's held factor — a few
-back-substitutions, no factorization; leakage-free problems rebuild the
+tangent point lagged one iteration behind), so the block factors fresh
+there and is one exact back-solve; the forward solve's
+:class:`~repro.thermal.SolveContext` then holds that factor, which
+preconditions the solves after it.  Leakage-free problems rebuild the
 identical overlay bytes and back-substitute against the held factor
 directly.  The linearization-point constant ``b - a*t_ref`` is held
 fixed under differentiation — it is data of the linearization, not a
@@ -90,9 +90,10 @@ def steady_state_gradients(
         sink_heat: Recirculated fan heat deposited on the sink during
             the forward solve, W.
         sink_heat_gradient: ``d(sink_heat)/d(omega)``, W/(rad/s).
-        context: The forward solve's context; its held factor
-            preconditions the block solve (and is replaced if PCG
-            misses).  Without one the block is factored fresh.
+        context: The forward solve's context; the block back-solves
+            its held factor at an exact repeat of the overlay, else
+            factors fresh and leaves that factor held.  Without one
+            the block is factored fresh.
 
     Returns one ``(n, 2)`` adjoint block solve's worth of gradients
     (counted in :attr:`~repro.thermal.OperatorStats.adjoint_solves`).

@@ -24,27 +24,26 @@ overlay and the RHS change between solves.
   layout is plain reverse Cuthill-McKee.  The factor and its solves
   run at one OpenBLAS thread.
 * :class:`KrylovState` holds what one solve sequence already knows:
-  its last factor and its last accepted answer per right-hand-side
-  shape.  It lives with the caller (a
+  its last factor and its last accepted vector answer.  It lives with
+  the caller (a
   :class:`~repro.thermal.SolveContext` or a backward-Euler loop), so a
   result depends only on its own sequence.
 
 Every overlay term (fan coupling, Peltier, leakage slope, ``C/dt``) is
 diagonal, so ``A`` is exactly symmetric and successive systems of a
 sequence differ only on the diagonal.  ``solve(..., warm=state)``
-back-solves the held factor's exact overlay; any other overlay runs
-preconditioned CG with that factor as ``M``, from the held answer of
-the same shape (the last ``(n,)`` vector or ``(n, k)`` block of the
-sequence that passed the guards), else from ``M^-1 b``, until the error
-estimate ``max|M^-1 r|`` is at most ``tolerance`` (default
-:data:`KRYLOV_TOLERANCE`, 1e-10 K; relative too for adjoint columns
+back-solves the held factor's exact overlay; any other overlay of a
+vector right-hand side runs preconditioned CG with that factor as
+``M``, from the held answer (the last vector of the sequence that
+passed the guards), else from ``M^-1 b``, until the error estimate
+``max|M^-1 r|`` is at most ``tolerance`` (default
+:data:`KRYLOV_TOLERANCE`, 1e-10 K; relative too for adjoint vectors
 below 1 in magnitude), within 15 iterations.  Only the leakage loop
 passes a looser ``tolerance``, for its non-final Newton systems
 (Eisenstat-Walker forcing, floored at :data:`NEWTON_TOLERANCE`,
-1e-6 K); the system it returns is polished to 1e-10 K.  A 1-D
-right-hand side runs a plain scalar CG recurrence; an ``(n, k)``
-adjoint block runs its columns as masked recurrences sharing each
-back-substitution.  A
+1e-6 K); the system it returns is polished to 1e-10 K.  An ``(n, k)``
+adjoint block at any other overlay factors fresh: a gradient is one
+exact back-solve, and its factor preconditions the solves after it.  A
 budget miss, ``p^T A p <= 0``, ``rho <= 0`` or a non-finite iterate
 factors fresh, and the sequence holds that factor from then on, with
 one exception: a vector solve whose curvature is clearly negative,
@@ -141,12 +140,13 @@ class OperatorStats:
             comparisons stay meaningful).
         krylov_iterations: Conjugate-gradient iterations spent by warm
             solves, failed attempts included.
-        krylov_solves: Warm systems (a vector or an ``(n, k)`` block)
-            that PCG solved without a fresh factorization.
+        krylov_solves: Warm vector systems that PCG solved without a
+            fresh factorization.
         fresh_factorizations: Factorizations on the warm path: cold
-            starts plus Krylov misses.
-        held_starts: Warm PCG solves (vector or block) that started
-            from the sequence's held answer instead of ``M^-1 b``.
+            starts, Krylov misses and adjoint blocks off the held
+            overlay.
+        held_starts: Warm PCG solves that started from the sequence's
+            held answer instead of ``M^-1 b``.
         factor_seconds: Wall time of the counted factorizations, s.
         solve_seconds: Wall time of the counted forward and adjoint
             solves (any fresh factor they trigger included), s.
@@ -353,47 +353,37 @@ class Factorization:
 
 class KrylovState:
     """What one solve sequence already knows: its last factor and its
-    last accepted answer per right-hand-side shape.
+    last accepted vector answer.
 
     Pass one as ``warm`` to every solve of a sequence; the operator
-    fills it on the first solve and replaces the factor when PCG
-    misses.  ``vector`` is the last ``(n,)`` answer and ``block`` the
-    last ``(n, k)`` one; a warm PCG begins from the held answer of its
-    own shape.  It pickles empty: factors never cross a
-    process boundary.
+    fills it on the first solve and replaces the factor when PCG misses
+    or an adjoint block comes at another overlay.  ``vector`` is the
+    last ``(n,)`` answer, where a warm PCG begins.  It pickles empty:
+    factors never cross a process boundary.
     """
 
-    __slots__ = ("factor", "vector", "block")
+    __slots__ = ("factor", "vector")
 
     def __init__(self) -> None:
         self.factor: Optional[Factorization] = None
         self.vector: Optional[np.ndarray] = None
-        self.block: Optional[np.ndarray] = None
 
     def reset(self) -> None:
-        """Drop the held factor and answers (the next warm solve
+        """Drop the held factor and answer (the next warm solve
         factors fresh)."""
         self.factor = None
         self.vector = None
-        self.block = None
 
     def holds(self, overlay: np.ndarray) -> bool:
         """Whether the held factor was made at exactly ``overlay``."""
         return self.factor is not None \
             and np.array_equal(self.factor.overlay, overlay)
 
-    def answer(self, rhs: np.ndarray) -> Optional[np.ndarray]:
-        """The held answer of ``rhs``'s shape, else ``None``."""
-        held = self.vector if rhs.ndim == 1 else self.block
-        return held if held is not None and held.shape == rhs.shape \
-            else None
-
     def accept(self, solution: np.ndarray) -> None:
-        """Hold a guarded ``solution`` (a copy) as its shape's answer."""
+        """Hold a guarded vector ``solution`` (a copy) as the next PCG
+        start; a block is not held."""
         if solution.ndim == 1:
             self.vector = solution.copy()
-        else:
-            self.block = solution.copy()
 
     def __reduce__(self):
         return (KrylovState, ())
@@ -570,15 +560,17 @@ class ThermalOperator:
         """Solve the adjoint system ``(static + diag(overlay))^T x = rhs``.
 
         The operator is symmetric, so this is the forward path on one
-        RHS vector or an ``(n, k)`` block; the count lands in
+        RHS vector or an ``(n, k)`` block (``k >= 1``; a block off the
+        held overlay factors fresh); the count lands in
         :attr:`OperatorStats.adjoint_solves`, never in ``solves``.
         """
         overlay = self._checked_overlay(diag_overlay)
         rhs_arr = np.asarray(rhs, dtype=float)
-        if rhs_arr.shape[0] != self._n or rhs_arr.ndim > 2:
+        if rhs_arr.shape[:1] != (self._n,) or rhs_arr.ndim > 2 \
+                or rhs_arr.size == 0:
             raise ConfigurationError(
                 f"Adjoint RHS must have shape ({self._n},) or "
-                f"({self._n}, k), got {rhs_arr.shape}")
+                f"({self._n}, k >= 1), got {rhs_arr.shape}")
         started = monotonic()
         duals = self._solve(overlay, rhs_arr, warm, KRYLOV_TOLERANCE)
         self._count("adjoint_solves",
@@ -589,30 +581,26 @@ class ThermalOperator:
     def _solve(self, overlay: np.ndarray, rhs: np.ndarray,
                warm: Optional[KrylovState],
                tolerance: float) -> np.ndarray:
-        """Exact-repeat, PCG or fresh-factor solve, guarded.  A warm
-        solution that passes the guards becomes the sequence's held
-        answer of its shape."""
+        """Exact-repeat, PCG (vectors) or fresh-factor solve, guarded.
+        A warm vector solution that passes the guards becomes the
+        sequence's held answer."""
         if warm is not None and warm.factor is not None:
             if warm.holds(overlay):
                 self._count("cache_hits")
                 solution = self._back_solve(warm.factor, overlay, rhs)
                 warm.accept(solution)
                 return solution
-            start = warm.answer(rhs)
-            if start is not None:
-                self._count("held_starts")
-            matrix = self._load(overlay)
             if rhs.ndim == 1:
-                solution = self._pcg(matrix, rhs, warm.factor, start,
-                                     tolerance)
-            else:
-                solution = self._block_pcg(matrix, rhs, warm.factor,
-                                           start)
-            if solution is not None:
-                self._count("krylov_solves")
-                self._guard(solution, rhs, overlay, self._norm1(), None)
-                warm.accept(solution)
-                return solution
+                if warm.vector is not None:
+                    self._count("held_starts")
+                solution = self._pcg(self._load(overlay), rhs,
+                                     warm.factor, warm.vector, tolerance)
+                if solution is not None:
+                    self._count("krylov_solves")
+                    self._guard(solution, rhs, overlay, self._norm1(),
+                                None)
+                    warm.accept(solution)
+                    return solution
         factor = self.factor(overlay)
         if warm is None:
             return self._back_solve(factor, overlay, rhs)
@@ -677,48 +665,6 @@ class ThermalOperator:
                 f"curvature p^T A p / p^T p = {witness:.3e} W/K",
                 rayleigh_quotient=witness)
         if not converged or not np.all(np.isfinite(solution)):
-            return None
-        return solution
-
-    def _block_pcg(self, matrix: csc_matrix, rhs: np.ndarray,
-                   preconditioner: Factorization,
-                   start: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        """PCG on an ``(n, k)`` block from ``start`` (else ``M^-1 B``)
-        to :data:`KRYLOV_TOLERANCE`, with the failure modes of
-        :meth:`_pcg` but no certificate: negative curvature also
-        returns ``None``.
-
-        The columns run as independent CG recurrences sharing each
-        back-substitution; a column stops updating once it converges.
-        """
-        iterations = 0
-        with np.errstate(all="ignore"):
-            solution = preconditioner.solve(rhs) if start is None \
-                else np.array(start, dtype=float)
-            residual = rhs - matrix @ solution
-            z = preconditioner.solve(residual)
-            tolerance = KRYLOV_TOLERANCE * np.minimum(
-                1.0, np.abs(solution).max(axis=0))
-            active = ~(np.abs(z).max(axis=0) <= tolerance)
-            direction, rho = z, np.einsum("ij,ij->j", residual, z)
-            while active.any() and iterations < KRYLOV_BUDGET:
-                iterations += 1
-                product = matrix @ direction
-                curvature = np.einsum("ij,ij->j", direction, product)
-                if not (np.all(curvature[active] > 0.0)
-                        and np.all(rho[active] > 0.0)):
-                    break
-                alpha = np.where(active, rho / curvature, 0.0)
-                solution += alpha * direction
-                residual -= alpha * product
-                z = preconditioner.solve(residual)
-                active &= ~(np.abs(z).max(axis=0) <= tolerance)
-                rho_next = np.einsum("ij,ij->j", residual, z)
-                direction = z + np.where(active, rho_next / rho,
-                                         0.0) * direction
-                rho = rho_next
-        self._count("krylov_iterations", iterations)
-        if active.any() or not np.all(np.isfinite(solution)):
             return None
         return solution
 

@@ -17,7 +17,7 @@ convergence within ``leak_max_iterations``).
 Every linear system of that loop is one step of a *solve sequence*: a
 :class:`SolveContext` carries the sequence's last converged chip
 temperatures (``warm_chip``) and its :class:`KrylovState` (``krylov``:
-the last sparse factor and the last accepted answers), and each
+the last sparse factor and the last accepted answer), and each
 relinearized system after the first factor is solved by preconditioned
 CG against that factor (see :mod:`repro.thermal.operator`).  A call
 without a context is a sequence of its own.  The leakage-free path is
@@ -89,7 +89,7 @@ class SolveContext:
             solve, used as the next linearization point; ``None`` falls
             back to the ambient + 30 K cold start.
         krylov: The sequence's preconditioner (its last factor) and
-            its last accepted answers; every system after the first is
+            its last accepted answer; every system after the first is
             solved by PCG against the factor, from the held answer.
     """
 
@@ -109,7 +109,7 @@ class SolveContext:
 
     def reset(self) -> None:
         """Forget the warm linearization point, the held factor and
-        the held answers (cold-start next solve)."""
+        the held answer (cold-start next solve)."""
         self.warm_chip = None
         self.krylov.reset()
 

@@ -245,6 +245,34 @@ class TestFallbackAndCounters:
         Evaluator(tec_problem).evaluate_with_grad(210.0, 1.1)
         assert operator.stats.adjoint_solves == before + 2
 
+    def test_gradient_holds_a_factor_at_its_own_point(
+            self, tec_problem, monkeypatch):
+        # At a new point the adjoint block factors fresh at the
+        # gradient's overlay and back-solves it without a CG iteration;
+        # the context then holds that factor for the solves after it.
+        evaluator = Evaluator(tec_problem)
+        evaluator.evaluate(200.0, 1.0)
+        operator = evaluator.context.operator
+        solve_adjoint = operator.solve_adjoint
+        calls = []
+
+        def spy(overlay, rhs, warm=None):
+            before = operator.stats
+            duals = solve_adjoint(overlay, rhs, warm)
+            after = operator.stats
+            calls.append((overlay.copy(),
+                          after.krylov_iterations
+                          - before.krylov_iterations,
+                          after.fresh_factorizations
+                          - before.fresh_factorizations))
+            return duals
+
+        monkeypatch.setattr(operator, "solve_adjoint", spy)
+        evaluator.evaluate_with_grad(210.0, 1.1)
+        (overlay, iterations, fresh), = calls
+        assert (iterations, fresh) == (0, 1)
+        assert evaluator.context.krylov.holds(overlay)
+
     def test_adjoint_not_counted_as_forward_solve(self, tec_problem):
         evaluator = Evaluator(tec_problem)
         evaluator.evaluate(205.0, 1.0)
