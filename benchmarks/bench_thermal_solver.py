@@ -21,6 +21,7 @@ from scipy.sparse.linalg import splu
 
 from _common import emit_bench_json, paired_overhead_pct
 from repro import build_cooling_problem
+from repro._blas import one_blas_thread
 from repro.analysis import run_campaign, sweep_objective_surfaces
 from repro.materials import default_package_stack
 from repro.geometry import Grid, alpha21264_floorplan
@@ -155,15 +156,19 @@ def _crossover_row(profile, resolution):
         "band_rel_error": float(np.abs(band.solve(block) - exact).max()
                                 / np.abs(exact).max()),
     }
-    for name, band_fn, superlu_fn in (
-            ("factor", lambda: layout.cholesky(data), lambda: splu(csc)),
-            ("vector_backsolve", lambda: band.solve(rhs),
-             lambda: lu.solve(rhs)),
-            ("two_column_backsolve", lambda: band.solve(block),
-             lambda: lu.solve(block))):
-        band_ms, superlu_ms = _paired_ms(band_fn, superlu_fn)
-        row[f"{name}_band_ms"] = band_ms
-        row[f"{name}_superlu_ms"] = superlu_ms
+    # Both arms at one OpenBLAS thread, as ThermalOperator.solve runs
+    # them.
+    with one_blas_thread():
+        for name, band_fn, superlu_fn in (
+                ("factor", lambda: layout.cholesky(data),
+                 lambda: splu(csc)),
+                ("vector_backsolve", lambda: band.solve(rhs),
+                 lambda: lu.solve(rhs)),
+                ("two_column_backsolve", lambda: band.solve(block),
+                 lambda: lu.solve(block))):
+            band_ms, superlu_ms = _paired_ms(band_fn, superlu_fn)
+            row[f"{name}_band_ms"] = band_ms
+            row[f"{name}_superlu_ms"] = superlu_ms
     return row
 
 

@@ -216,7 +216,8 @@ GATES: Dict[str, Callable[[Gate, dict], None]] = {
 
 #: Machine-independent metrics compared against the baseline:
 #: (filename, dotted path, human label).  A ``*_pct`` path drifts in
-#: percentage points, every other one relative to its baseline.
+#: percentage points, every other one relative to its baseline (in
+#: absolute terms only when the baseline is 0).
 DRIFT_METRICS: Tuple[Tuple[str, str, str], ...] = (
     ("BENCH_3.json", "repeated_solve.speedup",
      "repeated-solve speedup"),
@@ -252,8 +253,7 @@ def check_drift(gate: Gate, directory: str, baseline_dir: str) -> None:
                           f"{points:+.2f} pts vs tolerance "
                           f"{DRIFT_TOLERANCE_PTS:.2f} pts")
             continue
-        scale = max(abs(baseline), 1.0)
-        drift = (current - baseline) / scale
+        drift = (current - baseline) / (abs(baseline) or 1.0)
         if abs(drift) > DRIFT_TOLERANCE:
             gate.warn(f"{filename} {label}",
                       f"{baseline:.4g} -> {current:.4g} "

@@ -16,13 +16,18 @@ overlay and the RHS change between solves.
   network's periphery (12 nodes, each coupled to a whole grid edge),
   ordered last; the interior ``A_II`` is a band in reverse
   Cuthill-McKee order (width 99 instead of 195 with the periphery in
-  it, at 12x12) factored by LAPACK ``dpbtrf``, and the border is
-  eliminated through the dense Schur complement
-  ``S = A_BB - A_IB^T A_II^-1 A_IB`` (``dpotrf``).  A back-solve is one
-  ``dpbtrs`` of the interior plus two thin products with
-  ``Z = A_II^-1 A_IB``.  Without a border that shrinks the factor the
-  layout is plain reverse Cuthill-McKee.  The factor and its solves
-  run at one OpenBLAS thread.
+  it, at 12x12) factored by LAPACK ``dpbtrf`` as ``L L^T``, and the
+  border is eliminated through ``W = L^-1 A_IB`` (one forward
+  ``dtbtrs`` over the border columns) and the dense Schur complement
+  ``S = A_BB - W^T W`` (``dpotrf``).  A back-solve is the forward half
+  ``y = L^-1 b_I``, the border solve with ``S`` and the transposed half
+  ``x_I = L^-T (y - W x_B)``: two ``dtbtrs`` passes, as many as one
+  ``dpbtrs``, plus two thin products with ``W``.  Without a border that
+  shrinks the factor the layout is plain reverse Cuthill-McKee and a
+  back-solve is the two passes alone.  The operator's public calls
+  (:meth:`~ThermalOperator.factor`, :meth:`~ThermalOperator.solve`,
+  :meth:`~ThermalOperator.solve_adjoint`) each hold OpenBLAS at one
+  thread once, for every band factor and back-solve inside them.
 * :class:`KrylovState` holds what one solve sequence already knows:
   its last factor and its last accepted vector answer.  It lives with
   the caller (a
@@ -71,7 +76,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs
+from scipy.linalg.lapack import dpbtrf, dpotrf, dpotrs, dtbtrs
 from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
@@ -109,13 +114,14 @@ KRYLOV_BUDGET = 15
 INDEFINITE_MARGIN = 1.0e-10
 
 
-#: Largest factor (:attr:`_BandLayout.factor_bytes`: the band, ``Z``
+#: Largest factor (:attr:`_BandLayout.factor_bytes`: the band, ``W``
 #: and the Schur complement) made by bordered banded Cholesky; a larger
 #: one factors with SuperLU.  Set from the crossover table in
-#: ``BENCH_3.json`` (``banded_cholesky.crossover``): up to the 18x18
-#: grid (4.26 MB) the band factors and back-solves (vector and
-#: two-column) faster than SuperLU; at 20x20 (6.01 MB) its two-column
-#: back-solve is slower.
+#: ``BENCH_3.json`` (``banded_cholesky.crossover``): grids up to 18x18
+#: (4.26 MB) take the band, which factors several times faster than
+#: SuperLU and back-solves faster on the gated 12x12 and 16x16 grids;
+#: from 20x20 (6.01 MB), where the two-column back-solves have compared
+#: both ways, grids stay on SuperLU.
 BAND_BUDGET_BYTES = 5_000_000
 
 
@@ -247,7 +253,7 @@ class _BandLayout:
 
     @property
     def factor_bytes(self) -> int:
-        """Bytes of a factor: the band, ``Z = A_II^-1 A_IB`` and the
+        """Bytes of a factor: the band ``L``, ``W = L^-1 A_IB`` and the
         border's Schur complement."""
         return 8 * ((self.width + self.border) * self.interior
                     + self.border ** 2)
@@ -256,15 +262,16 @@ class _BandLayout:
         """Bordered banded Cholesky of the matrix with CSC values
         ``data``; ``None`` unless it is positive definite.
 
-        ``dpbtrf`` factors the interior band ``A_II``, ``dpbtrs`` gives
-        ``Z = A_II^-1 A_IB``, and ``dpotrf`` the border's Schur
-        complement ``S = A_BB - A_IB^T Z``.  ``A`` is positive definite
-        exactly when ``A_II`` and ``S`` are.
+        ``dpbtrf`` factors the interior band ``A_II = L L^T``, one
+        forward ``dtbtrs`` over the border columns gives
+        ``W = L^-1 A_IB``, and ``dpotrf`` the border's Schur complement
+        ``S = A_BB - W^T W``.  ``A`` is positive definite exactly when
+        ``A_II`` and ``S`` are.
         """
         n, interior = self.perm.size, self.interior
         flat = np.zeros(self.width * interior)
         flat[self.target] = data[self.source]
-        with np.errstate(all="ignore"), one_blas_thread():
+        with np.errstate(all="ignore"):
             band, info = dpbtrf(flat.reshape(
                 (self.width, interior), order="F"),
                 lower=1, overwrite_ab=1)
@@ -275,43 +282,57 @@ class _BandLayout:
             edge = np.zeros(n * self.border)
             edge[self.edge_target] = data[self.edge_source]
             edge = edge.reshape((n, self.border), order="F")
-            coupling = edge[:interior]
-            correction, _ = dpbtrs(band, coupling, lower=1)
-            schur, info = dpotrf(edge[interior:] - coupling.T @ correction,
+            coupling, _ = dtbtrs(band, edge[:interior], uplo="L")
+            schur, info = dpotrf(edge[interior:] - coupling.T @ coupling,
                                  lower=1)
-        return _BandFactor(self, band, correction, schur) \
+        return _BandFactor(self, band, coupling, schur) \
             if info == 0 else None
 
 
 class _BandFactor:
     """A bordered banded Cholesky factor in its layout's order: the
-    interior band ``band``, ``correction`` ``Z = A_II^-1 A_IB`` and
-    the Cholesky factor ``schur`` of ``S = A_BB - A_IB^T Z`` (both
+    interior band ``band`` (``L``), ``coupling`` ``W = L^-1 A_IB`` and
+    the Cholesky factor ``schur`` of ``S = A_BB - W^T W`` (both
     ``None`` without a border)."""
 
-    __slots__ = ("layout", "band", "correction", "schur")
+    __slots__ = ("layout", "band", "coupling", "schur")
 
-    def __init__(self, layout, band, correction, schur):
+    def __init__(self, layout, band, coupling, schur):
         self.layout = layout
         self.band = band
-        self.correction = correction
+        self.coupling = coupling
         self.schur = schur
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for one RHS vector: ``y = A_II^-1 b_I``,
-        ``x_B = S^-1 (b_B - Z^T b_I)``, ``x_I = y - Z x_B``."""
+        """Solve for one RHS vector or an ``(n, k)`` block, each
+        triangular pass one ``dtbtrs`` call: ``y = L^-1 b_I``,
+        ``x_B = S^-1 (b_B - W^T y)``, ``x_I = L^-T (y - W x_B)``.
+
+        The thin products with ``W`` are one matrix-vector product per
+        column, so column ``j`` of a block is bitwise the solve of that
+        column (a matrix-matrix product sums in another order).
+        """
         layout = self.layout
-        permuted = np.take(rhs, layout.perm)
-        interior = permuted[:layout.interior]
-        if self.correction is not None:
-            border, _ = dpotrs(self.schur, permuted[layout.interior:]
-                               - interior @ self.correction, lower=1,
-                               overwrite_b=1)
-        solved, _ = dpbtrs(self.band, interior, lower=1, overwrite_b=1)
-        if self.correction is not None:
-            solved = np.concatenate([solved - self.correction @ border,
-                                     border])
-        return np.take(solved, layout.inverse)
+        permuted = np.take(rhs, layout.perm, axis=0)
+        solved, _ = dtbtrs(self.band, permuted[:layout.interior],
+                           uplo="L", overwrite_b=1)
+        border = permuted[layout.interior:]
+        if layout.border:
+            border, _ = dpotrs(self.schur, border - _per_column(
+                self.coupling.T, solved), lower=1, overwrite_b=1)
+            solved -= _per_column(self.coupling, border)
+        solved, _ = dtbtrs(self.band, solved, uplo="L", trans="T",
+                           overwrite_b=1)
+        return np.take(np.concatenate([solved, border]), layout.inverse,
+                       axis=0)
+
+
+def _per_column(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``matrix @ block`` as one matrix-vector product per column of a
+    block."""
+    if block.ndim == 1:
+        return matrix @ block
+    return (matrix @ block.T[:, :, np.newaxis])[:, :, 0].T
 
 
 class Factorization:
@@ -338,17 +359,14 @@ class Factorization:
         return self._band is not None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Back-substitute one RHS vector or an ``(n, k)`` RHS block
-        (on the band path column by column, so column ``j`` of a block
-        is bitwise the solve of that column)."""
+        """Back-substitute one RHS vector or an ``(n, k)`` RHS block (on
+        the band path column ``j`` of a block is bitwise the solve of
+        that column)."""
         with np.errstate(all="ignore"):
             if self._band is None:
                 return self._lu.solve(rhs)
             with one_blas_thread():
-                if rhs.ndim == 1:
-                    return self._band.solve(rhs)
-                return np.column_stack([self._band.solve(column)
-                                        for column in rhs.T])
+                return self._band.solve(rhs)
 
 
 class KrylovState:
@@ -505,8 +523,9 @@ class ThermalOperator:
         started = monotonic()
         csc = self._load(overlay)
         norm1 = self._norm1()
-        band = None if self._layout is None \
-            else self._layout.cholesky(csc.data)
+        with one_blas_thread():
+            band = None if self._layout is None \
+                else self._layout.cholesky(csc.data)
         if band is not None:
             self._counted_factor(started)
             return Factorization(None, overlay.copy(), norm1, band)
@@ -550,7 +569,8 @@ class ThermalOperator:
             raise ConfigurationError(
                 f"RHS must have shape ({self._n},), got {rhs_arr.shape}")
         started = monotonic()
-        temps = self._solve(overlay, rhs_arr, warm, tolerance)
+        with one_blas_thread():
+            temps = self._solve(overlay, rhs_arr, warm, tolerance)
         self._count("solves")
         self._count("solve_seconds", monotonic() - started)
         return temps
@@ -572,7 +592,8 @@ class ThermalOperator:
                 f"Adjoint RHS must have shape ({self._n},) or "
                 f"({self._n}, k >= 1), got {rhs_arr.shape}")
         started = monotonic()
-        duals = self._solve(overlay, rhs_arr, warm, KRYLOV_TOLERANCE)
+        with one_blas_thread():
+            duals = self._solve(overlay, rhs_arr, warm, KRYLOV_TOLERANCE)
         self._count("adjoint_solves",
                     1 if rhs_arr.ndim == 1 else rhs_arr.shape[1])
         self._count("solve_seconds", monotonic() - started)

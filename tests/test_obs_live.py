@@ -686,6 +686,26 @@ class TestBenchGate:
         assert "DRIFT BENCH_3.json Fig. 6 sweep factorizations per point" \
             in capsys.readouterr().out
 
+    def test_small_ratio_drifts_relative_to_its_baseline(self, tmp_path,
+                                                         capsys):
+        # A ratio below 1 drifts relative to itself: 0.034 -> 0.241
+        # factorizations per solve is +609%, not +21%.
+        current = tmp_path / "current"
+        baseline = tmp_path / "baseline"
+        current.mkdir()
+        baseline.mkdir()
+        bench3 = {"grid_resolution": 12,
+                  "repeated_solve": {"speedup": 38.0},
+                  "table2_campaign": {"factorizations_per_solve": 0.034}}
+        self.seed_artifacts(baseline, **{"BENCH_3.json": bench3})
+        bench3["table2_campaign"]["factorizations_per_solve"] = 0.241
+        self.seed_artifacts(current, **{"BENCH_3.json": bench3})
+        assert self.run_gate(["--dir", str(current), "--baseline",
+                              str(baseline), "--strict-drift"]) == 1
+        assert "DRIFT BENCH_3.json factorizations per solve: " \
+            "0.034 -> 0.241 (+609% vs tolerance 50%)" \
+            in capsys.readouterr().out
+
     def test_bench5_digest_must_match_baseline(self, tmp_path, capsys):
         current = tmp_path / "current"
         baseline = tmp_path / "baseline"

@@ -424,6 +424,30 @@ class TestFactorPaths:
         assert inside == [[1] * len(setters)]
         assert after == [3] * len(setters)
 
+    def test_warm_solve_sets_blas_threads_once(self, tec_problem,
+                                               monkeypatch):
+        # A warm PCG solve back-solves once per CG iteration, but sets
+        # each OpenBLAS thread count once and restores it once.
+        calls = ([], [])
+
+        def fake_setters():
+            return tuple(lambda threads, seen=seen: seen.append(threads)
+                         or 4 for seen in calls)
+
+        monkeypatch.setattr(_blas, "openblas_thread_setters",
+                            fake_setters)
+        operator = fresh_operator(tec_problem.model.network)
+        warm = KrylovState()
+        operator.solve(*model_overlays(tec_problem, *POINTS[0]), warm)
+        for seen in calls:
+            seen.clear()
+        before = operator.stats
+        operator.solve(*model_overlays(tec_problem, 185.0, 0.6), warm)
+        after = operator.stats
+        assert after.krylov_solves - before.krylov_solves == 1
+        assert after.krylov_iterations - before.krylov_iterations >= 2
+        assert calls == ([1, 4], [1, 4])
+
     def test_asymmetric_static_takes_superlu(self, monkeypatch):
         spy = SuperLUSpy(monkeypatch)
         static = csr_matrix(np.array([[2.0, -1.0], [-0.5, 2.0]]))
