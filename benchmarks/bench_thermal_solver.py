@@ -6,29 +6,21 @@ stepper, and the payoff of the solve context's held factor, at the
 production grid resolution.  The operator metrics (repeated-solve
 throughput; factorizations and CG iterations per point of one 16x14
 Figure 6 Basicmath surface; factorizations per solve and CG iterations
-per Krylov solve over the Table 2 campaign), and the banded Cholesky
-crossover table (border size, bandwidth with and without the border,
-factor bytes, factor, vector and two-column back-solve times of the
-bordered band factor and of SuperLU on the same matrix, and the path
-the operator takes, at grids 6x6 to 24x24) are written to
+per Krylov solve over the Table 2 campaign) are written to
 ``BENCH_3.json`` at the repository root.
 """
 
 import time
 
 import numpy as np
-from scipy.sparse.linalg import splu
-
 from _common import emit_bench_json, paired_overhead_pct
 from repro import build_cooling_problem
-from repro._blas import one_blas_thread
 from repro.analysis import run_campaign, sweep_objective_surfaces
 from repro.materials import default_package_stack
 from repro.geometry import Grid, alpha21264_floorplan
 from repro.tec import TECArray, default_tec_device
-from repro.thermal import KrylovState, NodeKind, build_package_model, \
+from repro.thermal import KrylovState, build_package_model, \
     simulate_transient, solve_steady_state
-from repro.thermal import operator as thermal_operator
 
 
 def test_model_assembly(benchmark, resolution):
@@ -84,98 +76,6 @@ def _time_solves(network, overlay, rhs, rounds, cold):
 
 #: Interleaved warm/cold pairs behind the repeated-solve speedup.
 _REPEATED_SOLVE_PAIRS = 7
-
-#: Grids of the banded Cholesky crossover table, and those whose band
-#: back-solves ``scripts/bench_gate.py`` requires to beat SuperLU: the
-#: paper-scale 12x12 grid and the library's default 16x16.
-CROSSOVER_RESOLUTIONS = (6, 8, 10, 12, 14, 16, 18, 20, 22, 24)
-GATED_RESOLUTIONS = (12, 16)
-
-#: Interleaved band/SuperLU pairs per timed operation, and the wall
-#: time one sample of a pair spends repeating it.
-_CROSSOVER_PAIRS = 7
-_CROSSOVER_SAMPLE_SECONDS = 0.02
-
-
-def _per_call_ms(fn, calls):
-    """Mean milliseconds of ``calls`` back-to-back calls of ``fn``."""
-    start = time.perf_counter()
-    for _ in range(calls):
-        fn()
-    return 1e3 * (time.perf_counter() - start) / calls
-
-
-def _paired_ms(band, superlu):
-    """Median per-call ms of the two arms over interleaved pairs."""
-    calls = max(1, int(_CROSSOVER_SAMPLE_SECONDS
-                       / max(1e-6, 1e-3 * _per_call_ms(superlu, 1))))
-    band_ms, superlu_ms, _ = paired_overhead_pct(
-        lambda: _per_call_ms(band, calls),
-        lambda: _per_call_ms(superlu, calls), repeats=_CROSSOVER_PAIRS)
-    return band_ms, superlu_ms
-
-
-def _crossover_row(profile, resolution):
-    """Band factor vs SuperLU on one grid's matrix at 262 rad/s, 1 A.
-
-    The band factor is built through the operator's own layout (with
-    the byte budget lifted, so over-budget grids are timed too); the
-    SuperLU factor is ``splu`` of the same loaded matrix.  ``path`` is
-    what ``ThermalOperator.factor`` really takes on that grid.
-    """
-    problem = build_cooling_problem(profile, grid_resolution=resolution)
-    model = problem.model
-    zeros = np.zeros(model.grid.cell_count)
-    overlay, rhs = model.overlays(262.0, 1.0, problem.dynamic_cell_power,
-                                  zeros, zeros, sink_heat=2.0)
-    operator = model.network.operator
-    path = "banded" if operator.factor(overlay).banded else "superlu"
-    csc = operator._load(overlay)
-    border = model.network.nodes_of_kind(NodeKind.PERIPHERY)
-    budget = thermal_operator.BAND_BUDGET_BYTES
-    thermal_operator.BAND_BUDGET_BYTES = float("inf")
-    try:
-        layout = thermal_operator._BandLayout.of(csc, border)
-    finally:
-        thermal_operator.BAND_BUDGET_BYTES = budget
-    plain = thermal_operator._BandLayout(csc, np.empty(0, dtype=np.intp))
-    data = csc.data.copy()
-    band = thermal_operator.Factorization(
-        None, overlay, 0.0, layout.cholesky(data))
-    lu = thermal_operator.Factorization(splu(csc), overlay, 0.0)
-    block = np.column_stack([rhs, np.ones_like(rhs)])
-    exact = lu.solve(block)
-    n = rhs.size
-    row = {
-        "nodes": n,
-        "border_nodes": layout.border,
-        "bandwidth": layout.width - 1,
-        "plain_bandwidth": plain.width - 1,
-        "band_bytes": layout.factor_bytes,
-        "path": path,
-        "band_rel_error": float(np.abs(band.solve(block) - exact).max()
-                                / np.abs(exact).max()),
-    }
-    # Both arms at one OpenBLAS thread, as ThermalOperator.solve runs
-    # them.
-    with one_blas_thread():
-        for name, band_fn, superlu_fn in (
-                ("factor", lambda: layout.cholesky(data),
-                 lambda: splu(csc)),
-                ("vector_backsolve", lambda: band.solve(rhs),
-                 lambda: lu.solve(rhs)),
-                ("two_column_backsolve", lambda: band.solve(block),
-                 lambda: lu.solve(block))):
-            band_ms, superlu_ms = _paired_ms(band_fn, superlu_fn)
-            row[f"{name}_band_ms"] = band_ms
-            row[f"{name}_superlu_ms"] = superlu_ms
-    return row
-
-
-def banded_cholesky_crossover(profile):
-    """The crossover table, keyed by grid resolution."""
-    return {str(resolution): _crossover_row(profile, resolution)
-            for resolution in CROSSOVER_RESOLUTIONS}
 
 
 def test_operator_reuse_and_emit(tec_problem, baseline_problem,
@@ -267,29 +167,7 @@ def test_operator_reuse_and_emit(tec_problem, baseline_problem,
             "fresh_factorizations": fresh,
         },
     }
-    crossover = banded_cholesky_crossover(profiles["basicmath"])
-    for grid, row in crossover.items():
-        print(f"grid {grid}: {row['path']}, border "
-              f"{row['border_nodes']}, bandwidth {row['plain_bandwidth']}"
-              f" -> {row['bandwidth']}, factor "
-              f"{row['band_bytes'] / 1e6:.2f} MB; band/SuperLU ms: "
-              f"factor {row['factor_band_ms']:.3f}/"
-              f"{row['factor_superlu_ms']:.3f}, vector "
-              f"{row['vector_backsolve_band_ms']:.3f}/"
-              f"{row['vector_backsolve_superlu_ms']:.3f}, two-column "
-              f"{row['two_column_backsolve_band_ms']:.3f}/"
-              f"{row['two_column_backsolve_superlu_ms']:.3f}")
-    payload["banded_cholesky"] = {
-        "budget_bytes": thermal_operator.BAND_BUDGET_BYTES,
-        "gated_resolutions": list(GATED_RESOLUTIONS),
-        "pairs": _CROSSOVER_PAIRS,
-        "crossover": crossover,
-    }
     emit_bench_json("BENCH_3.json", payload)
-
-    # Every band solve of the table agrees with SuperLU's.
-    assert all(row["band_rel_error"] <= 1e-12
-               for row in crossover.values())
 
     assert len(campaign.comparisons) == len(profiles)
     # The held factor must pay for itself: strictly fewer

@@ -4,12 +4,12 @@
 Two layers of checking, both machine-independent:
 
 * **Invariants** — structural performance claims that must hold on any
-  host: the operator layer actually reuses factorizations and its
-  banded Cholesky back-solves beat SuperLU's on the gated grids, where
-  it takes them (BENCH_3),
-  telemetry overhead stays inside its budget (BENCH_4), and the
-  parallel campaign is bit-reproducible (BENCH_5).  Wall-clock rates
-  and speedups that depend on core count are deliberately not gated.
+  host: the operator layer actually reuses factorizations (warm
+  solves against a held factor are cheap, and a campaign factors less
+  than once per solve: BENCH_3), telemetry overhead stays inside its
+  budget (BENCH_4), and the parallel campaign is bit-reproducible
+  (BENCH_5).  Wall-clock rates and speedups that depend on core count
+  are deliberately not gated.
 
 * **Drift** (optional, ``--baseline DIR``) — compares the freshly
   emitted artifacts against the committed baselines and reports
@@ -119,12 +119,6 @@ def gate_bench3(gate: Gate, doc: dict) -> None:
         speedup is not None and speedup >= REPEATED_SOLVE_MIN_SPEEDUP,
         f"{speedup} >= {REPEATED_SOLVE_MIN_SPEEDUP} "
         "(the held factor must make warm solves cheap)")
-    banded = doc.get("banded_cholesky")
-    if banded is None:
-        gate.skip("BENCH_3 banded back-solves",
-                  "no banded_cholesky block (pre-band artifact)")
-    else:
-        gate_banded_backsolves(gate, banded)
     per_solve = _dig(doc, "table2_campaign.factorizations_per_solve")
     gate.check(
         "BENCH_3 factorizations per solve",
@@ -132,25 +126,6 @@ def gate_bench3(gate: Gate, doc: dict) -> None:
         and per_solve <= MAX_FACTORIZATIONS_PER_SOLVE,
         f"{per_solve} <= {MAX_FACTORIZATIONS_PER_SOLVE} "
         "(campaign must reuse factorizations)")
-
-
-def gate_banded_backsolves(gate: Gate, banded: dict) -> None:
-    """On each gated grid the operator takes the band factor, and its
-    vector and two-column back-solves beat SuperLU's on that matrix."""
-    crossover = banded.get("crossover") or {}
-    for resolution in banded.get("gated_resolutions") or [None]:
-        row = crossover.get(str(resolution)) or {}
-        for kind in ("vector", "two_column"):
-            band = row.get(f"{kind}_backsolve_band_ms")
-            superlu = row.get(f"{kind}_backsolve_superlu_ms")
-            gate.check(
-                f"BENCH_3 banded {kind.replace('_', '-')} back-solve "
-                f"({resolution}x{resolution})",
-                row.get("path") == "banded" and band is not None
-                and superlu is not None and band < superlu,
-                f"{band} ms < SuperLU {superlu} ms, path "
-                f"{row.get('path')!r} (the band factor must pay for "
-                "itself where the operator takes it)")
 
 
 def gate_bench4(gate: Gate, doc: dict) -> None:

@@ -123,18 +123,20 @@ def _supervision_from_args(args: argparse.Namespace):
 @contextmanager
 def _traced(path: Optional[str],
             openmetrics_path: Optional[str] = None,
+            progress: bool = False,
             ) -> Iterator[Optional[dict]]:
-    """Run the body under a telemetry session when any sink is given.
+    """Run the body under a telemetry session when any sink is given,
+    or a sinkless one for ``progress`` (its metrics feed the board).
 
-    Yields None (telemetry disabled, zero overhead) or a holder dict
-    that gains a ``"telemetry"`` metrics snapshot on exit.  The
+    Yields None (no sink) or a holder dict that gains a ``"telemetry"``
+    metrics snapshot on exit.  The
     session's stream writes the span trace to ``path`` and the
     OpenMetrics snapshot to ``openmetrics_path`` while the run
     progresses — a campaign's files hold each unit once it completes —
     and closes them even when the body fails, so a crashed run still
     leaves its trace behind.
     """
-    if not (path or openmetrics_path):
+    if not (path or openmetrics_path or progress):
         yield None
         return
     from .obs import JsonlTraceSink, OpenMetricsSink, telemetry_session
@@ -146,7 +148,7 @@ def _traced(path: Optional[str],
     holder: dict = {}
     with telemetry_session(sinks=sinks) as (tracer, metrics):
         try:
-            yield holder
+            yield holder if sinks else None
         finally:
             holder["telemetry"] = metrics.snapshot()
             if path:
@@ -363,7 +365,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         template, grid_resolution=args.resolution)
     baseline_problem = build_cooling_problem(
         template, with_tec=False, grid_resolution=args.resolution)
-    with _traced(args.trace, args.openmetrics) as session:
+    with _traced(args.trace, args.openmetrics, args.progress) as session:
         board = _progress_board(args, "campaign")
         campaign = run_campaign(profiles, tec_problem, baseline_problem,
                                 include_tec_only=args.tec_only,
@@ -491,7 +493,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         template, grid_resolution=args.resolution)
     baseline_problem = build_cooling_problem(
         template, with_tec=False, grid_resolution=args.resolution)
-    with _traced(args.trace, args.openmetrics) as session:
+    with _traced(args.trace, args.openmetrics, args.progress) as session:
         board = _progress_board(args, "chaos")
         report = run_chaos_campaign(
             profiles, tec_problem, baseline_problem, plan=plan,

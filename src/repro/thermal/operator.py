@@ -7,14 +7,14 @@ overlay and the RHS change between solves.
 
 * :class:`ThermalOperator` owns the structure — one CSC matrix with
   every diagonal entry stored, and each ``(i, i)`` position in
-  ``csc.data`` — so applying an overlay is two array writes.  It holds
-  no factors.
+  ``csc.data`` — so applying an overlay is two array writes.  The
+  static matrix must be exactly symmetric.  It holds no factors.
 * :class:`Factorization` holds one factor at one overlay: a bordered
-  banded Cholesky factor when the static matrix is exactly symmetric,
-  the factor fits :data:`BAND_BUDGET_BYTES` and the loaded matrix is
-  positive definite; otherwise an ``splu`` factor.  The border is the
-  network's periphery (12 nodes, each coupled to a whole grid edge),
-  ordered last; the interior ``A_II`` is a band in reverse
+  banded Cholesky factor on every grid (there is no size budget), or
+  an ``splu`` factor when the band factor refuses the loaded matrix
+  because it is not positive definite.  The border is the network's
+  periphery (12 nodes, each coupled to a whole grid edge), ordered
+  last; the interior ``A_II`` is a band in reverse
   Cuthill-McKee order (width 99 instead of 195 with the periphery in
   it, at 12x12) factored by LAPACK ``dpbtrf`` as ``L L^T``, and the
   border is eliminated through ``W = L^-1 A_IB`` (one forward
@@ -60,9 +60,9 @@ within the margin, as on an exactly singular PSD system, still factors
 fresh and meets the singularity guards.
 Without ``warm`` a solve is a fresh factor and a back-solve.  On the
 band path it agrees with ``spsolve`` to ~1e-14 relative (a different
-elimination order, not a looser tolerance); on the SuperLU path
-(asymmetric static matrix, factor over budget, or a matrix that is not
-positive definite: ``A_II`` or ``S`` refused) it is bit-identical to
+elimination order, not a looser tolerance).  A matrix the band factor
+refuses (``A_II`` or ``S`` not positive definite: a singular or
+indefinite system) factors by SuperLU and solves bit-identical to
 ``spsolve`` (the same SuperLU code), so singular and indefinite systems
 meet the same guards and condition estimates as before
 (``tests/test_operator.py``).
@@ -114,17 +114,6 @@ KRYLOV_BUDGET = 15
 INDEFINITE_MARGIN = 1.0e-10
 
 
-#: Largest factor (:attr:`_BandLayout.factor_bytes`: the band, ``W``
-#: and the Schur complement) made by bordered banded Cholesky; a larger
-#: one factors with SuperLU.  Set from the crossover table in
-#: ``BENCH_3.json`` (``banded_cholesky.crossover``): grids up to 18x18
-#: (4.26 MB) take the band, which factors several times faster than
-#: SuperLU and back-solves faster on the gated 12x12 and 16x16 grids;
-#: from 20x20 (6.01 MB), where the two-column back-solves have compared
-#: both ways, grids stay on SuperLU.
-BAND_BUDGET_BYTES = 5_000_000
-
-
 #: The :class:`OperatorStats` fields, in order.
 _COUNTERS = ("solves", "factorizations", "cache_hits", "adjoint_solves",
              "krylov_iterations", "krylov_solves", "fresh_factorizations",
@@ -137,8 +126,8 @@ class OperatorStats:
 
     Attributes:
         solves: Forward right-hand sides solved.
-        factorizations: Factorizations performed (banded Cholesky or
-            SuperLU).
+        factorizations: Factorizations performed (banded Cholesky, or
+            SuperLU for a matrix the band refuses).
         cache_hits: Warm solves at the exact overlay of the held
             factor (plain back-substitutions).
         adjoint_solves: Adjoint right-hand sides solved by the gradient
@@ -229,22 +218,17 @@ class _BandLayout:
             + n * (columns[self.edge_source] - self.interior)
 
     @classmethod
-    def of(cls, csc: csc_matrix,
-           border: Sequence[int] = ()) -> Optional["_BandLayout"]:
-        """The layout of ``csc``: with ``border`` ordered last when that
-        makes the factor smaller, else plain reverse Cuthill-McKee.
-        ``None`` when ``csc`` is not exactly symmetric or the factor
-        exceeds :data:`BAND_BUDGET_BYTES`."""
-        if (csc != csc.T).nnz:
-            return None
+    def of(cls, csc: csc_matrix, border: Sequence[int] = ()) -> "_BandLayout":
+        """The layout of the symmetric ``csc``: with ``border`` ordered
+        last when that makes the factor smaller, else plain reverse
+        Cuthill-McKee."""
         layout = cls(csc, np.empty(0, dtype=np.intp))
         border = np.unique(np.asarray(border, dtype=np.intp))
         if 0 < border.size < csc.shape[0]:
             bordered = cls(csc, border)
             if bordered.factor_bytes < layout.factor_bytes:
                 layout = bordered
-        return layout if layout.factor_bytes <= BAND_BUDGET_BYTES \
-            else None
+        return layout
 
     @property
     def border(self) -> int:
@@ -341,7 +325,8 @@ class Factorization:
     at, so reuse never touches the operator's scratch CSC.
 
     The factor is a bordered banded Cholesky factor (``_lu`` is
-    ``None``) or an ``splu`` factor (``_band`` is ``None``).
+    ``None``), or an ``splu`` factor (``_band`` is ``None``) of a
+    matrix the band factor refused; there is no size budget.
     """
 
     __slots__ = ("_lu", "_band", "overlay", "norm1")
@@ -425,6 +410,9 @@ class ThermalOperator:
                 through a dense Schur complement (the network's
                 periphery nodes, each coupled to a whole grid edge),
                 when that makes the factor smaller.
+
+        Raises :class:`ConfigurationError` unless ``static`` is square
+        and exactly symmetric (a conductance network always is).
         """
         n = static.shape[0]
         if static.shape != (n, n):
@@ -441,6 +429,9 @@ class ThermalOperator:
         vals = np.concatenate([coo.data, np.zeros(n)])
         csc = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
         csc.sum_duplicates()
+        if (csc != csc.T).nnz:
+            raise ConfigurationError(
+                "static matrix must be exactly symmetric")
         self._csc: csc_matrix = csc
         self._base_data: np.ndarray = csc.data.copy()
         # Position of entry (j, j) inside csc.data, per node.
@@ -452,8 +443,9 @@ class ThermalOperator:
         off_diagonal[self._diag_index] = 0.0
         self._off_diagonal_norms = np.add.reduceat(
             off_diagonal, csc.indptr[:-1])
-        # Every overlay is diagonal, so a symmetric static matrix stays
-        # symmetric under any overlay and one layout serves them all.
+        # Every overlay is diagonal, so the symmetric static matrix
+        # stays symmetric under any overlay and one layout serves them
+        # all.
         self._layout = _BandLayout.of(csc, border)
         self._counts = dict.fromkeys(_COUNTERS, 0)
 
@@ -513,19 +505,19 @@ class ThermalOperator:
 
     def factor(self, diag_overlay: np.ndarray) -> Factorization:
         """Fresh factorization of ``static + diag(overlay)``: banded
-        Cholesky when the operator has a band layout and the matrix is
-        positive definite, else ``splu``.
+        Cholesky on every grid (there is no size budget); ``splu`` only
+        when the band factor refuses the matrix, because it is not
+        positive definite.
 
         Raises :class:`SingularNetworkError` (with a condition-number
-        estimate) when the matrix does not factor.
+        estimate) when SuperLU cannot factor a refused matrix either.
         """
         overlay = self._checked_overlay(diag_overlay)
         started = monotonic()
         csc = self._load(overlay)
         norm1 = self._norm1()
         with one_blas_thread():
-            band = None if self._layout is None \
-                else self._layout.cholesky(csc.data)
+            band = self._layout.cholesky(csc.data)
         if band is not None:
             self._counted_factor(started)
             return Factorization(None, overlay.copy(), norm1, band)

@@ -280,6 +280,20 @@ class TestStreamingFlags:
         assert code == 0
         assert "campaign: 2/2" in captured.err
 
+    def test_progress_alone_shows_cache_rates(self, tmp_path, capsys):
+        # --progress without --trace still feeds the board the live
+        # metrics, and adds nothing to the canonical JSON.
+        paths = [tmp_path / "plain.json", tmp_path / "progress.json"]
+        for path, extra in zip(paths, ([], ["--progress"])):
+            code = main(["campaign", "--resolution", "4", "--benchmarks",
+                         "2", "--canonical", "--json", str(path)]
+                        + extra)
+            assert code == 0
+        err = capsys.readouterr().err
+        assert "eval cache" in err and "factor cache" in err
+        assert "krylov" in err
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
 
 class TestTraceAnalytics:
     def record_trace(self, tmp_path):

@@ -478,8 +478,7 @@ class TestBenchGate:
                 "grid_resolution": 12,
                 "repeated_solve": {"speedup": 38.0},
                 "table2_campaign": {
-                    "factorizations_per_solve": 0.9},
-                "banded_cholesky": self.banded()},
+                    "factorizations_per_solve": 0.9}},
             "BENCH_4.json": {
                 "grid_resolution": 12,
                 "oftec": {"overhead_pct": 2.0},
@@ -497,65 +496,12 @@ class TestBenchGate:
                 continue
             (directory / name).write_text(json.dumps(doc))
 
-    @staticmethod
-    def banded(path="banded", vector=(0.18, 0.33),
-               two_column=(0.37, 0.50), grids=("12", "16")):
-        """A ``banded_cholesky`` block: (band, SuperLU) ms per
-        back-solve, the same on the gated 12x12 and 16x16 grids."""
-        row = {"path": path,
-               "vector_backsolve_band_ms": vector[0],
-               "vector_backsolve_superlu_ms": vector[1],
-               "two_column_backsolve_band_ms": two_column[0],
-               "two_column_backsolve_superlu_ms": two_column[1]}
-        return {"gated_resolutions": [int(grid) for grid in grids],
-                "crossover": {grid: dict(row) for grid in grids}}
-
-    @pytest.mark.parametrize("banded", [
-        {"two_column": (0.55, 0.50)},
-        {"vector": (0.40, 0.33)},
-        {"path": "superlu"},
-    ])
-    def test_banded_backsolve_slower_than_superlu_fails(
-            self, tmp_path, capsys, banded):
-        self.seed_artifacts(tmp_path, **{"BENCH_3.json": {
-            "grid_resolution": 6,
-            "repeated_solve": {"speedup": 38.0},
-            "table2_campaign": {"factorizations_per_solve": 0.9},
-            "banded_cholesky": self.banded(**banded)}})
-        assert self.run_gate(["--dir", str(tmp_path)]) == 1
-        assert "FAIL  BENCH_3 banded" in capsys.readouterr().out
-
-    def test_each_gated_grid_is_checked(self, tmp_path, capsys):
-        banded = self.banded()
-        banded["crossover"]["16"]["two_column_backsolve_band_ms"] = 0.55
-        self.seed_artifacts(tmp_path, **{"BENCH_3.json": {
-            "grid_resolution": 12,
-            "repeated_solve": {"speedup": 38.0},
-            "table2_campaign": {"factorizations_per_solve": 0.9},
-            "banded_cholesky": banded}})
-        assert self.run_gate(["--dir", str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "PASS  BENCH_3 banded two-column back-solve (12x12)" in out
-        assert "FAIL  BENCH_3 banded two-column back-solve (16x16)" in out
-
-    def test_pre_band_artifact_skips_banded_gate(self, tmp_path,
-                                                 capsys):
-        self.seed_artifacts(tmp_path, **{"BENCH_3.json": {
-            "grid_resolution": 12,
-            "repeated_solve": {"speedup": 38.0},
-            "table2_campaign": {"factorizations_per_solve": 0.9}}})
-        assert self.run_gate(["--dir", str(tmp_path)]) == 0
-        assert "SKIP  BENCH_3 banded back-solves" \
-            in capsys.readouterr().out
-
     def test_healthy_artifacts_pass(self, tmp_path, capsys):
         self.seed_artifacts(tmp_path)
         assert self.run_gate(["--dir", str(tmp_path),
                               "--require-all"]) == 0
         out = capsys.readouterr().out
         assert "bench_gate: ok" in out
-        assert "PASS  BENCH_3 banded vector back-solve" in out
-        assert "PASS  BENCH_3 banded two-column back-solve" in out
 
     def test_committed_artifacts_pass(self, capsys):
         repo = str(Path(__file__).resolve().parents[1])

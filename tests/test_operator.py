@@ -4,10 +4,11 @@ The direct-solve tests here back the operator module's claims about
 its cold path against the legacy construction (``spsolve`` on a freshly
 assembled ``static + diag(overlay)``), across all eight MiBench
 benchmarks: the bordered banded Cholesky path agrees with it to 1e-12
-relative on the 6x6, 8x8, 12x12 and 16x16 grids, and the SuperLU path
-(a band over
-budget, a matrix that is not positive definite, an asymmetric static
-matrix) reproduces it bit for bit and raises the same typed errors.
+relative on the 6x6, 8x8, 12x12, 16x16, 20x20 and 24x24 grids (there
+is no size budget), and SuperLU, which serves only a matrix the band
+factor refuses (one that is not positive definite), reproduces it bit
+for bit and raises the same typed errors.  An asymmetric static matrix
+is a configuration error.
 The tolerance gates back its second claim: every full-tolerance warm
 solve (an exact repeat of the held factor, or PCG preconditioned by it)
 stays within 1e-9 K of that direct solve, every adjoint block (a
@@ -48,11 +49,7 @@ from repro.thermal import (
     solve_steady_state_batch,
 )
 from repro.thermal import operator as operator_module
-from repro.thermal.operator import (
-    BAND_BUDGET_BYTES,
-    KRYLOV_TOLERANCE,
-    NEWTON_TOLERANCE,
-)
+from repro.thermal.operator import KRYLOV_TOLERANCE, NEWTON_TOLERANCE
 
 BENCHMARKS = ("basicmath", "bitcount", "crc32", "djkstra", "fft",
               "quicksort", "stringsearch", "susan")
@@ -61,21 +58,16 @@ BENCHMARKS = ("basicmath", "bitcount", "crc32", "djkstra", "fft",
 POINTS = ((180.0, 0.5), (320.0, 1.5))
 
 #: Grids on which the band path is gated against ``spsolve``.
-BAND_RESOLUTIONS = (6, 8, 12, 16)
-
-#: The first grid whose band is over :data:`BAND_BUDGET_BYTES`
-#: (SuperLU path).
-OVER_BUDGET_RESOLUTION = 20
+BAND_RESOLUTIONS = (6, 8, 12, 16, 20, 24)
 
 
 @pytest.fixture(scope="module")
 def grid_problems(tec_problem, profiles):
-    """Basicmath TEC problems on the band-path grids and one over-budget
-    grid, keyed by resolution (the 8x8 one is the session's)."""
+    """Basicmath TEC problems on the band-path grids, keyed by
+    resolution (the 8x8 one is the session's)."""
     problems = {resolution: build_cooling_problem(
         profiles["basicmath"], grid_resolution=resolution)
-        for resolution in BAND_RESOLUTIONS + (OVER_BUDGET_RESOLUTION,)
-        if resolution != 8}
+        for resolution in BAND_RESOLUTIONS if resolution != 8}
     problems[8] = tec_problem
     return problems
 
@@ -134,6 +126,13 @@ class TestStructure:
         with pytest.raises(ConfigurationError):
             ThermalOperator(csr_matrix(np.ones((2, 3))))
 
+    def test_asymmetric_static_is_rejected(self):
+        # A conductance network is symmetric; an asymmetric matrix is
+        # no thermal network, and the band factor could not take it.
+        with pytest.raises(ConfigurationError, match="symmetric"):
+            ThermalOperator(
+                csr_matrix(np.array([[2.0, -1.0], [-0.5, 2.0]])))
+
     def test_shape_checks(self, tec_problem):
         operator = fresh_operator(tec_problem.model.network)
         n = operator.node_count
@@ -177,20 +176,6 @@ class TestBitIdentity:
                     <= 1e-12 * np.abs(theirs).max(), \
                     f"{workload} at {resolution}x{resolution}, " \
                     f"omega={omega}, I={current}"
-
-    @pytest.mark.parametrize("workload", BENCHMARKS)
-    def test_over_budget_band_is_bitwise_spsolve(self, grid_problems,
-                                                 profiles, workload):
-        problem = grid_problems[OVER_BUDGET_RESOLUTION].with_profile(
-            profiles[workload])
-        network = problem.model.network
-        for omega, current in POINTS:
-            overlay, rhs = model_overlays(problem, omega, current)
-            assert not network.operator.factor(overlay).banded
-            ours = network.solve(overlay, rhs)
-            theirs = legacy_solve(network, overlay, rhs)
-            assert (ours == theirs).all(), \
-                f"{workload} at omega={omega}, I={current}"
 
     @pytest.mark.parametrize("workload", BENCHMARKS)
     def test_non_spd_overlay_is_bitwise_spsolve(self, tec_problem,
@@ -297,15 +282,11 @@ class TestFactorPaths:
     """Which factor ``ThermalOperator.factor`` makes, and that the
     systems that fall back to SuperLU keep their typed errors."""
 
-    def test_band_layout_fits_the_budget(self, grid_problems):
-        for resolution, problem in grid_problems.items():
+    def test_band_layout_is_a_permutation(self, grid_problems):
+        for problem in grid_problems.values():
             operator = problem.model.network.operator
             n = operator.node_count
             layout = operator._layout
-            if resolution == OVER_BUDGET_RESOLUTION:
-                assert layout is None
-                continue
-            assert layout.factor_bytes <= BAND_BUDGET_BYTES
             assert sorted(layout.perm) == list(range(n))
             assert (layout.perm[layout.inverse] == np.arange(n)).all()
 
@@ -382,8 +363,7 @@ class TestFactorPaths:
         assert errors[0] == errors[1]
         assert "degenerate" in errors[0][0] and errors[0][1] > 1e13
 
-    def test_spd_in_budget_takes_the_band(self, tec_problem,
-                                          monkeypatch):
+    def test_spd_takes_the_band(self, tec_problem, monkeypatch):
         spy = SuperLUSpy(monkeypatch)
         operator = fresh_operator(tec_problem.model.network)
         overlay, rhs = model_overlays(tec_problem, *POINTS[0])
@@ -447,24 +427,6 @@ class TestFactorPaths:
         assert after.krylov_solves - before.krylov_solves == 1
         assert after.krylov_iterations - before.krylov_iterations >= 2
         assert calls == ([1, 4], [1, 4])
-
-    def test_asymmetric_static_takes_superlu(self, monkeypatch):
-        spy = SuperLUSpy(monkeypatch)
-        static = csr_matrix(np.array([[2.0, -1.0], [-0.5, 2.0]]))
-        operator = ThermalOperator(static)
-        assert operator._layout is None
-        overlay, rhs = np.array([0.5, 0.25]), np.array([1.0, 2.0])
-        assert not operator.factor(overlay).banded
-        assert (operator.solve(overlay, rhs) == spsolve(
-            (static + diags(overlay)).tocsc(), rhs)).all()
-        assert spy.calls == 2
-
-    def test_asymmetric_singular_raises_typed_error(self):
-        operator = ThermalOperator(
-            csr_matrix(np.array([[1.0, -1.0], [-2.0, 2.0]])))
-        with pytest.raises(SingularNetworkError) as excinfo:
-            operator.solve(np.zeros(2), np.ones(2))
-        assert excinfo.value.condition_estimate == float("inf")
 
     def test_indefinite_shift_takes_superlu(self, tec_problem,
                                             monkeypatch):
