@@ -5,7 +5,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.29.0",
+    version="1.30.0",
     description=(
         "OFTEC: power-aware deployment and control of forced-convection "
         "and thermoelectric coolers (DAC 2014 reproduction)"

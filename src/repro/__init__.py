@@ -58,7 +58,7 @@ from .errors import (
 )
 from .power import BenchmarkProfile, mibench_profiles
 
-__version__ = "1.29.0"
+__version__ = "1.30.0"
 
 __all__ = [
     "I_TEC_MAX",

@@ -9,7 +9,7 @@ cell temperatures back to units.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -136,6 +136,14 @@ class CellCoverage:
             (len(self.floorplan), grid.cell_count), dtype=float)
         for u_idx, unit in enumerate(self.floorplan):
             self._fill_unit_overlaps(u_idx, unit.rect)
+        # Each unit's share of its area per cell (None when it covers
+        # no cell), keyed by name: the first unit of a name wins, as in
+        # Floorplan.index_of.
+        self._fractions: Dict[str, Optional[np.ndarray]] = {}
+        for unit, row in zip(self.floorplan, self._overlap):
+            total = row.sum()
+            self._fractions.setdefault(
+                unit.name, row / total if total > 0.0 else None)
 
     def _fill_unit_overlaps(self, u_idx: int, rect: Rect) -> None:
         grid = self.grid
@@ -155,15 +163,19 @@ class CellCoverage:
         """Copy of the (units x cells) overlap-area matrix in m^2."""
         return self._overlap.copy()
 
-    def unit_cell_fractions(self, unit_name: str) -> np.ndarray:
-        """For one unit: fraction of the unit's area in each cell."""
-        u_idx = self.floorplan.index_of(unit_name)
-        row = self._overlap[u_idx]
-        total = row.sum()
-        if total <= 0.0:
+    def _fraction(self, unit_name: str) -> np.ndarray:
+        """The held fraction of ``unit_name``'s area in each cell."""
+        if unit_name not in self._fractions:
+            raise GeometryError(f"No unit named {unit_name!r}")
+        fraction = self._fractions[unit_name]
+        if fraction is None:
             raise GeometryError(
                 f"Unit {unit_name!r} covers no grid cells")
-        return row / total
+        return fraction
+
+    def unit_cell_fractions(self, unit_name: str) -> np.ndarray:
+        """For one unit: fraction of the unit's area in each cell."""
+        return self._fraction(unit_name).copy()
 
     def power_map(self, unit_powers: Dict[str, float]) -> np.ndarray:
         """Distribute per-unit powers (W) onto grid cells.
@@ -175,12 +187,7 @@ class CellCoverage:
         """
         cell_power = np.zeros(self.grid.cell_count, dtype=float)
         for name, power in unit_powers.items():
-            u_idx = self.floorplan.index_of(name)
-            row = self._overlap[u_idx]
-            total = row.sum()
-            if total <= 0.0:
-                raise GeometryError(f"Unit {name!r} covers no grid cells")
-            cell_power += power * (row / total)
+            cell_power += power * self._fraction(name)
         return cell_power
 
     def cells_of_unit(self, unit_name: str, min_fraction: float = 0.5,

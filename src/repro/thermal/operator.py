@@ -6,28 +6,38 @@ CSC layout) is fixed once the network finalizes; only the diagonal
 overlay and the RHS change between solves.
 
 * :class:`ThermalOperator` owns the structure — one CSC matrix with
-  every diagonal entry stored, and each ``(i, i)`` position in
-  ``csc.data`` — so applying an overlay is two array writes.  The
-  static matrix must be exactly symmetric.  It holds no factors.
+  every diagonal entry stored, and a band-ordered CSR copy with each
+  natural node's ``(i, i)`` position in its ``data`` — so applying an
+  overlay is one array write.  The static matrix must be exactly
+  symmetric.  It holds no factors.
+* The operator computes in the band order of its layout: the interior
+  nodes in reverse Cuthill-McKee order, then the border, the network's
+  periphery (12 nodes, each coupled to a whole grid edge).  A public
+  call permutes ``rhs`` (and the held answer) into that order once, runs
+  PCG there on the band-ordered matrix with in-place vector updates, and
+  permutes the answer back once; every back-solve inside it works on
+  band-ordered vectors, with no permutation of its own.
 * :class:`Factorization` holds one factor at one overlay: a bordered
   banded Cholesky factor on every grid (there is no size budget), or
-  an ``splu`` factor when the band factor refuses the loaded matrix
-  because it is not positive definite.  The border is the network's
-  periphery (12 nodes, each coupled to a whole grid edge), ordered
-  last; the interior ``A_II`` is a band in reverse
-  Cuthill-McKee order (width 99 instead of 195 with the periphery in
-  it, at 12x12) factored by LAPACK ``dpbtrf`` as ``L L^T``, and the
-  border is eliminated through ``W = L^-1 A_IB`` (one forward
-  ``dtbtrs`` over the border columns) and the dense Schur complement
-  ``S = A_BB - W^T W`` (``dpotrf``).  A back-solve is the forward half
-  ``y = L^-1 b_I``, the border solve with ``S`` and the transposed half
-  ``x_I = L^-T (y - W x_B)``: two ``dtbtrs`` passes, as many as one
-  ``dpbtrs``, plus two thin products with ``W``.  Without a border that
-  shrinks the factor the layout is plain reverse Cuthill-McKee and a
-  back-solve is the two passes alone.  The operator's public calls
+  an ``splu`` factor of the natural-order matrix when the band factor
+  refuses the loaded matrix because it is not positive definite.  The
+  interior ``A_II`` is a band (width 99 instead of 195 with the
+  periphery in it, at 12x12) factored by LAPACK ``dpbtrf`` as
+  ``L L^T``, and the border is eliminated through ``W = L^-1 A_IB``
+  (one forward ``dtbtrs`` over the border columns) and the dense Schur
+  complement ``S = A_BB - W^T W`` (``dpotrf``).  A back-solve copies
+  its right-hand side and, in place on the copy, runs the forward
+  ``dtbsv`` pass ``y = L^-1 b_I``, the border solve
+  ``x_B = S^-1 (b_B - W^T y)`` (``dpotrs``) with ``y -= W x_B``, and
+  the transposed ``dtbsv`` pass ``x_I = L^-T y``: the two passes of one
+  ``dpbtrs`` plus two thin products with ``W``; an ``(n, k)`` block is
+  a loop over its columns.  Without a border that shrinks the factor
+  the layout is plain reverse Cuthill-McKee and a back-solve is the two
+  passes alone.  The operator's public calls
   (:meth:`~ThermalOperator.factor`, :meth:`~ThermalOperator.solve`,
   :meth:`~ThermalOperator.solve_adjoint`) each hold OpenBLAS at one
-  thread once, for every band factor and back-solve inside them.
+  thread once, for every band factor and back-solve inside them, and
+  the solves hold numpy's error state once.
 * :class:`KrylovState` holds what one solve sequence already knows:
   its last factor and its last accepted vector answer.  It lives with
   the caller (a
@@ -76,6 +86,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dpbtrf, dpotrf, dpotrs, dtbtrs
 from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -178,20 +189,25 @@ def factor_reuse_ratio(cache_hits: float, krylov_solves: float,
 
 
 class _BandLayout:
-    """Where the band path puts one operator's matrix.
+    """Where the band path puts one operator's matrix, and the order
+    the operator computes in.
 
     ``perm`` (and its ``inverse``) orders the ``interior`` nodes first,
-    in reverse Cuthill-McKee order, and the border nodes last; the
-    interior block is a band of ``width`` rows (bandwidth + 1).
+    in reverse Cuthill-McKee order, and the border nodes last: the band
+    order.  ``matrix`` is the static matrix in band order (CSR, every
+    diagonal entry stored) and ``diagonal`` the position of each
+    natural node's ``(i, i)`` entry in ``matrix.data``.  The interior
+    block is a band of ``width`` rows (bandwidth + 1).
     ``source``/``target`` map the interior's lower triangle from
-    ``csc.data`` into the Fortran-ordered ``(width, interior)`` band
+    ``matrix.data`` into the Fortran-ordered ``(width, interior)`` band
     that ``dpbtrf`` factors with ``lower=1``, and ``edge_source``/
     ``edge_target`` map the border columns into a Fortran-ordered
     ``(n, border)`` array.
     """
 
-    __slots__ = ("perm", "inverse", "interior", "width", "source",
-                 "target", "edge_source", "edge_target")
+    __slots__ = ("perm", "inverse", "interior", "width", "matrix",
+                 "diagonal", "source", "target", "edge_source",
+                 "edge_target")
 
     def __init__(self, csc: csc_matrix, border: np.ndarray):
         n = csc.shape[0]
@@ -205,9 +221,13 @@ class _BandLayout:
         self.inverse = np.empty_like(self.perm)
         self.inverse[self.perm] = np.arange(n)
         self.interior = interior.size
-        rows = self.inverse[csc.indices]
-        columns = self.inverse[np.repeat(np.arange(n),
-                                         np.diff(csc.indptr))]
+        coo = csc.tocoo()
+        self.matrix = csr_matrix(
+            (coo.data, (self.inverse[coo.row], self.inverse[coo.col])),
+            shape=(n, n))
+        rows = np.repeat(np.arange(n), np.diff(self.matrix.indptr))
+        columns = self.matrix.indices
+        self.diagonal = np.flatnonzero(rows == columns)[self.inverse]
         self.source = np.flatnonzero((rows >= columns)
                                      & (rows < self.interior))
         offsets = rows[self.source] - columns[self.source]
@@ -242,15 +262,17 @@ class _BandLayout:
         return 8 * ((self.width + self.border) * self.interior
                     + self.border ** 2)
 
-    def cholesky(self, data: np.ndarray) -> Optional["_BandFactor"]:
-        """Bordered banded Cholesky of the matrix with CSC values
-        ``data``; ``None`` unless it is positive definite.
+    def cholesky(self, data: np.ndarray) -> Optional[tuple]:
+        """Bordered banded Cholesky ``(L, W, S)`` of the band-ordered
+        matrix with CSR values ``data``; ``None`` unless it is positive
+        definite.
 
         ``dpbtrf`` factors the interior band ``A_II = L L^T``, one
         forward ``dtbtrs`` over the border columns gives
         ``W = L^-1 A_IB``, and ``dpotrf`` the border's Schur complement
-        ``S = A_BB - W^T W``.  ``A`` is positive definite exactly when
-        ``A_II`` and ``S`` are.
+        ``S = A_BB - W^T W``; ``W`` and ``S`` are ``None`` without a
+        border.  ``A`` is positive definite exactly when ``A_II`` and
+        ``S`` are.
         """
         n, interior = self.perm.size, self.interior
         flat = np.zeros(self.width * interior)
@@ -262,79 +284,36 @@ class _BandLayout:
             if info != 0:
                 return None
             if not self.border:
-                return _BandFactor(self, band, None, None)
+                return band, None, None
             edge = np.zeros(n * self.border)
             edge[self.edge_target] = data[self.edge_source]
             edge = edge.reshape((n, self.border), order="F")
             coupling, _ = dtbtrs(band, edge[:interior], uplo="L")
             schur, info = dpotrf(edge[interior:] - coupling.T @ coupling,
                                  lower=1)
-        return _BandFactor(self, band, coupling, schur) \
-            if info == 0 else None
-
-
-class _BandFactor:
-    """A bordered banded Cholesky factor in its layout's order: the
-    interior band ``band`` (``L``), ``coupling`` ``W = L^-1 A_IB`` and
-    the Cholesky factor ``schur`` of ``S = A_BB - W^T W`` (both
-    ``None`` without a border)."""
-
-    __slots__ = ("layout", "band", "coupling", "schur")
-
-    def __init__(self, layout, band, coupling, schur):
-        self.layout = layout
-        self.band = band
-        self.coupling = coupling
-        self.schur = schur
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for one RHS vector or an ``(n, k)`` block, each
-        triangular pass one ``dtbtrs`` call: ``y = L^-1 b_I``,
-        ``x_B = S^-1 (b_B - W^T y)``, ``x_I = L^-T (y - W x_B)``.
-
-        The thin products with ``W`` are one matrix-vector product per
-        column, so column ``j`` of a block is bitwise the solve of that
-        column (a matrix-matrix product sums in another order).
-        """
-        layout = self.layout
-        permuted = np.take(rhs, layout.perm, axis=0)
-        solved, _ = dtbtrs(self.band, permuted[:layout.interior],
-                           uplo="L", overwrite_b=1)
-        border = permuted[layout.interior:]
-        if layout.border:
-            border, _ = dpotrs(self.schur, border - _per_column(
-                self.coupling.T, solved), lower=1, overwrite_b=1)
-            solved -= _per_column(self.coupling, border)
-        solved, _ = dtbtrs(self.band, solved, uplo="L", trans="T",
-                           overwrite_b=1)
-        return np.take(np.concatenate([solved, border]), layout.inverse,
-                       axis=0)
-
-
-def _per_column(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``matrix @ block`` as one matrix-vector product per column of a
-    block."""
-    if block.ndim == 1:
-        return matrix @ block
-    return (matrix @ block.T[:, :, np.newaxis])[:, :, 0].T
+        return (band, coupling, schur) if info == 0 else None
 
 
 class Factorization:
     """One factor of ``static + diag(overlay)``, with the matrix 1-norm
     (for the degeneracy guard) and a copy of the overlay it was made
-    at, so reuse never touches the operator's scratch CSC.
+    at, so reuse never touches the operator's scratch matrices.
 
-    The factor is a bordered banded Cholesky factor (``_lu`` is
-    ``None``), or an ``splu`` factor (``_band`` is ``None``) of a
-    matrix the band factor refused; there is no size budget.
+    The factor is a bordered banded Cholesky factor in its layout's
+    order (``_lu`` is ``None``), or an ``splu`` factor of the
+    natural-order matrix (``_band`` is ``None``) that the band factor
+    refused; there is no size budget.  Either way :meth:`solve` takes
+    and returns vectors in the layout's band order.
     """
 
-    __slots__ = ("_lu", "_band", "overlay", "norm1")
+    __slots__ = ("_layout", "_lu", "_band", "_coupling", "_schur",
+                 "overlay", "norm1")
 
-    def __init__(self, lu, overlay: np.ndarray, norm1: float,
-                 band: Optional[_BandFactor] = None):
+    def __init__(self, layout: _BandLayout, overlay: np.ndarray,
+                 norm1: float, lu=None, band: Optional[tuple] = None):
+        self._layout = layout
         self._lu = lu
-        self._band = band
+        self._band, self._coupling, self._schur = band or (None,) * 3
         self.overlay = overlay
         self.norm1 = norm1
 
@@ -344,14 +323,33 @@ class Factorization:
         return self._band is not None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Back-substitute one RHS vector or an ``(n, k)`` RHS block (on
-        the band path column ``j`` of a block is bitwise the solve of
-        that column)."""
-        with np.errstate(all="ignore"):
-            if self._band is None:
-                return self._lu.solve(rhs)
-            with one_blas_thread():
-                return self._band.solve(rhs)
+        """Back-substitute one band-ordered RHS vector or ``(n, k)``
+        block; the answer is in band order too.
+
+        On the band path each column is a copy and, in place on it, a
+        forward ``dtbsv`` pass ``y = L^-1 b_I``, the border solve
+        ``x_B = S^-1 (b_B - W^T y)`` with ``y -= W x_B``, and a
+        transposed ``dtbsv`` pass ``x_I = L^-T y``, so column ``j`` of
+        a block is bitwise the solve of that column.  An ``splu``
+        factor solves in natural order between two permutations.  It
+        runs at the caller's OpenBLAS thread count and floating-point
+        error state (the operator's public calls hold both).
+        """
+        layout = self._layout
+        if self._lu is not None:
+            return self._lu.solve(rhs[layout.inverse])[layout.perm]
+        solution = rhs.copy(order="F")
+        bandwidth, interior = layout.width - 1, layout.interior
+        for x in solution.T if solution.ndim == 2 else (solution,):
+            dtbsv(bandwidth, self._band, x, lower=1, overwrite_x=1)
+            if self._schur is not None:
+                head, tail = x[:interior], x[interior:]
+                tail -= self._coupling.T @ head
+                dpotrs(self._schur, tail, lower=1, overwrite_b=1)
+                head -= self._coupling @ tail
+            dtbsv(bandwidth, self._band, x, lower=1, trans=1,
+                  overwrite_x=1)
+        return solution
 
 
 class KrylovState:
@@ -396,9 +394,11 @@ class ThermalOperator:
     """Structure/state split over one finalized static matrix.
 
     Immutable in structure and cheap in state: :meth:`solve` writes the
-    diagonal overlay into a preallocated CSC ``data`` array, solves
-    directly or by PCG against the caller's :class:`KrylovState`, and
-    applies the singularity and degeneracy guards.
+    diagonal overlay into a preallocated band-ordered CSR ``data``
+    array, solves directly or by PCG against the caller's
+    :class:`KrylovState` in that order, and applies the singularity and
+    degeneracy guards.  The natural-order CSC serves the SuperLU
+    fallback and the condition estimates.
     """
 
     def __init__(self, static: csr_matrix, border: Sequence[int] = ()):
@@ -445,8 +445,10 @@ class ThermalOperator:
             off_diagonal, csc.indptr[:-1])
         # Every overlay is diagonal, so the symmetric static matrix
         # stays symmetric under any overlay and one layout serves them
-        # all.
+        # all; the operator computes in its band order.
         self._layout = _BandLayout.of(csc, border)
+        self._matrix: csr_matrix = self._layout.matrix.copy()
+        self._static_diagonal = self._matrix.data[self._layout.diagonal]
         self._counts = dict.fromkeys(_COUNTERS, 0)
 
     def _count(self, name: str, amount: float = 1) -> None:
@@ -492,15 +494,24 @@ class ThermalOperator:
                 f"{overlay.shape}")
         return overlay
 
-    def _load(self, overlay: np.ndarray) -> csc_matrix:
-        """Write ``static + diag(overlay)`` into the CSC scratch data."""
+    def _load(self, overlay: np.ndarray) -> csr_matrix:
+        """Write ``static + diag(overlay)`` (``overlay`` in natural
+        order) into the band-ordered CSR scratch data; only its
+        diagonal ever changes."""
+        self._matrix.data[self._layout.diagonal] = \
+            self._static_diagonal + overlay
+        return self._matrix
+
+    def _load_natural(self, overlay: np.ndarray) -> csc_matrix:
+        """Write ``static + diag(overlay)`` into the natural-order CSC
+        scratch data (for SuperLU and the condition estimates)."""
         np.copyto(self._csc.data, self._base_data)
         self._csc.data[self._diag_index] += overlay
         return self._csc
 
     def _norm1(self) -> float:
         """1-norm of the matrix currently loaded by :meth:`_load`."""
-        diagonal = np.abs(self._csc.data[self._diag_index])
+        diagonal = np.abs(self._matrix.data[self._layout.diagonal])
         return float(np.max(self._off_diagonal_norms + diagonal))
 
     def factor(self, diag_overlay: np.ndarray) -> Factorization:
@@ -514,13 +525,15 @@ class ThermalOperator:
         """
         overlay = self._checked_overlay(diag_overlay)
         started = monotonic()
-        csc = self._load(overlay)
+        data = self._load(overlay).data
         norm1 = self._norm1()
         with one_blas_thread():
-            band = self._layout.cholesky(csc.data)
+            band = self._layout.cholesky(data)
         if band is not None:
             self._counted_factor(started)
-            return Factorization(None, overlay.copy(), norm1, band)
+            return Factorization(self._layout, overlay.copy(), norm1,
+                                 band=band)
+        csc = self._load_natural(overlay)
         try:
             with np.errstate(all="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -532,7 +545,7 @@ class ThermalOperator:
                 f"condition estimate {estimate:.3e}",
                 condition_estimate=estimate) from exc
         self._counted_factor(started)
-        return Factorization(lu, overlay.copy(), norm1)
+        return Factorization(self._layout, overlay.copy(), norm1, lu=lu)
 
     def _counted_factor(self, started: float) -> None:
         self._count("factorizations")
@@ -561,7 +574,7 @@ class ThermalOperator:
             raise ConfigurationError(
                 f"RHS must have shape ({self._n},), got {rhs_arr.shape}")
         started = monotonic()
-        with one_blas_thread():
+        with one_blas_thread(), np.errstate(all="ignore"):
             temps = self._solve(overlay, rhs_arr, warm, tolerance)
         self._count("solves")
         self._count("solve_seconds", monotonic() - started)
@@ -584,7 +597,7 @@ class ThermalOperator:
                 f"Adjoint RHS must have shape ({self._n},) or "
                 f"({self._n}, k >= 1), got {rhs_arr.shape}")
         started = monotonic()
-        with one_blas_thread():
+        with one_blas_thread(), np.errstate(all="ignore"):
             duals = self._solve(overlay, rhs_arr, warm, KRYLOV_TOLERANCE)
         self._count("adjoint_solves",
                     1 if rhs_arr.ndim == 1 else rhs_arr.shape[1])
@@ -594,35 +607,40 @@ class ThermalOperator:
     def _solve(self, overlay: np.ndarray, rhs: np.ndarray,
                warm: Optional[KrylovState],
                tolerance: float) -> np.ndarray:
-        """Exact-repeat, PCG (vectors) or fresh-factor solve, guarded.
-        A warm vector solution that passes the guards becomes the
-        sequence's held answer."""
+        """Exact-repeat, PCG (vectors) or fresh-factor solve, guarded,
+        in band order: ``rhs`` goes in and the answer comes out through
+        one permutation each.  A warm vector solution that passes the
+        guards becomes the sequence's held answer."""
+        layout = self._layout
+        rhs = rhs[layout.perm]
+        solution = None
         if warm is not None and warm.factor is not None:
             if warm.holds(overlay):
                 self._count("cache_hits")
                 solution = self._back_solve(warm.factor, overlay, rhs)
-                warm.accept(solution)
-                return solution
-            if rhs.ndim == 1:
+            elif rhs.ndim == 1:
+                start = None
                 if warm.vector is not None:
                     self._count("held_starts")
+                    start = warm.vector[layout.perm]
                 solution = self._pcg(self._load(overlay), rhs,
-                                     warm.factor, warm.vector, tolerance)
+                                     warm.factor, start, tolerance)
                 if solution is not None:
                     self._count("krylov_solves")
                     self._guard(solution, rhs, overlay, self._norm1(),
                                 None)
-                    warm.accept(solution)
-                    return solution
-        factor = self.factor(overlay)
-        if warm is None:
-            return self._back_solve(factor, overlay, rhs)
-        self._count("fresh_factorizations")
-        solution = self._back_solve(factor, overlay, rhs)
-        # Only a factor whose solve passed the guards preconditions
-        # the rest of the sequence.
-        warm.factor = factor
-        warm.accept(solution)
+        if solution is None:
+            factor = self.factor(overlay)
+            if warm is not None:
+                self._count("fresh_factorizations")
+            solution = self._back_solve(factor, overlay, rhs)
+            # Only a factor whose solve passed the guards
+            # preconditions the rest of the sequence.
+            if warm is not None:
+                warm.factor = factor
+        solution = solution[layout.inverse]
+        if warm is not None:
+            warm.accept(solution)
         return solution
 
     def _back_solve(self, factor: Factorization, overlay: np.ndarray,
@@ -631,46 +649,47 @@ class ThermalOperator:
         self._guard(solution, rhs, overlay, factor.norm1, factor._lu)
         return solution
 
-    def _pcg(self, matrix: csc_matrix, rhs: np.ndarray,
+    def _pcg(self, matrix: csr_matrix, rhs: np.ndarray,
              preconditioner: Factorization, start: Optional[np.ndarray],
              tolerance: float) -> Optional[np.ndarray]:
-        """Scalar PCG on one RHS vector, preconditioned by a factor of
-        a nearby overlay; ``None`` when it misses its budget, meets
-        ``p^T A p <= 0`` or ``rho <= 0``, or a non-finite iterate.
+        """Scalar PCG on one band-ordered RHS vector, preconditioned by
+        a factor of a nearby overlay, updating its vectors in place
+        (``start``, a band-ordered copy, becomes the answer); ``None``
+        when it misses its budget, meets ``p^T A p <= 0`` or
+        ``rho <= 0``, or a non-finite iterate.
 
         Raises :class:`IndefiniteSystemError` when a step's curvature
         certifies ``matrix`` indefinite (see :data:`INDEFINITE_MARGIN`).
         """
         iterations = 0
         witness = None
-        with np.errstate(all="ignore"):
-            solution = preconditioner.solve(rhs) if start is None \
-                else np.array(start, dtype=float)
-            residual = rhs - matrix @ solution
+        solution = preconditioner.solve(rhs) if start is None else start
+        residual = rhs - matrix @ solution
+        z = preconditioner.solve(residual)
+        tolerance *= min(1.0, float(np.abs(solution).max()))
+        # A NaN error estimate fails this test, and the next curvature
+        # test (NaN > 0 is False) fails the solve.
+        converged = float(np.abs(z).max()) <= tolerance
+        direction, rho = z, float(residual @ z)
+        while not converged and iterations < KRYLOV_BUDGET:
+            iterations += 1
+            product = matrix @ direction
+            curvature = float(direction @ product)
+            if not (curvature > 0.0 and rho > 0.0):
+                length = float(direction @ direction)
+                if curvature < -INDEFINITE_MARGIN * self._norm1() \
+                        * length:
+                    witness = curvature / length
+                break
+            alpha = rho / curvature
+            solution += alpha * direction
+            residual -= alpha * product
             z = preconditioner.solve(residual)
-            tolerance *= min(1.0, float(np.abs(solution).max()))
-            # A NaN error estimate fails this test, and the next
-            # curvature test (NaN > 0 is False) fails the solve.
             converged = float(np.abs(z).max()) <= tolerance
-            direction, rho = z, float(residual @ z)
-            while not converged and iterations < KRYLOV_BUDGET:
-                iterations += 1
-                product = matrix @ direction
-                curvature = float(direction @ product)
-                if not (curvature > 0.0 and rho > 0.0):
-                    length = float(direction @ direction)
-                    if curvature < -INDEFINITE_MARGIN * self._norm1() \
-                            * length:
-                        witness = curvature / length
-                    break
-                alpha = rho / curvature
-                solution += alpha * direction
-                residual -= alpha * product
-                z = preconditioner.solve(residual)
-                converged = float(np.abs(z).max()) <= tolerance
-                rho_next = float(residual @ z)
-                direction = z + (rho_next / rho) * direction
-                rho = rho_next
+            rho_next = float(residual @ z)
+            direction *= rho_next / rho
+            direction += z
+            rho = rho_next
         self._count("krylov_iterations", iterations)
         if witness is not None:
             raise IndefiniteSystemError(
@@ -706,7 +725,7 @@ class ThermalOperator:
                        f"{growth:.3e} exceeds {_DEGENERACY_GROWTH_LIMIT:.1e}")
         else:
             return
-        estimate = condition_estimate(self._load(overlay), lu=lu)
+        estimate = condition_estimate(self._load_natural(overlay), lu=lu)
         raise SingularNetworkError(
             f"Thermal system is {problem} (1-norm condition estimate "
             f"{estimate:.3e})", condition_estimate=estimate)

@@ -118,6 +118,23 @@ class TestCellCoverage:
         with pytest.raises(GeometryError):
             cov.power_map({"nope": 1.0})
 
+    def test_power_map_is_bitwise_the_per_unit_formula(self, floorplan,
+                                                       profiles):
+        # The held per-unit fractions reproduce, bit for bit, the map
+        # that looked each unit up and normalized its overlap row on
+        # every call, in the caller's unit order.
+        for resolution in (8, 12):
+            cov = CellCoverage(floorplan, Grid.for_floorplan(
+                floorplan, resolution, resolution))
+            overlap = cov.overlap_matrix
+            for profile in profiles.values():
+                powers = profile.as_dict()
+                expected = np.zeros(cov.grid.cell_count)
+                for name, power in powers.items():
+                    row = overlap[cov.floorplan.index_of(name)]
+                    expected += power * (row / row.sum())
+                assert (cov.power_map(powers) == expected).all()
+
     def test_unit_cell_fractions_sum_to_one(self):
         fp = simple_floorplan()
         cov = CellCoverage(fp, Grid.for_floorplan(fp, 5, 3))

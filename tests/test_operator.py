@@ -377,6 +377,38 @@ class TestFactorPaths:
             <= 1e-14 * np.abs(vector).max()
         assert spy.calls == 0
 
+    def test_factor_solves_in_band_order(self, profiles):
+        # A factor takes and returns band-ordered vectors: permuted
+        # back, its answer is spsolve's; a block column is bitwise the
+        # vector solve; and one warm PCG solve from a held factor, which
+        # runs in that order, stays within the warm-solve gate.
+        for name in BENCHMARKS:
+            problem = build_cooling_problem(profiles[name],
+                                            grid_resolution=12)
+            network = problem.model.network
+            operator = fresh_operator(network)
+            perm = operator._layout.perm
+            overlay, rhs = model_overlays(problem, *POINTS[0])
+            factor = operator.factor(overlay)
+            assert factor.banded
+            exact = legacy_solve(network, overlay, rhs)
+            vector = factor.solve(rhs[perm])
+            answer = np.empty_like(vector)
+            answer[perm] = vector
+            assert np.abs(answer - exact).max() \
+                <= 1e-12 * np.abs(exact).max()
+            block = factor.solve(np.column_stack([rhs, 3.0 * rhs])[perm])
+            assert (block[:, 0] == vector).all()
+            assert (block[:, 1] == factor.solve(3.0 * rhs[perm])).all()
+            warm = KrylovState()
+            warm.factor = factor
+            nearby, target = model_overlays(problem, 185.0, 0.6)
+            before = operator.stats
+            result = operator.solve(nearby, target, warm)
+            assert operator.stats.krylov_solves == before.krylov_solves + 1
+            assert np.abs(result - legacy_solve(
+                network, nearby, target)).max() <= 1e-10
+
     def test_band_factor_runs_on_one_blas_thread(self, tec_problem,
                                                  monkeypatch):
         # dpbtrf runs with every loaded OpenBLAS at one thread on the
@@ -449,8 +481,9 @@ class TestFactorPaths:
         spy = SuperLUSpy(monkeypatch)
         static = grounded_laplacian(ground=0.0)
         operator = ThermalOperator(static)
-        assert operator._layout is not None
         n = operator.node_count
+        loaded = operator._load(np.zeros(n)).data
+        assert operator._layout.cholesky(loaded) is None
         with pytest.raises(SingularNetworkError) as excinfo:
             operator.factor(np.zeros(n))
         assert spy.calls == 2  # the fallback, then the estimate
